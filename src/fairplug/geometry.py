@@ -32,9 +32,16 @@ from typing import Callable
 import numpy as np
 
 from .core import DistStats, FairnessParams, _check_prob
-from .cpe import predict_proba
 from .errors import ValidationError
-from .plugin import DPAR_AWARE, DPAR_BLIND, EO_AWARE, EO_BLIND, PlugInRule
+from .plugin import (
+    DPAR_AWARE,
+    DPAR_BLIND,
+    EO_AWARE,
+    EO_BLIND,
+    PlugInRule,
+    coordinates,
+    is_aware,
+)
 
 __all__ = [
     "Hyperbola",
@@ -395,20 +402,10 @@ def plugin_proxy_sampler(rule: PlugInRule, features: np.ndarray) -> Sampler:
 
     def sample(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         rows = features[rng.integers(0, features.shape[0], size=count)]
-        if rule.setting == EO_BLIND:
-            label_col = np.full((count, 1), rule.positive_label)
-            u = np.atleast_1d(predict_proba(rule.eta_bar, np.hstack([rows, label_col])))
-            v = np.atleast_1d(predict_proba(rule.eta, rows))
-            return u, v
-        if rule.setting == DPAR_BLIND:
-            u = np.atleast_1d(predict_proba(rule.eta_bar, rows))
-            v = np.atleast_1d(predict_proba(rule.eta, rows))
-            return u, v
-        minus = np.hstack([rows, np.full((count, 1), -1.0)])
-        plus = np.hstack([rows, np.full((count, 1), 1.0)])
-        v_minus = np.atleast_1d(predict_proba(rule.eta, minus))
-        v_plus = np.atleast_1d(predict_proba(rule.eta, plus))
-        return v_minus, v_plus
+        if is_aware(rule.setting):
+            return coordinates(rule, rows, -1.0)[0], coordinates(rule, rows, 1.0)[0]
+        eta, eta_bar = coordinates(rule, rows)
+        return eta_bar, eta
 
     return sample
 

@@ -23,7 +23,6 @@ from .errors import DataError
 
 __all__ = [
     "read_kv",
-    "read_kv_multi",
     "write_kv",
     "format_float",
     "format_float_vector",
@@ -61,16 +60,6 @@ def read_kv(path: str | Path) -> dict[str, str]:
             raise DataError(f"{path}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def read_kv_multi(path: str | Path) -> list[tuple[str, str]]:
-    """Read a key=value file preserving order and duplicate keys."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return _parse_lines(text.splitlines(), str(path))
 
 
 def write_kv(path: str | Path, items: Mapping[str, str] | Iterable[tuple[str, str]]) -> None:

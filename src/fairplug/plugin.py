@@ -21,6 +21,14 @@ always estimated on the *training* split.  The EO-blind rule evaluates
 ``eta_bar`` at the positive label input; :attr:`PlugInRule.positive_label`
 records which stored encoding that is (+1 normally, +C after privacy
 preprocessing).
+
+Every scorer -- :func:`score`, the grid sweep and the geometry proxy
+sampler -- goes through two functions.  :func:`coordinates` is the
+coordinate map: it picks the estimator outputs a setting's score reads
+and checks them.  :func:`setting_score` is the score dispatch: it
+applies the setting's formula above to those outputs, broadcasting over
+arrays of ``(lam, c, c_bar)``.  The four ``score_*`` formulas are plain
+arithmetic and check nothing themselves.
 """
 
 from __future__ import annotations
@@ -64,6 +72,8 @@ __all__ = [
     "score_eo_aware",
     "score_dpar_blind",
     "score_dpar_aware",
+    "setting_score",
+    "coordinates",
     "score",
     "classify",
     "fit_plugin",
@@ -121,55 +131,50 @@ def _check_group(y_bar) -> np.ndarray:
     return arr
 
 
-def _scalar_or_array(value: np.ndarray, scalar: bool):
-    return float(value) if scalar else value
-
-
-def score_eo_blind(eta_x, eta_bar_x1, pi: float, params: FairnessParams):
+def score_eo_blind(eta_x, eta_bar_x1, pi, lam, c, c_bar):
     """Equal-opportunity score without test-time group access.
 
     ``eta_bar_x1`` is the sensitive-attribute estimator evaluated at the
-    positive label input.  Scalar in, scalar out; arrays broadcast.
+    positive label input.
+    """
+    return (1.0 - (lam / pi) * (eta_bar_x1 - c_bar)) * eta_x - c
+
+
+def score_eo_aware(eta_xy, y_bar, pi, lam, c, c_bar):
+    """Equal-opportunity score with test-time group access (two branches)."""
+    coef_minus = 1.0 + (lam / pi) * c_bar
+    coef_plus = 1.0 - (lam / pi) * (1.0 - c_bar)
+    return np.where(y_bar > 0, coef_plus, coef_minus) * eta_xy - c
+
+
+def score_dpar_blind(eta_x, eta_bar_x, lam, c, c_bar):
+    """Demographic-parity score without test-time group access."""
+    return eta_x - (c + lam * (eta_bar_x - c_bar))
+
+
+def score_dpar_aware(eta_xy, y_bar, lam, c, c_bar):
+    """Demographic-parity score with test-time group access."""
+    return eta_xy - c + lam * c_bar - lam * (y_bar > 0)
+
+
+def setting_score(setting: str, first, second, pi, lam, c, c_bar):
+    """The score dispatch: the setting's formula at :func:`coordinates` output.
+
+    ``first, second`` are the two arrays :func:`coordinates` returns and
+    are taken as checked; ``pi`` is read by the EO settings only.  The
+    parameters broadcast against the coordinates, so ``c`` and ``c_bar``
+    of shape ``(k, 1)`` against ``(n,)`` coordinates score ``k`` grid
+    points on ``n`` rows in one ``(k, n)`` call.
     """
 
-    scalar = np.ndim(eta_x) == 0 and np.ndim(eta_bar_x1) == 0
-    eta_x = _check_unit("eta_x", eta_x)
-    eta_bar_x1 = _check_unit("eta_bar_x1", eta_bar_x1)
-    pi = _check_pi(pi)
-    value = (1.0 - (params.lam / pi) * (eta_bar_x1 - params.c_bar)) * eta_x - params.c
-    return _scalar_or_array(value, scalar)
-
-
-def score_eo_aware(eta_xy, y_bar, pi: float, params: FairnessParams):
-    """Equal-opportunity score with test-time group access (two branches)."""
-    scalar = np.ndim(eta_xy) == 0 and np.ndim(y_bar) == 0
-    eta_xy = _check_unit("eta_xy", eta_xy)
-    y_bar = _check_group(y_bar)
-    pi = _check_pi(pi)
-    coef_minus = 1.0 + (params.lam / pi) * params.c_bar
-    coef_plus = 1.0 - (params.lam / pi) * (1.0 - params.c_bar)
-    value = np.where(y_bar > 0, coef_plus, coef_minus) * eta_xy - params.c
-    return _scalar_or_array(value, scalar)
-
-
-def score_dpar_blind(eta_x, eta_bar_x, params: FairnessParams):
-    """Demographic-parity score without test-time group access."""
-    scalar = np.ndim(eta_x) == 0 and np.ndim(eta_bar_x) == 0
-    eta_x = _check_unit("eta_x", eta_x)
-    eta_bar_x = _check_unit("eta_bar_x", eta_bar_x)
-    value = eta_x - (params.c + params.lam * (eta_bar_x - params.c_bar))
-    return _scalar_or_array(value, scalar)
-
-
-def score_dpar_aware(eta_xy, y_bar, params: FairnessParams):
-    """Demographic-parity score with test-time group access."""
-    scalar = np.ndim(eta_xy) == 0 and np.ndim(y_bar) == 0
-    eta_xy = _check_unit("eta_xy", eta_xy)
-    y_bar = _check_group(y_bar)
-    value = (
-        eta_xy - params.c + params.lam * params.c_bar - params.lam * (y_bar > 0)
-    )
-    return _scalar_or_array(value, scalar)
+    if setting == EO_BLIND:
+        return score_eo_blind(first, second, pi, lam, c, c_bar)
+    if setting == EO_AWARE:
+        return score_eo_aware(first, second, pi, lam, c, c_bar)
+    if setting == DPAR_BLIND:
+        return score_dpar_blind(first, second, lam, c, c_bar)
+    _check_setting(setting)
+    return score_dpar_aware(first, second, lam, c, c_bar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +248,36 @@ def _as_rows(x) -> tuple[np.ndarray, bool]:
     raise ValidationError(f"x must be a vector or a matrix, got ndim={arr.ndim}")
 
 
+def coordinates(rule: PlugInRule, x, y_bar=None) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate map: the per-row estimator outputs a rule scores on.
+
+    ``x`` is a matrix of feature rows.  Returns ``(eta(x), eta_bar(x, +label))``
+    for eo-blind, ``(eta(x), eta_bar(x))`` for dpar-blind and
+    ``(eta(x, y_bar), y_bar)`` for the aware settings, where ``y_bar``
+    (scalar or per-row vector over +-1) is required exactly for the
+    aware settings.  Both arrays are checked here, once per batch of
+    rows, so :func:`setting_score` can score any number of parameter
+    points on them.
+    """
+
+    rows = np.asarray(x, dtype=float)
+    if is_aware(rule.setting):
+        if y_bar is None:
+            raise ValidationError(f"setting {rule.setting!r} requires y_bar at prediction time")
+        groups = np.broadcast_to(_check_group(y_bar), (rows.shape[0],))
+        eta_xy = predict_proba(rule.eta, np.hstack([rows, groups[:, None]]))
+        return _check_unit("eta_xy", eta_xy), groups
+    if y_bar is not None:
+        raise ValidationError(f"setting {rule.setting!r} does not accept y_bar")
+    eta_x = _check_unit("eta_x", predict_proba(rule.eta, rows))
+    if rule.setting == EO_BLIND:
+        label_col = np.full((rows.shape[0], 1), rule.positive_label)
+        eta_bar_x = predict_proba(rule.eta_bar, np.hstack([rows, label_col]))
+    else:
+        eta_bar_x = predict_proba(rule.eta_bar, rows)
+    return eta_x, _check_unit("eta_bar_x", eta_bar_x)
+
+
 def score(rule: PlugInRule, x, y_bar=None):
     """Evaluate the rule's score at feature vector(s) ``x``.
 
@@ -252,32 +287,11 @@ def score(rule: PlugInRule, x, y_bar=None):
     """
 
     rows, single = _as_rows(x)
-    aware = is_aware(rule.setting)
-    if aware and y_bar is None:
-        raise ValidationError(f"setting {rule.setting!r} requires y_bar at prediction time")
-    if not aware and y_bar is not None:
-        raise ValidationError(f"setting {rule.setting!r} does not accept y_bar")
-
-    if aware:
-        groups = _check_group(y_bar)
-        groups = np.broadcast_to(groups, (rows.shape[0],)).astype(float)
-        inputs = np.hstack([rows, groups[:, None]])
-        eta_xy = np.atleast_1d(predict_proba(rule.eta, inputs))
-        if rule.setting == EO_AWARE:
-            value = score_eo_aware(eta_xy, groups, rule.pi_hat, rule.params)
-        else:
-            value = score_dpar_aware(eta_xy, groups, rule.params)
-    else:
-        eta_x = np.atleast_1d(predict_proba(rule.eta, rows))
-        if rule.setting == EO_BLIND:
-            label_col = np.full((rows.shape[0], 1), rule.positive_label)
-            eta_bar_x1 = np.atleast_1d(
-                predict_proba(rule.eta_bar, np.hstack([rows, label_col]))
-            )
-            value = score_eo_blind(eta_x, eta_bar_x1, rule.pi_hat, rule.params)
-        else:
-            eta_bar_x = np.atleast_1d(predict_proba(rule.eta_bar, rows))
-            value = score_dpar_blind(eta_x, eta_bar_x, rule.params)
+    params = rule.params
+    value = setting_score(
+        rule.setting, *coordinates(rule, rows, y_bar), rule.pi_hat, params.lam, params.c,
+        params.c_bar,
+    )
     value = np.asarray(value, dtype=float)
     return float(value[0]) if single else value
 

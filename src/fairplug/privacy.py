@@ -36,7 +36,6 @@ from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule
 __all__ = [
     "PrivacyBudget",
     "PrivatizedCpe",
-    "DpGuarantee",
     "sensitivity_bound",
     "sample_noise",
     "noise_draw_count",
@@ -51,28 +50,6 @@ log = logging.getLogger("fairplug.privacy")
 _NOISE_DRAWS = 0
 
 NORM_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class DpGuarantee:
-    """An (eps, delta) differential-privacy statement; delta = 0 is pure."""
-
-    eps: float
-    delta: float = 0.0
-
-    def __post_init__(self) -> None:
-        eps = float(self.eps)
-        delta = float(self.delta)
-        if not (np.isfinite(eps) and eps > 0.0):
-            raise ValidationError(f"eps must be positive and finite, got {eps}")
-        if not (0.0 <= delta < 1.0):
-            raise ValidationError(f"delta must lie in [0, 1), got {delta}")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "delta", delta)
-
-    @property
-    def pure(self) -> bool:
-        return self.delta == 0.0
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._pool import map_tasks
 from .core import Dataset, DistStats, FairnessParams
 from .cpe import (
     ARITY_FEATURES,
@@ -609,14 +609,6 @@ def _consistency_trial(task) -> tuple[float, int]:
     return best - got, retries
 
 
-def _map_tasks(worker, tasks, jobs: int):
-    jobs = int(jobs)
-    if jobs <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def consistency_curve(
     dist: SyntheticDistribution,
     setting: str,
@@ -658,7 +650,7 @@ def consistency_curve(
             (dist, setting, params, n, int(m_eval), int(seed), t, cfg, known_pi, boc, stats, rule_factory)
             for t in range(trials)
         ]
-        results = _map_tasks(_consistency_trial, tasks, jobs)
+        results = map_tasks(_consistency_trial, tasks, jobs)
         regrets = np.array([r for r, _ in results])
         resamples += sum(retry for _, retry in results)
         points.append(
@@ -768,7 +760,7 @@ def tradeoff_gap(
         (dist, float(lam), params, n, int(m_eval), int(seed), t, cfg, stats, rule_factory)
         for t in range(trials)
     ]
-    results = _map_tasks(_tradeoff_trial, tasks, jobs)
+    results = map_tasks(_tradeoff_trial, tasks, jobs)
     gaps = np.array([g for g, _ in results])
     frontier_value = frontier(
         dist, lam, params, frontier_m, (int(seed), 982451653), stats=stats

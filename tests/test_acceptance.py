@@ -35,7 +35,7 @@ from fairplug.geometry import (
     square_intersects_hyperbola,
     square_intersects_line,
 )
-from fairplug.plugin import EO_BLIND, classify, fit_plugin, score, score_eo_blind
+from fairplug.plugin import EO_BLIND, classify, coordinates, fit_plugin, score, setting_score
 from fairplug.privacy import dp_plugin_pipeline, noise_draw_count, sample_noise
 from fairplug.sweep import aggregate_curves, bin_min_violation, default_grid, run_sweep
 from fairplug.synthetic import (
@@ -335,14 +335,6 @@ def test_criterion_07_noise_radius_follows_gamma_law():
 # 8. privacy bookkeeping on a full default-grid sweep
 
 
-def _eo_blind_outputs(rule, test):
-    label_col = np.full((test.n, 1), rule.positive_label)
-    return (
-        np.atleast_1d(predict_proba(rule.eta, test.features)),
-        np.atleast_1d(predict_proba(rule.eta_bar, np.hstack([test.features, label_col]))),
-    )
-
-
 def test_criterion_08_dp_sweep_budget_and_agreement(german_prepared_single):
     config = FitConfig(seed=0)
     grid = default_grid()
@@ -363,18 +355,19 @@ def test_criterion_08_dp_sweep_budget_and_agreement(german_prepared_single):
     base = FairnessParams(0.0, 0.5, 0.5)
     private = dp_plugin_pipeline(train, EO_BLIND, base, config, 1e9, 99)
     clean = fit_plugin(train, EO_BLIND, base, config)
-    eta_p, bar_p = _eo_blind_outputs(private, test)
-    eta_c, bar_c = _eo_blind_outputs(clean, test)
+    eta_p, bar_p = coordinates(private, test.features)
+    eta_c, bar_c = coordinates(clean, test.features)
+    c_col, c_bar_col = (
+        v.reshape(-1, 1)
+        for v in np.meshgrid(grid.c.values(), grid.c_bar.values(), indexing="ij")
+    )
     agree = 0
     total = 0
     for lam in grid.lam.values():
-        for c in grid.c.values():
-            for c_bar in grid.c_bar.values():
-                params = FairnessParams(lam, c, c_bar)
-                dec_p = np.asarray(score_eo_blind(eta_p, bar_p, private.pi_hat, params)) > 0
-                dec_c = np.asarray(score_eo_blind(eta_c, bar_c, clean.pi_hat, params)) > 0
-                agree += int((dec_p == dec_c).sum())
-                total += dec_p.size
+        dec_p = setting_score(EO_BLIND, eta_p, bar_p, private.pi_hat, lam, c_col, c_bar_col) > 0
+        dec_c = setting_score(EO_BLIND, eta_c, bar_c, clean.pi_hat, lam, c_col, c_bar_col) > 0
+        agree += int((dec_p == dec_c).sum())
+        total += dec_p.size
     assert agree / total >= 0.99
     _report(8, f"1 noise draw per sweep; 1e9-budget agreement {agree / total:.6f}")
 

@@ -257,15 +257,17 @@ class TestAwareThresholds:
     def test_eo_thresholds_zero_the_score(self):
         params = FairnessParams(lam=0.4, c=0.3, c_bar=0.5)
         pair = eo_aware_thresholds(params, pi=0.5)
-        assert score_eo_aware(pair.t_minus, -1.0, 0.5, params) == pytest.approx(0.0, abs=1e-15)
-        assert score_eo_aware(pair.t_plus, 1.0, 0.5, params) == pytest.approx(0.0, abs=1e-15)
+        lcc = (params.lam, params.c, params.c_bar)
+        assert score_eo_aware(pair.t_minus, -1.0, 0.5, *lcc) == pytest.approx(0.0, abs=1e-15)
+        assert score_eo_aware(pair.t_plus, 1.0, 0.5, *lcc) == pytest.approx(0.0, abs=1e-15)
 
     def test_dpar_thresholds_zero_the_score(self):
         params = FairnessParams(lam=0.6, c=0.5, c_bar=0.4)
         pair = dpar_aware_thresholds(params)
+        lcc = (params.lam, params.c, params.c_bar)
         assert 0.0 <= pair.t_minus <= 1.0 and 0.0 <= pair.t_plus <= 1.0
-        assert score_dpar_aware(pair.t_minus, -1.0, params) == pytest.approx(0.0, abs=1e-15)
-        assert score_dpar_aware(pair.t_plus, 1.0, params) == pytest.approx(0.0, abs=1e-15)
+        assert score_dpar_aware(pair.t_minus, -1.0, *lcc) == pytest.approx(0.0, abs=1e-15)
+        assert score_dpar_aware(pair.t_plus, 1.0, *lcc) == pytest.approx(0.0, abs=1e-15)
 
     def test_vanishing_coefficient_rejected(self):
         with pytest.raises(ValidationError, match="no finite"):

@@ -12,7 +12,6 @@ from fairplug.kvformat import (
     format_float_vector,
     parse_float_vector,
     read_kv,
-    read_kv_multi,
     write_kv,
 )
 
@@ -40,7 +39,6 @@ def test_duplicate_keys_rejected_by_dict_reader(tmp_path):
     path.write_text("k = 1\nk = 2\n")
     with pytest.raises(DataError, match="duplicate"):
         read_kv(path)
-    assert read_kv_multi(path) == [("k", "1"), ("k", "2")]
 
 
 def test_malformed_line_names_location(tmp_path):

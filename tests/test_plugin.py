@@ -23,6 +23,7 @@ from fairplug.plugin import (
     SETTINGS,
     PlugInRule,
     classify,
+    coordinates,
     criterion_for,
     fit_plugin,
     is_aware,
@@ -34,10 +35,12 @@ from fairplug.plugin import (
     score_dpar_blind,
     score_eo_aware,
     score_eo_blind,
+    setting_score,
     with_params,
 )
 
 PARAMS = FairnessParams(lam=0.8, c=0.3, c_bar=0.5)
+P = (PARAMS.lam, PARAMS.c, PARAMS.c_bar)
 
 
 def make_dataset(n=300, d=2, seed=5, label_scale=1.0):
@@ -66,39 +69,67 @@ class TestSettingTags:
 
 class TestScoreFormulas:
     def test_eo_blind_hand_value(self):
-        got = score_eo_blind(0.7, 0.6, pi=0.4, params=PARAMS)
+        got = score_eo_blind(0.7, 0.6, 0.4, *P)
         assert isinstance(got, float)
         assert got == pytest.approx((1.0 - 2.0 * 0.1) * 0.7 - 0.3)
 
     def test_eo_aware_branches(self):
-        minus = score_eo_aware(0.7, -1.0, pi=0.4, params=PARAMS)
-        plus = score_eo_aware(0.7, 1.0, pi=0.4, params=PARAMS)
+        minus = score_eo_aware(0.7, -1.0, 0.4, *P)
+        plus = score_eo_aware(0.7, 1.0, 0.4, *P)
         assert minus == pytest.approx((1.0 + 2.0 * 0.5) * 0.7 - 0.3)
         assert plus == pytest.approx((1.0 - 2.0 * 0.5) * 0.7 - 0.3)
 
     def test_dpar_blind_hand_value(self):
-        got = score_dpar_blind(0.7, 0.6, PARAMS)
+        got = score_dpar_blind(0.7, 0.6, *P)
         assert got == pytest.approx(0.7 - (0.3 + 0.8 * 0.1))
 
     def test_dpar_aware_group_shift(self):
-        minus = score_dpar_aware(0.7, -1.0, PARAMS)
-        plus = score_dpar_aware(0.7, 1.0, PARAMS)
+        minus = score_dpar_aware(0.7, -1.0, *P)
+        plus = score_dpar_aware(0.7, 1.0, *P)
         assert minus - plus == pytest.approx(0.8)
         assert minus == pytest.approx(0.7 - 0.3 + 0.8 * 0.5)
 
     def test_arrays_broadcast(self):
         etas = np.array([0.2, 0.5, 0.9])
-        got = score_dpar_blind(etas, np.array([0.5, 0.5, 0.5]), PARAMS)
+        got = score_dpar_blind(etas, np.array([0.5, 0.5, 0.5]), *P)
         assert got.shape == (3,)
         assert got == pytest.approx(etas - 0.3)
+        # (k, 1) parameter columns against (n,) coordinates score k points at once
+        lam, c, c_bar = (
+            np.array(col)[:, None] for col in ([-1.0, 0.0, 2.0], [0.3, 0.5, 0.7], [0.5, 0.4, 0.6])
+        )
+        for setting in SETTINGS:
+            second = np.array([-1.0, 1.0, 1.0]) if is_aware(setting) else np.array([0.1, 0.4, 0.8])
+            grid = setting_score(setting, etas, second, 0.4, lam, c, c_bar)
+            assert grid.shape == (3, 3)
+            for k in range(3):
+                point = setting_score(setting, etas, second, 0.4, lam[k, 0], c[k, 0], c_bar[k, 0])
+                assert np.array_equal(grid[k], point)
 
     def test_probability_inputs_validated(self):
+        # the formulas check nothing: the coordinate map checks what they
+        # read, and the rule checks its prior
+        blind = PlugInRule(
+            setting=DPAR_BLIND,
+            params=PARAMS,
+            eta=constant_cpe(ARITY_FEATURES, 2),
+            eta_bar=constant_cpe(ARITY_FEATURES, 2),
+        )
         with pytest.raises(ValidationError, match="\\[0, 1\\]"):
-            score_dpar_blind(1.2, 0.5, PARAMS)
+            coordinates(blind, np.array([[np.nan, 0.0]]))
         with pytest.raises(ValidationError, match="pi"):
-            score_eo_blind(0.5, 0.5, pi=0.0, params=PARAMS)
+            PlugInRule(
+                setting=EO_BLIND,
+                params=PARAMS,
+                eta=constant_cpe(ARITY_FEATURES, 2),
+                eta_bar=constant_cpe(ARITY_FEATURES_PLUS_LABEL, 3),
+                pi_hat=0.0,
+            )
+        aware = PlugInRule(
+            setting=DPAR_AWARE, params=PARAMS, eta=constant_cpe(ARITY_FEATURES_PLUS_SENSITIVE, 3)
+        )
         with pytest.raises(ValidationError, match="y_bar"):
-            score_dpar_aware(0.5, 0.3, PARAMS)
+            coordinates(aware, np.zeros((1, 2)), 0.3)
 
     @given(
         hnp.arrays(
@@ -110,13 +141,12 @@ class TestScoreFormulas:
     )
     @settings(max_examples=50)
     def test_lambda_zero_collapses_to_eta_minus_c(self, etas, c):
-        neutral = FairnessParams(lam=0.0, c=c, c_bar=0.4)
         expected = etas - c
         groups = np.where(np.arange(etas.size) % 2 == 0, 1.0, -1.0)
-        assert np.array_equal(score_eo_blind(etas, 0.9, 0.3, neutral), expected)
-        assert np.array_equal(score_eo_aware(etas, groups, 0.3, neutral), expected)
-        assert np.array_equal(score_dpar_blind(etas, 0.9, neutral), expected)
-        assert np.array_equal(score_dpar_aware(etas, groups, neutral), expected)
+        assert np.array_equal(score_eo_blind(etas, 0.9, 0.3, 0.0, c, 0.4), expected)
+        assert np.array_equal(score_eo_aware(etas, groups, 0.3, 0.0, c, 0.4), expected)
+        assert np.array_equal(score_dpar_blind(etas, 0.9, 0.0, c, 0.4), expected)
+        assert np.array_equal(score_dpar_aware(etas, groups, 0.0, c, 0.4), expected)
 
 
 class TestRuleValidation:
@@ -238,7 +268,7 @@ class TestScoreAndClassify:
             )
         for scale in (1.0, 0.25):
             expected_eta_bar = 1.0 / (1.0 + np.exp(-2.0 * scale))
-            want = score_eo_blind(0.5, expected_eta_bar, 0.4, PARAMS)
+            want = score_eo_blind(0.5, expected_eta_bar, 0.4, *P)
             assert score(rule_for(scale), np.zeros(2)) == pytest.approx(want, abs=1e-15)
 
 

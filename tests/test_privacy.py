@@ -10,7 +10,6 @@ from fairplug.cpe import ARITY_FEATURES, FitConfig, LinearCpe, fit_eta
 from fairplug.errors import DataError, ValidationError
 from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_BLIND, classify, with_params
 from fairplug.privacy import (
-    DpGuarantee,
     PrivacyBudget,
     PrivatizedCpe,
     dp_plugin_pipeline,
@@ -35,14 +34,6 @@ def bounded_dataset(n=400, seed=17, label_scale=0.5):
 
 
 class TestGuaranteeAndBudget:
-    def test_guarantee_validation(self):
-        assert DpGuarantee(eps=1.0).pure
-        assert not DpGuarantee(eps=1.0, delta=0.1).pure
-        with pytest.raises(ValidationError, match="eps"):
-            DpGuarantee(eps=0.0)
-        with pytest.raises(ValidationError, match="delta"):
-            DpGuarantee(eps=1.0, delta=1.0)
-
     def test_budget_rate_invariant(self):
         PrivacyBudget(eps_p=2.0, gamma=400 * 0.05 * 2.0 / 2.0, dim=3, n=400, lambda_reg=0.05)
         with pytest.raises(ValidationError, match="gamma must equal"):

@@ -9,8 +9,18 @@ from fairplug.core import Dataset, FairnessParams
 from fairplug.cpe import FitConfig
 from fairplug.data import PreparedData, SplitPlan, apply_dp_transform, fit_dp_transform, make_splits
 from fairplug.errors import DataError, ValidationError
-from fairplug.metrics import balanced_accuracy, dpar_dbar_rates, empirical_rates
-from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_BLIND, classify, fit_plugin, with_params
+from fairplug.metrics import dpar_dbar_rates, empirical_rates, eo_violation
+from fairplug.plugin import (
+    DPAR_AWARE,
+    DPAR_BLIND,
+    EO_BLIND,
+    SETTINGS,
+    classify,
+    fit_plugin,
+    is_aware,
+    is_eo,
+    with_params,
+)
 from fairplug.privacy import noise_draw_count
 from fairplug.sweep import (
     FLAG_DEGENERATE,
@@ -20,6 +30,7 @@ from fairplug.sweep import (
     SweepRecord,
     TradeoffCurve,
     aggregate_curves,
+    bin_indices,
     bin_min_violation,
     default_grid,
     read_records_csv,
@@ -99,6 +110,30 @@ class TestBinning:
         assert curve[top] == 0.20  # bal_acc = 1.0 joins the top bin
         assert 0.475 not in curve  # below-0.5 records contribute nowhere
 
+    def test_edge_accuracies_bin_exactly(self):
+        """Every reachable (tp, tn) with n_pos, n_neg < 60 lands in its exact bin.
+
+        The exact bin is floor(n_bins * (tp*n_neg + tn*n_pos - n_pos*n_neg)
+        / (n_pos*n_neg)) in integers; the float balanced accuracy is formed
+        as the sweep forms it.
+        """
+        n_bins = 20
+        n_neg = np.concatenate([np.full(k + 1, k) for k in range(1, 60)])
+        tn = np.concatenate([np.arange(k + 1) for k in range(1, 60)])
+        checked = 0
+        for n_pos in range(1, 60):
+            tp = np.arange(n_pos + 1)[:, None]
+            numerator = tp * n_neg + tn * n_pos - n_pos * n_neg
+            keep = numerator >= 0
+            exact = np.minimum(n_bins * numerator // (n_pos * n_neg), n_bins - 1)[keep]
+            bal_acc = (0.5 * (tp / n_pos + tn / n_neg))[keep]
+            assert np.array_equal(bin_indices(bal_acc, 0.5 / n_bins), exact)
+            checked += exact.size
+        assert checked > 1_600_000
+        # 0.5 * (1/1 + 1/5) = 0.6 exactly on an edge: bin 0.6, not 0.575
+        record = SweepRecord(0, 0.0, 0.5, 0.5, 0.5 * (1 / 1 + 1 / 5), 0.1)
+        assert bin_min_violation([record]) == {0.6: 0.1}
+
     def test_flagged_records_skipped(self):
         records = [SweepRecord(0, 0.0, 0.5, 0.5, math.nan, math.nan, flag=FLAG_DEGENERATE)]
         assert bin_min_violation(records) == {}
@@ -163,32 +198,35 @@ class TestRunSweep:
         run_sweep(prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(seed=0), seed=3)
         assert noise_draw_count() - before == 0
 
-    def test_record_matches_manual_reconstruction(self):
-        """One grid point recomputed from the documented per-split recipe."""
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_record_matches_manual_reconstruction(self, setting):
+        """Grid points recomputed one at a time from the documented per-split recipe."""
         prepared = prepared_data()
-        records = run_sweep(
-            prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(seed=0), seed=1
-        )
-        target = next(
-            r
-            for r in records
-            if r.split_id == 0 and r.lam == 1.0 and r.c == 0.5 and r.c_bar == 0.5
-        )
+        records = run_sweep(prepared, small_grid(), setting, math.inf, FitConfig(seed=0), seed=1)
+        by_point = {(r.lam, r.c, r.c_bar): r for r in records if r.split_id == 0}
         train_idx, _, test_idx = prepared.splits[0]
         transform = fit_dp_transform(prepared.dataset.subset(train_idx), 0.5)
         train = apply_dp_transform(transform, prepared.dataset.subset(train_idx))
         test = apply_dp_transform(transform, prepared.dataset.subset(test_idx))
         rule = fit_plugin(
-            train, DPAR_BLIND, FairnessParams(lam=0.0, c=0.5, c_bar=0.5), FitConfig(seed=0)
+            train, setting, FairnessParams(lam=0.0, c=0.5, c_bar=0.5), FitConfig(seed=0)
         )
-        rule = with_params(rule, FairnessParams(lam=1.0, c=0.5, c_bar=0.5))
-        preds = np.asarray(classify(rule, test.features), dtype=float)
-        rates = empirical_rates(preds, test.labels)
-        want_bal = balanced_accuracy(rates)
-        dbar = dpar_dbar_rates(preds, test.sensitive)
-        want_violation = abs(dbar.tpr - dbar.fpr)
-        assert target.bal_acc == pytest.approx(want_bal, abs=1e-12)
-        assert target.violation == pytest.approx(want_violation, abs=1e-12)
+        y_bar = test.sensitive if is_aware(setting) else None
+        for lam, c, c_bar in ((1.0, 0.5, 0.5), (-1.0, 0.3, 0.6), (0.0, 0.7, 0.4), (1.0, 0.7, 0.4)):
+            target = by_point[(lam, c, c_bar)]
+            point = with_params(rule, FairnessParams(lam=lam, c=c, c_bar=c_bar))
+            preds = np.asarray(classify(point, test.features, y_bar), dtype=float)
+            tpr = empirical_rates(preds, test.labels).tpr
+            # TNR as tn / n_neg, the true-positive rate of the flipped
+            # problem; 1 - fpr can differ from it in the last bit.
+            tnr = empirical_rates(-preds, -test.labels).tpr
+            if is_eo(setting):
+                want_violation = eo_violation(preds, test.labels, test.sensitive)
+            else:
+                dbar = dpar_dbar_rates(preds, test.sensitive)
+                want_violation = abs(dbar.tpr - dbar.fpr)
+            assert target.bal_acc == 0.5 * (tpr + tnr)
+            assert target.violation == want_violation
 
     def test_degenerate_split_flags_whole_grid(self):
         # healthy train split, but every test row is in one sensitive group
