@@ -292,7 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if resolved["dp_norm"] is None:
         resolved["dp_norm"] = float(prepared.meta.get("dp_norm_c", 0.5))
     grid = _parse_grid(resolved["grid"])
-    cpe_config = FitConfig(lambda_reg=resolved["cpe_lambda"], seed=seed)
+    cpe_config = FitConfig(lambda_reg=resolved["cpe_lambda"])
     records = sweep.run_sweep(
         prepared,
         grid,
@@ -395,7 +395,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     fit_config = (
         None
         if resolved["cpe_lambda"] is None
-        else FitConfig(lambda_reg=resolved["cpe_lambda"], seed=seed)
+        else FitConfig(lambda_reg=resolved["cpe_lambda"])
     )
     out = _out_dir(resolved)
     extra: dict[str, str] = {}

@@ -18,10 +18,15 @@ vector -- the privacy guarantee needs exactly that; pass
 ``regularize_intercept=False`` to get the usual statistical convention
 instead (at the cost of that guarantee).
 
-The optimizer is deterministic full-batch gradient descent with Armijo
-backtracking, started from the zero vector: the objective is smooth and
-strictly convex for ``lambda_reg > 0``, so the minimizer is unique and
-golden tests are reproducible.
+The optimizer is damped Newton (iteratively reweighted least squares)
+with Armijo backtracking, started from the zero vector.  The objective
+is smooth and ``lambda_reg``-strongly convex, and the design has at
+most a few dozen columns, so each step solves one small Hessian system
+and a fit converges in a handful of steps; ``max_iters`` counts those
+steps.  The minimizer is unique, the iterates are deterministic, and a
+converged fit certifies ``||w - w*|| <= grad_norm / lambda_reg``.  At
+``lambda_reg = 0`` the Hessian can be singular; the least-squares solve
+then gives the minimum-norm Newton direction.
 
 Four thin wrappers fit the specific estimators the decision rules need:
 
@@ -38,7 +43,7 @@ keeps the joint input under the preprocessing norm bound.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,8 +99,9 @@ class LinearCpe:
     the intercept.  ``input_arity`` declares the input layout the model
     expects, so rules can verify they are wiring the right estimator
     into the right slot.  ``grad_norm``/``n_iters`` record the fit
-    residual for diagnostics; they are metadata, not part of the model
-    identity, and are not persisted.
+    residual and ``converged`` whether it met the fit's tolerance; they
+    are metadata, not part of the model identity, and are not persisted,
+    so a model built by hand or loaded from disk has no fit record.
     """
 
     weights: np.ndarray
@@ -103,6 +109,7 @@ class LinearCpe:
     input_arity: str
     grad_norm: float | None = None
     n_iters: int | None = None
+    converged: bool | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -132,16 +139,11 @@ class LinearCpe:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameters for :func:`fit`.
-
-    ``seed`` is carried for config plumbing and forward compatibility;
-    the deterministic optimizer itself does not consume randomness.
-    """
+    """Hyperparameters for :func:`fit`."""
 
     lambda_reg: float = 1e-2
     max_iters: int = 500
     tolerance: float = 1e-6
-    seed: int = 0
     regularize_intercept: bool = True
 
     def __post_init__(self) -> None:
@@ -151,6 +153,11 @@ class FitConfig:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValidationError(f"tolerance must be > 0, got {self.tolerance}")
+
+
+#: Relative rounding error allowed for the objective (a mean of n logistic
+#: losses) when deciding whether a Newton step's decrease is measurable.
+_ROUNDOFF = 1e-15
 
 
 def _design(rows: np.ndarray) -> np.ndarray:
@@ -170,23 +177,35 @@ def _objective_and_grad(w, design, targets, lambda_reg, reg_mask):
     return obj, grad
 
 
-def fit(rows, targets, config: FitConfig, *, init=None) -> LinearCpe:
+def _hessian(w, design, lambda_reg, reg_mask):
+    p = sigmoid(design @ w)
+    curvature = p * (1.0 - p)
+    return (design.T * curvature) @ design / design.shape[0] + np.diag(lambda_reg * reg_mask)
+
+
+def fit(rows, targets, config: FitConfig) -> LinearCpe:
     """Minimize the regularized logistic objective on (rows, targets).
+
+    Damped Newton from the zero vector: each step solves ``H d = grad``
+    with the Hessian ``H = X' diag(p(1-p)) X / n + lambda * diag(mask)``
+    and backtracks along ``-d`` until the Armijo test holds with slope
+    ``grad . d``.  ``max_iters`` caps the number of Newton steps.  With
+    ``lambda_reg = 0`` the Hessian can be singular (one-hot columns plus
+    the intercept are collinear); the solve then takes the minimum-norm
+    direction, and a step whose solve fails takes the gradient instead.
 
     Parameters
     ----------
     rows : (n, k) design matrix (intercept column appended internally).
     targets : (n,) vector over {-1, +1}; both classes must be present.
     config : optimization hyperparameters.
-    init : optional (k+1,) starting point (defaults to zeros); exposed so
-        convexity can be probed by refitting from random starts.
 
     Returns
     -------
     LinearCpe with ``input_arity = 'features-only'`` (callers re-tag via
     the specific ``fit_*`` wrappers) whose gradient norm at the returned
-    weights is <= ``config.tolerance``, or the ``max_iters`` iterate with
-    the achieved residual recorded in ``grad_norm``.
+    weights is <= ``config.tolerance`` (``converged``), or the
+    ``max_iters`` iterate with the achieved residual in ``grad_norm``.
     """
 
     rows = np.asarray(rows, dtype=float)
@@ -210,32 +229,34 @@ def fit(rows, targets, config: FitConfig, *, init=None) -> LinearCpe:
     if not config.regularize_intercept:
         reg_mask[-1] = 0.0
 
-    if init is None:
-        w = np.zeros(k)
-    else:
-        w = np.array(init, dtype=float, copy=True)
-        if w.shape != (k,):
-            raise ValidationError(f"init must have shape ({k},), got {w.shape}")
-
+    w = np.zeros(k)
     lam = float(config.lambda_reg)
     obj, grad = _objective_and_grad(w, design, targets, lam, reg_mask)
     if not np.isfinite(obj):
         raise NumericError("objective is non-finite at the starting point")
 
-    step = 1.0
     grad_norm = float(np.linalg.norm(grad))
     iters = 0
-    for iters in range(1, int(config.max_iters) + 1):
-        if grad_norm <= config.tolerance:
-            iters -= 1
-            break
-        # Armijo backtracking: shrink until sufficient decrease holds.
-        g2 = grad_norm * grad_norm
-        step = min(step * 2.0, 1e4)
+    while grad_norm > config.tolerance and iters < int(config.max_iters):
+        iters += 1
+        # Least squares gives H^-1 grad when H is positive definite and the
+        # minimum-norm Newton direction when lambda_reg = 0 makes H singular.
+        try:
+            direction = np.linalg.lstsq(_hessian(w, design, lam, reg_mask), grad, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            direction = grad
+        slope = float(grad @ direction)
+        # Armijo backtracking: shrink until sufficient decrease holds.  Once
+        # the predicted decrease is below the objective's rounding error the
+        # test compares noise, so the full step is taken.
+        resolvable = slope > _ROUNDOFF * obj
+        step = 1.0
         while True:
-            w_new = w - step * grad
+            w_new = w - step * direction
             obj_new, grad_new = _objective_and_grad(w_new, design, targets, lam, reg_mask)
-            if np.isfinite(obj_new) and obj_new <= obj - 1e-4 * step * g2:
+            if np.isfinite(obj_new) and (
+                obj_new <= obj - 1e-4 * step * slope or not resolvable
+            ):
                 break
             step *= 0.5
             if step < 1e-18:
@@ -245,7 +266,8 @@ def fit(rows, targets, config: FitConfig, *, init=None) -> LinearCpe:
                 )
         w, obj, grad = w_new, obj_new, grad_new
         grad_norm = float(np.linalg.norm(grad))
-    if grad_norm > config.tolerance:
+    converged = grad_norm <= config.tolerance
+    if not converged:
         logger.debug(
             "fit stopped at max_iters=%d with residual gradient norm %.3e",
             config.max_iters,
@@ -257,6 +279,7 @@ def fit(rows, targets, config: FitConfig, *, init=None) -> LinearCpe:
         input_arity=ARITY_FEATURES,
         grad_norm=grad_norm,
         n_iters=iters,
+        converged=converged,
     )
 
 
@@ -283,13 +306,7 @@ def predict_proba(model: LinearCpe, inputs):
 
 
 def _retag(model: LinearCpe, arity: str) -> LinearCpe:
-    return LinearCpe(
-        weights=model.weights,
-        lambda_reg=model.lambda_reg,
-        input_arity=arity,
-        grad_norm=model.grad_norm,
-        n_iters=model.n_iters,
-    )
+    return replace(model, input_arity=arity)
 
 
 def fit_eta(dataset: Dataset, config: FitConfig) -> LinearCpe:

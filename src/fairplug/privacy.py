@@ -17,6 +17,24 @@ one individual's sensitive attribute, and its calibration assumes each
 joint feature-label row has Euclidean norm at most 1 (see the data
 module's preprocessing) and that the fit regularized the full weight
 vector, intercept included.
+
+Why 2 / (n * reg) holds with the intercept column: the fit's design row
+is z_i = [u_i; 1] for a joint feature-label row u_i of norm at most 1,
+so ||z_i|| <= sqrt(2), not 1.  Neighbouring datasets differ only in
+one target t_i (the sensitive attribute).  Flipping it changes that
+row's loss gradient by -t_i * z_i * (sigmoid(m) + sigmoid(-m)) =
+-t_i * z_i, where m is the row's margin, so the objective's gradient
+moves by ||z_i|| / n <= sqrt(2) / n.  The objective is reg-strongly
+convex, so the two minimizers lie within sqrt(2) / (n * reg) <=
+2 / (n * reg) of each other.
+
+The calibration is for the exact minimizer.  A fit whose gradient norm
+is at most tau lies within tau / reg of it, so two such fits on
+neighbouring datasets lie within 2 / (n * reg) + 2 * tau / reg, and the
+released weights are (eps * (1 + n * tau))-private: an approximate
+minimizer inflates eps by at most the factor 1 + n * ||grad J(w)||.
+:func:`privatize` therefore rejects a fit that stopped at its iteration
+cap above its tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +47,7 @@ import numpy as np
 
 from .core import Dataset, FairnessParams, compute_dist_stats
 from .cpe import FitConfig, LinearCpe, fit_eta, fit_eta_bar_dpar, fit_eta_bar_eo
-from .errors import DataError, ValidationError
+from .errors import DataError, NumericError, ValidationError
 from .kvformat import format_float, format_float_vector, parse_float_vector, read_kv, write_kv
 from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule
 
@@ -166,7 +184,9 @@ def privatize(
 
     ``lambda_reg`` must be the strength the model was actually fitted
     with (checked against the model's record); zero regularization has
-    unbounded sensitivity and is rejected.
+    unbounded sensitivity and is rejected.  A fit that stopped above its
+    tolerance raises :class:`NumericError`; a model without a fit record
+    (built by hand or loaded from disk) is taken as given.
     """
 
     if not isinstance(model, LinearCpe):
@@ -181,6 +201,12 @@ def privatize(
         raise ValidationError(
             f"model was fitted with lambda_reg={model.lambda_reg}, not {lambda_reg}; "
             "the calibration only covers the fitted strength"
+        )
+    if model.converged is False:
+        raise NumericError(
+            f"the fit stopped after {model.n_iters} iterations with gradient norm "
+            f"{model.grad_norm:.3e} above its tolerance; the noise is calibrated for "
+            "the exact minimizer, so raise max_iters or the tolerance"
         )
     n = int(n)
     if n < 1:

@@ -227,7 +227,7 @@ def test_criterion_03_consistency_on_reference_distribution():
 def test_criterion_04_lambda_zero_reduces_to_cost_thresholding():
     dist = reference_eo()
     train = sample(dist, 3000, 5)
-    config = FitConfig(seed=1)
+    config = FitConfig()
     points = sample_x(dist.law, 10_000, np.random.default_rng(6))
     groups = np.where(np.random.default_rng(7).random(10_000) < 0.5, 1.0, -1.0)
     c = 0.3
@@ -336,7 +336,7 @@ def test_criterion_07_noise_radius_follows_gamma_law():
 
 
 def test_criterion_08_dp_sweep_budget_and_agreement(german_prepared_single):
-    config = FitConfig(seed=0)
+    config = FitConfig()
     grid = default_grid()
     assert grid.cardinality == 3321
 
@@ -436,7 +436,7 @@ def _adult_qualitative_message(adult_csv: str) -> str:
     dataset, _rep = data.load_csv_report(adult_csv, schema)
     splits = data.make_splits(dataset, data.SplitPlan(n_repeats=3, master_seed=0))
     prepared = data.PreparedData(dataset=dataset, splits=splits, meta={})
-    records = run_sweep(prepared, default_grid(), EO_BLIND, 1.0, FitConfig(seed=0), 0)
+    records = run_sweep(prepared, default_grid(), EO_BLIND, 1.0, FitConfig(), 0)
     by_split = defaultdict(list)
     for record in records:
         by_split[record.split_id].append(record)
@@ -479,7 +479,7 @@ def test_criterion_11_protocol_conformance_on_real_data(
             assert np.all(joint <= 1.0 + 1e-9)
 
     grid = default_grid()
-    records = run_sweep(prepared, grid, EO_BLIND, 1.0, FitConfig(seed=0), 0)
+    records = run_sweep(prepared, grid, EO_BLIND, 1.0, FitConfig(), 0)
     by_split = defaultdict(list)
     for record in records:
         by_split[record.split_id].append(record)

@@ -295,7 +295,7 @@ class TestPluginProxySampler:
     def test_blind_coordinates_are_estimates(self):
         train = make_dataset(seed=21)
         rule = fit_plugin(
-            train, DPAR_BLIND, FairnessParams(1.0, 0.5, 0.5), FitConfig(seed=2)
+            train, DPAR_BLIND, FairnessParams(1.0, 0.5, 0.5), FitConfig()
         )
         sampler = plugin_proxy_sampler(rule, train.features)
         rng = np.random.default_rng(5)
@@ -309,7 +309,7 @@ class TestPluginProxySampler:
     def test_aware_coordinates_are_branch_estimates(self):
         train = make_dataset(seed=22)
         rule = fit_plugin(
-            train, DPAR_AWARE, FairnessParams(1.0, 0.5, 0.5), FitConfig(seed=2)
+            train, DPAR_AWARE, FairnessParams(1.0, 0.5, 0.5), FitConfig()
         )
         sampler = plugin_proxy_sampler(rule, train.features)
         v_minus, v_plus = sampler(np.random.default_rng(6), 25)
@@ -322,7 +322,7 @@ class TestPluginProxySampler:
     def test_empty_features_rejected(self):
         train = make_dataset(seed=23)
         rule = fit_plugin(
-            train, DPAR_BLIND, FairnessParams(1.0, 0.5, 0.5), FitConfig(seed=2)
+            train, DPAR_BLIND, FairnessParams(1.0, 0.5, 0.5), FitConfig()
         )
         with pytest.raises(ValidationError, match="nonempty"):
             plugin_proxy_sampler(rule, np.empty((0, 2)))

@@ -279,38 +279,38 @@ def train():
 
 class TestFitPlugin:
     def test_eo_blind_structure(self, train):
-        rule = fit_plugin(train, EO_BLIND, PARAMS, FitConfig(seed=0))
+        rule = fit_plugin(train, EO_BLIND, PARAMS, FitConfig())
         assert rule.eta.input_arity == ARITY_FEATURES
         assert rule.eta_bar.input_arity == ARITY_FEATURES_PLUS_LABEL
         assert rule.pi_hat == pytest.approx(compute_dist_stats(train).pi)
         assert rule.positive_label == 1.0
 
     def test_eo_aware_structure(self, train):
-        rule = fit_plugin(train, EO_AWARE, PARAMS, FitConfig(seed=0))
+        rule = fit_plugin(train, EO_AWARE, PARAMS, FitConfig())
         assert rule.eta.input_arity == ARITY_FEATURES_PLUS_SENSITIVE
         assert rule.eta_bar is None
         assert rule.pi_hat is not None
 
     def test_dpar_structures(self, train):
-        blind = fit_plugin(train, DPAR_BLIND, PARAMS, FitConfig(seed=0))
-        aware = fit_plugin(train, DPAR_AWARE, PARAMS, FitConfig(seed=0))
+        blind = fit_plugin(train, DPAR_BLIND, PARAMS, FitConfig())
+        aware = fit_plugin(train, DPAR_AWARE, PARAMS, FitConfig())
         assert blind.eta_bar.input_arity == ARITY_FEATURES
         assert blind.pi_hat is None
         assert aware.eta.input_arity == ARITY_FEATURES_PLUS_SENSITIVE
         assert aware.pi_hat is None
 
     def test_pi_override(self, train):
-        rule = fit_plugin(train, EO_BLIND, PARAMS, FitConfig(seed=0), pi_override=0.37)
+        rule = fit_plugin(train, EO_BLIND, PARAMS, FitConfig(), pi_override=0.37)
         assert rule.pi_hat == 0.37
 
     def test_predictions_are_signs(self, train):
-        rule = fit_plugin(train, EO_BLIND, PARAMS, FitConfig(seed=0))
+        rule = fit_plugin(train, EO_BLIND, PARAMS, FitConfig())
         preds = classify(rule, train.features)
         assert set(np.unique(preds)) <= {-1, 1}
 
     def test_deterministic_given_seed(self, train):
-        a = fit_plugin(train, DPAR_BLIND, PARAMS, FitConfig(seed=9))
-        b = fit_plugin(train, DPAR_BLIND, PARAMS, FitConfig(seed=9))
+        a = fit_plugin(train, DPAR_BLIND, PARAMS, FitConfig())
+        b = fit_plugin(train, DPAR_BLIND, PARAMS, FitConfig())
         assert np.array_equal(a.eta.weights, b.eta.weights)
         assert np.array_equal(a.eta_bar.weights, b.eta_bar.weights)
 
@@ -318,7 +318,7 @@ class TestFitPlugin:
 class TestWithParams:
     def test_reuses_estimators(self):
         train = make_dataset(seed=6)
-        rule = fit_plugin(train, EO_BLIND, PARAMS, FitConfig(seed=1))
+        rule = fit_plugin(train, EO_BLIND, PARAMS, FitConfig())
         new_params = FairnessParams(lam=-1.0, c=0.6, c_bar=0.2)
         swapped = with_params(rule, new_params)
         assert swapped.eta is rule.eta
@@ -329,7 +329,7 @@ class TestWithParams:
 
     def test_scores_reflect_new_params(self):
         train = make_dataset(seed=7)
-        rule = fit_plugin(train, DPAR_AWARE, PARAMS, FitConfig(seed=1))
+        rule = fit_plugin(train, DPAR_AWARE, PARAMS, FitConfig())
         neutral = with_params(rule, FairnessParams(lam=0.0, c=0.5, c_bar=0.5))
         x = train.features[:5]
         groups = train.sensitive[:5]
@@ -343,7 +343,7 @@ class TestPersistence:
     @pytest.mark.parametrize("setting", SETTINGS)
     def test_round_trip(self, setting, tmp_path):
         train = make_dataset(seed=8)
-        rule = fit_plugin(train, setting, PARAMS, FitConfig(seed=3))
+        rule = fit_plugin(train, setting, PARAMS, FitConfig())
         path = tmp_path / "rule.kv"
         save_rule(rule, path)
         loaded = load_rule(path)

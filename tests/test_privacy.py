@@ -1,13 +1,14 @@
 """Output-perturbation privacy: calibration, draw audit, private pipeline."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from fairplug.core import Dataset, FairnessParams
-from fairplug.cpe import ARITY_FEATURES, FitConfig, LinearCpe, fit_eta
-from fairplug.errors import DataError, ValidationError
+from fairplug.cpe import ARITY_FEATURES, FitConfig, LinearCpe, fit_eta, fit_eta_bar_eo
+from fairplug.errors import DataError, NumericError, ValidationError
 from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_BLIND, classify, with_params
 from fairplug.privacy import (
     PrivacyBudget,
@@ -68,6 +69,27 @@ class TestSampleNoise:
             sample_noise(2, 0.0, seed=0)
 
 
+class TestAdversarialNeighbour:
+    @pytest.mark.parametrize("lambda_reg", [1e-3, 0.05, 1.0])
+    def test_one_flipped_sensitive_attribute_stays_within_sensitivity(self, lambda_reg):
+        base = bounded_dataset(n=200)
+        # Row 0 gets joint feature-label norm exactly 1, so its design row
+        # [x, y, 1] has the largest possible norm, sqrt(2).
+        features = base.features.copy()
+        features[0] = np.sqrt(1.0 - 0.5**2) * np.array([0.6, 0.8])
+        flipped = base.sensitive.copy()
+        flipped[0] = -flipped[0]
+        d = Dataset(features, base.labels, base.sensitive, label_scale=0.5)
+        d_prime = Dataset(features, base.labels, flipped, label_scale=0.5)
+        config = FitConfig(lambda_reg=lambda_reg, tolerance=1e-12)
+        w, w_prime = fit_eta_bar_eo(d, config), fit_eta_bar_eo(d_prime, config)
+        assert w.converged and w_prime.converged
+        moved = float(np.linalg.norm(w.weights - w_prime.weights))
+        certified = (w.grad_norm + w_prime.grad_norm) / lambda_reg
+        assert moved <= math.sqrt(2.0) / (d.n * lambda_reg) + certified
+        assert math.sqrt(2.0) / (d.n * lambda_reg) <= sensitivity_bound(d.n, lambda_reg)
+
+
 class TestPrivatize:
     def fitted_model(self, lambda_reg=0.05):
         train = bounded_dataset()
@@ -114,6 +136,12 @@ class TestPipeline:
                 eps_p=1.0,
                 seed=0,
             )
+
+    def test_unconverged_fit_rejected(self):
+        train = bounded_dataset()
+        config = FitConfig(max_iters=1, tolerance=1e-12)
+        with pytest.raises(NumericError, match="above its tolerance"):
+            dp_plugin_pipeline(train, EO_BLIND, PARAMS, config, eps_p=1.0, seed=0)
 
     def test_norm_bound_enforced_but_waivable(self, caplog):
         gen = np.random.default_rng(2)

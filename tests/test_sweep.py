@@ -167,7 +167,7 @@ class TestRunSweep:
     def test_record_count_and_order(self):
         prepared = prepared_data()
         records = run_sweep(
-            prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(seed=0), seed=1
+            prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(), seed=1
         )
         assert len(records) == 2 * small_grid().cardinality
         assert [r.split_id for r in records[:27]] == [0] * 27
@@ -177,39 +177,39 @@ class TestRunSweep:
 
     def test_deterministic(self):
         prepared = prepared_data()
-        a = run_sweep(prepared, small_grid(), EO_BLIND, 1.0, FitConfig(seed=0), seed=5)
-        b = run_sweep(prepared, small_grid(), EO_BLIND, 1.0, FitConfig(seed=0), seed=5)
+        a = run_sweep(prepared, small_grid(), EO_BLIND, 1.0, FitConfig(), seed=5)
+        b = run_sweep(prepared, small_grid(), EO_BLIND, 1.0, FitConfig(), seed=5)
         assert a == b
 
     def test_parallel_matches_serial(self):
         prepared = prepared_data()
         kwargs = dict(
             grid=small_grid(), setting=DPAR_BLIND, eps_p=math.inf,
-            cpe_config=FitConfig(seed=0), seed=2,
+            cpe_config=FitConfig(), seed=2,
         )
         assert run_sweep(prepared, jobs=1, **kwargs) == run_sweep(prepared, jobs=2, **kwargs)
 
     def test_one_noise_draw_per_split(self):
         prepared = prepared_data(n_repeats=2)
         before = noise_draw_count()
-        run_sweep(prepared, small_grid(), DPAR_BLIND, 1.0, FitConfig(seed=0), seed=3)
+        run_sweep(prepared, small_grid(), DPAR_BLIND, 1.0, FitConfig(), seed=3)
         assert noise_draw_count() - before == 2
         before = noise_draw_count()
-        run_sweep(prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(seed=0), seed=3)
+        run_sweep(prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(), seed=3)
         assert noise_draw_count() - before == 0
 
     @pytest.mark.parametrize("setting", SETTINGS)
     def test_record_matches_manual_reconstruction(self, setting):
         """Grid points recomputed one at a time from the documented per-split recipe."""
         prepared = prepared_data()
-        records = run_sweep(prepared, small_grid(), setting, math.inf, FitConfig(seed=0), seed=1)
+        records = run_sweep(prepared, small_grid(), setting, math.inf, FitConfig(), seed=1)
         by_point = {(r.lam, r.c, r.c_bar): r for r in records if r.split_id == 0}
         train_idx, _, test_idx = prepared.splits[0]
         transform = fit_dp_transform(prepared.dataset.subset(train_idx), 0.5)
         train = apply_dp_transform(transform, prepared.dataset.subset(train_idx))
         test = apply_dp_transform(transform, prepared.dataset.subset(test_idx))
         rule = fit_plugin(
-            train, setting, FairnessParams(lam=0.0, c=0.5, c_bar=0.5), FitConfig(seed=0)
+            train, setting, FairnessParams(lam=0.0, c=0.5, c_bar=0.5), FitConfig()
         )
         y_bar = test.sensitive if is_aware(setting) else None
         for lam, c, c_bar in ((1.0, 0.5, 0.5), (-1.0, 0.3, 0.6), (0.0, 0.7, 0.4), (1.0, 0.7, 0.4)):
@@ -239,7 +239,7 @@ class TestRunSweep:
         splits = [(np.arange(70), np.arange(70, 90), np.arange(90, 100))]
         prepared = PreparedData(dataset=dataset, splits=splits, meta={})
         records = run_sweep(
-            prepared, small_grid(), EO_BLIND, math.inf, FitConfig(seed=0), seed=1
+            prepared, small_grid(), EO_BLIND, math.inf, FitConfig(), seed=1
         )
         assert len(records) == small_grid().cardinality
         assert all(r.flag == FLAG_DEGENERATE and not r.ok for r in records)
@@ -247,7 +247,7 @@ class TestRunSweep:
 
     def test_argument_validation(self):
         prepared = prepared_data()
-        config = FitConfig(seed=0)
+        config = FitConfig()
         with pytest.raises(ValidationError, match="unknown setting"):
             run_sweep(prepared, small_grid(), "blind", math.inf, config, seed=0)
         with pytest.raises(ValidationError, match="eps_p"):
@@ -260,7 +260,7 @@ class TestRunSweep:
     def test_aware_sweep_allowed_without_privacy(self):
         prepared = prepared_data()
         records = run_sweep(
-            prepared, small_grid(), DPAR_AWARE, math.inf, FitConfig(seed=0), seed=4
+            prepared, small_grid(), DPAR_AWARE, math.inf, FitConfig(), seed=4
         )
         assert len(records) == 2 * small_grid().cardinality
         assert all(r.ok for r in records)
