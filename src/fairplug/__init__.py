@@ -8,132 +8,15 @@ decision-boundary geometry behind their finite-sample behavior, trains
 them under differential privacy, and ships a small experiment harness
 plus CLI around all of it.
 
-The commonly used names are re-exported here; each module remains the
-authoritative home of its API.
+Nothing is re-exported here; import each name from its module:
+:mod:`~fairplug.core` (datasets, distribution statistics, fairness
+parameters), :mod:`~fairplug.cpe` (logistic class-probability
+estimators), :mod:`~fairplug.plugin` (the four plug-in rules),
+:mod:`~fairplug.metrics`, :mod:`~fairplug.geometry`,
+:mod:`~fairplug.privacy`, :mod:`~fairplug.data` (CSV ingest,
+preprocessing, splits), :mod:`~fairplug.sweep` (the parameter-grid
+experiment), :mod:`~fairplug.synthetic` (the synthetic-distribution
+harness), :mod:`~fairplug.errors` and :mod:`~fairplug.cli`.
 """
 
-from .core import Dataset, DistStats, FairnessParams, compute_dist_stats
-from .cpe import FitConfig, LinearCpe, fit_eta, fit_eta_aware, fit_eta_bar_dpar, fit_eta_bar_eo, predict_proba
-from .errors import DataError, DegenerateDataError, FairplugError, NumericError, ValidationError
-from .geometry import (
-    BoundaryLine,
-    BoundConstants,
-    Hyperbola,
-    ThresholdPair,
-    asymptote_x,
-    bound_constants,
-    boundary_score,
-    estimate_margin_mass,
-    geometry_for,
-    margin_membership,
-)
-from .metrics import (
-    GroupRates,
-    balanced_accuracy,
-    cost_sensitive_risk,
-    disparate_impact,
-    empirical_rates,
-    eo_violation,
-    mean_difference,
-    performance_measure,
-    regret,
-)
-from .plugin import (
-    DPAR_AWARE,
-    DPAR_BLIND,
-    EO_AWARE,
-    EO_BLIND,
-    SETTINGS,
-    PlugInRule,
-    classify,
-    fit_plugin,
-    load_rule,
-    save_rule,
-    score,
-    with_params,
-)
-from .privacy import PrivacyBudget, PrivatizedCpe, dp_plugin_pipeline, noise_draw_count, privatize
-from .synthetic import (
-    SyntheticDistribution,
-    bayes_classifier,
-    consistency_curve,
-    estimate_measure,
-    estimate_regret,
-    reference_dpar,
-    reference_eo,
-    tradeoff_gap,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # core
-    "Dataset",
-    "DistStats",
-    "FairnessParams",
-    "compute_dist_stats",
-    # errors
-    "FairplugError",
-    "ValidationError",
-    "DataError",
-    "DegenerateDataError",
-    "NumericError",
-    # probability estimation
-    "LinearCpe",
-    "FitConfig",
-    "fit_eta",
-    "fit_eta_bar_eo",
-    "fit_eta_bar_dpar",
-    "fit_eta_aware",
-    "predict_proba",
-    # plug-in rules
-    "EO_BLIND",
-    "EO_AWARE",
-    "DPAR_BLIND",
-    "DPAR_AWARE",
-    "SETTINGS",
-    "PlugInRule",
-    "fit_plugin",
-    "score",
-    "classify",
-    "with_params",
-    "save_rule",
-    "load_rule",
-    # metrics
-    "GroupRates",
-    "empirical_rates",
-    "cost_sensitive_risk",
-    "balanced_accuracy",
-    "disparate_impact",
-    "mean_difference",
-    "eo_violation",
-    "performance_measure",
-    "regret",
-    # geometry
-    "Hyperbola",
-    "BoundaryLine",
-    "ThresholdPair",
-    "BoundConstants",
-    "boundary_score",
-    "asymptote_x",
-    "margin_membership",
-    "estimate_margin_mass",
-    "bound_constants",
-    "geometry_for",
-    # privacy
-    "PrivacyBudget",
-    "PrivatizedCpe",
-    "privatize",
-    "noise_draw_count",
-    "dp_plugin_pipeline",
-    # synthetic harness
-    "SyntheticDistribution",
-    "reference_eo",
-    "reference_dpar",
-    "bayes_classifier",
-    "estimate_measure",
-    "estimate_regret",
-    "consistency_curve",
-    "tradeoff_gap",
-]

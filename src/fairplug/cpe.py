@@ -12,11 +12,9 @@ fitted by minimizing the regularized empirical risk
 
 with the natural-log logistic loss (whose derivative magnitude is
 bounded by 1, a property the privacy analysis relies on) and a ridge
-penalty of strength ``lambda_reg``.  The intercept IS regularized by
-default so the penalty is 1-strongly convex over the full parameter
-vector -- the privacy guarantee needs exactly that; pass
-``regularize_intercept=False`` to get the usual statistical convention
-instead (at the cost of that guarantee).
+penalty of strength ``lambda_reg``.  The intercept is always
+regularized, so the objective is ``lambda_reg``-strongly convex over
+the full parameter vector -- the privacy guarantee needs exactly that.
 
 The optimizer is damped Newton (iteratively reweighted least squares)
 with Armijo backtracking, started from the zero vector.  The objective
@@ -44,13 +42,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .core import Dataset
-from .errors import DataError, NumericError, ValidationError
-from .kvformat import format_float, format_float_vector, parse_float_vector, read_kv, write_kv
+from .errors import NumericError, ValidationError
 
 __all__ = [
     "ARITY_FEATURES",
@@ -65,8 +61,6 @@ __all__ = [
     "fit_eta_bar_eo",
     "fit_eta_bar_dpar",
     "fit_eta_aware",
-    "save_cpe",
-    "load_cpe",
     "sigmoid",
 ]
 
@@ -101,7 +95,7 @@ class LinearCpe:
     into the right slot.  ``grad_norm``/``n_iters`` record the fit
     residual and ``converged`` whether it met the fit's tolerance; they
     are metadata, not part of the model identity, and are not persisted,
-    so a model built by hand or loaded from disk has no fit record.
+    so a model built by hand has no fit record.
     """
 
     weights: np.ndarray
@@ -144,7 +138,6 @@ class FitConfig:
     lambda_reg: float = 1e-2
     max_iters: int = 500
     tolerance: float = 1e-6
-    regularize_intercept: bool = True
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lambda_reg) and self.lambda_reg >= 0.0):
@@ -164,30 +157,29 @@ def _design(rows: np.ndarray) -> np.ndarray:
     return np.hstack([rows, np.ones((rows.shape[0], 1))])
 
 
-def _objective_and_grad(w, design, targets, lambda_reg, reg_mask):
+def _objective_and_grad(w, design, targets, lambda_reg):
     n = design.shape[0]
     margins = targets * (design @ w)
     # log(1 + exp(-m)) via logaddexp for stability at large |m|
-    obj = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * lambda_reg * float(
-        np.dot(w * reg_mask, w * reg_mask)
-    )
+    obj = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * lambda_reg * float(np.dot(w, w))
     # d/dm log(1+exp(-m)) = -sigmoid(-m); |.| <= 1 always
     coef = -targets * sigmoid(-margins)
-    grad = design.T @ coef / n + lambda_reg * (reg_mask * w)
+    grad = design.T @ coef / n + lambda_reg * w
     return obj, grad
 
 
-def _hessian(w, design, lambda_reg, reg_mask):
+def _hessian(w, design, lambda_reg):
     p = sigmoid(design @ w)
     curvature = p * (1.0 - p)
-    return (design.T * curvature) @ design / design.shape[0] + np.diag(lambda_reg * reg_mask)
+    hessian = (design.T * curvature) @ design / design.shape[0]
+    return hessian + lambda_reg * np.eye(design.shape[1])
 
 
 def fit(rows, targets, config: FitConfig) -> LinearCpe:
     """Minimize the regularized logistic objective on (rows, targets).
 
     Damped Newton from the zero vector: each step solves ``H d = grad``
-    with the Hessian ``H = X' diag(p(1-p)) X / n + lambda * diag(mask)``
+    with the Hessian ``H = X' diag(p(1-p)) X / n + lambda * I``
     and backtracks along ``-d`` until the Armijo test holds with slope
     ``grad . d``.  ``max_iters`` caps the number of Newton steps.  With
     ``lambda_reg = 0`` the Hessian can be singular (one-hot columns plus
@@ -224,14 +216,9 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
         raise ValidationError("targets contain a single class; both classes are required")
 
     design = _design(rows)
-    k = design.shape[1]
-    reg_mask = np.ones(k)
-    if not config.regularize_intercept:
-        reg_mask[-1] = 0.0
-
-    w = np.zeros(k)
+    w = np.zeros(design.shape[1])
     lam = float(config.lambda_reg)
-    obj, grad = _objective_and_grad(w, design, targets, lam, reg_mask)
+    obj, grad = _objective_and_grad(w, design, targets, lam)
     if not np.isfinite(obj):
         raise NumericError("objective is non-finite at the starting point")
 
@@ -242,7 +229,7 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
         # Least squares gives H^-1 grad when H is positive definite and the
         # minimum-norm Newton direction when lambda_reg = 0 makes H singular.
         try:
-            direction = np.linalg.lstsq(_hessian(w, design, lam, reg_mask), grad, rcond=None)[0]
+            direction = np.linalg.lstsq(_hessian(w, design, lam), grad, rcond=None)[0]
         except np.linalg.LinAlgError:
             direction = grad
         slope = float(grad @ direction)
@@ -253,7 +240,7 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
         step = 1.0
         while True:
             w_new = w - step * direction
-            obj_new, grad_new = _objective_and_grad(w_new, design, targets, lam, reg_mask)
+            obj_new, grad_new = _objective_and_grad(w_new, design, targets, lam)
             if np.isfinite(obj_new) and (
                 obj_new <= obj - 1e-4 * step * slope or not resolvable
             ):
@@ -334,27 +321,3 @@ def fit_eta_aware(dataset: Dataset, config: FitConfig) -> LinearCpe:
     """Fit P(Y=+1 | x, ybar) on ((features, sensitive), labels)."""
     rows = np.hstack([dataset.features, dataset.sensitive[:, None]])
     return _retag(fit(rows, np.sign(dataset.labels), config), ARITY_FEATURES_PLUS_SENSITIVE)
-
-
-def save_cpe(model: LinearCpe, path: str | Path) -> None:
-    """Persist a model as a flat text record (arity, strength, weights)."""
-    write_kv(
-        path,
-        [
-            ("arity", model.input_arity),
-            ("lambda_reg", format_float(model.lambda_reg)),
-            ("weights", format_float_vector(model.weights)),
-        ],
-    )
-
-
-def load_cpe(path: str | Path) -> LinearCpe:
-    """Inverse of :func:`save_cpe` (full-precision round trip)."""
-    record = read_kv(path)
-    try:
-        arity = record["arity"]
-        lambda_reg = float(record["lambda_reg"])
-        weights = parse_float_vector(record["weights"])
-    except KeyError as exc:
-        raise DataError(f"{path}: missing model field {exc}") from exc
-    return LinearCpe(weights=np.array(weights), lambda_reg=lambda_reg, input_arity=arity)

@@ -45,11 +45,9 @@ __all__ = [
     "load_schema",
     "bundled_schema_path",
     "list_bundled_schemas",
-    "load_csv",
     "load_csv_report",
     "fit_dp_transform",
     "apply_dp_transform",
-    "preprocess_dp",
     "make_splits",
     "save_prepared",
     "load_prepared",
@@ -299,12 +297,6 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
     return dataset, report
 
 
-def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
-    """Load and encode a headered CSV (drop accounting goes to the log)."""
-    dataset, _ = load_csv_report(path, schema)
-    return dataset
-
-
 @dataclass(frozen=True, eq=False)
 class DpTransform:
     """Train-fitted map onto the unit joint-norm ball.
@@ -387,11 +379,6 @@ def apply_dp_transform(transform: DpTransform, dataset: Dataset) -> Dataset:
         sensitive=dataset.sensitive,
         label_scale=transform.label_magnitude,
     )
-
-
-def preprocess_dp(dataset: Dataset, c: float = 0.5) -> Dataset:
-    """Fit on and apply to the same split (the whole-dataset convenience)."""
-    return apply_dp_transform(fit_dp_transform(dataset, c), dataset)
 
 
 @dataclass(frozen=True)

@@ -270,44 +270,24 @@ def margin_membership(geometry, coords: tuple[np.ndarray, np.ndarray], eps: floa
 
 
 def estimate_margin_mass(
-    sampler: Sampler,
-    geometry,
-    eps: float,
-    m: int,
-    seed: int,
-    *,
-    shards: int = 1,
+    sampler: Sampler, geometry, eps: float, m: int, seed: int
 ) -> tuple[float, float]:
     """Monte-Carlo margin mass and its binomial standard error.
 
-    Draws ``m`` points through ``sampler`` and counts margin members.
-    With ``shards > 1`` the draw splits into independently seeded
-    sub-streams whose hit counts are summed exactly, so the estimate is
-    deterministic for a given (seed, shards) plan regardless of how the
-    shards are scheduled.
+    Draws ``m`` points through ``sampler`` from the stream seeded by
+    ``(seed, 0)`` and counts margin members.
     """
 
     m = int(m)
     if m <= 0:
         raise ValidationError(f"sample count must be positive, got {m}")
-    shards = int(shards)
-    if shards <= 0 or shards > m:
-        raise ValidationError(f"shards must lie in [1, m], got {shards}")
-    base, extra = divmod(m, shards)
-    hits = 0
-    for index in range(shards):
-        count = base + (1 if index < extra else 0)
-        if count == 0:
-            continue
-        rng = np.random.default_rng((int(seed), index))
-        coords = sampler(rng, count)
-        member = margin_membership(geometry, coords, eps)
-        if member.shape != (count,):
-            raise ValidationError(
-                f"sampler returned {member.shape[0]} coordinates for a request of {count}"
-            )
-        hits += int(member.sum())
-    p_hat = hits / m
+    coords = sampler(np.random.default_rng((int(seed), 0)), m)
+    member = margin_membership(geometry, coords, eps)
+    if member.shape != (m,):
+        raise ValidationError(
+            f"sampler returned {member.shape[0]} coordinates for a request of {m}"
+        )
+    p_hat = int(member.sum()) / m
     return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / m))
 
 

@@ -1,13 +1,14 @@
 """Flat ``key = value`` text records.
 
 One declarative format is used everywhere a small amount of structured
-text needs to live on disk: schema files, run configs, model records,
-and run manifests.  The format is deliberately primitive:
+text needs to live on disk: schema files, run configs, synthetic
+distributions, prepared-data metadata and run manifests.  The format is
+deliberately primitive:
 
 * one ``key = value`` pair per line, split on the first ``=``;
 * keys and values are stripped of surrounding whitespace;
 * blank lines and lines starting with ``#`` are ignored;
-* keys may repeat only if the reader asks for all values.
+* a key may appear only once.
 
 Values are strings; callers convert.  Floats should be written with
 :func:`format_float` so that reading them back reproduces the exact

@@ -34,7 +34,6 @@ arithmetic and check nothing themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,8 +51,7 @@ from .cpe import (
     fit_eta_bar_eo,
     predict_proba,
 )
-from .errors import DataError, ValidationError
-from .kvformat import format_float, format_float_vector, parse_float_vector, read_kv, write_kv
+from .errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .privacy import PrivatizedCpe
@@ -78,8 +76,6 @@ __all__ = [
     "classify",
     "fit_plugin",
     "with_params",
-    "save_rule",
-    "load_rule",
 ]
 
 EO_BLIND = "eo-blind"
@@ -349,65 +345,3 @@ def with_params(rule: PlugInRule, params: FairnessParams) -> PlugInRule:
     """
 
     return replace(rule, params=params)
-
-
-def _cpe_items(prefix: str, model: LinearCpe):
-    return [
-        (f"{prefix}.arity", model.input_arity),
-        (f"{prefix}.lambda_reg", format_float(model.lambda_reg)),
-        (f"{prefix}.weights", format_float_vector(model.weights)),
-    ]
-
-
-def save_rule(rule: PlugInRule, path: str | Path) -> None:
-    """Persist the rule as a flat text record with embedded estimators.
-
-    The privatization record, when present, is saved separately by the
-    privacy module; this record captures the decision rule itself.
-    """
-
-    items: list[tuple[str, str]] = [
-        ("setting", rule.setting),
-        ("lambda", format_float(rule.params.lam)),
-        ("c", format_float(rule.params.c)),
-        ("c_bar", format_float(rule.params.c_bar)),
-        ("positive_label", format_float(rule.positive_label)),
-    ]
-    if rule.pi_hat is not None:
-        items.append(("pi_hat", format_float(rule.pi_hat)))
-    items.extend(_cpe_items("eta", rule.eta))
-    if rule.eta_bar is not None:
-        items.extend(_cpe_items("eta_bar", rule.eta_bar))
-    write_kv(path, items)
-
-
-def _cpe_from_record(record: dict[str, str], prefix: str) -> LinearCpe:
-    return LinearCpe(
-        weights=np.array(parse_float_vector(record[f"{prefix}.weights"])),
-        lambda_reg=float(record[f"{prefix}.lambda_reg"]),
-        input_arity=record[f"{prefix}.arity"],
-    )
-
-
-def load_rule(path: str | Path) -> PlugInRule:
-    """Inverse of :func:`save_rule`."""
-    record = read_kv(path)
-    try:
-        params = FairnessParams(
-            lam=float(record["lambda"]), c=float(record["c"]), c_bar=float(record["c_bar"])
-        )
-        setting = record["setting"]
-        eta = _cpe_from_record(record, "eta")
-        eta_bar = _cpe_from_record(record, "eta_bar") if "eta_bar.weights" in record else None
-        pi_hat = float(record["pi_hat"]) if "pi_hat" in record else None
-        positive_label = float(record.get("positive_label", "1.0"))
-    except KeyError as exc:
-        raise DataError(f"{path}: missing rule field {exc}") from exc
-    return PlugInRule(
-        setting=setting,
-        params=params,
-        eta=eta,
-        eta_bar=eta_bar,
-        pi_hat=pi_hat,
-        positive_label=positive_label,
-    )

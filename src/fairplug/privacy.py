@@ -13,10 +13,12 @@ from one privatized estimator without drawing noise again or weakening
 the guarantee.  A module-level draw counter makes that auditable.
 
 The guarantee is pure (delta = 0) differential privacy with respect to
-one individual's sensitive attribute, and its calibration assumes each
-joint feature-label row has Euclidean norm at most 1 (see the data
-module's preprocessing) and that the fit regularized the full weight
-vector, intercept included.
+one individual's sensitive attribute.  Its calibration has two
+preconditions, and both are enforced, not assumed: every joint
+feature-label row has Euclidean norm at most 1 (:func:`dp_plugin_pipeline`
+rejects training data that the data module's preprocessing has not
+bounded), and the fit regularized the full weight vector, intercept
+included (the estimator module always does).
 
 Why 2 / (n * reg) holds with the intercept column: the fit's design row
 is z_i = [u_i; 1] for a joint feature-label row u_i of norm at most 1,
@@ -39,16 +41,13 @@ cap above its tolerance.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, FairnessParams, compute_dist_stats
 from .cpe import FitConfig, LinearCpe, fit_eta, fit_eta_bar_dpar, fit_eta_bar_eo
-from .errors import DataError, NumericError, ValidationError
-from .kvformat import format_float, format_float_vector, parse_float_vector, read_kv, write_kv
+from .errors import NumericError, ValidationError
 from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule
 
 __all__ = [
@@ -59,11 +58,7 @@ __all__ = [
     "noise_draw_count",
     "privatize",
     "dp_plugin_pipeline",
-    "save_privatized",
-    "load_privatized",
 ]
-
-log = logging.getLogger("fairplug.privacy")
 
 _NOISE_DRAWS = 0
 
@@ -131,8 +126,17 @@ class PrivatizedCpe:
 
     @property
     def private(self) -> LinearCpe:
-        """The released estimator: base weights plus noise."""
-        return replace(self.base, weights=self.base.weights + self.noise)
+        """The released estimator: base weights plus noise.
+
+        It has no fit record (``grad_norm``, ``n_iters`` and ``converged``
+        are ``None``): the noisy weights are not a minimizer of anything,
+        and the fit's record stays on :attr:`base`.
+        """
+        return LinearCpe(
+            weights=self.base.weights + self.noise,
+            lambda_reg=self.base.lambda_reg,
+            input_arity=self.base.input_arity,
+        )
 
 
 def sensitivity_bound(n: int, lambda_reg: float) -> float:
@@ -186,7 +190,7 @@ def privatize(
     with (checked against the model's record); zero regularization has
     unbounded sensitivity and is rejected.  A fit that stopped above its
     tolerance raises :class:`NumericError`; a model without a fit record
-    (built by hand or loaded from disk) is taken as given.
+    (built by hand) is taken as given.
     """
 
     if not isinstance(model, LinearCpe):
@@ -227,8 +231,7 @@ def _check_joint_norms(train: Dataset) -> None:
     if worst > 1.0 + NORM_TOLERANCE:
         raise ValidationError(
             f"a training row has joint feature-label norm {worst:.6g} > 1; run the "
-            "data module's norm-bounding preprocessing first, or pass "
-            "require_norm_bound=False to proceed without the formal guarantee"
+            "data module's norm-bounding preprocessing first"
         )
 
 
@@ -239,8 +242,6 @@ def dp_plugin_pipeline(
     cpe_config: FitConfig,
     eps_p: float,
     seed: int,
-    *,
-    require_norm_bound: bool = True,
 ) -> PlugInRule:
     """Fit a blind plug-in rule whose sensitive-attribute part is private.
 
@@ -249,6 +250,8 @@ def dp_plugin_pipeline(
     attribute estimator is fitted, privatized once, and embedded.  The
     returned rule carries the privatization record, and re-assembling
     it under other (lam, c, c_bar) values is noise-free post-processing.
+    Training data with a joint feature-label row of norm above 1 is
+    rejected with :class:`ValidationError`.
     """
 
     if setting not in (EO_BLIND, DPAR_BLIND):
@@ -257,18 +260,7 @@ def dp_plugin_pipeline(
         )
     if not isinstance(cpe_config, FitConfig):
         raise ValidationError("cpe_config must be a FitConfig")
-    if not cpe_config.regularize_intercept:
-        raise ValidationError(
-            "the privacy calibration assumes the full weight vector (intercept "
-            "included) is regularized; set regularize_intercept=True"
-        )
-    if require_norm_bound:
-        _check_joint_norms(train)
-    else:
-        log.warning(
-            "norm-bound check skipped: the formal privacy guarantee assumes joint "
-            "feature-label norms at most 1"
-        )
+    _check_joint_norms(train)
     pi_hat = compute_dist_stats(train).pi if setting == EO_BLIND else None
     eta = fit_eta(train, cpe_config)
     if setting == EO_BLIND:
@@ -285,42 +277,3 @@ def dp_plugin_pipeline(
         positive_label=train.label_scale,
         privacy=record,
     )
-
-
-def save_privatized(record: PrivatizedCpe, path: str | Path) -> None:
-    """Persist base weights, noise, and the budget so audits can replay."""
-    write_kv(
-        path,
-        [
-            ("arity", record.base.input_arity),
-            ("lambda_reg", format_float(record.base.lambda_reg)),
-            ("base_weights", format_float_vector(record.base.weights)),
-            ("noise", format_float_vector(record.noise)),
-            ("eps_p", format_float(record.budget.eps_p)),
-            ("gamma", format_float(record.budget.gamma)),
-            ("n", str(record.budget.n)),
-            ("seed", str(record.seed)),
-        ],
-    )
-
-
-def load_privatized(path: str | Path) -> PrivatizedCpe:
-    """Inverse of :func:`save_privatized`."""
-    data = read_kv(path)
-    try:
-        base = LinearCpe(
-            weights=np.array(parse_float_vector(data["base_weights"])),
-            lambda_reg=float(data["lambda_reg"]),
-            input_arity=data["arity"],
-        )
-        noise = np.array(parse_float_vector(data["noise"]))
-        budget = PrivacyBudget(
-            eps_p=float(data["eps_p"]),
-            gamma=float(data["gamma"]),
-            dim=noise.shape[0],
-            n=int(data["n"]),
-            lambda_reg=float(data["lambda_reg"]),
-        )
-        return PrivatizedCpe(base=base, noise=noise, budget=budget, seed=int(data["seed"]))
-    except KeyError as exc:
-        raise DataError(f"{path}: missing privatized-estimator field {exc}") from exc

@@ -1,4 +1,6 @@
-"""Class-probability estimation: objective gradient, fit, persistence."""
+"""Class-probability estimation: objective gradient, fit, prediction."""
+
+import math
 
 import numpy as np
 import pytest
@@ -19,12 +21,10 @@ from fairplug.cpe import (
     fit_eta,
     fit_eta_aware,
     fit_eta_bar_eo,
-    load_cpe,
     predict_proba,
-    save_cpe,
     sigmoid,
 )
-from fairplug.errors import DataError, ValidationError
+from fairplug.errors import ValidationError
 
 from oracles import finite_difference_grad
 
@@ -70,26 +70,23 @@ class TestObjectiveGradient:
             targets[0] = -targets[0]
         design = _design(rows)
         lam = float(gen.uniform(0.0, 0.5))
-        reg_mask = np.ones(d + 1)
-        if gen.random() < 0.5:
-            reg_mask[-1] = 0.0
         w0 = gen.normal(size=d + 1)
 
-        _, grad = _objective_and_grad(w0, design, targets, lam, reg_mask)
+        _, grad = _objective_and_grad(w0, design, targets, lam)
         numeric = finite_difference_grad(
-            lambda w: _objective_and_grad(w, design, targets, lam, reg_mask)[0], w0
+            lambda w: _objective_and_grad(w, design, targets, lam)[0], w0
         )
         assert np.allclose(grad, numeric, atol=5e-6)
 
-    def test_regularizer_skips_intercept_when_masked(self):
+    def test_regularizer_includes_intercept(self):
         design = _design(np.array([[1.0], [-1.0]]))
         targets = np.array([1.0, -1.0])
-        w = np.array([0.0, 3.0])
-        mask_all = np.ones(2)
-        mask_no_int = np.array([1.0, 0.0])
-        obj_all, _ = _objective_and_grad(w, design, targets, 1.0, mask_all)
-        obj_masked, _ = _objective_and_grad(w, design, targets, 1.0, mask_no_int)
-        assert obj_all == pytest.approx(obj_masked + 0.5 * 9.0)
+        w = np.array([0.0, 3.0])  # all of the weight sits on the intercept
+        # margins t * (w . [x; 1]) are +3 and -3
+        mean_loss = (math.log1p(math.exp(-3.0)) + math.log1p(math.exp(3.0))) / 2.0
+        lam = 0.5
+        obj, _ = _objective_and_grad(w, design, targets, lam)
+        assert obj == pytest.approx(mean_loss + 0.5 * lam * 9.0, rel=1e-14)
 
 
 class TestFit:
@@ -158,7 +155,8 @@ class TestFit:
 def german_bounded(german_csv):
     """The German surrogate after the sweep's norm-bounding transform."""
     schema = data.load_schema(data.bundled_schema_path("german_gender"))
-    return data.preprocess_dp(data.load_csv(german_csv, schema))
+    dataset = data.load_csv_report(german_csv, schema)[0]
+    return data.apply_dp_transform(data.fit_dp_transform(dataset), dataset)
 
 
 class TestNewtonConvergence:
@@ -222,21 +220,3 @@ class TestPredictProba:
         model = LinearCpe(np.array([1.0, -1.0, 0.0]), 0.0, ARITY_FEATURES)
         with pytest.raises(ValidationError, match="arity"):
             predict_proba(model, np.zeros(3))
-
-
-class TestPersistence:
-    def test_round_trip_is_bitwise(self, tmp_path):
-        weights = np.array([0.1 + 0.2, -1e-17, 3.5])  # deliberately awkward floats
-        model = LinearCpe(weights, 0.0375, ARITY_FEATURES_PLUS_LABEL)
-        path = tmp_path / "model.kv"
-        save_cpe(model, path)
-        back = load_cpe(path)
-        assert np.array_equal(back.weights, model.weights)
-        assert back.lambda_reg == model.lambda_reg
-        assert back.input_arity == model.input_arity
-
-    def test_missing_field_is_data_error(self, tmp_path):
-        path = tmp_path / "broken.kv"
-        path.write_text("arity = features-only\n")
-        with pytest.raises(DataError, match="missing model field"):
-            load_cpe(path)

@@ -13,12 +13,10 @@ from fairplug.data import (
     bundled_schema_path,
     fit_dp_transform,
     list_bundled_schemas,
-    load_csv,
     load_csv_report,
     load_prepared,
     load_schema,
     make_splits,
-    preprocess_dp,
     save_prepared,
 )
 from fairplug.errors import DataError, DegenerateDataError, ValidationError
@@ -192,19 +190,19 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         write_csv(path, ["age", "label", "grp"], [[30, "y", "a"]])
         with pytest.raises(DataError, match="required column"):
-            load_csv(path, BASIC_SCHEMA)
+            load_csv_report(path, BASIC_SCHEMA)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
-            load_csv(path, BASIC_SCHEMA)
+            load_csv_report(path, BASIC_SCHEMA)
 
     def test_ragged_row_names_its_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("age,city,label,grp\n30,oslo,y,a\n40,lima,n\n")
         with pytest.raises(DataError, match=":3"):
-            load_csv(path, BASIC_SCHEMA)
+            load_csv_report(path, BASIC_SCHEMA)
 
     def test_value_set_strictness(self, tmp_path):
         strict = CsvSchema(
@@ -218,7 +216,7 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         write_csv(path, ["age", "label", "grp"], [[30, "y", "a"], [31, "maybe", "b"]])
         with pytest.raises(DataError, match="unmappable"):
-            load_csv(path, strict)
+            load_csv_report(path, strict)
         relaxed = CsvSchema(
             features=(("age", "numeric"),),
             label_column="label",
@@ -226,25 +224,25 @@ class TestLoadCsv:
             sensitive_column="grp",
             sensitive_positive=frozenset({"a"}),
         )
-        dataset = load_csv(path, relaxed)
+        dataset = load_csv_report(path, relaxed)[0]
         assert dataset.labels.tolist() == [1.0, -1.0]
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "data.csv"
         write_csv(path, ["age", "city", "label", "grp"], [["old", "oslo", "y", "a"]])
         with pytest.raises(DataError, match="non-numeric"):
-            load_csv(path, BASIC_SCHEMA)
+            load_csv_report(path, BASIC_SCHEMA)
 
     def test_all_rows_dropped(self, tmp_path):
         path = tmp_path / "data.csv"
         write_csv(path, ["age", "city", "label", "grp"], [["?", "oslo", "y", "a"]])
         with pytest.raises(DegenerateDataError, match="no usable rows"):
-            load_csv(path, BASIC_SCHEMA)
+            load_csv_report(path, BASIC_SCHEMA)
 
     def test_deterministic_bytes_to_arrays(self, tiny_csv, tiny_schema):
         schema = load_schema(tiny_schema)
-        a = load_csv(tiny_csv, schema)
-        b = load_csv(tiny_csv, schema)
+        a = load_csv_report(tiny_csv, schema)[0]
+        b = load_csv_report(tiny_csv, schema)[0]
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
@@ -259,7 +257,7 @@ class TestDpTransform:
 
     def test_train_rows_land_inside_the_ball(self):
         train = self.small()
-        mapped = preprocess_dp(train, c=0.5)
+        mapped = apply_dp_transform(fit_dp_transform(train, c=0.5), train)
         assert mapped.label_scale == 0.5
         assert set(np.unique(mapped.labels)) == {-0.5, 0.5}
         joint = np.sqrt((mapped.features**2).sum(axis=1) + mapped.labels**2)

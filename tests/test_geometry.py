@@ -206,8 +206,8 @@ class TestMarginMembership:
 class TestMarginMass:
     def test_deterministic_per_plan(self):
         line = BoundaryLine(lam=0.0, c=0.5, c_bar=0.5)
-        a = estimate_margin_mass(uniform_square, line, 0.05, 4000, seed=7, shards=4)
-        b = estimate_margin_mass(uniform_square, line, 0.05, 4000, seed=7, shards=4)
+        a = estimate_margin_mass(uniform_square, line, 0.05, 4000, seed=7)
+        b = estimate_margin_mass(uniform_square, line, 0.05, 4000, seed=7)
         assert a == b
 
     def test_uniform_mass_near_two_eps(self):
@@ -224,8 +224,6 @@ class TestMarginMass:
         line = BoundaryLine(lam=0.0, c=0.5, c_bar=0.5)
         with pytest.raises(ValidationError, match="positive"):
             estimate_margin_mass(uniform_square, line, 0.05, 0, seed=1)
-        with pytest.raises(ValidationError, match="shards"):
-            estimate_margin_mass(uniform_square, line, 0.05, 10, seed=1, shards=11)
 
         def short_sampler(rng, count):
             return rng.random(count - 1), rng.random(count - 1)

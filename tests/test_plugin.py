@@ -1,4 +1,4 @@
-"""The four plug-in decision rules: scores, thresholding, fitting, persistence."""
+"""The four plug-in decision rules: scores, thresholding, fitting, re-assembly."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from fairplug.cpe import (
     FitConfig,
     LinearCpe,
 )
-from fairplug.errors import DataError, ValidationError
+from fairplug.errors import ValidationError
 from fairplug.plugin import (
     DPAR_AWARE,
     DPAR_BLIND,
@@ -28,8 +28,6 @@ from fairplug.plugin import (
     fit_plugin,
     is_aware,
     is_eo,
-    load_rule,
-    save_rule,
     score,
     score_dpar_aware,
     score_dpar_blind,
@@ -337,31 +335,3 @@ class TestWithParams:
 
         eta = predict_proba(neutral.eta, np.hstack([x, groups[:, None]]))
         assert score(neutral, x, y_bar=groups) == pytest.approx(eta - 0.5)
-
-
-class TestPersistence:
-    @pytest.mark.parametrize("setting", SETTINGS)
-    def test_round_trip(self, setting, tmp_path):
-        train = make_dataset(seed=8)
-        rule = fit_plugin(train, setting, PARAMS, FitConfig())
-        path = tmp_path / "rule.kv"
-        save_rule(rule, path)
-        loaded = load_rule(path)
-        assert loaded.setting == rule.setting
-        assert loaded.params == rule.params
-        assert loaded.pi_hat == rule.pi_hat
-        assert loaded.positive_label == rule.positive_label
-        assert np.array_equal(loaded.eta.weights, rule.eta.weights)
-        if rule.eta_bar is None:
-            assert loaded.eta_bar is None
-        else:
-            assert np.array_equal(loaded.eta_bar.weights, rule.eta_bar.weights)
-        x = train.features[:7]
-        y_bar = train.sensitive[:7] if is_aware(setting) else None
-        assert np.array_equal(score(loaded, x, y_bar), score(rule, x, y_bar))
-
-    def test_missing_field_is_data_error(self, tmp_path):
-        path = tmp_path / "broken.kv"
-        path.write_text("setting = dpar-blind\nlambda = 1.0\nc = 0.5\nc_bar = 0.5\n")
-        with pytest.raises(DataError, match="missing rule field"):
-            load_rule(path)

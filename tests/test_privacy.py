@@ -1,6 +1,5 @@
 """Output-perturbation privacy: calibration, draw audit, private pipeline."""
 
-import logging
 import math
 
 import numpy as np
@@ -8,17 +7,15 @@ import pytest
 
 from fairplug.core import Dataset, FairnessParams
 from fairplug.cpe import ARITY_FEATURES, FitConfig, LinearCpe, fit_eta, fit_eta_bar_eo
-from fairplug.errors import DataError, NumericError, ValidationError
+from fairplug.errors import NumericError, ValidationError
 from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_BLIND, classify, with_params
 from fairplug.privacy import (
     PrivacyBudget,
     PrivatizedCpe,
     dp_plugin_pipeline,
-    load_privatized,
     noise_draw_count,
     privatize,
     sample_noise,
-    save_privatized,
     sensitivity_bound,
 )
 
@@ -125,25 +122,13 @@ class TestPipeline:
         with pytest.raises(ValidationError, match="blind settings only"):
             dp_plugin_pipeline(train, DPAR_AWARE, PARAMS, FitConfig(), eps_p=1.0, seed=0)
 
-    def test_intercept_regularization_required(self):
-        train = bounded_dataset()
-        with pytest.raises(ValidationError, match="intercept"):
-            dp_plugin_pipeline(
-                train,
-                EO_BLIND,
-                PARAMS,
-                FitConfig(regularize_intercept=False),
-                eps_p=1.0,
-                seed=0,
-            )
-
     def test_unconverged_fit_rejected(self):
         train = bounded_dataset()
         config = FitConfig(max_iters=1, tolerance=1e-12)
         with pytest.raises(NumericError, match="above its tolerance"):
             dp_plugin_pipeline(train, EO_BLIND, PARAMS, config, eps_p=1.0, seed=0)
 
-    def test_norm_bound_enforced_but_waivable(self, caplog):
+    def test_norm_bound_enforced(self):
         gen = np.random.default_rng(2)
         x = gen.uniform(-2.0, 2.0, size=(200, 2))
         labels = np.where(gen.random(200) < 0.5, 1.0, -1.0)
@@ -151,13 +136,6 @@ class TestPipeline:
         big = Dataset(x, labels, sensitive)
         with pytest.raises(ValidationError, match="norm-bounding"):
             dp_plugin_pipeline(big, DPAR_BLIND, PARAMS, FitConfig(), eps_p=1.0, seed=0)
-        with caplog.at_level(logging.WARNING, logger="fairplug.privacy"):
-            rule = dp_plugin_pipeline(
-                big, DPAR_BLIND, PARAMS, FitConfig(), eps_p=1.0, seed=0,
-                require_norm_bound=False,
-            )
-        assert rule.privacy is not None
-        assert any("norm-bound check skipped" in r.message for r in caplog.records)
 
     def test_one_draw_and_untouched_label_estimator(self):
         train = bounded_dataset()
@@ -174,6 +152,18 @@ class TestPipeline:
         assert np.array_equal(rule.eta_bar.weights, record.base.weights + record.noise)
         assert record.budget.eps_p == 1.0
         assert rule.positive_label == train.label_scale
+
+    def test_released_estimator_has_no_fit_record(self):
+        # The noisy weights sit away from the fit, so the fit's certificate
+        # belongs to the base estimator only.
+        rule = dp_plugin_pipeline(
+            bounded_dataset(), EO_BLIND, PARAMS, FitConfig(lambda_reg=0.05), eps_p=1.0, seed=4
+        )
+        released = rule.eta_bar
+        assert released.converged is None
+        assert released.grad_norm is None and released.n_iters is None
+        assert rule.privacy.base.converged is True
+        assert released.lambda_reg == rule.privacy.base.lambda_reg
 
     def test_reassembly_is_noise_free(self):
         train = bounded_dataset()
@@ -200,28 +190,6 @@ class TestPipeline:
             classify(private, train.features) == classify(clean, train.features)
         )
         assert agree >= 0.99
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        model = LinearCpe(
-            weights=np.array([0.5, -0.25, 0.125]), lambda_reg=0.05, input_arity=ARITY_FEATURES
-        )
-        record = privatize(model, 300, 0.05, eps_p=2.0, seed=6)
-        path = tmp_path / "private.kv"
-        save_privatized(record, path)
-        loaded = load_privatized(path)
-        assert np.array_equal(loaded.base.weights, record.base.weights)
-        assert np.array_equal(loaded.noise, record.noise)
-        assert loaded.budget == record.budget
-        assert loaded.seed == record.seed
-        assert np.array_equal(loaded.private.weights, record.private.weights)
-
-    def test_missing_field(self, tmp_path):
-        path = tmp_path / "broken.kv"
-        path.write_text("arity = features-only\nlambda_reg = 0.05\n")
-        with pytest.raises(DataError, match="missing privatized-estimator"):
-            load_privatized(path)
 
 
 def test_privatized_cpe_shape_checks():
