@@ -25,7 +25,6 @@ import logging
 import math
 import os
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         resolved["dp_norm"] = float(prepared.meta.get("dp_norm_c", 0.5))
     grid = _parse_grid(resolved["grid"])
     cpe_config = FitConfig(lambda_reg=resolved["cpe_lambda"])
-    records = sweep.run_sweep(
+    table = sweep.run_sweep(
         prepared,
         grid,
         resolved["setting"],
@@ -304,14 +303,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jobs=jobs,
     )
     out = _out_dir(resolved)
-    sweep.write_records_csv(records, out / "records.csv")
-    curve = _records_to_curve(records, resolved["bin_width"])
+    sweep.write_records_csv(table, out / "records.csv")
+    curve = sweep.tradeoff_curve(table, resolved["bin_width"])
     sweep.write_tradeoff_csv(curve, out / "curve.csv")
     inputs = {
         name: prepared_dir / name
         for name in ("features.npy", "labels.npy", "sensitive.npy", "meta.kv")
     }
-    flagged = sum(1 for r in records if r.flag)
+    inputs.update((path.name, path) for path in data.split_paths(prepared_dir))
+    flagged = int(np.count_nonzero(table.degenerate))
     _write_manifest(
         out,
         "sweep",
@@ -320,7 +320,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         inputs,
         {
             "result.grid_points": str(grid.cardinality),
-            "result.records": str(len(records)),
+            "result.records": str(len(table)),
             "result.flagged": str(flagged),
         },
     )
@@ -329,16 +329,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"({flagged} flagged records) -> {out}"
     )
     return 0
-
-
-def _records_to_curve(records: list[sweep.SweepRecord], bin_width: float) -> sweep.TradeoffCurve:
-    by_split: dict[int, list[sweep.SweepRecord]] = defaultdict(list)
-    for record in records:
-        by_split[record.split_id].append(record)
-    per_split = [
-        sweep.bin_min_violation(by_split[split], bin_width) for split in sorted(by_split)
-    ]
-    return sweep.aggregate_curves(per_split, bin_width)
 
 
 _SIMULATE_OPTIONS = {
@@ -615,10 +605,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         records_path = records_path / "records.csv"
     if not records_path.exists():
         raise DataError(f"no records file at {records_path}")
-    records = sweep.read_records_csv(records_path)
-    if not records:
-        raise DataError(f"{records_path} holds no sweep records")
-    curve = _records_to_curve(records, resolved["bin_width"])
+    table = sweep.read_records_csv(records_path)
+    curve = sweep.tradeoff_curve(table, resolved["bin_width"])
     if not curve.bins:
         raise DataError("no usable (unflagged, bal_acc >= 0.5) records to aggregate")
     out = _out_dir(resolved)
@@ -645,7 +633,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         {"records": records_path},
         {"result.bins": str(len(curve.bins))},
     )
-    print(f"aggregated {len(records)} records into {len(curve.bins)} bins -> {out}")
+    print(f"aggregated {len(table)} records into {len(curve.bins)} bins -> {out}")
     return 0
 
 
@@ -725,7 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
     geometry_cmd.set_defaults(handler=cmd_geometry)
 
     report = commands.add_parser("report", help="aggregate sweep records into a trade-off curve")
-    report.add_argument("--records", help="records.csv file or directory containing it")
+    report.add_argument(
+        "--records", help="records.csv (15 columns, with the integer counts) or its directory"
+    )
     report.add_argument("--band-scale", dest="band_scale", type=float)
     report.add_argument("--bin-width", dest="bin_width", type=float)
     _add_common(report)

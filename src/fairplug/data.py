@@ -50,6 +50,7 @@ __all__ = [
     "apply_dp_transform",
     "make_splits",
     "save_prepared",
+    "split_paths",
     "load_prepared",
 ]
 
@@ -483,6 +484,11 @@ def save_prepared(
     write_kv(out / "meta.kv", items)
 
 
+def split_paths(in_dir: str | Path) -> list[Path]:
+    """The ``split_NN.npy`` files of a prepared directory, in split order."""
+    return sorted(Path(in_dir).glob("split_*.npy"))
+
+
 def load_prepared(in_dir: str | Path) -> PreparedData:
     """Read a prepared-dataset directory back into memory."""
     root = Path(in_dir)
@@ -490,7 +496,7 @@ def load_prepared(in_dir: str | Path) -> PreparedData:
         features = np.load(root / "features.npy")
         labels = np.load(root / "labels.npy")
         sensitive = np.load(root / "sensitive.npy")
-        split_files = sorted(root.glob("split_*.npy"))
+        split_files = split_paths(root)
         role_rows = [np.load(path) for path in split_files]
         meta = {k: v for k, v in read_kv(root / "meta.kv").items()}
     except OSError as exc:

@@ -51,7 +51,6 @@ __all__ = [
     "disparate_impact",
     "mean_difference",
     "eo_violation",
-    "balanced_accuracy",
     "performance_measure",
     "regret",
 ]
@@ -216,11 +215,6 @@ def eo_violation(predictions, truth, sensitive) -> float:
     tpr_plus = float(np.count_nonzero(pred_pos & cell_plus)) / n_plus
     tpr_minus = float(np.count_nonzero(pred_pos & cell_minus)) / n_minus
     return abs(tpr_plus - tpr_minus)
-
-
-def balanced_accuracy(rates: GroupRates) -> float:
-    """Average of sensitivity and specificity, (TPR + TNR) / 2."""
-    return 0.5 * (rates.tpr + rates.tnr)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule
 __all__ = [
     "PrivacyBudget",
     "PrivatizedCpe",
-    "sensitivity_bound",
     "sample_noise",
     "noise_draw_count",
     "privatize",
@@ -137,17 +136,6 @@ class PrivatizedCpe:
             lambda_reg=self.base.lambda_reg,
             input_arity=self.base.input_arity,
         )
-
-
-def sensitivity_bound(n: int, lambda_reg: float) -> float:
-    """Worst-case weight movement when one training row is replaced."""
-    n = int(n)
-    lambda_reg = float(lambda_reg)
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
-    if not (np.isfinite(lambda_reg) and lambda_reg > 0.0):
-        raise ValidationError(f"lambda_reg must be positive, got {lambda_reg}")
-    return 2.0 / (n * lambda_reg)
 
 
 def sample_noise(dim: int, gamma: float, seed) -> np.ndarray:

@@ -16,16 +16,26 @@ one row per cost point, filled by one unchecked
 holds ``n_c * n_c_bar * n_test`` booleans (81 * 4,500 bytes, 0.36 MB,
 on the default grid with a 4,500-row test split), and the full
 ``n_lam * n_c * n_c_bar * n_test`` array is never built.  From each
-slice the sweep takes integer counts -- true positives, true negatives
-and predicted positives in the two fairness cells -- and every grid
-point becomes one record with balanced accuracy
-``0.5 * (tp / n_pos + tn / n_neg)`` and the fairness violation, the gap
-between the cells' positive-prediction rates.
+slice the sweep takes integer counts: true positives, true negatives
+and predicted positives in the two fairness cells.
 
-Records then reduce to a trade-off curve: balanced-accuracy bins of
-width 2.5% starting at 50%, the minimum violation per bin within each
-split (a lower envelope), and mean with population standard deviation
-across splits for bins wherever they are present.
+The result is one :class:`SweepTable` of equal-length columns, one row
+per (split, grid point): ``split_id``, ``lam``, ``c``, ``c_bar`` and the
+eight int64 :data:`COUNT_COLUMNS`, the four counts above and the split's
+totals they are out of.  Balanced accuracy ``0.5 * (tp / n_pos + tn /
+n_neg)``, the violation ``|pos_a / n_a - pos_b / n_b|`` and the
+degenerate flag (an empty label class or cell: zero counts, NaN
+metrics) are derived from the counts.  Ranges are checked over all rows
+at once where a table enters: :func:`run_sweep`'s return and
+:func:`read_records_csv`.  ``records.csv`` has 15 columns, ``split_id,
+lambda, c, c_bar, bal_acc, violation, flags`` and then the counts; the
+reader rejects the older seven-column header and any row whose metric
+or flag text differs from what its counts give.
+
+Each split's rows reduce to a lower envelope, the minimum violation per
+balanced-accuracy bin of width 2.5% from 50%, binned exactly from the
+counts in integers.  The trade-off curve is the envelopes' mean and
+population standard deviation across splits, bin by bin.
 
 The preprocessing runs regardless of the budget so private and
 non-private sweeps see identical inputs and differ only in the noise.
@@ -36,7 +46,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,14 +81,16 @@ from .plugin import score_eo_blind  # noqa: F401
 __all__ = [
     "GridRange",
     "SweepGrid",
-    "SweepRecord",
+    "SweepTable",
     "BinStat",
     "TradeoffCurve",
+    "COUNT_COLUMNS",
     "FLAG_DEGENERATE",
     "default_grid",
     "run_sweep",
     "bin_min_violation",
     "aggregate_curves",
+    "tradeoff_curve",
     "write_records_csv",
     "read_records_csv",
     "write_tradeoff_csv",
@@ -88,10 +101,6 @@ log = logging.getLogger("fairplug.sweep")
 FLAG_DEGENERATE = "degenerate-test-cell"
 
 DEFAULT_BIN_WIDTH = 0.025
-
-#: Slack, in bin widths, added before a balanced accuracy is floored to
-#: its bin; see :func:`bin_indices` for why it is exact.
-BIN_EDGE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,33 +150,74 @@ def default_grid() -> SweepGrid:
     return SweepGrid()
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point on one split; flagged records carry NaN metrics."""
+#: Per grid point: true positives, true negatives and predicted positives
+#: in the two fairness cells; then the split's totals they are out of.
+COUNT_COLUMNS = ("tp", "tn", "pos_a", "pos_b", "n_pos", "n_neg", "n_a", "n_b")
 
-    split_id: int
-    lam: float
-    c: float
-    c_bar: float
-    bal_acc: float
-    violation: float
-    flag: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "split_id", int(self.split_id))
-        for name in ("lam", "c", "c_bar", "bal_acc", "violation"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.flag:
-            for name in ("bal_acc", "violation"):
-                value = getattr(self, name)
-                if not np.isfinite(value):
-                    raise ValidationError(f"unflagged record has non-finite {name}")
-            if not (0.0 <= self.bal_acc <= 1.0 and 0.0 <= self.violation <= 1.0):
-                raise ValidationError("bal_acc and violation must lie in [0, 1]")
+def _ratio(numerator: np.ndarray, denominator: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` where ``ok`` and NaN elsewhere, with no 0/0."""
+    return np.divide(numerator, denominator, out=np.full(numerator.shape, np.nan), where=ok)
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Sweep results as equal-length columns, one row per (split, grid point).
+
+    ``split_id`` and the counts are int64, the grid coordinates float64;
+    rows are grouped by split.
+    """
+
+    split_id: np.ndarray
+    lam: np.ndarray
+    c: np.ndarray
+    c_bar: np.ndarray
+    tp: np.ndarray
+    tn: np.ndarray
+    pos_a: np.ndarray
+    pos_b: np.ndarray
+    n_pos: np.ndarray
+    n_neg: np.ndarray
+    n_a: np.ndarray
+    n_b: np.ndarray
+
+    def __len__(self) -> int:
+        return self.split_id.size
 
     @property
-    def ok(self) -> bool:
-        return self.flag == ""
+    def degenerate(self) -> np.ndarray:
+        """Rows whose split has an empty label class or fairness cell."""
+        return np.minimum.reduce([self.n_pos, self.n_neg, self.n_a, self.n_b]) == 0
+
+    @property
+    def bal_acc(self) -> np.ndarray:
+        ok = ~self.degenerate
+        return 0.5 * (_ratio(self.tp, self.n_pos, ok) + _ratio(self.tn, self.n_neg, ok))
+
+    @property
+    def violation(self) -> np.ndarray:
+        ok = ~self.degenerate
+        return np.abs(_ratio(self.pos_a, self.n_a, ok) - _ratio(self.pos_b, self.n_b, ok))
+
+    def splits(self) -> list[SweepTable]:
+        """One table per split, in row order."""
+        starts = (np.flatnonzero(np.diff(self.split_id)) + 1).tolist()
+        return [
+            SweepTable(**{f.name: getattr(self, f.name)[a:b] for f in fields(self)})
+            for a, b in zip([0, *starts], [*starts, len(self)])
+        ]
+
+
+def _check_table(table: SweepTable, source: str) -> None:
+    """Counts within their totals and zero on degenerate rows, splits in order."""
+    counts = np.stack([getattr(table, name) for name in COUNT_COLUMNS])
+    hits, totals = counts[:4], counts[4:]
+    step = np.diff(table.split_id)
+    bad = (table.split_id < 0) | (counts < 0).any(axis=0) | (hits > totals).any(axis=0)
+    bad |= table.degenerate & hits.any(axis=0)
+    bad[1:] |= (step < 0) | ((step == 0) & np.diff(totals, axis=1).any(axis=0))
+    if bad.any():
+        raise DataError(f"{source}: record {int(np.argmax(bad))}: counts or split id out of range")
 
 
 @dataclass(frozen=True)
@@ -200,21 +250,11 @@ class TradeoffCurve:
         object.__setattr__(self, "bin_width", width)
 
 
-def _run_split(task) -> list[SweepRecord]:
-    (
-        dataset,
-        train_idx,
-        test_idx,
-        lam_values,
-        c_values,
-        c_bar_values,
-        setting,
-        eps_p,
-        config,
-        pipeline_seed,
-        split_id,
-        dp_c,
-    ) = task
+def _run_split(dataset, axes, setting, eps_p, config, seed, dp_c, task) -> np.ndarray:
+    """One split's :data:`COUNT_COLUMNS`, an (8, grid points) int64 array."""
+    split_id, (train_idx, _val_idx, test_idx) = task
+    lam_values, c_values, c_bar_values = axes
+    pipeline_seed = int(np.random.SeedSequence((seed, split_id)).generate_state(1)[0])
     train_raw = dataset.subset(train_idx)
     test_raw = dataset.subset(test_idx)
     transform = fit_dp_transform(train_raw, dp_c)
@@ -238,31 +278,25 @@ def _run_split(task) -> list[SweepRecord]:
     n_a, n_b = (int(np.count_nonzero(cell)) for cell in cells)
     # One row of a slice per (c, c_bar) point, c_bar varying fastest.
     points = [(c, c_bar) for c in c_values.tolist() for c_bar in c_bar_values.tolist()]
-    records: list[SweepRecord] = []
+    counts = np.zeros((len(COUNT_COLUMNS), lam_values.size, len(points)), dtype=np.int64)
+    counts[4:] = np.array([n_pos, n_neg, n_a, n_b]).reshape(4, 1, 1)
     if min(n_pos, n_neg, n_a, n_b) == 0:
         log.warning("split %d: degenerate test cell; flagging every grid point", split_id)
-        for lam in lam_values:
-            for c, c_bar in points:
-                records.append(
-                    SweepRecord(split_id, lam, c, c_bar, math.nan, math.nan, flag=FLAG_DEGENERATE)
-                )
-        return records
+        return counts.reshape(len(COUNT_COLUMNS), -1)
 
     groups = test.sensitive if is_aware(setting) else None
     first, second = coordinates(rule_base, test.features, groups)
     pred_pos = np.empty((len(points), test.n), dtype=bool)
-    for lam in lam_values:
+    for slice_id, lam in enumerate(lam_values):
         for row, (c, c_bar) in enumerate(points):
             scores = setting_score(setting, first, second, rule_base.pi_hat, lam, c, c_bar)
             np.greater(scores, 0.0, out=pred_pos[row])
-        tp = np.count_nonzero(pred_pos & label_pos, axis=1)
-        tn = n_neg - np.count_nonzero(pred_pos & label_neg, axis=1)
-        pos_a, pos_b = (np.count_nonzero(pred_pos & cell, axis=1) for cell in cells)
-        bal_acc = 0.5 * (tp / n_pos + tn / n_neg)
-        violation = np.abs(pos_a / n_a - pos_b / n_b)
-        for (c, c_bar), b, v in zip(points, bal_acc.tolist(), violation.tolist()):
-            records.append(SweepRecord(split_id, lam, c, c_bar, b, v))
-    return records
+        counts[:4, slice_id] = (
+            np.count_nonzero(pred_pos & label_pos, axis=1),
+            n_neg - np.count_nonzero(pred_pos & label_neg, axis=1),
+            *(np.count_nonzero(pred_pos & cell, axis=1) for cell in cells),
+        )
+    return counts.reshape(len(COUNT_COLUMNS), -1)
 
 
 def run_sweep(
@@ -275,14 +309,14 @@ def run_sweep(
     *,
     dp_norm_c: float = 0.5,
     jobs: int = 1,
-) -> list[SweepRecord]:
+) -> SweepTable:
     """Traverse the grid on every split of a prepared dataset.
 
     ``eps_p`` is the per-split privacy budget; pass ``math.inf`` for a
     non-private sweep (the preprocessing still runs, so results stay
     comparable across budgets).  Finite budgets are limited to the
-    blind settings.  Records come back in canonical (split, lam, c,
-    c_bar) order, bit-identical for a fixed seed.
+    blind settings.  Rows come back in canonical (split, lam, c, c_bar)
+    order, bit-identical for a fixed seed.
     """
 
     if setting not in SETTINGS:
@@ -296,33 +330,21 @@ def run_sweep(
         )
     if not isinstance(cpe_config, FitConfig):
         raise ValidationError("cpe_config must be a FitConfig")
-    lam_values = grid.lam.values()
-    c_values = grid.c.values()
-    c_bar_values = grid.c_bar.values()
+    axes = (grid.lam.values(), grid.c.values(), grid.c_bar.values())
     # Each range is sorted, so its two ends bound every grid point.
     for end in (0, -1):
-        FairnessParams(lam=lam_values[end], c=c_values[end], c_bar=c_bar_values[end])
-    tasks = []
-    for split_id, (train_idx, _val_idx, test_idx) in enumerate(prepared.splits):
-        pipeline_seed = int(np.random.SeedSequence((int(seed), split_id)).generate_state(1)[0])
-        tasks.append(
-            (
-                prepared.dataset,
-                train_idx,
-                test_idx,
-                lam_values,
-                c_values,
-                c_bar_values,
-                setting,
-                eps_p,
-                cpe_config,
-                pipeline_seed,
-                split_id,
-                float(dp_norm_c),
-            )
-        )
-    per_split = map_tasks(_run_split, tasks, jobs)
-    return [record for split_records in per_split for record in split_records]
+        FairnessParams(*(values[end] for values in axes))
+    run = partial(
+        _run_split, prepared.dataset, axes, setting, eps_p, cpe_config, int(seed), float(dp_norm_c)
+    )
+    per_split = map_tasks(run, list(enumerate(prepared.splits)), jobs)
+    table = SweepTable(
+        np.repeat(np.arange(len(per_split), dtype=np.int64), grid.cardinality),
+        *(np.tile(axis.ravel(), len(per_split)) for axis in np.meshgrid(*axes, indexing="ij")),
+        *np.concatenate([np.empty((len(COUNT_COLUMNS), 0), dtype=np.int64), *per_split], axis=1),
+    )
+    _check_table(table, "run_sweep")
+    return table
 
 
 def _bin_count(bin_width: float) -> int:
@@ -332,43 +354,31 @@ def _bin_count(bin_width: float) -> int:
     return int(round(count))
 
 
-def bin_indices(bal_acc, bin_width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:
-    """Bin index of each balanced accuracy at or above 0.5.
+def bin_min_violation(
+    table: SweepTable, bin_width: float = DEFAULT_BIN_WIDTH
+) -> dict[float, float]:
+    """Per-bin minimum violation over one split's rows (lower envelope).
 
     Bin k is [0.5 + k*w, 0.5 + (k+1)*w), left-closed, and the top bin
-    also takes 1.0.  An accuracy exactly on an edge can come out of the
-    float division a few ulps below the integer it should hit, so
-    :data:`BIN_EDGE_TOLERANCE` is added before flooring.  That is exact
-    for counts: ``bal_acc = 0.5*(tp/n_pos + tn/n_neg)`` makes the offset
-    ``(bal_acc - 0.5)/w`` equal ``n_bins*N/(n_pos*n_neg)`` for an integer
-    ``N``, so an offset that is not an integer lies at least
-    ``1/(n_pos*n_neg)`` below the next one, more than the tolerance
-    while ``n_pos*n_neg < 1e9``.
+    also takes 1.0.  It is found from the counts in integers: with
+    ``A = n_pos*n_neg`` and ``N = tp*n_neg + tn*n_pos - A``, the balanced
+    accuracy is ``0.5 + N/(2A)``, so ``k = min(n_bins*N // A, n_bins - 1)``,
+    exact on every edge.  Rows below 0.5 balanced accuracy (``N < 0``) or
+    flagged degenerate contribute nowhere.  Returns only the nonempty
+    bins, keyed by bin_low.
     """
 
     n_bins = _bin_count(bin_width)
-    offset = (np.asarray(bal_acc, dtype=float) - 0.5) / bin_width
-    return np.minimum(np.floor(offset + BIN_EDGE_TOLERANCE), n_bins - 1).astype(int)
-
-
-def bin_min_violation(
-    records: list[SweepRecord], bin_width: float = DEFAULT_BIN_WIDTH
-) -> dict[float, float]:
-    """Per-bin minimum violation for one split's records (lower envelope).
-
-    Bins are those of :func:`bin_indices`.  Records below 0.5 balanced
-    accuracy or flagged as degenerate contribute nowhere.  Returns only
-    the nonempty bins, keyed by bin_low.
-    """
-
-    kept = [record for record in records if record.ok and record.bal_acc >= 0.5]
-    indices = bin_indices([record.bal_acc for record in kept], bin_width)
-    envelope: dict[int, float] = {}
-    for index, record in zip(indices.tolist(), kept):
-        current = envelope.get(index)
-        if current is None or record.violation < current:
-            envelope[index] = record.violation
-    return {0.5 + index * bin_width: value for index, value in sorted(envelope.items())}
+    area = table.n_pos * table.n_neg
+    if n_bins * int(area.max(initial=0)) >= 2**63:
+        raise ValidationError(f"counts are too large to bin in int64 at width {bin_width}")
+    numerator = table.tp * table.n_neg + table.tn * table.n_pos - area
+    kept = ~table.degenerate & (numerator >= 0)
+    index = np.minimum(n_bins * numerator[kept] // area[kept], n_bins - 1)
+    envelope = np.full(n_bins, np.inf)
+    np.minimum.at(envelope, index, table.violation[kept])
+    present = np.flatnonzero(np.bincount(index, minlength=n_bins)).tolist()
+    return {0.5 + k * bin_width: float(envelope[k]) for k in present}
 
 
 def aggregate_curves(
@@ -396,51 +406,77 @@ def aggregate_curves(
     return TradeoffCurve(bins=tuple(stats), bin_width=bin_width)
 
 
-_RECORD_HEADER = ["split_id", "lambda", "c", "c_bar", "bal_acc", "violation", "flags"]
+def tradeoff_curve(table: SweepTable, bin_width: float = DEFAULT_BIN_WIDTH) -> TradeoffCurve:
+    """Each split's lower envelope, aggregated across splits."""
+    per_split = [bin_min_violation(part, bin_width) for part in table.splits()]
+    return aggregate_curves(per_split, bin_width)
 
 
-def write_records_csv(records: list[SweepRecord], path: str | Path) -> None:
-    """Write sweep records with the canonical seven-column header."""
+_RECORD_HEADER = (
+    "split_id", "lambda", "c", "c_bar", "bal_acc", "violation", "flags", *COUNT_COLUMNS
+)
+_FLOAT_COLUMNS = ("lam", "c", "c_bar", "bal_acc", "violation")
+# A flags field longer than the width is cut to the full width, so it can
+# never be read as the shorter degenerate flag.
+_RECORD_DTYPE = np.dtype(
+    [("split_id", np.int64)]
+    + [(name, np.float64) for name in _FLOAT_COLUMNS]
+    + [("flags", "S32")]
+    + [(name, np.int64) for name in COUNT_COLUMNS]
+)
+
+
+def _column_text(values: np.ndarray, fmt) -> list[str]:
+    """``[fmt(v) for v in values]``, calling ``fmt`` once per distinct bit pattern."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([fmt(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def write_records_csv(table: SweepTable, path: str | Path) -> None:
+    """Write the 15-column records file, one split at a time, column by column."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_RECORD_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.split_id,
-                    format_float(r.lam),
-                    format_float(r.c),
-                    format_float(r.c_bar),
-                    format_float(r.bal_acc),
-                    format_float(r.violation),
-                    r.flag,
-                ]
-            )
+        handle.write(",".join(_RECORD_HEADER) + "\r\n")
+        for part in table.splits():
+            flags = np.where(part.degenerate, FLAG_DEGENERATE, "").tolist()
+            columns = [
+                _column_text(part.split_id, str),
+                *(_column_text(getattr(part, name), format_float) for name in _FLOAT_COLUMNS),
+                flags,
+                *(_column_text(getattr(part, name), str) for name in COUNT_COLUMNS),
+            ]
+            handle.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
-def read_records_csv(path: str | Path) -> list[SweepRecord]:
-    """Inverse of :func:`write_records_csv`."""
-    records: list[SweepRecord] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+def read_records_csv(path: str | Path) -> SweepTable:
+    """Inverse of :func:`write_records_csv`; rejects the old seven-column
+    header and rows whose metric or flag text differs from their counts."""
+
+    with open(path) as handle:
+        header = tuple(handle.readline().rstrip("\n").split(","))
+        if header == _RECORD_HEADER[:7]:
+            raise DataError(f"{path}: seven-column records file without the counts; sweep again")
         if header != _RECORD_HEADER:
-            raise DataError(f"{path}: unexpected records header {header}")
-        for row in reader:
-            if len(row) != len(_RECORD_HEADER):
-                raise DataError(f"{path}: malformed record row {row}")
-            records.append(
-                SweepRecord(
-                    split_id=int(row[0]),
-                    lam=float(row[1]),
-                    c=float(row[2]),
-                    c_bar=float(row[3]),
-                    bal_acc=float(row[4]),
-                    violation=float(row[5]),
-                    flag=row[6],
-                )
-            )
-    return records
+            raise DataError(f"{path}: unexpected records header {list(header)}")
+        body = handle.tell()
+        if not handle.read(1):
+            raise DataError(f"{path} holds no sweep records")
+        handle.seek(body)
+        try:
+            rows = np.loadtxt(handle, dtype=_RECORD_DTYPE, delimiter=",", ndmin=1)
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed record row: {exc}") from exc
+    table = SweepTable(*(rows[name] for name in ("split_id", "lam", "c", "c_bar", *COUNT_COLUMNS)))
+    _check_table(table, str(path))
+    degenerate = table.degenerate
+    bad = rows["flags"] != np.where(degenerate, FLAG_DEGENERATE.encode(), b"")
+    for name in ("bal_acc", "violation"):
+        text, derived = rows[name], getattr(table, name)
+        bad |= np.where(degenerate, ~np.isnan(text), text.view(np.int64) != derived.view(np.int64))
+    if bad.any():
+        message = "bal_acc, violation or flags disagrees with the counts"
+        raise DataError(f"{path}: record {int(np.argmax(bad))}: {message}")
+    return table
 
 
 def write_tradeoff_csv(curve: TradeoffCurve, path: str | Path) -> None:

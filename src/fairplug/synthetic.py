@@ -92,7 +92,6 @@ __all__ = [
     "sample",
     "true_stats",
     "bayes_classifier",
-    "estimate_measure",
     "estimate_regret",
     "consistency_curve",
     "frontier",
@@ -492,29 +491,6 @@ def _measure_on(
     return performance_measure(inputs, criterion=criterion_for(setting))
 
 
-def estimate_measure(
-    classifier: Classifier,
-    dist: SyntheticDistribution,
-    setting: str,
-    params: FairnessParams,
-    m: int,
-    seed,
-    *,
-    stats: DistStats | None = None,
-) -> float:
-    """Monte-Carlo performance measure: exact priors, empirical rates.
-
-    Draws m evaluation triplets; conditional group rates come from the
-    draw while the priors weighting them come from quadrature, which
-    removes the largest seed-to-seed variance component.
-    """
-
-    if stats is None:
-        stats = true_stats(dist)
-    dataset = sample(dist, m, seed)
-    return _measure_on(dataset, classifier, setting, params, stats)
-
-
 def estimate_regret(
     classifier: Classifier,
     dist: SyntheticDistribution,
@@ -526,7 +502,11 @@ def estimate_regret(
     boc: PlugInRule | None = None,
     stats: DistStats | None = None,
 ) -> float:
-    """Measure shortfall against the exact rule, paired on one draw."""
+    """Measure shortfall against the exact rule, paired on one draw of m triplets.
+
+    Group rates come from the draw and the priors weighting them from
+    quadrature, which removes the largest seed-to-seed variance component.
+    """
     if stats is None:
         stats = true_stats(dist)
     if boc is None:
@@ -603,10 +583,9 @@ def _consistency_trial(task) -> tuple[float, int]:
         return fit_plugin(train, setting, params, config, pi_override=pi_override)
 
     rule, retries = _sample_non_degenerate(dist, n, (seed, n, trial, 0), build)
-    eval_ds = sample(dist, m_eval, (seed, n, trial, 1))
-    best = _measure_on(eval_ds, boc, setting, params, stats)
-    got = _measure_on(eval_ds, rule, setting, params, stats)
-    return best - got, retries
+    eval_seed = (seed, n, trial, 1)
+    regret = estimate_regret(rule, dist, setting, params, m_eval, eval_seed, boc=boc, stats=stats)
+    return regret, retries
 
 
 def consistency_curve(

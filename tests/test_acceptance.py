@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +36,13 @@ from fairplug.geometry import (
 )
 from fairplug.plugin import EO_BLIND, classify, coordinates, fit_plugin, score, setting_score
 from fairplug.privacy import dp_plugin_pipeline, noise_draw_count, sample_noise
-from fairplug.sweep import aggregate_curves, bin_min_violation, default_grid, run_sweep
+from fairplug.sweep import (
+    aggregate_curves,
+    bin_min_violation,
+    default_grid,
+    run_sweep,
+    tradeoff_curve,
+)
 from fairplug.synthetic import (
     DiscreteLaw,
     SyntheticDistribution,
@@ -341,9 +346,9 @@ def test_criterion_08_dp_sweep_budget_and_agreement(german_prepared_single):
     assert grid.cardinality == 3321
 
     before = noise_draw_count()
-    records = run_sweep(german_prepared_single, grid, EO_BLIND, 1.0, config, 21)
+    table = run_sweep(german_prepared_single, grid, EO_BLIND, 1.0, config, 21)
     assert noise_draw_count() - before == 1  # one draw for the whole grid
-    assert len(records) == 3321
+    assert len(table) == 3321
 
     # near-infinite budget: decisions match the non-private route
     train_idx, _val_idx, test_idx = german_prepared_single.splits[0]
@@ -436,13 +441,8 @@ def _adult_qualitative_message(adult_csv: str) -> str:
     dataset, _rep = data.load_csv_report(adult_csv, schema)
     splits = data.make_splits(dataset, data.SplitPlan(n_repeats=3, master_seed=0))
     prepared = data.PreparedData(dataset=dataset, splits=splits, meta={})
-    records = run_sweep(prepared, default_grid(), EO_BLIND, 1.0, FitConfig(), 0)
-    by_split = defaultdict(list)
-    for record in records:
-        by_split[record.split_id].append(record)
-    curve = aggregate_curves(
-        [bin_min_violation(by_split[s], 0.025) for s in sorted(by_split)], 0.025
-    )
+    table = run_sweep(prepared, default_grid(), EO_BLIND, 1.0, FitConfig(), 0)
+    curve = tradeoff_curve(table, 0.025)
     upper = [b for b in curve.bins if b.bin_low >= 0.55]
     if len(upper) < 3:
         return "inconclusive: fewer than 3 bins above balanced accuracy 0.55"
@@ -479,18 +479,13 @@ def test_criterion_11_protocol_conformance_on_real_data(
             assert np.all(joint <= 1.0 + 1e-9)
 
     grid = default_grid()
-    records = run_sweep(prepared, grid, EO_BLIND, 1.0, FitConfig(), 0)
-    by_split = defaultdict(list)
-    for record in records:
-        by_split[record.split_id].append(record)
-    assert sorted(by_split) == list(range(20))
+    table = run_sweep(prepared, grid, EO_BLIND, 1.0, FitConfig(), 0)
+    parts = table.splits()
+    assert [int(part.split_id[0]) for part in parts] == list(range(20))
     per_split_curves = []
-    for split_id in range(20):
-        split_records = by_split[split_id]
-        assert len(split_records) == grid.cardinality
-        flagged = sum(1 for r in split_records if r.flag)
-        assert sum(1 for r in split_records if not r.flag) == grid.cardinality - flagged
-        curve = bin_min_violation(split_records, 0.025)
+    for part in parts:
+        assert len(part) == grid.cardinality
+        curve = bin_min_violation(part, 0.025)
         for bin_low in curve:
             steps = (bin_low - 0.5) / 0.025
             assert abs(steps - round(steps)) < 1e-9

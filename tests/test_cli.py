@@ -10,6 +10,7 @@ routines is covered by the per-module tests, not re-proven here.
 from __future__ import annotations
 
 import csv
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,32 @@ class TestSweep:
         assert manifest["config.eps_p"] == "inf"
         assert manifest["result.grid_points"] == "27"
         assert manifest["result.records"] == "54"
+
+    def test_split_files_hashed(self, prepared_dir, tmp_path, capsys):
+        prepared = tmp_path / "prepared"
+        shutil.copytree(prepared_dir, prepared)
+        grid = "lam=0:0:1,c=0.5:0.5:1,c_bar=0.5:0.5:1"
+        args = ["sweep", "--prepared", str(prepared), "--grid", grid, "--eps-p", "inf"]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        split = prepared / "split_01.npy"
+        np.save(split, np.roll(np.load(split), 1))
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        before = read_kv(tmp_path / "a" / "manifest.kv")
+        after = read_kv(tmp_path / "b" / "manifest.kv")
+        assert before["input.split_00.npy.sha256"] == after["input.split_00.npy.sha256"]
+        assert before["input.split_01.npy.sha256"] != after["input.split_01.npy.sha256"]
+        capsys.readouterr()
+
+    def test_outputs_agree_across_jobs_and_report(self, prepared_dir, sweep_out, tmp_path, capsys):
+        # the sweep_out fixture ran the same sweep serially
+        args = ["--prepared", str(prepared_dir), "--grid", SMALL_GRID, "--eps-p", "inf"]
+        assert main(["sweep", *args, "--seed", "3", "--jobs", "2", "--out", str(tmp_path / "j2")]) == 0
+        assert main(["report", "--records", str(sweep_out), "--out", str(tmp_path / "report")]) == 0
+        for name in ("records.csv", "curve.csv"):
+            assert (tmp_path / "j2" / name).read_bytes() == (sweep_out / name).read_bytes()
+        curve = (sweep_out / "curve.csv").read_bytes()
+        assert (tmp_path / "report" / "curve.csv").read_bytes() == curve
+        capsys.readouterr()
 
     def test_dp_norm_defaults_from_prepared_meta(self, sweep_out):
         manifest = read_kv(sweep_out / "manifest.kv")
@@ -545,9 +572,10 @@ class TestReport:
         assert code == 0
         capsys.readouterr()
 
-    def test_header_only_records_is_data_error(self, tmp_path, capsys):
+    def test_header_only_records_is_data_error(self, sweep_out, tmp_path, capsys):
         records = tmp_path / "records.csv"
-        sweep.write_records_csv([], records)
+        header = (sweep_out / "records.csv").read_bytes().split(b"\r\n")[0]
+        records.write_bytes(header + b"\r\n")
         code = main(["report", "--records", str(records), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "holds no sweep records" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from fairplug.errors import DegenerateDataError, ValidationError
 from fairplug.metrics import (
     GroupRates,
     PerformanceInputs,
-    balanced_accuracy,
     balanced_csr,
     cost_sensitive_risk,
     disparate_impact,
@@ -108,9 +107,6 @@ class TestRisks:
                 cost_sensitive_risk(rates, 0.5, bad)
         with pytest.raises(ValidationError, match="pi"):
             cost_sensitive_risk(rates, 1.0, 0.5)
-
-    def test_balanced_accuracy(self):
-        assert balanced_accuracy(GroupRates(0.8, 0.6, 0.4, 0.2)) == pytest.approx(0.7)
 
 
 class TestFairnessMeasures:

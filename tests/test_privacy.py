@@ -16,7 +16,6 @@ from fairplug.privacy import (
     noise_draw_count,
     privatize,
     sample_noise,
-    sensitivity_bound,
 )
 
 PARAMS = FairnessParams(lam=1.0, c=0.5, c_bar=0.5)
@@ -38,12 +37,6 @@ class TestGuaranteeAndBudget:
             PrivacyBudget(eps_p=2.0, gamma=1.0, dim=3, n=400, lambda_reg=0.05)
         with pytest.raises(ValidationError, match="positive integers"):
             PrivacyBudget(eps_p=2.0, gamma=0.05, dim=0, n=400, lambda_reg=0.05)
-
-
-def test_sensitivity_bound():
-    assert sensitivity_bound(100, 0.05) == pytest.approx(2.0 / 5.0)
-    with pytest.raises(ValidationError, match="lambda_reg"):
-        sensitivity_bound(100, 0.0)
 
 
 class TestSampleNoise:
@@ -84,7 +77,7 @@ class TestAdversarialNeighbour:
         moved = float(np.linalg.norm(w.weights - w_prime.weights))
         certified = (w.grad_norm + w_prime.grad_norm) / lambda_reg
         assert moved <= math.sqrt(2.0) / (d.n * lambda_reg) + certified
-        assert math.sqrt(2.0) / (d.n * lambda_reg) <= sensitivity_bound(d.n, lambda_reg)
+        assert math.sqrt(2.0) / (d.n * lambda_reg) <= 2.0 / (d.n * lambda_reg)
 
 
 class TestPrivatize:

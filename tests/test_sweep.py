@@ -1,9 +1,13 @@
 """Grid sweep engine, envelope binning, and record/curve serialization."""
 
 import math
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairplug.core import Dataset, FairnessParams
 from fairplug.cpe import FitConfig
@@ -27,10 +31,9 @@ from fairplug.sweep import (
     BinStat,
     GridRange,
     SweepGrid,
-    SweepRecord,
+    SweepTable,
     TradeoffCurve,
     aggregate_curves,
-    bin_indices,
     bin_min_violation,
     default_grid,
     read_records_csv,
@@ -38,6 +41,8 @@ from fairplug.sweep import (
     write_records_csv,
     write_tradeoff_csv,
 )
+
+HEADER = "split_id,lambda,c,c_bar,bal_acc,violation,flags,tp,tn,pos_a,pos_b,n_pos,n_neg,n_a,n_b"
 
 
 def small_grid():
@@ -56,6 +61,19 @@ def prepared_data(n=200, seed=31, n_repeats=2):
     dataset = Dataset(x, labels, sensitive)
     splits = make_splits(dataset, SplitPlan(n_repeats=n_repeats, master_seed=seed))
     return PreparedData(dataset=dataset, splits=splits, meta={})
+
+
+def table_of(rows):
+    """A table of (split_id, lam, c, c_bar, tp, tn, pos_a, pos_b, n_pos, n_neg, n_a, n_b) rows."""
+    columns = np.array(rows, dtype=float).reshape(-1, 12).T
+    return SweepTable(
+        columns[0].astype(np.int64), *columns[1:4], *columns[4:].astype(np.int64)
+    )
+
+
+def assert_tables_equal(a, b):
+    for field in fields(SweepTable):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 class TestGridRange:
@@ -79,24 +97,70 @@ class TestGridRange:
         assert grid.cardinality == 3321
 
 
-class TestSweepRecord:
+class TestSweepTable:
     def test_flagged_carries_nan(self):
-        record = SweepRecord(0, 1.0, 0.5, 0.5, math.nan, math.nan, flag=FLAG_DEGENERATE)
-        assert not record.ok
-        with pytest.raises(ValidationError, match="non-finite"):
-            SweepRecord(0, 1.0, 0.5, 0.5, math.nan, 0.1)
+        # split 0 is healthy; split 1 has an empty fairness cell
+        table = table_of(
+            [(0, 1.0, 0.5, 0.5, 3, 2, 2, 1, 4, 4, 4, 4), (1, 1.0, 0.5, 0.5, 0, 0, 0, 0, 4, 4, 0, 4)]
+        )
+        assert len(table) == 2
+        with np.errstate(all="raise"):
+            bal_acc, violation = table.bal_acc, table.violation
+        assert table.degenerate.tolist() == [False, True]
+        assert bal_acc[0] == 0.5 * (3 / 4 + 2 / 4) and violation[0] == abs(2 / 4 - 1 / 4)
+        assert math.isnan(bal_acc[1]) and math.isnan(violation[1])
 
-    def test_metric_bounds(self):
-        with pytest.raises(ValidationError, match="\\[0, 1\\]"):
-            SweepRecord(0, 1.0, 0.5, 0.5, 1.2, 0.1)
+    def test_count_bounds(self, tmp_path):
+        good = "0,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"
+        path = tmp_path / "records.csv"
+        for first, second in (
+            (good, "0,1.0,0.5,0.5,0.625,0.25,,5,2,2,1,4,4,4,4"),  # tp > n_pos
+            (good, "0,1.0,0.5,0.5,0.625,0.25,,-1,2,2,1,4,4,4,4"),  # negative count
+            (good, "1,1.0,0.5,0.5,nan,nan,degenerate-test-cell,1,0,0,0,4,4,0,4"),  # tp > 0
+            (good, "0,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,5"),  # n_b changes in a split
+            (good, "-1,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"),  # negative split id
+            (good.replace("0,", "1,", 1), good),  # split ids decrease
+        ):
+            path.write_text(HEADER + "\n" + first + "\n" + second + "\n")
+            with pytest.raises(DataError, match="record 1: counts or split id out of range"):
+                read_records_csv(path)
+
+
+def one_row_bin(n_pos, n_neg, tp, tn, bin_width=0.025):
+    """The bin_low one healthy row lands in, or None below 0.5."""
+    row = (0, 0.0, 0.5, 0.5, tp, tn, 0, 0, n_pos, n_neg, 1, 1)
+    curve = bin_min_violation(table_of([row]), bin_width)
+    assert len(curve) <= 1
+    return next(iter(curve), None)
+
+
+@st.composite
+def count_rows(draw):
+    """Random (n_pos, n_neg, tp, tn, n_bins); half of them on or next to a bin edge."""
+    n_bins = draw(st.sampled_from([1, 2, 4, 20, 40]))
+    n_pos = draw(st.integers(1, 200_000))
+    n_neg = draw(st.integers(1, 200_000))
+    tp = draw(st.integers(0, n_pos))
+    if draw(st.booleans()):
+        tn = draw(st.integers(0, n_neg))
+    else:
+        # the tn nearest the edge 0.5 + k/(2*n_bins), then moved by at most one
+        k = draw(st.integers(0, n_bins))
+        edge = n_neg * (1 + Fraction(k, n_bins) - Fraction(tp, n_pos))
+        tn = min(max(round(edge) + draw(st.integers(-1, 1)), 0), n_neg)
+    return n_pos, n_neg, tp, tn, n_bins
 
 
 class TestBinning:
-    def records_for(self, pairs, split_id=0):
-        return [
-            SweepRecord(split_id, 0.0, 0.5, 0.5, bal_acc, violation)
-            for bal_acc, violation in pairs
-        ]
+    def records_for(self, pairs):
+        """One split's rows with the given (bal_acc, violation) at 100/100 labels, 10/10 cells."""
+        rows = []
+        for bal_acc, violation in pairs:
+            correct = round(200 * bal_acc)
+            tp = correct // 2
+            hits = (tp, correct - tp, round(10 * violation), 0)
+            rows.append((0, 0.0, 0.5, 0.5, *hits, 100, 100, 10, 10))
+        return table_of(rows)
 
     def test_lower_envelope(self):
         records = self.records_for(
@@ -111,36 +175,31 @@ class TestBinning:
         assert 0.475 not in curve  # below-0.5 records contribute nowhere
 
     def test_edge_accuracies_bin_exactly(self):
-        """Every reachable (tp, tn) with n_pos, n_neg < 60 lands in its exact bin.
-
-        The exact bin is floor(n_bins * (tp*n_neg + tn*n_pos - n_pos*n_neg)
-        / (n_pos*n_neg)) in integers; the float balanced accuracy is formed
-        as the sweep forms it.
-        """
-        n_bins = 20
-        n_neg = np.concatenate([np.full(k + 1, k) for k in range(1, 60)])
-        tn = np.concatenate([np.arange(k + 1) for k in range(1, 60)])
-        checked = 0
-        for n_pos in range(1, 60):
-            tp = np.arange(n_pos + 1)[:, None]
-            numerator = tp * n_neg + tn * n_pos - n_pos * n_neg
-            keep = numerator >= 0
-            exact = np.minimum(n_bins * numerator // (n_pos * n_neg), n_bins - 1)[keep]
-            bal_acc = (0.5 * (tp / n_pos + tn / n_neg))[keep]
-            assert np.array_equal(bin_indices(bal_acc, 0.5 / n_bins), exact)
-            checked += exact.size
-        assert checked > 1_600_000
         # 0.5 * (1/1 + 1/5) = 0.6 exactly on an edge: bin 0.6, not 0.575
-        record = SweepRecord(0, 0.0, 0.5, 0.5, 0.5 * (1 / 1 + 1 / 5), 0.1)
-        assert bin_min_violation([record]) == {0.6: 0.1}
+        assert one_row_bin(1, 5, 1, 1) == 0.6
+        assert one_row_bin(2, 2, 1, 1) == 0.5  # exactly 0.5 is kept
+        assert one_row_bin(2, 2, 1, 0) is None
+
+    def test_offset_just_below_an_edge(self):
+        # 6.25e-10 bin widths, 1/(n_pos*n_neg), below the 0.975 edge: the
+        # row belongs to the bin starting at 0.95.
+        assert one_row_bin(40_001, 39_999, 39_001, 38_999) == 0.95
+
+    @settings(max_examples=400, deadline=None)
+    @given(count_rows())
+    def test_integer_bins_match_fraction_reference(self, row):
+        n_pos, n_neg, tp, tn, n_bins = row
+        offset = (Fraction(tp, n_pos) + Fraction(tn, n_neg) - 1) * n_bins
+        want = None if offset < 0 else 0.5 + min(math.floor(offset), n_bins - 1) * (0.5 / n_bins)
+        assert one_row_bin(n_pos, n_neg, tp, tn, 0.5 / n_bins) == want
 
     def test_flagged_records_skipped(self):
-        records = [SweepRecord(0, 0.0, 0.5, 0.5, math.nan, math.nan, flag=FLAG_DEGENERATE)]
-        assert bin_min_violation(records) == {}
+        table = table_of([(0, 0.0, 0.5, 0.5, 0, 0, 0, 0, 4, 0, 2, 2)])
+        assert bin_min_violation(table) == {}
 
     def test_width_must_tile_upper_half(self):
         with pytest.raises(ValidationError, match="tile"):
-            bin_min_violation([], bin_width=0.03)
+            bin_min_violation(table_of([]), bin_width=0.03)
 
     def test_aggregate_mean_std_per_bin(self):
         curves = [{0.5: 0.2, 0.55: 0.4}, {0.5: 0.4}]
@@ -166,20 +225,21 @@ class TestBinning:
 class TestRunSweep:
     def test_record_count_and_order(self):
         prepared = prepared_data()
-        records = run_sweep(
+        table = run_sweep(
             prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(), seed=1
         )
-        assert len(records) == 2 * small_grid().cardinality
-        assert [r.split_id for r in records[:27]] == [0] * 27
-        assert records[0].lam == -1.0 and records[-1].lam == 1.0
+        assert len(table) == 2 * small_grid().cardinality
+        assert table.split_id.tolist() == [0] * 27 + [1] * 27
+        assert table.lam[0] == -1.0 and table.lam[-1] == 1.0
         # canonical nesting: c_bar varies fastest
-        assert [r.c_bar for r in records[:3]] == [0.4, 0.5, 0.6]
+        assert table.c_bar[:3].tolist() == [0.4, 0.5, 0.6]
+        assert table.c[:4].tolist() == [0.3, 0.3, 0.3, 0.5]
 
     def test_deterministic(self):
         prepared = prepared_data()
         a = run_sweep(prepared, small_grid(), EO_BLIND, 1.0, FitConfig(), seed=5)
         b = run_sweep(prepared, small_grid(), EO_BLIND, 1.0, FitConfig(), seed=5)
-        assert a == b
+        assert_tables_equal(a, b)
 
     def test_parallel_matches_serial(self):
         prepared = prepared_data()
@@ -187,7 +247,8 @@ class TestRunSweep:
             grid=small_grid(), setting=DPAR_BLIND, eps_p=math.inf,
             cpe_config=FitConfig(), seed=2,
         )
-        assert run_sweep(prepared, jobs=1, **kwargs) == run_sweep(prepared, jobs=2, **kwargs)
+        serial = run_sweep(prepared, jobs=1, **kwargs)
+        assert_tables_equal(serial, run_sweep(prepared, jobs=2, **kwargs))
 
     def test_one_noise_draw_per_split(self):
         prepared = prepared_data(n_repeats=2)
@@ -202,8 +263,9 @@ class TestRunSweep:
     def test_record_matches_manual_reconstruction(self, setting):
         """Grid points recomputed one at a time from the documented per-split recipe."""
         prepared = prepared_data()
-        records = run_sweep(prepared, small_grid(), setting, math.inf, FitConfig(), seed=1)
-        by_point = {(r.lam, r.c, r.c_bar): r for r in records if r.split_id == 0}
+        table = run_sweep(prepared, small_grid(), setting, math.inf, FitConfig(), seed=1)
+        split = table.splits()[0]
+        by_point = {point: i for i, point in enumerate(zip(split.lam, split.c, split.c_bar))}
         train_idx, _, test_idx = prepared.splits[0]
         transform = fit_dp_transform(prepared.dataset.subset(train_idx), 0.5)
         train = apply_dp_transform(transform, prepared.dataset.subset(train_idx))
@@ -225,8 +287,8 @@ class TestRunSweep:
             else:
                 dbar = dpar_dbar_rates(preds, test.sensitive)
                 want_violation = abs(dbar.tpr - dbar.fpr)
-            assert target.bal_acc == 0.5 * (tpr + tnr)
-            assert target.violation == want_violation
+            assert split.bal_acc[target] == 0.5 * (tpr + tnr)
+            assert split.violation[target] == want_violation
 
     def test_degenerate_split_flags_whole_grid(self):
         # healthy train split, but every test row is in one sensitive group
@@ -238,12 +300,13 @@ class TestRunSweep:
         dataset = Dataset(x, labels, sensitive)
         splits = [(np.arange(70), np.arange(70, 90), np.arange(90, 100))]
         prepared = PreparedData(dataset=dataset, splits=splits, meta={})
-        records = run_sweep(
+        table = run_sweep(
             prepared, small_grid(), EO_BLIND, math.inf, FitConfig(), seed=1
         )
-        assert len(records) == small_grid().cardinality
-        assert all(r.flag == FLAG_DEGENERATE and not r.ok for r in records)
-        assert all(math.isnan(r.bal_acc) for r in records)
+        assert len(table) == small_grid().cardinality
+        assert table.degenerate.all()
+        assert np.isnan(table.bal_acc).all() and np.isnan(table.violation).all()
+        assert not (table.tp.any() or table.tn.any() or table.pos_a.any() or table.pos_b.any())
 
     def test_argument_validation(self):
         prepared = prepared_data()
@@ -259,44 +322,57 @@ class TestRunSweep:
 
     def test_aware_sweep_allowed_without_privacy(self):
         prepared = prepared_data()
-        records = run_sweep(
+        table = run_sweep(
             prepared, small_grid(), DPAR_AWARE, math.inf, FitConfig(), seed=4
         )
-        assert len(records) == 2 * small_grid().cardinality
-        assert all(r.ok for r in records)
+        assert len(table) == 2 * small_grid().cardinality
+        assert not table.degenerate.any()
 
 
 class TestSerialization:
-    def sample_records(self):
-        return [
-            SweepRecord(0, -1.0, 0.3, 0.4, 0.625, 0.25),
-            SweepRecord(1, 0.5, 0.5, 0.5, math.nan, math.nan, flag=FLAG_DEGENERATE),
-        ]
-
     def test_records_round_trip(self, tmp_path):
         path = tmp_path / "records.csv"
-        records = self.sample_records()
-        write_records_csv(records, path)
-        loaded = read_records_csv(path)
-        assert loaded[0] == records[0]
-        assert loaded[1].flag == FLAG_DEGENERATE
-        assert math.isnan(loaded[1].bal_acc)
-        header = path.read_text().splitlines()[0]
-        assert header == "split_id,lambda,c,c_bar,bal_acc,violation,flags"
+        table = table_of(
+            [
+                (0, -1.0, 0.3, 0.4, 3, 2, 2, 1, 4, 4, 4, 4),
+                (1, 0.5, 0.5, 0.5, 0, 0, 0, 0, 4, 4, 0, 4),
+            ]
+        )
+        write_records_csv(table, path)
+        assert path.read_bytes() == (
+            HEADER + "\r\n"
+            "0,-1.0,0.3,0.4,0.625,0.25,,3,2,2,1,4,4,4,4\r\n"
+            "1,0.5,0.5,0.5,nan,nan," + FLAG_DEGENERATE + ",0,0,0,0,4,4,0,4\r\n"
+        ).encode()
+        assert_tables_equal(read_records_csv(path), table)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("split,lambda\n")
         with pytest.raises(DataError, match="header"):
             read_records_csv(path)
+        path.write_text("split_id,lambda,c,c_bar,bal_acc,violation,flags\n0,1.0,0.5,0.5,0.6,0.1,\n")
+        with pytest.raises(DataError, match="seven-column records file without the counts"):
+            read_records_csv(path)
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "records.csv"
-        path.write_text(
-            "split_id,lambda,c,c_bar,bal_acc,violation,flags\n0,1.0,0.5\n"
-        )
+        path.write_text(HEADER + "\n0,1.0,0.5\n")
         with pytest.raises(DataError, match="malformed"):
             read_records_csv(path)
+
+    def test_metrics_must_match_counts(self, tmp_path):
+        path = tmp_path / "records.csv"
+        good = "0,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"
+        for row in (
+            "0,1.0,0.5,0.5,0.6250000000000001,0.25,,3,2,2,1,4,4,4,4",
+            "0,1.0,0.5,0.5,0.625,-0.0,,3,2,2,2,4,4,4,4",
+            "0,1.0,0.5,0.5,0.625,0.25," + FLAG_DEGENERATE + ",3,2,2,1,4,4,4,4",
+            "1,1.0,0.5,0.5,0.5,0.0,,0,0,0,0,4,4,0,4",
+        ):
+            path.write_text(HEADER + "\n" + good + "\n" + row + "\n")
+            with pytest.raises(DataError, match="disagrees with the counts"):
+                read_records_csv(path)
 
     def test_tradeoff_csv(self, tmp_path):
         curve = aggregate_curves([{0.5: 0.25}, {0.5: 0.75, 0.55: 0.5}], bin_width=0.05)

@@ -19,7 +19,6 @@ from fairplug.synthetic import (
     UniformBoxLaw,
     bayes_classifier,
     consistency_curve,
-    estimate_measure,
     estimate_regret,
     estimate_sample_complexity,
     frontier,
@@ -273,14 +272,17 @@ class TestMeasureAndRegret:
             return np.ones(features.shape[0] - 1)
 
         with pytest.raises(ValidationError, match="per row"):
-            estimate_measure(truncated, dist, EO_BLIND, PARAMS, m=50, seed=1)
+            estimate_regret(truncated, dist, EO_BLIND, PARAMS, m=50, seed=1)
 
     def test_measure_deterministic(self):
         dist = reference_dpar()
-        rule = bayes_classifier(dist, DPAR_BLIND, PARAMS)
-        a = estimate_measure(rule, dist, DPAR_BLIND, PARAMS, m=4000, seed=8)
-        b = estimate_measure(rule, dist, DPAR_BLIND, PARAMS, m=4000, seed=8)
-        assert a == b
+
+        def first_feature(features, sensitive):
+            return np.where(features[:, 0] > 0.0, 1.0, -1.0)
+
+        a = estimate_regret(first_feature, dist, DPAR_BLIND, PARAMS, m=4000, seed=8)
+        b = estimate_regret(first_feature, dist, DPAR_BLIND, PARAMS, m=4000, seed=8)
+        assert a == b != 0.0
 
 
 class TestConsistencyCurve:
