@@ -485,8 +485,17 @@ def save_prepared(
 
 
 def split_paths(in_dir: str | Path) -> list[Path]:
-    """The ``split_NN.npy`` files of a prepared directory, in split order."""
-    return sorted(Path(in_dir).glob("split_*.npy"))
+    """The ``split_NN.npy`` files of a prepared directory, in split order.
+
+    Files are ordered by their integer index, so ``split_100`` follows
+    ``split_99``; a name whose index is not an integer is rejected.
+    """
+
+    indexed = [(path.stem[len("split_"):], path) for path in Path(in_dir).glob("split_*.npy")]
+    bad = sorted(path.name for index, path in indexed if not index.isdecimal())
+    if bad:
+        raise DataError(f"{in_dir}: split files without an integer index: {bad}")
+    return [path for _, path in sorted(indexed, key=lambda item: int(item[0]))]
 
 
 def load_prepared(in_dir: str | Path) -> PreparedData:

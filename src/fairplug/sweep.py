@@ -15,17 +15,22 @@ one row per cost point, filled by one unchecked
 :func:`fairplug.plugin.setting_score` call per grid point; a slice
 holds ``n_c * n_c_bar * n_test`` booleans (81 * 4,500 bytes, 0.36 MB,
 on the default grid with a 4,500-row test split), and the full
-``n_lam * n_c * n_c_bar * n_test`` array is never built.  From each
-slice the sweep takes integer counts: true positives, true negatives
-and predicted positives in the two fairness cells.
+``n_lam * n_c * n_c_bar * n_test`` array is never built.  Each slice is
+counted by the rate counters of :mod:`fairplug.metrics`, one row per
+grid point: :func:`~fairplug.metrics.empirical_rates` against the label
+gives true positives and true negatives, and
+:func:`~fairplug.metrics.eo_dbar_rates` or
+:func:`~fairplug.metrics.dpar_dbar_rates` against the sensitive
+attribute gives the predicted positives in the two fairness cells.
 
 The result is one :class:`SweepTable` of equal-length columns, one row
 per (split, grid point): ``split_id``, ``lam``, ``c``, ``c_bar`` and the
 eight int64 :data:`COUNT_COLUMNS`, the four counts above and the split's
 totals they are out of.  Balanced accuracy ``0.5 * (tp / n_pos + tn /
-n_neg)``, the violation ``|pos_a / n_a - pos_b / n_b|`` and the
-degenerate flag (an empty label class or cell: zero counts, NaN
-metrics) are derived from the counts.  Ranges are checked over all rows
+n_neg)`` and the violation ``|pos_a / n_a - pos_b / n_b|`` are the same
+:class:`~fairplug.metrics.Counts` rates read back from the columns; a
+split with an empty label class or cell is flagged degenerate, with zero
+counts and NaN metrics.  Ranges are checked over all rows
 at once where a table enters: :func:`run_sweep`'s return and
 :func:`read_records_csv`.  ``records.csv`` has 15 columns, ``split_id,
 lambda, c, c_bar, bal_acc, violation, flags`` and then the counts; the
@@ -58,6 +63,7 @@ from .cpe import FitConfig
 from .data import PreparedData, apply_dp_transform, fit_dp_transform
 from .errors import DataError, ValidationError
 from .kvformat import format_float
+from .metrics import Counts, dpar_dbar_rates, empirical_rates, eo_dbar_rates, violation
 from .plugin import (
     DPAR_BLIND,
     EO_BLIND,
@@ -155,11 +161,6 @@ def default_grid() -> SweepGrid:
 COUNT_COLUMNS = ("tp", "tn", "pos_a", "pos_b", "n_pos", "n_neg", "n_a", "n_b")
 
 
-def _ratio(numerator: np.ndarray, denominator: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """``numerator / denominator`` where ``ok`` and NaN elsewhere, with no 0/0."""
-    return np.divide(numerator, denominator, out=np.full(numerator.shape, np.nan), where=ok)
-
-
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     """Sweep results as equal-length columns, one row per (split, grid point).
@@ -191,13 +192,13 @@ class SweepTable:
 
     @property
     def bal_acc(self) -> np.ndarray:
-        ok = ~self.degenerate
-        return 0.5 * (_ratio(self.tp, self.n_pos, ok) + _ratio(self.tn, self.n_neg, ok))
+        label = Counts(self.tp, self.n_neg - self.tn, self.n_pos, self.n_neg)
+        return np.where(self.degenerate, np.nan, 0.5 * (label.tpr + label.tnr))
 
     @property
     def violation(self) -> np.ndarray:
-        ok = ~self.degenerate
-        return np.abs(_ratio(self.pos_a, self.n_a, ok) - _ratio(self.pos_b, self.n_b, ok))
+        group = Counts(self.pos_b, self.pos_a, self.n_b, self.n_a)
+        return np.where(self.degenerate, np.nan, violation(group))
 
     def splits(self) -> list[SweepTable]:
         """One table per split, in row order."""
@@ -267,35 +268,30 @@ def _run_split(dataset, axes, setting, eps_p, config, seed, dp_c, task) -> np.nd
         rule_base = fit_plugin(train, setting, base_params, config)
 
     label_pos = test.labels > 0
-    label_neg = ~label_pos
     group_pos = test.sensitive > 0
-    if is_eo(setting):
-        cells = (label_pos & ~group_pos, label_pos & group_pos)
-    else:
-        cells = (~group_pos, group_pos)
-    n_pos = int(np.count_nonzero(label_pos))
-    n_neg = test.n - n_pos
-    n_a, n_b = (int(np.count_nonzero(cell)) for cell in cells)
-    # One row of a slice per (c, c_bar) point, c_bar varying fastest.
-    points = [(c, c_bar) for c in c_values.tolist() for c_bar in c_bar_values.tolist()]
-    counts = np.zeros((len(COUNT_COLUMNS), lam_values.size, len(points)), dtype=np.int64)
-    counts[4:] = np.array([n_pos, n_neg, n_a, n_b]).reshape(4, 1, 1)
-    if min(n_pos, n_neg, n_a, n_b) == 0:
-        log.warning("split %d: degenerate test cell; flagging every grid point", split_id)
-        return counts.reshape(len(COUNT_COLUMNS), -1)
-
     groups = test.sensitive if is_aware(setting) else None
     first, second = coordinates(rule_base, test.features, groups)
+    # One row of a slice per (c, c_bar) point, c_bar varying fastest.
+    points = [(c, c_bar) for c in c_values.tolist() for c_bar in c_bar_values.tolist()]
+    counts = np.empty((len(COUNT_COLUMNS), lam_values.size, len(points)), dtype=np.int64)
     pred_pos = np.empty((len(points), test.n), dtype=bool)
     for slice_id, lam in enumerate(lam_values):
         for row, (c, c_bar) in enumerate(points):
             scores = setting_score(setting, first, second, rule_base.pi_hat, lam, c, c_bar)
             np.greater(scores, 0.0, out=pred_pos[row])
+        label = empirical_rates(pred_pos, label_pos)
+        if is_eo(setting):
+            group = eo_dbar_rates(pred_pos, label_pos, group_pos)
+        else:
+            group = dpar_dbar_rates(pred_pos, group_pos)
         counts[:4, slice_id] = (
-            np.count_nonzero(pred_pos & label_pos, axis=1),
-            n_neg - np.count_nonzero(pred_pos & label_neg, axis=1),
-            *(np.count_nonzero(pred_pos & cell, axis=1) for cell in cells),
+            label.pos_in_pos, label.n_neg - label.pos_in_neg, group.pos_in_neg, group.pos_in_pos
         )
+    sizes = (label.n_pos, label.n_neg, group.n_neg, group.n_pos)
+    counts[4:] = np.reshape(sizes, (4, 1, 1))
+    if min(sizes) == 0:
+        log.warning("split %d: degenerate test cell; flagging every grid point", split_id)
+        counts[:4] = 0
     return counts.reshape(len(COUNT_COLUMNS), -1)
 
 

@@ -58,7 +58,6 @@ from .kvformat import (
     write_kv,
 )
 from .metrics import (
-    PerformanceInputs,
     cost_sensitive_risk,
     dpar_dbar_rates,
     empirical_rates,
@@ -400,11 +399,9 @@ def sample(dist: SyntheticDistribution, n: int, seed) -> Dataset:
     return Dataset(features=x, labels=y, sensitive=ybar)
 
 
-def true_stats(
-    dist: SyntheticDistribution, nodes_per_dim: int | None = None
-) -> DistStats:
+def true_stats(dist: SyntheticDistribution) -> DistStats:
     """Exact class/group priors by quadrature (seed-free)."""
-    nodes, weights = quadrature(dist.law, nodes_per_dim)
+    nodes, weights = quadrature(dist.law)
     eta = np.asarray(dist.eta(nodes))
     bar_plus = np.asarray(dist.eta_bar_eo(nodes, 1.0))
     bar_minus = np.asarray(dist.eta_bar_eo(nodes, -1.0))
@@ -469,6 +466,8 @@ def _predict(classifier: Classifier, features: np.ndarray, sensitive: np.ndarray
     predictions = np.asarray(classifier(features, sensitive), dtype=float)
     if predictions.shape != (features.shape[0],):
         raise ValidationError("classifier callable must return one +-1 value per row")
+    if not np.all(np.isfinite(predictions)) or np.any(predictions == 0):
+        raise ValidationError("classifier callable must return signed non-zero reals")
     return predictions
 
 
@@ -479,16 +478,15 @@ def _measure_on(
     params: FairnessParams,
     stats: DistStats,
 ) -> float:
-    predictions = _predict(classifier, dataset.features, dataset.sensitive)
-    rates_d = empirical_rates(predictions, dataset.labels)
+    predictions = _predict(classifier, dataset.features, dataset.sensitive) > 0
+    label_pos = dataset.labels > 0
+    group_pos = dataset.sensitive > 0
+    rates_d = empirical_rates(predictions, label_pos)
     if is_eo(setting):
-        rates_dbar = eo_dbar_rates(predictions, dataset.labels, dataset.sensitive)
+        rates_dbar = eo_dbar_rates(predictions, label_pos, group_pos)
     else:
-        rates_dbar = dpar_dbar_rates(predictions, dataset.sensitive)
-    inputs = PerformanceInputs(
-        rates_d=rates_d, rates_dbar=rates_dbar, stats=stats, params=params
-    )
-    return performance_measure(inputs, criterion=criterion_for(setting))
+        rates_dbar = dpar_dbar_rates(predictions, group_pos)
+    return performance_measure(rates_d, rates_dbar, stats, params, criterion_for(setting))
 
 
 def estimate_regret(
@@ -700,10 +698,11 @@ def _tradeoff_trial(task) -> tuple[float, int]:
     rule_lam, retries = _sample_non_degenerate(dist, n, (seed, n, trial, 0), build)
     rule_zero = with_params(rule_lam, zero_params)
     eval_ds = sample(dist, m_eval, (seed, n, trial, 1))
-    pred_lam = np.asarray(classify(rule_lam, eval_ds.features))
-    pred_zero = np.asarray(classify(rule_zero, eval_ds.features))
-    cs_lam = cost_sensitive_risk(empirical_rates(pred_lam, eval_ds.labels), stats.pi, params.c)
-    cs_zero = cost_sensitive_risk(empirical_rates(pred_zero, eval_ds.labels), stats.pi, params.c)
+    label_pos = eval_ds.labels > 0
+    pred_lam = np.asarray(classify(rule_lam, eval_ds.features)) > 0
+    pred_zero = np.asarray(classify(rule_zero, eval_ds.features)) > 0
+    cs_lam = cost_sensitive_risk(empirical_rates(pred_lam, label_pos), stats.pi, params.c)
+    cs_zero = cost_sensitive_risk(empirical_rates(pred_zero, label_pos), stats.pi, params.c)
     return abs(cs_lam - cs_zero), retries
 
 
@@ -766,8 +765,6 @@ class SampleComplexityResult:
     trials: int
 
 
-EstimatorFactory = Callable[[Dataset, FitConfig], LinearCpe]
-
 COMPLEXITY_TARGETS = ("eta", "eta_bar_eo", "eta_bar_dpar")
 
 
@@ -797,7 +794,6 @@ def estimate_sample_complexity(
     cap: int = 65536,
     m_check: int = 4000,
     config: FitConfig | None = None,
-    estimator_factory: EstimatorFactory | None = None,
 ) -> SampleComplexityResult:
     """Smallest probed n making the estimator (eps, delta_prime)-accurate.
 
@@ -828,15 +824,11 @@ def estimate_sample_complexity(
 
     def probe(n: int) -> float:
         cfg = _default_fit_config(n, config)
-
-        def build(train: Dataset) -> LinearCpe:
-            if estimator_factory is not None:
-                return estimator_factory(train, cfg)
-            return fitters[which](train, cfg)
-
         passes = 0
         for trial in range(trials):
-            model, _ = _sample_non_degenerate(dist, n, (seed, n, trial, 0), build)
+            model, _ = _sample_non_degenerate(
+                dist, n, (seed, n, trial, 0), lambda train: fitters[which](train, cfg)
+            )
             deviations = _complexity_deviation(dist, which, model, m_check, (seed, n, trial, 7))
             if float(np.mean(deviations >= eps)) <= delta_prime:
                 passes += 1

@@ -365,6 +365,29 @@ class TestPreparedRoundTrip:
         assert loaded.meta["schema"] == "tiny"
         assert loaded.meta["rows_read"] == "41"
 
+    def test_split_order_follows_the_integer_index(self, tmp_path):
+        gen = np.random.default_rng(9)
+        dataset = Dataset(
+            gen.normal(size=(60, 2)),
+            np.where(gen.random(60) < 0.5, 1.0, -1.0),
+            np.where(gen.random(60) < 0.5, 1.0, -1.0),
+        )
+        splits = make_splits(dataset, SplitPlan(n_repeats=101, master_seed=4))
+        out = tmp_path / "prepared"
+        save_prepared(out, dataset, splits, {})
+        loaded = load_prepared(out)
+        assert len(loaded.splits) == 101
+        for got, want in zip(loaded.splits, splits):
+            assert np.array_equal(got[2], want[2])
+
+    def test_split_file_without_integer_index_rejected(self, tmp_path):
+        out = tmp_path / "prepared"
+        dataset = Dataset(np.zeros((12, 1)), np.ones(12), np.ones(12))
+        save_prepared(out, dataset, make_splits(dataset, SplitPlan(n_repeats=1)), {})
+        np.save(out / "split_extra.npy", np.zeros(12, dtype=np.int8))
+        with pytest.raises(DataError, match="integer index"):
+            load_prepared(out)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_prepared(tmp_path / "absent")

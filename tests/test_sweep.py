@@ -13,7 +13,7 @@ from fairplug.core import Dataset, FairnessParams
 from fairplug.cpe import FitConfig
 from fairplug.data import PreparedData, SplitPlan, apply_dp_transform, fit_dp_transform, make_splits
 from fairplug.errors import DataError, ValidationError
-from fairplug.metrics import dpar_dbar_rates, empirical_rates, eo_violation
+from fairplug.metrics import dpar_dbar_rates, empirical_rates, eo_dbar_rates, violation
 from fairplug.plugin import (
     DPAR_AWARE,
     DPAR_BLIND,
@@ -277,18 +277,17 @@ class TestRunSweep:
         for lam, c, c_bar in ((1.0, 0.5, 0.5), (-1.0, 0.3, 0.6), (0.0, 0.7, 0.4), (1.0, 0.7, 0.4)):
             target = by_point[(lam, c, c_bar)]
             point = with_params(rule, FairnessParams(lam=lam, c=c, c_bar=c_bar))
-            preds = np.asarray(classify(point, test.features, y_bar), dtype=float)
-            tpr = empirical_rates(preds, test.labels).tpr
-            # TNR as tn / n_neg, the true-positive rate of the flipped
-            # problem; 1 - fpr can differ from it in the last bit.
-            tnr = empirical_rates(-preds, -test.labels).tpr
+            preds = np.asarray(classify(point, test.features, y_bar)) > 0
+            label_pos, group_pos = test.labels > 0, test.sensitive > 0
+            label = empirical_rates(preds, label_pos)
             if is_eo(setting):
-                want_violation = eo_violation(preds, test.labels, test.sensitive)
+                group = eo_dbar_rates(preds, label_pos, group_pos)
             else:
-                dbar = dpar_dbar_rates(preds, test.sensitive)
-                want_violation = abs(dbar.tpr - dbar.fpr)
-            assert split.bal_acc[target] == 0.5 * (tpr + tnr)
-            assert split.violation[target] == want_violation
+                group = dpar_dbar_rates(preds, group_pos)
+            # TNR as tn / n_neg; 1 - fpr can differ from it in the last bit.
+            assert label.tnr == (label.n_neg - label.pos_in_neg) / label.n_neg
+            assert split.bal_acc[target] == 0.5 * (label.tpr + label.tnr)
+            assert split.violation[target] == violation(group)
 
     def test_degenerate_split_flags_whole_grid(self):
         # healthy train split, but every test row is in one sensitive group

@@ -274,6 +274,15 @@ class TestMeasureAndRegret:
         with pytest.raises(ValidationError, match="per row"):
             estimate_regret(truncated, dist, EO_BLIND, PARAMS, m=50, seed=1)
 
+    def test_callable_signs_checked(self):
+        dist = reference_eo()
+
+        def zeros(features, sensitive):
+            return np.zeros(features.shape[0])
+
+        with pytest.raises(ValidationError, match="non-zero"):
+            estimate_regret(zeros, dist, EO_BLIND, PARAMS, m=50, seed=1)
+
     def test_measure_deterministic(self):
         dist = reference_dpar()
 
