@@ -73,13 +73,21 @@ ARITIES = (ARITY_FEATURES, ARITY_FEATURES_PLUS_LABEL, ARITY_FEATURES_PLUS_SENSIT
 
 
 def sigmoid(z):
-    """Numerically stable logistic link, elementwise."""
+    """Numerically stable logistic link, elementwise.
+
+    The stable formula is ``1 / (1 + exp(-z))`` for ``z >= 0`` and
+    ``exp(z) / (1 + exp(z))`` below.  With ``e = exp(-|z|)`` and
+    ``d = 1 + e`` these are ``1 / d`` and ``e / d``: ``e`` is ``exp(-z)``
+    on the first branch and ``exp(z)`` on the second.  Choosing the
+    numerator by the sign of ``z`` therefore applies the same IEEE
+    operations to the same operands as the two-branch formula, so the
+    result is bit-identical to it (a NaN input falls to ``e / d`` and
+    stays NaN) without masking, compressing or scattering the input.
+    A 0-d input returns a float.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
@@ -158,18 +166,26 @@ def _design(rows: np.ndarray) -> np.ndarray:
 
 
 def _objective_and_grad(w, design, targets, lambda_reg):
+    """Objective, gradient and link values ``p = sigmoid(design @ w)`` at ``w``.
+
+    The targets are +-1, so ``|margins| = |z|`` and one ``e = exp(-|z|)``
+    serves both ``sigmoid(-margins)`` (gradient) and ``sigmoid(z)``
+    (returned for the Hessian), each bit-identical to :func:`sigmoid`.
+    """
     n = design.shape[0]
-    margins = targets * (design @ w)
+    z = design @ w
+    margins = targets * z
     # log(1 + exp(-m)) via logaddexp for stability at large |m|
     obj = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * lambda_reg * float(np.dot(w, w))
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
     # d/dm log(1+exp(-m)) = -sigmoid(-m); |.| <= 1 always
-    coef = -targets * sigmoid(-margins)
+    coef = -targets * (np.where(margins <= 0, 1.0, e) / d)
     grad = design.T @ coef / n + lambda_reg * w
-    return obj, grad
+    return obj, grad, np.where(z >= 0, 1.0, e) / d
 
 
-def _hessian(w, design, lambda_reg):
-    p = sigmoid(design @ w)
+def _hessian(p, design, lambda_reg):
     curvature = p * (1.0 - p)
     hessian = (design.T * curvature) @ design / design.shape[0]
     return hessian + lambda_reg * np.eye(design.shape[1])
@@ -181,7 +197,11 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
     Damped Newton from the zero vector: each step solves ``H d = grad``
     with the Hessian ``H = X' diag(p(1-p)) X / n + lambda * I``
     and backtracks along ``-d`` until the Armijo test holds with slope
-    ``grad . d``.  ``max_iters`` caps the number of Newton steps.  With
+    ``grad . d``.  The Hessian's link values ``p`` come from the
+    objective evaluation that accepted the iterate; they equal
+    ``sigmoid(design @ w)`` bit for bit, so reusing them saves one
+    ``design @ w`` and one exponential per step without moving any
+    iterate.  ``max_iters`` caps the number of Newton steps.  With
     ``lambda_reg = 0`` the Hessian can be singular (one-hot columns plus
     the intercept are collinear); the solve then takes the minimum-norm
     direction, and a step whose solve fails takes the gradient instead.
@@ -218,7 +238,7 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
     design = _design(rows)
     w = np.zeros(design.shape[1])
     lam = float(config.lambda_reg)
-    obj, grad = _objective_and_grad(w, design, targets, lam)
+    obj, grad, p = _objective_and_grad(w, design, targets, lam)
     if not np.isfinite(obj):
         raise NumericError("objective is non-finite at the starting point")
 
@@ -229,7 +249,7 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
         # Least squares gives H^-1 grad when H is positive definite and the
         # minimum-norm Newton direction when lambda_reg = 0 makes H singular.
         try:
-            direction = np.linalg.lstsq(_hessian(w, design, lam), grad, rcond=None)[0]
+            direction = np.linalg.lstsq(_hessian(p, design, lam), grad, rcond=None)[0]
         except np.linalg.LinAlgError:
             direction = grad
         slope = float(grad @ direction)
@@ -240,7 +260,7 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
         step = 1.0
         while True:
             w_new = w - step * direction
-            obj_new, grad_new = _objective_and_grad(w_new, design, targets, lam)
+            obj_new, grad_new, p_new = _objective_and_grad(w_new, design, targets, lam)
             if np.isfinite(obj_new) and (
                 obj_new <= obj - 1e-4 * step * slope or not resolvable
             ):
@@ -251,7 +271,7 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
                     "line search failed: no admissible step (objective may be non-smooth "
                     "due to exploding inputs)"
                 )
-        w, obj, grad = w_new, obj_new, grad_new
+        w, obj, grad, p = w_new, obj_new, grad_new, p_new
         grad_norm = float(np.linalg.norm(grad))
     converged = grad_norm <= config.tolerance
     if not converged:

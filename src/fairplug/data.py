@@ -212,11 +212,14 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
             header = [cell.strip() for cell in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
-        positions: dict[str, int] = {}
+        indices: list[int] = []
         for column in schema.used_columns:
             if column not in header:
                 raise DataError(f"{path}: required column {column!r} is missing")
-            positions[column] = header.index(column)
+            if header.count(column) > 1:
+                raise DataError(f"{path}: column {column!r} appears more than once in the header")
+            indices.append(header.index(column))
+        missing_values = schema.missing_values
         kept_rows: list[list[str]] = []
         labels: list[float] = []
         sensitive: list[float] = []
@@ -230,8 +233,8 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
                 raise DataError(
                     f"{path}:{line_number}: expected {len(header)} cells, got {len(row)}"
                 )
-            cells = [row[positions[column]].strip() for column in schema.used_columns]
-            if any(cell in schema.missing_values for cell in cells):
+            cells = [row[i].strip() for i in indices]
+            if not missing_values.isdisjoint(cells):
                 rows_dropped += 1
                 continue
             kept_rows.append(cells[: len(schema.features)])

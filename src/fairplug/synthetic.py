@@ -67,11 +67,11 @@ from .metrics import (
 from .plugin import (
     EO_BLIND,
     PlugInRule,
-    classify,
     criterion_for,
     fit_plugin,
     is_aware,
     is_eo,
+    score,
     with_params,
 )
 
@@ -460,15 +460,16 @@ Classifier = PlugInRule | Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _predict(classifier: Classifier, features: np.ndarray, sensitive: np.ndarray) -> np.ndarray:
+    """Boolean predictions, True where the classifier predicts +1."""
     if isinstance(classifier, PlugInRule):
         group = sensitive if is_aware(classifier.setting) else None
-        return np.asarray(classify(classifier, features, group))
+        return score(classifier, features, group) > 0
     predictions = np.asarray(classifier(features, sensitive), dtype=float)
     if predictions.shape != (features.shape[0],):
         raise ValidationError("classifier callable must return one +-1 value per row")
     if not np.all(np.isfinite(predictions)) or np.any(predictions == 0):
         raise ValidationError("classifier callable must return signed non-zero reals")
-    return predictions
+    return predictions > 0
 
 
 def _measure_on(
@@ -478,7 +479,7 @@ def _measure_on(
     params: FairnessParams,
     stats: DistStats,
 ) -> float:
-    predictions = _predict(classifier, dataset.features, dataset.sensitive) > 0
+    predictions = _predict(classifier, dataset.features, dataset.sensitive)
     label_pos = dataset.labels > 0
     group_pos = dataset.sensitive > 0
     rates_d = empirical_rates(predictions, label_pos)
@@ -664,7 +665,7 @@ def frontier(
     boc = bayes_classifier(dist, EO_BLIND, lam_params, true_pi=stats.pi)
     x = sample_x(dist.law, m, _as_rng(seed))
     eta = np.asarray(dist.eta(x))
-    f_lam = (np.asarray(classify(boc, x)) > 0).astype(float)
+    f_lam = (score(boc, x) > 0).astype(float)
     f_zero = (eta > params.c).astype(float)
     return float(np.mean((params.c - eta) * (f_lam - f_zero)))
 
@@ -699,8 +700,8 @@ def _tradeoff_trial(task) -> tuple[float, int]:
     rule_zero = with_params(rule_lam, zero_params)
     eval_ds = sample(dist, m_eval, (seed, n, trial, 1))
     label_pos = eval_ds.labels > 0
-    pred_lam = np.asarray(classify(rule_lam, eval_ds.features)) > 0
-    pred_zero = np.asarray(classify(rule_zero, eval_ds.features)) > 0
+    pred_lam = score(rule_lam, eval_ds.features) > 0
+    pred_zero = score(rule_zero, eval_ds.features) > 0
     cs_lam = cost_sensitive_risk(empirical_rates(pred_lam, label_pos), stats.pi, params.c)
     cs_zero = cost_sensitive_risk(empirical_rates(pred_zero, label_pos), stats.pi, params.c)
     return abs(cs_lam - cs_zero), retries

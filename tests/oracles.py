@@ -291,3 +291,25 @@ def finite_difference_grad(objective, w: np.ndarray, h: float = 1e-6) -> np.ndar
         bump[k] = h
         grad[k] = (objective(w + bump) - objective(w - bump)) / (2.0 * h)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# logistic link
+
+
+def sigmoid(z):
+    """The logistic link by its two stable branches, evaluated separately.
+
+    ``1 / (1 + exp(-z))`` on the entries with ``z >= 0`` and
+    ``exp(z) / (1 + exp(z))`` on the rest (NaN included), each branch
+    computed on its own compressed entries and scattered back.  Never
+    overflows; a 0-d input returns a float.
+    """
+
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return float(out) if out.ndim == 0 else out

@@ -94,10 +94,6 @@ def test_criterion_01_asymptote_golden_values():
 # 2. optimal rule vs exhaustive labeling search on 4-atom distributions
 
 
-def _sigmoid(z: float) -> float:
-    return 1.0 / (1.0 + math.exp(-z))
-
-
 _COMBOS = [
     (lam, c, c_bar)
     for lam in (-1.5, 0.6, 2.0)
@@ -118,11 +114,11 @@ def _random_discrete_pair(rng: np.random.Generator, zero_label: bool):
     intercept = float(rng.uniform(-1.0, 1.0))
     w_eta_bar = np.array([feature_w[0], feature_w[1], label_w, intercept])
     dist = SyntheticDistribution(DiscreteLaw(atoms, masses), w_eta, w_eta_bar)
-    eta = tuple(_sigmoid(float(atoms[i] @ w_eta[:2] + w_eta[2])) for i in range(4))
+    eta = tuple(oracles.sigmoid(float(atoms[i] @ w_eta[:2] + w_eta[2])) for i in range(4))
     eta_bar = tuple(
         (
-            _sigmoid(float(atoms[i] @ feature_w - label_w + intercept)),
-            _sigmoid(float(atoms[i] @ feature_w + label_w + intercept)),
+            oracles.sigmoid(float(atoms[i] @ feature_w - label_w + intercept)),
+            oracles.sigmoid(float(atoms[i] @ feature_w + label_w + intercept)),
         )
         for i in range(4)
     )

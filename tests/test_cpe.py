@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairplug import data
 from fairplug.core import Dataset
@@ -26,6 +27,7 @@ from fairplug.cpe import (
 )
 from fairplug.errors import ValidationError
 
+import oracles
 from oracles import finite_difference_grad
 
 
@@ -35,6 +37,41 @@ def test_sigmoid_extremes_and_midpoint():
     assert sigmoid(-800.0) == 0.0
     assert sigmoid(np.array([-1.0, 1.0])).shape == (2,)
     assert sigmoid(2.0) == pytest.approx(1.0 / (1.0 + np.exp(-2.0)), abs=1e-15)
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+# Every float64 class: signed zeros, subnormals, the overflow edge of exp
+# (|z| near 709.78) and beyond it, infinities and NaN.
+_EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 709.78, -709.78, 745.2, -745.2,
+    800.0, -800.0, math.inf, -math.inf, math.nan,
+)
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_EDGES)
+
+
+class TestSigmoidBitExact:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40), elements=_ANY_FLOAT))
+    @settings(max_examples=200)
+    def test_array_matches_two_branch_oracle(self, z):
+        assert_same_bits(sigmoid(z), oracles.sigmoid(z))
+
+    @given(_ANY_FLOAT)
+    def test_scalar_returns_float_matching_oracle(self, z):
+        got = sigmoid(np.float64(z))
+        assert type(got) is float
+        assert_same_bits(got, oracles.sigmoid(z))
+
+    def test_strided_view_matches_oracle(self):
+        z = np.linspace(-800.0, 800.0, 4001)[::3]
+        assert_same_bits(sigmoid(z), oracles.sigmoid(z))
 
 
 def test_design_appends_intercept_column():
@@ -72,7 +109,7 @@ class TestObjectiveGradient:
         lam = float(gen.uniform(0.0, 0.5))
         w0 = gen.normal(size=d + 1)
 
-        _, grad = _objective_and_grad(w0, design, targets, lam)
+        _, grad, _ = _objective_and_grad(w0, design, targets, lam)
         numeric = finite_difference_grad(
             lambda w: _objective_and_grad(w, design, targets, lam)[0], w0
         )
@@ -85,8 +122,26 @@ class TestObjectiveGradient:
         # margins t * (w . [x; 1]) are +3 and -3
         mean_loss = (math.log1p(math.exp(-3.0)) + math.log1p(math.exp(3.0))) / 2.0
         lam = 0.5
-        obj, _ = _objective_and_grad(w, design, targets, lam)
+        obj, _, _ = _objective_and_grad(w, design, targets, lam)
         assert obj == pytest.approx(mean_loss + 0.5 * lam * 9.0, rel=1e-14)
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 1.0, 50.0, 1e3]))
+    @settings(max_examples=40)
+    def test_shared_link_matches_two_sigmoid_oracle_bit_for_bit(self, case_seed, scale):
+        # scale 0 puts every margin at exactly 0; 1e3 pushes margins past
+        # the range where exp(-|z|) is representable.
+        gen = np.random.default_rng(case_seed)
+        n, d = 30, 3
+        design = _design(gen.normal(size=(n, d)))
+        targets = np.where(gen.random(n) < 0.5, -1.0, 1.0)
+        w = gen.normal(size=d + 1) * scale
+        lam = float(gen.uniform(0.0, 0.5))
+
+        _, grad, p = _objective_and_grad(w, design, targets, lam)
+        z = design @ w
+        assert_same_bits(p, oracles.sigmoid(z))
+        coef = -targets * oracles.sigmoid(-(targets * z))
+        assert_same_bits(grad, design.T @ coef / n + lam * w)
 
 
 class TestFit:

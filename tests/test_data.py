@@ -192,6 +192,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="required column"):
             load_csv_report(path, BASIC_SCHEMA)
 
+    def test_repeated_used_column_rejected(self, tmp_path):
+        # Two header cells named "age" leave the age of each row ambiguous;
+        # a repeated column the schema does not use is harmless.
+        path = tmp_path / "data.csv"
+        write_csv(path, ["age", "city", "label", "age", "grp"], [[30, "oslo", "y", 31, "a"]])
+        with pytest.raises(DataError, match="'age' appears more than once"):
+            load_csv_report(path, BASIC_SCHEMA)
+        write_csv(path, ["note", "age", "city", "label", "grp", "note"], [[0, 30, "oslo", "y", "a", 1]])
+        assert load_csv_report(path, BASIC_SCHEMA)[0].features.tolist() == [[30.0, 1.0]]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("")

@@ -35,11 +35,9 @@ from fairplug.synthetic import (
     write_curve_csv,
 )
 
+from oracles import sigmoid
+
 PARAMS = FairnessParams(lam=1.0, c=0.5, c_bar=0.5)
-
-
-def sigmoid(z):
-    return 1.0 / (1.0 + math.exp(-z))
 
 
 def two_atom_dist(label_weight=0.0):
