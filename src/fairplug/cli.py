@@ -535,13 +535,14 @@ def cmd_geometry(args: argparse.Namespace) -> int:
             f"geometry rasters cover the blind settings only, got {setting!r}"
         )
     params = FairnessParams(lam, c, c_bar)
-    shape = geometry.geometry_for(setting, params, pi=pi)
+    asym = geometry.asymptote_x(params, pi) if setting == plugin.EO_BLIND else None
     out = _out_dir(resolved)
-    rows = geometry.write_raster_csv(shape, resolved["raster"], resolved["eps"], out / "raster.csv")
+    rows = geometry.write_raster_csv(
+        setting, params, pi, resolved["raster"], resolved["eps"], out / "raster.csv"
+    )
     extra = {"result.rows": str(rows)}
     annotation = ""
-    if isinstance(shape, geometry.Hyperbola) and lam != 0.0:
-        asym = geometry.asymptote_x(shape)
+    if asym is not None:
         extra["result.asymptote_x"] = format_float(asym)
         annotation = f"vertical asymptote at u = {asym:.6g}"
     if resolved["svg"]:
@@ -549,13 +550,13 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         axis = np.linspace(0.0, 1.0, n)
         grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
         mask = geometry.margin_membership(
-            shape, (grid_u.ravel(), grid_v.ravel()), resolved["eps"]
+            setting, params, pi, (grid_v.ravel(), grid_u.ravel()), resolved["eps"]
         ).reshape(n, n)
         svg.write_svg(
             svg.region_plot_svg(
                 axis,
                 mask,
-                _boundary_polyline(shape, n),
+                _boundary_polyline(setting, params, pi, axis),
                 title=f"{setting} margin region (eps={resolved['eps']:g})",
                 annotation=annotation,
             ),
@@ -566,22 +567,27 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _boundary_polyline(shape, n: int) -> list[tuple[float, float]]:
-    """Zero-level points of the boundary score, one per raster column.
+def _boundary_polyline(
+    setting: str, params: FairnessParams, pi: float, axis: np.ndarray
+) -> list[tuple[float, float]]:
+    """Zero-level points of a blind setting's score, one per raster column.
 
-    Both square geometries are affine in v for fixed u, so the root on
-    each column is exact from the two endpoint scores.
+    The score is affine in ``eta`` (the vertical axis) at each fixed
+    ``eta_bar`` (the horizontal one), so the root on each column is exact
+    from the scores at ``eta = 0`` and ``eta = 1``.
     """
 
+    bottom, top = (
+        plugin.setting_score(setting, eta, axis, pi, params.lam, params.c, params.c_bar)
+        for eta in (0.0, 1.0)
+    )
     points = []
-    for u in np.linspace(0.0, 1.0, n):
-        bottom = float(geometry.boundary_score(shape, u, 0.0))
-        top = float(geometry.boundary_score(shape, u, 1.0))
-        if bottom == top:
+    for u, low, high in zip(axis, bottom, top):
+        if low == high:
             continue
-        t = bottom / (bottom - top)
+        t = low / (low - high)
         if 0.0 <= t <= 1.0:
-            points.append((float(u), t))
+            points.append((float(u), float(t)))
     return points
 
 

@@ -1,21 +1,28 @@
 """Decision-boundary geometry in regression-function coordinates.
 
-The blind rules threshold a score that is bilinear (equal opportunity)
-or affine (demographic parity) in the pair ``(u, v)``, where ``u`` is
-the sensitive-attribute regression value and ``v`` the label regression
-value.  The zero set of that score is a hyperbola or a line; the aware
-rules reduce to a pair of scalar thresholds, one per group.
+A plug-in rule classifies by the sign of its setting's score, so its
+decision boundary is the zero set of that score.  The blind scores are
+bilinear (equal opportunity) or affine (demographic parity) in the pair
+``(eta, eta_bar)`` of label and sensitive-attribute regression values;
+the aware scores are affine in ``eta(x, ybar)`` within each group.
 
-This module provides those boundary objects, margin-set membership (is
-a point's ``2*eps`` square close enough to the boundary to be flipped
-by estimation error of size ``eps``), Monte-Carlo margin mass, and the
+This module provides margin-set membership (is a point's closed
+``2*eps`` box close enough to the boundary to be flipped by estimation
+error of size ``eps``), Monte-Carlo margin mass, the unit-square raster,
+the vertical asymptote of the equal-opportunity blind boundary, and the
 derived bound constants used by the finite-sample analysis.
 
-Margin membership for the square geometries is a corner sign test: a
-bilinear (or affine) function attains its extrema over an axis-aligned
-rectangle at the rectangle's corners, so the square meets the zero set
-exactly when the corner values do not all share a strict sign.  The
-square is treated as closed -- touching counts as intersecting.
+Every margin, raster sign and asymptote evaluates
+:func:`fairplug.plugin.setting_score`, the same arithmetic that
+classifies, on coordinates in :func:`fairplug.plugin.coordinates` order;
+no score formula is restated here.  Margin membership is a corner sign
+test: each score is affine in each coordinate, so its extrema over an
+axis-aligned box sit at the box's corners, and the box meets the zero
+set exactly when the corner values do not all share a strict sign.  The
+box is treated as closed -- touching counts as intersecting.  The blind
+settings test the four corners on ``(eta, eta_bar)``; the aware settings
+test the two ends of each group's interval on ``eta(x, -1)`` and
+``eta(x, +1)`` and take the union over the groups.
 
 True margin mass needs the true regression functions, so it is only
 available through a synthetic sampler; on fitted models the plug-in
@@ -33,101 +40,22 @@ import numpy as np
 
 from .core import DistStats, FairnessParams, _check_prob
 from .errors import ValidationError
-from .plugin import (
-    DPAR_AWARE,
-    DPAR_BLIND,
-    EO_AWARE,
-    EO_BLIND,
-    PlugInRule,
-    coordinates,
-    is_aware,
-)
+from .plugin import EO_BLIND, PlugInRule, coordinates, is_aware, is_eo, setting_score
 
 __all__ = [
-    "Hyperbola",
-    "BoundaryLine",
-    "ThresholdPair",
     "BoundConstants",
-    "boundary_score",
     "asymptote_x",
-    "square_intersects_hyperbola",
-    "square_intersects_line",
-    "in_threshold_margin",
     "margin_membership",
     "estimate_margin_mass",
     "bound_constants",
-    "eo_aware_thresholds",
-    "dpar_aware_thresholds",
-    "geometry_for",
     "plugin_proxy_sampler",
     "write_raster_csv",
 ]
 
 #: Sampler contract: ``sampler(rng, count)`` returns the per-point
-#: coordinate arrays a geometry consumes -- ``(u, v)`` for Hyperbola and
-#: BoundaryLine, ``(v_minus, v_plus)`` for ThresholdPair.
+#: coordinate arrays :func:`margin_membership` takes -- ``(eta, eta_bar)``
+#: for the blind settings, ``(eta(x, -1), eta(x, +1))`` for the aware ones.
 Sampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class Hyperbola:
-    """Zero set of (1 + lam*c_bar/pi) v - (lam/pi) u v - c in the (u, v) plane."""
-
-    lam: float
-    pi: float
-    c: float
-    c_bar: float
-
-    def __post_init__(self) -> None:
-        lam = float(self.lam)
-        if not np.isfinite(lam):
-            raise ValidationError(f"lam must be finite, got {lam}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "pi", _check_prob("pi", self.pi, allow_one=True))
-        object.__setattr__(self, "c", _check_prob("c", self.c, allow_one=False))
-        object.__setattr__(self, "c_bar", _check_prob("c_bar", self.c_bar, allow_one=False))
-
-
-@dataclass(frozen=True)
-class BoundaryLine:
-    """Zero set of v - lam*u + lam*c_bar - c in the (u, v) plane."""
-
-    lam: float
-    c: float
-    c_bar: float
-
-    def __post_init__(self) -> None:
-        lam = float(self.lam)
-        if not np.isfinite(lam):
-            raise ValidationError(f"lam must be finite, got {lam}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "c", _check_prob("c", self.c, allow_one=False))
-        object.__setattr__(self, "c_bar", _check_prob("c_bar", self.c_bar, allow_one=False))
-
-
-@dataclass(frozen=True)
-class ThresholdPair:
-    """Per-group score thresholds for the aware settings.
-
-    ``t_minus`` applies on the group -1 regression axis, ``t_plus`` on
-    the group +1 axis.
-    """
-
-    t_minus: float
-    t_plus: float
-    setting: str
-
-    def __post_init__(self) -> None:
-        if self.setting not in (EO_AWARE, DPAR_AWARE):
-            raise ValidationError(
-                f"threshold pair setting must be {EO_AWARE!r} or {DPAR_AWARE!r}, "
-                f"got {self.setting!r}"
-            )
-        for name, value in (("t_minus", self.t_minus), ("t_plus", self.t_plus)):
-            value = float(value)
-            if not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -155,122 +83,91 @@ class BoundConstants:
             raise ValidationError("b_const must equal delta_prime + margin_mass")
 
 
-def boundary_score(geometry: Hyperbola | BoundaryLine, u, v):
-    """Evaluate the boundary's defining score at (u, v); broadcasts."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if isinstance(geometry, Hyperbola):
-        value = (
-            (1.0 + geometry.lam * geometry.c_bar / geometry.pi) * v
-            - (geometry.lam / geometry.pi) * u * v
-            - geometry.c
-        )
-    elif isinstance(geometry, BoundaryLine):
-        value = v - geometry.lam * u + geometry.lam * geometry.c_bar - geometry.c
-    else:
-        raise ValidationError(
-            f"boundary_score takes a Hyperbola or BoundaryLine, got {type(geometry).__name__}"
-        )
-    return float(value) if value.ndim == 0 else value
+def _check_pi(setting: str, pi):
+    """``pi`` is read by the EO settings only, so only they check it."""
+    if not is_eo(setting):
+        return pi
+    if pi is None:
+        raise ValidationError(f"setting {setting!r} requires pi")
+    return _check_prob("pi", pi, allow_one=True)
 
 
-def asymptote_x(h: Hyperbola) -> float:
-    """u-coordinate of the vertical asymptote, c_bar + pi/lam.
-
-    At lam = 0 the boundary degenerates to the horizontal line v = c
-    and has no vertical asymptote.
-    """
-
-    if not isinstance(h, Hyperbola):
-        raise ValidationError(f"asymptote_x takes a Hyperbola, got {type(h).__name__}")
-    if h.lam == 0.0:
-        raise ValidationError("lam = 0 boundary is a horizontal line; no vertical asymptote")
-    return h.c_bar + h.pi / h.lam
-
-
-def _check_eps_square(eps: float) -> float:
+def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not (np.isfinite(eps) and 0.0 < eps < 0.5):
         raise ValidationError(f"eps must lie in (0, 1/2), got {eps}")
     return eps
 
 
-def _corner_meets_zero(geometry: Hyperbola | BoundaryLine, u, v, eps: float):
-    """Vectorized corner sign test over 2*eps squares centred at (u, v)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    corners = [
-        boundary_score(geometry, u + du, v + dv)
-        for du in (-eps, eps)
-        for dv in (-eps, eps)
-    ]
-    stacked = np.stack([np.atleast_1d(np.asarray(c, dtype=float)) for c in corners])
-    return (stacked.min(axis=0) <= 0.0) & (stacked.max(axis=0) >= 0.0)
+def asymptote_x(params: FairnessParams, pi: float) -> float | None:
+    """eta_bar-coordinate of the eo-blind boundary's vertical asymptote.
 
-
-def square_intersects_hyperbola(h: Hyperbola, center: tuple[float, float], eps: float) -> bool:
-    """Whether the closed 2*eps square at ``center`` meets the hyperbola.
-
-    Exact: the score is bilinear, so its extrema over an axis-aligned
-    square sit at the corners.
+    The eo-blind score is ``k(eta_bar) * eta - c`` with ``k`` affine in
+    ``eta_bar``; the boundary runs off to infinity where ``k`` vanishes.
+    ``k`` is the score at ``eta = 1`` with ``c = 0``, so its root comes
+    from two score evaluations, at ``eta_bar = 0`` and ``eta_bar = 1``.
+    Returns None when those agree -- at lam = 0, or when |lam/pi| is
+    below float resolution so the rule's own arithmetic cannot tell the
+    two apart: the boundary the rule draws is then the horizontal line
+    eta = c, which has no vertical asymptote.
     """
 
-    if not isinstance(h, Hyperbola):
-        raise ValidationError(
-            f"square_intersects_hyperbola takes a Hyperbola, got {type(h).__name__}"
-        )
-    eps = _check_eps_square(eps)
-    u, v = (float(center[0]), float(center[1]))
-    return bool(_corner_meets_zero(h, u, v, eps)[0])
+    pi = _check_pi(EO_BLIND, pi)
+    k_at_0, k_at_1 = (
+        float(setting_score(EO_BLIND, 1.0, eta_bar, pi, params.lam, 0.0, params.c_bar))
+        for eta_bar in (0.0, 1.0)
+    )
+    if k_at_0 == k_at_1:
+        return None
+    return k_at_0 / (k_at_0 - k_at_1)
 
 
-def square_intersects_line(line: BoundaryLine, center: tuple[float, float], eps: float) -> bool:
-    """Whether the closed 2*eps square at ``center`` meets the line."""
-    if not isinstance(line, BoundaryLine):
-        raise ValidationError(
-            f"square_intersects_line takes a BoundaryLine, got {type(line).__name__}"
-        )
-    eps = _check_eps_square(eps)
-    u, v = (float(center[0]), float(center[1]))
-    return bool(_corner_meets_zero(line, u, v, eps)[0])
-
-
-def in_threshold_margin(t: float, value, eps: float):
-    """Closed scalar margin test |value - t| <= eps; broadcasts over value."""
-    eps = float(eps)
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValidationError(f"eps must be positive, got {eps}")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValidationError(f"t must be finite, got {t}")
-    value = np.asarray(value, dtype=float)
-    result = np.abs(value - t) <= eps
-    return bool(result) if result.ndim == 0 else result
-
-
-def margin_membership(geometry, coords: tuple[np.ndarray, np.ndarray], eps: float) -> np.ndarray:
+def margin_membership(
+    setting: str,
+    params: FairnessParams,
+    pi,
+    coords: tuple[np.ndarray, np.ndarray],
+    eps: float,
+) -> np.ndarray:
     """Vectorized margin-set membership for sampled coordinate pairs.
 
-    For square geometries ``coords`` is (u, v); for a ThresholdPair it
-    is (v_minus, v_plus) and a point is in the margin when either
-    branch value is within eps of its threshold.
+    ``coords`` is ``(eta, eta_bar)`` for the blind settings and
+    ``(eta(x, -1), eta(x, +1))`` for the aware ones; ``pi`` is read by
+    the EO settings only.  A point is a member when the closed box of
+    half-width ``eps`` around it meets the zero set of the setting's
+    score (for the aware settings: in either group).
     """
 
+    pi = _check_pi(setting, pi)
+    eps = _check_eps(eps)
     first, second = (np.asarray(coords[0], dtype=float), np.asarray(coords[1], dtype=float))
     if first.shape != second.shape:
         raise ValidationError("coordinate arrays must share a shape")
-    if isinstance(geometry, (Hyperbola, BoundaryLine)):
-        eps = _check_eps_square(eps)
-        return _corner_meets_zero(geometry, first, second, eps)
-    if isinstance(geometry, ThresholdPair):
-        near_minus = in_threshold_margin(geometry.t_minus, first, eps)
-        near_plus = in_threshold_margin(geometry.t_plus, second, eps)
-        return np.atleast_1d(near_minus | near_plus)
-    raise ValidationError(f"unsupported geometry type {type(geometry).__name__}")
+
+    def meets_zero(corners) -> np.ndarray:
+        values = np.stack(
+            [
+                np.atleast_1d(setting_score(setting, a, b, pi, params.lam, params.c, params.c_bar))
+                for a, b in corners
+            ]
+        )
+        return (values.min(axis=0) <= 0.0) & (values.max(axis=0) >= 0.0)
+
+    if is_aware(setting):
+        return meets_zero([(first - eps, -1.0), (first + eps, -1.0)]) | meets_zero(
+            [(second - eps, 1.0), (second + eps, 1.0)]
+        )
+    return meets_zero([(first + de, second + db) for de in (-eps, eps) for db in (-eps, eps)])
 
 
 def estimate_margin_mass(
-    sampler: Sampler, geometry, eps: float, m: int, seed: int
+    sampler: Sampler,
+    setting: str,
+    params: FairnessParams,
+    pi,
+    eps: float,
+    m: int,
+    seed: int,
 ) -> tuple[float, float]:
     """Monte-Carlo margin mass and its binomial standard error.
 
@@ -282,7 +179,7 @@ def estimate_margin_mass(
     if m <= 0:
         raise ValidationError(f"sample count must be positive, got {m}")
     coords = sampler(np.random.default_rng((int(seed), 0)), m)
-    member = margin_membership(geometry, coords, eps)
+    member = margin_membership(setting, params, pi, coords, eps)
     if member.shape != (m,):
         raise ValidationError(
             f"sampler returned {member.shape[0]} coordinates for a request of {m}"
@@ -326,47 +223,6 @@ def bound_constants(
     return result
 
 
-def eo_aware_thresholds(params: FairnessParams, pi: float) -> ThresholdPair:
-    """Per-group thresholds equivalent to the equal-opportunity aware score."""
-    pi = _check_prob("pi", pi, allow_one=True)
-    denom_minus = 1.0 + params.lam * params.c_bar / pi
-    denom_plus = 1.0 + params.lam * (params.c_bar - 1.0) / pi
-    if denom_minus == 0.0 or denom_plus == 0.0:
-        raise ValidationError(
-            "degenerate parameters: an aware score coefficient vanishes, so no finite "
-            "threshold exists for that group"
-        )
-    return ThresholdPair(
-        t_minus=params.c / denom_minus, t_plus=params.c / denom_plus, setting=EO_AWARE
-    )
-
-
-def dpar_aware_thresholds(params: FairnessParams) -> ThresholdPair:
-    """Per-group thresholds equivalent to the demographic-parity aware score."""
-    return ThresholdPair(
-        t_minus=params.c - params.lam * params.c_bar,
-        t_plus=params.c + params.lam - params.lam * params.c_bar,
-        setting=DPAR_AWARE,
-    )
-
-
-def geometry_for(setting: str, params: FairnessParams, pi: float | None = None):
-    """Boundary object for a setting (EO settings require ``pi``)."""
-    if setting == EO_BLIND:
-        if pi is None:
-            raise ValidationError("eo-blind geometry requires pi")
-        return Hyperbola(lam=params.lam, pi=pi, c=params.c, c_bar=params.c_bar)
-    if setting == DPAR_BLIND:
-        return BoundaryLine(lam=params.lam, c=params.c, c_bar=params.c_bar)
-    if setting == EO_AWARE:
-        if pi is None:
-            raise ValidationError("eo-aware geometry requires pi")
-        return eo_aware_thresholds(params, pi)
-    if setting == DPAR_AWARE:
-        return dpar_aware_thresholds(params)
-    raise ValidationError(f"unknown setting {setting!r}")
-
-
 def plugin_proxy_sampler(rule: PlugInRule, features: np.ndarray) -> Sampler:
     """Sampler over fitted estimates -- a plug-in proxy, not true mass.
 
@@ -384,35 +240,36 @@ def plugin_proxy_sampler(rule: PlugInRule, features: np.ndarray) -> Sampler:
         rows = features[rng.integers(0, features.shape[0], size=count)]
         if is_aware(rule.setting):
             return coordinates(rule, rows, -1.0)[0], coordinates(rule, rows, 1.0)[0]
-        eta, eta_bar = coordinates(rule, rows)
-        return eta_bar, eta
+        return coordinates(rule, rows)
 
     return sample
 
 
 def write_raster_csv(
-    geometry: Hyperbola | BoundaryLine, n: int, eps: float, path: str | Path
+    setting: str, params: FairnessParams, pi, n: int, eps: float, path: str | Path
 ) -> int:
     """Raster the unit square: rows of (u, v, sign, in_margin) CSV.
 
-    The grid is the inclusive n-by-n lattice over [0, 1]^2; ``sign`` is
-    the sign of the boundary score at the lattice point and
-    ``in_margin`` flags 2*eps-square intersection.  Returns the number
-    of data rows written.
+    The grid is the inclusive n-by-n lattice over [0, 1]^2 with ``u``
+    the sensitive-attribute coordinate ``eta_bar`` and ``v`` the label
+    coordinate ``eta`` of a blind setting; ``sign`` is the sign of the
+    setting's score at the lattice point and ``in_margin`` flags
+    2*eps-box intersection.  Returns the number of data rows written.
     """
 
-    if not isinstance(geometry, (Hyperbola, BoundaryLine)):
-        raise ValidationError("raster export covers the square geometries only")
+    if is_aware(setting):
+        raise ValidationError(f"raster export covers the blind settings only, got {setting!r}")
+    pi = _check_pi(setting, pi)
     n = int(n)
     if n < 2:
         raise ValidationError(f"raster size must be at least 2, got {n}")
-    eps = _check_eps_square(eps)
+    eps = _check_eps(eps)
     axis = np.linspace(0.0, 1.0, n)
     grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
     flat_u, flat_v = grid_u.ravel(), grid_v.ravel()
-    scores = np.asarray(boundary_score(geometry, flat_u, flat_v))
+    scores = setting_score(setting, flat_v, flat_u, pi, params.lam, params.c, params.c_bar)
     signs = np.sign(scores).astype(int)
-    member = margin_membership(geometry, (flat_u, flat_v), eps).astype(int)
+    member = margin_membership(setting, params, pi, (flat_v, flat_u), eps).astype(int)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["u", "v", "sign", "in_margin"])

@@ -1,4 +1,4 @@
-"""The four plug-in decision rules: score functions and sign thresholding.
+"""The four plug-in decision rules and their score functions.
 
 Each fairness setting has a closed-form optimal score; a plug-in rule
 substitutes estimated regression functions (and the estimated positive
@@ -12,7 +12,8 @@ prior where needed) into that score and classifies by its sign:
 
 The classifier is +1 when the score is strictly positive and -1
 otherwise; a score of exactly 0 classifies as -1 (the zero-height
-Heaviside convention).
+Heaviside convention).  Callers threshold the score themselves, as
+``score(...) > 0``.
 
 Blind rules carry two estimators (``eta`` on features, ``eta_bar`` on
 features or features-plus-label); aware rules carry a single estimator
@@ -22,12 +23,13 @@ always estimated on the *training* split.  The EO-blind rule evaluates
 records which stored encoding that is (+1 normally, +C after privacy
 preprocessing).
 
-Every scorer -- :func:`score`, the grid sweep and the geometry proxy
-sampler -- goes through two functions.  :func:`coordinates` is the
-coordinate map: it picks the estimator outputs a setting's score reads
-and checks them.  :func:`setting_score` is the score dispatch: it
-applies the setting's formula above to those outputs, broadcasting over
-arrays of ``(lam, c, c_bar)``.  The four ``score_*`` formulas are plain
+Every scorer -- :func:`score`, the grid sweep, and the geometry
+module's margins, raster signs, asymptote and proxy sampler -- goes
+through two functions.  :func:`coordinates` is the coordinate map: it
+picks the estimator outputs a setting's score reads and checks them.
+:func:`setting_score` is the score dispatch: it applies the setting's
+formula above to those outputs, broadcasting over arrays of
+``(lam, c, c_bar)``.  The four ``score_*`` formulas are plain
 arithmetic and check nothing themselves.
 """
 
@@ -73,7 +75,6 @@ __all__ = [
     "setting_score",
     "coordinates",
     "score",
-    "classify",
     "fit_plugin",
     "with_params",
 ]
@@ -290,14 +291,6 @@ def score(rule: PlugInRule, x, y_bar=None):
     )
     value = np.asarray(value, dtype=float)
     return float(value[0]) if single else value
-
-
-def classify(rule: PlugInRule, x, y_bar=None):
-    """Sign-threshold the score: +1 iff score > 0, else -1 (ties to -1)."""
-    s = score(rule, x, y_bar)
-    if np.ndim(s) == 0:
-        return 1 if s > 0 else -1
-    return np.where(np.asarray(s) > 0, 1, -1)
 
 
 def fit_plugin(

@@ -41,14 +41,14 @@ cap above its tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, FairnessParams, compute_dist_stats
-from .cpe import FitConfig, LinearCpe, fit_eta, fit_eta_bar_dpar, fit_eta_bar_eo
+from .core import Dataset, FairnessParams
+from .cpe import FitConfig, LinearCpe
 from .errors import NumericError, ValidationError
-from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule
+from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule, fit_plugin
 
 __all__ = [
     "PrivacyBudget",
@@ -233,13 +233,14 @@ def dp_plugin_pipeline(
 ) -> PlugInRule:
     """Fit a blind plug-in rule whose sensitive-attribute part is private.
 
-    The positive prior and the label estimator are computed without
-    noise (they never read the sensitive column); the sensitive-
-    attribute estimator is fitted, privatized once, and embedded.  The
-    returned rule carries the privatization record, and re-assembling
-    it under other (lam, c, c_bar) values is noise-free post-processing.
-    Training data with a joint feature-label row of norm above 1 is
-    rejected with :class:`ValidationError`.
+    The rule is fitted by :func:`fairplug.plugin.fit_plugin`, so the
+    positive prior and the label estimator carry no noise (they never
+    read the sensitive column); its sensitive-attribute estimator is
+    then privatized once and swapped in.  The returned rule carries the
+    privatization record, and re-assembling it under other
+    (lam, c, c_bar) values is noise-free post-processing.  Training data
+    with a joint feature-label row of norm above 1 is rejected with
+    :class:`ValidationError` before any fit.
     """
 
     if setting not in (EO_BLIND, DPAR_BLIND):
@@ -249,19 +250,6 @@ def dp_plugin_pipeline(
     if not isinstance(cpe_config, FitConfig):
         raise ValidationError("cpe_config must be a FitConfig")
     _check_joint_norms(train)
-    pi_hat = compute_dist_stats(train).pi if setting == EO_BLIND else None
-    eta = fit_eta(train, cpe_config)
-    if setting == EO_BLIND:
-        eta_bar_fit = fit_eta_bar_eo(train, cpe_config)
-    else:
-        eta_bar_fit = fit_eta_bar_dpar(train, cpe_config)
-    record = privatize(eta_bar_fit, train.n, cpe_config.lambda_reg, eps_p, seed)
-    return PlugInRule(
-        setting=setting,
-        params=params,
-        eta=eta,
-        eta_bar=record.private,
-        pi_hat=pi_hat,
-        positive_label=train.label_scale,
-        privacy=record,
-    )
+    rule = fit_plugin(train, setting, params, cpe_config)
+    record = privatize(rule.eta_bar, train.n, cpe_config.lambda_reg, eps_p, seed)
+    return replace(rule, eta_bar=record.private, privacy=record)

@@ -29,7 +29,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -275,25 +276,19 @@ def _gauss_legendre_grid(
     return nodes, np.asarray(weights).ravel()
 
 
-def quadrature(
-    law: FeatureLaw, nodes_per_dim: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def quadrature(law: FeatureLaw) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic nodes and probability weights integrating the law.
 
     Exact for a discrete law; for the continuous laws a tensor
     Gauss-Legendre grid (weighted by the density and renormalized on
-    the grid) whose per-dimension size defaults to a budget of roughly
-    200k total nodes, capped at 256 per dimension.
+    the grid) whose per-dimension size is set by a budget of roughly
+    200k total nodes, at least 16 and at most 256 per dimension.
     """
 
     if isinstance(law, DiscreteLaw):
         return law.points, law.masses
     d = law_dim(law)
-    if nodes_per_dim is None:
-        nodes_per_dim = min(_GAUSS_NODE_CAP, max(16, int(round(_GAUSS_TOTAL_TARGET ** (1.0 / d)))))
-    nodes_per_dim = int(nodes_per_dim)
-    if nodes_per_dim < 2:
-        raise ValidationError(f"nodes_per_dim must be at least 2, got {nodes_per_dim}")
+    nodes_per_dim = min(_GAUSS_NODE_CAP, max(16, int(round(_GAUSS_TOTAL_TARGET ** (1.0 / d)))))
     nodes, weights = _gauss_legendre_grid(law.lows, law.highs, nodes_per_dim)
     if isinstance(law, TruncatedGaussianLaw):
         z = (nodes - law.mean) / law.std
@@ -315,7 +310,7 @@ class SyntheticDistribution:
     law: FeatureLaw
     w_eta: np.ndarray
     w_eta_bar: np.ndarray
-    w_eta_bar_dpar: np.ndarray | None = None
+    w_eta_bar_dpar: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         d = law_dim(self.law)
@@ -324,13 +319,6 @@ class SyntheticDistribution:
         object.__setattr__(self, "w_eta", w_eta)
         object.__setattr__(self, "w_eta_bar", w_eta_bar)
         derived = np.delete(w_eta_bar, -2) if w_eta_bar[-2] == 0.0 else None
-        if self.w_eta_bar_dpar is not None:
-            supplied = _readonly_vector("w_eta_bar_dpar", self.w_eta_bar_dpar, d + 1)
-            if derived is None or not np.allclose(supplied, derived, atol=1e-12):
-                raise ValidationError(
-                    "w_eta_bar_dpar is determined by w_eta_bar (drop its zero label "
-                    "weight); it cannot be specified independently"
-                )
         if derived is not None:
             derived.setflags(write=False)
         object.__setattr__(self, "w_eta_bar_dpar", derived)
@@ -569,16 +557,13 @@ def _sample_non_degenerate(
     ) from last_error
 
 
-RuleFactory = Callable[[Dataset, FairnessParams, FitConfig], PlugInRule]
-
-
-def _consistency_trial(task) -> tuple[float, int]:
-    (dist, setting, params, n, m_eval, seed, trial, config, known_pi, boc, stats, factory) = task
+def _consistency_trial(
+    dist, setting, params, n, m_eval, seed, config, known_pi, boc, stats, trial
+) -> tuple[float, int]:
+    """One (n, trial) cell: fit on a fresh draw, then the paired regret."""
+    pi_override = stats.pi if known_pi else None
 
     def build(train: Dataset) -> PlugInRule:
-        if factory is not None:
-            return factory(train, params, config)
-        pi_override = stats.pi if known_pi else None
         return fit_plugin(train, setting, params, config, pi_override=pi_override)
 
     rule, retries = _sample_non_degenerate(dist, n, (seed, n, trial, 0), build)
@@ -598,7 +583,6 @@ def consistency_curve(
     *,
     config: FitConfig | None = None,
     known_pi: bool = False,
-    rule_factory: RuleFactory | None = None,
     jobs: int = 1,
 ) -> RegretCurve:
     """Mean/std regret of freshly fitted rules along a sample-size schedule.
@@ -608,8 +592,7 @@ def consistency_curve(
     draw, so trial values do not depend on how many trials run.
     ``known_pi`` switches the EO settings to the known-prior regime;
     the default regularization schedule shrinks as 1/sqrt(n) so the
-    estimators stay consistent.  ``rule_factory(train, params, config)``
-    substitutes a custom rule builder (e.g. injecting the exact rule).
+    estimators stay consistent.
     """
 
     sizes = [int(n) for n in n_schedule]
@@ -623,12 +606,11 @@ def consistency_curve(
     points: list[RegretPoint] = []
     resamples = 0
     for n in sizes:
-        cfg = _default_fit_config(n, config)
-        tasks = [
-            (dist, setting, params, n, int(m_eval), int(seed), t, cfg, known_pi, boc, stats, rule_factory)
-            for t in range(trials)
-        ]
-        results = map_tasks(_consistency_trial, tasks, jobs)
+        run = partial(
+            _consistency_trial, dist, setting, params, n, int(m_eval), int(seed),
+            _default_fit_config(n, config), known_pi, boc, stats,
+        )
+        results = map_tasks(run, range(trials), jobs)
         regrets = np.array([r for r, _ in results])
         resamples += sum(retry for _, retry in results)
         points.append(
@@ -686,14 +668,12 @@ class TradeoffResult:
         return self.gap - self.frontier
 
 
-def _tradeoff_trial(task) -> tuple[float, int]:
-    (dist, lam, params, n, m_eval, seed, trial, config, stats, factory) = task
+def _tradeoff_trial(dist, lam, params, n, m_eval, seed, config, stats, trial) -> tuple[float, int]:
+    """One trial: |cost of the lam rule - cost of its lam = 0 re-assembly|."""
     lam_params = FairnessParams(lam=lam, c=params.c, c_bar=params.c_bar)
     zero_params = FairnessParams(lam=0.0, c=params.c, c_bar=params.c_bar)
 
     def build(train: Dataset) -> PlugInRule:
-        if factory is not None:
-            return factory(train, lam_params, config)
         return fit_plugin(train, EO_BLIND, lam_params, config)
 
     rule_lam, retries = _sample_non_degenerate(dist, n, (seed, n, trial, 0), build)
@@ -717,7 +697,6 @@ def tradeoff_gap(
     seed: int,
     *,
     config: FitConfig | None = None,
-    rule_factory: RuleFactory | None = None,
     frontier_m: int = 200_000,
     jobs: int = 1,
 ) -> TradeoffResult:
@@ -734,12 +713,11 @@ def tradeoff_gap(
     if n <= 0 or trials <= 0:
         raise ValidationError("n and trials must be positive")
     stats = true_stats(dist)
-    cfg = _default_fit_config(n, config)
-    tasks = [
-        (dist, float(lam), params, n, int(m_eval), int(seed), t, cfg, stats, rule_factory)
-        for t in range(trials)
-    ]
-    results = map_tasks(_tradeoff_trial, tasks, jobs)
+    run = partial(
+        _tradeoff_trial, dist, float(lam), params, n, int(m_eval), int(seed),
+        _default_fit_config(n, config), stats,
+    )
+    results = map_tasks(run, range(trials), jobs)
     gaps = np.array([g for g, _ in results])
     frontier_value = frontier(
         dist, lam, params, frontier_m, (int(seed), 982451653), stats=stats

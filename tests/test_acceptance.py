@@ -25,16 +25,15 @@ from fairplug import data, metrics, plugin
 from fairplug.core import FairnessParams
 from fairplug.cpe import FitConfig, predict_proba
 from fairplug.errors import DegenerateDataError
-from fairplug.geometry import (
-    BoundaryLine,
-    Hyperbola,
-    asymptote_x,
-    estimate_margin_mass,
-    geometry_for,
-    square_intersects_hyperbola,
-    square_intersects_line,
+from fairplug.geometry import asymptote_x, estimate_margin_mass, margin_membership
+from fairplug.plugin import (
+    DPAR_BLIND,
+    EO_BLIND,
+    coordinates,
+    fit_plugin,
+    score,
+    setting_score,
 )
-from fairplug.plugin import EO_BLIND, classify, coordinates, fit_plugin, score, setting_score
 from fairplug.privacy import dp_plugin_pipeline, noise_draw_count, sample_noise
 from fairplug.sweep import (
     aggregate_curves,
@@ -85,8 +84,9 @@ def german_prepared_twenty(german_dataset):
 
 
 def test_criterion_01_asymptote_golden_values():
-    assert 3.01 <= asymptote_x(Hyperbola(0.4, 0.85, 0.8, 0.9)) <= 3.03
-    assert 0.6628 <= asymptote_x(Hyperbola(-3.6, 0.85, 0.8, 0.9)) <= 0.6648
+    # captions give (lam, pi, c, c_bar)
+    assert 3.01 <= asymptote_x(FairnessParams(0.4, 0.8, 0.9), 0.85) <= 3.03
+    assert 0.6628 <= asymptote_x(FairnessParams(-3.6, 0.8, 0.9), 0.85) <= 0.6648
     _report(1, "asymptote x-coordinates match both golden captions")
 
 
@@ -146,24 +146,18 @@ def _check_dist_against_oracle(dist, inst, settings) -> bool:
         for lam, c, c_bar in _COMBOS:
             rule = bayes_classifier(dist, setting, FairnessParams(lam, c, c_bar))
             if aware:
-                scores = np.concatenate(
-                    [
-                        np.atleast_1d(score(rule, atoms, y_bar=-1.0)),
-                        np.atleast_1d(score(rule, atoms, y_bar=1.0)),
-                    ]
-                )
-                signs_minus = np.asarray(classify(rule, atoms, y_bar=-1.0))
-                signs_plus = np.asarray(classify(rule, atoms, y_bar=1.0))
+                minus = np.atleast_1d(score(rule, atoms, y_bar=-1.0))
+                plus = np.atleast_1d(score(rule, atoms, y_bar=1.0))
+                scores = np.concatenate([minus, plus])
 
-                def predict_pkg(i, b, m=signs_minus, p=signs_plus):
-                    return int(m[i] if b < 0 else p[i])
+                def predict_pkg(i, b, m=minus, p=plus):
+                    return 1 if (m[i] if b < 0 else p[i]) > 0 else -1
 
             else:
                 scores = np.atleast_1d(score(rule, atoms))
-                signs = np.asarray(classify(rule, atoms))
 
-                def predict_pkg(i, b, s=signs):
-                    return int(s[i])
+                def predict_pkg(i, b, s=scores):
+                    return 1 if s[i] > 0 else -1
 
             if float(np.abs(scores).min()) < 1e-6:
                 return False
@@ -236,18 +230,24 @@ def test_criterion_04_lambda_zero_reduces_to_cost_thresholding():
     for setting in plugin.SETTINGS:
         rule = fit_plugin(train, setting, params, config)
         if plugin.is_aware(setting):
-            decided = np.asarray(classify(rule, points, y_bar=groups))
+            decided = score(rule, points, y_bar=groups) > 0
             inputs = np.hstack([points, groups[:, None]])
         else:
-            decided = np.asarray(classify(rule, points))
+            decided = score(rule, points) > 0
             inputs = points
         eta_hat = np.atleast_1d(predict_proba(rule.eta, inputs))
-        assert np.array_equal(decided, np.where(eta_hat > c, 1, -1))
+        assert np.array_equal(decided, eta_hat > c)
     _report(4, "decisions equal eta-hat > c pointwise on 10^4 points, all settings")
 
 
 # ---------------------------------------------------------------------------
 # 5. square-intersection tests vs a dense-grid oracle
+
+
+def _square_meets_boundary(setting, params, pi, center, eps) -> bool:
+    """Margin membership of one (u, v) = (eta_bar, eta) center."""
+    u, v = center
+    return bool(margin_membership(setting, params, pi, ([v], [u]), eps)[0])
 
 
 def test_criterion_05_square_tests_match_dense_oracle():
@@ -259,11 +259,11 @@ def test_criterion_05_square_tests_match_dense_oracle():
         c_bar = float(rng.uniform(0.05, 0.95))
         center = (float(rng.uniform(-0.2, 1.2)), float(rng.uniform(-0.2, 1.2)))
         eps = float(rng.uniform(0.01, 0.45))
-        line = BoundaryLine(lam, c, c_bar)
+        params = FairnessParams(lam, c, c_bar)
         dense, _bound = oracles.dense_square_intersects(
             lambda u, v: oracles.line_value(lam, c, c_bar, u, v), center, eps
         )
-        assert square_intersects_line(line, center, eps) == dense
+        assert _square_meets_boundary(DPAR_BLIND, params, None, center, eps) == dense
 
     mismatches_within_resolution = []
     for _ in range(1000):
@@ -273,11 +273,11 @@ def test_criterion_05_square_tests_match_dense_oracle():
         c_bar = float(rng.uniform(0.05, 0.95))
         center = (float(rng.uniform(-0.2, 1.2)), float(rng.uniform(-0.2, 1.2)))
         eps = float(rng.uniform(0.01, 0.45))
-        h = Hyperbola(lam, pi, c, c_bar)
+        params = FairnessParams(lam, c, c_bar)
         dense, bound = oracles.dense_square_intersects(
             lambda u, v: oracles.hyperbola_value(lam, pi, c, c_bar, u, v), center, eps
         )
-        if square_intersects_hyperbola(h, center, eps) != dense:
+        if _square_meets_boundary(EO_BLIND, params, pi, center, eps) != dense:
             corner_min = min(
                 abs(oracles.hyperbola_value(lam, pi, c, c_bar, center[0] + du, center[1] + dv))
                 for du in (-eps, eps)
@@ -298,15 +298,15 @@ def test_criterion_05_square_tests_match_dense_oracle():
 
 
 def test_criterion_06_margin_mass_matches_two_eps():
-    geom = geometry_for(EO_BLIND, FairnessParams(0.0, 0.5, 0.5), pi=0.85)
+    flat = FairnessParams(0.0, 0.5, 0.5)
 
     def sampler(rng, n):
-        draw = rng.uniform(size=(2, n))
-        return draw[0], draw[1]
+        u, v = rng.uniform(size=(2, n))
+        return v, u  # (eta, eta_bar)
 
     masses = []
     for eps in (0.01, 0.05, 0.1):
-        mass, se = estimate_margin_mass(sampler, geom, eps, 100_000, 404)
+        mass, se = estimate_margin_mass(sampler, EO_BLIND, flat, 0.85, eps, 100_000, 404)
         assert abs(mass - 2.0 * eps) <= 3.0 * se
         masses.append(mass)
     assert masses[0] <= masses[1] <= masses[2]
@@ -391,7 +391,7 @@ def test_criterion_09_frontier_agrees_with_direct_risk_difference():
         boc = bayes_classifier(dist, EO_BLIND, params, true_pi=stats.pi)
         eval_ds = sample(dist, m, (77, index))
         eta = np.asarray(dist.eta(eval_ds.features))
-        f_lam = np.asarray(classify(boc, eval_ds.features)) > 0
+        f_lam = score(boc, eval_ds.features) > 0
         f_zero = eta > c
         pos = eval_ds.labels > 0
         # realized-label risk difference, per draw

@@ -1,5 +1,7 @@
 """Boundary geometry, margin membership, and finite-sample constants."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,22 +11,12 @@ from fairplug.core import DistStats, FairnessParams
 from fairplug.cpe import predict_proba
 from fairplug.errors import ValidationError
 from fairplug.geometry import (
-    BoundaryLine,
     BoundConstants,
-    Hyperbola,
-    ThresholdPair,
     asymptote_x,
     bound_constants,
-    boundary_score,
-    dpar_aware_thresholds,
-    eo_aware_thresholds,
     estimate_margin_mass,
-    geometry_for,
-    in_threshold_margin,
     margin_membership,
     plugin_proxy_sampler,
-    square_intersects_hyperbola,
-    square_intersects_line,
     write_raster_csv,
 )
 from fairplug.plugin import (
@@ -32,10 +24,12 @@ from fairplug.plugin import (
     DPAR_BLIND,
     EO_AWARE,
     EO_BLIND,
+    SETTINGS,
     FitConfig,
     fit_plugin,
     score_dpar_aware,
     score_eo_aware,
+    setting_score,
 )
 
 from oracles import dense_square_intersects, hyperbola_value, line_value
@@ -48,22 +42,34 @@ def uniform_square(rng, count):
     return rng.random(count), rng.random(count)
 
 
+def in_margin(setting, params, pi, center, eps):
+    """Membership of one blind point given as ``(u, v) = (eta_bar, eta)``."""
+    u, v = center
+    return bool(margin_membership(setting, params, pi, ([v], [u]), eps)[0])
+
+
+def read_raster(path):
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["u", "v", "sign", "in_margin"]
+    table = np.array(rows[1:], dtype=float)
+    return table[:, 0], table[:, 1], table[:, 2], table[:, 3]
+
+
 class TestBoundaryObjects:
     def test_parameter_validation(self):
+        params = FairnessParams(1.0, 0.5, 0.5)
         with pytest.raises(ValidationError, match="lam"):
-            Hyperbola(lam=float("nan"), pi=0.5, c=0.5, c_bar=0.5)
-        with pytest.raises(ValidationError, match="pi"):
-            Hyperbola(lam=1.0, pi=0.0, c=0.5, c_bar=0.5)
+            FairnessParams(lam=float("nan"), c=0.5, c_bar=0.5)
         with pytest.raises(ValidationError, match="c "):
-            BoundaryLine(lam=1.0, c=1.0, c_bar=0.5)
-        Hyperbola(lam=0.0, pi=1.0, c=0.5, c_bar=0.5)  # lam = 0 and pi = 1 both legal
-
-    def test_threshold_pair_setting_tag(self):
-        ThresholdPair(t_minus=0.2, t_plus=1.4, setting=EO_AWARE)
-        with pytest.raises(ValidationError, match="setting"):
-            ThresholdPair(t_minus=0.2, t_plus=0.4, setting=EO_BLIND)
-        with pytest.raises(ValidationError, match="finite"):
-            ThresholdPair(t_minus=float("inf"), t_plus=0.4, setting=DPAR_AWARE)
+            FairnessParams(lam=1.0, c=1.0, c_bar=0.5)
+        for setting in (EO_BLIND, EO_AWARE):
+            with pytest.raises(ValidationError, match="pi"):
+                margin_membership(setting, params, 0.0, ([0.5], [0.5]), 0.05)
+        # pi is not read by the parity settings, so it is not checked there
+        margin_membership(DPAR_BLIND, params, 0.0, ([0.5], [0.5]), 0.05)
+        # lam = 0 and pi = 1 both legal
+        margin_membership(EO_BLIND, FairnessParams(0.0, 0.5, 0.5), 1.0, ([0.5], [0.5]), 0.05)
 
     def test_bound_constants_invariant(self):
         BoundConstants(delta_prime=0.1, margin_mass=0.2, b_const=0.3, g_const=1.0, q_const=0.5)
@@ -74,62 +80,88 @@ class TestBoundaryObjects:
 
 
 class TestBoundaryScore:
-    def test_hand_values(self):
-        h = Hyperbola(lam=1.0, pi=0.5, c=0.5, c_bar=0.5)
-        assert boundary_score(h, 0.0, 0.25) == pytest.approx(0.0)
-        assert boundary_score(h, 0.5, 0.5) == pytest.approx(2 * 0.5 - 2 * 0.25 - 0.5)
-        line = BoundaryLine(lam=2.0, c=0.5, c_bar=0.3)
-        assert boundary_score(line, 0.3, 0.5) == pytest.approx(0.0)
+    def test_hand_values(self, tmp_path):
+        # raster 5 has the dyadic lattice 0, 1/4, 1/2, 3/4, 1 on both axes
+        path = tmp_path / "eo.csv"
+        write_raster_csv(EO_BLIND, FairnessParams(1.0, 0.5, 0.5), 0.5, 5, 0.05, path)
+        u, v, sign, _ = read_raster(path)
+        sign_at = {(a, b): s for a, b, s in zip(u, v, sign)}
+        assert sign_at[(0.0, 0.25)] == 0.0  # (1 + 1) * 0.25 - 0.5
+        assert sign_at[(0.5, 0.5)] == 0.0
+        assert sign_at[(0.0, 1.0)] == 1.0
+        assert sign_at[(1.0, 0.0)] == -1.0
+        path = tmp_path / "dpar.csv"
+        write_raster_csv(DPAR_BLIND, FairnessParams(2.0, 0.5, 0.25), None, 5, 0.05, path)
+        u, v, sign, _ = read_raster(path)
+        sign_at = {(a, b): s for a, b, s in zip(u, v, sign)}
+        assert sign_at[(0.25, 0.5)] == 0.0
+        assert sign_at[(0.5, 0.5)] == -1.0
+        assert sign_at[(0.0, 0.5)] == 1.0
 
-    def test_matches_independent_transcription(self):
-        gen = np.random.default_rng(3)
-        u, v = gen.random(50), gen.random(50)
-        h = Hyperbola(lam=-2.2, pi=0.7, c=0.35, c_bar=0.6)
-        line = BoundaryLine(lam=-2.2, c=0.35, c_bar=0.6)
-        assert boundary_score(h, u, v) == pytest.approx(
-            hyperbola_value(-2.2, 0.7, 0.35, 0.6, u, v), abs=1e-14
-        )
-        assert boundary_score(line, u, v) == pytest.approx(
-            line_value(-2.2, 0.35, 0.6, u, v), abs=1e-14
-        )
+    def test_matches_independent_transcription(self, tmp_path):
+        lam, pi, c, c_bar = -2.2, 0.7, 0.35, 0.6
+        params = FairnessParams(lam, c, c_bar)
+        for setting, value in (
+            (EO_BLIND, lambda u, v: hyperbola_value(lam, pi, c, c_bar, u, v)),
+            (DPAR_BLIND, lambda u, v: line_value(lam, c, c_bar, u, v)),
+        ):
+            path = tmp_path / f"{setting}.csv"
+            write_raster_csv(setting, params, pi, 21, 0.05, path)
+            u, v, sign, _ = read_raster(path)
+            reference = value(u, v)
+            clear = np.abs(reference) > 1e-12
+            assert clear.sum() > 400
+            assert np.array_equal(sign[clear], np.sign(reference[clear]))
 
-    def test_rejects_other_types(self):
-        pair = dpar_aware_thresholds(FairnessParams(1.0, 0.5, 0.5))
-        with pytest.raises(ValidationError, match="Hyperbola or BoundaryLine"):
-            boundary_score(pair, 0.5, 0.5)
+    @pytest.mark.parametrize(
+        "setting, lam, pi, c, c_bar",
+        [(EO_BLIND, -3.6, 0.85, 0.8, 0.9), (DPAR_BLIND, 1.0, 0.85, 0.5, 0.5)],
+    )
+    def test_raster_sign_is_the_rule_score_sign(self, tmp_path, setting, lam, pi, c, c_bar):
+        path = tmp_path / "raster.csv"
+        write_raster_csv(setting, FairnessParams(lam, c, c_bar), pi, 201, 0.05, path)
+        u, v, sign, _ = read_raster(path)
+        axis = np.linspace(0.0, 1.0, 201)
+        grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
+        # the CSV holds the lattice to 10 digits; score the lattice itself
+        assert np.allclose(u, grid_u.ravel(), atol=1e-10)
+        assert np.allclose(v, grid_v.ravel(), atol=1e-10)
+        scores = setting_score(setting, grid_v.ravel(), grid_u.ravel(), pi, lam, c, c_bar)
+        expected = np.sign(scores)
+        assert np.array_equal(sign, expected)
 
 
 class TestAsymptote:
     def test_formula(self):
-        h = Hyperbola(lam=0.4, pi=0.85, c=0.5, c_bar=0.9)
-        assert asymptote_x(h) == pytest.approx(0.9 + 0.85 / 0.4)
+        assert asymptote_x(FairnessParams(0.4, 0.5, 0.9), 0.85) == pytest.approx(
+            0.9 + 0.85 / 0.4, rel=1e-14
+        )
 
     def test_lambda_zero_has_none(self):
-        with pytest.raises(ValidationError, match="horizontal line"):
-            asymptote_x(Hyperbola(lam=0.0, pi=0.5, c=0.5, c_bar=0.5))
+        assert asymptote_x(FairnessParams(0.0, 0.5, 0.5), 0.5) is None
+        # the score's eta coefficient is exactly 1 across the square here,
+        # so the rule's boundary is the flat line of lam = 0
+        assert asymptote_x(FairnessParams(1e-17, 0.5, 0.5), 0.85) is None
+        with pytest.raises(ValidationError, match="pi"):
+            asymptote_x(FairnessParams(1.0, 0.5, 0.5), 0.0)
 
 
 class TestSquareIntersection:
     def test_horizontal_line_distance(self):
-        line = BoundaryLine(lam=0.0, c=0.5, c_bar=0.5)
+        flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         eps = 0.05
-        assert square_intersects_line(line, (0.3, 0.5 + eps), eps)  # touching counts
-        assert square_intersects_line(line, (0.3, 0.5 - eps), eps)
-        assert not square_intersects_line(line, (0.3, 0.5 + 1.01 * eps), eps)
-        degenerate = Hyperbola(lam=0.0, pi=0.5, c=0.5, c_bar=0.5)
-        assert square_intersects_hyperbola(degenerate, (0.9, 0.52), 0.05)
-        assert not square_intersects_hyperbola(degenerate, (0.9, 0.58), 0.05)
+        assert in_margin(DPAR_BLIND, flat, None, (0.3, 0.5 + eps), eps)  # touching counts
+        assert in_margin(DPAR_BLIND, flat, None, (0.3, 0.5 - eps), eps)
+        assert not in_margin(DPAR_BLIND, flat, None, (0.3, 0.5 + 1.01 * eps), eps)
+        assert in_margin(EO_BLIND, flat, 0.5, (0.9, 0.52), 0.05)
+        assert not in_margin(EO_BLIND, flat, 0.5, (0.9, 0.58), 0.05)
 
     def test_type_and_eps_validation(self):
-        line = BoundaryLine(lam=1.0, c=0.5, c_bar=0.5)
-        h = Hyperbola(lam=1.0, pi=0.5, c=0.5, c_bar=0.5)
-        with pytest.raises(ValidationError, match="Hyperbola"):
-            square_intersects_hyperbola(line, (0.5, 0.5), 0.05)
-        with pytest.raises(ValidationError, match="BoundaryLine"):
-            square_intersects_line(h, (0.5, 0.5), 0.05)
-        for bad_eps in (0.0, 0.5, -0.1):
-            with pytest.raises(ValidationError, match="eps"):
-                square_intersects_line(line, (0.5, 0.5), bad_eps)
+        params = FairnessParams(lam=1.0, c=0.5, c_bar=0.5)
+        for setting in SETTINGS:
+            for bad_eps in (0.0, 0.5, -0.1, float("nan")):
+                with pytest.raises(ValidationError, match="eps"):
+                    margin_membership(setting, params, 0.5, ([0.5], [0.5]), bad_eps)
 
     @given(
         st.floats(-3.0, 3.0),
@@ -143,11 +175,11 @@ class TestSquareIntersection:
     def test_line_matches_interval_oracle(self, lam, c, c_bar, u0, v0, eps):
         """Affine case has an exact independent check: map the u-interval
         through the line and intersect with the v-interval."""
-        line = BoundaryLine(lam=lam, c=c, c_bar=c_bar)
         ends = [lam * u - lam * c_bar + c for u in (u0 - eps, u0 + eps)]
         lo, hi = min(ends), max(ends)
         expected = (lo <= v0 + eps) and (hi >= v0 - eps)
-        assert square_intersects_line(line, (u0, v0), eps) == expected
+        params = FairnessParams(lam=lam, c=c, c_bar=c_bar)
+        assert in_margin(DPAR_BLIND, params, None, (u0, v0), eps) == expected
 
     def test_spot_agreement_with_dense_oracle(self):
         gen = np.random.default_rng(42)
@@ -158,78 +190,86 @@ class TestSquareIntersection:
             c_bar = float(gen.uniform(0.1, 0.9))
             center = (float(gen.random()), float(gen.random()))
             eps = float(gen.uniform(0.02, 0.15))
-            h = Hyperbola(lam=lam, pi=pi, c=c, c_bar=c_bar)
-            line = BoundaryLine(lam=lam, c=c, c_bar=c_bar)
+            params = FairnessParams(lam=lam, c=c, c_bar=c_bar)
             hit_h, _ = dense_square_intersects(
                 lambda uu, vv: hyperbola_value(lam, pi, c, c_bar, uu, vv), center, eps
             )
             hit_l, _ = dense_square_intersects(
                 lambda uu, vv: line_value(lam, c, c_bar, uu, vv), center, eps
             )
-            assert square_intersects_hyperbola(h, center, eps) == hit_h
-            assert square_intersects_line(line, center, eps) == hit_l
+            assert in_margin(EO_BLIND, params, pi, center, eps) == hit_h
+            assert in_margin(DPAR_BLIND, params, None, center, eps) == hit_l
 
 
 class TestThresholdMargin:
     def test_closed_boundary(self):
-        # dyadic values so the distance comparison is exact
-        assert in_threshold_margin(0.5, 0.625, 0.125)
-        assert not in_threshold_margin(0.5, 0.6251, 0.125)
+        # dpar-aware at lam = 0 thresholds both groups at c = 0.5; dyadic
+        # values make every corner score exact
+        flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
+        far = np.full(3, 0.0)
+        values = np.array([0.625, 0.6251, 0.375])
+        got = margin_membership(DPAR_AWARE, flat, None, (values, far), 0.125)
+        assert got.tolist() == [True, False, True]
         values = np.array([0.25, 0.375, 0.75])
-        assert in_threshold_margin(0.5, values, 0.125).tolist() == [False, True, False]
+        got = margin_membership(DPAR_AWARE, flat, None, (far, values), 0.125)
+        assert got.tolist() == [False, True, False]
 
     def test_validation(self):
+        flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         with pytest.raises(ValidationError, match="eps"):
-            in_threshold_margin(0.5, 0.5, 0.0)
-        with pytest.raises(ValidationError, match="t must be finite"):
-            in_threshold_margin(float("nan"), 0.5, 0.1)
+            margin_membership(DPAR_AWARE, flat, None, ([0.5], [0.5]), 0.0)
+        with pytest.raises(ValidationError, match="requires pi"):
+            margin_membership(EO_AWARE, flat, None, ([0.5], [0.5]), 0.1)
 
 
 class TestMarginMembership:
     def test_threshold_pair_is_union_of_branches(self):
-        pair = ThresholdPair(t_minus=0.25, t_plus=0.75, setting=DPAR_AWARE)
+        # dpar-aware (0.5, 0.5, 0.5): thresholds 0.25 for group -1, 0.75 for +1
+        params = FairnessParams(lam=0.5, c=0.5, c_bar=0.5)
         v_minus = np.array([0.25, 0.9, 0.5])
         v_plus = np.array([0.1, 0.74, 0.5])
-        got = margin_membership(pair, (v_minus, v_plus), 0.05)
+        got = margin_membership(DPAR_AWARE, params, None, (v_minus, v_plus), 0.05)
         assert got.tolist() == [True, True, False]
 
     def test_shape_mismatch(self):
-        line = BoundaryLine(lam=1.0, c=0.5, c_bar=0.5)
+        params = FairnessParams(lam=1.0, c=0.5, c_bar=0.5)
         with pytest.raises(ValidationError, match="share a shape"):
-            margin_membership(line, (np.zeros(3), np.zeros(2)), 0.05)
+            margin_membership(DPAR_BLIND, params, None, (np.zeros(3), np.zeros(2)), 0.05)
 
     def test_unsupported_geometry(self):
-        with pytest.raises(ValidationError, match="unsupported"):
-            margin_membership(object(), (np.zeros(2), np.zeros(2)), 0.05)
+        params = FairnessParams(lam=1.0, c=0.5, c_bar=0.5)
+        with pytest.raises(ValidationError, match="unknown setting"):
+            margin_membership("parity", params, 0.5, (np.zeros(2), np.zeros(2)), 0.05)
 
 
 class TestMarginMass:
     def test_deterministic_per_plan(self):
-        line = BoundaryLine(lam=0.0, c=0.5, c_bar=0.5)
-        a = estimate_margin_mass(uniform_square, line, 0.05, 4000, seed=7)
-        b = estimate_margin_mass(uniform_square, line, 0.05, 4000, seed=7)
+        flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
+        a = estimate_margin_mass(uniform_square, DPAR_BLIND, flat, None, 0.05, 4000, seed=7)
+        b = estimate_margin_mass(uniform_square, DPAR_BLIND, flat, None, 0.05, 4000, seed=7)
         assert a == b
 
     def test_uniform_mass_near_two_eps(self):
-        line = BoundaryLine(lam=0.0, c=0.5, c_bar=0.5)
-        mass, se = estimate_margin_mass(uniform_square, line, 0.05, 20000, seed=11)
+        flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
+        mass, se = estimate_margin_mass(uniform_square, DPAR_BLIND, flat, None, 0.05, 20000, 11)
         assert abs(mass - 0.1) <= 4 * se + 1e-9
 
     def test_threshold_pair_mass(self):
-        pair = ThresholdPair(t_minus=0.25, t_plus=0.75, setting=EO_AWARE)
-        mass, se = estimate_margin_mass(uniform_square, pair, 0.05, 20000, seed=13)
+        # per-group thresholds 0.25 and 0.75: mass 0.1 + 0.1 - 0.1 * 0.1
+        params = FairnessParams(lam=0.5, c=0.5, c_bar=0.5)
+        mass, se = estimate_margin_mass(uniform_square, DPAR_AWARE, params, None, 0.05, 20000, 13)
         assert abs(mass - 0.19) <= 4 * se + 1e-9
 
     def test_bad_inputs(self):
-        line = BoundaryLine(lam=0.0, c=0.5, c_bar=0.5)
+        flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         with pytest.raises(ValidationError, match="positive"):
-            estimate_margin_mass(uniform_square, line, 0.05, 0, seed=1)
+            estimate_margin_mass(uniform_square, DPAR_BLIND, flat, None, 0.05, 0, seed=1)
 
         def short_sampler(rng, count):
             return rng.random(count - 1), rng.random(count - 1)
 
         with pytest.raises(ValidationError, match="sampler returned"):
-            estimate_margin_mass(short_sampler, line, 0.05, 10, seed=1)
+            estimate_margin_mass(short_sampler, DPAR_BLIND, flat, None, 0.05, 10, seed=1)
 
 
 class TestBoundConstants:
@@ -252,41 +292,81 @@ class TestBoundConstants:
 
 
 class TestAwareThresholds:
+    """Each aware group's margin is the eps-interval around its threshold,
+    here computed by hand from the score formulas."""
+
     def test_eo_thresholds_zero_the_score(self):
         params = FairnessParams(lam=0.4, c=0.3, c_bar=0.5)
-        pair = eo_aware_thresholds(params, pi=0.5)
+        t_minus, t_plus = 0.3 / 1.4, 0.3 / 0.6  # c / (1 + (lam/pi) c_bar), ...
         lcc = (params.lam, params.c, params.c_bar)
-        assert score_eo_aware(pair.t_minus, -1.0, 0.5, *lcc) == pytest.approx(0.0, abs=1e-15)
-        assert score_eo_aware(pair.t_plus, 1.0, 0.5, *lcc) == pytest.approx(0.0, abs=1e-15)
+        assert score_eo_aware(t_minus, -1.0, 0.5, *lcc) == pytest.approx(0.0, abs=1e-15)
+        assert score_eo_aware(t_plus, 1.0, 0.5, *lcc) == pytest.approx(0.0, abs=1e-15)
+        eps, far = 0.01, 0.99
+        got = margin_membership(
+            EO_AWARE, params, 0.5,
+            ([t_minus, t_minus + 2 * eps, far], [far, far, t_plus - 2 * eps]),
+            eps,
+        )
+        assert got.tolist() == [True, False, False]
+        got = margin_membership(EO_AWARE, params, 0.5, ([far], [t_plus + 0.5 * eps]), eps)
+        assert got.tolist() == [True]
 
     def test_dpar_thresholds_zero_the_score(self):
         params = FairnessParams(lam=0.6, c=0.5, c_bar=0.4)
-        pair = dpar_aware_thresholds(params)
+        t_minus, t_plus = 0.5 - 0.6 * 0.4, 0.5 + 0.6 - 0.6 * 0.4
         lcc = (params.lam, params.c, params.c_bar)
-        assert 0.0 <= pair.t_minus <= 1.0 and 0.0 <= pair.t_plus <= 1.0
-        assert score_dpar_aware(pair.t_minus, -1.0, *lcc) == pytest.approx(0.0, abs=1e-15)
-        assert score_dpar_aware(pair.t_plus, 1.0, *lcc) == pytest.approx(0.0, abs=1e-15)
+        assert 0.0 <= t_minus <= 1.0 and 0.0 <= t_plus <= 1.0
+        assert score_dpar_aware(t_minus, -1.0, *lcc) == pytest.approx(0.0, abs=1e-15)
+        assert score_dpar_aware(t_plus, 1.0, *lcc) == pytest.approx(0.0, abs=1e-15)
+        eps, far = 0.01, 0.0
+        got = margin_membership(
+            DPAR_AWARE, params, None,
+            ([t_minus + 0.5 * eps, far, far], [far, t_plus - 0.5 * eps, t_plus + 2 * eps]),
+            eps,
+        )
+        assert got.tolist() == [True, True, False]
 
-    def test_vanishing_coefficient_rejected(self):
-        with pytest.raises(ValidationError, match="no finite"):
-            eo_aware_thresholds(FairnessParams(lam=-1.0, c=0.5, c_bar=0.5), pi=0.5)
+    def test_vanishing_coefficient_group_has_no_margin(self):
+        # eo-aware at lam/pi = -2, c_bar = 1/2: group -1's eta coefficient is
+        # 0, so its score is -c everywhere and no estimate can flip it;
+        # group +1 (coefficient 2, threshold 1/4) sits far from eta = 1
+        params = FairnessParams(lam=-1.0, c=0.5, c_bar=0.5)
+        coords = (np.linspace(0.0, 1.0, 11), np.ones(11))
+        assert not margin_membership(EO_AWARE, params, 0.5, coords, 0.49).any()
+        coords = (np.linspace(0.0, 1.0, 11), np.full(11, 0.25))
+        assert margin_membership(EO_AWARE, params, 0.5, coords, 0.49).all()
 
 
 class TestGeometryFor:
     def test_dispatch(self):
-        params = FairnessParams(lam=0.4, c=0.5, c_bar=0.5)
-        assert isinstance(geometry_for(EO_BLIND, params, pi=0.5), Hyperbola)
-        assert isinstance(geometry_for(DPAR_BLIND, params), BoundaryLine)
-        assert isinstance(geometry_for(EO_AWARE, params, pi=0.5), ThresholdPair)
-        assert isinstance(geometry_for(DPAR_AWARE, params), ThresholdPair)
+        """Each setting's membership reads that setting's own score: a
+        point on one boundary is in the margin of that setting only."""
+        params = FairnessParams(lam=1.0, c=0.5, c_bar=0.5)
+        pi, eps = 0.5, 0.01
+        on_boundary = {
+            # u = eta_bar = 0.25: eo-blind coefficient 1 - 2 * (0.25 - 0.5) = 1.5
+            EO_BLIND: ([0.5 / 1.5], [0.25]),
+            # dpar-blind: eta = c + lam (eta_bar - c_bar) = 0.75
+            DPAR_BLIND: ([0.75], [0.75]),
+            # eo-aware group -1: coefficient 1 + 2 * 0.5 = 2, threshold 0.25
+            EO_AWARE: ([0.25], [0.5]),
+            # dpar-aware group +1: threshold c - lam c_bar + lam = 1
+            DPAR_AWARE: ([0.5], [1.0]),
+        }
+        for point_setting, coords in on_boundary.items():
+            for setting in SETTINGS:
+                got = bool(margin_membership(setting, params, pi, coords, eps)[0])
+                assert got == (setting == point_setting), (point_setting, setting)
 
     def test_eo_requires_pi(self):
         params = FairnessParams(lam=1.0, c=0.5, c_bar=0.5)
         for setting in (EO_BLIND, EO_AWARE):
             with pytest.raises(ValidationError, match="requires pi"):
-                geometry_for(setting, params)
+                margin_membership(setting, params, None, ([0.5], [0.5]), 0.05)
+        with pytest.raises(ValidationError, match="requires pi"):
+            write_raster_csv(EO_BLIND, params, None, 5, 0.05, "unused.csv")
         with pytest.raises(ValidationError, match="unknown setting"):
-            geometry_for("parity", params)
+            margin_membership("parity", params, None, ([0.5], [0.5]), 0.05)
 
 
 class TestPluginProxySampler:
@@ -297,12 +377,12 @@ class TestPluginProxySampler:
         )
         sampler = plugin_proxy_sampler(rule, train.features)
         rng = np.random.default_rng(5)
-        u, v = sampler(rng, 40)
-        assert u.shape == v.shape == (40,)
+        eta, eta_bar = sampler(rng, 40)
+        assert eta.shape == eta_bar.shape == (40,)
         # replaying the stream recovers which rows were drawn
         rows = train.features[np.random.default_rng(5).integers(0, len(train.features), 40)]
-        assert u == pytest.approx(predict_proba(rule.eta_bar, rows))
-        assert v == pytest.approx(predict_proba(rule.eta, rows))
+        assert eta == pytest.approx(predict_proba(rule.eta, rows))
+        assert eta_bar == pytest.approx(predict_proba(rule.eta_bar, rows))
 
     def test_aware_coordinates_are_branch_estimates(self):
         train = make_dataset(seed=22)
@@ -328,9 +408,9 @@ class TestPluginProxySampler:
 
 class TestRasterExport:
     def test_layout_and_margin_column(self, tmp_path):
-        line = BoundaryLine(lam=0.0, c=0.5, c_bar=0.5)
+        flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         path = tmp_path / "raster.csv"
-        count = write_raster_csv(line, 5, 0.05, path)
+        count = write_raster_csv(DPAR_BLIND, flat, None, 5, 0.05, path)
         assert count == 25
         lines = path.read_text().splitlines()
         assert lines[0] == "u,v,sign,in_margin"
@@ -343,9 +423,10 @@ class TestRasterExport:
             assert int(flag) == int(expected)
 
     def test_validation(self, tmp_path):
-        line = BoundaryLine(lam=0.0, c=0.5, c_bar=0.5)
+        flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         with pytest.raises(ValidationError, match="at least 2"):
-            write_raster_csv(line, 1, 0.05, tmp_path / "x.csv")
-        pair = dpar_aware_thresholds(FairnessParams(1.0, 0.5, 0.5))
-        with pytest.raises(ValidationError, match="square geometries"):
-            write_raster_csv(pair, 5, 0.05, tmp_path / "x.csv")
+            write_raster_csv(DPAR_BLIND, flat, None, 1, 0.05, tmp_path / "x.csv")
+        for setting in (EO_AWARE, DPAR_AWARE):
+            with pytest.raises(ValidationError, match="blind settings only"):
+                write_raster_csv(setting, flat, 0.5, 5, 0.05, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()

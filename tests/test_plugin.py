@@ -22,7 +22,6 @@ from fairplug.plugin import (
     EO_BLIND,
     SETTINGS,
     PlugInRule,
-    classify,
     coordinates,
     criterion_for,
     fit_plugin,
@@ -211,7 +210,7 @@ class TestScoreAndClassify:
     def test_exact_zero_score_classifies_negative(self):
         rule = self.neutral_rule()
         assert score(rule, np.zeros(2)) == 0.0
-        assert classify(rule, np.zeros(2)) == -1
+        assert not score(rule, np.zeros(2)) > 0
 
     def test_positive_score_classifies_positive(self):
         rule = self.neutral_rule()
@@ -221,7 +220,7 @@ class TestScoreAndClassify:
             eta=rule.eta,
             eta_bar=rule.eta_bar,
         )
-        assert classify(bumped, np.zeros(2)) == 1
+        assert score(bumped, np.zeros(2)) > 0
 
     def test_vector_vs_matrix_shapes(self):
         rule = self.neutral_rule()
@@ -229,7 +228,7 @@ class TestScoreAndClassify:
         batch = score(rule, np.zeros((4, 2)))
         assert isinstance(single, float)
         assert batch.shape == (4,)
-        assert classify(rule, np.zeros((4, 2))).tolist() == [-1, -1, -1, -1]
+        assert (batch > 0).tolist() == [False, False, False, False]
 
     def test_group_argument_contract(self):
         blind = self.neutral_rule()
@@ -303,8 +302,10 @@ class TestFitPlugin:
 
     def test_predictions_are_signs(self, train):
         rule = fit_plugin(train, EO_BLIND, PARAMS, FitConfig())
-        preds = classify(rule, train.features)
-        assert set(np.unique(preds)) <= {-1, 1}
+        scores = score(rule, train.features)
+        assert scores.shape == (train.n,) and np.all(np.isfinite(scores))
+        preds = scores > 0
+        assert preds.any() and not preds.all()
 
     def test_deterministic_given_seed(self, train):
         a = fit_plugin(train, DPAR_BLIND, PARAMS, FitConfig())

@@ -19,10 +19,10 @@ from fairplug.plugin import (
     DPAR_BLIND,
     EO_BLIND,
     SETTINGS,
-    classify,
     fit_plugin,
     is_aware,
     is_eo,
+    score,
     with_params,
 )
 from fairplug.privacy import noise_draw_count
@@ -277,7 +277,7 @@ class TestRunSweep:
         for lam, c, c_bar in ((1.0, 0.5, 0.5), (-1.0, 0.3, 0.6), (0.0, 0.7, 0.4), (1.0, 0.7, 0.4)):
             target = by_point[(lam, c, c_bar)]
             point = with_params(rule, FairnessParams(lam=lam, c=c, c_bar=c_bar))
-            preds = np.asarray(classify(point, test.features, y_bar)) > 0
+            preds = score(point, test.features, y_bar) > 0
             label_pos, group_pos = test.labels > 0, test.sensitive > 0
             label = empirical_rates(preds, label_pos)
             if is_eo(setting):
