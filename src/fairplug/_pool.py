@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 def map_tasks(worker, tasks, jobs: int) -> list:
     """``[worker(task) for task in tasks]``, on ``jobs`` processes when ``jobs > 1``.
@@ -15,5 +13,7 @@ def map_tasks(worker, tasks, jobs: int) -> list:
     jobs = int(jobs)
     if jobs <= 1:
         return [worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # serial runs skip this import
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks))

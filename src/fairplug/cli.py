@@ -536,6 +536,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         )
     params = FairnessParams(lam, c, c_bar)
     asym = geometry.asymptote_x(params, pi) if setting == plugin.EO_BLIND else None
+    geometry.check_raster(resolved["raster"], resolved["eps"])  # before --out is created
     out = _out_dir(resolved)
     rows = geometry.write_raster_csv(
         setting, params, pi, resolved["raster"], resolved["eps"], out / "raster.csv"

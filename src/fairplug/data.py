@@ -6,7 +6,9 @@ positive values, columns to drop, and the missing-value markers.
 Categorical features are one-hot encoded with category order fixed by
 first appearance, so identical file bytes always produce an identical
 dataset.  Rows with missing values in any used column are dropped and
-counted.
+counted.  The loader reads the file once and encodes each kept row as
+it arrives, so it holds typed arrays of one number per used cell, never
+the table's strings; errors name the physical line a record starts on.
 
 The privacy pipeline needs every joint feature-label row inside the
 unit ball.  The transform that achieves it -- per-feature
@@ -24,8 +26,10 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +204,20 @@ def _map_sign(
 
 
 def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadReport]:
-    """Load and encode a headered CSV; also return the load accounting."""
+    """Load and encode a headered CSV; also return the load accounting.
+
+    One pass encodes each kept row as the reader yields it: numeric
+    cells become float64 array entries, categorical cells integer codes
+    in first-appearance order, label and sensitive cells +-1.  The
+    feature matrix is allocated once after the pass, so the loader never
+    holds the table as Python strings -- only the reader's current row,
+    one float64 or int64 per used cell and the level dictionaries.
+
+    Errors name ``path:line`` with the physical line a record starts on.
+    Row-level errors (ragged row, unmappable label or sensitive value)
+    come in file order, then "no usable rows", then the first
+    non-numeric value of the first such column in schema order.
+    """
     path = Path(path)
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -219,32 +236,42 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
             if header.count(column) > 1:
                 raise DataError(f"{path}: column {column!r} appears more than once in the header")
             indices.append(header.index(column))
+        used_cells = itemgetter(*indices)
+        width = len(header)
         missing_values = schema.missing_values
-        kept_rows: list[list[str]] = []
-        labels: list[float] = []
-        sensitive: list[float] = []
+        # per feature: an array of values, or a level-to-code dict and an array of codes
+        encoded = [
+            array("d") if kind == KIND_NUMERIC else ({}, array("q"))
+            for _, kind in schema.features
+        ]
+        numeric = [(j, column) for j, column in enumerate(encoded) if isinstance(column, array)]
+        categorical = [(j, *column) for j, column in enumerate(encoded) if isinstance(column, tuple)]
+        failures: dict[int, ValueError] = {}
+        labels = array("d")
+        sensitive = array("d")
         rows_read = 0
         rows_dropped = 0
-        for line_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+        next_line = reader.line_num + 1
+        for row in reader:
+            line, next_line = next_line, reader.line_num + 1
+            if len(row) != width:
+                if not "".join(row).strip():
+                    continue
+                raise DataError(f"{path}:{line}: expected {width} cells, got {len(row)}")
+            cells = list(map(str.strip, used_cells(row)))
+            if not any(cells) and not "".join(row).strip():
                 continue
             rows_read += 1
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{line_number}: expected {len(header)} cells, got {len(row)}"
-                )
-            cells = [row[i].strip() for i in indices]
             if not missing_values.isdisjoint(cells):
                 rows_dropped += 1
                 continue
-            kept_rows.append(cells[: len(schema.features)])
             labels.append(
                 _map_sign(
                     cells[-2],
                     schema.label_positive,
                     schema.label_values,
                     schema.label_column,
-                    line_number,
+                    line,
                     path,
                 )
             )
@@ -254,41 +281,48 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
                     schema.sensitive_positive,
                     schema.sensitive_values,
                     schema.sensitive_column,
-                    line_number,
+                    line,
                     path,
                 )
             )
-    if not kept_rows:
+            for j, values in numeric:
+                try:
+                    values.append(float(cells[j]))
+                except ValueError as exc:
+                    failures.setdefault(j, exc)
+            for j, seen, codes in categorical:
+                codes.append(seen.setdefault(cells[j], len(seen)))
+    n = len(labels)
+    if not n:
         raise DegenerateDataError(f"{path}: no usable rows after cleaning")
+    if failures:
+        j = min(failures)
+        name = schema.features[j][0]
+        raise DataError(
+            f"{path}: column {name!r} has a non-numeric value: {failures[j]}"
+        ) from failures[j]
 
     levels: dict[str, tuple[str, ...]] = {}
-    columns: list[np.ndarray] = []
-    for j, (name, kind) in enumerate(schema.features):
-        raw = [cells[j] for cells in kept_rows]
+    feature_width = len(numeric) + sum(len(seen) for _, seen, _ in categorical)
+    features = np.zeros((n, feature_width))
+    rows = np.arange(n)
+    start = 0
+    for (name, kind), column in zip(schema.features, encoded):
         if kind == KIND_NUMERIC:
-            try:
-                columns.append(np.array([float(v) for v in raw])[:, None])
-            except ValueError as exc:
-                raise DataError(f"{path}: column {name!r} has a non-numeric value: {exc}") from exc
+            features[:, start] = np.frombuffer(column)
+            start += 1
         else:
-            order: list[str] = []
-            seen: dict[str, int] = {}
-            for v in raw:
-                if v not in seen:
-                    seen[v] = len(order)
-                    order.append(v)
-            levels[name] = tuple(order)
-            onehot = np.zeros((len(raw), len(order)))
-            onehot[np.arange(len(raw)), [seen[v] for v in raw]] = 1.0
-            columns.append(onehot)
-    features = np.hstack(columns)
+            seen, codes = column
+            features[rows, start + np.frombuffer(codes, dtype=np.int64)] = 1.0
+            levels[name] = tuple(seen)
+            start += len(seen)
     dataset = Dataset(
-        features=features, labels=np.array(labels), sensitive=np.array(sensitive)
+        features=features, labels=np.frombuffer(labels), sensitive=np.frombuffer(sensitive)
     )
     report = LoadReport(
         rows_read=rows_read,
         rows_dropped=rows_dropped,
-        feature_width=features.shape[1],
+        feature_width=feature_width,
         categorical_levels=levels,
     )
     log.info(
@@ -296,7 +330,7 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
         path,
         rows_read,
         rows_dropped,
-        features.shape[1],
+        feature_width,
     )
     return dataset, report
 

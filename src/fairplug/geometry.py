@@ -49,6 +49,7 @@ __all__ = [
     "estimate_margin_mass",
     "bound_constants",
     "plugin_proxy_sampler",
+    "check_raster",
     "write_raster_csv",
 ]
 
@@ -245,6 +246,14 @@ def plugin_proxy_sampler(rule: PlugInRule, features: np.ndarray) -> Sampler:
     return sample
 
 
+def check_raster(n: int, eps: float) -> tuple[int, float]:
+    """The raster size (at least 2) and margin half-width (in (0, 1/2)), validated."""
+    n = int(n)
+    if n < 2:
+        raise ValidationError(f"raster size must be at least 2, got {n}")
+    return n, _check_eps(eps)
+
+
 def write_raster_csv(
     setting: str, params: FairnessParams, pi, n: int, eps: float, path: str | Path
 ) -> int:
@@ -260,10 +269,7 @@ def write_raster_csv(
     if is_aware(setting):
         raise ValidationError(f"raster export covers the blind settings only, got {setting!r}")
     pi = _check_pi(setting, pi)
-    n = int(n)
-    if n < 2:
-        raise ValidationError(f"raster size must be at least 2, got {n}")
-    eps = _check_eps(eps)
+    n, eps = check_raster(n, eps)
     axis = np.linspace(0.0, 1.0, n)
     grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
     flat_u, flat_v = grid_u.ravel(), grid_v.ravel()

@@ -11,9 +11,9 @@ randomness, stable float formatting.
 
 from __future__ import annotations
 
+import html
 import math
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -88,11 +88,12 @@ def _axes(frame: _Frame, title: str, x_label: str, y_label: str, x_ticks, y_tick
         f'<rect x="{left}" y="{top}" width="{frame.plot_w}" height="{frame.plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
         f'<text x="{frame.width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-size="14" fill="#111">{escape(title)}</text>',
+        f'font-size="14" fill="#111">{html.escape(title, quote=False)}</text>',
         f'<text x="{(left + right) / 2:.1f}" y="{frame.height - 10}" text-anchor="middle" '
-        f'font-size="12" fill="#111">{escape(x_label)}</text>',
+        f'font-size="12" fill="#111">{html.escape(x_label, quote=False)}</text>',
         f'<text x="16" y="{(top + bottom) / 2:.1f}" text-anchor="middle" font-size="12" '
-        f'fill="#111" transform="rotate(-90 16 {(top + bottom) / 2:.1f})">{escape(y_label)}</text>',
+        f'fill="#111" transform="rotate(-90 16 {(top + bottom) / 2:.1f})">'
+        f'{html.escape(y_label, quote=False)}</text>',
     ]
     for tick in x_ticks:
         px = frame.x(tick)
@@ -189,7 +190,7 @@ def line_plot_svg(
             )
             parts.append(
                 f'<text x="{swatch_x + 24}" y="{legend_y}" font-size="11" '
-                f'fill="#111">{escape(name)}</text>'
+                f'fill="#111">{html.escape(name, quote=False)}</text>'
             )
             legend_y += 16
     body = "\n".join(parts)
@@ -235,7 +236,7 @@ def region_plot_svg(
     parts = [
         f'<rect width="{size}" height="{size + pad_top - pad}" fill="#ffffff"/>',
         f'<text x="{size / 2:.1f}" y="22" text-anchor="middle" font-size="13" '
-        f'fill="#111">{escape(title)}</text>',
+        f'fill="#111">{html.escape(title, quote=False)}</text>',
         f'<rect x="{pad}" y="{pad_top}" width="{plot:.1f}" height="{plot:.1f}" '
         'fill="#f8fafc" stroke="#444"/>',
     ]
@@ -255,7 +256,7 @@ def region_plot_svg(
     if annotation:
         parts.append(
             f'<text x="{pad + 6}" y="{pad_top + 16}" font-size="11" '
-            f'fill="#334155">{escape(annotation)}</text>'
+            f'fill="#334155">{html.escape(annotation, quote=False)}</text>'
         )
     body = "\n".join(parts)
     height = size + pad_top - pad

@@ -9,6 +9,7 @@ routes; if both agree, a shared transcription error is far less likely.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -313,3 +314,111 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return float(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest, row then column
+
+
+class ReferenceLoadError(Exception):
+    """A load failure; ``kind`` names the package exception it stands for."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+def _reference_sign(value, positive, legal, column, line, path) -> float:
+    if value in positive:
+        return 1.0
+    if legal is not None and value not in legal:
+        raise ReferenceLoadError(
+            "DataError", f"{path}:{line}: unmappable value {value!r} in column {column!r}"
+        )
+    return -1.0
+
+
+def reference_load_csv(path, schema) -> dict:
+    """Load a headered CSV the two-pass way: keep every row's strings, then encode.
+
+    ``schema`` is any object with the attributes of ``fairplug.data.CsvSchema``.
+    Records are numbered from 2 in the order the reader yields them, so a
+    quoted cell spanning lines shifts later numbers; compare messages after
+    their ``path:line:`` prefix.  Returns the ``features``, ``labels`` and
+    ``sensitive`` arrays and the ``LoadReport`` fields under ``report``.
+    """
+
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [cell.strip() for cell in next(reader)]
+        except StopIteration:
+            raise ReferenceLoadError("DataError", f"{path}: file is empty") from None
+        indices = []
+        for column in schema.used_columns:
+            if column not in header:
+                raise ReferenceLoadError("DataError", f"{path}: required column {column!r} is missing")
+            if header.count(column) > 1:
+                raise ReferenceLoadError(
+                    "DataError", f"{path}: column {column!r} appears more than once in the header"
+                )
+            indices.append(header.index(column))
+        kept_rows, labels, sensitive = [], [], []
+        rows_read = rows_dropped = 0
+        for line_number, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            rows_read += 1
+            if len(row) != len(header):
+                raise ReferenceLoadError(
+                    "DataError", f"{path}:{line_number}: expected {len(header)} cells, got {len(row)}"
+                )
+            cells = [row[i].strip() for i in indices]
+            if not schema.missing_values.isdisjoint(cells):
+                rows_dropped += 1
+                continue
+            kept_rows.append(cells[: len(schema.features)])
+            labels.append(
+                _reference_sign(cells[-2], schema.label_positive, schema.label_values,
+                                schema.label_column, line_number, path)
+            )
+            sensitive.append(
+                _reference_sign(cells[-1], schema.sensitive_positive, schema.sensitive_values,
+                                schema.sensitive_column, line_number, path)
+            )
+    if not kept_rows:
+        raise ReferenceLoadError("DegenerateDataError", f"{path}: no usable rows after cleaning")
+
+    levels = {}
+    columns = []
+    for j, (name, kind) in enumerate(schema.features):
+        raw = [cells[j] for cells in kept_rows]
+        if kind == "numeric":
+            try:
+                columns.append(np.array([float(v) for v in raw])[:, None])
+            except ValueError as exc:
+                raise ReferenceLoadError(
+                    "DataError", f"{path}: column {name!r} has a non-numeric value: {exc}"
+                ) from exc
+        else:
+            order, seen = [], {}
+            for v in raw:
+                if v not in seen:
+                    seen[v] = len(order)
+                    order.append(v)
+            levels[name] = tuple(order)
+            onehot = np.zeros((len(raw), len(order)))
+            onehot[np.arange(len(raw)), [seen[v] for v in raw]] = 1.0
+            columns.append(onehot)
+    features = np.hstack(columns)
+    return {
+        "features": features,
+        "labels": np.array(labels),
+        "sensitive": np.array(sensitive),
+        "report": {
+            "rows_read": rows_read,
+            "rows_dropped": rows_dropped,
+            "feature_width": features.shape[1],
+            "categorical_levels": levels,
+        },
+    }

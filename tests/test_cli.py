@@ -10,12 +10,16 @@ routines is covered by the per-module tests, not re-proven here.
 from __future__ import annotations
 
 import csv
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairplug
 from fairplug import data, sweep
 from fairplug.cli import main
 from fairplug.kvformat import read_kv
@@ -527,6 +531,16 @@ class TestGeometry:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(("--raster", "1"), "raster size must be at least 2"), (("--eps", "0.5"), "eps must lie")],
+    )
+    def test_rejected_run_leaves_no_out_directory(self, tmp_path, capsys, bad, message):
+        out = tmp_path / "g1"
+        assert main(["geometry", "--params", GEO_PARAMS, *bad, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_aware_setting_rejected(self, tmp_path, capsys):
         # via the flag, argparse choices reject it ...
         code = main(
@@ -549,6 +563,21 @@ class TestGeometry:
         assert main(base + ["--params", "0.4,0.85,0.8"]) == 2
         assert main(base + ["--params", "a,b,c,d"]) == 2
         capsys.readouterr()
+
+
+def test_cli_import_skips_unused_heavy_modules():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(fairplug.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys, fairplug.cli; "
+        "print([m for m in ('xml.sax.saxutils', 'urllib.request', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestReport:
