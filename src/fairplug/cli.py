@@ -226,6 +226,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     for required in ("input", "schema", "out"):
         if resolved[required] is None:
             raise ValidationError(f"--{required} is required")
+    data._check_c(resolved["dp_norm"])
     schema_name = resolved["schema"]
     if schema_name in data.list_bundled_schemas():
         schema_path = data.bundled_schema_path(schema_name)
@@ -286,6 +287,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for required in ("prepared", "out"):
         if resolved[required] is None:
             raise ValidationError(f"--{required} is required")
+    sweep._bin_count(resolved["bin_width"])
     prepared_dir = Path(resolved["prepared"])
     prepared = data.load_prepared(prepared_dir)
     if resolved["dp_norm"] is None:

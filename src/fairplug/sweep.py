@@ -7,21 +7,40 @@ then walk the whole parameter grid -- each grid point is pure
 post-processing of the same fitted pair, so the sweep consumes exactly
 one noise draw per split no matter how large the grid is.
 
-The walk goes one lam slice at a time.  The estimator outputs on the
-test split (:func:`fairplug.plugin.coordinates`), the estimated prior
-and the group cells are computed and checked once per split.  Each
-slice is an ``(n_c * n_c_bar, n_test)`` boolean array of predictions,
-one row per cost point, filled by one unchecked
-:func:`fairplug.plugin.setting_score` call per grid point; a slice
-holds ``n_c * n_c_bar * n_test`` booleans (81 * 4,500 bytes, 0.36 MB,
-on the default grid with a 4,500-row test split), and the full
-``n_lam * n_c * n_c_bar * n_test`` array is never built.  Each slice is
-counted by the rate counters of :mod:`fairplug.metrics`, one row per
-grid point: :func:`~fairplug.metrics.empirical_rates` against the label
-gives true positives and true negatives, and
-:func:`~fairplug.metrics.eo_dbar_rates` or
-:func:`~fairplug.metrics.dpar_dbar_rates` against the sensitive
-attribute gives the predicted positives in the two fairness cells.
+The estimator outputs on the test split
+(:func:`fairplug.plugin.coordinates`), the estimated prior and the group
+cells are computed and checked once per split.  Every prediction is
+``setting_score(...) > 0`` at one grid point and one row, and the grid
+is then counted along one of two paths, chosen by
+:func:`~fairplug.plugin.is_aware`:
+
+* Blind settings walk the grid one lam slice at a time.  Each slice is
+  an ``(n_c * n_c_bar, n_test)`` boolean array of predictions, one row
+  per cost point, filled by one unchecked
+  :func:`fairplug.plugin.setting_score` call per grid point; a slice
+  holds 81 * 4,500 bytes (0.36 MB) on the default grid with a 4,500-row
+  test split, and the full grid-by-rows array is never built.  Each
+  slice is counted by the rate counters of :mod:`fairplug.metrics`, one
+  row per grid point: :func:`~fairplug.metrics.empirical_rates` against
+  the label gives true positives and true negatives, and
+  :func:`~fairplug.metrics.eo_dbar_rates` or
+  :func:`~fairplug.metrics.dpar_dbar_rates` against the sensitive
+  attribute gives the predicted positives in the two fairness cells.
+* Aware settings sort each sensitive group's rows by ``eta`` once and
+  bisect every grid point at once.  Inside one group the score is a
+  fixed chain of IEEE operations on ``eta`` -- ``fl(fl(coef * eta) -
+  c)`` for eo-aware, ``fl(fl(fl(eta - c) + lam c_bar) - lam 1{ybar =
+  +1})`` for dpar-aware -- and each operation is monotone, so ``score >
+  0`` never turns false as ``eta`` grows.  Where the eo-aware group
+  coefficient is <= 0, ``fl(coef * eta) <= 0 < c`` and no row is
+  positive, which the same bisection finds.  So each grid point's
+  positives in a group are the sorted rows from one boundary index on.
+  Each bisection round scores all grid points with one
+  :func:`~fairplug.plugin.setting_score` call at their midpoint rows,
+  about ``log2(n_group)`` calls per group instead of one call on every
+  row per grid point; prefix sums of the label over the sorted rows
+  turn the boundaries into the same counts, bit for bit, as the blind
+  path's counters would give.
 
 The result is one :class:`SweepTable` of equal-length columns, one row
 per (split, grid point): ``split_id``, ``lam``, ``c``, ``c_bar`` and the
@@ -251,16 +270,85 @@ class TradeoffCurve:
         object.__setattr__(self, "bin_width", width)
 
 
-def _run_split(dataset, axes, setting, eps_p, config, seed, dp_c, task) -> np.ndarray:
-    """One split's :data:`COUNT_COLUMNS`, an (8, grid points) int64 array."""
-    split_id, (train_idx, _val_idx, test_idx) = task
+def _count_by_slices(setting, first, second, pi, axes, label_pos, group_pos):
+    """Blind path: hit counts ``(4, grid points)`` and the four totals, one lam slice at a time."""
     lam_values, c_values, c_bar_values = axes
+    # One row of a slice per (c, c_bar) point, c_bar varying fastest.
+    points = [(c, c_bar) for c in c_values.tolist() for c_bar in c_bar_values.tolist()]
+    hits = np.empty((4, lam_values.size, len(points)), dtype=np.int64)
+    pred_pos = np.empty((len(points), first.size), dtype=bool)
+    for slice_id, lam in enumerate(lam_values):
+        for row, (c, c_bar) in enumerate(points):
+            scores = setting_score(setting, first, second, pi, lam, c, c_bar)
+            np.greater(scores, 0.0, out=pred_pos[row])
+        label = empirical_rates(pred_pos, label_pos)
+        if is_eo(setting):
+            group = eo_dbar_rates(pred_pos, label_pos, group_pos)
+        else:
+            group = dpar_dbar_rates(pred_pos, group_pos)
+        hits[:, slice_id] = (
+            label.pos_in_pos, label.n_neg - label.pos_in_neg, group.pos_in_neg, group.pos_in_pos
+        )
+    sizes = (label.n_pos, label.n_neg, group.n_neg, group.n_pos)
+    return hits.reshape(4, -1), sizes
+
+
+def _count_by_bisection(setting, eta, pi, axes, label_pos, group_pos):
+    """Aware path: the same counts from each group's rows sorted by ``eta``.
+
+    ``score > 0`` is monotone in ``eta`` within a group (see the module
+    docstring), so a grid point predicts +1 on exactly the sorted rows
+    from its boundary index ``k`` on.  All grid points are bisected
+    together; each round is one :func:`setting_score` call on their
+    midpoint rows.  With ``labels[k]`` the label positives among the
+    ``k`` lowest rows, a group of ``n`` rows contributes ``labels[n] -
+    labels[k]`` true positives, ``k - labels[k]`` true negatives and
+    ``n - k`` predicted positives.
+    """
+
+    lam, c, c_bar = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
+    tp = tn = 0
+    cells = []  # (predicted positives, size) of the fairness cell in each group
+    for g, rows in ((-1.0, ~group_pos), (1.0, group_pos)):
+        order = np.argsort(eta[rows])
+        eta_sorted = eta[rows][order]
+        labels = np.concatenate([[0], np.cumsum(label_pos[rows][order])])
+        n = eta_sorted.size
+        # Rows below lo score <= 0 and rows from hi on score > 0.
+        lo = np.zeros(lam.size, dtype=np.int64)
+        hi = np.full(lam.size, n, dtype=np.int64)
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            positive = setting_score(
+                setting, eta_sorted[np.minimum(mid, n - 1)], g, pi, lam, c, c_bar
+            ) > 0.0
+            hi = np.where(positive, mid, hi)
+            lo = np.where(positive, lo, np.minimum(mid + 1, hi))
+        true_pos = labels[-1] - labels[lo]
+        tp = tp + true_pos
+        tn = tn + lo - labels[lo]
+        # An EO cell holds the Y = +1 rows, so its predicted positives are true positives.
+        cells.append((true_pos, labels[-1]) if is_eo(setting) else (n - lo, n))
+    (hit_a, n_a), (hit_b, n_b) = cells
+    n_pos = np.count_nonzero(label_pos)
+    return np.stack([tp, tn, hit_a, hit_b]), (n_pos, label_pos.size - n_pos, n_a, n_b)
+
+
+def _run_split(dataset, axes, setting, eps_p, config, seed, dp_c, task) -> np.ndarray:
+    """One split's :data:`COUNT_COLUMNS`, an (8, grid points) int64 array.
+
+    The grid is counted by :func:`_count_by_bisection` for the aware
+    settings and by :func:`_count_by_slices` for the blind ones; both
+    give the counts of ``setting_score(...) > 0`` on every test row.
+    """
+
+    split_id, (train_idx, _val_idx, test_idx) = task
     pipeline_seed = int(np.random.SeedSequence((seed, split_id)).generate_state(1)[0])
-    train_raw = dataset.subset(train_idx)
-    test_raw = dataset.subset(test_idx)
-    transform = fit_dp_transform(train_raw, dp_c)
-    train = apply_dp_transform(transform, train_raw)
-    test = apply_dp_transform(transform, test_raw)
+    # Rebinding drops the raw subsets before the fits, the split's memory peak.
+    train = dataset.subset(train_idx)
+    transform = fit_dp_transform(train, dp_c)
+    train = apply_dp_transform(transform, train)
+    test = apply_dp_transform(transform, dataset.subset(test_idx))
     base_params = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
     if math.isfinite(eps_p):
         rule_base = dp_plugin_pipeline(train, setting, base_params, config, eps_p, pipeline_seed)
@@ -269,30 +357,23 @@ def _run_split(dataset, axes, setting, eps_p, config, seed, dp_c, task) -> np.nd
 
     label_pos = test.labels > 0
     group_pos = test.sensitive > 0
-    groups = test.sensitive if is_aware(setting) else None
-    first, second = coordinates(rule_base, test.features, groups)
-    # One row of a slice per (c, c_bar) point, c_bar varying fastest.
-    points = [(c, c_bar) for c in c_values.tolist() for c_bar in c_bar_values.tolist()]
-    counts = np.empty((len(COUNT_COLUMNS), lam_values.size, len(points)), dtype=np.int64)
-    pred_pos = np.empty((len(points), test.n), dtype=bool)
-    for slice_id, lam in enumerate(lam_values):
-        for row, (c, c_bar) in enumerate(points):
-            scores = setting_score(setting, first, second, rule_base.pi_hat, lam, c, c_bar)
-            np.greater(scores, 0.0, out=pred_pos[row])
-        label = empirical_rates(pred_pos, label_pos)
-        if is_eo(setting):
-            group = eo_dbar_rates(pred_pos, label_pos, group_pos)
-        else:
-            group = dpar_dbar_rates(pred_pos, group_pos)
-        counts[:4, slice_id] = (
-            label.pos_in_pos, label.n_neg - label.pos_in_neg, group.pos_in_neg, group.pos_in_pos
+    if is_aware(setting):
+        eta, _ = coordinates(rule_base, test.features, test.sensitive)
+        hits, sizes = _count_by_bisection(
+            setting, eta, rule_base.pi_hat, axes, label_pos, group_pos
         )
-    sizes = (label.n_pos, label.n_neg, group.n_neg, group.n_pos)
-    counts[4:] = np.reshape(sizes, (4, 1, 1))
+    else:
+        first, second = coordinates(rule_base, test.features)
+        hits, sizes = _count_by_slices(
+            setting, first, second, rule_base.pi_hat, axes, label_pos, group_pos
+        )
+    counts = np.empty((len(COUNT_COLUMNS), hits.shape[1]), dtype=np.int64)
+    counts[:4] = hits
+    counts[4:] = np.reshape(sizes, (4, 1))
     if min(sizes) == 0:
         log.warning("split %d: degenerate test cell; flagging every grid point", split_id)
         counts[:4] = 0
-    return counts.reshape(len(COUNT_COLUMNS), -1)
+    return counts
 
 
 def run_sweep(
@@ -344,6 +425,10 @@ def run_sweep(
 
 
 def _bin_count(bin_width: float) -> int:
+    """How many bins of ``bin_width`` tile [0.5, 1.0]; any other width is rejected."""
+    bin_width = float(bin_width)
+    if not (math.isfinite(bin_width) and 0.0 < bin_width <= 0.5):
+        raise ValidationError(f"bin width must lie in (0, 0.5], got {bin_width}")
     count = 0.5 / bin_width
     if abs(count - round(count)) > 1e-9:
         raise ValidationError(f"bin width {bin_width} does not tile [0.5, 1.0]")

@@ -215,6 +215,47 @@ def exact_performance_measure(
 
 
 # ---------------------------------------------------------------------------
+# grid-sweep confusion counts, one grid point and one row at a time
+
+
+def brute_force_sweep_counts(score, first, second, labels, sensitive, points, criterion):
+    """Per grid point ``(tp, tn, pos_a, pos_b)`` of ``score > 0``, and the four totals.
+
+    ``score(first[i], second[i], lam, c, c_bar)`` is called for every row
+    ``i`` at every ``(lam, c, c_bar)`` in ``points``; a row is predicted +1
+    when it is strictly positive.  Fairness cell ``a`` holds the rows with
+    a negative sensitive attribute and cell ``b`` the others; under the
+    ``'eo'`` criterion both keep only the rows with a positive label.
+    Returns the list of per-point counts and ``(n_pos, n_neg, n_a, n_b)``.
+    """
+
+    rows = list(zip(first, second, labels, sensitive))
+    in_cell = [criterion != "eo" or y > 0 for _, _, y, _ in rows]
+    totals = (
+        sum(1 for _, _, y, _ in rows if y > 0),
+        sum(1 for _, _, y, _ in rows if y < 0),
+        sum(1 for (_, _, _, s), cell in zip(rows, in_cell) if cell and s < 0),
+        sum(1 for (_, _, _, s), cell in zip(rows, in_cell) if cell and s > 0),
+    )
+    hits = []
+    for lam, c, c_bar in points:
+        tp = tn = pos_a = pos_b = 0
+        for (u, v, y, s), cell in zip(rows, in_cell):
+            positive = score(u, v, lam, c, c_bar) > 0
+            if positive and y > 0:
+                tp += 1
+            if not positive and y < 0:
+                tn += 1
+            if positive and cell:
+                if s < 0:
+                    pos_a += 1
+                else:
+                    pos_b += 1
+        hits.append((tp, tn, pos_a, pos_b))
+    return hits, totals
+
+
+# ---------------------------------------------------------------------------
 # decision-boundary curves, transcribed independently
 
 

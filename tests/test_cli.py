@@ -251,8 +251,25 @@ class TestPrepare:
         assert code == 2
         assert "neither a bundled name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dp_norm", ["0", "1", "2", "nan"])
+    def test_bad_dp_norm_leaves_no_out_directory(self, tiny_csv, tiny_schema, tmp_path, capsys,
+                                                 dp_norm):
+        out = tmp_path / "p"
+        args = ["--input", str(tiny_csv), "--schema", str(tiny_schema), "--out", str(out)]
+        assert main(["prepare", *args, "--dp-norm", dp_norm]) == 2
+        assert "label magnitude C must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
+    @pytest.mark.parametrize("width", ["0", "-0.025", "nan", "0.03"])
+    def test_bad_bin_width_leaves_no_out_directory(self, prepared_dir, tmp_path, capsys, width):
+        out = tmp_path / "s"
+        args = ["--prepared", str(prepared_dir), "--grid", SMALL_GRID, "--eps-p", "inf"]
+        assert main(["sweep", *args, "--bin-width", width, "--out", str(out)]) == 2
+        assert "bin width" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_records_and_curve_written(self, sweep_out, prepared_dir):
         records = sweep.read_records_csv(sweep_out / "records.csv")
         assert len(records) == 27 * 2

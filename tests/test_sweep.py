@@ -3,11 +3,13 @@
 import math
 from dataclasses import fields
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import brute_force_sweep_counts
 
 from fairplug.core import Dataset, FairnessParams
 from fairplug.cpe import FitConfig
@@ -17,12 +19,15 @@ from fairplug.metrics import dpar_dbar_rates, empirical_rates, eo_dbar_rates, vi
 from fairplug.plugin import (
     DPAR_AWARE,
     DPAR_BLIND,
+    EO_AWARE,
     EO_BLIND,
     SETTINGS,
+    criterion_for,
     fit_plugin,
     is_aware,
     is_eo,
     score,
+    setting_score,
     with_params,
 )
 from fairplug.privacy import noise_draw_count
@@ -201,6 +206,11 @@ class TestBinning:
         with pytest.raises(ValidationError, match="tile"):
             bin_min_violation(table_of([]), bin_width=0.03)
 
+    @pytest.mark.parametrize("width", [0.0, -0.025, math.nan, math.inf, 0.6])
+    def test_width_out_of_range(self, width):
+        with pytest.raises(ValidationError, match="bin width must lie"):
+            bin_min_violation(table_of([]), bin_width=width)
+
     def test_aggregate_mean_std_per_bin(self):
         curves = [{0.5: 0.2, 0.55: 0.4}, {0.5: 0.4}]
         curve = aggregate_curves(curves, bin_width=0.05)
@@ -326,6 +336,71 @@ class TestRunSweep:
         )
         assert len(table) == 2 * small_grid().cardinality
         assert not table.degenerate.any()
+
+
+# At pi_hat = 0.5 both eo-aware group coefficients are exactly 0 at lam = +-1,
+# c_bar = 0.5 and negative further out.
+AWARE_GRID = SweepGrid(
+    lam=GridRange(-4.0, 4.0, 1.0), c=GridRange(0.1, 0.9, 0.2), c_bar=GridRange(0.1, 0.9, 0.4)
+)
+COSTS = AWARE_GRID.c.values().tolist()
+# An eta equal to a cost scores exactly 0 at lam = 0; repeated values tie.
+AWARE_ROW = st.tuples(
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([-1.0, 1.0]),
+    st.one_of(st.sampled_from([0.0, 1.0, *COSTS]), st.floats(0.0, 1.0)),
+)
+
+
+def aware_prepared(rows):
+    """40 fixed training rows, half of them positive, then one test row per
+    ``(group, label, eta)``; returns the data and the test rows' eta."""
+    gen = np.random.default_rng(11)
+    groups, labels, eta = (np.array(column) for column in zip(*rows))
+    dataset = Dataset(
+        np.vstack([gen.normal(size=(40, 2)), np.zeros((len(rows), 2))]),
+        np.concatenate([np.tile([1.0, -1.0], 20), labels]),
+        np.concatenate([np.repeat([1.0, -1.0], 20), groups]),
+    )
+    splits = [(np.arange(40), np.arange(0), np.arange(40, 40 + len(rows)))]
+    return PreparedData(dataset=dataset, splits=splits, meta={}), eta
+
+
+class TestAwareCountsMatchBruteForce:
+    """The aware sweep's sorted-group counts against a row-by-row count of the same score."""
+
+    @pytest.mark.parametrize("setting", [EO_AWARE, DPAR_AWARE])
+    @settings(max_examples=60)
+    @given(rows=st.lists(AWARE_ROW, min_size=1, max_size=16))
+    @example(rows=[(1.0, 1.0, COSTS[2]), (1.0, -1.0, COSTS[2]), (-1.0, 1.0, COSTS[1]),
+                   (-1.0, -1.0, COSTS[1]), (-1.0, 1.0, COSTS[1])])  # ties on thresholds
+    @example(rows=[(-1.0, 1.0, COSTS[3]), (1.0, 1.0, 0.2), (1.0, -1.0, 0.8)])  # one-row group
+    @example(rows=[(1.0, 1.0, COSTS[0]), (1.0, -1.0, 0.6)])  # empty group: degenerate
+    def test_counts_equal_brute_force(self, setting, rows):
+        prepared, eta = aware_prepared(rows)
+        seen = {}
+
+        def drawn_coordinates(rule, x, y_bar=None):
+            seen["pi"] = rule.pi_hat
+            return eta, np.asarray(y_bar, dtype=float)
+
+        with mock.patch("fairplug.sweep.coordinates", drawn_coordinates):
+            table = run_sweep(prepared, AWARE_GRID, setting, math.inf, FitConfig(), seed=0)
+        assert setting == DPAR_AWARE or seen["pi"] == 0.5
+        groups, labels = [row[0] for row in rows], [row[1] for row in rows]
+        hits, totals = brute_force_sweep_counts(
+            lambda u, v, lam, c, c_bar: setting_score(setting, u, v, seen["pi"], lam, c, c_bar),
+            eta.tolist(),
+            groups,
+            labels,
+            groups,
+            zip(table.lam.tolist(), table.c.tolist(), table.c_bar.tolist()),
+            criterion_for(setting),
+        )
+        expected = np.array(hits) if min(totals) > 0 else np.zeros((len(table), 4))
+        assert np.array_equal(np.stack([table.tp, table.tn, table.pos_a, table.pos_b], 1), expected)
+        for name, total in zip(("n_pos", "n_neg", "n_a", "n_b"), totals):
+            assert (getattr(table, name) == total).all()
 
 
 class TestSerialization:
