@@ -389,9 +389,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if resolved["cpe_lambda"] is None
         else FitConfig(lambda_reg=resolved["cpe_lambda"])
     )
-    out = _out_dir(resolved)
+    # Each experiment validates its inputs and runs before --out is created,
+    # so a rejected or failed run leaves no directory behind.
     extra: dict[str, str] = {}
-
     if experiment == "consistency":
         curve = synthetic.consistency_curve(
             dist,
@@ -405,6 +405,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             known_pi=resolved["known_pi"],
             jobs=jobs,
         )
+        out = _out_dir(resolved)
         synthetic.write_curve_csv(curve, out / "curve.csv")
         sizes = np.array([p.n for p in curve.points], dtype=float)
         means = np.array([p.mean_regret for p in curve.points])
@@ -424,6 +425,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         extra["result.resamples"] = str(curve.resamples)
     elif experiment == "frontier":
         value = synthetic.frontier(dist, resolved["lam"], params, resolved["m"], seed)
+        out = _out_dir(resolved)
         _write_csv_rows(
             out / "frontier.csv",
             ["lambda", "c", "c_bar", "m", "frontier"],
@@ -443,6 +445,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             frontier_m=resolved["m"],
             jobs=jobs,
         )
+        out = _out_dir(resolved)
         _write_csv_rows(
             out / "gap.csv",
             ["lambda", "c", "c_bar", "n", "trials", "gap", "gap_std", "frontier", "excess"],
@@ -474,6 +477,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             cap=resolved["cap"],
             config=fit_config,
         )
+        out = _out_dir(resolved)
         _write_csv_rows(
             out / "complexity.csv",
             ["n", "converged", "eps", "delta_prime", "delta", "trials", "which"],

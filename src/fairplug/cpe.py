@@ -55,6 +55,7 @@ __all__ = [
     "ARITIES",
     "LinearCpe",
     "FitConfig",
+    "append_columns",
     "fit",
     "predict_proba",
     "fit_eta",
@@ -81,16 +82,24 @@ def sigmoid(z):
     on the first branch and ``exp(z)`` on the second.  Choosing the
     numerator by the sign of ``z`` therefore applies the same IEEE
     operations to the same operands as the two-branch formula, so the
-    result is bit-identical to it (a NaN input falls to ``e / d`` and
-    stays NaN) without masking, compressing or scattering the input.
-    A 0-d input returns a float.
+    result is bit-identical to it.  The choice is ``max(e, z >= 0)``
+    rather than a masked select: ``e`` lies in [0, 1], so the maximum
+    with 1 is 1 and the maximum with 0 is ``e`` (never -0), and a NaN
+    ``e`` propagates, so a NaN input stays NaN as in the ``e / d``
+    branch.  The maximum has no data-dependent branch to mispredict.
+    Negation, ``exp``, ``+ 1`` and the division run in place; each is
+    the same correctly rounded operation on the same operand, so the
+    order of buffers changes no bit.  A 0-d input returns a float.
     """
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    values = np.atleast_1d(z)
+    e = np.abs(values)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, values >= 0)
+    e += 1.0
+    out /= e
+    return float(out[0]) if z.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +170,29 @@ class FitConfig:
 _ROUNDOFF = 1e-15
 
 
-def _design(rows: np.ndarray) -> np.ndarray:
-    return np.hstack([rows, np.ones((rows.shape[0], 1))])
+def append_columns(rows: np.ndarray, *columns) -> np.ndarray:
+    """``[rows, *columns]`` for an ``(n, k)`` matrix and ``(n,)`` or scalar columns.
+
+    The block is allocated once and filled column range by column range,
+    so no intermediate ``np.hstack`` copy exists.  Its values and its
+    C-ordered layout are those of ``np.hstack`` of the same columns, so
+    every product with it is bit-identical to one with the stacked matrix.
+    """
+    n, k = rows.shape
+    block = np.empty((n, k + len(columns)))
+    block[:, :k] = rows
+    for j, column in enumerate(columns, start=k):
+        block[:, j] = column
+    return block
+
+
+def _design(rows: np.ndarray, *extra_columns) -> np.ndarray:
+    """``[rows, *extra_columns, 1]``: the fit's design, intercept column last.
+
+    Built by :func:`append_columns` in one allocation, with the values and
+    layout of ``np.hstack([rows, *extra_columns, ones])``.
+    """
+    return append_columns(rows, *extra_columns, 1.0)
 
 
 def _objective_and_grad(w, design, targets, lambda_reg):
@@ -170,28 +200,45 @@ def _objective_and_grad(w, design, targets, lambda_reg):
 
     The targets are +-1, so ``|margins| = |z|`` and one ``e = exp(-|z|)``
     serves both ``sigmoid(-margins)`` (gradient) and ``sigmoid(z)``
-    (returned for the Hessian), each bit-identical to :func:`sigmoid`.
+    (returned for the Hessian), each bit-identical to :func:`sigmoid`:
+    the numerators are ``max(e, margins <= 0)`` and ``max(e, z >= 0)``,
+    exact for the reason given there.  The per-row buffers are reused in
+    place (``-margins`` becomes the loss, then the gradient coefficient;
+    ``z`` becomes ``p``), and the coefficient is ``-(q * t)`` rather than
+    ``(-t) * q``; IEEE negation is exact and rounding is symmetric in
+    sign, so both give the same bits.
     """
     n = design.shape[0]
     z = design @ w
-    margins = targets * z
+    neg_margins = targets * z
+    np.negative(neg_margins, out=neg_margins)
+    loss_is_large = neg_margins >= 0  # margins <= 0, also for -0 and NaN
     # log(1 + exp(-m)) via logaddexp for stability at large |m|
-    obj = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * lambda_reg * float(np.dot(w, w))
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
+    losses = np.logaddexp(0.0, neg_margins, out=neg_margins)
+    obj = float(losses.mean()) + 0.5 * lambda_reg * float(np.dot(w, w))
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     # d/dm log(1+exp(-m)) = -sigmoid(-m); |.| <= 1 always
-    coef = -targets * (np.where(margins <= 0, 1.0, e) / d)
+    coef = np.maximum(e, loss_is_large, out=losses)
+    p = np.maximum(e, z >= 0, out=z)
+    e += 1.0
+    coef /= e
+    p /= e
+    coef *= targets
+    np.negative(coef, out=coef)
     grad = design.T @ coef / n + lambda_reg * w
-    return obj, grad, np.where(z >= 0, 1.0, e) / d
+    return obj, grad, p
 
 
 def _hessian(p, design, lambda_reg):
-    curvature = p * (1.0 - p)
+    curvature = 1.0 - p
+    curvature *= p
     hessian = (design.T * curvature) @ design / design.shape[0]
     return hessian + lambda_reg * np.eye(design.shape[1])
 
 
-def fit(rows, targets, config: FitConfig) -> LinearCpe:
+def fit(rows, targets, config: FitConfig, *extra_columns) -> LinearCpe:
     """Minimize the regularized logistic objective on (rows, targets).
 
     Damped Newton from the zero vector: each step solves ``H d = grad``
@@ -211,6 +258,8 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
     rows : (n, k) design matrix (intercept column appended internally).
     targets : (n,) vector over {-1, +1}; both classes must be present.
     config : optimization hyperparameters.
+    extra_columns : (n,) vectors appended after ``rows``, so the fit runs
+        on ``[rows, *extra_columns]`` without that matrix being built.
 
     Returns
     -------
@@ -228,14 +277,16 @@ def fit(rows, targets, config: FitConfig) -> LinearCpe:
         raise ValidationError(
             f"targets shape {targets.shape} does not match {rows.shape[0]} rows"
         )
-    if not np.all(np.isfinite(rows)):
-        raise ValidationError("rows contain non-finite entries")
+    if any(np.shape(column) != targets.shape for column in extra_columns):
+        raise ValidationError(f"extra columns must have {rows.shape[0]} rows")
     if not np.all(np.isin(targets, (-1.0, 1.0))):
         raise ValidationError("targets must take values -1 or +1")
     if np.all(targets > 0) or np.all(targets < 0):
         raise ValidationError("targets contain a single class; both classes are required")
 
-    design = _design(rows)
+    design = _design(rows, *extra_columns)
+    if not np.all(np.isfinite(design)):
+        raise ValidationError("rows contain non-finite entries")
     w = np.zeros(design.shape[1])
     lam = float(config.lambda_reg)
     obj, grad, p = _objective_and_grad(w, design, targets, lam)
@@ -307,7 +358,8 @@ def predict_proba(model: LinearCpe, inputs):
             f"input dimension {x.shape[-1] if x.ndim else '?'} does not match "
             f"model arity {model.input_arity!r} (expects {model.in_dim})"
         )
-    z = x @ model.weights[:-1] + model.weights[-1]
+    z = x @ model.weights[:-1]
+    z += model.weights[-1]
     p = sigmoid(z)
     return float(p[0]) if single else p
 
@@ -328,8 +380,8 @@ def fit_eta_bar_eo(dataset: Dataset, config: FitConfig) -> LinearCpe:
     preprocessing) so the joint input stays inside the preprocessing
     norm bound.
     """
-    rows = np.hstack([dataset.features, dataset.labels[:, None]])
-    return _retag(fit(rows, np.sign(dataset.sensitive), config), ARITY_FEATURES_PLUS_LABEL)
+    model = fit(dataset.features, np.sign(dataset.sensitive), config, dataset.labels)
+    return _retag(model, ARITY_FEATURES_PLUS_LABEL)
 
 
 def fit_eta_bar_dpar(dataset: Dataset, config: FitConfig) -> LinearCpe:
@@ -339,5 +391,5 @@ def fit_eta_bar_dpar(dataset: Dataset, config: FitConfig) -> LinearCpe:
 
 def fit_eta_aware(dataset: Dataset, config: FitConfig) -> LinearCpe:
     """Fit P(Y=+1 | x, ybar) on ((features, sensitive), labels)."""
-    rows = np.hstack([dataset.features, dataset.sensitive[:, None]])
-    return _retag(fit(rows, np.sign(dataset.labels), config), ARITY_FEATURES_PLUS_SENSITIVE)
+    model = fit(dataset.features, np.sign(dataset.labels), config, dataset.sensitive)
+    return _retag(model, ARITY_FEATURES_PLUS_SENSITIVE)

@@ -47,6 +47,7 @@ from .cpe import (
     ARITY_FEATURES_PLUS_SENSITIVE,
     FitConfig,
     LinearCpe,
+    append_columns,
     fit_eta,
     fit_eta_aware,
     fit_eta_bar_dpar,
@@ -109,7 +110,8 @@ def criterion_for(setting: str) -> str:
 
 def _check_unit(name: str, value) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    # min/max propagate NaN, which fails both comparisons; +-inf fail one.
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValidationError(f"{name} must lie in [0, 1]")
     return arr
 
@@ -262,14 +264,13 @@ def coordinates(rule: PlugInRule, x, y_bar=None) -> tuple[np.ndarray, np.ndarray
         if y_bar is None:
             raise ValidationError(f"setting {rule.setting!r} requires y_bar at prediction time")
         groups = np.broadcast_to(_check_group(y_bar), (rows.shape[0],))
-        eta_xy = predict_proba(rule.eta, np.hstack([rows, groups[:, None]]))
+        eta_xy = predict_proba(rule.eta, append_columns(rows, groups))
         return _check_unit("eta_xy", eta_xy), groups
     if y_bar is not None:
         raise ValidationError(f"setting {rule.setting!r} does not accept y_bar")
     eta_x = _check_unit("eta_x", predict_proba(rule.eta, rows))
     if rule.setting == EO_BLIND:
-        label_col = np.full((rows.shape[0], 1), rule.positive_label)
-        eta_bar_x = predict_proba(rule.eta_bar, np.hstack([rows, label_col]))
+        eta_bar_x = predict_proba(rule.eta_bar, append_columns(rows, rule.positive_label))
     else:
         eta_bar_x = predict_proba(rule.eta_bar, rows)
     return eta_x, _check_unit("eta_bar_x", eta_bar_x)

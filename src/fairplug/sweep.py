@@ -446,7 +446,8 @@ def bin_min_violation(
     accuracy is ``0.5 + N/(2A)``, so ``k = min(n_bins*N // A, n_bins - 1)``,
     exact on every edge.  Rows below 0.5 balanced accuracy (``N < 0``) or
     flagged degenerate contribute nowhere.  Returns only the nonempty
-    bins, keyed by bin_low.
+    bins, keyed by bin_low, and allocates per nonempty bin, so a narrow
+    width costs no more memory than a wide one.
     """
 
     n_bins = _bin_count(bin_width)
@@ -456,10 +457,11 @@ def bin_min_violation(
     numerator = table.tp * table.n_neg + table.tn * table.n_pos - area
     kept = ~table.degenerate & (numerator >= 0)
     index = np.minimum(n_bins * numerator[kept] // area[kept], n_bins - 1)
-    envelope = np.full(n_bins, np.inf)
-    np.minimum.at(envelope, index, table.violation[kept])
-    present = np.flatnonzero(np.bincount(index, minlength=n_bins)).tolist()
-    return {0.5 + k * bin_width: float(envelope[k]) for k in present}
+    # Reduce over the occupied bins only, so memory follows the rows, not 1/width.
+    present, slot = np.unique(index, return_inverse=True)
+    envelope = np.full(present.size, np.inf)
+    np.minimum.at(envelope, slot, table.violation[kept])
+    return {0.5 + k * bin_width: v for k, v in zip(present.tolist(), envelope.tolist())}
 
 
 def aggregate_curves(

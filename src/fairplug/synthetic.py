@@ -339,14 +339,18 @@ class SyntheticDistribution:
     def eta(self, x) -> np.ndarray:
         """P(y = +1 | x) at feature rows (or one vector)."""
         rows = np.atleast_2d(np.asarray(x, dtype=float))
-        values = sigmoid(rows @ self.w_eta[:-1] + self.w_eta[-1])
+        logits = rows @ self.w_eta[:-1]
+        logits += self.w_eta[-1]
+        values = sigmoid(logits)
         return values if np.ndim(x) == 2 else float(values[0])
 
     def eta_bar_eo(self, x, y) -> np.ndarray:
         """P(ybar = +1 | x, y) with y a +-1 scalar or per-row vector."""
         rows = np.atleast_2d(np.asarray(x, dtype=float))
         y_arr = np.broadcast_to(np.asarray(y, dtype=float), (rows.shape[0],))
-        logits = rows @ self.w_eta_bar[:-2] + y_arr * self.w_eta_bar[-2] + self.w_eta_bar[-1]
+        logits = rows @ self.w_eta_bar[:-2]
+        logits += y_arr * self.w_eta_bar[-2]
+        logits += self.w_eta_bar[-1]
         values = sigmoid(logits)
         return values if np.ndim(x) == 2 else float(values[0])
 
@@ -354,7 +358,9 @@ class SyntheticDistribution:
         """P(ybar = +1 | x); requires the zero-label-weight structure."""
         weights = self._require_dpar_weights()
         rows = np.atleast_2d(np.asarray(x, dtype=float))
-        values = sigmoid(rows @ weights[:-1] + weights[-1])
+        logits = rows @ weights[:-1]
+        logits += weights[-1]
+        values = sigmoid(logits)
         return values if np.ndim(x) == 2 else float(values[0])
 
     def _require_dpar_weights(self) -> np.ndarray:
@@ -377,13 +383,18 @@ def sample(dist: SyntheticDistribution, n: int, seed) -> Dataset:
     """Draw an i.i.d. dataset: x from the law, then y, then ybar.
 
     ``seed`` is an integer, an integer tuple, or a Generator; integer
-    seeds make the draw reproducible bit-for-bit.
+    seeds make the draw reproducible bit-for-bit.  Each +-1 label is
+    ``(u < p) * 2 - 1``: a boolean times 2 is exactly 0 or 2, and
+    subtracting 1 in place gives exactly -1 or +1, the values a masked
+    select of the two constants would give, without its branch.
     """
 
     rng = _as_rng(seed)
     x = sample_x(dist.law, n, rng)
-    y = np.where(rng.uniform(size=n) < dist.eta(x), 1.0, -1.0)
-    ybar = np.where(rng.uniform(size=n) < dist.eta_bar_eo(x, y), 1.0, -1.0)
+    y = (rng.uniform(size=n) < dist.eta(x)) * 2.0
+    y -= 1.0
+    ybar = (rng.uniform(size=n) < dist.eta_bar_eo(x, y)) * 2.0
+    ybar -= 1.0
     return Dataset(features=x, labels=y, sensitive=ybar)
 
 

@@ -357,6 +357,37 @@ def sigmoid(z):
     return float(out) if out.ndim == 0 else out
 
 
+def objective_and_grad(w, design, targets, lambda_reg):
+    """The logistic objective, gradient and link by masked selects.
+
+    The same formulas as ``cpe._objective_and_grad``, with each
+    numerator chosen by ``np.where`` and a fresh array per operation;
+    the reference for its branch-free, in-place evaluation.
+    """
+
+    n = design.shape[0]
+    z = design @ w
+    margins = targets * z
+    obj = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * lambda_reg * float(np.dot(w, w))
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    coef = -targets * (np.where(margins <= 0, 1.0, e) / d)
+    grad = design.T @ coef / n + lambda_reg * w
+    return obj, grad, np.where(z >= 0, 1.0, e) / d
+
+
+def sample_labels(rng, x, eta, eta_bar_eo):
+    """The +-1 labels ``synthetic.sample`` draws after the features, by masked selects.
+
+    ``rng`` is positioned after the feature draw; ``eta(x)`` and
+    ``eta_bar_eo(x, y)`` are the distribution's regression functions.
+    """
+
+    y = np.where(rng.uniform(size=len(x)) < eta(x), 1.0, -1.0)
+    ybar = np.where(rng.uniform(size=len(x)) < eta_bar_eo(x, y), 1.0, -1.0)
+    return y, ybar
+
+
 # ---------------------------------------------------------------------------
 # CSV ingest, row then column
 

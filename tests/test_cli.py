@@ -391,6 +391,22 @@ class TestSimulate:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["--trials", "0", "--m-eval", "1000"], "trials must be positive"),
+            (["--trials", "1", "--m-eval", "0"], "sample size must be positive"),
+        ],
+    )
+    def test_rejected_consistency_run_leaves_no_out_directory(self, tmp_path, capsys, bad,
+                                                              message):
+        out = tmp_path / "s0"
+        args = ["--experiment", "consistency", "--dist", "reference-eo", "--setting", "eo-blind",
+                "--lam", "1", "--c", "0.5", "--c-bar", "0.5", "--n-schedule", "256"]
+        assert main(["simulate", *args, *bad, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_consistency(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(

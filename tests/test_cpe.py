@@ -1,6 +1,7 @@
 """Class-probability estimation: objective gradient, fit, prediction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,10 +50,11 @@ def assert_same_bits(got, want):
 
 
 # Every float64 class: signed zeros, subnormals, the overflow edge of exp
-# (|z| near 709.78) and beyond it, infinities and NaN.
+# (|z| near 709.78), the underflow edge (exp(-745) is the last subnormal)
+# and beyond it, infinities and NaN.
 _EDGES = (
-    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 709.78, -709.78, 745.2, -745.2,
-    800.0, -800.0, math.inf, -math.inf, math.nan,
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 709.78, -709.78, 745.0, -745.0,
+    745.2, -745.2, 800.0, -800.0, math.inf, -math.inf, math.nan,
 )
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_EDGES)
 
@@ -65,9 +67,10 @@ class TestSigmoidBitExact:
 
     @given(_ANY_FLOAT)
     def test_scalar_returns_float_matching_oracle(self, z):
-        got = sigmoid(np.float64(z))
-        assert type(got) is float
-        assert_same_bits(got, oracles.sigmoid(z))
+        for scalar in (z, np.float64(z), np.array(z)):
+            got = sigmoid(scalar)
+            assert type(got) is float
+            assert_same_bits(got, oracles.sigmoid(z))
 
     def test_strided_view_matches_oracle(self):
         z = np.linspace(-800.0, 800.0, 4001)[::3]
@@ -77,6 +80,42 @@ class TestSigmoidBitExact:
 def test_design_appends_intercept_column():
     got = _design(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert np.array_equal(got, [[1.0, 2.0, 1.0], [3.0, 4.0, 1.0]])
+
+
+def test_design_places_extra_columns_before_the_intercept():
+    rows = np.arange(6.0).reshape(3, 2)
+    got = _design(rows, np.array([7.0, 8.0, 9.0]), np.array([-1.0, 1.0, -1.0]))
+    want = np.hstack([rows, [[7.0, -1.0], [8.0, 1.0], [9.0, -1.0]], np.ones((3, 1))])
+    assert got.flags.c_contiguous
+    assert_same_bits(got, want)
+
+
+class TestAllocations:
+    """tracemalloc peaks of the logistic kernels, in units of one per-row vector."""
+
+    @staticmethod
+    def peak_bytes(function, *args):
+        tracemalloc.start()
+        try:
+            function(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sigmoid_peak(self):
+        # The masked select held |z|, exp, the mask, the selected numerator
+        # and the quotient at once (3.0x).
+        z = np.random.default_rng(0).normal(size=50_000) * 5.0
+        assert self.peak_bytes(sigmoid, z) <= 2.5 * z.nbytes
+
+    def test_objective_and_grad_peak(self):
+        # The fresh-array evaluation peaked at 7.0x.
+        gen = np.random.default_rng(1)
+        n = 16_384
+        design = _design(gen.normal(size=(n, 2)))
+        targets = np.where(gen.random(n) < 0.5, -1.0, 1.0)
+        w = gen.normal(size=3)
+        assert self.peak_bytes(_objective_and_grad, w, design, targets, 0.1) <= 6 * n * 8
 
 
 class TestLinearCpe:
@@ -143,6 +182,35 @@ class TestObjectiveGradient:
         coef = -targets * oracles.sigmoid(-(targets * z))
         assert_same_bits(grad, design.T @ coef / n + lam * w)
 
+    @given(
+        hnp.arrays(np.float64, st.integers(1, 40), elements=_ANY_FLOAT),
+        st.data(),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200)
+    def test_matches_masked_select_oracle_at_every_float_class(self, z, data, lam):
+        # One design column and a unit weight make design @ w = z, so the
+        # margins reach every edge class, exact zeros of both signs included.
+        targets = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=z.size,
+                                              max_size=z.size)))
+        design, w = z[:, None], np.array([1.0])
+        with np.errstate(all="ignore"):
+            got = _objective_and_grad(w, design, targets, lam)
+            want = oracles.objective_and_grad(w, design, targets, lam)
+        for g, e in zip(got, want):
+            assert_same_bits(g, e)
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 1.0, 50.0, 1e3]))
+    @settings(max_examples=40)
+    def test_matches_masked_select_oracle_on_random_designs(self, case_seed, scale):
+        gen = np.random.default_rng(case_seed)
+        design = _design(gen.normal(size=(30, 3)))
+        targets = np.where(gen.random(30) < 0.5, -1.0, 1.0)
+        w = gen.normal(size=4) * scale
+        got = _objective_and_grad(w, design, targets, 0.25)
+        for g, e in zip(got, oracles.objective_and_grad(w, design, targets, 0.25)):
+            assert_same_bits(g, e)
+
 
 class TestFit:
     def test_input_validation(self):
@@ -155,6 +223,23 @@ class TestFit:
             fit(np.zeros((2, 1)), np.array([1.0, 0.0]), config)
         with pytest.raises(ValidationError, match="single class"):
             fit(np.zeros((2, 1)), np.array([1.0, 1.0]), config)
+        with pytest.raises(ValidationError, match="non-finite"):
+            fit(np.array([[0.0], [np.inf]]), np.array([1.0, -1.0]), config)
+        with pytest.raises(ValidationError, match="non-finite"):
+            fit(np.zeros((2, 1)), np.array([1.0, -1.0]), config, np.array([0.0, np.nan]))
+        with pytest.raises(ValidationError, match="extra columns"):
+            fit(np.zeros((2, 1)), np.array([1.0, -1.0]), config, np.zeros(3))
+
+    def test_extra_columns_fit_as_a_stacked_matrix(self):
+        gen = np.random.default_rng(9)
+        x = gen.normal(size=(120, 2))
+        column = np.where(gen.random(120) < 0.5, -0.5, 0.5)
+        y = np.where(gen.random(120) < sigmoid(x[:, 0] + column), 1.0, -1.0)
+        config = FitConfig(lambda_reg=1e-3, tolerance=1e-10)
+        routed = fit(x, y, config, column)
+        stacked = fit(np.hstack([x, column[:, None]]), y, config)
+        assert_same_bits(routed.weights, stacked.weights)
+        assert routed.n_iters == stacked.n_iters and routed.grad_norm == stacked.grad_norm
 
     def test_recovers_planted_logistic_probabilities(self):
         gen = np.random.default_rng(3)

@@ -22,6 +22,7 @@ from fairplug.plugin import (
     EO_BLIND,
     SETTINGS,
     PlugInRule,
+    _check_unit,
     coordinates,
     criterion_for,
     fit_plugin,
@@ -127,6 +128,14 @@ class TestScoreFormulas:
         )
         with pytest.raises(ValidationError, match="y_bar"):
             coordinates(aware, np.zeros((1, 2)), 0.3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5e-324, 1.0000000000000002])
+    def test_unit_check_rejects_each_non_probability(self, bad):
+        values = np.array([0.0, 0.5, 1.0, bad])
+        with pytest.raises(ValidationError, match="\\[0, 1\\]"):
+            _check_unit("eta_x", values)
+        assert _check_unit("eta_x", values[:3]) is not None
+        assert _check_unit("eta_x", np.empty(0)).size == 0
 
     @given(
         hnp.arrays(

@@ -1,6 +1,7 @@
 """Grid sweep engine, envelope binning, and record/curve serialization."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from unittest import mock
@@ -197,6 +198,18 @@ class TestBinning:
         offset = (Fraction(tp, n_pos) + Fraction(tn, n_neg) - 1) * n_bins
         want = None if offset < 0 else 0.5 + min(math.floor(offset), n_bins - 1) * (0.5 / n_bins)
         assert one_row_bin(n_pos, n_neg, tp, tn, 0.5 / n_bins) == want
+
+    def test_memory_follows_occupied_bins_not_width(self):
+        # 2,000,000 bins; one array entry per bin took 30.5 MiB.
+        table = table_of([(0, 0.0, 0.5, 0.5, 3, 2, 2, 1, 4, 4, 4, 4)])
+        tracemalloc.start()
+        try:
+            curve = bin_min_violation(table, bin_width=2.5e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve == {0.5 + 500_000 * 2.5e-7: 0.25}
+        assert peak < 2**20
 
     def test_flagged_records_skipped(self):
         table = table_of([(0, 0.0, 0.5, 0.5, 0, 0, 0, 0, 4, 0, 2, 2)])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairplug.core import FairnessParams
 from fairplug.cpe import ARITY_FEATURES_PLUS_LABEL, ARITY_FEATURES_PLUS_SENSITIVE
@@ -35,6 +37,7 @@ from fairplug.synthetic import (
     write_curve_csv,
 )
 
+import oracles
 from oracles import sigmoid
 
 PARAMS = FairnessParams(lam=1.0, c=0.5, c_bar=0.5)
@@ -190,6 +193,31 @@ class TestSampleAndStats:
         assert stats.pi == pytest.approx(pi, abs=1e-14)
         assert stats.pi_bar == pytest.approx(pi_bar, abs=1e-14)
         assert stats.beta == pytest.approx(joint / pi, abs=1e-14)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from(range(3)))
+    @settings(max_examples=60)
+    def test_labels_and_logits_match_masked_select_oracle(self, seed, n, which):
+        # The third law saturates both regression functions at exactly 0 and
+        # 1, so every label is decided by a probability at the edge.
+        saturated = SyntheticDistribution(
+            law=DiscreteLaw(points=np.array([[-1.0], [0.0], [1.0]]), masses=np.ones(3) / 3),
+            w_eta=np.array([900.0, 0.0]),
+            w_eta_bar=np.array([-900.0, 0.5, 0.0]),
+        )
+        dist = (reference_eo(), reference_dpar(), saturated)[which]
+        got = sample(dist, n, seed)
+        rng = np.random.default_rng(seed)
+        x = sample_x(dist.law, n, rng)
+        y, ybar = oracles.sample_labels(rng, x, dist.eta, dist.eta_bar_eo)
+        assert got.labels.tobytes() == y.tobytes()
+        assert got.sensitive.tobytes() == ybar.tobytes()
+        w, w_bar = dist.w_eta, dist.w_eta_bar
+        assert dist.eta(x).tobytes() == sigmoid(x @ w[:-1] + w[-1]).tobytes()
+        logits = x @ w_bar[:-2] + y * w_bar[-2] + w_bar[-1]
+        assert dist.eta_bar_eo(x, y).tobytes() == sigmoid(logits).tobytes()
+        if dist.supports_dpar:
+            w_dpar = dist.w_eta_bar_dpar
+            assert dist.eta_bar_dpar(x).tobytes() == sigmoid(x @ w_dpar[:-1] + w_dpar[-1]).tobytes()
 
     def test_sampled_prior_matches_quadrature(self):
         dist = reference_eo()
