@@ -9,9 +9,19 @@ recording the fully resolved configuration and the SHA-256 of each
 input file, and contains no timestamps, so identical inputs with the
 same seed produce byte-identical output trees.
 
-Options may also be supplied through ``--config FILE`` (flat
-``key = value`` text, keys named like the long flags with underscores);
-explicit flags override file values, which override built-in defaults.
+Each command declares its options once, in one table of
+``(name, parser, default, help)`` entries.  Options may also be supplied
+through ``--config FILE`` (flat ``key = value`` text, keys named like the
+long flags with underscores); explicit flags override file values, which
+override built-in defaults.  A flag and a config value are both text
+until the entry's parser reads them, so they share one parse and range
+check, and every option is resolved before the command does any work.
+``seed`` is a key for every command and falls back to ``$FAIRPLUG_SEED``,
+then 0; ``jobs`` is a key only for ``sweep`` and ``simulate``, the two
+commands with independent splits or trials to spread over processes.
+A run that fails removes the ``--out`` directory if it created it; an
+``--out`` that existed before the run is never touched.
+
 Exit codes: 0 success, 2 usage/validation error, 3 data error, 4
 numeric failure.
 """
@@ -24,6 +34,7 @@ import hashlib
 import logging
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -43,7 +54,7 @@ _ENV_SEED = "FAIRPLUG_SEED"
 
 
 # ---------------------------------------------------------------------------
-# option plumbing
+# option parsers: text in, value out, ValueError (or ValidationError) on bad text
 
 
 def _parse_bool(text: str) -> bool:
@@ -76,20 +87,28 @@ def _parse_params(text: str) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValidationError(
-            f"--params takes four comma-separated numbers (lam,pi,c,c_bar), got {text!r}"
+            f"takes four comma-separated numbers (lam,pi,c,c_bar), got {text!r}"
         )
     try:
         lam, pi, c, c_bar = (float(p) for p in parts)
     except ValueError as exc:
-        raise ValidationError(f"--params values must be numeric, got {text!r}") from exc
+        raise ValidationError(f"values must be numeric, got {text!r}") from exc
     return lam, pi, c, c_bar
 
 
-def _parse_grid(text: str) -> sweep.SweepGrid:
+class _GridText(str):
+    """The ``--grid`` text as given, which the manifest records, and the grid it names."""
+
+    grid: sweep.SweepGrid
+
+
+def _parse_grid(text: str) -> _GridText:
     """``default`` or ``lam=a:b:step,c=a:b:step,c_bar=a:b:step`` (any subset)."""
 
+    spec = _GridText(text)
     if text.strip().lower() == "default":
-        return sweep.default_grid()
+        spec.grid = sweep.default_grid()
+        return spec
     ranges = {}
     for entry in text.split(","):
         entry = entry.strip()
@@ -110,59 +129,92 @@ def _parse_grid(text: str) -> sweep.SweepGrid:
             raise ValidationError(f"grid range {spec_text!r} must be numeric") from exc
         ranges[name] = sweep.GridRange(start, stop, step)
     default = sweep.default_grid()
-    return sweep.SweepGrid(
+    spec.grid = sweep.SweepGrid(
         lam=ranges.get("lam", default.lam),
         c=ranges.get("c", default.c),
         c_bar=ranges.get("c_bar", default.c_bar),
     )
+    return spec
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    return read_kv(path)
+def _parse_jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    return jobs
 
 
-def _resolve(args: argparse.Namespace, option_specs: dict, config: dict[str, str]) -> dict:
-    """Merge CLI values, config-file values, and defaults, in that order."""
+def _parse_bin_width(text: str) -> float:
+    width = float(text)
+    sweep._bin_count(width)
+    return width
 
-    resolved = {}
-    for dest, (parser, default) in option_specs.items():
-        cli_value = getattr(args, dest, None)
-        if cli_value is not None:
-            resolved[dest] = cli_value
-        elif dest in config:
-            resolved[dest] = parser(config[dest])
-        else:
-            resolved[dest] = default
-    unknown = set(config) - set(option_specs) - {"seed", "jobs"}
+
+def _parse_band_scale(text: str) -> float:
+    scale = float(text)
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValidationError(f"band scale must be finite and at least 0, got {text!r}")
+    return scale
+
+
+def _choice(options: tuple[str, ...], lead: str):
+    """A parser that accepts exactly ``options``; ``lead`` opens its error message."""
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValidationError(f"{lead} {text!r}; expected one of {options}")
+        return text
+
+    return parse
+
+
+# ---------------------------------------------------------------------------
+# option resolution and run records
+
+#: Default of an option that has none: resolution fails unless it is given.
+_REQUIRED = object()
+
+_OUT = ("out", str, _REQUIRED, "output directory (created if missing)")
+_SEED = ("seed", int, 0, f"master seed (falls back to ${_ENV_SEED}, then 0)")
+_JOBS = ("jobs", _parse_jobs, 1, "worker processes for independent splits/trials")
+_SETTING = ("setting", _choice(plugin.SETTINGS, "unknown setting"), plugin.EO_BLIND,
+            "one of " + ", ".join(plugin.SETTINGS))
+_BIN_WIDTH = ("bin_width", _parse_bin_width, sweep.DEFAULT_BIN_WIDTH,
+              "balanced-accuracy bin width; must tile [0.5, 1]")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _resolve(table: tuple, args: argparse.Namespace) -> tuple[dict, int, int]:
+    """Each option's value: from its flag, else the config file, else its default.
+
+    ``seed`` alone also reads ``$FAIRPLUG_SEED`` before its default.  Returns
+    the options the manifest records, the seed and the job count.  A value
+    that fails its entry's parser is a ValidationError naming the option and
+    where the value came from.
+    """
+
+    config = {} if args.config is None else read_kv(args.config)
+    unknown = set(config) - {entry[0] for entry in table}
     if unknown:
         raise ValidationError(f"config file sets unknown keys: {sorted(unknown)}")
-    return resolved
-
-
-def _resolve_seed(args: argparse.Namespace, config: dict[str, str]) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get(_ENV_SEED)
-    if env is not None:
+    resolved = {}
+    for name, parse, default, _ in table:
+        text, source = getattr(args, name), _flag(name)
+        if text is None and name in config:
+            text, source = config[name], f"{name} (from {args.config})"
+        elif text is None and name == "seed":
+            text, source = os.environ.get(_ENV_SEED), f"${_ENV_SEED}"
         try:
-            return int(env)
+            resolved[name] = default if text is None else parse(text)
         except ValueError as exc:
-            raise ValidationError(f"{_ENV_SEED} must be an integer, got {env!r}") from exc
-    return 0
-
-
-def _resolve_jobs(args: argparse.Namespace, config: dict[str, str]) -> int:
-    value = getattr(args, "jobs", None)
-    if value is None:
-        value = int(config.get("jobs", 1))
-    jobs = int(value)
-    if jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
-    return jobs
+            raise ValidationError(f"{source}: {exc}") from exc
+    missing = [name for name, value in resolved.items() if value is _REQUIRED]
+    if missing:
+        raise ValidationError(f"{_flag(missing[0])} is required")
+    return resolved, resolved.pop("seed"), resolved.pop("jobs", 1)
 
 
 def _format_value(value) -> str:
@@ -210,23 +262,17 @@ def _out_dir(resolved: dict) -> Path:
 # subcommands
 
 
-_PREPARE_OPTIONS = {
-    "input": (str, None),
-    "schema": (str, None),
-    "dp_norm": (float, 0.5),
-    "repeats": (int, 20),
-    "out": (str, None),
-}
+_PREPARE = (
+    ("input", str, _REQUIRED, "source CSV file"),
+    ("schema", str, _REQUIRED, "bundled schema name or schema file path"),
+    ("dp_norm", data._check_c, 0.5, "DP norm cap C in (0, 1)"),
+    ("repeats", int, 20, "number of randomized splits"),
+    _SEED,
+    _OUT,
+)
 
 
-def cmd_prepare(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    resolved = _resolve(args, _PREPARE_OPTIONS, config)
-    seed = _resolve_seed(args, config)
-    for required in ("input", "schema", "out"):
-        if resolved[required] is None:
-            raise ValidationError(f"--{required} is required")
-    data._check_c(resolved["dp_norm"])
+def cmd_prepare(resolved: dict, seed: int, jobs: int) -> int:
     schema_name = resolved["schema"]
     if schema_name in data.list_bundled_schemas():
         schema_path = data.bundled_schema_path(schema_name)
@@ -267,32 +313,26 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_OPTIONS = {
-    "prepared": (str, None),
-    "setting": (str, plugin.EO_BLIND),
-    "eps_p": (_parse_eps_p, 1.0),
-    "grid": (str, "default"),
-    "dp_norm": (float, None),
-    "cpe_lambda": (float, 1e-2),
-    "bin_width": (float, sweep.DEFAULT_BIN_WIDTH),
-    "out": (str, None),
-}
+_SWEEP = (
+    ("prepared", str, _REQUIRED, "prepared dataset directory"),
+    _SETTING,
+    ("eps_p", _parse_eps_p, 1.0, "privacy budget ('inf' disables DP)"),
+    ("grid", _parse_grid, _parse_grid("default"), "'default' or lam=a:b:s,c=a:b:s,c_bar=a:b:s"),
+    ("dp_norm", data._check_c, None, "DP norm cap C in (0, 1); defaults to the prepared one"),
+    ("cpe_lambda", float, 1e-2, "ridge strength of the class-probability fits"),
+    _BIN_WIDTH,
+    _SEED,
+    _JOBS,
+    _OUT,
+)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    resolved = _resolve(args, _SWEEP_OPTIONS, config)
-    seed = _resolve_seed(args, config)
-    jobs = _resolve_jobs(args, config)
-    for required in ("prepared", "out"):
-        if resolved[required] is None:
-            raise ValidationError(f"--{required} is required")
-    sweep._bin_count(resolved["bin_width"])
+def cmd_sweep(resolved: dict, seed: int, jobs: int) -> int:
     prepared_dir = Path(resolved["prepared"])
     prepared = data.load_prepared(prepared_dir)
     if resolved["dp_norm"] is None:
         resolved["dp_norm"] = float(prepared.meta.get("dp_norm_c", 0.5))
-    grid = _parse_grid(resolved["grid"])
+    grid = resolved["grid"].grid
     cpe_config = FitConfig(lambda_reg=resolved["cpe_lambda"])
     table = sweep.run_sweep(
         prepared,
@@ -333,30 +373,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_SIMULATE_OPTIONS = {
-    "experiment": (str, None),
-    "dist": (str, "reference-eo"),
-    "setting": (str, plugin.EO_BLIND),
-    "lam": (float, 1.0),
-    "c": (float, 0.5),
-    "c_bar": (float, 0.5),
-    "n": (int, 2048),
-    "n_schedule": (_parse_int_list, (256, 1024, 4096)),
-    "trials": (int, 10),
-    "m_eval": (int, 100_000),
-    "m": (int, 200_000),
-    "known_pi": (_parse_bool, False),
-    "cpe_lambda": (float, None),
-    "which": (str, "eta"),
-    "eps_target": (float, 0.1),
-    "delta_prime": (float, 0.1),
-    "delta": (float, 0.2),
-    "start": (int, 32),
-    "cap": (int, 65536),
-    "out": (str, None),
-}
-
 _EXPERIMENTS = ("consistency", "frontier", "tradeoff-gap", "sample-complexity")
+
+_SIMULATE = (
+    ("experiment", _choice(_EXPERIMENTS, "unknown experiment"), _REQUIRED,
+     "one of " + ", ".join(_EXPERIMENTS)),
+    ("dist", str, "reference-eo", "distribution file, reference-eo, or reference-dpar"),
+    _SETTING,
+    ("lam", float, 1.0, "fairness trade-off weight"),
+    ("c", float, 0.5, "false-positive cost on the label, in (0, 1)"),
+    ("c_bar", float, 0.5, "false-positive cost on the sensitive attribute, in (0, 1)"),
+    ("n", int, 2048, "training size (tradeoff-gap)"),
+    ("n_schedule", _parse_int_list, (256, 1024, 4096), "consistency sizes"),
+    ("trials", int, 10, "independent trials"),
+    ("m_eval", int, 100_000, "evaluation draw size"),
+    ("m", int, 200_000, "Monte-Carlo draws (frontier)"),
+    ("known_pi", _parse_bool, False, "EO settings use the true label prior (known-prior regime)"),
+    ("cpe_lambda", float, None, "ridge strength of the class-probability fits"),
+    ("which", _choice(synthetic.COMPLEXITY_TARGETS, "unknown sample-complexity target"),
+     "eta", "one of " + ", ".join(synthetic.COMPLEXITY_TARGETS)),
+    ("eps_target", float, 0.1, "error size eps (sample-complexity)"),
+    ("delta_prime", float, 0.1, "allowed P(|error| >= eps) per trial (sample-complexity)"),
+    ("delta", float, 0.2, "allowed share of failing trials (sample-complexity)"),
+    ("start", int, 32, "smallest probed n (sample-complexity)"),
+    ("cap", int, 65536, "largest probed n (sample-complexity)"),
+    _SEED,
+    _JOBS,
+    _OUT,
+)
 
 
 def _resolve_distribution(name: str) -> tuple[synthetic.SyntheticDistribution, Path | None]:
@@ -372,16 +416,8 @@ def _resolve_distribution(name: str) -> tuple[synthetic.SyntheticDistribution, P
     return synthetic.load_distribution(path), path
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    resolved = _resolve(args, _SIMULATE_OPTIONS, config)
-    seed = _resolve_seed(args, config)
-    jobs = _resolve_jobs(args, config)
-    if resolved["out"] is None:
-        raise ValidationError("--out is required")
+def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
     experiment = resolved["experiment"]
-    if experiment not in _EXPERIMENTS:
-        raise ValidationError(f"unknown experiment {experiment!r}; expected one of {_EXPERIMENTS}")
     dist, dist_path = _resolve_distribution(resolved["dist"])
     params = FairnessParams(resolved["lam"], resolved["c"], resolved["c_bar"])
     fit_config = (
@@ -389,8 +425,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if resolved["cpe_lambda"] is None
         else FitConfig(lambda_reg=resolved["cpe_lambda"])
     )
-    # Each experiment validates its inputs and runs before --out is created,
-    # so a rejected or failed run leaves no directory behind.
     extra: dict[str, str] = {}
     if experiment == "consistency":
         curve = synthetic.consistency_curve(
@@ -517,32 +551,26 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
             )
 
 
-_GEOMETRY_OPTIONS = {
-    "params": (_parse_params, None),
-    "setting": (str, plugin.EO_BLIND),
-    "eps": (float, 0.05),
-    "raster": (int, 201),
-    "svg": (_parse_bool, False),
-    "out": (str, None),
-}
+_GEOMETRY = (
+    ("params", _parse_params, _REQUIRED, "lam,pi,c,c_bar"),
+    ("setting",
+     _choice((plugin.EO_BLIND, plugin.DPAR_BLIND),
+             "geometry rasters cover the blind settings only, got"),
+     plugin.EO_BLIND, f"{plugin.EO_BLIND} or {plugin.DPAR_BLIND}"),
+    ("eps", geometry._check_eps, 0.05, "margin half-width in (0, 0.5)"),
+    ("raster", lambda text: geometry.check_raster(int(text)), 201,
+     "lattice points per axis, at least 2"),
+    ("svg", _parse_bool, False, "also draw the margin region as raster.svg"),
+    _SEED,
+    _OUT,
+)
 
 
-def cmd_geometry(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    resolved = _resolve(args, _GEOMETRY_OPTIONS, config)
-    seed = _resolve_seed(args, config)
-    for required in ("params", "out"):
-        if resolved[required] is None:
-            raise ValidationError(f"--{required} is required")
+def cmd_geometry(resolved: dict, seed: int, jobs: int) -> int:
     lam, pi, c, c_bar = resolved["params"]
     setting = resolved["setting"]
-    if setting not in (plugin.EO_BLIND, plugin.DPAR_BLIND):
-        raise ValidationError(
-            f"geometry rasters cover the blind settings only, got {setting!r}"
-        )
     params = FairnessParams(lam, c, c_bar)
     asym = geometry.asymptote_x(params, pi) if setting == plugin.EO_BLIND else None
-    geometry.check_raster(resolved["raster"], resolved["eps"])  # before --out is created
     out = _out_dir(resolved)
     rows = geometry.write_raster_csv(
         setting, params, pi, resolved["raster"], resolved["eps"], out / "raster.csv"
@@ -553,7 +581,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         extra["result.asymptote_x"] = format_float(asym)
         annotation = f"vertical asymptote at u = {asym:.6g}"
     if resolved["svg"]:
-        n = int(resolved["raster"])
+        n = resolved["raster"]
         axis = np.linspace(0.0, 1.0, n)
         grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
         mask = geometry.margin_membership(
@@ -598,21 +626,17 @@ def _boundary_polyline(
     return points
 
 
-_REPORT_OPTIONS = {
-    "records": (str, None),
-    "band_scale": (float, 0.2),
-    "bin_width": (float, sweep.DEFAULT_BIN_WIDTH),
-    "out": (str, None),
-}
+_REPORT = (
+    ("records", str, _REQUIRED,
+     "records.csv (15 columns, with the integer counts) or its directory"),
+    ("band_scale", _parse_band_scale, 0.2, "half-height of the band, in standard deviations"),
+    _BIN_WIDTH,
+    _SEED,
+    _OUT,
+)
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    resolved = _resolve(args, _REPORT_OPTIONS, config)
-    seed = _resolve_seed(args, config)
-    for required in ("records", "out"):
-        if resolved[required] is None:
-            raise ValidationError(f"--{required} is required")
+def cmd_report(resolved: dict, seed: int, jobs: int) -> int:
     records_path = Path(resolved["records"])
     if records_path.is_dir():
         records_path = records_path / "records.csv"
@@ -651,109 +675,68 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly and entry point
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file; flags override it")
-    sub.add_argument("--seed", type=int, help=f"master seed (falls back to ${_ENV_SEED}, then 0)")
-    sub.add_argument("--jobs", type=int, help="worker processes for independent splits/trials")
-    sub.add_argument("--out", help="output directory (created if missing)")
+#: command -> (handler, one-line help, option table)
+_COMMANDS = {
+    "prepare": (cmd_prepare, "encode a CSV and write repeated splits", _PREPARE),
+    "sweep": (cmd_sweep, "traverse the (lam, c, c_bar) grid per split", _SWEEP),
+    "simulate": (cmd_simulate, "synthetic-distribution experiments", _SIMULATE),
+    "geometry": (cmd_geometry, "raster a decision-boundary margin", _GEOMETRY),
+    "report": (cmd_report, "aggregate sweep records into a trade-off curve", _REPORT),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags generated from the option tables; every value arrives as text."""
+
     parser = argparse.ArgumentParser(
         prog="fairplug",
         description="Fairness-aware cost-sensitive classification toolkit",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    prepare = commands.add_parser("prepare", help="encode a CSV and write repeated splits")
-    prepare.add_argument("--input", help="source CSV file")
-    prepare.add_argument("--schema", help="bundled schema name or schema file path")
-    prepare.add_argument("--dp-norm", dest="dp_norm", type=float, help="DP norm cap C in (0, 1)")
-    prepare.add_argument("--repeats", type=int, help="number of randomized splits")
-    _add_common(prepare)
-    prepare.set_defaults(handler=cmd_prepare)
-
-    sweep_cmd = commands.add_parser("sweep", help="traverse the (lam, c, c_bar) grid per split")
-    sweep_cmd.add_argument("--prepared", help="prepared dataset directory")
-    sweep_cmd.add_argument("--setting", choices=plugin.SETTINGS)
-    sweep_cmd.add_argument(
-        "--eps-p", dest="eps_p", type=_parse_eps_p, help="privacy budget ('inf' disables DP)"
-    )
-    sweep_cmd.add_argument("--grid", help="'default' or lam=a:b:s,c=a:b:s,c_bar=a:b:s")
-    sweep_cmd.add_argument("--dp-norm", dest="dp_norm", type=float)
-    sweep_cmd.add_argument("--cpe-lambda", dest="cpe_lambda", type=float)
-    sweep_cmd.add_argument("--bin-width", dest="bin_width", type=float)
-    _add_common(sweep_cmd)
-    sweep_cmd.set_defaults(handler=cmd_sweep)
-
-    simulate = commands.add_parser("simulate", help="synthetic-distribution experiments")
-    simulate.add_argument("--experiment", choices=_EXPERIMENTS)
-    simulate.add_argument("--dist", help="distribution file, reference-eo, or reference-dpar")
-    simulate.add_argument("--setting", choices=plugin.SETTINGS)
-    simulate.add_argument("--lam", type=float)
-    simulate.add_argument("--c", type=float)
-    simulate.add_argument("--c-bar", dest="c_bar", type=float)
-    simulate.add_argument("--n", type=int, help="training size (tradeoff-gap)")
-    simulate.add_argument(
-        "--n-schedule", dest="n_schedule", type=_parse_int_list, help="consistency sizes"
-    )
-    simulate.add_argument("--trials", type=int)
-    simulate.add_argument("--m-eval", dest="m_eval", type=int, help="evaluation draw size")
-    simulate.add_argument("--m", type=int, help="Monte-Carlo draws (frontier)")
-    simulate.add_argument(
-        "--known-pi", dest="known_pi", action="store_const", const=True, default=None
-    )
-    simulate.add_argument("--cpe-lambda", dest="cpe_lambda", type=float)
-    simulate.add_argument("--which", choices=synthetic.COMPLEXITY_TARGETS)
-    simulate.add_argument("--eps-target", dest="eps_target", type=float)
-    simulate.add_argument("--delta-prime", dest="delta_prime", type=float)
-    simulate.add_argument("--delta", type=float)
-    simulate.add_argument("--start", type=int, help="smallest probed n (sample-complexity)")
-    simulate.add_argument("--cap", type=int, help="largest probed n (sample-complexity)")
-    _add_common(simulate)
-    simulate.set_defaults(handler=cmd_simulate)
-
-    geometry_cmd = commands.add_parser("geometry", help="raster a decision-boundary margin")
-    geometry_cmd.add_argument("--params", type=_parse_params, help="lam,pi,c,c_bar")
-    geometry_cmd.add_argument("--setting", choices=(plugin.EO_BLIND, plugin.DPAR_BLIND))
-    geometry_cmd.add_argument("--eps", type=float, help="margin half-width in (0, 0.5)")
-    geometry_cmd.add_argument("--raster", type=int, help="lattice points per axis")
-    geometry_cmd.add_argument("--svg", action="store_const", const=True, default=None)
-    _add_common(geometry_cmd)
-    geometry_cmd.set_defaults(handler=cmd_geometry)
-
-    report = commands.add_parser("report", help="aggregate sweep records into a trade-off curve")
-    report.add_argument(
-        "--records", help="records.csv (15 columns, with the integer counts) or its directory"
-    )
-    report.add_argument("--band-scale", dest="band_scale", type=float)
-    report.add_argument("--bin-width", dest="bin_width", type=float)
-    _add_common(report)
-    report.set_defaults(handler=cmd_report)
+    for command, (_, summary, table) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=summary)
+        sub.add_argument("--config", help="flat key=value config file; flags override it")
+        for name, parse, _, help_text in table:
+            # a boolean option is a switch: present means "true"
+            switch = {"action": "store_const", "const": "true"} if parse is _parse_bool else {}
+            sub.add_argument(_flag(name), dest=name, help=help_text, **switch)
     return parser
+
+
+def _first_missing(path: Path) -> Path | None:
+    """The outermost directory that creating ``path`` would create, if any."""
+
+    return next((p for p in (*reversed(path.parents), path) if not p.exists()), None)
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler, _, table = _COMMANDS[args.command]
+    created = None
+    code = 1
     try:
-        return args.handler(args)
+        resolved, seed, jobs = _resolve(table, args)
+        created = _first_missing(Path(resolved["out"]))
+        code = handler(resolved, seed, jobs)
     except ValidationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
+        code = 4
+    finally:
+        if code != 0 and created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -246,12 +246,12 @@ def plugin_proxy_sampler(rule: PlugInRule, features: np.ndarray) -> Sampler:
     return sample
 
 
-def check_raster(n: int, eps: float) -> tuple[int, float]:
-    """The raster size (at least 2) and margin half-width (in (0, 1/2)), validated."""
+def check_raster(n: int) -> int:
+    """The raster size (lattice points per axis, at least 2), validated."""
     n = int(n)
     if n < 2:
         raise ValidationError(f"raster size must be at least 2, got {n}")
-    return n, _check_eps(eps)
+    return n
 
 
 def write_raster_csv(
@@ -269,7 +269,7 @@ def write_raster_csv(
     if is_aware(setting):
         raise ValidationError(f"raster export covers the blind settings only, got {setting!r}")
     pi = _check_pi(setting, pi)
-    n, eps = check_raster(n, eps)
+    n, eps = check_raster(n), _check_eps(eps)
     axis = np.linspace(0.0, 1.0, n)
     grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
     flat_u, flat_v = grid_u.ravel(), grid_v.ravel()

@@ -22,6 +22,7 @@ import pytest
 import fairplug
 from fairplug import data, sweep
 from fairplug.cli import main
+from fairplug.errors import DataError
 from fairplug.kvformat import read_kv
 
 GEO_PARAMS = "0.4,0.85,0.8,0.9"
@@ -97,9 +98,9 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
 
     def test_bad_eps_p_rejected_by_parser(self, capsys):
-        assert main(["sweep", "--eps-p", "-1"]) == 2
-        assert main(["sweep", "--eps-p", "nan"]) == 2
-        capsys.readouterr()
+        for value in ("-1", "nan"):
+            assert main(["sweep", "--eps-p", value]) == 2
+            assert "eps-p must be positive or 'inf'" in capsys.readouterr().err
 
     def test_invalid_jobs(self, prepared_dir, tmp_path, capsys):
         code = main(
@@ -186,11 +187,150 @@ class TestConfigFile:
         assert main(["geometry", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "rasterr" in capsys.readouterr().err
 
-    def test_seed_and_jobs_keys_are_legal(self, tmp_path, capsys):
-        config = write_config(tmp_path / "cfg.kv", params=GEO_PARAMS, seed=4, jobs=1)
+    def test_seed_and_jobs_keys_are_legal(self, prepared_dir, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.kv", params=GEO_PARAMS, seed=4)
         assert main(["geometry", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert read_kv(tmp_path / "o" / "manifest.kv")["seed"] == "4"
+        # jobs is a key of the two commands that spread work over processes
+        config = write_config(tmp_path / "jobs.kv", jobs=2)
+        grid = "lam=0:0:1,c=0.5:0.5:1,c_bar=0.5:0.5:1"
+        sweep_args = ["--prepared", str(prepared_dir), "--grid", grid, "--eps-p", "inf"]
+        sweep_args += ["--config", str(config), "--out", str(tmp_path / "s")]
+        assert main(["sweep", *sweep_args]) == 0
+        sim_args = ["--experiment", "frontier", "--m", "2000", "--config", str(config)]
+        assert main(["simulate", *sim_args, "--out", str(tmp_path / "f")]) == 0
         capsys.readouterr()
+
+    def test_jobs_key_rejected_by_geometry(self, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.kv", params=GEO_PARAMS, jobs=1)
+        assert main(["geometry", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown keys: ['jobs']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+#: (command, option, bad value, message) -- one or more bad values per validated option
+BAD_VALUES = [
+    *(("prepare", "dp_norm", v, "label magnitude C must lie in (0, 1)")
+      for v in ("0", "1", "2", "nan")),
+    ("prepare", "repeats", "x", "invalid literal for int()"),
+    ("prepare", "seed", "x", "invalid literal for int()"),
+    ("sweep", "setting", "bogus", "unknown setting"),
+    ("sweep", "eps_p", "nan", "eps-p must be positive or 'inf'"),
+    ("sweep", "grid", "lam=0:1", "is not start:stop:step"),
+    ("sweep", "dp_norm", "1.5", "label magnitude C must lie in (0, 1)"),
+    ("sweep", "cpe_lambda", "abc", "could not convert"),
+    *(("sweep", "bin_width", v, "bin width") for v in ("0", "-0.025", "nan", "0.03")),
+    ("sweep", "seed", "x", "invalid literal for int()"),
+    ("sweep", "jobs", "y", "invalid literal for int()"),
+    ("sweep", "jobs", "0", "jobs must be at least 1"),
+    ("simulate", "experiment", "bogus", "unknown experiment"),
+    ("simulate", "setting", "bogus", "unknown setting"),
+    ("simulate", "lam", "abc", "could not convert"),
+    ("simulate", "trials", "1.5", "invalid literal for int()"),
+    ("simulate", "n_schedule", "64,x", "comma-separated integers"),
+    ("simulate", "known_pi", "maybe", "expected a boolean"),
+    ("simulate", "which", "eta_hat", "unknown sample-complexity target"),
+    ("simulate", "jobs", "-5", "jobs must be at least 1"),
+    ("geometry", "params", "a,b,c,d", "must be numeric"),
+    ("geometry", "setting", "eo-aware", "blind settings only"),
+    ("geometry", "eps", "0.5", "eps must lie in (0, 1/2)"),
+    ("geometry", "raster", "x", "invalid literal for int()"),
+    ("geometry", "raster", "1", "raster size must be at least 2"),
+    ("geometry", "svg", "maybe", "expected a boolean"),
+    *(("report", "band_scale", v, "band scale must be finite and at least 0")
+      for v in ("-3", "nan", "inf")),
+    ("report", "bin_width", "0.03", "does not tile"),
+]
+
+SWITCHES = ("known_pi", "svg")  # flags without a value; only a config file can hold a bad one
+
+
+def flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
+def valid_options(command: str, request) -> dict[str, str]:
+    """Options with which ``command`` would run; each case replaces one of them."""
+
+    if command == "prepare":
+        return {
+            "input": str(request.getfixturevalue("tiny_csv")),
+            "schema": str(request.getfixturevalue("tiny_schema")),
+        }
+    if command == "sweep":
+        prepared = request.getfixturevalue("prepared_dir")
+        return {"prepared": str(prepared), "grid": SMALL_GRID, "eps_p": "inf"}
+    if command == "report":
+        return {"records": str(request.getfixturevalue("sweep_out"))}
+    if command == "simulate":
+        return {"experiment": "frontier", "m": "2000"}
+    return {"params": GEO_PARAMS, "raster": "11"}
+
+
+class TestOptionValidation:
+    """A bad value, as a flag or as a config value, exits 2 and leaves no --out."""
+
+    @pytest.mark.parametrize(
+        "command, option, value, message, form",
+        [
+            pytest.param(*case, form, id=f"{case[0]}-{case[1]}={case[2]}-{form}")
+            for case in BAD_VALUES
+            for form in ("flag", "config")
+            if not (form == "flag" and case[1] in SWITCHES)
+        ],
+    )
+    def test_bad_value(self, request, tmp_path, capsys, command, option, value, message, form):
+        options = valid_options(command, request)
+        options.pop(option, None)
+        argv = [command]
+        for name, text in options.items():
+            argv += [flag(name), text]
+        if form == "flag":
+            argv += [flag(option), value]
+            source = flag(option)
+        else:
+            argv += ["--config", str(write_config(tmp_path / "cfg.kv", **{option: value}))]
+            source = f"{option} (from"
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert source in err
+        assert not out.exists()
+
+
+class TestFailedRunCleanup:
+    ARGV = ["geometry", "--params", GEO_PARAMS, "--raster", "11", "--svg"]  # raster.csv, then svg
+
+    @staticmethod
+    def fail_plot(monkeypatch, error: type[Exception]) -> None:
+        def write_svg(*args, **kwargs):
+            raise error("plot could not be written")
+
+        monkeypatch.setattr("fairplug.svg.write_svg", write_svg)
+
+    def test_out_created_by_the_run_is_removed(self, tmp_path, monkeypatch, capsys):
+        self.fail_plot(monkeypatch, DataError)
+        # the run creates new/ as well as new/out, so it removes both
+        assert main([*self.ARGV, "--out", str(tmp_path / "new" / "out")]) == 3
+        assert "plot could not be written" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_unexpected_error_also_removes_it(self, tmp_path, monkeypatch):
+        self.fail_plot(monkeypatch, RuntimeError)
+        with pytest.raises(RuntimeError):
+            main([*self.ARGV, "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
+    def test_out_that_existed_is_left_in_place(self, tmp_path, monkeypatch, capsys):
+        self.fail_plot(monkeypatch, DataError)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        assert main([*self.ARGV, "--out", str(out)]) == 3
+        capsys.readouterr()
+        assert (out / "keep.txt").read_text() == "kept"
+        assert (out / "raster.csv").exists()
 
 
 class TestPrepare:
@@ -251,25 +391,8 @@ class TestPrepare:
         assert code == 2
         assert "neither a bundled name" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dp_norm", ["0", "1", "2", "nan"])
-    def test_bad_dp_norm_leaves_no_out_directory(self, tiny_csv, tiny_schema, tmp_path, capsys,
-                                                 dp_norm):
-        out = tmp_path / "p"
-        args = ["--input", str(tiny_csv), "--schema", str(tiny_schema), "--out", str(out)]
-        assert main(["prepare", *args, "--dp-norm", dp_norm]) == 2
-        assert "label magnitude C must lie in (0, 1)" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestSweep:
-    @pytest.mark.parametrize("width", ["0", "-0.025", "nan", "0.03"])
-    def test_bad_bin_width_leaves_no_out_directory(self, prepared_dir, tmp_path, capsys, width):
-        out = tmp_path / "s"
-        args = ["--prepared", str(prepared_dir), "--grid", SMALL_GRID, "--eps-p", "inf"]
-        assert main(["sweep", *args, "--bin-width", width, "--out", str(out)]) == 2
-        assert "bin width" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_records_and_curve_written(self, sweep_out, prepared_dir):
         records = sweep.read_records_csv(sweep_out / "records.csv")
         assert len(records) == 27 * 2
@@ -575,7 +698,7 @@ class TestGeometry:
         assert not out.exists()
 
     def test_aware_setting_rejected(self, tmp_path, capsys):
-        # via the flag, argparse choices reject it ...
+        # the flag and the config value go through the same option parser
         code = main(
             [
                 "geometry",
@@ -585,7 +708,6 @@ class TestGeometry:
             ]
         )
         assert code == 2
-        # ... and via the config file, the handler itself must
         config = write_config(tmp_path / "cfg.kv", params=GEO_PARAMS, setting="eo-aware")
         code = main(["geometry", "--config", str(config), "--out", str(tmp_path / "b")])
         assert code == 2
