@@ -140,6 +140,10 @@ class UniformBoxLaw:
             raise ValidationError("box must have at least one dimension")
         if not np.all(lows < highs):
             raise ValidationError("each low must be strictly below its high")
+        with np.errstate(over="ignore"):
+            widths = highs - lows
+        if not np.all(np.isfinite(widths)):
+            raise ValidationError("each box width must be finite")
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
 
@@ -239,12 +243,23 @@ def law_dim(law: FeatureLaw) -> int:
 
 
 def sample_x(law: FeatureLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n feature rows from the law using the supplied generator."""
+    """Draw n feature rows from the law using the supplied generator.
+
+    A uniform box is ``rng.random((n, d))`` scaled in place by the widths,
+    then shifted by the lows.  ``Generator.uniform(lows, highs, size)``
+    computes ``low + width * u`` from the same doubles ``u``, drawn in
+    the same C order, with the same two correctly rounded operations, so
+    the rows are bit-identical to it without its per-element broadcast
+    of the bounds or its result-sized temporaries.
+    """
     n = int(n)
     if n <= 0:
         raise ValidationError(f"sample size must be positive, got {n}")
     if isinstance(law, UniformBoxLaw):
-        return rng.uniform(law.lows, law.highs, size=(n, law.dim))
+        x = rng.random((n, law.dim))
+        x *= law.highs - law.lows
+        x += law.lows
+        return x
     if isinstance(law, TruncatedGaussianLaw):
         out = np.empty((0, law.dim))
         batch = max(n, int(math.ceil(2.0 * n / law._accept_mass)))
@@ -391,9 +406,9 @@ def sample(dist: SyntheticDistribution, n: int, seed) -> Dataset:
 
     rng = _as_rng(seed)
     x = sample_x(dist.law, n, rng)
-    y = (rng.uniform(size=n) < dist.eta(x)) * 2.0
+    y = (rng.random(n) < dist.eta(x)) * 2.0
     y -= 1.0
-    ybar = (rng.uniform(size=n) < dist.eta_bar_eo(x, y)) * 2.0
+    ybar = (rng.random(n) < dist.eta_bar_eo(x, y)) * 2.0
     ybar -= 1.0
     return Dataset(features=x, labels=y, sensitive=ybar)
 

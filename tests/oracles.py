@@ -362,7 +362,9 @@ def objective_and_grad(w, design, targets, lambda_reg):
 
     The same formulas as ``cpe._objective_and_grad``, with each
     numerator chosen by ``np.where`` and a fresh array per operation;
-    the reference for its branch-free, in-place evaluation.
+    the reference for its branch-free, in-place evaluation.  The loss is
+    ``np.logaddexp(0, -m)``, which the production loss, built from the
+    shared ``exp(-|z|)``, matches to a few ulps.
     """
 
     n = design.shape[0]
@@ -374,6 +376,17 @@ def objective_and_grad(w, design, targets, lambda_reg):
     coef = -targets * (np.where(margins <= 0, 1.0, e) / d)
     grad = design.T @ coef / n + lambda_reg * w
     return obj, grad, np.where(z >= 0, 1.0, e) / d
+
+
+def uniform_box(rng, lows, highs, n):
+    """``n`` rows uniform on the box ``[lows, highs)``, by ``Generator.uniform``.
+
+    The reference for ``synthetic.sample_x`` on a uniform box, which
+    must consume the generator and return the rows bit for bit as this
+    broadcast draw does.
+    """
+
+    return rng.uniform(lows, highs, size=(n, len(lows)))
 
 
 def sample_labels(rng, x, eta, eta_bar_eo):

@@ -15,12 +15,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fairplug
-from fairplug import data, sweep
+from fairplug import cli, data, sweep
 from fairplug.cli import main
 from fairplug.errors import DataError
 from fairplug.kvformat import read_kv
@@ -297,6 +298,70 @@ class TestOptionValidation:
         assert message in err
         assert source in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["frontier", "tradeoff-gap", "sample-complexity"])
+    @pytest.mark.parametrize("setting", ["eo-aware", "dpar-blind", "dpar-aware"])
+    def test_setting_is_for_consistency_only(self, tmp_path, capsys, experiment, setting):
+        out = tmp_path / "out"
+        argv = ["simulate", "--experiment", experiment, "--setting", setting, "--m", "2000"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--setting {setting} applies to --experiment consistency only" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["eo-blind", "dpar-blind"])
+    @pytest.mark.parametrize(
+        "pi, message",
+        [("5", "pi out of range"), ("0", "pi must be > 0"), ("nan", "pi must be finite")],
+    )
+    def test_prior_is_checked_for_every_setting(self, tmp_path, capsys, setting, pi, message):
+        out = tmp_path / "out"
+        argv = ["geometry", f"--params=0.4,{pi},0.8,0.9", "--setting", setting, "--raster", "11"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "--params" in err
+        assert not out.exists()
+
+
+def fake_libc(accepts: int = 1) -> tuple[SimpleNamespace, list[tuple[int, int]]]:
+    """A C library whose ``mallopt`` records its calls and returns ``accepts``."""
+
+    calls: list[tuple[int, int]] = []
+
+    def mallopt(param: int, value: int) -> int:
+        calls.append((param, value))
+        return accepts
+
+    return SimpleNamespace(mallopt=mallopt), calls
+
+
+class TestHeapPolicy:
+    def test_sets_mmap_then_trim_threshold(self, monkeypatch):
+        libc, calls = fake_libc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_freed_pages()
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_trim_threshold_alone_is_never_set(self, monkeypatch):
+        # a refused mmap threshold leaves glibc's dynamic thresholds alone
+        libc, calls = fake_libc(accepts=0)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_freed_pages()
+        assert calls == [(-3, 32 << 20)]
+
+    @pytest.mark.parametrize("missing", ["no symbol", "no library"])
+    def test_missing_mallopt_does_nothing(self, monkeypatch, tmp_path, capsys, missing):
+        def cdll(name):
+            if missing == "no library":
+                raise OSError("cannot open shared object")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_freed_pages() is None
+        argv = ["geometry", "--params", GEO_PARAMS, "--raster", "11"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "raster.csv").exists()
+        capsys.readouterr()
 
 
 class TestFailedRunCleanup:

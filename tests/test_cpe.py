@@ -26,7 +26,7 @@ from fairplug.cpe import (
     predict_proba,
     sigmoid,
 )
-from fairplug.errors import ValidationError
+from fairplug.errors import NumericError, ValidationError
 
 import oracles
 from oracles import finite_difference_grad
@@ -47,6 +47,25 @@ def assert_same_bits(got, want):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def assert_within_ulps(got: float, want: float, ulps: int):
+    """At most ``ulps`` units in the last place apart; non-finite values of one class."""
+    if not math.isfinite(want):
+        assert math.isnan(got) if math.isnan(want) else got == want
+        return
+    assert math.isfinite(got)
+
+    def ordinal(value: float) -> int:  # consecutive doubles have consecutive ordinals
+        bits = int(np.float64(value).view(np.int64))
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    assert abs(ordinal(got) - ordinal(want)) <= ulps, (got, want)
+
+
+#: The objective's loss is ``max(-m, 0) + log1p(e)``, the oracle's is
+#: ``logaddexp(0, -m)``: the same formula through different exp/log1p code.
+OBJECTIVE_ULPS = 4
 
 
 # Every float64 class: signed zeros, subnormals, the overflow edge of exp
@@ -195,10 +214,11 @@ class TestObjectiveGradient:
                                               max_size=z.size)))
         design, w = z[:, None], np.array([1.0])
         with np.errstate(all="ignore"):
-            got = _objective_and_grad(w, design, targets, lam)
-            want = oracles.objective_and_grad(w, design, targets, lam)
-        for g, e in zip(got, want):
-            assert_same_bits(g, e)
+            obj, grad, p = _objective_and_grad(w, design, targets, lam)
+            want_obj, want_grad, want_p = oracles.objective_and_grad(w, design, targets, lam)
+        assert_same_bits(grad, want_grad)
+        assert_same_bits(p, want_p)
+        assert_within_ulps(obj, want_obj, OBJECTIVE_ULPS)
 
     @given(st.integers(0, 10_000), st.sampled_from([0.0, 1.0, 50.0, 1e3]))
     @settings(max_examples=40)
@@ -207,9 +227,39 @@ class TestObjectiveGradient:
         design = _design(gen.normal(size=(30, 3)))
         targets = np.where(gen.random(30) < 0.5, -1.0, 1.0)
         w = gen.normal(size=4) * scale
-        got = _objective_and_grad(w, design, targets, 0.25)
-        for g, e in zip(got, oracles.objective_and_grad(w, design, targets, 0.25)):
-            assert_same_bits(g, e)
+        obj, grad, p = _objective_and_grad(w, design, targets, 0.25)
+        want_obj, want_grad, want_p = oracles.objective_and_grad(w, design, targets, 0.25)
+        assert_same_bits(grad, want_grad)
+        assert_same_bits(p, want_p)
+        assert_within_ulps(obj, want_obj, OBJECTIVE_ULPS)
+
+    def test_fits_take_the_oracle_objectives_steps(self, monkeypatch):
+        # The objective only gates the Armijo test, so its last-ulp
+        # differences from the oracle must not change a single step.
+        def outcomes() -> list:
+            results = []
+            for seed in range(240):
+                gen = np.random.default_rng(seed)
+                n, d = int(gen.integers(20, 200)), int(gen.integers(1, 5))
+                x = gen.normal(size=(n, d)) * (0.1, 1.0, 10.0)[seed % 3]
+                if seed % 4 == 0:  # separable: the first feature decides the label
+                    y = np.where(x[:, 0] > 0, 1.0, -1.0)
+                else:
+                    y = np.where(gen.random(n) < sigmoid(x @ gen.normal(size=d)), 1.0, -1.0)
+                if np.all(y == y[0]):
+                    y[0] = -y[0]
+                lam = (0.0, 1e-4, 1e-2, 1.0, 0.0)[seed % 5]
+                try:
+                    model = fit(x, y, FitConfig(lambda_reg=lam, max_iters=60))
+                except NumericError as exc:
+                    results.append(str(exc))
+                    continue
+                results.append((model.weights.tobytes(), model.grad_norm, model.n_iters))
+            return results
+
+        production = outcomes()
+        monkeypatch.setattr("fairplug.cpe._objective_and_grad", oracles.objective_and_grad)
+        assert outcomes() == production
 
 
 class TestFit:

@@ -95,6 +95,23 @@ class TestSampleX:
         assert x.shape == (500, 2)
         assert np.all(x >= law.lows) and np.all(x <= law.highs)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 3, 1000])
+    def test_uniform_matches_generator_uniform_bit_for_bit(self, seed, dim, n):
+        gen = np.random.default_rng(seed + dim)
+        lows = gen.normal(size=dim) * 10.0
+        law = UniformBoxLaw(lows=lows, highs=lows + gen.uniform(1e-3, 20.0, size=dim))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = sample_x(law, n, rng)
+        assert x.tobytes() == oracles.uniform_box(ref_rng, law.lows, law.highs, n).tobytes()
+        # both leave the generator at the same state
+        assert rng.random() == ref_rng.random()
+
+    def test_uniform_box_width_must_be_finite(self):
+        with pytest.raises(ValidationError, match="width must be finite"):
+            UniformBoxLaw(lows=np.array([-1e308]), highs=np.array([1e308]))
+
     def test_gaussian_respects_truncation(self):
         law = TruncatedGaussianLaw(
             mean=np.zeros(2), std=np.ones(2), lows=-np.ones(2) * 0.5, highs=np.ones(2) * 0.5
