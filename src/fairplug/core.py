@@ -41,8 +41,10 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+def _readonly(a: np.ndarray, copy: bool = True) -> np.ndarray:
+    """``a`` as a read-only float array, copied unless ``copy`` is false."""
+    if copy:
+        a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
 
@@ -70,6 +72,26 @@ class Dataset:
     label_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        self._check_and_freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, features: np.ndarray, labels: np.ndarray, sensitive: np.ndarray) -> "Dataset":
+        """A dataset that takes over float arrays nothing else refers to.
+
+        For a loader that has just built the arrays: they are checked as
+        the constructor checks them and made read-only in place, not
+        copied.  Every other caller goes through the constructor, which
+        copies.
+        """
+        dataset = cls.__new__(cls)
+        object.__setattr__(dataset, "features", features)
+        object.__setattr__(dataset, "labels", labels)
+        object.__setattr__(dataset, "sensitive", sensitive)
+        object.__setattr__(dataset, "label_scale", 1.0)
+        dataset._check_and_freeze(copy=False)
+        return dataset
+
+    def _check_and_freeze(self, copy: bool) -> None:
         features = np.asarray(self.features, dtype=float)
         labels = np.asarray(self.labels, dtype=float)
         sensitive = np.asarray(self.sensitive, dtype=float)
@@ -94,9 +116,9 @@ class Dataset:
             )
         if not np.all(np.isin(sensitive, (-1.0, 1.0))):
             raise ValidationError("sensitive values must be -1 or +1")
-        object.__setattr__(self, "features", _readonly(features))
-        object.__setattr__(self, "labels", _readonly(labels))
-        object.__setattr__(self, "sensitive", _readonly(sensitive))
+        object.__setattr__(self, "features", _readonly(features, copy))
+        object.__setattr__(self, "labels", _readonly(labels, copy))
+        object.__setattr__(self, "sensitive", _readonly(sensitive, copy))
         object.__setattr__(self, "label_scale", scale)
 
     @property

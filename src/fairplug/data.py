@@ -6,9 +6,12 @@ positive values, columns to drop, and the missing-value markers.
 Categorical features are one-hot encoded with category order fixed by
 first appearance, so identical file bytes always produce an identical
 dataset.  Rows with missing values in any used column are dropped and
-counted.  The loader reads the file once and encodes each kept row as
-it arrives, so it holds typed arrays of one number per used cell, never
-the table's strings; errors name the physical line a record starts on.
+counted.  The loader reads the file once, through ``csv.reader``.
+Cells are encoded a chunk of rows at a time into one int32 code per
+used cell, each column through a table of its distinct cells, so the
+loader holds one chunk of cells, the codes and the distinct values --
+never the table's strings.  Errors name the physical line a record
+starts on.
 
 The privacy pipeline needs every joint feature-label row inside the
 unit ball.  The transform that achieves it -- per-feature
@@ -27,9 +30,9 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -188,142 +191,131 @@ def bundled_schema_path(name: str) -> Path:
     return path
 
 
-def _map_sign(
-    value: str,
-    positive: frozenset[str],
-    legal: frozenset[str] | None,
-    column: str,
-    line: int,
-    path,
-) -> float:
-    if value in positive:
-        return 1.0
-    if legal is not None and value not in legal:
-        raise DataError(f"{path}:{line}: unmappable value {value!r} in column {column!r}")
-    return -1.0
+def _records(handle, path) -> Iterator[tuple[int, list[str]]]:
+    """``(physical line, cells)`` for each record ``csv.reader`` reads from ``handle``.
+
+    ``handle`` is a ``newline=""`` text file; a record is numbered by the
+    line it starts on, which a quoted cell spanning lines moves for the
+    records after it.  csv's own errors become :class:`DataError` naming
+    ``path`` and the line of the record csv was reading.
+    """
+    reader = csv.reader(handle)
+    start = 1
+    try:
+        for cells in reader:
+            yield start, cells
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{path}:{start}: {exc}") from exc
+
+
+class _Codes(dict):
+    """Raw cell -> code of its stripped value; codes in first-appearance order.
+
+    Each distinct raw cell is stripped once; ``values[code]`` is the
+    stripped value, so cells that differ only in surrounding blanks
+    share a code.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.values: list[str] = []
+        self.code_of: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        value = raw.strip()
+        if value not in self.code_of:
+            self.code_of[value] = len(self.values)
+            self.values.append(value)
+        code = self[raw] = self.code_of[value]
+        return code
+
+    def flags(self, test) -> np.ndarray:
+        """``test(value)`` for every code, as a boolean lookup table."""
+        return np.fromiter(map(test, self.values), dtype=bool, count=len(self.values))
+
+
+_CHUNK_RECORDS = 512
 
 
 def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadReport]:
     """Load and encode a headered CSV; also return the load accounting.
 
-    One pass encodes each kept row as the reader yields it: numeric
-    cells become float64 array entries, categorical cells integer codes
-    in first-appearance order, label and sensitive cells +-1.  The
-    feature matrix is allocated once after the pass, so the loader never
-    holds the table as Python strings -- only the reader's current row,
-    one float64 or int64 per used cell and the level dictionaries.
+    Records come from ``csv.reader`` through :func:`_records`.
+    Full-width records are buffered ``_CHUNK_RECORDS`` at a time; each
+    used column of a chunk is then encoded into int32 codes through a
+    :class:`_Codes` table, one dict lookup per cell.
+    Everything else runs once per distinct value or as a gather over
+    the codes: blank-row and missing-value tests, label and sensitive
+    signs and legality, ``float`` parsing, and the renumbering of
+    categorical levels by first appearance among kept rows.  The loader
+    never holds more of the table's strings than one chunk of cells; the
+    rest is one int32 code per used cell and the distinct values.
 
     Errors name ``path:line`` with the physical line a record starts on.
     Row-level errors (ragged row, unmappable label or sensitive value)
     come in file order, then "no usable rows", then the first
-    non-numeric value of the first such column in schema order.
+    non-numeric value of the first such column in schema order.  A file
+    that is not UTF-8, or that csv cannot parse, is a :class:`DataError`.
     """
     path = Path(path)
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        indices: list[int] = []
-        for column in schema.used_columns:
-            if column not in header:
-                raise DataError(f"{path}: required column {column!r} is missing")
-            if header.count(column) > 1:
-                raise DataError(f"{path}: column {column!r} appears more than once in the header")
-            indices.append(header.index(column))
-        used_cells = itemgetter(*indices)
-        width = len(header)
-        missing_values = schema.missing_values
-        # per feature: an array of values, or a level-to-code dict and an array of codes
-        encoded = [
-            array("d") if kind == KIND_NUMERIC else ({}, array("q"))
-            for _, kind in schema.features
-        ]
-        numeric = [(j, column) for j, column in enumerate(encoded) if isinstance(column, array)]
-        categorical = [(j, *column) for j, column in enumerate(encoded) if isinstance(column, tuple)]
-        failures: dict[int, ValueError] = {}
-        labels = array("d")
-        sensitive = array("d")
-        rows_read = 0
-        rows_dropped = 0
-        next_line = reader.line_num + 1
-        for row in reader:
-            line, next_line = next_line, reader.line_num + 1
-            if len(row) != width:
-                if not "".join(row).strip():
-                    continue
-                raise DataError(f"{path}:{line}: expected {width} cells, got {len(row)}")
-            cells = list(map(str.strip, used_cells(row)))
-            if not any(cells) and not "".join(row).strip():
-                continue
-            rows_read += 1
-            if not missing_values.isdisjoint(cells):
-                rows_dropped += 1
-                continue
-            labels.append(
-                _map_sign(
-                    cells[-2],
-                    schema.label_positive,
-                    schema.label_values,
-                    schema.label_column,
-                    line,
-                    path,
-                )
-            )
-            sensitive.append(
-                _map_sign(
-                    cells[-1],
-                    schema.sensitive_positive,
-                    schema.sensitive_values,
-                    schema.sensitive_column,
-                    line,
-                    path,
-                )
-            )
-            for j, values in numeric:
-                try:
-                    values.append(float(cells[j]))
-                except ValueError as exc:
-                    failures.setdefault(j, exc)
-            for j, seen, codes in categorical:
-                codes.append(seen.setdefault(cells[j], len(seen)))
-    n = len(labels)
+    try:
+        with handle:
+            tables, codes, lines, blank = _encode_columns(path, schema, _records(handle, path))
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
+    kept = _check_rows(path, schema, tables, codes, lines, blank)
+    n = int(np.count_nonzero(kept))
+    rows_read = len(kept) - int(np.count_nonzero(blank))
+    rows_dropped = rows_read - n
     if not n:
         raise DegenerateDataError(f"{path}: no usable rows after cleaning")
-    if failures:
-        j = min(failures)
-        name = schema.features[j][0]
-        raise DataError(
-            f"{path}: column {name!r} has a non-numeric value: {failures[j]}"
-        ) from failures[j]
+    if n < len(kept):
+        codes = [column[kept] for column in codes]
 
-    levels: dict[str, tuple[str, ...]] = {}
-    feature_width = len(numeric) + sum(len(seen) for _, seen, _ in categorical)
+    # Per column, a table indexed by code: each distinct numeric value's
+    # float, or each categorical code's level by first appearance among
+    # the kept rows.  The tables fix the width; then every cell is a gather.
+    lookups = []
+    for (name, kind), table, column in zip(schema.features, tables, codes):
+        if kind == KIND_NUMERIC:
+            lookups.append((name, _parse_numeric(path, name, table, column), None))
+            continue
+        first = np.full(len(table.values), n)
+        np.minimum.at(first, column, np.arange(n))
+        order = np.argsort(first)[: np.count_nonzero(first < n)]
+        remap = np.zeros(len(table.values), dtype=np.intp)
+        remap[order] = np.arange(len(order))
+        lookups.append((name, remap, tuple(table.values[code] for code in order)))
+    feature_width = sum(1 if levels is None else len(levels) for _, _, levels in lookups)
     features = np.zeros((n, feature_width))
     rows = np.arange(n)
+    categorical_levels: dict[str, tuple[str, ...]] = {}
     start = 0
-    for (name, kind), column in zip(schema.features, encoded):
-        if kind == KIND_NUMERIC:
-            features[:, start] = np.frombuffer(column)
+    for (name, lookup, levels), column in zip(lookups, codes):
+        if levels is None:
+            features[:, start] = lookup[column]
             start += 1
         else:
-            seen, codes = column
-            features[rows, start + np.frombuffer(codes, dtype=np.int64)] = 1.0
-            levels[name] = tuple(seen)
-            start += len(seen)
-    dataset = Dataset(
-        features=features, labels=np.frombuffer(labels), sensitive=np.frombuffer(sensitive)
-    )
+            features[rows, start + lookup[column]] = 1.0
+            categorical_levels[name] = levels
+            start += len(levels)
+    signs = []
+    for table, column, positive in zip(
+        tables[-2:], codes[-2:], (schema.label_positive, schema.sensitive_positive)
+    ):
+        signs.append(np.where(table.flags(positive.__contains__), 1.0, -1.0)[column])
+    # arrays nothing else refers to: the dataset takes them over uncopied
+    dataset = Dataset._adopt(features, signs[0], signs[1])
     report = LoadReport(
         rows_read=rows_read,
         rows_dropped=rows_dropped,
         feature_width=feature_width,
-        categorical_levels=levels,
+        categorical_levels=categorical_levels,
     )
     log.info(
         "loaded %s: %d rows read, %d dropped, feature width %d",
@@ -333,6 +325,135 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
         feature_width,
     )
     return dataset, report
+
+
+def _encode_columns(path: Path, schema: CsvSchema, records):
+    """Code tables, int32 codes and start lines of every full-width record.
+
+    Returns one :class:`_Codes` table and one code array per used column
+    (features in schema order, then label, then sensitive), the start
+    line of each record and a mask of the blank ones.  A ragged record
+    that is not blank raises, after any unmappable value in the rows
+    before it.
+    """
+    try:
+        _, header = next(records)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    header = [cell.strip() for cell in header]
+    indices: list[int] = []
+    for column in schema.used_columns:
+        if column not in header:
+            raise DataError(f"{path}: required column {column!r} is missing")
+        if header.count(column) > 1:
+            raise DataError(f"{path}: column {column!r} appears more than once in the header")
+        indices.append(header.index(column))
+    width = len(header)
+    tables = [_Codes() for _ in indices]
+    columns = [array("i") for _ in indices]
+    lines = array("q")
+    blank_rows: list[int] = []
+    flat: list[str] = []
+
+    def flush() -> None:
+        start = len(columns[0])
+        for table, column, index in zip(tables, columns, indices):
+            column.extend(map(table.__getitem__, flat[index::width]))
+        if all("" in table.code_of for table in tables):
+            # only a record whose used cells are all blank can be a blank record
+            used_blank = np.logical_and.reduce(
+                [
+                    np.frombuffer(column[start:], dtype=np.intc) == table.code_of[""]
+                    for table, column in zip(tables, columns)
+                ]
+            )
+            for row in np.flatnonzero(used_blank).tolist():
+                if not "".join(flat[row * width : (row + 1) * width]).strip():
+                    blank_rows.append(start + row)
+        flat.clear()
+
+    def finish():
+        flush()
+        codes = [np.frombuffer(column, dtype=np.intc) for column in columns]
+        blank = np.zeros(len(lines), dtype=bool)
+        blank[blank_rows] = True
+        return tables, codes, np.frombuffer(lines, dtype=np.int64), blank
+
+    chunk = _CHUNK_RECORDS * width
+    for line, cells in records:
+        if len(cells) == width:
+            flat += cells
+            lines.append(line)
+            if len(flat) >= chunk:
+                flush()
+        elif "".join(cells).strip():
+            _check_rows(path, schema, *finish())
+            raise DataError(f"{path}:{line}: expected {width} cells, got {len(cells)}")
+    return finish()
+
+
+def _check_rows(path: Path, schema: CsvSchema, tables, codes, lines, blank) -> np.ndarray:
+    """The mask of kept rows: not blank and no missing marker in a used cell.
+
+    Raises for the first kept row whose label, then sensitive, value is
+    outside the schema's declared value set.
+    """
+    missing = blank.copy()
+    for table, column in zip(tables, codes):
+        missing |= table.flags(schema.missing_values.__contains__)[column]
+    kept = ~missing
+    failure = None
+    for table, column, (name, positive, legal) in zip(
+        tables[-2:],
+        codes[-2:],
+        (
+            (schema.label_column, schema.label_positive, schema.label_values),
+            (schema.sensitive_column, schema.sensitive_positive, schema.sensitive_values),
+        ),
+    ):
+        if legal is None:
+            continue
+        unmappable = table.flags(lambda value: value not in positive and value not in legal)
+        bad = np.flatnonzero(unmappable[column] & kept)
+        # the label column goes first, so on one row its value is named
+        if bad.size and (failure is None or bad[0] < failure[0]):
+            failure = (int(bad[0]), table.values[column[bad[0]]], name)
+    if failure is not None:
+        row, value, name = failure
+        raise DataError(f"{path}:{lines[row]}: unmappable value {value!r} in column {name!r}")
+    return kept
+
+
+def _parse_numeric(path: Path, name: str, table: _Codes, column: np.ndarray) -> np.ndarray:
+    """The float of each code's value, each distinct value parsed once.
+
+    Raises for the first row of ``column`` whose value ``float`` rejects.
+    """
+    values = np.empty(len(table.values))
+    errors: dict[int, ValueError] = {}
+    for code, value in enumerate(table.values):
+        try:
+            values[code] = float(value)
+        except ValueError as exc:
+            errors[code] = exc
+    if errors:
+        rejected = np.flatnonzero(np.isin(column, list(errors)))
+        if rejected.size:
+            exc = errors[int(column[rejected[0]])]
+            raise DataError(f"{path}: column {name!r} has a non-numeric value: {exc}") from exc
+    return values
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> DataError:
+    """A decode failure as a :class:`DataError` naming the first bad byte's line."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        head = raw[: whole.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return DataError(f"{path}:{line}: not UTF-8 text: {whole}")
+    return DataError(f"{path}: not UTF-8 text: {exc}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -165,8 +165,18 @@ def sample_noise(dim: int, gamma: float, seed) -> np.ndarray:
 
 
 def noise_draw_count() -> int:
-    """Process-wide number of noise draws so far (audit hook)."""
+    """Process-wide number of noise draws so far (audit hook).
+
+    Draws made in ``--jobs`` worker processes count once their caller
+    has added them with :func:`_add_worker_draws`.
+    """
     return _NOISE_DRAWS
+
+
+def _add_worker_draws(count: int) -> None:
+    """Count ``count`` draws that another process made on this one's behalf."""
+    global _NOISE_DRAWS
+    _NOISE_DRAWS += int(count)
 
 
 def privatize(

@@ -93,7 +93,7 @@ from .plugin import (
     is_eo,
     setting_score,
 )
-from .privacy import dp_plugin_pipeline
+from .privacy import _add_worker_draws, dp_plugin_pipeline, noise_draw_count
 
 # Imported but not called here: perfbench's tracer wraps these names at
 # ``fairplug.sweep.<name>``.
@@ -334,15 +334,19 @@ def _count_by_bisection(setting, eta, pi, axes, label_pos, group_pos):
     return np.stack([tp, tn, hit_a, hit_b]), (n_pos, label_pos.size - n_pos, n_a, n_b)
 
 
-def _run_split(dataset, axes, setting, eps_p, config, seed, dp_c, task) -> np.ndarray:
-    """One split's :data:`COUNT_COLUMNS`, an (8, grid points) int64 array.
+def _run_split(
+    dataset, axes, setting, eps_p, config, seed, dp_c, task
+) -> tuple[np.ndarray, int]:
+    """One split's :data:`COUNT_COLUMNS` and the noise draws it made.
 
-    The grid is counted by :func:`_count_by_bisection` for the aware
-    settings and by :func:`_count_by_slices` for the blind ones; both
-    give the counts of ``setting_score(...) > 0`` on every test row.
+    The counts are an (8, grid points) int64 array.  The grid is counted
+    by :func:`_count_by_bisection` for the aware settings and by
+    :func:`_count_by_slices` for the blind ones; both give the counts of
+    ``setting_score(...) > 0`` on every test row.
     """
 
     split_id, (train_idx, _val_idx, test_idx) = task
+    draws = noise_draw_count()
     pipeline_seed = int(np.random.SeedSequence((seed, split_id)).generate_state(1)[0])
     # Rebinding drops the raw subsets before the fits, the split's memory peak.
     train = dataset.subset(train_idx)
@@ -373,7 +377,7 @@ def _run_split(dataset, axes, setting, eps_p, config, seed, dp_c, task) -> np.nd
     if min(sizes) == 0:
         log.warning("split %d: degenerate test cell; flagging every grid point", split_id)
         counts[:4] = 0
-    return counts
+    return counts, noise_draw_count() - draws
 
 
 def run_sweep(
@@ -414,7 +418,12 @@ def run_sweep(
     run = partial(
         _run_split, prepared.dataset, axes, setting, eps_p, cpe_config, int(seed), float(dp_norm_c)
     )
-    per_split = map_tasks(run, list(enumerate(prepared.splits)), jobs)
+    draws = noise_draw_count()
+    results = map_tasks(run, list(enumerate(prepared.splits)), jobs)
+    per_split = [counts for counts, _ in results]
+    # a draw made in a worker process raised only that worker's counter
+    worker_draws = sum(split_draws for _, split_draws in results) - (noise_draw_count() - draws)
+    _add_worker_draws(worker_draws)
     table = SweepTable(
         np.repeat(np.arange(len(per_split), dtype=np.int64), grid.cardinality),
         *(np.tile(axis.ravel(), len(per_split)) for axis in np.meshgrid(*axes, indexing="ij")),

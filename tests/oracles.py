@@ -405,6 +405,21 @@ def sample_labels(rng, x, eta, eta_bar_eo):
 # CSV ingest, row then column
 
 
+def csv_records(handle) -> list[tuple[int, list[str]]]:
+    """``(physical start line, cells)`` of every record ``csv.reader`` yields.
+
+    The reference for ``fairplug.data._records``; ``handle`` yields lines
+    as a ``newline=""`` text file does.
+    """
+
+    reader = csv.reader(handle)
+    records, start = [], 1
+    for cells in reader:
+        records.append((start, cells))
+        start = reader.line_num + 1
+    return records
+
+
 class ReferenceLoadError(Exception):
     """A load failure; ``kind`` names the package exception it stands for."""
 
@@ -427,10 +442,11 @@ def reference_load_csv(path, schema) -> dict:
     """Load a headered CSV the two-pass way: keep every row's strings, then encode.
 
     ``schema`` is any object with the attributes of ``fairplug.data.CsvSchema``.
-    Records are numbered from 2 in the order the reader yields them, so a
-    quoted cell spanning lines shifts later numbers; compare messages after
-    their ``path:line:`` prefix.  Returns the ``features``, ``labels`` and
-    ``sensitive`` arrays and the ``LoadReport`` fields under ``report``.
+    Records are numbered by the physical line they start on, from the
+    reader's ``line_num``, so a quoted cell spanning lines moves later
+    numbers as it does in ``fairplug.data``.  Returns the ``features``,
+    ``labels`` and ``sensitive`` arrays and the ``LoadReport`` fields
+    under ``report``.
     """
 
     with open(path, newline="", encoding="utf-8") as handle:
@@ -450,7 +466,9 @@ def reference_load_csv(path, schema) -> dict:
             indices.append(header.index(column))
         kept_rows, labels, sensitive = [], [], []
         rows_read = rows_dropped = 0
-        for line_number, row in enumerate(reader, start=2):
+        next_line = reader.line_num + 1
+        for row in reader:
+            line_number, next_line = next_line, reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
             rows_read += 1

@@ -444,6 +444,25 @@ class TestPrepare:
         assert "prepared 1000 rows" in capsys.readouterr().out
         assert read_kv(out / "meta.kv")["schema"] == "german_gender"
 
+    @pytest.mark.parametrize("defect", ["undecodable byte", "oversized quoted cell"])
+    def test_malformed_text_is_a_data_error(self, tiny_csv, tiny_schema, tmp_path, capsys, defect):
+        text = tiny_csv.read_bytes()
+        cut = text.index(b"\n", len(text) // 2) + 1
+        if defect == "undecodable byte":
+            bad, message = b"\xff", "not UTF-8 text"
+        else:
+            bad, message = b'"' + b"x" * (csv.field_size_limit() + 1) + b'"', "field larger"
+        source = tmp_path / "bad.csv"
+        source.write_bytes(text[:cut] + bad + text[cut:])
+        out = tmp_path / "o"
+        code = main(
+            ["prepare", "--input", str(source), "--schema", str(tiny_schema), "--out", str(out)]
+        )
+        assert code == 3
+        line = text[:cut].count(b"\n") + 1
+        assert f"bad.csv:{line}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_schema_rejected(self, tiny_csv, tmp_path, capsys):
         code = main(
             [

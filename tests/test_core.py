@@ -26,6 +26,43 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
 
+    def test_caller_writeable_arrays_are_copied(self):
+        features = np.zeros((2, 2))
+        labels = np.array([1.0, -1.0])
+        sensitive = np.array([1.0, 1.0])
+        ds = Dataset(features, labels, sensitive)
+        features[0, 0] = 5.0
+        labels[0] = -1.0
+        sensitive[1] = -1.0
+        assert ds.features.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert ds.labels.tolist() == [1.0, -1.0]
+        assert ds.sensitive.tolist() == [1.0, 1.0]
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        base = np.zeros((2, 2))
+        view = base[:]
+        view.setflags(write=False)
+        ds = Dataset(view, np.ones(2), np.ones(2))
+        base[1, 1] = 7.0
+        assert ds.features[1, 1] == 0.0
+
+    def test_read_only_arrays_a_caller_owns_are_copied(self):
+        features = np.zeros((2, 2))
+        features.setflags(write=False)
+        ds = Dataset(features, np.ones(2), np.ones(2))
+        features.setflags(write=True)
+        features[0, 0] = 5.0
+        assert ds.features is not features and ds.features[0, 0] == 0.0
+
+    def test_adopt_checks_and_freezes_in_place(self):
+        arrays = [np.zeros((2, 2)), np.ones(2), np.ones(2)]
+        ds = Dataset._adopt(*arrays)
+        assert ds.features is arrays[0] and ds.labels is arrays[1] and ds.sensitive is arrays[2]
+        assert not any(array.flags.writeable for array in arrays)
+        assert ds.label_scale == 1.0
+        with pytest.raises(ValidationError, match="sensitive"):
+            Dataset._adopt(np.zeros((2, 2)), np.ones(2), np.zeros(2))
+
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="mismatch"):
             Dataset(np.zeros((3, 2)), np.ones(2), np.ones(3))

@@ -282,6 +282,15 @@ class TestRunSweep:
         run_sweep(prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(), seed=3)
         assert noise_draw_count() - before == 0
 
+    def test_noise_draws_in_worker_processes_are_counted(self):
+        prepared = prepared_data(n_repeats=3)
+        before = noise_draw_count()
+        run_sweep(prepared, small_grid(), DPAR_BLIND, 1.0, FitConfig(), seed=3, jobs=2)
+        assert noise_draw_count() - before == 3
+        before = noise_draw_count()
+        run_sweep(prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(), seed=3, jobs=2)
+        assert noise_draw_count() - before == 0
+
     @pytest.mark.parametrize("setting", SETTINGS)
     def test_record_matches_manual_reconstruction(self, setting):
         """Grid points recomputed one at a time from the documented per-split recipe."""
