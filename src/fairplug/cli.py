@@ -389,12 +389,13 @@ _SIMULATE = (
     ("n_schedule", _parse_int_list, (256, 1024, 4096), "consistency sizes"),
     ("trials", int, 10, "independent trials"),
     ("m_eval", int, 100_000, "evaluation draw size"),
-    ("m", int, 200_000, "Monte-Carlo draws (frontier)"),
+    ("m", int, 200_000, "Monte-Carlo draws (frontier; sample-complexity margin mass)"),
     ("known_pi", _parse_bool, False, "EO settings use the true label prior (known-prior regime)"),
     ("cpe_lambda", float, None, "ridge strength of the class-probability fits"),
     ("which", _choice(synthetic.COMPLEXITY_TARGETS, "unknown sample-complexity target"),
      "eta", "one of " + ", ".join(synthetic.COMPLEXITY_TARGETS)),
-    ("eps_target", float, 0.1, "error size eps (sample-complexity)"),
+    ("eps_target", geometry._check_eps, 0.1,
+     "error size eps in (0, 0.5), also the margin half-width (sample-complexity)"),
     ("delta_prime", float, 0.1, "allowed P(|error| >= eps) per trial (sample-complexity)"),
     ("delta", float, 0.2, "allowed share of failing trials (sample-complexity)"),
     ("start", int, 32, "smallest probed n (sample-complexity)"),
@@ -518,7 +519,9 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
             start=resolved["start"],
             cap=resolved["cap"],
             config=fit_config,
+            jobs=jobs,
         )
+        constants = _margin_constants(dist, params, resolved, seed)
         out = _out_dir(resolved)
         _write_csv_rows(
             out / "complexity.csv",
@@ -542,11 +545,36 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         )
         extra["result.n"] = str(result.n)
         extra["result.converged"] = "true" if result.converged else "false"
+        for name in ("margin_mass", "b_const", "g_const", "q_const"):
+            extra[f"result.{name}"] = format_float(getattr(constants, name))
 
     inputs = {} if dist_path is None else {"dist": dist_path}
     _write_manifest(out, f"simulate.{experiment}", resolved, seed, inputs, extra)
     print(f"simulate {experiment} on {resolved['dist']} -> {out}")
     return 0
+
+
+def _margin_constants(
+    dist: synthetic.SyntheticDistribution, params: FairnessParams, resolved: dict, seed: int
+) -> geometry.BoundConstants:
+    """Finite-sample constants of the exact eo-blind rule at ``--eps-target``.
+
+    The margin mass is counted over ``--m`` feature draws mapped through
+    the distribution's true ``(eta, eta_bar)``, on the stream
+    ``estimate_margin_mass`` seeds from ``(seed, 0)``.
+    """
+
+    stats = synthetic.true_stats(dist)
+
+    def true_coordinates(rng: np.random.Generator, count: int):
+        x = synthetic.sample_x(dist.law, count, rng)
+        return dist.eta(x), dist.eta_bar_eo(x, 1.0)
+
+    mass, _ = geometry.estimate_margin_mass(
+        true_coordinates, plugin.EO_BLIND, params, stats.pi,
+        resolved["eps_target"], resolved["m"], seed,
+    )
+    return geometry.bound_constants(mass, resolved["delta_prime"], stats, params)
 
 
 def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
@@ -580,58 +608,28 @@ def cmd_geometry(resolved: dict, seed: int, jobs: int) -> int:
     params = FairnessParams(lam, c, c_bar)
     asym = geometry.asymptote_x(params, pi) if setting == plugin.EO_BLIND else None
     out = _out_dir(resolved)
-    rows = geometry.write_raster_csv(
-        setting, params, pi, resolved["raster"], resolved["eps"], out / "raster.csv"
-    )
-    extra = {"result.rows": str(rows)}
+    n = resolved["raster"]
+    mask = geometry.write_raster_csv(setting, params, pi, n, resolved["eps"], out / "raster.csv")
+    extra = {"result.rows": str(mask.size)}
     annotation = ""
     if asym is not None:
         extra["result.asymptote_x"] = format_float(asym)
         annotation = f"vertical asymptote at u = {asym:.6g}"
     if resolved["svg"]:
-        n = resolved["raster"]
         axis = np.linspace(0.0, 1.0, n)
-        grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
-        mask = geometry.margin_membership(
-            setting, params, pi, (grid_v.ravel(), grid_u.ravel()), resolved["eps"]
-        ).reshape(n, n)
         svg.write_svg(
             svg.region_plot_svg(
                 axis,
                 mask,
-                _boundary_polyline(setting, params, pi, axis),
+                geometry.boundary_polyline(setting, params, pi, axis),
                 title=f"{setting} margin region (eps={resolved['eps']:g})",
                 annotation=annotation,
             ),
             out / "raster.svg",
         )
     _write_manifest(out, "geometry", resolved, seed, {}, extra)
-    print(f"rastered {rows} points for {setting} -> {out}")
+    print(f"rastered {mask.size} points for {setting} -> {out}")
     return 0
-
-
-def _boundary_polyline(
-    setting: str, params: FairnessParams, pi: float, axis: np.ndarray
-) -> list[tuple[float, float]]:
-    """Zero-level points of a blind setting's score, one per raster column.
-
-    The score is affine in ``eta`` (the vertical axis) at each fixed
-    ``eta_bar`` (the horizontal one), so the root on each column is exact
-    from the scores at ``eta = 0`` and ``eta = 1``.
-    """
-
-    bottom, top = (
-        plugin.setting_score(setting, eta, axis, pi, params.lam, params.c, params.c_bar)
-        for eta in (0.0, 1.0)
-    )
-    points = []
-    for u, low, high in zip(axis, bottom, top):
-        if low == high:
-            continue
-        t = low / (low - high)
-        if 0.0 <= t <= 1.0:
-            points.append((float(u), float(t)))
-    return points
 
 
 _REPORT = (

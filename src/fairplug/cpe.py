@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Dataset
-from .errors import NumericError, ValidationError
+from .errors import DegenerateDataError, NumericError, ValidationError
 
 __all__ = [
     "ARITY_FEATURES",
@@ -266,7 +266,8 @@ def fit(rows, targets, config: FitConfig, *extra_columns) -> LinearCpe:
     Parameters
     ----------
     rows : (n, k) design matrix (intercept column appended internally).
-    targets : (n,) vector over {-1, +1}; both classes must be present.
+    targets : (n,) vector over {-1, +1}; both classes must be present
+        (a single class is a DegenerateDataError).
     config : optimization hyperparameters.
     extra_columns : (n,) vectors appended after ``rows``, so the fit runs
         on ``[rows, *extra_columns]`` without that matrix being built.
@@ -292,7 +293,7 @@ def fit(rows, targets, config: FitConfig, *extra_columns) -> LinearCpe:
     if not np.all(np.isin(targets, (-1.0, 1.0))):
         raise ValidationError("targets must take values -1 or +1")
     if np.all(targets > 0) or np.all(targets < 0):
-        raise ValidationError("targets contain a single class; both classes are required")
+        raise DegenerateDataError("targets contain a single class; both classes are required")
 
     design = _design(rows, *extra_columns)
     if not np.all(np.isfinite(design)):

@@ -8,11 +8,12 @@ the aware scores are affine in ``eta(x, ybar)`` within each group.
 
 This module provides margin-set membership (is a point's closed
 ``2*eps`` box close enough to the boundary to be flipped by estimation
-error of size ``eps``), Monte-Carlo margin mass, the unit-square raster,
-the vertical asymptote of the equal-opportunity blind boundary, and the
-derived bound constants used by the finite-sample analysis.
+error of size ``eps``), Monte-Carlo margin mass, the unit-square raster
+and boundary polyline, the vertical asymptote of the equal-opportunity
+blind boundary, and the derived bound constants used by the
+finite-sample analysis.
 
-Every margin, raster sign and asymptote evaluates
+Every margin, raster sign, polyline and asymptote evaluates
 :func:`fairplug.plugin.setting_score`, the same arithmetic that
 classifies, on coordinates in :func:`fairplug.plugin.coordinates` order;
 no score formula is restated here.  Margin membership is a corner sign
@@ -25,8 +26,10 @@ test the two ends of each group's interval on ``eta(x, -1)`` and
 ``eta(x, +1)`` and take the union over the groups.
 
 True margin mass needs the true regression functions, so it is only
-available through a synthetic sampler; on fitted models the plug-in
-proxy sampler substitutes estimates and the result is labeled a proxy.
+available through a synthetic distribution: ``simulate --experiment
+sample-complexity`` draws features from the distribution's law, maps
+them through its exact ``(eta, eta_bar)`` and reports the mass with the
+bound constants built from it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .core import DistStats, FairnessParams, _check_prob
 from .errors import ValidationError
-from .plugin import EO_BLIND, PlugInRule, coordinates, is_aware, is_eo, setting_score
+from .plugin import EO_BLIND, is_aware, is_eo, setting_score
 
 __all__ = [
     "BoundConstants",
@@ -48,9 +51,9 @@ __all__ = [
     "margin_membership",
     "estimate_margin_mass",
     "bound_constants",
-    "plugin_proxy_sampler",
     "check_raster",
     "write_raster_csv",
+    "boundary_polyline",
 ]
 
 #: Sampler contract: ``sampler(rng, count)`` returns the per-point
@@ -224,28 +227,6 @@ def bound_constants(
     return result
 
 
-def plugin_proxy_sampler(rule: PlugInRule, features: np.ndarray) -> Sampler:
-    """Sampler over fitted estimates -- a plug-in proxy, not true mass.
-
-    Resamples rows of ``features`` with replacement and projects them
-    through the rule's fitted estimators.  Because the coordinates are
-    estimates rather than true regression values, masses computed from
-    this sampler are proxies; report them under a proxy label.
-    """
-
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValidationError("features must be a nonempty matrix")
-
-    def sample(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = features[rng.integers(0, features.shape[0], size=count)]
-        if is_aware(rule.setting):
-            return coordinates(rule, rows, -1.0)[0], coordinates(rule, rows, 1.0)[0]
-        return coordinates(rule, rows)
-
-    return sample
-
-
 def check_raster(n: int) -> int:
     """The raster size (lattice points per axis, at least 2), validated."""
     n = int(n)
@@ -256,14 +237,15 @@ def check_raster(n: int) -> int:
 
 def write_raster_csv(
     setting: str, params: FairnessParams, pi, n: int, eps: float, path: str | Path
-) -> int:
+) -> np.ndarray:
     """Raster the unit square: rows of (u, v, sign, in_margin) CSV.
 
     The grid is the inclusive n-by-n lattice over [0, 1]^2 with ``u``
     the sensitive-attribute coordinate ``eta_bar`` and ``v`` the label
     coordinate ``eta`` of a blind setting; ``sign`` is the sign of the
     setting's score at the lattice point and ``in_margin`` flags
-    2*eps-box intersection.  Returns the number of data rows written.
+    2*eps-box intersection.  Returns the ``in_margin`` flags as an
+    ``(n, n)`` boolean array indexed ``[u, v]``, one entry per data row.
     """
 
     if is_aware(setting):
@@ -275,10 +257,34 @@ def write_raster_csv(
     flat_u, flat_v = grid_u.ravel(), grid_v.ravel()
     scores = setting_score(setting, flat_v, flat_u, pi, params.lam, params.c, params.c_bar)
     signs = np.sign(scores).astype(int)
-    member = margin_membership(setting, params, pi, (flat_v, flat_u), eps).astype(int)
+    member = margin_membership(setting, params, pi, (flat_v, flat_u), eps)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["u", "v", "sign", "in_margin"])
         for u, v, s, flag in zip(flat_u, flat_v, signs, member):
             writer.writerow([f"{u:.10g}", f"{v:.10g}", int(s), int(flag)])
-    return n * n
+    return member.reshape(n, n)
+
+
+def boundary_polyline(
+    setting: str, params: FairnessParams, pi, axis: np.ndarray
+) -> list[tuple[float, float]]:
+    """Zero-level points of a blind setting's score, one per raster column.
+
+    The score is affine in ``eta`` (the vertical axis) at each fixed
+    ``eta_bar`` (the horizontal one), so the root on each column is exact
+    from the scores at ``eta = 0`` and ``eta = 1``.
+    """
+
+    bottom, top = (
+        setting_score(setting, eta, axis, pi, params.lam, params.c, params.c_bar)
+        for eta in (0.0, 1.0)
+    )
+    points = []
+    for u, low, high in zip(axis, bottom, top):
+        if low == high:
+            continue
+        t = low / (low - high)
+        if 0.0 <= t <= 1.0:
+            points.append((float(u), float(t)))
+    return points

@@ -158,7 +158,12 @@ def cost_sensitive_risk(rates: Counts, pi: float, c: float) -> float:
 
 
 def balanced_csr(rates: Counts, c: float) -> float:
-    """Balanced cost-sensitive risk  c FPR + (1-c) FNR  (prior weights dropped)."""
+    """Balanced cost-sensitive risk  c FPR + (1-c) FNR  (prior weights dropped).
+
+    No command reports it; it stays public as one of the named measures
+    of acceptance criterion 12, whose ratio and difference equivalences
+    are stated in it, :func:`mean_difference` and :func:`disparate_impact`.
+    """
     _require_classes(rates)
     return c * rates.fpr + (1.0 - c) * rates.fnr
 
@@ -177,7 +182,8 @@ def violation(rates: Counts) -> np.ndarray:
 def mean_difference(rates: Counts) -> float:
     """P(pred=+1 | group -1) - P(pred=+1 | group +1), in [-1, 1].
 
-    ``rates`` are :func:`dpar_dbar_rates` counts.
+    ``rates`` are :func:`dpar_dbar_rates` counts.  No command reports it;
+    it stays public as a named measure of acceptance criterion 12.
     """
 
     _require_classes(rates)
@@ -189,7 +195,8 @@ def disparate_impact(rates: Counts) -> float:
 
     Raises :class:`DegenerateDataError` when group +1 has no predicted
     positives (the ratio is undefined; use :func:`mean_difference` there
-    instead).
+    instead).  No command reports it; it stays public as a named measure
+    of acceptance criterion 12.
     """
 
     _require_classes(rates)

@@ -50,7 +50,7 @@ from .cpe import (
     predict_proba,
     sigmoid,
 )
-from .errors import DataError, DegenerateDataError, ValidationError
+from .errors import DataError, ValidationError
 from .kvformat import (
     format_float,
     format_float_vector,
@@ -470,30 +470,15 @@ def bayes_classifier(
     )
 
 
-Classifier = PlugInRule | Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _predict(classifier: Classifier, features: np.ndarray, sensitive: np.ndarray) -> np.ndarray:
-    """Boolean predictions, True where the classifier predicts +1."""
-    if isinstance(classifier, PlugInRule):
-        group = sensitive if is_aware(classifier.setting) else None
-        return score(classifier, features, group) > 0
-    predictions = np.asarray(classifier(features, sensitive), dtype=float)
-    if predictions.shape != (features.shape[0],):
-        raise ValidationError("classifier callable must return one +-1 value per row")
-    if not np.all(np.isfinite(predictions)) or np.any(predictions == 0):
-        raise ValidationError("classifier callable must return signed non-zero reals")
-    return predictions > 0
-
-
 def _measure_on(
     dataset: Dataset,
-    classifier: Classifier,
+    rule: PlugInRule,
     setting: str,
     params: FairnessParams,
     stats: DistStats,
 ) -> float:
-    predictions = _predict(classifier, dataset.features, dataset.sensitive)
+    group = dataset.sensitive if is_aware(rule.setting) else None
+    predictions = score(rule, dataset.features, group) > 0
     label_pos = dataset.labels > 0
     group_pos = dataset.sensitive > 0
     rates_d = empirical_rates(predictions, label_pos)
@@ -505,7 +490,7 @@ def _measure_on(
 
 
 def estimate_regret(
-    classifier: Classifier,
+    rule: PlugInRule,
     dist: SyntheticDistribution,
     setting: str,
     params: FairnessParams,
@@ -526,7 +511,7 @@ def estimate_regret(
         boc = bayes_classifier(dist, setting, params, true_pi=stats.pi)
     dataset = sample(dist, m, seed)
     best = _measure_on(dataset, boc, setting, params, stats)
-    got = _measure_on(dataset, classifier, setting, params, stats)
+    got = _measure_on(dataset, rule, setting, params, stats)
     return best - got
 
 
@@ -574,7 +559,7 @@ def _sample_non_degenerate(
         train = sample(dist, n, seed_parts + (attempt,))
         try:
             return fit(train), attempt
-        except (DataError, DegenerateDataError) as exc:
+        except DataError as exc:
             last_error = exc
             log.warning("degenerate draw at n=%d (attempt %d): %s", n, attempt, exc)
     raise DataError(
@@ -771,20 +756,25 @@ class SampleComplexityResult:
 
 
 COMPLEXITY_TARGETS = ("eta", "eta_bar_eo", "eta_bar_dpar")
+_COMPLEXITY_FITTERS = dict(zip(COMPLEXITY_TARGETS, (fit_eta, fit_eta_bar_eo, fit_eta_bar_dpar)))
 
 
-def _complexity_deviation(
-    dist: SyntheticDistribution, which: str, model: LinearCpe, m_check: int, seed_parts
-) -> np.ndarray:
-    rng = np.random.default_rng(seed_parts)
+def _complexity_trial(dist, which, n, m_check, seed, eps, delta_prime, config, trial) -> bool:
+    """One (n, trial) cell: fit on a fresh draw; True when it is accurate enough."""
+    fitter = _COMPLEXITY_FITTERS[which]
+    model, _ = _sample_non_degenerate(
+        dist, n, (seed, n, trial, 0), lambda train: fitter(train, config)
+    )
+    rng = np.random.default_rng((seed, n, trial, 7))
     if which == "eta_bar_eo":
         check = sample(dist, m_check, rng)
         inputs = np.hstack([check.features, check.labels[:, None]])
         truth = np.asarray(dist.eta_bar_eo(check.features, check.labels))
-        return np.abs(truth - np.asarray(predict_proba(model, inputs)))
-    x = sample_x(dist.law, m_check, rng)
-    truth = np.asarray(dist.eta(x) if which == "eta" else dist.eta_bar_dpar(x))
-    return np.abs(truth - np.asarray(predict_proba(model, x)))
+    else:
+        inputs = sample_x(dist.law, m_check, rng)
+        truth = np.asarray(dist.eta(inputs) if which == "eta" else dist.eta_bar_dpar(inputs))
+    deviations = np.abs(truth - np.asarray(predict_proba(model, inputs)))
+    return float(np.mean(deviations >= eps)) <= delta_prime
 
 
 def estimate_sample_complexity(
@@ -799,6 +789,7 @@ def estimate_sample_complexity(
     cap: int = 65536,
     m_check: int = 4000,
     config: FitConfig | None = None,
+    jobs: int = 1,
 ) -> SampleComplexityResult:
     """Smallest probed n making the estimator (eps, delta_prime)-accurate.
 
@@ -807,7 +798,9 @@ def estimate_sample_complexity(
     delta_prime.  The search doubles from ``start`` until success, then
     bisects down to ``start`` granularity; hitting ``cap`` without
     success returns the cap with ``converged=False``.  ``which``
-    selects the regression function under study.
+    selects the regression function under study.  Each probe's trials
+    run through :func:`fairplug._pool.map_tasks` on their own seeds, so
+    the result does not depend on ``jobs``.
     """
 
     eps, delta_prime = (float(target[0]), float(target[1]))
@@ -825,52 +818,33 @@ def estimate_sample_complexity(
     if trials <= 0 or start <= 1 or cap < start:
         raise ValidationError("trials must be positive and 1 < start <= cap")
 
-    fitters = {"eta": fit_eta, "eta_bar_eo": fit_eta_bar_eo, "eta_bar_dpar": fit_eta_bar_dpar}
-
-    def probe(n: int) -> float:
-        cfg = _default_fit_config(n, config)
-        passes = 0
-        for trial in range(trials):
-            model, _ = _sample_non_degenerate(
-                dist, n, (seed, n, trial, 0), lambda train: fitters[which](train, cfg)
-            )
-            deviations = _complexity_deviation(dist, which, model, m_check, (seed, n, trial, 7))
-            if float(np.mean(deviations >= eps)) <= delta_prime:
-                passes += 1
-        return passes / trials
-
     required = 1.0 - delta - 1e-12
     probes: list[tuple[int, float]] = []
-    n = start
-    while True:
-        fraction = probe(n)
+
+    def passes(n: int) -> bool:
+        run = partial(
+            _complexity_trial, dist, which, n, int(m_check), int(seed), eps, delta_prime,
+            _default_fit_config(n, config),
+        )
+        fraction = sum(map_tasks(run, range(trials), jobs)) / trials
         probes.append((n, fraction))
-        if fraction >= required:
-            high = n
-            break
-        if n >= cap:
-            return SampleComplexityResult(
-                n=cap,
-                converged=False,
-                probes=tuple(probes),
-                eps=eps,
-                delta_prime=delta_prime,
-                delta=delta,
-                trials=trials,
-            )
+        return fraction >= required
+
+    n = start
+    converged = passes(n)
+    while not converged and n < cap:
         n = min(2 * n, cap)
-    low = high // 2
-    while high - low > start and low >= start:
+        converged = passes(n)
+    high, low = n, n // 2
+    while converged and high - low > start and low >= start:
         mid = (high + low) // 2
-        fraction = probe(mid)
-        probes.append((mid, fraction))
-        if fraction >= required:
+        if passes(mid):
             high = mid
         else:
             low = mid
     return SampleComplexityResult(
         n=high,
-        converged=True,
+        converged=converged,
         probes=tuple(probes),
         eps=eps,
         delta_prime=delta_prime,
@@ -911,7 +885,13 @@ def reference_dpar() -> SyntheticDistribution:
 
 
 def save_distribution(dist: SyntheticDistribution, path: str | Path) -> None:
-    """Persist the distribution as a flat text record."""
+    """Persist the distribution as a flat text record.
+
+    No command writes one; this is the writer of the file format that
+    ``simulate --dist`` reads through :func:`load_distribution`, kept
+    public so a distribution file can be made from code and so the
+    round-trip tests can pin the format.
+    """
     items: list[tuple[str, str]] = []
     if isinstance(dist.law, UniformBoxLaw):
         items.append(("law", LAW_UNIFORM))

@@ -319,11 +319,11 @@ def test_criterion_06_margin_mass_matches_two_eps():
 
 def test_criterion_07_noise_radius_follows_gamma_law():
     for dim, gamma in ((2, 5.0), (10, 50.0), (31, 500.0)):
+        # one stream per case: default_rng returns a Generator unchanged, so
+        # successive calls continue it instead of seeding 100,000 new ones
+        rng = np.random.default_rng((909, dim))
         radii = np.array(
-            [
-                float(np.linalg.norm(sample_noise(dim, gamma, (909, dim, i))))
-                for i in range(100_000)
-            ]
+            [float(np.linalg.norm(sample_noise(dim, gamma, rng))) for _ in range(100_000)]
         )
         stat = scipy.stats.kstest(radii, "gamma", args=(dim, 0.0, 1.0 / gamma)).statistic
         assert stat <= 0.01

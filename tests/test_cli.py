@@ -21,10 +21,12 @@ import numpy as np
 import pytest
 
 import fairplug
-from fairplug import cli, data, sweep
+from fairplug import cli, data, geometry, sweep, synthetic
 from fairplug.cli import main
+from fairplug.core import FairnessParams
 from fairplug.errors import DataError
 from fairplug.kvformat import read_kv
+from fairplug.plugin import EO_BLIND
 
 GEO_PARAMS = "0.4,0.85,0.8,0.9"
 SMALL_GRID = "lam=-1:1:1,c=0.3:0.7:0.2,c_bar=0.4:0.6:0.1"  # 27 points
@@ -231,6 +233,7 @@ BAD_VALUES = [
     ("simulate", "n_schedule", "64,x", "comma-separated integers"),
     ("simulate", "known_pi", "maybe", "expected a boolean"),
     ("simulate", "which", "eta_hat", "unknown sample-complexity target"),
+    *(("simulate", "eps_target", v, "eps must lie in (0, 1/2)") for v in ("0", "0.5", "nan")),
     ("simulate", "jobs", "-5", "jobs must be at least 1"),
     ("geometry", "params", "a,b,c,d", "must be numeric"),
     ("geometry", "setting", "eo-aware", "blind settings only"),
@@ -710,7 +713,47 @@ class TestSimulate:
         manifest = read_kv(out / "manifest.kv")
         assert manifest["result.converged"] == "true"
         assert manifest["result.n"] == "32"
+        mass = float(manifest["result.margin_mass"])
+        assert mass == 1.0  # at eps 0.45 every drawn point's box meets the boundary
+        assert float(manifest["result.b_const"]) == pytest.approx(0.45 + mass, abs=1e-12)
+        assert float(manifest["result.q_const"]) > float(manifest["result.g_const"]) > 0.0
         capsys.readouterr()
+
+    def test_sample_complexity_constants_match_geometry(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--experiment", "sample-complexity", "--eps-target", "0.05", "--trials", "1",
+                "--start", "32", "--cap", "32", "--m", "20000", "--seed", "6"]
+        assert main(["simulate", *args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        dist = synthetic.reference_eo()
+        stats = synthetic.true_stats(dist)
+        x = synthetic.sample_x(dist.law, 20000, np.random.default_rng((6, 0)))
+        params = FairnessParams(1.0, 0.5, 0.5)
+        member = geometry.margin_membership(
+            EO_BLIND, params, stats.pi, (dist.eta(x), dist.eta_bar_eo(x, 1.0)), 0.05
+        )
+        expected = geometry.bound_constants(member.mean(), 0.1, stats, params)
+        manifest = read_kv(out / "manifest.kv")
+        for name in ("margin_mass", "b_const", "g_const", "q_const"):
+            assert float(manifest[f"result.{name}"]) == pytest.approx(getattr(expected, name))
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            ["--experiment", "consistency", "--setting", "dpar-blind", "--n-schedule", "4",
+             "--trials", "5", "--m-eval", "1000"],
+            ["--experiment", "sample-complexity", "--which", "eta_bar_dpar", "--start", "2",
+             "--cap", "4", "--trials", "5", "--m", "1000"],
+        ],
+        ids=["consistency", "sample-complexity"],
+    )
+    def test_single_class_draws_are_redrawn(self, tmp_path, capsys, experiment):
+        # some draws of 2 or 4 rows hold a single class of the fitted target:
+        # degenerate draws, which the trial redraws instead of failing the run
+        out = tmp_path / "o"
+        assert main(["simulate", *experiment, "--dist", "reference-dpar", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "manifest.kv").exists()
 
 
 class TestGeometry:

@@ -26,7 +26,7 @@ from fairplug.cpe import (
     predict_proba,
     sigmoid,
 )
-from fairplug.errors import NumericError, ValidationError
+from fairplug.errors import DegenerateDataError, NumericError, ValidationError
 
 import oracles
 from oracles import finite_difference_grad
@@ -271,7 +271,7 @@ class TestFit:
             fit(np.zeros((3, 1)), np.ones(2), config)
         with pytest.raises(ValidationError, match="-1 or \\+1"):
             fit(np.zeros((2, 1)), np.array([1.0, 0.0]), config)
-        with pytest.raises(ValidationError, match="single class"):
+        with pytest.raises(DegenerateDataError, match="single class"):
             fit(np.zeros((2, 1)), np.array([1.0, 1.0]), config)
         with pytest.raises(ValidationError, match="non-finite"):
             fit(np.array([[0.0], [np.inf]]), np.array([1.0, -1.0]), config)

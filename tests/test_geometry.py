@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairplug.core import DistStats, FairnessParams
-from fairplug.cpe import predict_proba
 from fairplug.errors import ValidationError
 from fairplug.geometry import (
     BoundConstants,
     asymptote_x,
     bound_constants,
+    boundary_polyline,
     estimate_margin_mass,
     margin_membership,
-    plugin_proxy_sampler,
     write_raster_csv,
 )
 from fairplug.plugin import (
@@ -25,15 +24,12 @@ from fairplug.plugin import (
     EO_AWARE,
     EO_BLIND,
     SETTINGS,
-    FitConfig,
-    fit_plugin,
     score_dpar_aware,
     score_eo_aware,
     setting_score,
 )
 
 from oracles import dense_square_intersects, hyperbola_value, line_value
-from test_plugin import make_dataset
 
 UNIT = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -369,49 +365,12 @@ class TestGeometryFor:
             margin_membership("parity", params, None, ([0.5], [0.5]), 0.05)
 
 
-class TestPluginProxySampler:
-    def test_blind_coordinates_are_estimates(self):
-        train = make_dataset(seed=21)
-        rule = fit_plugin(
-            train, DPAR_BLIND, FairnessParams(1.0, 0.5, 0.5), FitConfig()
-        )
-        sampler = plugin_proxy_sampler(rule, train.features)
-        rng = np.random.default_rng(5)
-        eta, eta_bar = sampler(rng, 40)
-        assert eta.shape == eta_bar.shape == (40,)
-        # replaying the stream recovers which rows were drawn
-        rows = train.features[np.random.default_rng(5).integers(0, len(train.features), 40)]
-        assert eta == pytest.approx(predict_proba(rule.eta, rows))
-        assert eta_bar == pytest.approx(predict_proba(rule.eta_bar, rows))
-
-    def test_aware_coordinates_are_branch_estimates(self):
-        train = make_dataset(seed=22)
-        rule = fit_plugin(
-            train, DPAR_AWARE, FairnessParams(1.0, 0.5, 0.5), FitConfig()
-        )
-        sampler = plugin_proxy_sampler(rule, train.features)
-        v_minus, v_plus = sampler(np.random.default_rng(6), 25)
-        rows = train.features[np.random.default_rng(6).integers(0, len(train.features), 25)]
-        minus_inputs = np.hstack([rows, -np.ones((25, 1))])
-        plus_inputs = np.hstack([rows, np.ones((25, 1))])
-        assert v_minus == pytest.approx(predict_proba(rule.eta, minus_inputs))
-        assert v_plus == pytest.approx(predict_proba(rule.eta, plus_inputs))
-
-    def test_empty_features_rejected(self):
-        train = make_dataset(seed=23)
-        rule = fit_plugin(
-            train, DPAR_BLIND, FairnessParams(1.0, 0.5, 0.5), FitConfig()
-        )
-        with pytest.raises(ValidationError, match="nonempty"):
-            plugin_proxy_sampler(rule, np.empty((0, 2)))
-
-
 class TestRasterExport:
     def test_layout_and_margin_column(self, tmp_path):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         path = tmp_path / "raster.csv"
-        count = write_raster_csv(DPAR_BLIND, flat, None, 5, 0.05, path)
-        assert count == 25
+        mask = write_raster_csv(DPAR_BLIND, flat, None, 5, 0.05, path)
+        assert mask.shape == (5, 5) and mask.dtype == bool
         lines = path.read_text().splitlines()
         assert lines[0] == "u,v,sign,in_margin"
         assert len(lines) == 26
@@ -421,6 +380,21 @@ class TestRasterExport:
             expected = abs(float(v) - 0.55) <= 1e-12 or abs(float(v) - 0.45) <= 1e-12
             expected = expected or (0.45 < float(v) < 0.55)
             assert int(flag) == int(expected)
+        # the returned flags are the file's in_margin column, in row order
+        assert mask.ravel().astype(int).tolist() == [int(row[3]) for row in rows]
+
+    @pytest.mark.parametrize("setting,params,pi", [
+        (EO_BLIND, FairnessParams(-3.6, 0.8, 0.9), 0.85),
+        (DPAR_BLIND, FairnessParams(1.0, 0.8, 0.9), None),
+    ])
+    def test_boundary_polyline_is_on_the_zero_set(self, setting, params, pi):
+        axis = np.linspace(0.0, 1.0, 41)
+        points = boundary_polyline(setting, params, pi, axis)
+        assert points
+        for u, v in points:
+            assert u in axis and 0.0 <= v <= 1.0
+            value = setting_score(setting, v, u, pi, params.lam, params.c, params.c_bar)
+            assert abs(float(value)) <= 1e-12
 
     def test_validation(self, tmp_path):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
