@@ -4,16 +4,29 @@ from __future__ import annotations
 
 
 def map_tasks(worker, tasks, jobs: int) -> list:
-    """``[worker(task) for task in tasks]``, on ``jobs`` processes when ``jobs > 1``.
+    """``[worker(task) for task in tasks]``, on up to ``jobs`` processes.
 
+    The pool gets one process per task at most, since it starts all of
+    its processes at the first submit; one process is a serial run.
     Results keep the order of ``tasks`` either way, so serial and
     parallel runs return equal lists.
+
+    Workers are forked wherever the platform offers ``fork``, whatever
+    the interpreter's default start method, so a worker inherits the
+    parent's heap policy (``cli._keep_freed_pages``) and its imported
+    modules instead of starting a fresh interpreter.
     """
 
-    jobs = int(jobs)
-    if jobs <= 1:
+    tasks = list(tasks)
+    workers = min(int(jobs), len(tasks))
+    if workers <= 1:
         return [worker(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # serial runs skip this import
+    # serial runs skip these imports
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context(method)
+    ) as pool:
         return list(pool.map(worker, tasks))

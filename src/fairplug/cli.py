@@ -318,7 +318,7 @@ def cmd_prepare(resolved: dict, seed: int, jobs: int) -> int:
 _SWEEP = (
     ("prepared", str, _REQUIRED, "prepared dataset directory"),
     _SETTING,
-    ("eps_p", _parse_eps_p, 1.0, "privacy budget ('inf' disables DP)"),
+    ("eps_p", _parse_eps_p, 1.0, "per-split privacy budget ('inf' disables DP)"),
     ("grid", _parse_grid, _parse_grid("default"), "'default' or lam=a:b:s,c=a:b:s,c_bar=a:b:s"),
     ("dp_norm", data._check_c, None, "DP norm cap C in (0, 1); defaults to the prepared one"),
     ("cpe_lambda", float, 1e-2, "ridge strength of the class-probability fits"),

@@ -22,9 +22,10 @@ is smooth and ``lambda_reg``-strongly convex, and the design has at
 most a few dozen columns, so each step solves one small Hessian system
 and a fit converges in a handful of steps; ``max_iters`` counts those
 steps.  The minimizer is unique, the iterates are deterministic, and a
-converged fit certifies ``||w - w*|| <= grad_norm / lambda_reg``.  At
-``lambda_reg = 0`` the Hessian can be singular; the least-squares solve
-then gives the minimum-norm Newton direction.
+converged fit certifies ``||w - w*|| <= grad_norm / lambda_reg``.  With
+``lambda_reg > 0`` the Hessian is positive definite and the system is
+solved directly (LU); at ``lambda_reg = 0`` it can be singular, and a
+least-squares solve gives the minimum-norm Newton direction.
 
 Four thin wrappers fit the specific estimators the decision rules need:
 
@@ -259,9 +260,13 @@ def fit(rows, targets, config: FitConfig, *extra_columns) -> LinearCpe:
     ``sigmoid(design @ w)`` bit for bit, so reusing them saves one
     ``design @ w`` and one exponential per step without moving any
     iterate.  ``max_iters`` caps the number of Newton steps.  With
-    ``lambda_reg = 0`` the Hessian can be singular (one-hot columns plus
-    the intercept are collinear); the solve then takes the minimum-norm
-    direction, and a step whose solve fails takes the gradient instead.
+    ``lambda_reg > 0``, ``H`` is at least ``lambda * I`` and so positive
+    definite, and an LU solve (``np.linalg.solve``) finds the direction:
+    the same direction up to rounding as an SVD least-squares solve, at a
+    small fraction of its cost.  With ``lambda_reg = 0`` the Hessian
+    can be singular (one-hot columns plus the intercept are collinear);
+    the least-squares solve then takes the minimum-norm direction.  A
+    step whose solve fails takes the gradient instead.
 
     Parameters
     ----------
@@ -308,10 +313,12 @@ def fit(rows, targets, config: FitConfig, *extra_columns) -> LinearCpe:
     iters = 0
     while grad_norm > config.tolerance and iters < int(config.max_iters):
         iters += 1
-        # Least squares gives H^-1 grad when H is positive definite and the
-        # minimum-norm Newton direction when lambda_reg = 0 makes H singular.
+        hessian = _hessian(p, design, lam)
         try:
-            direction = np.linalg.lstsq(_hessian(p, design, lam), grad, rcond=None)[0]
+            if lam > 0.0:
+                direction = np.linalg.solve(hessian, grad)
+            else:
+                direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
         except np.linalg.LinAlgError:
             direction = grad
         slope = float(grad @ direction)

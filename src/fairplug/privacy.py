@@ -7,10 +7,20 @@ draw of heavy-tailed vector noise to its weights.  The noise density
 is proportional to exp(-gamma * ||b||_2) with gamma = n * reg * eps / 2,
 calibrated by the ERM sensitivity bound 2 / (n * reg).
 
-Everything downstream of the noisy weights is post-processing: any
-number of decision rules, over any parameter grid, can be assembled
-from one privatized estimator without drawing noise again or weakening
-the guarantee.  A module-level draw counter makes that auditable.
+Every decision rule built from the noisy weights is post-processing:
+any number of rules, over any parameter grid, can be assembled from one
+privatized estimator without drawing noise again or weakening the
+guarantee.  A module-level draw counter makes that auditable.
+
+What a whole sweep releases is wider than one estimator.  ``eps_p`` is
+a per-split budget: a sweep privatizes one estimator per split, and a
+row that lies in the training sets of k splits is covered, by basic
+composition, at k * eps_p, not eps_p.  Random splits can put a row in
+every training set, so a 20-split sweep at eps_p = 1 can be as weak as
+20-DP for that row.  The evaluation is outside the guarantee: the
+``pos_a``, ``pos_b``, ``n_a`` and ``n_b`` counts in ``records.csv`` (and
+the violation read from them) are counted from the test split's raw
+sensitive column, with no noise, and are not protected.
 
 The guarantee is pure (delta = 0) differential privacy with respect to
 one individual's sensitive attribute.  Its calibration has two

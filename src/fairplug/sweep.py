@@ -14,18 +14,21 @@ cells are computed and checked once per split.  Every prediction is
 is then counted along one of two paths, chosen by
 :func:`~fairplug.plugin.is_aware`:
 
-* Blind settings walk the grid one lam slice at a time.  Each slice is
-  an ``(n_c * n_c_bar, n_test)`` boolean array of predictions, one row
-  per cost point, filled by one unchecked
-  :func:`fairplug.plugin.setting_score` call per grid point; a slice
-  holds 81 * 4,500 bytes (0.36 MB) on the default grid with a 4,500-row
-  test split, and the full grid-by-rows array is never built.  Each
-  slice is counted by the rate counters of :mod:`fairplug.metrics`, one
-  row per grid point: :func:`~fairplug.metrics.empirical_rates` against
-  the label gives true positives and true negatives, and
-  :func:`~fairplug.metrics.eo_dbar_rates` or
-  :func:`~fairplug.metrics.dpar_dbar_rates` against the sensitive
-  attribute gives the predicted positives in the two fairness cells.
+* Blind settings walk the grid one lam slice at a time.  The test rows
+  are first reordered into contiguous (label, group) blocks; the score
+  is elementwise in the row, so the order moves no prediction.  A slice
+  is an ``(n_c * n_c_bar, n_test)`` float buffer of scores, one row per
+  cost point, filled by one unchecked
+  :func:`fairplug.plugin.setting_score` call per grid point and compared
+  with 0 once; a slice holds 81 * 4,500 doubles (2.9 MB) on the default
+  grid with a 4,500-row test split, and the full grid-by-rows array is
+  never built.  One integer ``np.add.reduceat`` pass per slice counts
+  each grid point's predicted positives in each block, and the four
+  hits are sums of those block counts: the label blocks give the true
+  positives and true negatives, and the sensitive blocks (restricted to
+  Y = +1 for equal opportunity) the predicted positives in the two
+  fairness cells -- the counts the :mod:`fairplug.metrics` counters give
+  on the same predictions.
 * Aware settings sort each sensitive group's rows by ``eta`` once and
   bisect every grid point at once.  Inside one group the score is a
   fixed chain of IEEE operations on ``eta`` -- ``fl(fl(coef * eta) -
@@ -40,7 +43,7 @@ is then counted along one of two paths, chosen by
   about ``log2(n_group)`` calls per group instead of one call on every
   row per grid point; prefix sums of the label over the sorted rows
   turn the boundaries into the same counts, bit for bit, as the blind
-  path's counters would give.
+  path's block counts would give.
 
 The result is one :class:`SweepTable` of equal-length columns, one row
 per (split, grid point): ``split_id``, ``lam``, ``c``, ``c_bar`` and the
@@ -63,6 +66,13 @@ population standard deviation across splits, bin by bin.
 
 The preprocessing runs regardless of the budget so private and
 non-private sweeps see identical inputs and differ only in the noise.
+
+``eps_p`` is a per-split budget.  A private sweep releases one
+privatized sensitive-attribute estimator per split, so a row that lies
+in the training sets of k splits is covered, by basic composition, at
+k * eps_p.  The ``pos_a``, ``pos_b``, ``n_a`` and ``n_b`` counts, and the
+violation read from them, come from the test split's raw sensitive
+column and are not protected by the privacy guarantee.
 """
 
 from __future__ import annotations
@@ -82,7 +92,7 @@ from .cpe import FitConfig
 from .data import PreparedData, apply_dp_transform, fit_dp_transform
 from .errors import DataError, ValidationError
 from .kvformat import format_float
-from .metrics import Counts, dpar_dbar_rates, empirical_rates, eo_dbar_rates, violation
+from .metrics import Counts, violation
 from .plugin import (
     DPAR_BLIND,
     EO_BLIND,
@@ -271,26 +281,44 @@ class TradeoffCurve:
 
 
 def _count_by_slices(setting, first, second, pi, axes, label_pos, group_pos):
-    """Blind path: hit counts ``(4, grid points)`` and the four totals, one lam slice at a time."""
+    """Blind path: hit counts ``(4, grid points)`` and the four totals, one lam slice at a time.
+
+    See the module docstring.  ``np.add.reduceat`` gives the element at
+    an index, not 0, for an empty range, so only the nonempty (label,
+    group) blocks are reduced and an empty block counts 0.
+    """
+
     lam_values, c_values, c_bar_values = axes
+    block = 2 * label_pos + group_pos  # (label, group): (-,-) 0, (-,+) 1, (+,-) 2, (+,+) 3
+    order = np.argsort(block, kind="stable")
+    edges = np.searchsorted(block[order], np.arange(5))
+    sizes = np.diff(edges)
+    nonempty = np.flatnonzero(sizes)
+    first, second = first[order], second[order]
     # One row of a slice per (c, c_bar) point, c_bar varying fastest.
     points = [(c, c_bar) for c in c_values.tolist() for c_bar in c_bar_values.tolist()]
-    hits = np.empty((4, lam_values.size, len(points)), dtype=np.int64)
-    pred_pos = np.empty((len(points), first.size), dtype=bool)
-    for slice_id, lam in enumerate(lam_values):
+    scores = np.empty((len(points), first.size))
+    positive = np.empty(scores.shape, dtype=bool)
+    cells = np.zeros((lam_values.size, len(points), 4), dtype=np.int64)
+    for slice_id, lam in enumerate(lam_values.tolist()):
         for row, (c, c_bar) in enumerate(points):
-            scores = setting_score(setting, first, second, pi, lam, c, c_bar)
-            np.greater(scores, 0.0, out=pred_pos[row])
-        label = empirical_rates(pred_pos, label_pos)
-        if is_eo(setting):
-            group = eo_dbar_rates(pred_pos, label_pos, group_pos)
-        else:
-            group = dpar_dbar_rates(pred_pos, group_pos)
-        hits[:, slice_id] = (
-            label.pos_in_pos, label.n_neg - label.pos_in_neg, group.pos_in_neg, group.pos_in_pos
+            scores[row] = setting_score(setting, first, second, pi, lam, c, c_bar)
+        np.greater(scores, 0.0, out=positive)
+        cells[slice_id][:, nonempty] = np.add.reduceat(
+            positive, edges[nonempty], axis=1, dtype=np.int64
         )
-    sizes = (label.n_pos, label.n_neg, group.n_neg, group.n_pos)
-    return hits.reshape(4, -1), sizes
+    # Per block, named by label then group (a: -1, b: +1): predicted positives and rows.
+    hit_neg_a, hit_neg_b, hit_pos_a, hit_pos_b = cells.reshape(-1, 4).T
+    neg_a, neg_b, pos_a, pos_b = sizes.tolist()
+    hits = [hit_pos_a + hit_pos_b, neg_a + neg_b - hit_neg_a - hit_neg_b]
+    if is_eo(setting):
+        # An EO cell holds the Y = +1 rows of its group.
+        hits += [hit_pos_a, hit_pos_b]
+        cell_sizes = (pos_a, pos_b)
+    else:
+        hits += [hit_neg_a + hit_pos_a, hit_neg_b + hit_pos_b]
+        cell_sizes = (neg_a + pos_a, neg_b + pos_b)
+    return np.stack(hits), (pos_a + pos_b, neg_a + neg_b, *cell_sizes)
 
 
 def _count_by_bisection(setting, eta, pi, axes, label_pos, group_pos):
@@ -393,7 +421,8 @@ def run_sweep(
 ) -> SweepTable:
     """Traverse the grid on every split of a prepared dataset.
 
-    ``eps_p`` is the per-split privacy budget; pass ``math.inf`` for a
+    ``eps_p`` is the per-split privacy budget (see the module docstring
+    for what a whole sweep releases); pass ``math.inf`` for a
     non-private sweep (the preprocessing still runs, so results stay
     comparable across budgets).  Finite budgets are limited to the
     blind settings.  Rows come back in canonical (split, lam, c, c_bar)
@@ -507,7 +536,8 @@ def tradeoff_curve(table: SweepTable, bin_width: float = DEFAULT_BIN_WIDTH) -> T
 _RECORD_HEADER = (
     "split_id", "lambda", "c", "c_bar", "bal_acc", "violation", "flags", *COUNT_COLUMNS
 )
-_FLOAT_COLUMNS = ("lam", "c", "c_bar", "bal_acc", "violation")
+_GRID_COLUMNS = ("lam", "c", "c_bar")
+_FLOAT_COLUMNS = (*_GRID_COLUMNS, "bal_acc", "violation")
 # A flags field longer than the width is cut to the full width, so it can
 # never be read as the shorter degenerate flag.
 _RECORD_DTYPE = np.dtype(
@@ -526,18 +556,36 @@ def _column_text(values: np.ndarray, fmt) -> list[str]:
 
 
 def write_records_csv(table: SweepTable, path: str | Path) -> None:
-    """Write the 15-column records file, one split at a time, column by column."""
+    """Write the 15-column records file, one split at a time, column by column.
+
+    The ``lambda,c,c_bar`` text is formatted once and reused for every
+    following split whose three grid columns hold the same bits; a sweep's
+    splits all share one grid, so the grid is formatted once per table.
+    """
+    grid_bits = grid_text = None
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_RECORD_HEADER) + "\r\n")
         for part in table.splits():
+            bits = [getattr(part, name).view(np.int64) for name in _GRID_COLUMNS]
+            if grid_bits is None or not all(map(np.array_equal, bits, grid_bits)):
+                grid_bits = bits
+                grid_text = [
+                    ",".join(point)
+                    for point in zip(
+                        *(_column_text(getattr(part, name), format_float)
+                          for name in _GRID_COLUMNS)
+                    )
+                ]
             flags = np.where(part.degenerate, FLAG_DEGENERATE, "").tolist()
             columns = [
                 _column_text(part.split_id, str),
-                *(_column_text(getattr(part, name), format_float) for name in _FLOAT_COLUMNS),
+                grid_text,
+                *(_column_text(getattr(part, name), format_float)
+                  for name in ("bal_acc", "violation")),
                 flags,
                 *(_column_text(getattr(part, name), str) for name in COUNT_COLUMNS),
             ]
-            handle.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+            handle.writelines(map("{}\r\n".format, map(",".join, zip(*columns))))
 
 
 def read_records_csv(path: str | Path) -> SweepTable:
@@ -558,7 +606,7 @@ def read_records_csv(path: str | Path) -> SweepTable:
             rows = np.loadtxt(handle, dtype=_RECORD_DTYPE, delimiter=",", ndmin=1)
         except ValueError as exc:
             raise DataError(f"{path}: malformed record row: {exc}") from exc
-    table = SweepTable(*(rows[name] for name in ("split_id", "lam", "c", "c_bar", *COUNT_COLUMNS)))
+    table = SweepTable(*(rows[name] for name in ("split_id", *_GRID_COLUMNS, *COUNT_COLUMNS)))
     _check_table(table, str(path))
     degenerate = table.degenerate
     bad = rows["flags"] != np.where(degenerate, FLAG_DEGENERATE.encode(), b"")

@@ -378,6 +378,37 @@ def objective_and_grad(w, design, targets, lambda_reg):
     return obj, grad, np.where(z >= 0, 1.0, e) / d
 
 
+def newton_fit_lstsq(design, targets, lambda_reg, tolerance=1e-6, max_iters=500):
+    """Damped Newton from zero with every direction from an SVD least-squares solve.
+
+    The reference for ``cpe.fit`` at ``lambda_reg > 0``: the same start,
+    Armijo test and stopping rule, each Newton system ``H d = grad``
+    solved by ``np.linalg.lstsq`` and each quantity computed by
+    :func:`objective_and_grad`.  Returns the weights and the number of
+    Newton steps.
+    """
+
+    n, k = design.shape
+    w = np.zeros(k)
+    obj, grad, p = objective_and_grad(w, design, targets, lambda_reg)
+    iters = 0
+    while np.linalg.norm(grad) > tolerance and iters < max_iters:
+        iters += 1
+        hessian = (design.T * (p * (1.0 - p))) @ design / n + lambda_reg * np.eye(k)
+        direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        slope = float(grad @ direction)
+        step = 1.0
+        while True:
+            w_new = w - step * direction
+            obj_new, grad_new, p_new = objective_and_grad(w_new, design, targets, lambda_reg)
+            # Below the objective's rounding error the full step is taken.
+            if obj_new <= obj - 1e-4 * step * slope or slope <= 1e-15 * obj:
+                break
+            step *= 0.5
+        w, obj, grad, p = w_new, obj_new, grad_new, p_new
+    return w, iters
+
+
 def uniform_box(rng, lows, highs, n):
     """``n`` rows uniform on the box ``[lows, highs)``, by ``Generator.uniform``.
 

@@ -362,6 +362,21 @@ class TestNewtonConvergence:
         gap = float(np.linalg.norm(first.weights - tight.weights))
         assert gap <= (first.grad_norm + tight.grad_norm) / lam
 
+    @pytest.mark.parametrize("lam", [1e-2, 1e-4])
+    @pytest.mark.parametrize("target", ["labels", "sensitive"])
+    def test_direct_solve_matches_least_squares_newton(self, german_bounded, lam, target):
+        # With lambda > 0 the Hessian is positive definite, so the direct
+        # solve takes the least-squares Newton steps up to rounding.
+        rows = german_bounded.features
+        if target == "sensitive":
+            rows = np.hstack([rows, german_bounded.labels[:, None]])
+        targets = np.sign(getattr(german_bounded, target))
+        model = fit(rows, targets, FitConfig(lambda_reg=lam))
+        design = np.hstack([rows, np.ones((rows.shape[0], 1))])
+        weights, iters = oracles.newton_fit_lstsq(design, targets, lam)
+        assert model.n_iters == iters
+        assert np.linalg.norm(model.weights - weights) <= 1e-12 * np.linalg.norm(weights)
+
     def test_zero_lambda_with_singular_hessian(self, german_bounded):
         # The standardized one-hot columns and the intercept are collinear,
         # so at lambda = 0 the Hessian is singular.

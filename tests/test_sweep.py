@@ -39,6 +39,7 @@ from fairplug.sweep import (
     SweepGrid,
     SweepTable,
     TradeoffCurve,
+    _count_by_slices,
     aggregate_curves,
     bin_min_violation,
     default_grid,
@@ -283,13 +284,17 @@ class TestRunSweep:
         assert noise_draw_count() - before == 0
 
     def test_noise_draws_in_worker_processes_are_counted(self):
+        # Serial and two-process blind sweeps give the same records and draw counts.
         prepared = prepared_data(n_repeats=3)
-        before = noise_draw_count()
-        run_sweep(prepared, small_grid(), DPAR_BLIND, 1.0, FitConfig(), seed=3, jobs=2)
-        assert noise_draw_count() - before == 3
-        before = noise_draw_count()
-        run_sweep(prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(), seed=3, jobs=2)
-        assert noise_draw_count() - before == 0
+        for eps_p, draws in ((1.0, 3), (math.inf, 0)):
+            tables = []
+            for jobs in (1, 2):
+                before = noise_draw_count()
+                tables.append(run_sweep(
+                    prepared, small_grid(), DPAR_BLIND, eps_p, FitConfig(), seed=3, jobs=jobs
+                ))
+                assert noise_draw_count() - before == draws
+            assert_tables_equal(*tables)
 
     @pytest.mark.parametrize("setting", SETTINGS)
     def test_record_matches_manual_reconstruction(self, setting):
@@ -425,6 +430,54 @@ class TestAwareCountsMatchBruteForce:
             assert (getattr(table, name) == total).all()
 
 
+SLICE_AXES = (np.array([-2.0, 0.0, 1.5]), np.array([0.3, 0.5]), np.array([0.25, 0.5, 0.75]))
+
+
+class TestSliceCounts:
+    """The blind path's block counts against the metrics counters, one grid point at a time."""
+
+    def counters(self, setting, first, second, pi, label_pos, group_pos):
+        hits = []
+        for lam in SLICE_AXES[0].tolist():
+            for c in SLICE_AXES[1].tolist():
+                for c_bar in SLICE_AXES[2].tolist():
+                    pred = setting_score(setting, first, second, pi, lam, c, c_bar) > 0.0
+                    label = empirical_rates(pred, label_pos)
+                    if is_eo(setting):
+                        group = eo_dbar_rates(pred, label_pos, group_pos)
+                    else:
+                        group = dpar_dbar_rates(pred, group_pos)
+                    hits.append(
+                        (label.pos_in_pos, label.n_neg - label.pos_in_neg,
+                         group.pos_in_neg, group.pos_in_pos)
+                    )
+        return np.array(hits).T, (label.n_pos, label.n_neg, group.n_neg, group.n_pos)
+
+    @pytest.mark.parametrize("setting", [EO_BLIND, DPAR_BLIND])
+    @pytest.mark.parametrize("case", ["mixed", "empty block", "degenerate"])
+    def test_counts_equal_metrics_counters(self, setting, case):
+        gen = np.random.default_rng(17)
+        first, second = gen.random(60), gen.random(60)
+        # At lam = 0 both scores are eta - c, exactly 0 on these rows: classified -1.
+        first[:6], first[6:12] = 0.3, 0.5
+        label_pos = gen.random(60) < 0.5
+        group_pos = gen.random(60) < 0.5
+        if case == "empty block":
+            group_pos[~label_pos] = False  # no (Y = -1, group +1) rows
+        if case == "degenerate":
+            label_pos[:] = True
+        assert (setting_score(setting, first, second, 0.4, 0.0, 0.3, 0.5) == 0.0).any()
+        hits, sizes = _count_by_slices(
+            setting, first, second, 0.4, SLICE_AXES, label_pos, group_pos
+        )
+        expected_hits, expected_sizes = self.counters(
+            setting, first, second, 0.4, label_pos, group_pos
+        )
+        assert (min(sizes) == 0) == (case == "degenerate")
+        assert tuple(sizes) == tuple(expected_sizes)
+        assert hits.dtype == np.int64 and np.array_equal(hits, expected_hits)
+
+
 class TestSerialization:
     def test_records_round_trip(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -441,6 +494,15 @@ class TestSerialization:
             "1,0.5,0.5,0.5,nan,nan," + FLAG_DEGENERATE + ",0,0,0,0,4,4,0,4\r\n"
         ).encode()
         assert_tables_equal(read_records_csv(path), table)
+
+    def test_grid_text_follows_each_split(self, tmp_path):
+        # Splits 0 and 1 share one grid; split 2's -0.0 equals 0.0 in value only.
+        path = tmp_path / "records.csv"
+        rows = [(split, lam, 0.5, 0.5, 1, 1, 1, 1, 2, 2, 2, 2)
+                for split, lam in ((0, 0.0), (1, 0.0), (2, -0.0), (3, 0.0))]
+        write_records_csv(table_of(rows), path)
+        lines = path.read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == ["0.0", "0.0", "-0.0", "0.0"]
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "records.csv"
