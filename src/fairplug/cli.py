@@ -455,11 +455,10 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         stds = np.array([p.std_regret for p in curve.points])
         svg.write_svg(
             svg.line_plot_svg(
-                [("mean regret", sizes, means)],
+                "mean regret", sizes, means, (means - stds, means + stds),
                 title=f"Regret vs sample size ({resolved['setting']})",
                 x_label="training samples",
                 y_label="regret",
-                bands=[(sizes, means - stds, means + stds)],
                 x_log=True,
             ),
             out / "curve.svg",
@@ -559,20 +558,16 @@ def _margin_constants(
 ) -> geometry.BoundConstants:
     """Finite-sample constants of the exact eo-blind rule at ``--eps-target``.
 
-    The margin mass is counted over ``--m`` feature draws mapped through
-    the distribution's true ``(eta, eta_bar)``, on the stream
-    ``estimate_margin_mass`` seeds from ``(seed, 0)``.
+    The margin mass is counted over ``--m`` feature draws from the stream
+    seeded by ``(seed, 0)``, mapped through the distribution's true
+    ``(eta, eta_bar)``.
     """
 
     stats = synthetic.true_stats(dist)
-
-    def true_coordinates(rng: np.random.Generator, count: int):
-        x = synthetic.sample_x(dist.law, count, rng)
-        return dist.eta(x), dist.eta_bar_eo(x, 1.0)
-
+    x = synthetic.sample_x(dist.law, resolved["m"], np.random.default_rng((seed, 0)))
     mass, _ = geometry.estimate_margin_mass(
-        true_coordinates, plugin.EO_BLIND, params, stats.pi,
-        resolved["eps_target"], resolved["m"], seed,
+        (dist.eta(x), dist.eta_bar_eo(x, 1.0)), plugin.EO_BLIND, params, stats.pi,
+        resolved["eps_target"],
     )
     return geometry.bound_constants(mass, resolved["delta_prime"], stats, params)
 
@@ -660,11 +655,10 @@ def cmd_report(resolved: dict, seed: int, jobs: int) -> int:
     scale = resolved["band_scale"]
     svg.write_svg(
         svg.line_plot_svg(
-            [("mean min violation", xs, means)],
+            "mean min violation", xs, means, (means - scale * stds, means + scale * stds),
             title="Fairness violation vs balanced accuracy",
             x_label="balanced-accuracy bin (lower edge)",
             y_label="minimum violation",
-            bands=[(xs, means - scale * stds, means + scale * stds)],
         ),
         out / "curve.svg",
     )

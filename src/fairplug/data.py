@@ -656,33 +656,57 @@ def split_paths(in_dir: str | Path) -> list[Path]:
     return [path for _, path in sorted(indexed, key=lambda item: int(item[0]))]
 
 
-def load_prepared(in_dir: str | Path) -> PreparedData:
-    """Read a prepared-dataset directory back into memory."""
-    root = Path(in_dir)
+def _load_array(path: Path) -> np.ndarray:
+    """One ``.npy`` file of a prepared directory, as a real numeric array."""
     try:
-        features = np.load(root / "features.npy")
-        labels = np.load(root / "labels.npy")
-        sensitive = np.load(root / "sensitive.npy")
-        split_files = split_paths(root)
-        role_rows = [np.load(path) for path in split_files]
-        meta = {k: v for k, v in read_kv(root / "meta.kv").items()}
+        with open(path, "rb") as handle:
+            array = np.lib.format.read_array(handle, allow_pickle=False)
     except OSError as exc:
-        raise DataError(f"cannot read prepared directory {root}: {exc}") from exc
-    if not role_rows:
-        raise DataError(f"{root}: no split_NN.npy files found")
-    label_scale = float(meta.pop("label_scale", "1.0"))
-    dataset = Dataset(
-        features=features, labels=labels, sensitive=sensitive, label_scale=label_scale
+        raise DataError(f"cannot read prepared directory file {path}: {exc}") from exc
+    except ValueError as exc:  # not .npy, truncated, or an object array
+        raise DataError(f"{path}: not a numeric .npy array: {exc}") from exc
+    if array.dtype.kind not in "biuf":
+        raise DataError(f"{path}: not a numeric .npy array: dtype {array.dtype}")
+    return array
+
+
+def load_prepared(in_dir: str | Path) -> PreparedData:
+    """Read a prepared-dataset directory back into memory.
+
+    Everything is checked before it is returned, so a malformed
+    directory is a :class:`DataError` naming the file before any split
+    is used: an array that is not numeric ``.npy``, a ``label_scale``
+    that is not a number, arrays a :class:`Dataset` rejects, a role
+    outside {0, 1, 2} or a split with no train or no test row.
+    """
+    root = Path(in_dir)
+    features, labels, sensitive = (
+        _load_array(root / f"{name}.npy") for name in ("features", "labels", "sensitive")
     )
+    split_files = split_paths(root)
+    if not split_files:
+        raise DataError(f"{root}: no split_NN.npy files found")
+    role_rows = [_load_array(path) for path in split_files]
+    meta = read_kv(root / "meta.kv")
+    scale_text = meta.pop("label_scale", "1.0")
+    try:
+        label_scale = float(scale_text)
+    except ValueError:
+        raise DataError(f"{root / 'meta.kv'}: label_scale {scale_text!r} is not a number") from None
+    try:
+        dataset = Dataset(
+            features=features, labels=labels, sensitive=sensitive, label_scale=label_scale
+        )
+    except ValidationError as exc:
+        raise DataError(f"{root}: prepared arrays are not a dataset: {exc}") from exc
     splits = []
     for path, row in zip(split_files, role_rows):
         if row.shape != (dataset.n,):
             raise DataError(f"{path}: role vector shape {row.shape} does not match the data")
-        splits.append(
-            (
-                np.flatnonzero(row == _ROLE_TRAIN),
-                np.flatnonzero(row == _ROLE_VAL),
-                np.flatnonzero(row == _ROLE_TEST),
-            )
-        )
+        roles = [np.flatnonzero(row == role) for role in (_ROLE_TRAIN, _ROLE_VAL, _ROLE_TEST)]
+        if sum(part.size for part in roles) != dataset.n:
+            raise DataError(f"{path}: roles must be 0 (train), 1 (val) or 2 (test)")
+        if roles[0].size == 0 or roles[2].size == 0:
+            raise DataError(f"{path}: a split needs at least one train and one test row")
+        splits.append(tuple(roles))
     return PreparedData(dataset=dataset, splits=splits, meta=meta)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -55,12 +54,6 @@ __all__ = [
     "write_raster_csv",
     "boundary_polyline",
 ]
-
-#: Sampler contract: ``sampler(rng, count)`` returns the per-point
-#: coordinate arrays :func:`margin_membership` takes -- ``(eta, eta_bar)``
-#: for the blind settings, ``(eta(x, -1), eta(x, +1))`` for the aware ones.
-Sampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
-
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -165,29 +158,23 @@ def margin_membership(
 
 
 def estimate_margin_mass(
-    sampler: Sampler,
+    coords: tuple[np.ndarray, np.ndarray],
     setting: str,
     params: FairnessParams,
     pi,
     eps: float,
-    m: int,
-    seed: int,
 ) -> tuple[float, float]:
     """Monte-Carlo margin mass and its binomial standard error.
 
-    Draws ``m`` points through ``sampler`` from the stream seeded by
-    ``(seed, 0)`` and counts margin members.
+    ``coords`` holds one coordinate pair per sampled point, in the
+    :func:`margin_membership` order; the mass is the share of margin
+    members among them.
     """
 
-    m = int(m)
-    if m <= 0:
-        raise ValidationError(f"sample count must be positive, got {m}")
-    coords = sampler(np.random.default_rng((int(seed), 0)), m)
     member = margin_membership(setting, params, pi, coords, eps)
-    if member.shape != (m,):
-        raise ValidationError(
-            f"sampler returned {member.shape[0]} coordinates for a request of {m}"
-        )
+    m = member.size
+    if m == 0:
+        raise ValidationError("sample count must be positive, got no coordinates")
     p_hat = int(member.sum()) / m
     return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / m))
 

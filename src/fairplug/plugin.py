@@ -24,7 +24,7 @@ records which stored encoding that is (+1 normally, +C after privacy
 preprocessing).
 
 Every scorer -- :func:`score`, the grid sweep, and the geometry
-module's margins, raster signs, asymptote and proxy sampler -- goes
+module's margins, raster signs, polyline and asymptote -- goes
 through two functions.  :func:`coordinates` is the coordinate map: it
 picks the estimator outputs a setting's score reads and checks them.
 :func:`setting_score` is the score dispatch: it applies the setting's

@@ -2,8 +2,8 @@
 
 CSV files are the canonical outputs everywhere in the package; these
 plots are a convenience rendering of the same numbers.  Two layouts
-are provided: a line plot with optional shaded uncertainty bands (for
-regret and trade-off curves) and a unit-square region plot showing a
+are provided: a line plot of one curve over its shaded uncertainty band
+(for regret and trade-off curves) and a unit-square region plot showing a
 decision boundary with its margin cells (for the geometry rasters).
 Output is a deterministic function of the inputs: no timestamps, no
 randomness, stable float formatting.
@@ -21,7 +21,9 @@ from .errors import ValidationError
 
 __all__ = ["line_plot_svg", "region_plot_svg", "write_svg"]
 
-_PALETTE = ("#2563eb", "#dc2626", "#059669", "#7c3aed", "#d97706", "#0891b2")
+_COLOR = "#2563eb"
+_WIDTH = 640
+_HEIGHT = 420
 
 _MARGIN_LEFT = 62
 _MARGIN_RIGHT = 18
@@ -54,12 +56,11 @@ def _nice_ticks(low: float, high: float, target: int = 5) -> list[float]:
 class _Frame:
     """Maps data coordinates onto the pixel plot area."""
 
-    def __init__(self, width, height, x_range, y_range, x_log):
-        self.width = width
-        self.height = height
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+
+    def __init__(self, x_range, y_range, x_log):
         self.x_log = x_log
-        self.plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-        self.plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
         x0, x1 = x_range
         if x_log:
             if x0 <= 0:
@@ -87,9 +88,9 @@ def _axes(frame: _Frame, title: str, x_label: str, y_label: str, x_ticks, y_tick
     parts = [
         f'<rect x="{left}" y="{top}" width="{frame.plot_w}" height="{frame.plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
-        f'<text x="{frame.width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-size="14" fill="#111">{html.escape(title, quote=False)}</text>',
-        f'<text x="{(left + right) / 2:.1f}" y="{frame.height - 10}" text-anchor="middle" '
+        f'<text x="{(left + right) / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
         f'font-size="12" fill="#111">{html.escape(x_label, quote=False)}</text>',
         f'<text x="16" y="{(top + bottom) / 2:.1f}" text-anchor="middle" font-size="12" '
         f'fill="#111" transform="rotate(-90 16 {(top + bottom) / 2:.1f})">'
@@ -119,84 +120,53 @@ def _axes(frame: _Frame, title: str, x_label: str, y_label: str, x_ticks, y_tick
 
 
 def line_plot_svg(
-    series: list[tuple[str, np.ndarray, np.ndarray]],
+    name: str,
+    x: np.ndarray,
+    y: np.ndarray,
+    band: tuple[np.ndarray, np.ndarray],
     *,
     title: str,
     x_label: str,
     y_label: str,
-    bands: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-    width: int = 640,
-    height: int = 420,
     x_log: bool = False,
 ) -> str:
-    """Render line series (plus optional shaded bands) as an SVG string.
+    """Render one named line ``(x, y)`` over its shaded ``(lower, upper)`` band as an SVG string."""
 
-    ``series`` holds (name, x, y) triples; ``bands`` holds (x, lower,
-    upper) triples shaded in the matching series color.
-    """
-
-    if not series:
-        raise ValidationError("at least one series is required")
-    cleaned = []
-    for name, x, y in series:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != y.shape or x.ndim != 1 or x.size == 0:
-            raise ValidationError(f"series {name!r} must have matching nonempty x and y")
-        cleaned.append((str(name), x, y))
-    bands = bands or []
-    xs = np.concatenate([x for _, x, _ in cleaned] + [np.asarray(b[0], float) for b in bands])
-    ys = np.concatenate(
-        [y for _, _, y in cleaned]
-        + [np.asarray(b[1], float) for b in bands]
-        + [np.asarray(b[2], float) for b in bands]
-    )
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+    x, y, lower, upper = (np.asarray(values, dtype=float) for values in (x, y, *band))
+    if x.ndim != 1 or x.size == 0 or not x.shape == y.shape == lower.shape == upper.shape:
+        raise ValidationError(f"series {name!r} must have matching nonempty x, y and band")
+    ys = np.concatenate([y, lower, upper])
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(ys))):
         raise ValidationError("plot data must be finite")
-    frame = _Frame(width, height, (xs.min(), xs.max()), (ys.min(), ys.max()), x_log)
+    frame = _Frame((x.min(), x.max()), (ys.min(), ys.max()), x_log)
     if x_log:
-        lo_exp = math.floor(math.log10(xs.min()))
-        hi_exp = math.ceil(math.log10(xs.max()))
+        lo_exp = math.floor(math.log10(x.min()))
+        hi_exp = math.ceil(math.log10(x.max()))
         x_ticks = [10.0**e for e in range(int(lo_exp), int(hi_exp) + 1)]
     else:
-        x_ticks = _nice_ticks(float(xs.min()), float(xs.max()))
+        x_ticks = _nice_ticks(float(x.min()), float(x.max()))
     y_ticks = _nice_ticks(frame.y0, frame.y1)
 
-    parts = [f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
+    parts = [f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>']
     parts.extend(_axes(frame, title, x_label, y_label, x_ticks, y_ticks))
-    for index, (x, lower, upper) in enumerate(bands):
-        x = np.asarray(x, dtype=float)
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        color = _PALETTE[index % len(_PALETTE)]
-        forward = [f"{frame.x(a):.1f},{frame.y(b):.1f}" for a, b in zip(x, upper)]
-        backward = [f"{frame.x(a):.1f},{frame.y(b):.1f}" for a, b in zip(x[::-1], lower[::-1])]
-        parts.append(
-            f'<polygon points="{" ".join(forward + backward)}" fill="{color}" '
-            'fill-opacity="0.22" stroke="none"/>'
-        )
+    forward = [f"{frame.x(a):.1f},{frame.y(b):.1f}" for a, b in zip(x, upper)]
+    backward = [f"{frame.x(a):.1f},{frame.y(b):.1f}" for a, b in zip(x[::-1], lower[::-1])]
+    points = " ".join(f"{frame.x(a):.1f},{frame.y(b):.1f}" for a, b in zip(x, y))
+    swatch_x = _WIDTH - _MARGIN_RIGHT - 130
     legend_y = _MARGIN_TOP + 14
-    for index, (name, x, y) in enumerate(cleaned):
-        color = _PALETTE[index % len(_PALETTE)]
-        points = " ".join(f"{frame.x(a):.1f},{frame.y(b):.1f}" for a, b in zip(x, y))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"/>'
-        )
-        if len(cleaned) > 1 or name:
-            swatch_x = width - _MARGIN_RIGHT - 130
-            parts.append(
-                f'<line x1="{swatch_x}" y1="{legend_y - 4}" x2="{swatch_x + 18}" '
-                f'y2="{legend_y - 4}" stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{swatch_x + 24}" y="{legend_y}" font-size="11" '
-                f'fill="#111">{html.escape(name, quote=False)}</text>'
-            )
-            legend_y += 16
+    parts += [
+        f'<polygon points="{" ".join(forward + backward)}" fill="{_COLOR}" '
+        'fill-opacity="0.22" stroke="none"/>',
+        f'<polyline points="{points}" fill="none" stroke="{_COLOR}" stroke-width="1.8"/>',
+        f'<line x1="{swatch_x}" y1="{legend_y - 4}" x2="{swatch_x + 18}" '
+        f'y2="{legend_y - 4}" stroke="{_COLOR}" stroke-width="2"/>',
+        f'<text x="{swatch_x + 24}" y="{legend_y}" font-size="11" '
+        f'fill="#111">{html.escape(name, quote=False)}</text>',
+    ]
     body = "\n".join(parts)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="Helvetica, Arial, sans-serif">\n'
         f"{body}\n</svg>\n"
     )
 

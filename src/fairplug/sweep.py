@@ -10,40 +10,37 @@ one noise draw per split no matter how large the grid is.
 The estimator outputs on the test split
 (:func:`fairplug.plugin.coordinates`), the estimated prior and the group
 cells are computed and checked once per split.  Every prediction is
-``setting_score(...) > 0`` at one grid point and one row, and the grid
-is then counted along one of two paths, chosen by
-:func:`~fairplug.plugin.is_aware`:
+``setting_score(...) > 0`` at one grid point and one row, and every
+setting counts its grid from one layout: the test rows are sorted once
+into four contiguous (label, group) blocks, by ``eta`` within a block.
+The score is elementwise in the row, so the order moves no prediction.
+Each grid point's predicted positives are taken per block, and the four
+counts are sums of those block counts: the label blocks give the true
+positives and true negatives, and the sensitive blocks (restricted to
+Y = +1 for equal opportunity) the predicted positives in the two
+fairness cells -- the counts the :mod:`fairplug.metrics` counters give
+on the same predictions.  The block counts come from one of two paths:
 
-* Blind settings walk the grid one lam slice at a time.  The test rows
-  are first reordered into contiguous (label, group) blocks; the score
-  is elementwise in the row, so the order moves no prediction.  A slice
-  is an ``(n_c * n_c_bar, n_test)`` float buffer of scores, one row per
-  cost point, filled by one unchecked
-  :func:`fairplug.plugin.setting_score` call per grid point and compared
-  with 0 once; a slice holds 81 * 4,500 doubles (2.9 MB) on the default
-  grid with a 4,500-row test split, and the full grid-by-rows array is
-  never built.  One integer ``np.add.reduceat`` pass per slice counts
-  each grid point's predicted positives in each block, and the four
-  hits are sums of those block counts: the label blocks give the true
-  positives and true negatives, and the sensitive blocks (restricted to
-  Y = +1 for equal opportunity) the predicted positives in the two
-  fairness cells -- the counts the :mod:`fairplug.metrics` counters give
-  on the same predictions.
-* Aware settings sort each sensitive group's rows by ``eta`` once and
-  bisect every grid point at once.  Inside one group the score is a
-  fixed chain of IEEE operations on ``eta`` -- ``fl(fl(coef * eta) -
-  c)`` for eo-aware, ``fl(fl(fl(eta - c) + lam c_bar) - lam 1{ybar =
-  +1})`` for dpar-aware -- and each operation is monotone, so ``score >
-  0`` never turns false as ``eta`` grows.  Where the eo-aware group
-  coefficient is <= 0, ``fl(coef * eta) <= 0 < c`` and no row is
-  positive, which the same bisection finds.  So each grid point's
-  positives in a group are the sorted rows from one boundary index on.
-  Each bisection round scores all grid points with one
+* Blind settings walk the grid one lam slice at a time.  A slice is an
+  ``(n_c * n_c_bar, n_test)`` float buffer of scores, one row per cost
+  point, filled by one unchecked :func:`fairplug.plugin.setting_score`
+  call per grid point and compared with 0 once; a slice holds 81 *
+  4,500 doubles (2.9 MB) on the default grid with a 4,500-row test
+  split, and the full grid-by-rows array is never built.  One integer
+  ``np.add.reduceat`` pass per slice counts the blocks.
+* Aware settings bisect every grid point in every block at once.  A
+  block lies in one sensitive group, where the score is a fixed chain of
+  IEEE operations on ``eta`` -- ``fl(fl(coef * eta) - c)`` for eo-aware,
+  ``fl(fl(fl(eta - c) + lam c_bar) - lam 1{ybar = +1})`` for dpar-aware
+  -- and each operation is monotone, so ``score > 0`` never turns false
+  as ``eta`` grows.  Where the eo-aware group coefficient is <= 0,
+  ``fl(coef * eta) <= 0 < c`` and no row is positive, which the same
+  bisection finds.  So each grid point's positives in a block are the
+  sorted rows from one boundary index on.  Each bisection round scores
+  all grid points in all blocks with one
   :func:`~fairplug.plugin.setting_score` call at their midpoint rows,
-  about ``log2(n_group)`` calls per group instead of one call on every
-  row per grid point; prefix sums of the label over the sorted rows
-  turn the boundaries into the same counts, bit for bit, as the blind
-  path's block counts would give.
+  about ``log2(n_block)`` calls instead of one call on every row per
+  grid point.
 
 The result is one :class:`SweepTable` of equal-length columns, one row
 per (split, grid point): ``split_id``, ``lam``, ``c``, ``c_bar`` and the
@@ -280,21 +277,16 @@ class TradeoffCurve:
         object.__setattr__(self, "bin_width", width)
 
 
-def _count_by_slices(setting, first, second, pi, axes, label_pos, group_pos):
-    """Blind path: hit counts ``(4, grid points)`` and the four totals, one lam slice at a time.
+def _slice_positives(setting, first, second, pi, axes, edges):
+    """Blind settings: predicted positives ``(grid points, 4)`` per block, one lam slice at a time.
 
-    See the module docstring.  ``np.add.reduceat`` gives the element at
-    an index, not 0, for an empty range, so only the nonempty (label,
-    group) blocks are reduced and an empty block counts 0.
+    ``np.add.reduceat`` gives the element at an index, not 0, for an
+    empty range, so only the nonempty blocks are reduced and an empty
+    block counts 0.
     """
 
     lam_values, c_values, c_bar_values = axes
-    block = 2 * label_pos + group_pos  # (label, group): (-,-) 0, (-,+) 1, (+,-) 2, (+,+) 3
-    order = np.argsort(block, kind="stable")
-    edges = np.searchsorted(block[order], np.arange(5))
-    sizes = np.diff(edges)
-    nonempty = np.flatnonzero(sizes)
-    first, second = first[order], second[order]
+    nonempty = np.flatnonzero(np.diff(edges))
     # One row of a slice per (c, c_bar) point, c_bar varying fastest.
     points = [(c, c_bar) for c in c_values.tolist() for c_bar in c_bar_values.tolist()]
     scores = np.empty((len(points), first.size))
@@ -307,9 +299,48 @@ def _count_by_slices(setting, first, second, pi, axes, label_pos, group_pos):
         cells[slice_id][:, nonempty] = np.add.reduceat(
             positive, edges[nonempty], axis=1, dtype=np.int64
         )
+    return cells.reshape(-1, 4)
+
+
+def _bisect_positives(setting, first, second, pi, axes, edges):
+    """Aware settings: predicted positives ``(grid points, 4)`` per block, by bisection.
+
+    ``score > 0`` is monotone in ``eta`` within a block (see the module
+    docstring), so a grid point predicts +1 on exactly the block's rows
+    from its boundary index on.  Rows below ``lo`` score <= 0 and rows
+    from ``hi`` on score > 0; once ``lo == hi`` a round leaves both
+    unchanged, so an empty block stays at 0 whatever row its midpoint
+    reads.
+    """
+
+    lam, c, c_bar = (axis.reshape(-1, 1) for axis in np.meshgrid(*axes, indexing="ij"))
+    start, sizes = edges[:-1], np.diff(edges)
+    lo = np.zeros((lam.size, 4), dtype=np.int64)
+    hi = np.broadcast_to(sizes, lo.shape)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        rows = np.minimum(start + mid, first.size - 1)
+        positive = setting_score(setting, first[rows], second[rows], pi, lam, c, c_bar) > 0.0
+        hi = np.where(positive, mid, hi)
+        lo = np.where(positive, lo, np.minimum(mid + 1, hi))
+    return sizes - lo
+
+
+def _count_grid(setting, first, second, pi, axes, label_pos, group_pos):
+    """Hit counts ``(4, grid points)`` and the four totals of ``setting_score(...) > 0``.
+
+    ``first, second`` are the test rows' :func:`coordinates`; see the
+    module docstring for the block layout.
+    """
+
+    block = 2 * label_pos + group_pos  # (label, group): (-,-) 0, (-,+) 1, (+,-) 2, (+,+) 3
+    order = np.lexsort((first, block))
+    edges = np.searchsorted(block[order], np.arange(5))
+    count = _bisect_positives if is_aware(setting) else _slice_positives
+    positives = count(setting, first[order], second[order], pi, axes, edges)
     # Per block, named by label then group (a: -1, b: +1): predicted positives and rows.
-    hit_neg_a, hit_neg_b, hit_pos_a, hit_pos_b = cells.reshape(-1, 4).T
-    neg_a, neg_b, pos_a, pos_b = sizes.tolist()
+    hit_neg_a, hit_neg_b, hit_pos_a, hit_pos_b = positives.T
+    neg_a, neg_b, pos_a, pos_b = np.diff(edges).tolist()
     hits = [hit_pos_a + hit_pos_b, neg_a + neg_b - hit_neg_a - hit_neg_b]
     if is_eo(setting):
         # An EO cell holds the Y = +1 rows of its group.
@@ -321,56 +352,13 @@ def _count_by_slices(setting, first, second, pi, axes, label_pos, group_pos):
     return np.stack(hits), (pos_a + pos_b, neg_a + neg_b, *cell_sizes)
 
 
-def _count_by_bisection(setting, eta, pi, axes, label_pos, group_pos):
-    """Aware path: the same counts from each group's rows sorted by ``eta``.
-
-    ``score > 0`` is monotone in ``eta`` within a group (see the module
-    docstring), so a grid point predicts +1 on exactly the sorted rows
-    from its boundary index ``k`` on.  All grid points are bisected
-    together; each round is one :func:`setting_score` call on their
-    midpoint rows.  With ``labels[k]`` the label positives among the
-    ``k`` lowest rows, a group of ``n`` rows contributes ``labels[n] -
-    labels[k]`` true positives, ``k - labels[k]`` true negatives and
-    ``n - k`` predicted positives.
-    """
-
-    lam, c, c_bar = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
-    tp = tn = 0
-    cells = []  # (predicted positives, size) of the fairness cell in each group
-    for g, rows in ((-1.0, ~group_pos), (1.0, group_pos)):
-        order = np.argsort(eta[rows])
-        eta_sorted = eta[rows][order]
-        labels = np.concatenate([[0], np.cumsum(label_pos[rows][order])])
-        n = eta_sorted.size
-        # Rows below lo score <= 0 and rows from hi on score > 0.
-        lo = np.zeros(lam.size, dtype=np.int64)
-        hi = np.full(lam.size, n, dtype=np.int64)
-        while (lo < hi).any():
-            mid = (lo + hi) // 2
-            positive = setting_score(
-                setting, eta_sorted[np.minimum(mid, n - 1)], g, pi, lam, c, c_bar
-            ) > 0.0
-            hi = np.where(positive, mid, hi)
-            lo = np.where(positive, lo, np.minimum(mid + 1, hi))
-        true_pos = labels[-1] - labels[lo]
-        tp = tp + true_pos
-        tn = tn + lo - labels[lo]
-        # An EO cell holds the Y = +1 rows, so its predicted positives are true positives.
-        cells.append((true_pos, labels[-1]) if is_eo(setting) else (n - lo, n))
-    (hit_a, n_a), (hit_b, n_b) = cells
-    n_pos = np.count_nonzero(label_pos)
-    return np.stack([tp, tn, hit_a, hit_b]), (n_pos, label_pos.size - n_pos, n_a, n_b)
-
-
 def _run_split(
     dataset, axes, setting, eps_p, config, seed, dp_c, task
 ) -> tuple[np.ndarray, int]:
     """One split's :data:`COUNT_COLUMNS` and the noise draws it made.
 
-    The counts are an (8, grid points) int64 array.  The grid is counted
-    by :func:`_count_by_bisection` for the aware settings and by
-    :func:`_count_by_slices` for the blind ones; both give the counts of
-    ``setting_score(...) > 0`` on every test row.
+    The counts are an (8, grid points) int64 array, counted by
+    :func:`_count_grid` from ``setting_score(...) > 0`` on every test row.
     """
 
     split_id, (train_idx, _val_idx, test_idx) = task
@@ -387,18 +375,12 @@ def _run_split(
     else:
         rule_base = fit_plugin(train, setting, base_params, config)
 
-    label_pos = test.labels > 0
-    group_pos = test.sensitive > 0
-    if is_aware(setting):
-        eta, _ = coordinates(rule_base, test.features, test.sensitive)
-        hits, sizes = _count_by_bisection(
-            setting, eta, rule_base.pi_hat, axes, label_pos, group_pos
-        )
-    else:
-        first, second = coordinates(rule_base, test.features)
-        hits, sizes = _count_by_slices(
-            setting, first, second, rule_base.pi_hat, axes, label_pos, group_pos
-        )
+    first, second = coordinates(
+        rule_base, test.features, test.sensitive if is_aware(setting) else None
+    )
+    hits, sizes = _count_grid(
+        setting, first, second, rule_base.pi_hat, axes, test.labels > 0, test.sensitive > 0
+    )
     counts = np.empty((len(COUNT_COLUMNS), hits.shape[1]), dtype=np.int64)
     counts[:4] = hits
     counts[4:] = np.reshape(sizes, (4, 1))

@@ -300,13 +300,10 @@ def test_criterion_05_square_tests_match_dense_oracle():
 def test_criterion_06_margin_mass_matches_two_eps():
     flat = FairnessParams(0.0, 0.5, 0.5)
 
-    def sampler(rng, n):
-        u, v = rng.uniform(size=(2, n))
-        return v, u  # (eta, eta_bar)
-
+    u, v = np.random.default_rng((404, 0)).uniform(size=(2, 100_000))
     masses = []
     for eps in (0.01, 0.05, 0.1):
-        mass, se = estimate_margin_mass(sampler, EO_BLIND, flat, 0.85, eps, 100_000, 404)
+        mass, se = estimate_margin_mass((v, u), EO_BLIND, flat, 0.85, eps)  # (eta, eta_bar)
         assert abs(mass - 2.0 * eps) <= 3.0 * se
         masses.append(mass)
     assert masses[0] <= masses[1] <= masses[2]

@@ -507,6 +507,29 @@ class TestSweep:
         assert before["input.split_01.npy.sha256"] != after["input.split_01.npy.sha256"]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("defect", ["text features", "label_scale abc", "last split role 7"])
+    def test_malformed_prepared_directory_is_a_data_error(
+        self, prepared_dir, tmp_path, capsys, defect
+    ):
+        prepared = tmp_path / "prepared"
+        shutil.copytree(prepared_dir, prepared)
+        if defect == "text features":
+            bad = prepared / "features.npy"
+            bad.write_text("not an array\n")
+        elif defect == "label_scale abc":
+            bad = prepared / "meta.kv"
+            bad.write_text(bad.read_text().replace("label_scale = 1.0", "label_scale = abc"))
+        else:
+            bad = prepared / "split_01.npy"
+            roles = np.load(bad)
+            np.save(bad, np.where(roles == 2, 7, roles).astype(roles.dtype))
+        out = tmp_path / "out"
+        args = ["sweep", "--prepared", str(prepared), "--grid", SMALL_GRID, "--eps-p", "inf"]
+        assert main([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and bad.name in err
+        assert not out.exists()
+
     def test_outputs_agree_across_jobs_and_report(self, prepared_dir, sweep_out, tmp_path, capsys):
         # the sweep_out fixture ran the same sweep serially
         args = ["--prepared", str(prepared_dir), "--grid", SMALL_GRID, "--eps-p", "inf"]

@@ -616,6 +616,46 @@ class TestPreparedRoundTrip:
         with pytest.raises(DataError, match="does not match"):
             load_prepared(out)
 
+    @pytest.mark.parametrize(
+        "defect, file",
+        [
+            ("text in features", "features.npy"),
+            ("object labels", "labels.npy"),
+            ("string sensitive", "sensitive.npy"),
+            ("label_scale abc", "meta.kv"),
+            ("sensitive outside +-1", "not a dataset"),
+            ("role 7", "split_00.npy"),
+            ("role 0.5", "split_00.npy"),
+            ("no test role", "split_00.npy"),
+            ("no train role", "split_00.npy"),
+        ],
+    )
+    def test_malformed_directory_is_a_data_error(self, tmp_path, defect, file):
+        out = tmp_path / "prepared"
+        dataset = Dataset(np.zeros((12, 1)), np.ones(12), np.ones(12))
+        save_prepared(out, dataset, make_splits(dataset, SplitPlan(n_repeats=1)), {})
+        roles = np.load(out / "split_00.npy")
+        if defect == "text in features":
+            (out / "features.npy").write_text("a,b\n1,2\n")
+        elif defect == "object labels":
+            np.save(out / "labels.npy", np.array([1.0] * 11 + ["x"], dtype=object))
+        elif defect == "string sensitive":
+            np.save(out / "sensitive.npy", np.array(["1"] * 12))
+        elif defect == "label_scale abc":
+            (out / "meta.kv").write_text("label_scale = abc\n")
+        elif defect == "sensitive outside +-1":
+            np.save(out / "sensitive.npy", np.zeros(12))
+        elif defect == "role 7":
+            np.save(out / "split_00.npy", np.where(roles == 2, 7, roles).astype(np.int8))
+        elif defect == "role 0.5":
+            np.save(out / "split_00.npy", np.where(roles == 1, 0.5, roles))
+        elif defect == "no test role":
+            np.save(out / "split_00.npy", np.where(roles == 2, 1, roles).astype(np.int8))
+        else:
+            np.save(out / "split_00.npy", np.where(roles == 0, 2, roles).astype(np.int8))
+        with pytest.raises(DataError, match=file):
+            load_prepared(out)
+
     def test_incomplete_partition_rejected_at_save(self, tmp_path):
         dataset = Dataset(np.zeros((12, 1)), np.ones(12), np.ones(12))
         bad_splits = [(np.arange(5), np.arange(5, 8), np.arange(8, 11))]  # row 11 missing

@@ -34,7 +34,9 @@ from oracles import dense_square_intersects, hyperbola_value, line_value
 UNIT = st.floats(0.0, 1.0, allow_nan=False)
 
 
-def uniform_square(rng, count):
+def uniform_square(seed, count):
+    """``count`` uniform coordinate pairs from the stream seeded by ``(seed, 0)``."""
+    rng = np.random.default_rng((seed, 0))
     return rng.random(count), rng.random(count)
 
 
@@ -241,31 +243,25 @@ class TestMarginMembership:
 class TestMarginMass:
     def test_deterministic_per_plan(self):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
-        a = estimate_margin_mass(uniform_square, DPAR_BLIND, flat, None, 0.05, 4000, seed=7)
-        b = estimate_margin_mass(uniform_square, DPAR_BLIND, flat, None, 0.05, 4000, seed=7)
+        a = estimate_margin_mass(uniform_square(7, 4000), DPAR_BLIND, flat, None, 0.05)
+        b = estimate_margin_mass(uniform_square(7, 4000), DPAR_BLIND, flat, None, 0.05)
         assert a == b
 
     def test_uniform_mass_near_two_eps(self):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
-        mass, se = estimate_margin_mass(uniform_square, DPAR_BLIND, flat, None, 0.05, 20000, 11)
+        mass, se = estimate_margin_mass(uniform_square(11, 20000), DPAR_BLIND, flat, None, 0.05)
         assert abs(mass - 0.1) <= 4 * se + 1e-9
 
     def test_threshold_pair_mass(self):
         # per-group thresholds 0.25 and 0.75: mass 0.1 + 0.1 - 0.1 * 0.1
         params = FairnessParams(lam=0.5, c=0.5, c_bar=0.5)
-        mass, se = estimate_margin_mass(uniform_square, DPAR_AWARE, params, None, 0.05, 20000, 13)
+        mass, se = estimate_margin_mass(uniform_square(13, 20000), DPAR_AWARE, params, None, 0.05)
         assert abs(mass - 0.19) <= 4 * se + 1e-9
 
     def test_bad_inputs(self):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         with pytest.raises(ValidationError, match="positive"):
-            estimate_margin_mass(uniform_square, DPAR_BLIND, flat, None, 0.05, 0, seed=1)
-
-        def short_sampler(rng, count):
-            return rng.random(count - 1), rng.random(count - 1)
-
-        with pytest.raises(ValidationError, match="sampler returned"):
-            estimate_margin_mass(short_sampler, DPAR_BLIND, flat, None, 0.05, 10, seed=1)
+            estimate_margin_mass((np.zeros(0), np.zeros(0)), DPAR_BLIND, flat, None, 0.05)
 
 
 class TestBoundConstants:

@@ -1,10 +1,13 @@
-"""The order-preserving task map: worker count and start method."""
+"""The order-preserving task map: worker count, start method and worker hand-off."""
 
 import concurrent.futures
 import multiprocessing
+import threading
+from functools import partial
 
 import pytest
 
+from fairplug import _pool
 from fairplug._pool import map_tasks
 
 
@@ -15,8 +18,9 @@ def pools(monkeypatch):
     made = []
 
     class RecordingPool:
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
             made.append((max_workers, mp_context))
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -28,6 +32,7 @@ def pools(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_pool, "_worker", None)
     return made
 
 
@@ -50,3 +55,17 @@ def test_workers_are_forked_where_the_platform_can(pools):
         assert context.get_start_method() == "fork"
     else:
         assert context is multiprocessing.get_context()
+
+
+def _offset(lock, task):
+    with lock:
+        return task + 1
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_worker_reaches_forked_processes_without_pickling():
+    worker = partial(_offset, threading.Lock())  # a lock cannot be pickled
+    serial = map_tasks(worker, range(5), jobs=1)
+    assert map_tasks(worker, range(5), jobs=2) == serial == [1, 2, 3, 4, 5]

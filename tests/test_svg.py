@@ -20,10 +20,11 @@ from fairplug.errors import ValidationError
 from fairplug.svg import _fmt, _nice_ticks, line_plot_svg, region_plot_svg, write_svg
 
 
-def simple_series():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    y = np.array([0.5, 0.25, 0.12, 0.06])
-    return [("regret", x, y)]
+def line(x=(1.0, 2.0, 3.0, 4.0), y=(0.5, 0.25, 0.12, 0.06), band=None, name="regret", **kw):
+    """``line_plot_svg`` with a zero-width band unless one is given."""
+    x, y = np.array(x), np.array(y)
+    kw = {"title": "t", "x_label": "x", "y_label": "y", **kw}
+    return line_plot_svg(name, x, y, (y, y) if band is None else band, **kw)
 
 
 class TestFloatFormatting:
@@ -89,115 +90,71 @@ class TestNiceTicks:
 
 class TestLinePlot:
     def test_output_is_valid_xml(self):
-        svg = line_plot_svg(simple_series(), title="t", x_label="n", y_label="r")
-        root = ET.fromstring(svg)
+        root = ET.fromstring(line(x_label="n", y_label="r"))
         assert root.tag.endswith("svg")
         assert root.attrib["width"] == "640"
         assert root.attrib["height"] == "420"
         assert root.attrib["viewBox"] == "0 0 640 420"
 
     def test_deterministic(self):
-        first = line_plot_svg(simple_series(), title="t", x_label="x", y_label="y")
-        second = line_plot_svg(simple_series(), title="t", x_label="x", y_label="y")
-        assert first == second
+        assert line() == line()
 
     def test_coordinate_anchors(self):
         # with the fixed margins, x: [0, 1] -> [62, 622] and y: [0, 1]
         # maps to [372, 36] (inverted), so the polyline is pinned exactly
-        series = [("", np.array([0.0, 1.0]), np.array([0.0, 1.0]))]
-        svg = line_plot_svg(series, title="t", x_label="x", y_label="y")
+        svg = line(x=[0.0, 1.0], y=[0.0, 1.0])
         assert 'points="62.0,372.0 622.0,36.0"' in svg
-
-    def test_one_polyline_per_series(self):
-        series = simple_series() + [("other", np.array([1.0, 4.0]), np.array([0.1, 0.2]))]
-        svg = line_plot_svg(series, title="t", x_label="x", y_label="y")
-        assert svg.count("<polyline ") == 2
+        assert svg.count("<polyline ") == 1
 
     def test_bands_rendered_as_polygons(self):
-        (name, x, y), = simple_series()
-        svg = line_plot_svg(
-            [(name, x, y)],
-            title="t",
-            x_label="x",
-            y_label="y",
-            bands=[(x, y - 0.05, y + 0.05)],
-        )
+        y = np.array([0.5, 0.25, 0.12, 0.06])
+        svg = line(y=y, band=(y - 0.05, y + 0.05))
         assert svg.count("<polygon ") == 1
         assert 'fill-opacity="0.22"' in svg
 
     def test_named_series_gets_legend_entry(self):
-        svg = line_plot_svg(simple_series(), title="t", x_label="x", y_label="y")
-        assert ">regret</text>" in svg
-
-    def test_single_unnamed_series_suppresses_legend(self):
-        series = [("", np.array([0.0, 1.0]), np.array([0.0, 1.0]))]
-        svg = line_plot_svg(series, title="t", x_label="x", y_label="y")
-        # legend swatches are the only stroke-width-2 lines in this layout
-        assert 'stroke-width="2"' not in svg
+        assert ">regret</text>" in line()
 
     def test_title_and_labels_escaped(self):
-        svg = line_plot_svg(
-            simple_series(), title="a<b & c", x_label="n>0", y_label="y"
-        )
+        svg = line(title="a<b & c", x_label="n>0", name="m<1")
         assert "a&lt;b &amp; c" in svg
         assert "n&gt;0" in svg
+        assert "m&lt;1" in svg
         assert "a<b" not in svg
 
-    def test_custom_size(self):
-        svg = line_plot_svg(
-            simple_series(), title="t", x_label="x", y_label="y", width=320, height=200
-        )
-        root = ET.fromstring(svg)
-        assert root.attrib["viewBox"] == "0 0 320 200"
-
     def test_log_axis_emits_decade_ticks(self):
-        series = [("", np.array([1.0, 10.0, 100.0, 1000.0]), np.array([4.0, 3.0, 2.0, 1.0]))]
-        svg = line_plot_svg(series, title="t", x_label="n", y_label="y", x_log=True)
+        svg = line(x=[1.0, 10.0, 100.0, 1000.0], y=[4.0, 3.0, 2.0, 1.0], x_log=True)
         for label in (">1</text>", ">10</text>", ">100</text>", ">1000</text>"):
             assert label in svg
 
     def test_log_axis_rejects_non_positive_x(self):
-        series = [("", np.array([0.0, 10.0]), np.array([1.0, 2.0]))]
         with pytest.raises(ValidationError, match="log-scale"):
-            line_plot_svg(series, title="t", x_label="x", y_label="y", x_log=True)
+            line(x=[0.0, 10.0], y=[1.0, 2.0], x_log=True)
 
     def test_constant_y_padded_not_degenerate(self):
-        series = [("", np.array([0.0, 1.0]), np.array([0.5, 0.5]))]
-        svg = line_plot_svg(series, title="t", x_label="x", y_label="y")
-        ET.fromstring(svg)
-
-    def test_empty_series_list_rejected(self):
-        with pytest.raises(ValidationError, match="at least one series"):
-            line_plot_svg([], title="t", x_label="x", y_label="y")
+        ET.fromstring(line(x=[0.0, 1.0], y=[0.5, 0.5]))
 
     def test_shape_mismatch_rejected(self):
-        series = [("bad", np.array([1.0, 2.0]), np.array([1.0]))]
         with pytest.raises(ValidationError, match="bad"):
-            line_plot_svg(series, title="t", x_label="x", y_label="y")
+            line(x=[1.0, 2.0], y=[1.0], name="bad")
+        y = np.array([1.0, 2.0])
+        with pytest.raises(ValidationError, match="band"):
+            line(x=[1.0, 2.0], y=y, band=(y[:1], y))
 
     def test_two_dimensional_series_rejected(self):
-        series = [("bad", np.zeros((2, 2)), np.zeros((2, 2)))]
         with pytest.raises(ValidationError):
-            line_plot_svg(series, title="t", x_label="x", y_label="y")
+            line(x=np.zeros((2, 2)), y=np.zeros((2, 2)))
 
     def test_non_finite_data_rejected(self):
-        series = [("", np.array([0.0, 1.0]), np.array([0.0, np.nan]))]
         with pytest.raises(ValidationError, match="finite"):
-            line_plot_svg(series, title="t", x_label="x", y_label="y")
-        series = [("", np.array([0.0, np.inf]), np.array([0.0, 1.0]))]
+            line(x=[0.0, 1.0], y=[0.0, np.nan])
         with pytest.raises(ValidationError, match="finite"):
-            line_plot_svg(series, title="t", x_label="x", y_label="y")
+            line(x=[0.0, np.inf], y=[0.0, 1.0])
 
     def test_non_finite_band_rejected(self):
-        (name, x, y), = simple_series()
+        y = np.array([0.5, 0.25, 0.12, 0.06])
         with pytest.raises(ValidationError, match="finite"):
-            line_plot_svg(
-                [(name, x, y)],
-                title="t",
-                x_label="x",
-                y_label="y",
-                bands=[(x, y, np.full_like(y, np.inf))],
-            )
+            line(y=y, band=(y, np.full_like(y, np.inf)))
 
 
 class TestRegionPlot:
@@ -252,7 +209,7 @@ class TestRegionPlot:
 
 class TestWriteSvg:
     def test_round_trip(self, tmp_path):
-        svg = line_plot_svg(simple_series(), title="t", x_label="x", y_label="y")
+        svg = line()
         target = tmp_path / "plot.svg"
         write_svg(svg, target)
         assert target.read_text(encoding="utf-8") == svg

@@ -39,7 +39,7 @@ from fairplug.sweep import (
     SweepGrid,
     SweepTable,
     TradeoffCurve,
-    _count_by_slices,
+    _count_grid,
     aggregate_curves,
     bin_min_violation,
     default_grid,
@@ -434,7 +434,7 @@ SLICE_AXES = (np.array([-2.0, 0.0, 1.5]), np.array([0.3, 0.5]), np.array([0.25, 
 
 
 class TestSliceCounts:
-    """The blind path's block counts against the metrics counters, one grid point at a time."""
+    """Every setting's block counts against the metrics counters, one grid point at a time."""
 
     def counters(self, setting, first, second, pi, label_pos, group_pos):
         hits = []
@@ -453,12 +453,12 @@ class TestSliceCounts:
                     )
         return np.array(hits).T, (label.n_pos, label.n_neg, group.n_neg, group.n_pos)
 
-    @pytest.mark.parametrize("setting", [EO_BLIND, DPAR_BLIND])
+    @pytest.mark.parametrize("setting", SETTINGS)
     @pytest.mark.parametrize("case", ["mixed", "empty block", "degenerate"])
     def test_counts_equal_metrics_counters(self, setting, case):
         gen = np.random.default_rng(17)
         first, second = gen.random(60), gen.random(60)
-        # At lam = 0 both scores are eta - c, exactly 0 on these rows: classified -1.
+        # At lam = 0 every score is eta - c, exactly 0 on these rows: classified -1.
         first[:6], first[6:12] = 0.3, 0.5
         label_pos = gen.random(60) < 0.5
         group_pos = gen.random(60) < 0.5
@@ -466,8 +466,10 @@ class TestSliceCounts:
             group_pos[~label_pos] = False  # no (Y = -1, group +1) rows
         if case == "degenerate":
             label_pos[:] = True
+        if is_aware(setting):
+            second = np.where(group_pos, 1.0, -1.0)
         assert (setting_score(setting, first, second, 0.4, 0.0, 0.3, 0.5) == 0.0).any()
-        hits, sizes = _count_by_slices(
+        hits, sizes = _count_grid(
             setting, first, second, 0.4, SLICE_AXES, label_pos, group_pos
         )
         expected_hits, expected_sizes = self.counters(
