@@ -7,7 +7,10 @@ rasters), and ``report`` (aggregate sweep records into a trade-off
 curve and plot).  Every run writes a ``manifest.kv`` under ``--out``
 recording the fully resolved configuration and the SHA-256 of each
 input file, and contains no timestamps, so identical inputs with the
-same seed produce byte-identical output trees.
+same seed produce byte-identical output trees.  For ``simulate`` that
+holds only at a fixed BLAS thread count (for example
+``OPENBLAS_NUM_THREADS=1``): its fits' results can move in the last
+bits with the number of threads.
 
 Each command declares its options once, in one table of
 ``(name, parser, default, help)`` entries.  Options may also be supplied

@@ -49,12 +49,17 @@ totals they are out of.  Balanced accuracy ``0.5 * (tp / n_pos + tn /
 n_neg)`` and the violation ``|pos_a / n_a - pos_b / n_b|`` are the same
 :class:`~fairplug.metrics.Counts` rates read back from the columns; a
 split with an empty label class or cell is flagged degenerate, with zero
-counts and NaN metrics.  Ranges are checked over all rows
-at once where a table enters: :func:`run_sweep`'s return and
-:func:`read_records_csv`.  ``records.csv`` has 15 columns, ``split_id,
+counts and NaN metrics.  A table holds each record once:
+:func:`run_sweep` copies each split's counts into the table's
+preallocated columns and drops that split's result, with no concatenated
+copy, and :func:`read_records_csv` parses ``records.csv`` a fixed chunk
+of lines at a time into the preallocated columns, so the reader's only
+temporaries are one chunk's.  Ranges are checked where a table enters,
+column by column over all its rows with row-sized booleans only.
+``records.csv`` has 15 columns, ``split_id,
 lambda, c, c_bar, bal_acc, violation, flags`` and then the counts; the
 reader rejects the older seven-column header and any row whose metric
-or flag text differs from what its counts give.
+or flag text differs from what its counts give, checked chunk by chunk.
 
 Each split's rows reduce to a lower envelope, the minimum violation per
 balanced-accuracy bin of width 2.5% from 50%, binned exactly from the
@@ -75,8 +80,11 @@ column and are not protected by the privacy guarantee.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
+import re
+import warnings
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -86,7 +94,7 @@ import numpy as np
 from ._pool import map_tasks
 from .core import FairnessParams
 from .cpe import FitConfig
-from .data import PreparedData, apply_dp_transform, fit_dp_transform
+from .data import PreparedData, _undecodable, apply_dp_transform, fit_dp_transform
 from .errors import DataError, ValidationError
 from .kvformat import format_float
 from .metrics import Counts, violation
@@ -214,7 +222,7 @@ class SweepTable:
     @property
     def degenerate(self) -> np.ndarray:
         """Rows whose split has an empty label class or fairness cell."""
-        return np.minimum.reduce([self.n_pos, self.n_neg, self.n_a, self.n_b]) == 0
+        return (self.n_pos == 0) | (self.n_neg == 0) | (self.n_a == 0) | (self.n_b == 0)
 
     @property
     def bal_acc(self) -> np.ndarray:
@@ -236,13 +244,23 @@ class SweepTable:
 
 
 def _check_table(table: SweepTable, source: str) -> None:
-    """Counts within their totals and zero on degenerate rows, splits in order."""
-    counts = np.stack([getattr(table, name) for name in COUNT_COLUMNS])
-    hits, totals = counts[:4], counts[4:]
-    step = np.diff(table.split_id)
-    bad = (table.split_id < 0) | (counts < 0).any(axis=0) | (hits > totals).any(axis=0)
-    bad |= table.degenerate & hits.any(axis=0)
-    bad[1:] |= (step < 0) | ((step == 0) & np.diff(totals, axis=1).any(axis=0))
+    """Counts within their totals and zero on degenerate rows, splits in order.
+
+    One column at a time, so the check holds row-sized booleans only.
+    ``0 <= hit <= total`` also keeps every total nonnegative.
+    """
+    split_id = table.split_id
+    bad = split_id < 0
+    degenerate = table.degenerate
+    for hit_name, total_name in zip(COUNT_COLUMNS[:4], COUNT_COLUMNS[4:]):
+        hit, total = getattr(table, hit_name), getattr(table, total_name)
+        bad |= (hit < 0) | (hit > total) | (degenerate & (hit != 0))
+    # A split's rows are contiguous, in increasing split order, with one set of totals.
+    same = split_id[1:] == split_id[:-1]
+    bad[1:] |= split_id[1:] < split_id[:-1]
+    for name in COUNT_COLUMNS[4:]:
+        total = getattr(table, name)
+        bad[1:] |= same & (total[1:] != total[:-1])
     if bad.any():
         raise DataError(f"{source}: record {int(np.argmax(bad))}: counts or split id out of range")
 
@@ -431,14 +449,19 @@ def run_sweep(
     )
     draws = noise_draw_count()
     results = map_tasks(run, list(enumerate(prepared.splits)), jobs)
-    per_split = [counts for counts, _ in results]
+    n_splits, n_points = len(results), grid.cardinality
+    counts = np.empty((len(COUNT_COLUMNS), n_splits * n_points), dtype=np.int64)
+    split_draws = 0
+    for split_id, (split_counts, split_draw_count) in enumerate(results):
+        counts[:, split_id * n_points : (split_id + 1) * n_points] = split_counts
+        split_draws += split_draw_count
+        results[split_id] = None  # each split's counts are held once, in the table
     # a draw made in a worker process raised only that worker's counter
-    worker_draws = sum(split_draws for _, split_draws in results) - (noise_draw_count() - draws)
-    _add_worker_draws(worker_draws)
+    _add_worker_draws(split_draws - (noise_draw_count() - draws))
     table = SweepTable(
-        np.repeat(np.arange(len(per_split), dtype=np.int64), grid.cardinality),
-        *(np.tile(axis.ravel(), len(per_split)) for axis in np.meshgrid(*axes, indexing="ij")),
-        *np.concatenate([np.empty((len(COUNT_COLUMNS), 0), dtype=np.int64), *per_split], axis=1),
+        np.repeat(np.arange(n_splits, dtype=np.int64), n_points),
+        *(np.tile(axis.ravel(), n_splits) for axis in np.meshgrid(*axes, indexing="ij")),
+        *counts,
     )
     _check_table(table, "run_sweep")
     return table
@@ -519,6 +542,9 @@ _RECORD_HEADER = (
     "split_id", "lambda", "c", "c_bar", "bal_acc", "violation", "flags", *COUNT_COLUMNS
 )
 _GRID_COLUMNS = ("lam", "c", "c_bar")
+#: Lines of ``records.csv`` parsed per ``np.loadtxt`` call: one chunk's
+#: text and 144-byte parsed rows are the reader's only temporaries.
+_READ_CHUNK = 2048
 _FLOAT_COLUMNS = (*_GRID_COLUMNS, "bal_acc", "violation")
 # A flags field longer than the width is cut to the full width, so it can
 # never be read as the shorter degenerate flag.
@@ -572,33 +598,102 @@ def write_records_csv(table: SweepTable, path: str | Path) -> None:
 
 def read_records_csv(path: str | Path) -> SweepTable:
     """Inverse of :func:`write_records_csv`; rejects the old seven-column
-    header and rows whose metric or flag text differs from their counts."""
+    header and rows whose metric or flag text differs from their counts.
 
-    with open(path) as handle:
-        header = tuple(handle.readline().rstrip("\n").split(","))
-        if header == _RECORD_HEADER[:7]:
-            raise DataError(f"{path}: seven-column records file without the counts; sweep again")
-        if header != _RECORD_HEADER:
-            raise DataError(f"{path}: unexpected records header {list(header)}")
-        body = handle.tell()
-        if not handle.read(1):
-            raise DataError(f"{path} holds no sweep records")
-        handle.seek(body)
+    The file's lines are counted first and the table's columns allocated
+    once.  Then ``np.loadtxt`` parses :data:`_READ_CHUNK` lines at a time,
+    each chunk's fields are copied into place, and its ``bal_acc``,
+    ``violation`` and ``flags`` text is compared with its counts.  Errors
+    keep file-wide positions and this precedence: the first malformed row
+    (by its line), then the first row of the whole table whose counts or
+    split id are out of range, then the first row whose text disagrees
+    (both by their 0-based record index).  A file that is not UTF-8 is a
+    :class:`DataError` naming the line of its first bad byte.
+    """
+
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return _read_records(handle, path)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
+
+
+def _read_records(handle, path: Path) -> SweepTable:
+    header = tuple(handle.readline().rstrip("\n").split(","))
+    if header == _RECORD_HEADER[:7]:
+        raise DataError(f"{path}: seven-column records file without the counts; sweep again")
+    if header != _RECORD_HEADER:
+        raise DataError(f"{path}: unexpected records header {list(header)}")
+    n_lines = _count_lines(path) - 1
+    if not n_lines:
+        raise DataError(f"{path} holds no sweep records")
+    columns = {f.name: np.empty(n_lines, _RECORD_DTYPE[f.name]) for f in fields(SweepTable)}
+    filled = 0
+    first_line = 2  # the header is line 1
+    disagrees = None  # record index of the first row whose text disagrees
+    while lines := list(itertools.islice(handle, _READ_CHUNK)):
         try:
-            rows = np.loadtxt(handle, dtype=_RECORD_DTYPE, delimiter=",", ndmin=1)
+            rows = np.loadtxt(lines, dtype=_RECORD_DTYPE, delimiter=",", ndmin=1)
         except ValueError as exc:
-            raise DataError(f"{path}: malformed record row: {exc}") from exc
-    table = SweepTable(*(rows[name] for name in ("split_id", *_GRID_COLUMNS, *COUNT_COLUMNS)))
+            raise _malformed(path, lines, first_line, exc) from exc
+        # np.loadtxt skips blank and '#' lines, so a chunk may hold fewer records than lines.
+        end = filled + rows.size
+        for name, column in columns.items():
+            column[filled:end] = rows[name]
+        if disagrees is None:
+            part = SweepTable(**{name: column[filled:end] for name, column in columns.items()})
+            bad = _text_disagrees(part, rows)
+            if bad.any():
+                disagrees = filled + int(np.argmax(bad))
+        filled = end
+        first_line += len(lines)
+    table = SweepTable(**{name: column[:filled] for name, column in columns.items()})
     _check_table(table, str(path))
-    degenerate = table.degenerate
+    if disagrees is not None:
+        message = "bal_acc, violation or flags disagrees with the counts"
+        raise DataError(f"{path}: record {disagrees}: {message}")
+    return table
+
+
+def _count_lines(path: Path) -> int:
+    """The lines of ``path`` as text mode splits them, at ``\\n``, ``\\r\\n`` or ``\\r``.
+
+    Counted in the raw bytes, which costs a quarter of decoding the text.
+    """
+    lines, last = 0, b"\n"
+    with open(path, "rb") as raw:
+        for block in iter(partial(raw.read, 1 << 20), b""):
+            lines += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            lines -= last == b"\r" and block.startswith(b"\n")  # a \r\n cut between blocks
+            last = block[-1:]
+    return lines + (last not in (b"\n", b"\r"))  # a last line without its end
+
+
+def _text_disagrees(part: SweepTable, rows: np.ndarray) -> np.ndarray:
+    """Rows of ``part`` whose parsed metric or flag text differs from what the counts give."""
+    degenerate = part.degenerate
     bad = rows["flags"] != np.where(degenerate, FLAG_DEGENERATE.encode(), b"")
     for name in ("bal_acc", "violation"):
-        text, derived = rows[name], getattr(table, name)
+        text, derived = rows[name], getattr(part, name)
         bad |= np.where(degenerate, ~np.isnan(text), text.view(np.int64) != derived.view(np.int64))
-    if bad.any():
-        message = "bal_acc, violation or flags disagrees with the counts"
-        raise DataError(f"{path}: record {int(np.argmax(bad))}: {message}")
-    return table
+    return bad
+
+
+def _malformed(path: Path, lines: list[str], first_line: int, exc: ValueError) -> DataError:
+    """The first of ``lines`` that ``np.loadtxt`` rejects alone, by its line in the file.
+
+    ``np.loadtxt`` numbers rows within its input, so that number is dropped.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a blank line holds no data
+        for number, line in enumerate(lines, first_line):
+            try:
+                np.loadtxt([line], dtype=_RECORD_DTYPE, delimiter=",", ndmin=1)
+            except ValueError as line_exc:
+                detail = re.sub(r" at row \d+", "", str(line_exc))
+                return DataError(f"{path}:{number}: malformed record row: {detail}")
+    return DataError(f"{path}: malformed record row: {exc}")
 
 
 def write_tradeoff_csv(curve: TradeoffCurve, path: str | Path) -> None:

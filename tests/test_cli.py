@@ -913,3 +913,15 @@ class TestReport:
         code = main(["report", "--records", str(records), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "holds no sweep records" in capsys.readouterr().err
+
+    def test_undecodable_records_is_data_error(self, sweep_out, tmp_path, capsys):
+        text = (sweep_out / "records.csv").read_bytes()
+        cut = text.index(b"\r\n", len(text) // 2) + 2
+        records = tmp_path / "records.csv"
+        records.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        out = tmp_path / "o"
+        code = main(["report", "--records", str(records), "--out", str(out)])
+        assert code == 3
+        line = text[:cut].count(b"\r\n") + 1
+        assert f"records.csv:{line}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,6 +1,7 @@
 """Grid sweep engine, envelope binning, and record/curve serialization."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -33,13 +34,17 @@ from fairplug.plugin import (
 )
 from fairplug.privacy import noise_draw_count
 from fairplug.sweep import (
+    _READ_CHUNK,
+    COUNT_COLUMNS,
     FLAG_DEGENERATE,
     BinStat,
     GridRange,
     SweepGrid,
     SweepTable,
     TradeoffCurve,
+    _check_table,
     _count_grid,
+    _count_lines,
     aggregate_curves,
     bin_min_violation,
     default_grid,
@@ -534,6 +539,25 @@ class TestSerialization:
             with pytest.raises(DataError, match="disagrees with the counts"):
                 read_records_csv(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"", b"a", b"a\n", b"a\r\n", b"a\rb", b"a\r", b"\r\n\r\n\n", b"a\r\rb\n\r",
+         b"x" * (2**20 - 1) + b"\r\nb\r\n", b"x" * 2**20 + b"\nb"],
+    )
+    def test_line_count_matches_text_mode(self, tmp_path, text):
+        # The last two put a line end on the counter's 1 MiB block boundary.
+        path = tmp_path / "lines.txt"
+        path.write_bytes(text)
+        with open(path, encoding="utf-8") as handle:
+            assert _count_lines(path) == len(list(handle))
+
+    def test_any_line_end_round_trips(self, tmp_path):
+        path = tmp_path / "records.csv"
+        rows = ["0,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4", "0,1.0,0.5,0.5,0.5,0.0,,2,2,1,1,4,4,4,4"]
+        path.write_text(HEADER + "\r" + rows[0] + "\n" + rows[1] + "\r" + rows[0], newline="")
+        table = read_records_csv(path)
+        assert table.tp.tolist() == [3, 2, 3]
+
     def test_tradeoff_csv(self, tmp_path):
         curve = aggregate_curves([{0.5: 0.25}, {0.5: 0.75, 0.55: 0.5}], bin_width=0.05)
         path = tmp_path / "curve.csv"
@@ -542,3 +566,118 @@ class TestSerialization:
         assert lines[0] == "bin_low,mean,std,n"
         assert lines[1] == "0.5,0.5,0.25,2"
         assert lines[2] == "0.55,0.5,0.0,1"
+
+
+N_SPLITS, N_POINTS = 16, default_grid().cardinality
+
+
+def column_bytes(table):
+    return sum(getattr(table, field.name).nbytes for field in fields(SweepTable))
+
+
+@pytest.fixture(scope="module")
+def large_records(tmp_path_factory):
+    """A valid 16-split table on the default grid (53,136 rows), and its records file.
+
+    Each split has random totals and hits within them; split 3 has an
+    empty fairness cell, so its rows are degenerate with zero hits.
+    """
+    gen = np.random.default_rng(20)
+    totals = gen.integers(1, 60, size=(N_SPLITS, 4))
+    totals[3, 2] = 0
+    totals = np.repeat(totals, N_POINTS, axis=0)
+    hits = gen.integers(0, totals + 1)
+    hits[3 * N_POINTS : 4 * N_POINTS] = 0
+    grid = default_grid()
+    axes = np.meshgrid(grid.lam.values(), grid.c.values(), grid.c_bar.values(), indexing="ij")
+    table = SweepTable(
+        np.repeat(np.arange(N_SPLITS, dtype=np.int64), N_POINTS),
+        *(np.tile(axis.ravel(), N_SPLITS) for axis in axes),
+        *np.ascontiguousarray(hits.T),
+        *np.ascontiguousarray(totals.T),
+    )
+    path = tmp_path_factory.mktemp("large") / "records.csv"
+    write_records_csv(table, path)
+    return path, table
+
+
+class TestLargeRecords:
+    # A record in split 5, several chunks of lines into the file.
+    RECORD = 5 * N_POINTS + 7
+
+    def test_round_trip(self, large_records):
+        path, table = large_records
+        assert len(table) >= 50_000 and self.RECORD > 2 * _READ_CHUNK
+        assert np.count_nonzero(table.degenerate) == N_POINTS
+        assert_tables_equal(read_records_csv(path), table)
+
+    def rewrite(self, large_records, tmp_path, edit):
+        """A copy of the records file with ``edit`` applied to the cells of ``RECORD``."""
+        lines = large_records[0].read_bytes().split(b"\r\n")
+        cells = lines[self.RECORD + 1].split(b",")
+        edit(cells)
+        lines[self.RECORD + 1] = b",".join(cells)
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        return path
+
+    def test_count_error_names_its_record(self, large_records, tmp_path):
+        n_pos = COUNT_COLUMNS.index("n_pos") + 7
+
+        def tp_above_n_pos(cells):
+            cells[7] = str(int(cells[n_pos]) + 1).encode()
+
+        path = self.rewrite(large_records, tmp_path, tp_above_n_pos)
+        with pytest.raises(DataError, match=f"record {self.RECORD}: counts or split id"):
+            read_records_csv(path)
+
+    def test_metric_text_error_names_its_record(self, large_records, tmp_path):
+        def wrong_bal_acc(cells):
+            cells[4] = b"1.5"
+
+        path = self.rewrite(large_records, tmp_path, wrong_bal_acc)
+        with pytest.raises(DataError, match=f"record {self.RECORD}: bal_acc, violation or flags"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("cell", [b"x", b"0,1"])
+    def test_malformed_row_names_its_line(self, large_records, tmp_path, cell):
+        def malformed(cells):
+            cells[0] = cell
+
+        path = self.rewrite(large_records, tmp_path, malformed)
+        with pytest.raises(DataError) as caught:
+            read_records_csv(path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}:{self.RECORD + 2}: malformed record row: ")
+        assert " at row " not in message
+
+    def test_undecodable_byte_names_its_line(self, large_records, tmp_path):
+        def undecodable(cells):
+            cells[6] = b"\xff"
+
+        path = self.rewrite(large_records, tmp_path, undecodable)
+        with pytest.raises(DataError, match=re.escape(f"{path}:{self.RECORD + 2}: not UTF-8")):
+            read_records_csv(path)
+
+    def test_reader_peak_is_within_one_and_a_half_tables(self, large_records):
+        # Parsing the whole file into 15-field rows peaked at 2.7 tables.
+        path, table = large_records
+        tracemalloc.start()
+        try:
+            read = read_records_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(read) == len(table)
+        assert peak <= 1.5 * column_bytes(table)
+
+    def test_table_check_extra_is_within_half_a_table(self, large_records):
+        # Stacking the eight count columns took 1.2 tables.
+        table = large_records[1]
+        tracemalloc.start()
+        try:
+            _check_table(table, "large")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * column_bytes(table)

@@ -1,0 +1,170 @@
+"""Run the 12 reference sweeps and print the SHA-256 of their outputs.
+
+Usage (from the repository root)::
+
+    python3 tools/reference_outputs.py
+    python3 tools/reference_outputs.py --compare HEAD~1
+
+The inputs are perfbench's seed-1 German-shaped surrogates: 1,000 rows
+prepared into 20 splits and 45,000 rows into 3 (``prepare --seed 1``).
+On each, six sweeps run on the default grid with ``--seed 1``: eo-blind
+at ``--eps-p`` 1 and inf, eo-aware, dpar-blind at 2 and inf, and
+dpar-aware, each serially and with ``--jobs 2``, and ``report``
+aggregates every sweep.  Each command is a child process with
+``OPENBLAS_NUM_THREADS=1``, since the fits call BLAS and some outputs
+move with its thread count.  The script prints ``sha256  path`` for
+every ``records.csv``, ``curve.csv`` and ``curve.svg`` and exits 1 if a
+``--jobs 2`` output differs from its serial twin.
+
+``--compare REV`` exports REV's tree with ``git archive`` into a
+temporary directory, runs the same commands with that tree's code on the
+same inputs, names each file whose bytes differ (for a ``records.csv``,
+with its first differing row and column) and exits 1 if any does.  The
+hashes depend on the machine, because OpenBLAS picks its kernels by CPU,
+so compare two trees on one machine rather than against hashes recorded
+elsewhere.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from surrogate import write_german_csv  # noqa: E402
+
+SEED = 1
+#: (name, surrogate rows, prepared splits)
+DATASETS = (("german", 1000, 20), ("adult", 45000, 3))
+#: (setting, per-split privacy budget)
+SWEEPS = (
+    ("eo-blind", "1"),
+    ("eo-blind", "inf"),
+    ("eo-aware", "inf"),
+    ("dpar-blind", "2"),
+    ("dpar-blind", "inf"),
+    ("dpar-aware", "inf"),
+)
+HASHED = ("records.csv", "curve.csv", "curve.svg")
+BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def fairplug(source: Path, *args: str) -> None:
+    """``fairplug ARGS`` in a child process running ``source``'s code."""
+    env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": str(source / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "fairplug.cli", *args], env=env, capture_output=True, text=True
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"fairplug {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+
+
+def write_inputs(inputs: Path) -> None:
+    inputs.mkdir(parents=True)
+    for name, rows, _ in DATASETS:
+        write_german_csv(inputs / f"{name}.csv", rows, SEED)
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_tree(source: Path, inputs: Path, out: Path) -> dict[str, str]:
+    """Every reference command on ``source``'s code; ``{path under out: sha256}``."""
+    seed = str(SEED)
+    for name, _, repeats in DATASETS:
+        prepared = out / name / "prepared"
+        fairplug(
+            source, "prepare", "--input", str(inputs / f"{name}.csv"),
+            "--schema", "german_gender", "--repeats", str(repeats), "--seed", seed,
+            "--out", str(prepared),
+        )
+        for (setting, eps_p), jobs in itertools.product(SWEEPS, ("1", "2")):
+            run = out / name / f"{setting}_eps{eps_p}_j{jobs}"
+            fairplug(
+                source, "sweep", "--prepared", str(prepared), "--setting", setting,
+                "--eps-p", eps_p, "--grid", "default", "--seed", seed, "--jobs", jobs,
+                "--out", str(run / "sweep"),
+            )
+            fairplug(source, "report", "--records", str(run / "sweep"), "--out", str(run / "report"))
+    return {
+        path.relative_to(out).as_posix(): sha256(path)
+        for path in sorted(out.rglob("*"))
+        if path.name in HASHED
+    }
+
+
+def jobs_mismatches(sums: dict[str, str]) -> list[str]:
+    """The ``--jobs 2`` outputs whose bytes differ from the serial run's."""
+    return [
+        path for path, digest in sums.items()
+        if "_j2/" in path and sums[path.replace("_j2/", "_j1/")] != digest
+    ]
+
+
+def first_difference(old: Path, new: Path) -> str:
+    """Where two records files first differ: line number and column name."""
+    with open(old, newline="") as left, open(new, newline="") as right:
+        header = left.readline()
+        if header != right.readline():
+            return "line 1 (header)"
+        names = header.rstrip("\r\n").split(",")
+        for number, (a, b) in enumerate(itertools.zip_longest(left, right), 2):
+            if a == b:
+                continue
+            if a is None or b is None:
+                return f"line {number}: one file ends"
+            cells = zip(names, a.rstrip("\r\n").split(","), b.rstrip("\r\n").split(","))
+            column = next((name for name, x, y in cells if x != y), "line ending")
+            return f"line {number}, column {column}: {a.rstrip()!r} -> {b.rstrip()!r}"
+    return "same bytes"
+
+
+def export(rev: str, dest: Path) -> None:
+    """REV's committed tree, unpacked into ``dest``."""
+    dest.mkdir()
+    with subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE) as git:
+        subprocess.run(["tar", "-x", "-C", str(dest)], stdin=git.stdout, check=True)
+    if git.returncode != 0:
+        raise SystemExit(f"git archive {rev} exited {git.returncode}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="REV", help="also run REV's tree and diff the outputs")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="fairplug-reference-") as temp:
+        temp = Path(temp)
+        write_inputs(temp / "inputs")
+        sums = run_tree(ROOT, temp / "inputs", temp / "this")
+        for path, digest in sums.items():
+            print(f"{digest}  {path}")
+        failed = False
+        for path in jobs_mismatches(sums):
+            print(f"--jobs 2 differs from serial: {path}")
+            failed = True
+        if args.compare:
+            export(args.compare, temp / "rev")
+            rev_sums = run_tree(temp / "rev", temp / "inputs", temp / "other")
+            differing = [path for path in sums if rev_sums.get(path) != sums[path]]
+            for path in differing:
+                detail = ""
+                if path.endswith("records.csv") and path in rev_sums:
+                    detail = ": " + first_difference(temp / "other" / path, temp / "this" / path)
+                print(f"differs from {args.compare}: {path}{detail}")
+            if not differing:
+                print(f"all {len(sums)} files are byte-identical to {args.compare}")
+            failed |= bool(differing)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
