@@ -391,8 +391,7 @@ _SIMULATE = (
     ("n", int, 2048, "training size (tradeoff-gap)"),
     ("n_schedule", _parse_int_list, (256, 1024, 4096), "consistency sizes"),
     ("trials", int, 10, "independent trials"),
-    ("m_eval", int, 100_000, "evaluation draw size"),
-    ("m", int, 200_000, "Monte-Carlo draws (frontier; sample-complexity margin mass)"),
+    ("m_eval", int, 100_000, "evaluation nodes (quadrature budget)"),
     ("known_pi", _parse_bool, False, "EO settings use the true label prior (known-prior regime)"),
     ("cpe_lambda", float, None, "ridge strength of the class-probability fits"),
     ("which", _choice(synthetic.COMPLEXITY_TARGETS, "unknown sample-complexity target"),
@@ -469,12 +468,12 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         extra["result.final_mean_regret"] = format_float(curve.points[-1].mean_regret)
         extra["result.resamples"] = str(curve.resamples)
     elif experiment == "frontier":
-        value = synthetic.frontier(dist, resolved["lam"], params, resolved["m"], seed)
+        value = synthetic.frontier(dist, resolved["lam"], params, resolved["m_eval"])
         out = _out_dir(resolved)
         _write_csv_rows(
             out / "frontier.csv",
-            ["lambda", "c", "c_bar", "m", "frontier"],
-            [[params.lam, params.c, params.c_bar, resolved["m"], value]],
+            ["lambda", "c", "c_bar", "m_eval", "frontier"],
+            [[params.lam, params.c, params.c_bar, resolved["m_eval"], value]],
         )
         extra["result.frontier"] = format_float(value)
     elif experiment == "tradeoff-gap":
@@ -487,7 +486,6 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
             resolved["m_eval"],
             seed,
             config=fit_config,
-            frontier_m=resolved["m"],
             jobs=jobs,
         )
         out = _out_dir(resolved)
@@ -523,7 +521,7 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
             config=fit_config,
             jobs=jobs,
         )
-        constants = _margin_constants(dist, params, resolved, seed)
+        constants = _margin_constants(dist, params, resolved)
         out = _out_dir(resolved)
         _write_csv_rows(
             out / "complexity.csv",
@@ -557,20 +555,20 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
 
 
 def _margin_constants(
-    dist: synthetic.SyntheticDistribution, params: FairnessParams, resolved: dict, seed: int
+    dist: synthetic.SyntheticDistribution, params: FairnessParams, resolved: dict
 ) -> geometry.BoundConstants:
     """Finite-sample constants of the exact eo-blind rule at ``--eps-target``.
 
-    The margin mass is counted over ``--m`` feature draws from the stream
-    seeded by ``(seed, 0)``, mapped through the distribution's true
-    ``(eta, eta_bar)``.
+    The margin mass is the quadrature weight of the margin members among
+    the ``--m-eval`` budget's nodes, mapped through the distribution's
+    true ``(eta, eta_bar)``.
     """
 
     stats = synthetic.true_stats(dist)
-    x = synthetic.sample_x(dist.law, resolved["m"], np.random.default_rng((seed, 0)))
-    mass, _ = geometry.estimate_margin_mass(
-        (dist.eta(x), dist.eta_bar_eo(x, 1.0)), plugin.EO_BLIND, params, stats.pi,
-        resolved["eps_target"],
+    nodes, weights = synthetic.quadrature(dist.law, resolved["m_eval"])
+    mass = geometry.estimate_margin_mass(
+        (dist.eta(nodes), dist.eta_bar_eo(nodes, 1.0)), weights, plugin.EO_BLIND, params,
+        stats.pi, resolved["eps_target"],
     )
     return geometry.bound_constants(mass, resolved["delta_prime"], stats, params)
 
@@ -691,15 +689,20 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Flags generated from the option tables; every value arrives as text."""
+    """Flags generated from the option tables; every value arrives as text.
+
+    Flags must be spelled out: with abbreviations a removed flag such as
+    ``--m`` would silently set the one it prefixes (``--m-eval``).
+    """
 
     parser = argparse.ArgumentParser(
         prog="fairplug",
         description="Fairness-aware cost-sensitive classification toolkit",
+        allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (_, summary, table) in _COMMANDS.items():
-        sub = commands.add_parser(command, help=summary)
+        sub = commands.add_parser(command, help=summary, allow_abbrev=False)
         sub.add_argument("--config", help="flat key=value config file; flags override it")
         for name, parse, _, help_text in table:
             # a boolean option is a switch: present means "true"

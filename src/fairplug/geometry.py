@@ -8,7 +8,7 @@ the aware scores are affine in ``eta(x, ybar)`` within each group.
 
 This module provides margin-set membership (is a point's closed
 ``2*eps`` box close enough to the boundary to be flipped by estimation
-error of size ``eps``), Monte-Carlo margin mass, the unit-square raster
+error of size ``eps``), weighted margin mass, the unit-square raster
 and boundary polyline, the vertical asymptote of the equal-opportunity
 blind boundary, and the derived bound constants used by the
 finite-sample analysis.
@@ -20,16 +20,21 @@ no score formula is restated here.  Margin membership is a corner sign
 test: each score is affine in each coordinate, so its extrema over an
 axis-aligned box sit at the box's corners, and the box meets the zero
 set exactly when the corner values do not all share a strict sign.  The
-box is treated as closed -- touching counts as intersecting.  The blind
+box is treated as closed -- touching counts as intersecting -- and is
+the exact box around the given doubles: a row whose extreme corner
+score lies within ``_EXACT_BAND`` of zero, where rounding could flip
+the sign test, is decided again with :class:`fractions.Fraction`
+corners and scores.  The blind
 settings test the four corners on ``(eta, eta_bar)``; the aware settings
 test the two ends of each group's interval on ``eta(x, -1)`` and
 ``eta(x, +1)`` and take the union over the groups.
 
 True margin mass needs the true regression functions, so it is only
 available through a synthetic distribution: ``simulate --experiment
-sample-complexity`` draws features from the distribution's law, maps
-them through its exact ``(eta, eta_bar)`` and reports the mass with the
-bound constants built from it.
+sample-complexity`` maps the quadrature nodes of the distribution's law
+through its exact ``(eta, eta_bar)``, weights the margin members by the
+node weights and reports the mass with the bound constants built from
+it.
 """
 
 from __future__ import annotations
@@ -54,6 +59,14 @@ __all__ = [
     "write_raster_csv",
     "boundary_polyline",
 ]
+
+#: A margin row whose extreme corner score lies within this of zero is
+#: decided again in exact arithmetic.  Rounding moves a corner score by a
+#: few ulps of its largest term, far below this while |lam/pi| stays
+#: under about 1e6; the band only bounds how many rows pay for the exact
+#: test, whose decision does not depend on it.
+_EXACT_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -137,46 +150,70 @@ def margin_membership(
 
     pi = _check_pi(setting, pi)
     eps = _check_eps(eps)
-    first, second = (np.asarray(coords[0], dtype=float), np.asarray(coords[1], dtype=float))
+    first, second = (np.atleast_1d(np.asarray(v, dtype=float)) for v in coords[:2])
     if first.shape != second.shape:
         raise ValidationError("coordinate arrays must share a shape")
 
-    def meets_zero(corners) -> np.ndarray:
+    def meets_zero(a, b, a_offsets, b_offsets) -> np.ndarray:
+        """Per row: does some corner ``(a + da, b + db)`` score <= 0 and some >= 0?"""
+        corners = [(da, db) for da in a_offsets for db in b_offsets]
         values = np.stack(
             [
-                np.atleast_1d(setting_score(setting, a, b, pi, params.lam, params.c, params.c_bar))
-                for a, b in corners
+                setting_score(setting, a + da, b + db, pi, params.lam, params.c, params.c_bar)
+                for da, db in corners
             ]
         )
-        return (values.min(axis=0) <= 0.0) & (values.max(axis=0) >= 0.0)
+        low, high = values.min(axis=0), values.max(axis=0)
+        member = (low <= 0.0) & (high >= 0.0)
+        near = np.flatnonzero((np.abs(low) <= _EXACT_BAND) | (np.abs(high) <= _EXACT_BAND))
+        if not near.size:
+            return member
+        # imported here: it loads decimal, 0.4 MiB that runs without such rows never use
+        from fractions import Fraction
+
+        exact = (
+            Fraction(pi) if is_eo(setting) else None,
+            *(Fraction(v) for v in (params.lam, params.c, params.c_bar)),
+        )
+        b = np.broadcast_to(b, a.shape)
+        for i in near:
+            a_i, b_i = Fraction(a.flat[i]), Fraction(b.flat[i])
+            scores = [
+                setting_score(setting, a_i + Fraction(da), b_i + Fraction(db), *exact)
+                for da, db in corners
+            ]
+            member.flat[i] = min(scores) <= 0 <= max(scores)
+        return member
 
     if is_aware(setting):
-        return meets_zero([(first - eps, -1.0), (first + eps, -1.0)]) | meets_zero(
-            [(second - eps, 1.0), (second + eps, 1.0)]
-        )
-    return meets_zero([(first + de, second + db) for de in (-eps, eps) for db in (-eps, eps)])
+        ends = (-eps, eps)
+        return meets_zero(first, -1.0, ends, (0.0,)) | meets_zero(second, 1.0, ends, (0.0,))
+    return meets_zero(first, second, (-eps, eps), (-eps, eps))
 
 
 def estimate_margin_mass(
     coords: tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray,
     setting: str,
     params: FairnessParams,
     pi,
     eps: float,
-) -> tuple[float, float]:
-    """Monte-Carlo margin mass and its binomial standard error.
+) -> float:
+    """Margin mass: the total weight of the margin members.
 
-    ``coords`` holds one coordinate pair per sampled point, in the
-    :func:`margin_membership` order; the mass is the share of margin
-    members among them.
+    ``coords`` holds one coordinate pair per point, in the
+    :func:`margin_membership` order, and ``weights`` each point's
+    probability weight: quadrature weights, or ``1/m`` each for ``m``
+    sampled points.
     """
 
     member = margin_membership(setting, params, pi, coords, eps)
-    m = member.size
-    if m == 0:
-        raise ValidationError("sample count must be positive, got no coordinates")
-    p_hat = int(member.sum()) / m
-    return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / m))
+    weights = np.asarray(weights, dtype=float)
+    if member.size == 0:
+        raise ValidationError("point count must be positive, got no coordinates")
+    if weights.shape != member.shape:
+        raise ValidationError("weights must hold one weight per coordinate pair")
+    return float(weights @ member)
 
 
 def bound_constants(

@@ -1,6 +1,6 @@
 """Confusion counts, the rates they give, and the trade-off objective.
 
-Every rate in the package is an integer count over a class size.  The
+Every rate measured on data is an integer count over a class size.  The
 three public counters each read one truth:
 
 * :func:`empirical_rates`: the label, over all rows;
@@ -13,7 +13,9 @@ and returns a :class:`Counts` record: predicted positives among truth
 may carry leading axes, such as one row per grid point of a sweep
 slice; the predicted-positive counts then carry the same axes.  The
 rates are the counts over their class size, NaN where the class is
-empty.
+empty.  The synthetic harness builds the same record from probability
+masses instead (:func:`fairplug.synthetic.population_counts`), so its
+population rates go through the same measures.
 
 The central object is the performance measure
 
@@ -81,7 +83,11 @@ def _divide(numerator, denominator) -> np.ndarray:
 class Counts:
     """Predicted positives per truth class, and the class sizes.
 
-    Fields are int64 scalars or arrays of one shape.  FNR is ``1 - TPR``
+    Fields are int64 scalars or arrays of one shape when counted on a
+    sample.  They may also be float probability masses, as
+    :func:`fairplug.synthetic.population_counts` gives them: the
+    positives' mass in each truth class and the class's mass, so the
+    same rates and measures are population values.  FNR is ``1 - TPR``
     and TNR is ``(n_neg - pos_in_neg) / n_neg``; the two forms of a
     complement can differ in the last bit, and these are the ones the
     regret curves and ``records.csv`` are computed with.

@@ -136,13 +136,13 @@ def score_eo_blind(eta_x, eta_bar_x1, pi, lam, c, c_bar):
     ``eta_bar_x1`` is the sensitive-attribute estimator evaluated at the
     positive label input.
     """
-    return (1.0 - (lam / pi) * (eta_bar_x1 - c_bar)) * eta_x - c
+    return (1 - (lam / pi) * (eta_bar_x1 - c_bar)) * eta_x - c
 
 
 def score_eo_aware(eta_xy, y_bar, pi, lam, c, c_bar):
     """Equal-opportunity score with test-time group access (two branches)."""
-    coef_minus = 1.0 + (lam / pi) * c_bar
-    coef_plus = 1.0 - (lam / pi) * (1.0 - c_bar)
+    coef_minus = 1 + (lam / pi) * c_bar
+    coef_plus = 1 - (lam / pi) * (1 - c_bar)
     return np.where(y_bar > 0, coef_plus, coef_minus) * eta_xy - c
 
 
@@ -163,7 +163,10 @@ def setting_score(setting: str, first, second, pi, lam, c, c_bar):
     are taken as checked; ``pi`` is read by the EO settings only.  The
     parameters broadcast against the coordinates, so ``c`` and ``c_bar``
     of shape ``(k, 1)`` against ``(n,)`` coordinates score ``k`` grid
-    points on ``n`` rows in one ``(k, n)`` call.
+    points on ``n`` rows in one ``(k, n)`` call.  The formulas use only
+    integer constants, so on :class:`fractions.Fraction` scalars they
+    evaluate exactly, which :func:`fairplug.geometry.margin_membership`
+    relies on near the boundary.
     """
 
     if setting == EO_BLIND:

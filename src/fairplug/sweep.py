@@ -244,10 +244,13 @@ class SweepTable:
 
 
 def _check_table(table: SweepTable, source: str) -> None:
-    """Counts within their totals and zero on degenerate rows, splits in order.
+    """Counts within their totals and zero on degenerate rows, splits in order and equal.
 
     One column at a time, so the check holds row-sized booleans only.
-    ``0 <= hit <= total`` also keeps every total nonnegative.
+    ``0 <= hit <= total`` also keeps every total nonnegative.  Every
+    split holds as many rows as the first, one per grid point, so a
+    table that lost a row is rejected at the first split that is short
+    or long.
     """
     split_id = table.split_id
     bad = split_id < 0
@@ -263,6 +266,14 @@ def _check_table(table: SweepTable, source: str) -> None:
         bad[1:] |= same & (total[1:] != total[:-1])
     if bad.any():
         raise DataError(f"{source}: record {int(np.argmax(bad))}: counts or split id out of range")
+    starts = np.flatnonzero(~same) + 1
+    sizes = np.diff(starts, prepend=0, append=len(split_id))
+    if (sizes != sizes[0]).any():
+        uneven = int(np.argmax(sizes != sizes[0]))
+        raise DataError(
+            f"{source}: split {int(split_id[starts[uneven - 1]])} holds {int(sizes[uneven])} "
+            f"records, split {int(split_id[0])} holds {int(sizes[0])}"
+        )
 
 
 @dataclass(frozen=True)
@@ -634,10 +645,10 @@ def _read_records(handle, path: Path) -> SweepTable:
     disagrees = None  # record index of the first row whose text disagrees
     while lines := list(itertools.islice(handle, _READ_CHUNK)):
         try:
-            rows = np.loadtxt(lines, dtype=_RECORD_DTYPE, delimiter=",", ndmin=1)
+            rows = np.loadtxt(lines, dtype=_RECORD_DTYPE, delimiter=",", ndmin=1, comments=None)
         except ValueError as exc:
             raise _malformed(path, lines, first_line, exc) from exc
-        # np.loadtxt skips blank and '#' lines, so a chunk may hold fewer records than lines.
+        # np.loadtxt skips blank lines, so a chunk may hold fewer records than lines.
         end = filled + rows.size
         for name, column in columns.items():
             column[filled:end] = rows[name]
@@ -689,7 +700,7 @@ def _malformed(path: Path, lines: list[str], first_line: int, exc: ValueError) -
         warnings.simplefilter("ignore", UserWarning)  # a blank line holds no data
         for number, line in enumerate(lines, first_line):
             try:
-                np.loadtxt([line], dtype=_RECORD_DTYPE, delimiter=",", ndmin=1)
+                np.loadtxt([line], dtype=_RECORD_DTYPE, delimiter=",", ndmin=1, comments=None)
             except ValueError as line_exc:
                 detail = re.sub(r" at row \d+", "", str(line_exc))
                 return DataError(f"{path}:{number}: malformed record row: {detail}")

@@ -10,9 +10,11 @@ fairness/accuracy frontier and its finite-sample gap can be measured.
 
 The label model: x ~ feature law; y = +1 with probability eta(x);
 ybar = +1 with probability eta_bar(x, y).  All population quantities
-(class priors, group priors) come from deterministic tensor-grid
-quadrature over the feature law, never Monte Carlo, so exact-rule
-construction is seed-free.
+(class and group priors, a rule's regret, the frontier and the
+trade-off gap's costs, the margin mass) come from deterministic
+tensor-grid quadrature over the feature law, never Monte Carlo, so
+exact-rule construction and evaluation are seed-free; only the training
+samples are drawn.
 
 The sensitive-attribute regression takes the label as a numeric +-1
 input.  When its label weight is zero the sensitive attribute is
@@ -58,13 +60,7 @@ from .kvformat import (
     read_kv,
     write_kv,
 )
-from .metrics import (
-    cost_sensitive_risk,
-    dpar_dbar_rates,
-    empirical_rates,
-    eo_dbar_rates,
-    performance_measure,
-)
+from .metrics import Counts, cost_sensitive_risk, performance_measure
 from .plugin import (
     EO_BLIND,
     PlugInRule,
@@ -76,12 +72,19 @@ from .plugin import (
     with_params,
 )
 
+# Imported but not called here: perfbench's tracer wraps these names at
+# ``fairplug.synthetic.<name>``.
+from .metrics import dpar_dbar_rates  # noqa: F401
+from .metrics import empirical_rates  # noqa: F401
+from .metrics import eo_dbar_rates  # noqa: F401
+
 __all__ = [
     "COMPLEXITY_TARGETS",
     "UniformBoxLaw",
     "TruncatedGaussianLaw",
     "DiscreteLaw",
     "SyntheticDistribution",
+    "Population",
     "RegretPoint",
     "RegretCurve",
     "TradeoffResult",
@@ -92,6 +95,9 @@ __all__ = [
     "sample",
     "true_stats",
     "bayes_classifier",
+    "population",
+    "population_counts",
+    "population_measure",
     "estimate_regret",
     "consistency_curve",
     "frontier",
@@ -291,19 +297,25 @@ def _gauss_legendre_grid(
     return nodes, np.asarray(weights).ravel()
 
 
-def quadrature(law: FeatureLaw) -> tuple[np.ndarray, np.ndarray]:
+def quadrature(law: FeatureLaw, total: int = _GAUSS_TOTAL_TARGET) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic nodes and probability weights integrating the law.
 
     Exact for a discrete law; for the continuous laws a tensor
     Gauss-Legendre grid (weighted by the density and renormalized on
     the grid) whose per-dimension size is set by a budget of roughly
-    200k total nodes, at least 16 and at most 256 per dimension.
+    ``total`` nodes, at least 16 and at most 256 per dimension.  The
+    default of 200k is what :func:`true_stats` integrates with (256 per
+    axis in 2-D); a budget of 50,000 gives 224 per axis in 2-D, and any
+    budget up to 16**5 gives 16 per axis in 5-D.
     """
 
+    total = int(total)
+    if total <= 0:
+        raise ValidationError(f"sample size must be positive, got a budget of {total} nodes")
     if isinstance(law, DiscreteLaw):
         return law.points, law.masses
     d = law_dim(law)
-    nodes_per_dim = min(_GAUSS_NODE_CAP, max(16, int(round(_GAUSS_TOTAL_TARGET ** (1.0 / d)))))
+    nodes_per_dim = min(_GAUSS_NODE_CAP, max(16, int(round(total ** (1.0 / d)))))
     nodes, weights = _gauss_legendre_grid(law.lows, law.highs, nodes_per_dim)
     if isinstance(law, TruncatedGaussianLaw):
         z = (nodes - law.mean) / law.std
@@ -470,49 +482,101 @@ def bayes_classifier(
     )
 
 
-def _measure_on(
-    dataset: Dataset,
+@dataclass(frozen=True, eq=False)
+class Population:
+    """A distribution on quadrature nodes: the one population measure.
+
+    ``masses[k, i]`` is ``w_i * P(y, ybar | x_i)`` for the k-th (y, ybar)
+    pair of (+1, +1), (-1, +1), (+1, -1), (-1, -1), so rows 0 and 1 hold
+    group +1 and rows 0 and 2 label +1; ``totals`` are the row sums, the
+    four joint probabilities.
+    A rule's positives on the nodes, weighted by these masses, give its
+    population rates (:func:`population_counts`): for a blind rule ``f``,
+    for example, ``TPR = sum(w * f * eta) / pi``.  Build one per run with
+    :func:`population` and score every rule on it.
+    """
+
+    dist: SyntheticDistribution
+    nodes: np.ndarray
+    masses: np.ndarray
+    totals: np.ndarray
+
+
+def population(dist: SyntheticDistribution, budget: int) -> Population:
+    """The distribution's joint masses on :func:`quadrature` nodes of about ``budget``."""
+    nodes, weights = quadrature(dist.law, budget)
+    eta = np.asarray(dist.eta(nodes))
+    label_pos = weights * eta
+    label_neg = weights * (1.0 - eta)
+    plus = np.asarray(dist.eta_bar_eo(nodes, 1.0))
+    minus = np.asarray(dist.eta_bar_eo(nodes, -1.0))
+    masses = np.stack(
+        [label_pos * plus, label_neg * minus, label_pos * (1.0 - plus), label_neg * (1.0 - minus)]
+    )
+    return Population(dist=dist, nodes=nodes, masses=masses, totals=masses.sum(axis=1))
+
+
+def population_counts(pop: Population, rule: PlugInRule) -> tuple[Counts, Counts, Counts]:
+    """The rule's positives as masses: against the label, on the EO and parity comparisons.
+
+    The three records are what :func:`~fairplug.metrics.empirical_rates`,
+    :func:`~fairplug.metrics.eo_dbar_rates` and
+    :func:`~fairplug.metrics.dpar_dbar_rates` count on a sample, with
+    probability masses in place of row counts.  An aware rule's decision
+    ``f(x, ybar)`` is weighted by the masses of its own group.
+    """
+    if is_aware(rule.setting):
+        positive = np.concatenate(
+            [
+                pop.masses[:2].sum(axis=1, where=score(rule, pop.nodes, 1.0) > 0),
+                pop.masses[2:].sum(axis=1, where=score(rule, pop.nodes, -1.0) > 0),
+            ]
+        )
+    else:
+        positive = pop.masses.sum(axis=1, where=score(rule, pop.nodes) > 0)
+    both_pos, neg_pos, pos_neg, both_neg = positive  # (y, ybar) in the masses' row order
+    mass_pp, mass_np, mass_pn, mass_nn = pop.totals
+    label = Counts(both_pos + pos_neg, neg_pos + both_neg, mass_pp + mass_pn, mass_np + mass_nn)
+    eo = Counts(both_pos, pos_neg, mass_pp, mass_pn)
+    dpar = Counts(both_pos + neg_pos, pos_neg + both_neg, mass_pp + mass_np, mass_pn + mass_nn)
+    return label, eo, dpar
+
+
+def population_measure(
+    pop: Population,
     rule: PlugInRule,
     setting: str,
     params: FairnessParams,
     stats: DistStats,
 ) -> float:
-    group = dataset.sensitive if is_aware(rule.setting) else None
-    predictions = score(rule, dataset.features, group) > 0
-    label_pos = dataset.labels > 0
-    group_pos = dataset.sensitive > 0
-    rates_d = empirical_rates(predictions, label_pos)
-    if is_eo(setting):
-        rates_dbar = eo_dbar_rates(predictions, label_pos, group_pos)
-    else:
-        rates_dbar = dpar_dbar_rates(predictions, group_pos)
-    return performance_measure(rates_d, rates_dbar, stats, params, criterion_for(setting))
+    """The rule's population Psi under ``setting``'s criterion, priors from ``stats``."""
+    label, eo, dpar = population_counts(pop, rule)
+    comparison = eo if is_eo(setting) else dpar
+    return float(performance_measure(label, comparison, stats, params, criterion_for(setting)))
 
 
 def estimate_regret(
     rule: PlugInRule,
-    dist: SyntheticDistribution,
+    pop: Population,
     setting: str,
     params: FairnessParams,
-    m: int,
-    seed,
     *,
-    boc: PlugInRule | None = None,
     stats: DistStats | None = None,
+    best: float | None = None,
 ) -> float:
-    """Measure shortfall against the exact rule, paired on one draw of m triplets.
+    """Shortfall of the rule's Psi against the exact rule's, both by quadrature on ``pop``.
 
-    Group rates come from the draw and the priors weighting them from
-    quadrature, which removes the largest seed-to-seed variance component.
+    ``best`` is the exact rule's :func:`population_measure` on ``pop``;
+    a caller that scores many rules computes it once and passes it.
+    The exact rule maximizes Psi's integrand node by node, so the regret
+    of any rule is nonnegative up to rounding.
     """
     if stats is None:
-        stats = true_stats(dist)
-    if boc is None:
-        boc = bayes_classifier(dist, setting, params, true_pi=stats.pi)
-    dataset = sample(dist, m, seed)
-    best = _measure_on(dataset, boc, setting, params, stats)
-    got = _measure_on(dataset, rule, setting, params, stats)
-    return best - got
+        stats = true_stats(pop.dist)
+    if best is None:
+        boc = bayes_classifier(pop.dist, setting, params, true_pi=stats.pi)
+        best = population_measure(pop, boc, setting, params, stats)
+    return best - population_measure(pop, rule, setting, params, stats)
 
 
 @dataclass(frozen=True)
@@ -569,17 +633,16 @@ def _sample_non_degenerate(
 
 
 def _consistency_trial(
-    dist, setting, params, n, m_eval, seed, config, known_pi, boc, stats, trial
+    dist, setting, params, n, seed, config, known_pi, pop, stats, best, trial
 ) -> tuple[float, int]:
-    """One (n, trial) cell: fit on a fresh draw, then the paired regret."""
+    """One (n, trial) cell: fit on a fresh draw, then its regret on the run's nodes."""
     pi_override = stats.pi if known_pi else None
 
     def build(train: Dataset) -> PlugInRule:
         return fit_plugin(train, setting, params, config, pi_override=pi_override)
 
     rule, retries = _sample_non_degenerate(dist, n, (seed, n, trial, 0), build)
-    eval_seed = (seed, n, trial, 1)
-    regret = estimate_regret(rule, dist, setting, params, m_eval, eval_seed, boc=boc, stats=stats)
+    regret = estimate_regret(rule, pop, setting, params, stats=stats, best=best)
     return regret, retries
 
 
@@ -598,9 +661,11 @@ def consistency_curve(
 ) -> RegretCurve:
     """Mean/std regret of freshly fitted rules along a sample-size schedule.
 
-    Each (n, trial) cell trains on its own derived-seed draw and
-    evaluates paired against the exact rule on a shared evaluation
-    draw, so trial values do not depend on how many trials run.
+    Each (n, trial) cell trains on its own derived-seed draw, so trial
+    values do not depend on how many trials run.  Every regret is taken
+    by quadrature on one :func:`population` of about ``m_eval`` nodes,
+    built once per run, against the exact rule's Psi, scored once per
+    run.
     ``known_pi`` switches the EO settings to the known-prior regime;
     the default regularization schedule shrinks as 1/sqrt(n) so the
     estimators stay consistent.
@@ -613,13 +678,15 @@ def consistency_curve(
     if trials <= 0:
         raise ValidationError("trials must be positive")
     stats = true_stats(dist)
+    pop = population(dist, m_eval)
     boc = bayes_classifier(dist, setting, params, true_pi=stats.pi)
+    best = population_measure(pop, boc, setting, params, stats)
     points: list[RegretPoint] = []
     resamples = 0
     for n in sizes:
         run = partial(
-            _consistency_trial, dist, setting, params, n, int(m_eval), int(seed),
-            _default_fit_config(n, config), known_pi, boc, stats,
+            _consistency_trial, dist, setting, params, n, int(seed),
+            _default_fit_config(n, config), known_pi, pop, stats, best,
         )
         results = map_tasks(run, range(trials), jobs)
         regrets = np.array([r for r, _ in results])
@@ -639,28 +706,37 @@ def frontier(
     dist: SyntheticDistribution,
     lam: float,
     params: FairnessParams,
-    m: int,
-    seed,
+    m_eval: int,
     *,
     stats: DistStats | None = None,
 ) -> float:
     """Population cost paid for fairness at strength lam (EO-blind rule).
 
-    Monte-Carlo estimate of E[(c - eta(x)) (f_lam(x) - 1{eta(x) > c})]
-    where f_lam is the exact fairness-adjusted rule as a 0/1 indicator;
-    the second indicator is the unconstrained cost-sensitive optimum.
-    Exactly zero at lam = 0; nonnegative in population.
+    The cost-sensitive risk of the exact fairness-adjusted rule minus
+    that of the unconstrained cost-sensitive optimum (the same rule at
+    lam = 0, which predicts ``eta(x) > c``), that is
+    E[(c - eta(x)) (f_lam(x) - 1{eta(x) > c})], by quadrature on about
+    ``m_eval`` nodes.  Exactly zero at lam = 0; nonnegative in population.
     """
 
     if stats is None:
         stats = true_stats(dist)
+    return _frontier(population(dist, m_eval), lam, params, stats)
+
+
+def _frontier(pop: Population, lam: float, params: FairnessParams, stats: DistStats) -> float:
     lam_params = FairnessParams(lam=float(lam), c=params.c, c_bar=params.c_bar)
-    boc = bayes_classifier(dist, EO_BLIND, lam_params, true_pi=stats.pi)
-    x = sample_x(dist.law, m, _as_rng(seed))
-    eta = np.asarray(dist.eta(x))
-    f_lam = (score(boc, x) > 0).astype(float)
-    f_zero = (eta > params.c).astype(float)
-    return float(np.mean((params.c - eta) * (f_lam - f_zero)))
+    boc = bayes_classifier(pop.dist, EO_BLIND, lam_params, true_pi=stats.pi)
+    return _cost_difference(pop, boc, stats.pi, params.c)
+
+
+def _cost_difference(pop: Population, rule: PlugInRule, pi: float, c: float) -> float:
+    """Label cost of ``rule`` minus that of its lam = 0 re-assembly, on ``pop``."""
+    zero = with_params(rule, FairnessParams(lam=0.0, c=rule.params.c, c_bar=rule.params.c_bar))
+    cost, cost_zero = (
+        cost_sensitive_risk(population_counts(pop, r)[0], pi, c) for r in (rule, zero)
+    )
+    return float(cost - cost_zero)
 
 
 @dataclass(frozen=True)
@@ -679,23 +755,15 @@ class TradeoffResult:
         return self.gap - self.frontier
 
 
-def _tradeoff_trial(dist, lam, params, n, m_eval, seed, config, stats, trial) -> tuple[float, int]:
+def _tradeoff_trial(dist, lam, params, n, seed, config, pop, stats, trial) -> tuple[float, int]:
     """One trial: |cost of the lam rule - cost of its lam = 0 re-assembly|."""
     lam_params = FairnessParams(lam=lam, c=params.c, c_bar=params.c_bar)
-    zero_params = FairnessParams(lam=0.0, c=params.c, c_bar=params.c_bar)
 
     def build(train: Dataset) -> PlugInRule:
         return fit_plugin(train, EO_BLIND, lam_params, config)
 
     rule_lam, retries = _sample_non_degenerate(dist, n, (seed, n, trial, 0), build)
-    rule_zero = with_params(rule_lam, zero_params)
-    eval_ds = sample(dist, m_eval, (seed, n, trial, 1))
-    label_pos = eval_ds.labels > 0
-    pred_lam = score(rule_lam, eval_ds.features) > 0
-    pred_zero = score(rule_zero, eval_ds.features) > 0
-    cs_lam = cost_sensitive_risk(empirical_rates(pred_lam, label_pos), stats.pi, params.c)
-    cs_zero = cost_sensitive_risk(empirical_rates(pred_zero, label_pos), stats.pi, params.c)
-    return abs(cs_lam - cs_zero), retries
+    return abs(_cost_difference(pop, rule_lam, stats.pi, params.c)), retries
 
 
 def tradeoff_gap(
@@ -708,14 +776,14 @@ def tradeoff_gap(
     seed: int,
     *,
     config: FitConfig | None = None,
-    frontier_m: int = 200_000,
     jobs: int = 1,
 ) -> TradeoffResult:
     """Average |cost(fitted at lam) - cost(fitted at 0)| beside the frontier.
 
     The lam = 0 rule reuses the lam rule's estimators (parameter
-    re-assembly), so each trial fits once; costs are compared on one
-    shared evaluation draw per trial.  The gap minus the frontier is
+    re-assembly), so each trial fits once.  Costs and the frontier are
+    population costs by quadrature on one :func:`population` of about
+    ``m_eval`` nodes, built once per run.  The gap minus the frontier is
     the finite-sample excess that should shrink with n.
     """
 
@@ -724,18 +792,16 @@ def tradeoff_gap(
     if n <= 0 or trials <= 0:
         raise ValidationError("n and trials must be positive")
     stats = true_stats(dist)
+    pop = population(dist, m_eval)
     run = partial(
-        _tradeoff_trial, dist, float(lam), params, n, int(m_eval), int(seed),
-        _default_fit_config(n, config), stats,
+        _tradeoff_trial, dist, float(lam), params, n, int(seed),
+        _default_fit_config(n, config), pop, stats,
     )
     results = map_tasks(run, range(trials), jobs)
     gaps = np.array([g for g, _ in results])
-    frontier_value = frontier(
-        dist, lam, params, frontier_m, (int(seed), 982451653), stats=stats
-    )
     return TradeoffResult(
         gap=float(gaps.mean()),
-        frontier=frontier_value,
+        frontier=_frontier(pop, lam, params, stats),
         gap_std=float(gaps.std(ddof=0)),
         n=n,
         trials=trials,

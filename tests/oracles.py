@@ -432,6 +432,28 @@ def sample_labels(rng, x, eta, eta_bar_eo):
     return y, ybar
 
 
+def per_draw_psi(decisions, y, ybar, criterion, lam, c, c_bar, pi, pi_bar, beta):
+    """Per-draw terms whose mean estimates Psi of the decisions on the draw.
+
+    Psi = -CS(label) + lam * CS(comparison) with every rate's class size
+    taken from the true priors, so each rate is a mean over the draw and
+    so is Psi: for the label, ``-c (1-pi) FPR - pi (1-c) FNR`` is the mean
+    of ``-c f [y=-1] + (1-c) f [y=+1] - pi (1-c)``; for equal opportunity
+    the comparison rates are over Y = +1 rows (class sizes ``pi beta``
+    and ``pi (1-beta)``), for parity over all rows (``pi_bar``).
+    """
+
+    f = np.asarray(decisions, dtype=float)
+    pos, grp = y > 0, ybar > 0
+    label = -c * f * ~pos + (1 - c) * f * pos - pi * (1 - c)
+    if criterion == "eo":
+        comparison = (c_bar * f * (pos & ~grp) - (1 - c_bar) * f * (pos & grp)) / pi
+        comparison += beta * (1 - c_bar)
+    else:
+        comparison = c_bar * f * ~grp - (1 - c_bar) * f * grp + pi_bar * (1 - c_bar)
+    return label + lam * comparison
+
+
 # ---------------------------------------------------------------------------
 # CSV ingest, row then column
 

@@ -300,10 +300,13 @@ def test_criterion_05_square_tests_match_dense_oracle():
 def test_criterion_06_margin_mass_matches_two_eps():
     flat = FairnessParams(0.0, 0.5, 0.5)
 
-    u, v = np.random.default_rng((404, 0)).uniform(size=(2, 100_000))
+    m = 100_000
+    u, v = np.random.default_rng((404, 0)).uniform(size=(2, m))
+    weights = np.full(m, 1.0 / m)
     masses = []
     for eps in (0.01, 0.05, 0.1):
-        mass, se = estimate_margin_mass((v, u), EO_BLIND, flat, 0.85, eps)  # (eta, eta_bar)
+        mass = estimate_margin_mass((v, u), weights, EO_BLIND, flat, 0.85, eps)  # (eta, eta_bar)
+        se = math.sqrt(mass * (1.0 - mass) / m)  # binomial standard error of the share
         assert abs(mass - 2.0 * eps) <= 3.0 * se
         masses.append(mass)
     assert masses[0] <= masses[1] <= masses[2]
@@ -371,7 +374,7 @@ def test_criterion_08_dp_sweep_budget_and_agreement(german_prepared_single):
 
 
 # ---------------------------------------------------------------------------
-# 9. frontier Monte Carlo vs direct risk difference
+# 9. frontier by quadrature vs a Monte-Carlo risk difference
 
 
 def test_criterion_09_frontier_agrees_with_direct_risk_difference():
@@ -381,7 +384,7 @@ def test_criterion_09_frontier_agrees_with_direct_risk_difference():
     c = 0.5
     for index, lam in enumerate((-2.0, -0.5, 0.0, 0.5, 2.0)):
         params = FairnessParams(lam, c, 0.5)
-        value = frontier(dist, lam, params, m, (31, index))
+        value = frontier(dist, lam, params, m)
         if lam == 0.0:
             assert value == 0.0
             continue
@@ -399,7 +402,8 @@ def test_criterion_09_frontier_agrees_with_direct_risk_difference():
         )
         independent = float(per_draw.mean())
         se_independent = float(per_draw.std(ddof=0)) / math.sqrt(m)
-        # the package estimator's spread, measured on this fresh draw
+        # the spread the frontier's integrand has on this draw (the bound's
+        # second term, kept from when the frontier was itself a draw)
         integrand = (c - eta) * (f_lam.astype(float) - f_zero.astype(float))
         se_package = float(integrand.std(ddof=0)) / math.sqrt(m)
         combined = math.hypot(se_independent, se_package)

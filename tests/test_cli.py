@@ -87,6 +87,13 @@ class TestExitCodes:
         assert main(["geometry", "--no-such-flag"]) == 2
         capsys.readouterr()
 
+    def test_removed_flag_is_not_read_as_an_abbreviation(self, tmp_path, capsys):
+        # --m was removed; it must not silently set --m-eval, the flag it prefixes
+        out = tmp_path / "o"
+        assert main(["simulate", "--experiment", "frontier", "--m", "2000", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --m 2000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "prepare" in capsys.readouterr().out
@@ -200,7 +207,7 @@ class TestConfigFile:
         sweep_args = ["--prepared", str(prepared_dir), "--grid", grid, "--eps-p", "inf"]
         sweep_args += ["--config", str(config), "--out", str(tmp_path / "s")]
         assert main(["sweep", *sweep_args]) == 0
-        sim_args = ["--experiment", "frontier", "--m", "2000", "--config", str(config)]
+        sim_args = ["--experiment", "frontier", "--m-eval", "2000", "--config", str(config)]
         assert main(["simulate", *sim_args, "--out", str(tmp_path / "f")]) == 0
         capsys.readouterr()
 
@@ -267,7 +274,7 @@ def valid_options(command: str, request) -> dict[str, str]:
     if command == "report":
         return {"records": str(request.getfixturevalue("sweep_out"))}
     if command == "simulate":
-        return {"experiment": "frontier", "m": "2000"}
+        return {"experiment": "frontier", "m_eval": "2000"}
     return {"params": GEO_PARAMS, "raster": "11"}
 
 
@@ -306,7 +313,7 @@ class TestOptionValidation:
     @pytest.mark.parametrize("setting", ["eo-aware", "dpar-blind", "dpar-aware"])
     def test_setting_is_for_consistency_only(self, tmp_path, capsys, experiment, setting):
         out = tmp_path / "out"
-        argv = ["simulate", "--experiment", experiment, "--setting", setting, "--m", "2000"]
+        argv = ["simulate", "--experiment", experiment, "--setting", setting, "--m-eval", "2000"]
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"--setting {setting} applies to --experiment consistency only" in err
@@ -670,13 +677,13 @@ class TestSimulate:
                 "simulate",
                 "--experiment", "frontier",
                 "--lam", "0",
-                "--m", "20000",
+                "--m-eval", "20000",
                 "--out", str(out),
             ]
         )
         assert code == 0
         header, rows = read_csv(out / "frontier.csv")
-        assert header == ["lambda", "c", "c_bar", "m", "frontier"]
+        assert header == ["lambda", "c", "c_bar", "m_eval", "frontier"]
         assert rows == [["0.0", "0.5", "0.5", "20000", "0.0"]]
         assert read_kv(out / "manifest.kv")["result.frontier"] == "0.0"
         capsys.readouterr()
@@ -691,7 +698,6 @@ class TestSimulate:
                 "--n", "256",
                 "--trials", "2",
                 "--m-eval", "2000",
-                "--m", "20000",
                 "--seed", "2",
                 "--out", str(out),
             ]
@@ -737,7 +743,9 @@ class TestSimulate:
         assert manifest["result.converged"] == "true"
         assert manifest["result.n"] == "32"
         mass = float(manifest["result.margin_mass"])
-        assert mass == 1.0  # at eps 0.45 every drawn point's box meets the boundary
+        # at eps 0.45 every node's box meets the boundary: the mass is the
+        # nodes' total weight, 1 up to the rounding of its sum
+        assert mass == pytest.approx(1.0, abs=1e-12)
         assert float(manifest["result.b_const"]) == pytest.approx(0.45 + mass, abs=1e-12)
         assert float(manifest["result.q_const"]) > float(manifest["result.g_const"]) > 0.0
         capsys.readouterr()
@@ -745,17 +753,17 @@ class TestSimulate:
     def test_sample_complexity_constants_match_geometry(self, tmp_path, capsys):
         out = tmp_path / "o"
         args = ["--experiment", "sample-complexity", "--eps-target", "0.05", "--trials", "1",
-                "--start", "32", "--cap", "32", "--m", "20000", "--seed", "6"]
+                "--start", "32", "--cap", "32", "--m-eval", "20000", "--seed", "6"]
         assert main(["simulate", *args, "--out", str(out)]) == 0
         capsys.readouterr()
         dist = synthetic.reference_eo()
         stats = synthetic.true_stats(dist)
-        x = synthetic.sample_x(dist.law, 20000, np.random.default_rng((6, 0)))
+        nodes, weights = synthetic.quadrature(dist.law, 20000)
         params = FairnessParams(1.0, 0.5, 0.5)
         member = geometry.margin_membership(
-            EO_BLIND, params, stats.pi, (dist.eta(x), dist.eta_bar_eo(x, 1.0)), 0.05
+            EO_BLIND, params, stats.pi, (dist.eta(nodes), dist.eta_bar_eo(nodes, 1.0)), 0.05
         )
-        expected = geometry.bound_constants(member.mean(), 0.1, stats, params)
+        expected = geometry.bound_constants(float(weights[member].sum()), 0.1, stats, params)
         manifest = read_kv(out / "manifest.kv")
         for name in ("margin_mass", "b_const", "g_const", "q_const"):
             assert float(manifest[f"result.{name}"]) == pytest.approx(getattr(expected, name))
@@ -766,7 +774,7 @@ class TestSimulate:
             ["--experiment", "consistency", "--setting", "dpar-blind", "--n-schedule", "4",
              "--trials", "5", "--m-eval", "1000"],
             ["--experiment", "sample-complexity", "--which", "eta_bar_dpar", "--start", "2",
-             "--cap", "4", "--trials", "5", "--m", "1000"],
+             "--cap", "4", "--trials", "5", "--m-eval", "1000"],
         ],
         ids=["consistency", "sample-complexity"],
     )

@@ -1,10 +1,11 @@
 """Boundary geometry, margin membership, and finite-sample constants."""
 
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairplug.core import DistStats, FairnessParams
@@ -147,10 +148,13 @@ class TestAsymptote:
 class TestSquareIntersection:
     def test_horizontal_line_distance(self):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
-        eps = 0.05
+        eps = 0.0625  # dyadic, so the box's edge lies on the line v = 0.5 exactly
         assert in_margin(DPAR_BLIND, flat, None, (0.3, 0.5 + eps), eps)  # touching counts
         assert in_margin(DPAR_BLIND, flat, None, (0.3, 0.5 - eps), eps)
         assert not in_margin(DPAR_BLIND, flat, None, (0.3, 0.5 + 1.01 * eps), eps)
+        # the double nearest 0.55, less the double nearest 0.05, is 0.5 + 4.2e-17:
+        # rounded arithmetic would call that box touching, the exact test does not
+        assert not in_margin(DPAR_BLIND, flat, None, (0.3, 0.5 + 0.05), 0.05)
         assert in_margin(EO_BLIND, flat, 0.5, (0.9, 0.52), 0.05)
         assert not in_margin(EO_BLIND, flat, 0.5, (0.9, 0.58), 0.05)
 
@@ -169,13 +173,19 @@ class TestSquareIntersection:
         UNIT,
         st.floats(0.01, 0.2),
     )
+    @example(lam=1.5, c=0.05, c_bar=0.05, u0=0.0, v0=0.0, eps=0.01)
     @settings(max_examples=80)
     def test_line_matches_interval_oracle(self, lam, c, c_bar, u0, v0, eps):
         """Affine case has an exact independent check: map the u-interval
-        through the line and intersect with the v-interval."""
+        through the line and intersect with the v-interval, in exact
+        arithmetic on the same doubles.  The pinned example touches the box
+        at a corner in real numbers but misses it by 8.7e-19 in these
+        doubles."""
+        lam, c, c_bar, u0, v0, eps = (Fraction(v) for v in (lam, c, c_bar, u0, v0, eps))
         ends = [lam * u - lam * c_bar + c for u in (u0 - eps, u0 + eps)]
         lo, hi = min(ends), max(ends)
         expected = (lo <= v0 + eps) and (hi >= v0 - eps)
+        lam, c, c_bar, u0, v0, eps = (float(v) for v in (lam, c, c_bar, u0, v0, eps))
         params = FairnessParams(lam=lam, c=c, c_bar=c_bar)
         assert in_margin(DPAR_BLIND, params, None, (u0, v0), eps) == expected
 
@@ -240,28 +250,45 @@ class TestMarginMembership:
             margin_membership("parity", params, 0.5, (np.zeros(2), np.zeros(2)), 0.05)
 
 
+def uniform_mass(setting, params, seed, count, eps):
+    """Margin mass of ``count`` uniform points at weight ``1/count``, with its binomial SE."""
+    coords = uniform_square(seed, count)
+    mass = estimate_margin_mass(coords, np.full(count, 1.0 / count), setting, params, None, eps)
+    return mass, float(np.sqrt(mass * (1.0 - mass) / count))
+
+
 class TestMarginMass:
     def test_deterministic_per_plan(self):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
-        a = estimate_margin_mass(uniform_square(7, 4000), DPAR_BLIND, flat, None, 0.05)
-        b = estimate_margin_mass(uniform_square(7, 4000), DPAR_BLIND, flat, None, 0.05)
-        assert a == b
+        assert uniform_mass(DPAR_BLIND, flat, 7, 4000, 0.05) == uniform_mass(
+            DPAR_BLIND, flat, 7, 4000, 0.05
+        )
 
     def test_uniform_mass_near_two_eps(self):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
-        mass, se = estimate_margin_mass(uniform_square(11, 20000), DPAR_BLIND, flat, None, 0.05)
+        mass, se = uniform_mass(DPAR_BLIND, flat, 11, 20000, 0.05)
         assert abs(mass - 0.1) <= 4 * se + 1e-9
 
     def test_threshold_pair_mass(self):
         # per-group thresholds 0.25 and 0.75: mass 0.1 + 0.1 - 0.1 * 0.1
         params = FairnessParams(lam=0.5, c=0.5, c_bar=0.5)
-        mass, se = estimate_margin_mass(uniform_square(13, 20000), DPAR_AWARE, params, None, 0.05)
+        mass, se = uniform_mass(DPAR_AWARE, params, 13, 20000, 0.05)
         assert abs(mass - 0.19) <= 4 * se + 1e-9
+
+    def test_weights_sum_over_members(self):
+        flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
+        coords = (np.array([0.5, 0.9, 0.52]), np.zeros(3))
+        weights = np.array([0.25, 0.5, 0.125])
+        assert estimate_margin_mass(coords, weights, DPAR_BLIND, flat, None, 0.05) == 0.375
 
     def test_bad_inputs(self):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         with pytest.raises(ValidationError, match="positive"):
-            estimate_margin_mass((np.zeros(0), np.zeros(0)), DPAR_BLIND, flat, None, 0.05)
+            estimate_margin_mass(
+                (np.zeros(0), np.zeros(0)), np.zeros(0), DPAR_BLIND, flat, None, 0.05
+            )
+        with pytest.raises(ValidationError, match="one weight per"):
+            estimate_margin_mass((np.zeros(2), np.zeros(2)), np.ones(3), DPAR_BLIND, flat, None, 0.05)
 
 
 class TestBoundConstants:

@@ -526,6 +526,21 @@ class TestSerialization:
         with pytest.raises(DataError, match="malformed"):
             read_records_csv(path)
 
+    def test_hash_line_is_malformed_not_skipped(self, tmp_path):
+        # a record whose line starts with '#' is a malformed row, not a comment
+        path = tmp_path / "records.csv"
+        row = "0,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"
+        path.write_text(HEADER + "\n" + row + "\n#" + row + "\n")
+        with pytest.raises(DataError, match=r"records\.csv:3: malformed record row"):
+            read_records_csv(path)
+
+    def test_every_split_holds_as_many_rows_as_the_first(self, tmp_path):
+        path = tmp_path / "records.csv"
+        row = "{},1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"
+        path.write_text(HEADER + "\n" + "\n".join(row.format(s) for s in (0, 0, 1, 2, 2)) + "\n")
+        with pytest.raises(DataError, match="split 1 holds 1 records, split 0 holds 2"):
+            read_records_csv(path)
+
     def test_metrics_must_match_counts(self, tmp_path):
         path = tmp_path / "records.csv"
         good = "0,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"

@@ -1,6 +1,7 @@
 """Synthetic distributions, exact rules, and the experiment estimators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairplug.core import FairnessParams
-from fairplug.cpe import ARITY_FEATURES_PLUS_LABEL, ARITY_FEATURES_PLUS_SENSITIVE
+from fairplug.cpe import ARITY_FEATURES_PLUS_LABEL, ARITY_FEATURES_PLUS_SENSITIVE, FitConfig
 from fairplug.errors import DataError, ValidationError
-from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_AWARE, EO_BLIND, score
+from fairplug.plugin import (
+    DPAR_AWARE,
+    DPAR_BLIND,
+    EO_AWARE,
+    EO_BLIND,
+    SETTINGS,
+    PlugInRule,
+    criterion_for,
+    fit_plugin,
+    is_aware,
+    is_eo,
+    score,
+)
 from fairplug.synthetic import (
     COMPLEXITY_TARGETS,
     DiscreteLaw,
@@ -26,6 +39,8 @@ from fairplug.synthetic import (
     frontier,
     law_dim,
     load_distribution,
+    population,
+    population_counts,
     quadrature,
     reference_dpar,
     reference_eo,
@@ -283,21 +298,118 @@ class TestMeasureAndRegret:
     def test_boc_regret_is_exactly_zero(self):
         dist = reference_eo()
         boc = bayes_classifier(dist, EO_BLIND, PARAMS)
-        assert estimate_regret(boc, dist, EO_BLIND, PARAMS, m=2000, seed=3) == 0.0
+        assert estimate_regret(boc, population(dist, 2000), EO_BLIND, PARAMS) == 0.0
 
     def test_bad_rule_has_positive_regret(self):
         dist = reference_eo()
         # the exact rule for a far higher label cost predicts +1 almost nowhere
         timid = bayes_classifier(dist, EO_BLIND, FairnessParams(lam=1.0, c=0.99, c_bar=0.5))
-        got = estimate_regret(timid, dist, EO_BLIND, PARAMS, m=20000, seed=5)
+        got = estimate_regret(timid, population(dist, 20000), EO_BLIND, PARAMS)
         assert got > 0.01
 
     def test_measure_deterministic(self):
         dist = reference_dpar()
         unfair = bayes_classifier(dist, DPAR_BLIND, FairnessParams(lam=0.0, c=0.5, c_bar=0.5))
-        a = estimate_regret(unfair, dist, DPAR_BLIND, PARAMS, m=4000, seed=8)
-        b = estimate_regret(unfair, dist, DPAR_BLIND, PARAMS, m=4000, seed=8)
+        a = estimate_regret(unfair, population(dist, 4000), DPAR_BLIND, PARAMS)
+        b = estimate_regret(unfair, population(dist, 4000), DPAR_BLIND, PARAMS)
         assert a == b != 0.0
+
+    def test_masses_integrate_to_the_true_priors(self):
+        for dist in (reference_eo(), reference_dpar(), two_atom_dist(0.7)):
+            pop = population(dist, 10_000)
+            _, weights = quadrature(dist.law, 10_000)
+            assert np.allclose(pop.masses.sum(axis=0), weights, rtol=1e-14, atol=0.0)
+            stats = true_stats(dist)
+            pp, np_, pm, _ = pop.totals
+            assert pp + pm == pytest.approx(stats.pi, abs=1e-14)
+            assert pp + np_ == pytest.approx(stats.pi_bar, abs=1e-14)
+            assert pp / (pp + pm) == pytest.approx(stats.beta, abs=1e-14)
+
+    def test_blind_masses_match_hand_computed_rates(self):
+        # two atoms, label-dependent group: a rule positive on the second atom only
+        dist = two_atom_dist(label_weight=0.7)
+        rule = bayes_classifier(dist, EO_BLIND, FairnessParams(lam=0.0, c=0.5, c_bar=0.5))
+        label, eo, dpar = population_counts(population(dist, 1), rule)
+        eta, plus, minus = sigmoid(1.0), sigmoid(-1.0 + 0.7 + 0.8), sigmoid(-1.0 - 0.7 + 0.8)
+        pi = 0.4 * sigmoid(-0.5) + 0.6 * eta
+        assert float(label.tpr) == pytest.approx(0.6 * eta / pi, abs=1e-15)
+        assert float(label.fpr) == pytest.approx(0.6 * (1 - eta) / (1 - pi), abs=1e-15)
+        joint_plus = 0.4 * sigmoid(-0.5) * sigmoid(0.7 + 0.8) + 0.6 * eta * plus
+        assert float(eo.tpr) == pytest.approx(0.6 * eta * plus / joint_plus, abs=1e-15)
+        group_plus = joint_plus + 0.4 * (1 - sigmoid(-0.5)) * sigmoid(-0.7 + 0.8)
+        group_plus += 0.6 * (1 - eta) * minus
+        assert float(dpar.n_pos) == pytest.approx(group_plus, abs=1e-15)
+        assert float(dpar.tpr) == pytest.approx(
+            0.6 * (eta * plus + (1 - eta) * minus) / group_plus, abs=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "name, setting, lam",
+        [
+            ("reference-eo", EO_BLIND, 1.0),
+            ("reference-dpar", DPAR_BLIND, 1.0),
+            ("reference-dpar", EO_AWARE, 1.0),
+            ("reference-dpar", DPAR_AWARE, 0.3),
+        ],
+    )
+    def test_quadrature_regret_matches_a_million_draws(self, name, setting, lam):
+        dist = reference_eo() if name == "reference-eo" else reference_dpar()
+        params = FairnessParams(lam=lam, c=0.5, c_bar=0.5)
+        stats = true_stats(dist)
+        boc = bayes_classifier(dist, setting, params, true_pi=stats.pi)
+        rule = fit_plugin(sample(dist, 256, (0, 9)), setting, params, FitConfig())
+        got = estimate_regret(rule, population(dist, 50_000), setting, params, stats=stats)
+        m = 1_000_000
+        draw = sample(dist, m, (0, 77))
+        group = draw.sensitive if is_aware(setting) else None
+        terms = [
+            oracles.per_draw_psi(
+                score(r, draw.features, group) > 0, draw.labels, draw.sensitive,
+                criterion_for(setting), lam, 0.5, 0.5, stats.pi, stats.pi_bar, stats.beta,
+            )
+            for r in (boc, rule)
+        ]
+        per_draw = terms[0] - terms[1]
+        mean, se = float(per_draw.mean()), float(per_draw.std()) / math.sqrt(m)
+        assert got > 1e-4  # a rule that differs from the exact one somewhere
+        assert abs(got - mean) <= 3.0 * se
+
+    @given(
+        st.sampled_from([("eo", EO_BLIND)] + [("dpar", s) for s in SETTINGS]),
+        st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+        st.floats(0.2, 0.9),
+        st.floats(-2.0, 2.0),
+        st.floats(0.1, 0.9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_rule_beats_the_exact_rule(self, case, noise, pi_hat, lam, c):
+        # a fitted rule with perturbed weights, prior and parameters, against
+        # the exact rule at parameters where every setting's rule is nontrivial
+        name, setting = case
+        dist, rule = _PERTURBED_BASE[case]
+        noise = np.array(noise)
+        eta = replace(rule.eta, weights=rule.eta.weights + noise[: rule.eta.weights.size])
+        eta_bar = rule.eta_bar
+        if eta_bar is not None:
+            eta_bar = replace(eta_bar, weights=eta_bar.weights + noise[-eta_bar.weights.size :])
+        perturbed = PlugInRule(
+            setting=setting, params=FairnessParams(lam=lam, c=c, c_bar=0.5), eta=eta,
+            eta_bar=eta_bar, pi_hat=pi_hat if is_eo(setting) else None,
+        )
+        pop = _SMALL_POPULATION[name]
+        measured = FairnessParams(lam=0.3, c=0.5, c_bar=0.5)
+        assert estimate_regret(perturbed, pop, setting, measured) >= -1e-9
+
+
+def _fitted_base(dist, setting):
+    return dist, fit_plugin(sample(dist, 200, 3), setting, PARAMS, FitConfig())
+
+
+_PERTURBED_BASE = {
+    ("eo", EO_BLIND): _fitted_base(reference_eo(), EO_BLIND),
+    **{("dpar", s): _fitted_base(reference_dpar(), s) for s in SETTINGS},
+}
+_SMALL_POPULATION = {"eo": population(reference_eo(), 2500), "dpar": population(reference_dpar(), 2500)}
 
 
 class TestConsistencyCurve:
@@ -340,27 +452,36 @@ class TestConsistencyCurve:
 class TestFrontierAndGap:
     def test_frontier_zero_at_neutral_strength(self):
         dist = reference_eo()
-        assert frontier(dist, 0.0, PARAMS, m=5000, seed=2) == 0.0
+        assert frontier(dist, 0.0, PARAMS, 5000) == 0.0
 
     def test_frontier_positive_under_constraint(self):
         dist = reference_eo()
-        value = frontier(dist, 1.0, PARAMS, m=50000, seed=2)
+        value = frontier(dist, 1.0, PARAMS, 50000)
         assert value > 0.01
 
     def test_frontier_deterministic(self):
         dist = reference_eo()
-        assert frontier(dist, 1.0, PARAMS, m=3000, seed=7) == frontier(
-            dist, 1.0, PARAMS, m=3000, seed=7
+        assert frontier(dist, 1.0, PARAMS, 3000) == frontier(dist, 1.0, PARAMS, 3000)
+
+    def test_frontier_is_the_exact_rules_cost_integral(self):
+        # E[(c - eta) (f_lam - 1{eta > c})] on the same nodes, written out
+        dist = reference_eo()
+        stats = true_stats(dist)
+        nodes, weights = quadrature(dist.law, 20_000)
+        boc = bayes_classifier(dist, EO_BLIND, PARAMS, true_pi=stats.pi)
+        eta = dist.eta(nodes)
+        integrand = (PARAMS.c - eta) * ((score(boc, nodes) > 0) - (eta > PARAMS.c).astype(float))
+        assert frontier(dist, 1.0, PARAMS, 20_000) == pytest.approx(
+            float(weights @ integrand), abs=1e-12
         )
 
     def test_tradeoff_gap_structure(self):
         dist = reference_eo()
-        result = tradeoff_gap(
-            dist, 1.0, PARAMS, n=256, trials=3, m_eval=2000, seed=4, frontier_m=20000
-        )
+        result = tradeoff_gap(dist, 1.0, PARAMS, n=256, trials=3, m_eval=2000, seed=4)
         assert result.n == 256 and result.trials == 3
         assert result.gap >= 0.0 and result.gap_std >= 0.0
         assert result.excess == pytest.approx(result.gap - result.frontier)
+        assert result.frontier == frontier(dist, 1.0, PARAMS, 2000)
 
     def test_tradeoff_gap_validation(self):
         with pytest.raises(ValidationError, match="positive"):
