@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 #: The worker of the pool this process serves, set once per process by
 #: the pool's initializer.
 _worker = None
@@ -16,13 +18,17 @@ def _run(task):
     return _worker(task)
 
 
-def map_tasks(worker, tasks, jobs: int) -> list:
-    """``[worker(task) for task in tasks]``, on up to ``jobs`` processes.
+def map_tasks(worker, tasks, jobs: int) -> Iterator:
+    """Yield ``worker(task)`` for each task in ``tasks``, on up to ``jobs`` processes.
 
     The pool gets one process per task at most, since it starts all of
     its processes at the first submit; one process is a serial run.
-    Results keep the order of ``tasks`` either way, so serial and
-    parallel runs return equal lists.
+    Results are yielded in the order of ``tasks`` either way, so serial
+    and parallel runs yield equal sequences.  Nothing runs before the
+    first result is asked for.  A caller that reads each result once
+    holds one at a time; a caller that reuses them wraps the call in
+    ``list``.  A task that raises stops the map with its error, and the
+    pool's processes are joined before the error reaches the caller.
 
     Workers are forked wherever the platform offers ``fork``, whatever
     the interpreter's default start method, so a worker inherits the
@@ -36,7 +42,8 @@ def map_tasks(worker, tasks, jobs: int) -> list:
     tasks = list(tasks)
     workers = min(int(jobs), len(tasks))
     if workers <= 1:
-        return [worker(task) for task in tasks]
+        yield from map(worker, tasks)
+        return
     # serial runs skip these imports
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -48,4 +55,4 @@ def map_tasks(worker, tasks, jobs: int) -> list:
         initializer=_install,
         initargs=(worker,),
     ) as pool:
-        return list(pool.map(_run, tasks))
+        yield from pool.map(_run, tasks)

@@ -108,9 +108,11 @@ class _GridText(str):
 
 
 def _parse_grid(text: str) -> _GridText:
-    """``default`` or ``lam=a:b:step,c=a:b:step,c_bar=a:b:step`` (any subset)."""
+    """``default`` or ``lam=a:b:step,c=a:b:step,c_bar=a:b:step``: any subset, each axis once."""
 
     spec = _GridText(text)
+    if not text.strip():
+        raise ValidationError("grid is empty; give 'default' or lam=a:b:s,c=a:b:s,c_bar=a:b:s")
     if text.strip().lower() == "default":
         spec.grid = sweep.default_grid()
         return spec
@@ -125,6 +127,8 @@ def _parse_grid(text: str) -> _GridText:
         name = name.strip()
         if name not in ("lam", "c", "c_bar"):
             raise ValidationError(f"unknown grid axis {name!r} (expected lam, c, c_bar)")
+        if name in ranges:
+            raise ValidationError(f"grid axis {name!r} is given more than once")
         pieces = spec_text.split(":")
         if len(pieces) != 3:
             raise ValidationError(f"grid range {spec_text!r} is not start:stop:step")

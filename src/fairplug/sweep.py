@@ -12,8 +12,9 @@ The estimator outputs on the test split
 cells are computed and checked once per split.  Every prediction is
 ``setting_score(...) > 0`` at one grid point and one row, and every
 setting counts its grid from one layout: the test rows are sorted once
-into four contiguous (label, group) blocks, by ``eta`` within a block.
-The score is elementwise in the row, so the order moves no prediction.
+into four contiguous (label, group) blocks, and the aware settings,
+whose bisection needs it, also sort by ``eta`` within a block.  The
+score is elementwise in the row, so the order moves no prediction.
 Each grid point's predicted positives are taken per block, and the four
 counts are sums of those block counts: the label blocks give the true
 positives and true negatives, and the sensitive blocks (restricted to
@@ -42,26 +43,30 @@ on the same predictions.  The block counts come from one of two paths:
   about ``log2(n_block)`` calls instead of one call on every row per
   grid point.
 
-The result is one :class:`SweepTable` of equal-length columns, one row
-per (split, grid point): ``split_id``, ``lam``, ``c``, ``c_bar`` and the
-eight int64 :data:`COUNT_COLUMNS`, the four counts above and the split's
-totals they are out of.  Balanced accuracy ``0.5 * (tp / n_pos + tn /
-n_neg)`` and the violation ``|pos_a / n_a - pos_b / n_b|`` are the same
-:class:`~fairplug.metrics.Counts` rates read back from the columns; a
-split with an empty label class or cell is flagged degenerate, with zero
-counts and NaN metrics.  A table holds each record once:
-:func:`run_sweep` copies each split's counts into the table's
-preallocated columns and drops that split's result, with no concatenated
-copy, and :func:`read_records_csv` parses ``records.csv`` a fixed chunk
-of lines at a time into the preallocated columns, so the reader's only
-temporaries are one chunk's.  Ranges are checked where a table enters,
-column by column over all its rows with row-sized booleans only.
-``records.csv`` has 15 columns, ``split_id,
-lambda, c, c_bar, bal_acc, violation, flags`` and then the counts; the
-reader rejects the older seven-column header and any row whose metric
-or flag text differs from what its counts give, checked chunk by chunk.
+The result is one :class:`SweepTable` that stores each field at the
+level where it varies: the grid's ``lam``, ``c`` and ``c_bar`` once,
+shared by every split; per split its id and the four totals ``n_pos,
+n_neg, n_a, n_b``; and per record, one (split, grid point), only the four
+int64 hits ``tp, tn, pos_a, pos_b`` -- 32 bytes a record.  Balanced
+accuracy ``0.5 * (tp / n_pos + tn / n_neg)`` and the violation ``|pos_a /
+n_a - pos_b / n_b|`` are the same :class:`~fairplug.metrics.Counts` rates
+read back from the counts; a split with an empty label class or cell is
+flagged degenerate, with zero hits and NaN metrics.  A table holds each
+record once: :func:`run_sweep` copies each split's hits into the
+preallocated table as :func:`~fairplug._pool.map_tasks` yields them, and
+:func:`read_records_csv` parses ``records.csv`` a fixed chunk of lines at
+a time straight into the table's hits, so the reader's only temporaries
+are one chunk's.  Ranges are checked where a table enters.
+``records.csv`` has 15 columns, ``split_id, lambda, c, c_bar, bal_acc,
+violation, flags`` and then the counts, one line per record.  The reader
+requires of every split what the layout holds: the first split fixes the
+number of grid points and their bits, every later split repeats them
+point by point, and every record of a split holds its first record's
+totals.  It rejects the older seven-column header and any row whose
+metric or flag text differs from what its counts give, checked chunk by
+chunk.
 
-Each split's rows reduce to a lower envelope, the minimum violation per
+Each split's records reduce to a lower envelope, the minimum violation per
 balanced-accuracy bin of width 2.5% from 50%, binned exactly from the
 counts in integers.  The trade-off curve is the envelopes' mean and
 population standard deviation across splits, bin by bin.
@@ -85,7 +90,7 @@ import logging
 import math
 import re
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -197,83 +202,107 @@ COUNT_COLUMNS = ("tp", "tn", "pos_a", "pos_b", "n_pos", "n_neg", "n_a", "n_b")
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Sweep results as equal-length columns, one row per (split, grid point).
+    """Sweep results, each field stored at the level where it varies.
 
-    ``split_id`` and the counts are int64, the grid coordinates float64;
-    rows are grouped by split.
+    A record is one (split, grid point).  For S splits of P grid points:
+
+    * ``lam``, ``c``, ``c_bar``: float64 ``(P,)``, the grid in canonical
+      order (``c_bar`` fastest), shared by every split;
+    * ``split_ids``: int64 ``(S,)``, increasing;
+    * ``hits``: int64 ``(4, S, P)``, the counts ``tp, tn, pos_a, pos_b``
+      of :data:`COUNT_COLUMNS`, each one C-contiguous ``(S, P)`` block;
+    * ``totals``: int64 ``(S, 4)``, each split's ``n_pos, n_neg, n_a, n_b``.
+
+    That is 32 bytes per record.  ``degenerate``, ``bal_acc`` and
+    ``violation`` are ``(S, P)``, each split's totals broadcast over its
+    grid points.
     """
 
-    split_id: np.ndarray
     lam: np.ndarray
     c: np.ndarray
     c_bar: np.ndarray
-    tp: np.ndarray
-    tn: np.ndarray
-    pos_a: np.ndarray
-    pos_b: np.ndarray
-    n_pos: np.ndarray
-    n_neg: np.ndarray
-    n_a: np.ndarray
-    n_b: np.ndarray
+    split_ids: np.ndarray
+    hits: np.ndarray
+    totals: np.ndarray
 
     def __len__(self) -> int:
-        return self.split_id.size
+        return self.hits[0].size
+
+    def _totals(self) -> np.ndarray:
+        """``totals`` as ``(4, S, 1)``, to broadcast against ``hits``."""
+        return self.totals.T[:, :, None]
 
     @property
     def degenerate(self) -> np.ndarray:
-        """Rows whose split has an empty label class or fairness cell."""
-        return (self.n_pos == 0) | (self.n_neg == 0) | (self.n_a == 0) | (self.n_b == 0)
+        """Records whose split has an empty label class or fairness cell."""
+        return np.broadcast_to(_degenerate(self._totals()), self.hits.shape[1:])
 
     @property
     def bal_acc(self) -> np.ndarray:
-        label = Counts(self.tp, self.n_neg - self.tn, self.n_pos, self.n_neg)
-        return np.where(self.degenerate, np.nan, 0.5 * (label.tpr + label.tnr))
+        return _balanced_accuracy(self.hits, self._totals())
 
     @property
     def violation(self) -> np.ndarray:
-        group = Counts(self.pos_b, self.pos_a, self.n_b, self.n_a)
-        return np.where(self.degenerate, np.nan, violation(group))
+        return _violation(self.hits, self._totals())
 
     def splits(self) -> list[SweepTable]:
-        """One table per split, in row order."""
-        starts = (np.flatnonzero(np.diff(self.split_id)) + 1).tolist()
+        """One table per split, in order: views with S = 1."""
         return [
-            SweepTable(**{f.name: getattr(self, f.name)[a:b] for f in fields(self)})
-            for a, b in zip([0, *starts], [*starts, len(self)])
+            SweepTable(
+                self.lam, self.c, self.c_bar, self.split_ids[s : s + 1],
+                self.hits[:, s : s + 1], self.totals[s : s + 1],
+            )
+            for s in range(self.split_ids.size)
         ]
 
 
-def _check_table(table: SweepTable, source: str) -> None:
-    """Counts within their totals and zero on degenerate rows, splits in order and equal.
+# The record functions below take ``hits`` (``tp, tn, pos_a, pos_b``) and
+# ``totals`` (``n_pos, n_neg, n_a, n_b``) as four arrays each, all
+# broadcasting together: a table's ``(S, P)`` blocks against its ``(S, 1)``
+# totals, or a parsed chunk's ``(k,)`` columns against each other.
 
-    One column at a time, so the check holds row-sized booleans only.
-    ``0 <= hit <= total`` also keeps every total nonnegative.  Every
-    split holds as many rows as the first, one per grid point, so a
-    table that lost a row is rejected at the first split that is short
-    or long.
+
+def _degenerate(totals) -> np.ndarray:
+    """Where a label class or fairness cell is empty."""
+    n_pos, n_neg, n_a, n_b = totals
+    return (n_pos == 0) | (n_neg == 0) | (n_a == 0) | (n_b == 0)
+
+
+def _balanced_accuracy(hits, totals) -> np.ndarray:
+    """``0.5 * (TPR + TNR)``, NaN where degenerate."""
+    label = Counts(hits[0], totals[1] - hits[1], totals[0], totals[1])
+    return np.where(_degenerate(totals), np.nan, 0.5 * (label.tpr + label.tnr))
+
+
+def _violation(hits, totals) -> np.ndarray:
+    """``|pos_a / n_a - pos_b / n_b|``, NaN where degenerate."""
+    group = Counts(hits[3], hits[2], totals[3], totals[2])
+    return np.where(_degenerate(totals), np.nan, violation(group))
+
+
+def _out_of_range(hits, totals) -> np.ndarray:
+    """Records with a hit outside ``[0, total]``, or any hit where degenerate.
+
+    ``0 <= hit <= total`` also keeps every total nonnegative.  Allocates
+    booleans of the hits' shape only.
     """
-    split_id = table.split_id
-    bad = split_id < 0
-    degenerate = table.degenerate
-    for hit_name, total_name in zip(COUNT_COLUMNS[:4], COUNT_COLUMNS[4:]):
-        hit, total = getattr(table, hit_name), getattr(table, total_name)
+    degenerate = _degenerate(totals)
+    bad = np.zeros(np.shape(hits[0]), dtype=bool)
+    for hit, total in zip(hits, totals):
         bad |= (hit < 0) | (hit > total) | (degenerate & (hit != 0))
-    # A split's rows are contiguous, in increasing split order, with one set of totals.
-    same = split_id[1:] == split_id[:-1]
-    bad[1:] |= split_id[1:] < split_id[:-1]
-    for name in COUNT_COLUMNS[4:]:
-        total = getattr(table, name)
-        bad[1:] |= same & (total[1:] != total[:-1])
+    return bad
+
+
+def _check_table(table: SweepTable, source: str) -> None:
+    """Hits within their totals, and zero on degenerate splits.
+
+    The layout itself holds one grid for every split, as many records in
+    each split and one set of totals per split.  The check holds
+    ``(S, P)`` booleans only.
+    """
+    bad = _out_of_range(table.hits, table._totals())
     if bad.any():
-        raise DataError(f"{source}: record {int(np.argmax(bad))}: counts or split id out of range")
-    starts = np.flatnonzero(~same) + 1
-    sizes = np.diff(starts, prepend=0, append=len(split_id))
-    if (sizes != sizes[0]).any():
-        uneven = int(np.argmax(sizes != sizes[0]))
-        raise DataError(
-            f"{source}: split {int(split_id[starts[uneven - 1]])} holds {int(sizes[uneven])} "
-            f"records, split {int(split_id[0])} holds {int(sizes[0])}"
-        )
+        raise DataError(f"{source}: record {int(np.argmax(bad))}: counts out of range")
 
 
 @dataclass(frozen=True)
@@ -363,9 +392,12 @@ def _count_grid(setting, first, second, pi, axes, label_pos, group_pos):
     """
 
     block = 2 * label_pos + group_pos  # (label, group): (-,-) 0, (-,+) 1, (+,-) 2, (+,+) 3
-    order = np.lexsort((first, block))
+    if is_aware(setting):
+        # the bisection needs each block in eta order
+        order, count = np.lexsort((first, block)), _bisect_positives
+    else:
+        order, count = np.argsort(block, kind="stable"), _slice_positives
     edges = np.searchsorted(block[order], np.arange(5))
-    count = _bisect_positives if is_aware(setting) else _slice_positives
     positives = count(setting, first[order], second[order], pi, axes, edges)
     # Per block, named by label then group (a: -1, b: +1): predicted positives and rows.
     hit_neg_a, hit_neg_b, hit_pos_a, hit_pos_b = positives.T
@@ -383,11 +415,12 @@ def _count_grid(setting, first, second, pi, axes, label_pos, group_pos):
 
 def _run_split(
     dataset, axes, setting, eps_p, config, seed, dp_c, task
-) -> tuple[np.ndarray, int]:
-    """One split's :data:`COUNT_COLUMNS` and the noise draws it made.
+) -> tuple[np.ndarray, tuple[int, int, int, int], int]:
+    """One split's hits ``(4, grid points)``, its four totals and the noise draws it made.
 
-    The counts are an (8, grid points) int64 array, counted by
-    :func:`_count_grid` from ``setting_score(...) > 0`` on every test row.
+    The hits are counted by :func:`_count_grid` from
+    ``setting_score(...) > 0`` on every test row, and are all 0 on a
+    degenerate split.
     """
 
     split_id, (train_idx, _val_idx, test_idx) = task
@@ -410,13 +443,10 @@ def _run_split(
     hits, sizes = _count_grid(
         setting, first, second, rule_base.pi_hat, axes, test.labels > 0, test.sensitive > 0
     )
-    counts = np.empty((len(COUNT_COLUMNS), hits.shape[1]), dtype=np.int64)
-    counts[:4] = hits
-    counts[4:] = np.reshape(sizes, (4, 1))
     if min(sizes) == 0:
         log.warning("split %d: degenerate test cell; flagging every grid point", split_id)
-        counts[:4] = 0
-    return counts, noise_draw_count() - draws
+        hits[:] = 0
+    return hits, sizes, noise_draw_count() - draws
 
 
 def run_sweep(
@@ -436,8 +466,10 @@ def run_sweep(
     for what a whole sweep releases); pass ``math.inf`` for a
     non-private sweep (the preprocessing still runs, so results stay
     comparable across budgets).  Finite budgets are limited to the
-    blind settings.  Rows come back in canonical (split, lam, c, c_bar)
-    order, bit-identical for a fixed seed.
+    blind settings.  Records come back in canonical (split, lam, c,
+    c_bar) order, bit-identical for a fixed seed.  Each split's hits are
+    copied into the preallocated table as they arrive, so no other
+    split's result is held meanwhile.
     """
 
     if setting not in SETTINGS:
@@ -458,21 +490,23 @@ def run_sweep(
     run = partial(
         _run_split, prepared.dataset, axes, setting, eps_p, cpe_config, int(seed), float(dp_norm_c)
     )
+    n_splits = len(prepared.splits)
+    hits = np.empty((4, n_splits, grid.cardinality), dtype=np.int64)
+    totals = np.empty((n_splits, 4), dtype=np.int64)
     draws = noise_draw_count()
-    results = map_tasks(run, list(enumerate(prepared.splits)), jobs)
-    n_splits, n_points = len(results), grid.cardinality
-    counts = np.empty((len(COUNT_COLUMNS), n_splits * n_points), dtype=np.int64)
     split_draws = 0
-    for split_id, (split_counts, split_draw_count) in enumerate(results):
-        counts[:, split_id * n_points : (split_id + 1) * n_points] = split_counts
+    results = map_tasks(run, enumerate(prepared.splits), jobs)
+    for split_id, (split_hits, split_totals, split_draw_count) in enumerate(results):
+        hits[:, split_id] = split_hits
+        totals[split_id] = split_totals
         split_draws += split_draw_count
-        results[split_id] = None  # each split's counts are held once, in the table
     # a draw made in a worker process raised only that worker's counter
     _add_worker_draws(split_draws - (noise_draw_count() - draws))
     table = SweepTable(
-        np.repeat(np.arange(n_splits, dtype=np.int64), n_points),
-        *(np.tile(axis.ravel(), n_splits) for axis in np.meshgrid(*axes, indexing="ij")),
-        *counts,
+        *(axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")),
+        np.arange(n_splits, dtype=np.int64),
+        hits,
+        totals,
     )
     _check_table(table, "run_sweep")
     return table
@@ -492,25 +526,27 @@ def _bin_count(bin_width: float) -> int:
 def bin_min_violation(
     table: SweepTable, bin_width: float = DEFAULT_BIN_WIDTH
 ) -> dict[float, float]:
-    """Per-bin minimum violation over one split's rows (lower envelope).
+    """Per-bin minimum violation over one split's records (lower envelope).
 
     Bin k is [0.5 + k*w, 0.5 + (k+1)*w), left-closed, and the top bin
     also takes 1.0.  It is found from the counts in integers: with
     ``A = n_pos*n_neg`` and ``N = tp*n_neg + tn*n_pos - A``, the balanced
     accuracy is ``0.5 + N/(2A)``, so ``k = min(n_bins*N // A, n_bins - 1)``,
-    exact on every edge.  Rows below 0.5 balanced accuracy (``N < 0``) or
-    flagged degenerate contribute nowhere.  Returns only the nonempty
+    exact on every edge.  Records below 0.5 balanced accuracy (``N < 0``)
+    or flagged degenerate contribute nowhere.  Returns only the nonempty
     bins, keyed by bin_low, and allocates per nonempty bin, so a narrow
     width costs no more memory than a wide one.
     """
 
     n_bins = _bin_count(bin_width)
-    area = table.n_pos * table.n_neg
+    (tp, tn), (n_pos, n_neg) = table.hits[:2], table._totals()[:2]
+    area = n_pos * n_neg
     if n_bins * int(area.max(initial=0)) >= 2**63:
         raise ValidationError(f"counts are too large to bin in int64 at width {bin_width}")
-    numerator = table.tp * table.n_neg + table.tn * table.n_pos - area
+    numerator = tp * n_neg + tn * n_pos - area
     kept = ~table.degenerate & (numerator >= 0)
-    index = np.minimum(n_bins * numerator[kept] // area[kept], n_bins - 1)
+    area = np.broadcast_to(area, kept.shape)[kept]
+    index = np.minimum(n_bins * numerator[kept] // area, n_bins - 1)
     # Reduce over the occupied bins only, so memory follows the rows, not 1/width.
     present, slot = np.unique(index, return_inverse=True)
     envelope = np.full(present.size, np.inf)
@@ -552,18 +588,22 @@ def tradeoff_curve(table: SweepTable, bin_width: float = DEFAULT_BIN_WIDTH) -> T
 _RECORD_HEADER = (
     "split_id", "lambda", "c", "c_bar", "bal_acc", "violation", "flags", *COUNT_COLUMNS
 )
-_GRID_COLUMNS = ("lam", "c", "c_bar")
 #: Lines of ``records.csv`` parsed per ``np.loadtxt`` call: one chunk's
 #: text and 144-byte parsed rows are the reader's only temporaries.
 _READ_CHUNK = 2048
-_FLOAT_COLUMNS = (*_GRID_COLUMNS, "bal_acc", "violation")
-# A flags field longer than the width is cut to the full width, so it can
-# never be read as the shorter degenerate flag.
+# The grid and the counts are subarray fields, so a chunk's grid is one
+# (k, 3) view and its counts one (k, 8) view.  A flags field longer than
+# the width is cut to the full width, so it can never be read as the
+# shorter degenerate flag.
 _RECORD_DTYPE = np.dtype(
-    [("split_id", np.int64)]
-    + [(name, np.float64) for name in _FLOAT_COLUMNS]
-    + [("flags", "S32")]
-    + [(name, np.int64) for name in COUNT_COLUMNS]
+    [
+        ("split_id", np.int64),
+        ("grid", np.float64, (3,)),
+        ("bal_acc", np.float64),
+        ("violation", np.float64),
+        ("flags", "S32"),
+        ("counts", np.int64, (len(COUNT_COLUMNS),)),
+    ]
 )
 
 
@@ -575,51 +615,48 @@ def _column_text(values: np.ndarray, fmt) -> list[str]:
 
 
 def write_records_csv(table: SweepTable, path: str | Path) -> None:
-    """Write the 15-column records file, one split at a time, column by column.
+    """Write the 15-column records file, one ``write`` per split.
 
-    The ``lambda,c,c_bar`` text is formatted once and reused for every
-    following split whose three grid columns hold the same bits; a sweep's
-    splits all share one grid, so the grid is formatted once per table.
+    The grid's ``lambda,c,c_bar`` text is formatted once per table, and
+    each split's ``split_id,`` prefix and ``,n_pos,n_neg,n_a,n_b`` suffix
+    once per split; only the fields that vary by record are joined per
+    record.
     """
-    grid_bits = grid_text = None
+    axes_text = (_column_text(axis, format_float) for axis in (table.lam, table.c, table.c_bar))
+    grid_text = [",".join(point) for point in zip(*axes_text)]
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_RECORD_HEADER) + "\r\n")
         for part in table.splits():
-            bits = [getattr(part, name).view(np.int64) for name in _GRID_COLUMNS]
-            if grid_bits is None or not all(map(np.array_equal, bits, grid_bits)):
-                grid_bits = bits
-                grid_text = [
-                    ",".join(point)
-                    for point in zip(
-                        *(_column_text(getattr(part, name), format_float)
-                          for name in _GRID_COLUMNS)
-                    )
-                ]
-            flags = np.where(part.degenerate, FLAG_DEGENERATE, "").tolist()
+            prefix = f"{int(part.split_ids[0])},"
+            suffix = "".join(f",{total}" for total in part.totals[0].tolist()) + "\r\n"
             columns = [
-                _column_text(part.split_id, str),
                 grid_text,
-                *(_column_text(getattr(part, name), format_float)
-                  for name in ("bal_acc", "violation")),
-                flags,
-                *(_column_text(getattr(part, name), str) for name in COUNT_COLUMNS),
+                _column_text(part.bal_acc[0], format_float),
+                _column_text(part.violation[0], format_float),
+                np.where(part.degenerate[0], FLAG_DEGENERATE, "").tolist(),
+                *(_column_text(hit, str) for hit in part.hits[:, 0]),
             ]
-            handle.writelines(map("{}\r\n".format, map(",".join, zip(*columns))))
+            # Records joined by "suffix + prefix", so each line ends and begins once.
+            records = (suffix + prefix).join(map(",".join, zip(*columns)))
+            handle.write(prefix + records + suffix)
 
 
 def read_records_csv(path: str | Path) -> SweepTable:
     """Inverse of :func:`write_records_csv`; rejects the old seven-column
-    header and rows whose metric or flag text differs from their counts.
+    header, records off the layout of the first split, and rows whose
+    metric or flag text differs from their counts.
 
-    The file's lines are counted first and the table's columns allocated
+    The file's lines are counted first and the table's hits allocated
     once.  Then ``np.loadtxt`` parses :data:`_READ_CHUNK` lines at a time,
-    each chunk's fields are copied into place, and its ``bal_acc``,
-    ``violation`` and ``flags`` text is compared with its counts.  Errors
-    keep file-wide positions and this precedence: the first malformed row
-    (by its line), then the first row of the whole table whose counts or
-    split id are out of range, then the first row whose text disagrees
-    (both by their 0-based record index).  A file that is not UTF-8 is a
-    :class:`DataError` naming the line of its first bad byte.
+    each chunk's hits are copied into place, its records are checked
+    against the layout (:class:`_Layout`) and the ranges, and its
+    ``bal_acc``, ``violation`` and ``flags`` text is compared with its
+    counts.  Errors keep file-wide positions and this precedence: the
+    first malformed row (by its line), then the first record whose counts
+    or split id are out of range or that leaves its split's layout, then
+    the first row whose text disagrees (both by their 0-based record
+    index).  A file that is not UTF-8 is a :class:`DataError` naming the
+    line of its first bad byte.
     """
 
     path = Path(path)
@@ -637,34 +674,125 @@ def _read_records(handle, path: Path) -> SweepTable:
     if header != _RECORD_HEADER:
         raise DataError(f"{path}: unexpected records header {list(header)}")
     n_lines = _count_lines(path) - 1
-    if not n_lines:
-        raise DataError(f"{path} holds no sweep records")
-    columns = {f.name: np.empty(n_lines, _RECORD_DTYPE[f.name]) for f in fields(SweepTable)}
+    hits = np.empty((4, n_lines), dtype=np.int64)
+    layout = _Layout()
     filled = 0
     first_line = 2  # the header is line 1
+    misplaced = None  # the first record out of range or off the layout
     disagrees = None  # record index of the first row whose text disagrees
     while lines := list(itertools.islice(handle, _READ_CHUNK)):
         try:
             rows = np.loadtxt(lines, dtype=_RECORD_DTYPE, delimiter=",", ndmin=1, comments=None)
         except ValueError as exc:
             raise _malformed(path, lines, first_line, exc) from exc
+        first_line += len(lines)
+        del lines  # parsed: the checks and the next chunk's read go without its text
         # np.loadtxt skips blank lines, so a chunk may hold fewer records than lines.
         end = filled + rows.size
-        for name, column in columns.items():
-            column[filled:end] = rows[name]
+        hits[:, filled:end] = rows["counts"][:, :4].T
+        if misplaced is None:
+            misplaced = layout.check(rows, filled)
         if disagrees is None:
-            part = SweepTable(**{name: column[filled:end] for name, column in columns.items()})
-            bad = _text_disagrees(part, rows)
+            bad = _text_disagrees(rows)
             if bad.any():
                 disagrees = filled + int(np.argmax(bad))
         filled = end
-        first_line += len(lines)
-    table = SweepTable(**{name: column[:filled] for name, column in columns.items()})
-    _check_table(table, str(path))
+        del rows  # and the next chunk is parsed without this one's rows
+    if not filled:
+        raise DataError(f"{path} holds no sweep records")
+    if misplaced is None:
+        misplaced = layout.finish(filled)
+    if misplaced is not None:
+        raise DataError(f"{path}: {misplaced}")
     if disagrees is not None:
         message = "bal_acc, violation or flags disagrees with the counts"
         raise DataError(f"{path}: record {disagrees}: {message}")
-    return table
+    # A file with blank lines leaves the hits' tail unfilled; only then is the rest copied.
+    hits = hits if filled == n_lines else np.ascontiguousarray(hits[:, :filled])
+    lam, c, c_bar = np.ascontiguousarray(layout.grid.view(np.float64).T)
+    split_ids = np.array(layout.split_ids, dtype=np.int64)
+    return SweepTable(
+        lam, c, c_bar, split_ids, hits.reshape(4, split_ids.size, -1), np.concatenate(layout.totals)
+    )
+
+
+class _Layout:
+    """The layout the first split of a records file fixes for every later one.
+
+    The first split ends at the first record with another split id; its
+    record count is the grid's size P and its ``lambda, c, c_bar`` bits
+    are the grid.  Record ``i`` is then point ``i % P`` of split ``i //
+    P``: it holds that point's bits and its split's first record's split
+    id and totals, and the split id changes exactly where ``i % P == 0``.
+    :meth:`check` takes the records a chunk at a time.
+    """
+
+    def __init__(self) -> None:
+        self.points: int | None = None  # P, once the first split has ended
+        self.grid: list | np.ndarray = []  # the first split's grid bits, (P, 3) once P is known
+        self.split_ids: list[int] = []  # per split, from its first record
+        self.totals: list[np.ndarray] = []  # per chunk, its opening records' totals
+        self.first_id = self.last_id = None  # split ids of the first and last records checked
+        self.last_totals = None  # the totals of the last record's split, (1, 4)
+
+    def check(self, rows: np.ndarray, start: int) -> str | None:
+        """The first of ``rows``, records ``start`` on, out of range or off the layout."""
+        if not rows.size:
+            return None
+        ids, counts = rows["split_id"], rows["counts"]
+        totals, bits = counts[:, 4:], rows["grid"].view(np.int64)
+        if self.first_id is None:
+            self.first_id = self.last_id = int(ids[0])
+            self.last_totals = totals[:1]
+        previous = np.concatenate([[self.last_id], ids[:-1]])
+        change = ids != previous
+        if self.points is None:
+            ends = np.flatnonzero(change)
+            self.grid.append(bits[: ends[0] if ends.size else None].copy())
+            if ends.size:
+                self.points = start + int(ends[0])
+                self.grid = np.concatenate(self.grid)
+        index = np.arange(start, start + rows.size)
+        point = index if self.points is None else index % self.points
+        opens = point == 0  # the records that open a split
+        # Each record's split's totals: its opening record's, in this chunk or carried into it.
+        owner = np.maximum.accumulate(np.where(opens, np.arange(1, rows.size + 1), 0))
+        split_totals = np.concatenate([self.last_totals, totals])[owner]
+        out_of_range = _out_of_range(counts.T[:4], counts.T[4:]) | (ids < 0) | (ids < previous)
+        uneven = change != opens
+        uneven[index == 0] = False
+        other_totals = (totals != split_totals).any(axis=1)
+        off_grid = np.zeros(rows.size, dtype=bool)
+        if self.points is not None:
+            off_grid = (bits != self.grid[point]).any(axis=1)
+        bad = out_of_range | uneven | other_totals | off_grid
+        if not bad.any():
+            self.split_ids += ids[opens].tolist()
+            self.totals.append(totals[opens])
+            self.last_id, self.last_totals = int(ids[-1]), split_totals[-1:]
+            return None
+        at = int(np.argmax(bad))
+        if out_of_range[at]:
+            reason = "counts or split id out of range"
+        elif uneven[at] and change[at]:
+            reason = self._uneven(previous[at], point[at])
+        elif uneven[at]:
+            reason = f"split {ids[at]} holds more records than split {self.first_id}'s {self.points}"
+        elif other_totals[at]:
+            reason = f"totals differ from those of split {ids[at]}'s first record"
+        else:
+            reason = f"grid point differs from point {point[at]} of split {self.first_id}"
+        return f"record {start + at}: {reason}"
+
+    def finish(self, records: int) -> str | None:
+        """Close the layout after ``records`` records; a short last split is an error."""
+        if self.points is None:
+            self.points, self.grid = records, np.concatenate(self.grid)
+        short = records % self.points
+        return self._uneven(self.last_id, short) if short else None
+
+    def _uneven(self, split_id: int, size: int) -> str:
+        return f"split {split_id} holds {size} records, split {self.first_id} holds {self.points}"
 
 
 def _count_lines(path: Path) -> int:
@@ -681,12 +809,16 @@ def _count_lines(path: Path) -> int:
     return lines + (last not in (b"\n", b"\r"))  # a last line without its end
 
 
-def _text_disagrees(part: SweepTable, rows: np.ndarray) -> np.ndarray:
-    """Rows of ``part`` whose parsed metric or flag text differs from what the counts give."""
-    degenerate = part.degenerate
+def _text_disagrees(rows: np.ndarray) -> np.ndarray:
+    """Parsed rows whose metric or flag text differs from what their counts give."""
+    hits, totals = rows["counts"].T[:4], rows["counts"].T[4:]
+    degenerate = _degenerate(totals)
     bad = rows["flags"] != np.where(degenerate, FLAG_DEGENERATE.encode(), b"")
-    for name in ("bal_acc", "violation"):
-        text, derived = rows[name], getattr(part, name)
+    for name, derived in (
+        ("bal_acc", _balanced_accuracy(hits, totals)),
+        ("violation", _violation(hits, totals)),
+    ):
+        text = rows[name]
         bad |= np.where(degenerate, ~np.isnan(text), text.view(np.int64) != derived.view(np.int64))
     return bad
 

@@ -594,11 +594,6 @@ class RegretCurve:
     points: tuple[RegretPoint, ...]
     resamples: int = 0
 
-    def __post_init__(self) -> None:
-        sizes = [p.n for p in self.points]
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValidationError("sample sizes must be strictly increasing")
-
 
 def _default_fit_config(n: int, config: FitConfig | None) -> FitConfig:
     if config is not None:
@@ -674,6 +669,8 @@ def consistency_curve(
     sizes = [int(n) for n in n_schedule]
     if not sizes or any(n <= 0 for n in sizes):
         raise ValidationError("n_schedule must contain positive sizes")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValidationError("n_schedule sizes must be strictly increasing")
     trials = int(trials)
     if trials <= 0:
         raise ValidationError("trials must be positive")
@@ -688,7 +685,7 @@ def consistency_curve(
             _consistency_trial, dist, setting, params, n, int(seed),
             _default_fit_config(n, config), known_pi, pop, stats, best,
         )
-        results = map_tasks(run, range(trials), jobs)
+        results = list(map_tasks(run, range(trials), jobs))
         regrets = np.array([r for r, _ in results])
         resamples += sum(retry for _, retry in results)
         points.append(
@@ -797,7 +794,7 @@ def tradeoff_gap(
         _tradeoff_trial, dist, float(lam), params, n, int(seed),
         _default_fit_config(n, config), pop, stats,
     )
-    results = map_tasks(run, range(trials), jobs)
+    results = list(map_tasks(run, range(trials), jobs))
     gaps = np.array([g for g, _ in results])
     return TradeoffResult(
         gap=float(gaps.mean()),

@@ -478,7 +478,7 @@ def test_criterion_11_protocol_conformance_on_real_data(
     grid = default_grid()
     table = run_sweep(prepared, grid, EO_BLIND, 1.0, FitConfig(), 0)
     parts = table.splits()
-    assert [int(part.split_id[0]) for part in parts] == list(range(20))
+    assert [int(part.split_ids[0]) for part in parts] == list(range(20))
     per_split_curves = []
     for part in parts:
         assert len(part) == grid.cardinality

@@ -227,6 +227,10 @@ BAD_VALUES = [
     ("sweep", "setting", "bogus", "unknown setting"),
     ("sweep", "eps_p", "nan", "eps-p must be positive or 'inf'"),
     ("sweep", "grid", "lam=0:1", "is not start:stop:step"),
+    ("sweep", "grid", "lam=0:1:0.5,lam=-1:1:1", "grid axis 'lam' is given more than once"),
+    ("sweep", "grid", "c_bar=0.5:0.5:1,c=0.5:0.5:1,c_bar=0.5:0.5:1",
+     "grid axis 'c_bar' is given more than once"),
+    *(("sweep", "grid", v, "grid is empty") for v in ("", " ")),
     ("sweep", "dp_norm", "1.5", "label magnitude C must lie in (0, 1)"),
     ("sweep", "cpe_lambda", "abc", "could not convert"),
     *(("sweep", "bin_width", v, "bin width") for v in ("0", "-0.025", "nan", "0.03")),

@@ -76,10 +76,23 @@ def prepared_data(n=200, seed=31, n_repeats=2):
 
 
 def table_of(rows):
-    """A table of (split_id, lam, c, c_bar, tp, tn, pos_a, pos_b, n_pos, n_neg, n_a, n_b) rows."""
-    columns = np.array(rows, dtype=float).reshape(-1, 12).T
+    """A table of (split_id, lam, c, c_bar, tp, tn, pos_a, pos_b, n_pos, n_neg, n_a, n_b) rows.
+
+    Rows are grouped by split, and every split repeats the first split's
+    grid and holds one set of totals.
+    """
+    rows = np.array(rows, dtype=float).reshape(-1, 12)
+    n_points = np.count_nonzero(rows[:, 0] == rows[0, 0]) if len(rows) else 0
+    splits = rows.reshape(-1 if n_points else 0, n_points, 12)
+    assert (splits[:, :, 1:4] == splits[:1, :, 1:4]).all()
+    assert (splits[:, :, 8:] == splits[:, :1, 8:]).all()
+    first_records = splits[:, :1].reshape(-1, 12)
+    lam, c, c_bar = splits[:1, :, 1:4].reshape(-1, 3).T.copy()
     return SweepTable(
-        columns[0].astype(np.int64), *columns[1:4], *columns[4:].astype(np.int64)
+        lam, c, c_bar,
+        first_records[:, 0].astype(np.int64),
+        np.ascontiguousarray(splits[:, :, 4:8].transpose(2, 0, 1), dtype=np.int64),
+        first_records[:, 8:].astype(np.int64),
     )
 
 
@@ -118,9 +131,21 @@ class TestSweepTable:
         assert len(table) == 2
         with np.errstate(all="raise"):
             bal_acc, violation = table.bal_acc, table.violation
-        assert table.degenerate.tolist() == [False, True]
-        assert bal_acc[0] == 0.5 * (3 / 4 + 2 / 4) and violation[0] == abs(2 / 4 - 1 / 4)
-        assert math.isnan(bal_acc[1]) and math.isnan(violation[1])
+        assert table.degenerate.tolist() == [[False], [True]]
+        assert bal_acc[0, 0] == 0.5 * (3 / 4 + 2 / 4) and violation[0, 0] == abs(2 / 4 - 1 / 4)
+        assert math.isnan(bal_acc[1, 0]) and math.isnan(violation[1, 0])
+
+    @pytest.mark.parametrize(
+        "hits, totals",
+        [((5, 2, 2, 1), (4, 4, 4, 4)), ((3, -1, 2, 1), (4, 4, 4, 4)), ((0, 0, 0, 1), (4, 4, 0, 4))],
+        ids=["tp above n_pos", "negative tn", "a hit on a degenerate split"],
+    )
+    def test_table_check_names_the_first_record_out_of_range(self, hits, totals):
+        good = (3, 2, 2, 1, 4, 4, 4, 4)
+        rows = [(0, 0.0, 0.5, 0.5, *good), (0, 1.0, 0.5, 0.5, *good),
+                (1, 0.0, 0.5, 0.5, *hits, *totals), (1, 1.0, 0.5, 0.5, 0, 0, 0, 0, *totals)]
+        with pytest.raises(DataError, match="run_sweep: record 2: counts out of range"):
+            _check_table(table_of(rows), "run_sweep")
 
     def test_count_bounds(self, tmp_path):
         good = "0,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"
@@ -129,7 +154,6 @@ class TestSweepTable:
             (good, "0,1.0,0.5,0.5,0.625,0.25,,5,2,2,1,4,4,4,4"),  # tp > n_pos
             (good, "0,1.0,0.5,0.5,0.625,0.25,,-1,2,2,1,4,4,4,4"),  # negative count
             (good, "1,1.0,0.5,0.5,nan,nan,degenerate-test-cell,1,0,0,0,4,4,0,4"),  # tp > 0
-            (good, "0,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,5"),  # n_b changes in a split
             (good, "-1,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"),  # negative split id
             (good.replace("0,", "1,", 1), good),  # split ids decrease
         ):
@@ -258,7 +282,8 @@ class TestRunSweep:
             prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(), seed=1
         )
         assert len(table) == 2 * small_grid().cardinality
-        assert table.split_id.tolist() == [0] * 27 + [1] * 27
+        assert table.split_ids.tolist() == [0, 1]
+        assert table.hits.shape == (4, 2, 27) and table.totals.shape == (2, 4)
         assert table.lam[0] == -1.0 and table.lam[-1] == 1.0
         # canonical nesting: c_bar varies fastest
         assert table.c_bar[:3].tolist() == [0.4, 0.5, 0.6]
@@ -328,8 +353,8 @@ class TestRunSweep:
                 group = dpar_dbar_rates(preds, group_pos)
             # TNR as tn / n_neg; 1 - fpr can differ from it in the last bit.
             assert label.tnr == (label.n_neg - label.pos_in_neg) / label.n_neg
-            assert split.bal_acc[target] == 0.5 * (label.tpr + label.tnr)
-            assert split.violation[target] == violation(group)
+            assert split.bal_acc[0, target] == 0.5 * (label.tpr + label.tnr)
+            assert split.violation[0, target] == violation(group)
 
     def test_degenerate_split_flags_whole_grid(self):
         # healthy train split, but every test row is in one sensitive group
@@ -347,7 +372,7 @@ class TestRunSweep:
         assert len(table) == small_grid().cardinality
         assert table.degenerate.all()
         assert np.isnan(table.bal_acc).all() and np.isnan(table.violation).all()
-        assert not (table.tp.any() or table.tn.any() or table.pos_a.any() or table.pos_b.any())
+        assert not table.hits.any()
 
     def test_argument_validation(self):
         prepared = prepared_data()
@@ -430,9 +455,8 @@ class TestAwareCountsMatchBruteForce:
             criterion_for(setting),
         )
         expected = np.array(hits) if min(totals) > 0 else np.zeros((len(table), 4))
-        assert np.array_equal(np.stack([table.tp, table.tn, table.pos_a, table.pos_b], 1), expected)
-        for name, total in zip(("n_pos", "n_neg", "n_a", "n_b"), totals):
-            assert (getattr(table, name) == total).all()
+        assert np.array_equal(table.hits[:, 0].T, expected)
+        assert table.totals.tolist() == [list(totals)]
 
 
 SLICE_AXES = (np.array([-2.0, 0.0, 1.5]), np.array([0.3, 0.5]), np.array([0.25, 0.5, 0.75]))
@@ -491,25 +515,60 @@ class TestSerialization:
         table = table_of(
             [
                 (0, -1.0, 0.3, 0.4, 3, 2, 2, 1, 4, 4, 4, 4),
-                (1, 0.5, 0.5, 0.5, 0, 0, 0, 0, 4, 4, 0, 4),
+                (1, -1.0, 0.3, 0.4, 0, 0, 0, 0, 4, 4, 0, 4),
             ]
         )
         write_records_csv(table, path)
         assert path.read_bytes() == (
             HEADER + "\r\n"
             "0,-1.0,0.3,0.4,0.625,0.25,,3,2,2,1,4,4,4,4\r\n"
-            "1,0.5,0.5,0.5,nan,nan," + FLAG_DEGENERATE + ",0,0,0,0,4,4,0,4\r\n"
+            "1,-1.0,0.3,0.4,nan,nan," + FLAG_DEGENERATE + ",0,0,0,0,4,4,0,4\r\n"
         ).encode()
         assert_tables_equal(read_records_csv(path), table)
 
-    def test_grid_text_follows_each_split(self, tmp_path):
-        # Splits 0 and 1 share one grid; split 2's -0.0 equals 0.0 in value only.
+    def test_every_split_repeats_the_first_splits_grid_bits(self, tmp_path):
+        # Split 2's -0.0 equals split 0's 0.0 in value only.
         path = tmp_path / "records.csv"
-        rows = [(split, lam, 0.5, 0.5, 1, 1, 1, 1, 2, 2, 2, 2)
-                for split, lam in ((0, 0.0), (1, 0.0), (2, -0.0), (3, 0.0))]
-        write_records_csv(table_of(rows), path)
-        lines = path.read_text().splitlines()[1:]
-        assert [line.split(",")[1] for line in lines] == ["0.0", "0.0", "-0.0", "0.0"]
+        row = "{},{},0.5,0.5,0.5,0.0,,1,1,1,1,2,2,2,2"
+        lines = [row.format(split, lam) for split, lam in ((0, "0.0"), (1, "0.0"), (2, "-0.0"))]
+        path.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="record 2: grid point differs from point 0 of split 0"):
+            read_records_csv(path)
+
+    def test_a_record_off_the_grid_names_its_record(self, tmp_path):
+        # Split 1's second record is at lam = 7.25, on no point of split 0's grid.
+        path = tmp_path / "records.csv"
+        row = "{},{},0.5,0.5,0.5,0.0,,1,1,1,1,2,2,2,2"
+        lines = [row.format(split, lam) for split, lam in ((0, -1), (0, 1), (1, -1), (1, 7.25))]
+        path.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="record 3: grid point differs from point 1 of split 0"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("record", [1, 3])
+    def test_every_record_holds_its_splits_totals(self, tmp_path, record):
+        path = tmp_path / "records.csv"
+        row = "{},{},0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,{}"
+        lines = [row.format(i // 2, i % 2, 5 if i == record else 4) for i in range(4)]
+        path.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
+        split = record // 2
+        with pytest.raises(
+            DataError, match=f"record {record}: totals differ from those of split {split}'s first"
+        ):
+            read_records_csv(path)
+
+    def test_a_split_longer_than_the_first_is_rejected(self, tmp_path):
+        path = tmp_path / "records.csv"
+        row = "{},1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"
+        path.write_text(HEADER + "\n" + "\n".join(row.format(s) for s in (0, 1, 1)) + "\n")
+        with pytest.raises(DataError, match="record 2: split 1 holds more records than split 0's 1"):
+            read_records_csv(path)
+
+    def test_a_short_last_split_is_rejected(self, tmp_path):
+        path = tmp_path / "records.csv"
+        row = "{},1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"
+        path.write_text(HEADER + "\n" + "\n".join(row.format(s) for s in (0, 0, 1)) + "\n")
+        with pytest.raises(DataError, match="split 1 holds 1 records, split 0 holds 2"):
+            read_records_csv(path)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -571,7 +630,7 @@ class TestSerialization:
         rows = ["0,1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4", "0,1.0,0.5,0.5,0.5,0.0,,2,2,1,1,4,4,4,4"]
         path.write_text(HEADER + "\r" + rows[0] + "\n" + rows[1] + "\r" + rows[0], newline="")
         table = read_records_csv(path)
-        assert table.tp.tolist() == [3, 2, 3]
+        assert table.hits[0].tolist() == [[3, 2, 3]]
 
     def test_tradeoff_csv(self, tmp_path):
         curve = aggregate_curves([{0.5: 0.25}, {0.5: 0.75, 0.55: 0.5}], bin_width=0.05)
@@ -600,16 +659,12 @@ def large_records(tmp_path_factory):
     gen = np.random.default_rng(20)
     totals = gen.integers(1, 60, size=(N_SPLITS, 4))
     totals[3, 2] = 0
-    totals = np.repeat(totals, N_POINTS, axis=0)
-    hits = gen.integers(0, totals + 1)
-    hits[3 * N_POINTS : 4 * N_POINTS] = 0
+    hits = gen.integers(0, totals.T[:, :, None] + 1, size=(4, N_SPLITS, N_POINTS))
+    hits[:, 3] = 0
     grid = default_grid()
     axes = np.meshgrid(grid.lam.values(), grid.c.values(), grid.c_bar.values(), indexing="ij")
     table = SweepTable(
-        np.repeat(np.arange(N_SPLITS, dtype=np.int64), N_POINTS),
-        *(np.tile(axis.ravel(), N_SPLITS) for axis in axes),
-        *np.ascontiguousarray(hits.T),
-        *np.ascontiguousarray(totals.T),
+        *(axis.ravel() for axis in axes), np.arange(N_SPLITS, dtype=np.int64), hits, totals
     )
     path = tmp_path_factory.mktemp("large") / "records.csv"
     write_records_csv(table, path)
@@ -675,7 +730,8 @@ class TestLargeRecords:
             read_records_csv(path)
 
     def test_reader_peak_is_within_one_and_a_half_tables(self, large_records):
-        # Parsing the whole file into 15-field rows peaked at 2.7 tables.
+        # Parsing the whole file into 15-field rows peaked at 2.7 tables of the
+        # earlier twelve-column layout, 96 bytes a record against 32 here.
         path, table = large_records
         tracemalloc.start()
         try:
@@ -687,7 +743,7 @@ class TestLargeRecords:
         assert peak <= 1.5 * column_bytes(table)
 
     def test_table_check_extra_is_within_half_a_table(self, large_records):
-        # Stacking the eight count columns took 1.2 tables.
+        # Stacking the eight count columns took 1.2 twelve-column tables.
         table = large_records[1]
         tracemalloc.start()
         try:

@@ -431,11 +431,20 @@ class TestConsistencyCurve:
                 dist, EO_BLIND, PARAMS, n_schedule=(16,), trials=0, m_eval=10, seed=0
             )
         with pytest.raises(ValidationError, match="strictly increasing"):
-            RegretCurve(
-                points=(
-                    RegretPoint(n=16, mean_regret=0.0, std_regret=0.0, trials=1),
-                    RegretPoint(n=16, mean_regret=0.0, std_regret=0.0, trials=1),
-                )
+            consistency_curve(
+                dist, EO_BLIND, PARAMS, n_schedule=(16, 16), trials=1, m_eval=10, seed=0
+            )
+
+    def test_decreasing_schedule_is_rejected_before_any_fit(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("the schedule is checked before the population and the fits")
+
+        for name in ("fit_plugin", "true_stats", "population"):
+            monkeypatch.setattr(f"fairplug.synthetic.{name}", no_call)
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            consistency_curve(
+                reference_eo(), EO_BLIND, PARAMS, n_schedule=(4096, 1024), trials=3,
+                m_eval=1000, seed=0,
             )
 
     def test_hopeless_distribution_reports_data_error(self):
