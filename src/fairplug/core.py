@@ -75,20 +75,35 @@ class Dataset:
         self._check_and_freeze(copy=True)
 
     @classmethod
-    def _adopt(cls, features: np.ndarray, labels: np.ndarray, sensitive: np.ndarray) -> "Dataset":
-        """A dataset that takes over float arrays nothing else refers to.
+    def _adopt(
+        cls,
+        features: np.ndarray,
+        labels: np.ndarray,
+        sensitive: np.ndarray,
+        label_scale: float = 1.0,
+    ) -> "Dataset":
+        """A dataset that takes over arrays nothing else writes to.
 
-        For a loader that has just built the arrays: they are checked as
-        the constructor checks them and made read-only in place, not
-        copied.  Every other caller goes through the constructor, which
-        copies.
+        For a caller that has just built the arrays (a loader, the
+        norm-bounding transform): they are checked as the constructor
+        checks them and made read-only in place, not copied.  An array
+        that is not float64 (an int ``.npy`` file, say) is converted, and
+        the converted copy is kept.  An already read-only array, such as
+        another dataset's column, may be shared.  The public constructor
+        copies every array it is given.
         """
+        dataset = cls._unchecked(features, labels, sensitive, label_scale)
+        dataset._check_and_freeze(copy=False)
+        return dataset
+
+    @classmethod
+    def _unchecked(cls, features, labels, sensitive, label_scale) -> "Dataset":
+        """A dataset over the arrays as given: not checked, copied or frozen."""
         dataset = cls.__new__(cls)
         object.__setattr__(dataset, "features", features)
         object.__setattr__(dataset, "labels", labels)
         object.__setattr__(dataset, "sensitive", sensitive)
-        object.__setattr__(dataset, "label_scale", 1.0)
-        dataset._check_and_freeze(copy=False)
+        object.__setattr__(dataset, "label_scale", label_scale)
         return dataset
 
     def _check_and_freeze(self, copy: bool) -> None:
@@ -132,17 +147,24 @@ class Dataset:
         return int(self.features.shape[1])
 
     def subset(self, indices) -> "Dataset":
-        """Row-subset view as a new dataset (indices in any order, no dups required)."""
+        """The rows at ``indices`` (any order, repeats allowed) as a new dataset.
+
+        The fancy index already builds fresh arrays, so they are frozen in
+        place rather than copied again, and they are not checked again:
+        every row passed this dataset's checks.  The result owns its
+        arrays (no memory shared with this dataset), they are read-only,
+        and it keeps :attr:`label_scale`.
+        """
         idx = np.asarray(indices, dtype=int)
         if idx.ndim != 1 or idx.size == 0:
             raise ValidationError("subset requires a non-empty 1-D index array")
         if idx.min() < 0 or idx.max() >= self.n:
             raise ValidationError("subset index out of range")
-        return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            sensitive=self.sensitive[idx],
-            label_scale=self.label_scale,
+        return Dataset._unchecked(
+            _readonly(self.features[idx], copy=False),
+            _readonly(self.labels[idx], copy=False),
+            _readonly(self.sensitive[idx], copy=False),
+            self.label_scale,
         )
 
 

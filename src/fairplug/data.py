@@ -499,13 +499,24 @@ def _check_c(c: float) -> float:
 
 
 def fit_dp_transform(train: Dataset, c: float = 0.5) -> DpTransform:
-    """Fit the norm-bounding map on the training split's statistics."""
+    """Fit the norm-bounding map on the training split's statistics.
+
+    One centered copy of the features serves the scale and the norms.
+    The scale is computed as ``np.std`` computes it (``centered *
+    centered`` summed down the rows, divided by n, square root), so it is
+    ``features.std(axis=0)`` bit for bit, without ``np.std``'s second
+    mean and second centered copy; the squares go into one reused buffer.
+    """
     c = _check_c(c)
-    shift = train.features.mean(axis=0)
-    scale = train.features.std(axis=0)
+    features = train.features
+    shift = features.mean(axis=0)
+    centered = features - shift
+    squares = centered * centered
+    scale = np.sqrt(squares.sum(axis=0) / features.shape[0])
     scale = np.where(scale > 0, scale, 1.0)
-    standardized = (train.features - shift) / scale
-    max_norm = float(np.sqrt((standardized**2).sum(axis=1).max()))
+    centered /= scale
+    np.multiply(centered, centered, out=squares)
+    max_norm = float(np.sqrt(squares.sum(axis=1).max()))
     radius_cap = float(np.sqrt(1.0 - c * c))
     global_scale = radius_cap / max_norm if max_norm > 0 else 1.0
     return DpTransform(
@@ -522,22 +533,21 @@ def apply_dp_transform(transform: DpTransform, dataset: Dataset) -> Dataset:
 
     Rows that land beyond the radius cap (possible only for rows the
     transform was not fitted on) are radially clipped and counted in
-    the log.
+    the log.  The features are mapped in one buffer that the result
+    adopts, so it is checked (a non-finite row is a ValidationError) but
+    not copied; the result shares the read-only sensitive column.
     """
 
-    z = (dataset.features - transform.shift) / transform.scale * transform.global_scale
+    z = dataset.features - transform.shift
+    z /= transform.scale
+    z *= transform.global_scale
     norms = np.sqrt((z**2).sum(axis=1))
     over = norms > transform.radius_cap
     if np.any(over):
         log.info("radially clipped %d held-out rows to the norm cap", int(over.sum()))
         z[over] *= (transform.radius_cap / norms[over])[:, None]
     labels = np.sign(dataset.labels) * transform.label_magnitude
-    return Dataset(
-        features=z,
-        labels=labels,
-        sensitive=dataset.sensitive,
-        label_scale=transform.label_magnitude,
-    )
+    return Dataset._adopt(z, labels, dataset.sensitive, transform.label_magnitude)
 
 
 @dataclass(frozen=True)
@@ -677,7 +687,10 @@ def load_prepared(in_dir: str | Path) -> PreparedData:
     directory is a :class:`DataError` naming the file before any split
     is used: an array that is not numeric ``.npy``, a ``label_scale``
     that is not a number, arrays a :class:`Dataset` rejects, a role
-    outside {0, 1, 2} or a split with no train or no test row.
+    outside {0, 1, 2} or a split with no train or no test row.  The
+    dataset adopts the arrays read from ``features.npy``, ``labels.npy``
+    and ``sensitive.npy``: they are checked once and made read-only in
+    place, not copied (an int-typed file is converted to float).
     """
     root = Path(in_dir)
     features, labels, sensitive = (
@@ -694,9 +707,7 @@ def load_prepared(in_dir: str | Path) -> PreparedData:
     except ValueError:
         raise DataError(f"{root / 'meta.kv'}: label_scale {scale_text!r} is not a number") from None
     try:
-        dataset = Dataset(
-            features=features, labels=labels, sensitive=sensitive, label_scale=label_scale
-        )
+        dataset = Dataset._adopt(features, labels, sensitive, label_scale)
     except ValidationError as exc:
         raise DataError(f"{root}: prepared arrays are not a dataset: {exc}") from exc
     splits = []

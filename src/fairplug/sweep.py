@@ -799,13 +799,20 @@ def _count_lines(path: Path) -> int:
     """The lines of ``path`` as text mode splits them, at ``\\n``, ``\\r\\n`` or ``\\r``.
 
     Counted in the raw bytes, which costs a quarter of decoding the text.
+    Each 1 MiB block is read into one reused buffer, so one block is held
+    at a time; only its first ``size`` bytes are the block.
     """
     lines, last = 0, b"\n"
-    with open(path, "rb") as raw:
-        for block in iter(partial(raw.read, 1 << 20), b""):
-            lines += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+    block = bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as raw:
+        while size := raw.readinto(block):
+            lines += (
+                block.count(b"\n", 0, size)
+                + block.count(b"\r", 0, size)
+                - block.count(b"\r\n", 0, size)
+            )
             lines -= last == b"\r" and block.startswith(b"\n")  # a \r\n cut between blocks
-            last = block[-1:]
+            last = block[size - 1 : size]
     return lines + (last not in (b"\n", b"\r"))  # a last line without its end
 
 

@@ -63,6 +63,14 @@ class TestDataset:
         with pytest.raises(ValidationError, match="sensitive"):
             Dataset._adopt(np.zeros((2, 2)), np.ones(2), np.zeros(2))
 
+    def test_adopt_checks_labels_against_the_given_scale(self):
+        arrays = [np.zeros((2, 2)), np.array([0.5, -0.5]), np.ones(2)]
+        assert Dataset._adopt(*arrays, 0.5).label_scale == 0.5
+        with pytest.raises(ValidationError, match="labels"):
+            Dataset._adopt(*arrays)
+        with pytest.raises(ValidationError, match="non-finite"):
+            Dataset._adopt(np.full((2, 2), np.inf), arrays[1], arrays[2], 0.5)
+
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="mismatch"):
             Dataset(np.zeros((3, 2)), np.ones(2), np.ones(3))
@@ -92,10 +100,25 @@ class TestDataset:
         sub = ds.subset([2, 0])
         assert sub.n == 2 and sub.label_scale == 0.5
         assert np.array_equal(sub.features, ds.features[[2, 0]])
+        assert sub.labels.tolist() == [0.5, 0.5] and sub.sensitive.tolist() == [1.0, 1.0]
         with pytest.raises(ValidationError, match="out of range"):
             ds.subset([3])
+        with pytest.raises(ValidationError, match="out of range"):
+            ds.subset([-1])
         with pytest.raises(ValidationError, match="non-empty"):
             ds.subset([])
+        with pytest.raises(ValidationError, match="non-empty"):
+            ds.subset([[0, 1]])
+
+    def test_subset_arrays_are_read_only_and_its_own(self):
+        ds = make_dataset([1, -1, 1], [1, -1, 1])
+        sub = ds.subset([0, 1, 2])
+        for name in ("features", "labels", "sensitive"):
+            column = getattr(sub, name)
+            assert not column.flags.writeable
+            assert not np.shares_memory(column, getattr(ds, name))
+            with pytest.raises(ValueError):
+                column[0] = 0.0
 
 
 class TestDistStats:

@@ -17,7 +17,10 @@ from fairplug.cpe import (
     ARITY_FEATURES_PLUS_SENSITIVE,
     FitConfig,
     LinearCpe,
+    _DIRECT_MAX_WIDTH,
+    _HESSIAN_BLOCK,
     _design,
+    _hessian,
     _objective_and_grad,
     fit,
     fit_eta,
@@ -135,6 +138,39 @@ class TestAllocations:
         targets = np.where(gen.random(n) < 0.5, -1.0, 1.0)
         w = gen.normal(size=3)
         assert self.peak_bytes(_objective_and_grad, w, design, targets, 0.1) <= 6 * n * 8
+
+    def test_hessian_peak(self):
+        # (X' * c) @ X held a design-sized product (8.0x a per-row vector
+        # per column); the blocked Gram form holds one block of rows.
+        gen = np.random.default_rng(2)
+        n, k = 20_000, 52
+        design = gen.normal(size=(n, k))
+        p = gen.random(n)
+        assert self.peak_bytes(_hessian, p, design, 0.1) <= 8 * _HESSIAN_BLOCK + 2 * p.nbytes
+
+
+class TestHessian:
+    @pytest.mark.parametrize("k", [1, 3, _DIRECT_MAX_WIDTH + 1, 52])
+    @pytest.mark.parametrize("past_block", [-1, 0, 1])
+    def test_matches_the_dense_form(self, k, past_block):
+        # n just below, at and one row past a block of weighted rows.
+        n = _HESSIAN_BLOCK // k + past_block
+        gen = np.random.default_rng(k + past_block)
+        design = gen.normal(size=(n, k))
+        p = gen.random(n)
+        hessian = _hessian(p, design, 0.25)
+        # X' diag(p(1-p)) X, without the n x n diagonal matrix.  An entry that
+        # cancels to near 0 carries the rounding of its terms, so the
+        # tolerance is relative to the sum of the terms' magnitudes.
+        curvature = (p * (1.0 - p))[:, None]
+        want = (design * curvature).T @ design / n + 0.25 * np.eye(k)
+        magnitude = (np.abs(design) * curvature).T @ np.abs(design) / n + 0.25 * np.eye(k)
+        assert np.all(np.abs(hessian - want) <= 1e-12 * magnitude)
+        if k > _DIRECT_MAX_WIDTH:
+            assert np.array_equal(hessian, hessian.T)
+        else:  # the direct product, bit for bit
+            direct = (design.T * curvature[:, 0]) @ design / n + 0.25 * np.eye(k)
+            assert hessian.tobytes() == direct.tobytes()
 
 
 class TestLinearCpe:

@@ -474,12 +474,22 @@ class TestDpTransform:
         assert norms.max() == pytest.approx(np.sqrt(1 - 0.25), abs=1e-12)
 
     def test_transform_statistics(self):
-        train = self.small()
-        transform = fit_dp_transform(train, c=0.6)
-        assert transform.shift == pytest.approx(train.features.mean(axis=0))
-        assert transform.scale == pytest.approx(train.features.std(axis=0))
-        assert transform.radius_cap == pytest.approx(np.sqrt(1 - 0.36))
-        assert transform.label_magnitude == 0.6
+        # One centered copy serves the scale and the norms; the scale is
+        # computed as np.std computes it, so the statistics are numpy's bit
+        # for bit, a constant column's unit scale included.
+        small = self.small()
+        constant = np.hstack([small.features, np.full((small.n, 1), 0.3)])
+        for train in (small, Dataset(constant, small.labels, small.sensitive)):
+            x = train.features
+            transform = fit_dp_transform(train, c=0.6)
+            std = x.std(axis=0)
+            assert transform.shift.tobytes() == x.mean(axis=0).tobytes()
+            assert transform.scale.tobytes() == np.where(std > 0, std, 1.0).tobytes()
+            standardized = (x - transform.shift) / transform.scale
+            max_norm = np.sqrt((standardized**2).sum(axis=1).max())
+            assert transform.global_scale == transform.radius_cap / max_norm
+            assert transform.radius_cap == pytest.approx(np.sqrt(1 - 0.36))
+            assert transform.label_magnitude == 0.6
 
     def test_constant_column_gets_unit_scale(self):
         x = np.hstack([np.ones((20, 1)) * 7.0, np.arange(20.0)[:, None]])
@@ -489,6 +499,25 @@ class TestDpTransform:
         assert transform.scale[0] == 1.0
         mapped = apply_dp_transform(transform, train)
         assert np.all(np.isfinite(mapped.features))
+
+    def test_mapped_dataset_is_read_only(self):
+        train = self.small()
+        mapped = apply_dp_transform(fit_dp_transform(train), train)
+        assert not any(
+            column.flags.writeable for column in (mapped.features, mapped.labels, mapped.sensitive)
+        )
+        assert not np.shares_memory(mapped.features, train.features)
+
+    def test_non_finite_held_out_row_rejected(self):
+        # The third column's scale is near 0.1, so 1e308 maps beyond the
+        # largest double; the clip turns the infinite row into NaN.
+        train = self.small()
+        transform = fit_dp_transform(train)
+        huge = Dataset(np.array([[0.0, 0.0, 1e308]]), np.array([1.0]), np.array([1.0]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValidationError, match="non-finite"
+        ):
+            apply_dp_transform(transform, huge)
 
     def test_held_out_rows_clipped(self, caplog):
         train = self.small()
@@ -571,6 +600,19 @@ class TestPreparedRoundTrip:
                 assert np.array_equal(g, w)
         assert loaded.meta["schema"] == "tiny"
         assert loaded.meta["rows_read"] == "41"
+
+    def test_int_arrays_load_as_read_only_floats(self, tmp_path):
+        out = tmp_path / "prepared"
+        dataset = Dataset(np.zeros((12, 1)), np.ones(12), np.ones(12))
+        save_prepared(out, dataset, make_splits(dataset, SplitPlan(n_repeats=1)), {})
+        np.save(out / "labels.npy", np.where(np.arange(12) % 2 == 0, 1, -1))
+        np.save(out / "sensitive.npy", np.ones(12, dtype=np.int8))
+        loaded = load_prepared(out).dataset
+        assert loaded.labels.dtype == float and loaded.sensitive.dtype == float
+        assert loaded.labels.tolist() == [1.0, -1.0] * 6
+        assert not any(
+            column.flags.writeable for column in (loaded.features, loaded.labels, loaded.sensitive)
+        )
 
     def test_split_order_follows_the_integer_index(self, tmp_path):
         gen = np.random.default_rng(9)

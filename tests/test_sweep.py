@@ -616,10 +616,13 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "text",
         [b"", b"a", b"a\n", b"a\r\n", b"a\rb", b"a\r", b"\r\n\r\n\n", b"a\r\rb\n\r",
-         b"x" * (2**20 - 1) + b"\r\nb\r\n", b"x" * 2**20 + b"\nb"],
+         b"x" * (2**20 - 1) + b"\r\nb\r\n", b"x" * 2**20 + b"\nb",
+         b"x" * (2**21 - 1) + b"\r\nb", b"\n" * (2**20 + 1), b"\r" * 2**20 + b"\nx"],
     )
     def test_line_count_matches_text_mode(self, tmp_path, text):
-        # The last two put a line end on the counter's 1 MiB block boundary.
+        # The files over 1 MiB put a line end on a 1 MiB block boundary (a
+        # \r\n cut by the first or the second), or end in a short block
+        # after a full one, whose line ends the reused buffer still holds.
         path = tmp_path / "lines.txt"
         path.write_bytes(text)
         with open(path, encoding="utf-8") as handle:

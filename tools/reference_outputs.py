@@ -1,20 +1,26 @@
-"""Run the 12 reference sweeps and print the SHA-256 of their outputs.
+"""Run the reference sweeps and simulations and print the SHA-256 of their outputs.
 
 Usage (from the repository root)::
 
     python3 tools/reference_outputs.py
     python3 tools/reference_outputs.py --compare HEAD~1
 
-The inputs are perfbench's seed-1 German-shaped surrogates: 1,000 rows
-prepared into 20 splits and 45,000 rows into 3 (``prepare --seed 1``).
-On each, six sweeps run on the default grid with ``--seed 1``: eo-blind
-at ``--eps-p`` 1 and inf, eo-aware, dpar-blind at 2 and inf, and
-dpar-aware, each serially and with ``--jobs 2``, and ``report``
-aggregates every sweep.  Each command is a child process with
-``OPENBLAS_NUM_THREADS=1``, since the fits call BLAS and some outputs
-move with its thread count.  The script prints ``sha256  path`` for
-every ``records.csv``, ``curve.csv`` and ``curve.svg`` and exits 1 if a
-``--jobs 2`` output differs from its serial twin.
+The sweep inputs are perfbench's seed-1 German-shaped surrogates: 1,000
+rows prepared into 20 splits and 45,000 rows into 3 (``prepare --seed
+1``).  On each, six sweeps run on the default grid with ``--seed 1``:
+eo-blind at ``--eps-p`` 1 and inf, eo-aware, dpar-blind at 2 and inf,
+and dpar-aware, each serially and with ``--jobs 2``, and ``report``
+aggregates every sweep.  The four ``simulate`` experiments run at the
+sizes the CI runs them, each serially and with ``--jobs 2``:
+``consistency`` and ``sample-complexity`` with the CI steps' arguments,
+and ``frontier`` and ``tradeoff-gap`` at ``--m-eval 20000``.  Each
+command is a child process with ``OPENBLAS_NUM_THREADS=1``, since the
+fits call BLAS and some outputs move with its thread count.  The script
+prints ``sha256  path`` for every sweep's ``records.csv``, ``curve.csv``
+and ``curve.svg``, and for every simulation's CSV and SVG files and its
+``manifest.kv`` without the ``config.out`` line, which names the run's
+own directory.  It exits 1 if a ``--jobs 2`` output differs from its
+serial twin.
 
 ``--compare REV`` exports REV's tree with ``git archive`` into a
 temporary directory, runs the same commands with that tree's code on the
@@ -54,6 +60,15 @@ SWEEPS = (
     ("dpar-aware", "inf"),
 )
 HASHED = ("records.csv", "curve.csv", "curve.svg")
+#: (experiment, its arguments): the sizes the CI runs them at.
+SIMULATIONS = (
+    ("consistency", ("--n-schedule", "256,1024", "--trials", "4", "--m-eval", "20000",
+                     "--seed", "5")),
+    ("sample-complexity", ("--eps-target", "0.05", "--trials", "3", "--start", "32",
+                           "--cap", "256", "--m-eval", "20000", "--seed", "4")),
+    ("frontier", ("--m-eval", "20000")),
+    ("tradeoff-gap", ("--m-eval", "20000")),
+)
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -74,7 +89,18 @@ def write_inputs(inputs: Path) -> None:
 
 
 def sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's digest; a manifest's is taken without its ``config.out`` line."""
+    data = path.read_bytes()
+    if path.name == "manifest.kv":
+        data = b"".join(
+            line for line in data.splitlines(keepends=True) if not line.startswith(b"config.out ")
+        )
+    return hashlib.sha256(data).hexdigest()
+
+
+def hashed(path: Path) -> bool:
+    """Whether ``path`` is a reference output: a sweep's, or any simulation file."""
+    return path.is_file() and (path.name in HASHED or path.parts[-3] == "simulate")
 
 
 def run_tree(source: Path, inputs: Path, out: Path) -> dict[str, str]:
@@ -95,10 +121,15 @@ def run_tree(source: Path, inputs: Path, out: Path) -> dict[str, str]:
                 "--out", str(run / "sweep"),
             )
             fairplug(source, "report", "--records", str(run / "sweep"), "--out", str(run / "report"))
+    for (experiment, args), jobs in itertools.product(SIMULATIONS, ("1", "2")):
+        fairplug(
+            source, "simulate", "--experiment", experiment, *args, "--jobs", jobs,
+            "--out", str(out / "simulate" / f"{experiment}_j{jobs}"),
+        )
     return {
         path.relative_to(out).as_posix(): sha256(path)
         for path in sorted(out.rglob("*"))
-        if path.name in HASHED
+        if hashed(path)
     }
 
 
