@@ -2,7 +2,8 @@
 
 Loading is schema-driven: a flat text schema names the feature columns
 (numeric or categorical), the label and sensitive columns with their
-positive values, columns to drop, and the missing-value markers.
+positive values, and the missing-value markers; a column it does not
+name is never read, and a key it does not know is an error.
 Categorical features are one-hot encoded with category order fixed by
 first appearance, so identical file bytes always produce an identical
 dataset.  Rows with missing values in any used column are dropped and
@@ -47,6 +48,7 @@ __all__ = [
     "CsvSchema",
     "LoadReport",
     "DpTransform",
+    "SPLIT_RATIOS",
     "SplitPlan",
     "PreparedData",
     "load_schema",
@@ -86,7 +88,6 @@ class CsvSchema:
     sensitive_positive: frozenset[str]
     label_values: frozenset[str] | None = None
     sensitive_values: frozenset[str] | None = None
-    drop_columns: frozenset[str] = frozenset()
     missing_values: frozenset[str] = DEFAULT_MISSING
 
     def __post_init__(self) -> None:
@@ -129,12 +130,17 @@ def _split_values(raw: str) -> frozenset[str]:
 
 
 def load_schema(path: str | Path) -> CsvSchema:
-    """Read a schema record (see the bundled files for the key layout)."""
+    """Read a schema record (see the bundled files for the key layout).
+
+    Every key is read or rejected: a key the layout does not name (a
+    misspelt one, or a ``feature.N`` after a gap in the numbering) is a
+    :class:`DataError` naming the key and the file.
+    """
     record = read_kv(path)
     features: list[tuple[str, str]] = []
     index = 0
     while f"feature.{index}" in record:
-        entry = record[f"feature.{index}"]
+        entry = record.pop(f"feature.{index}")
         if ":" not in entry:
             raise DataError(f"{path}: feature.{index} must look like name:kind, got {entry!r}")
         name, kind = entry.rsplit(":", 1)
@@ -143,24 +149,25 @@ def load_schema(path: str | Path) -> CsvSchema:
     if not features:
         raise DataError(f"{path}: schema has no feature.N entries")
     try:
-        label_column = record["label_column"].strip()
-        label_positive = _split_values(record["label_positive"])
-        sensitive_column = record["sensitive_column"].strip()
-        sensitive_positive = _split_values(record["sensitive_positive"])
+        label_column = record.pop("label_column").strip()
+        label_positive = _split_values(record.pop("label_positive"))
+        sensitive_column = record.pop("sensitive_column").strip()
+        sensitive_positive = _split_values(record.pop("sensitive_positive"))
     except KeyError as exc:
         raise DataError(f"{path}: missing schema field {exc}") from exc
     label_values = (
-        _split_values(record["label_values"]) if "label_values" in record else None
+        _split_values(record.pop("label_values")) if "label_values" in record else None
     )
     sensitive_values = (
-        _split_values(record["sensitive_values"]) if "sensitive_values" in record else None
+        _split_values(record.pop("sensitive_values")) if "sensitive_values" in record else None
     )
-    drop = _split_values(record.get("drop_columns", ""))
     missing = (
-        frozenset(part.strip() for part in record["missing_values"].split(","))
+        frozenset(part.strip() for part in record.pop("missing_values").split(","))
         if "missing_values" in record
         else DEFAULT_MISSING
     )
+    if record:
+        raise DataError(f"{path}: unknown schema key {next(iter(record))!r}")
     return CsvSchema(
         features=tuple(features),
         label_column=label_column,
@@ -169,7 +176,6 @@ def load_schema(path: str | Path) -> CsvSchema:
         sensitive_positive=sensitive_positive,
         label_values=label_values,
         sensitive_values=sensitive_values,
-        drop_columns=drop,
         missing_values=missing,
     )
 
@@ -468,10 +474,10 @@ class DpTransform:
     shift: np.ndarray
     scale: np.ndarray
     global_scale: float
-    radius_cap: float
     label_magnitude: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "label_magnitude", _check_c(self.label_magnitude))
         shift = np.array(self.shift, dtype=float)
         scale = np.array(self.scale, dtype=float)
         if shift.ndim != 1 or shift.shape != scale.shape:
@@ -480,15 +486,19 @@ class DpTransform:
             raise ValidationError("shift and scale must be finite")
         if not np.all(scale > 0):
             raise ValidationError("scale entries must be positive")
-        for name in ("global_scale", "radius_cap", "label_magnitude"):
-            value = float(getattr(self, name))
-            if not (np.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
+        global_scale = float(self.global_scale)
+        if not (np.isfinite(global_scale) and global_scale > 0):
+            raise ValidationError(f"global_scale must be positive, got {global_scale}")
+        object.__setattr__(self, "global_scale", global_scale)
         shift.setflags(write=False)
         scale.setflags(write=False)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "scale", scale)
+
+    @property
+    def radius_cap(self) -> float:
+        """The feature-norm cap sqrt(1 - C^2) that leaves room for a +-C label."""
+        return _radius_cap(self.label_magnitude)
 
 
 def _check_c(c: float) -> float:
@@ -496,6 +506,10 @@ def _check_c(c: float) -> float:
     if not (np.isfinite(c) and 0.0 < c < 1.0):
         raise ValidationError(f"label magnitude C must lie in (0, 1), got {c}")
     return c
+
+
+def _radius_cap(c: float) -> float:
+    return float(np.sqrt(1.0 - c * c))
 
 
 def fit_dp_transform(train: Dataset, c: float = 0.5) -> DpTransform:
@@ -506,26 +520,23 @@ def fit_dp_transform(train: Dataset, c: float = 0.5) -> DpTransform:
     centered`` summed down the rows, divided by n, square root), so it is
     ``features.std(axis=0)`` bit for bit, without ``np.std``'s second
     mean and second centered copy; the squares go into one reused buffer.
+    Features so large that their squares overflow give a non-finite
+    scale, which :class:`DpTransform` rejects; numpy's overflow warnings
+    on the way there are silenced so that the rejection is what surfaces.
     """
     c = _check_c(c)
     features = train.features
-    shift = features.mean(axis=0)
-    centered = features - shift
-    squares = centered * centered
-    scale = np.sqrt(squares.sum(axis=0) / features.shape[0])
-    scale = np.where(scale > 0, scale, 1.0)
-    centered /= scale
-    np.multiply(centered, centered, out=squares)
-    max_norm = float(np.sqrt(squares.sum(axis=1).max()))
-    radius_cap = float(np.sqrt(1.0 - c * c))
-    global_scale = radius_cap / max_norm if max_norm > 0 else 1.0
-    return DpTransform(
-        shift=shift,
-        scale=scale,
-        global_scale=global_scale,
-        radius_cap=radius_cap,
-        label_magnitude=c,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = features.mean(axis=0)
+        centered = features - shift
+        squares = centered * centered
+        scale = np.sqrt(squares.sum(axis=0) / features.shape[0])
+        scale = np.where(scale > 0, scale, 1.0)
+        centered /= scale
+        np.multiply(centered, centered, out=squares)
+        max_norm = float(np.sqrt(squares.sum(axis=1).max()))
+    global_scale = _radius_cap(c) / max_norm if max_norm > 0 else 1.0
+    return DpTransform(shift=shift, scale=scale, global_scale=global_scale, label_magnitude=c)
 
 
 def apply_dp_transform(transform: DpTransform, dataset: Dataset) -> Dataset:
@@ -534,37 +545,36 @@ def apply_dp_transform(transform: DpTransform, dataset: Dataset) -> Dataset:
     Rows that land beyond the radius cap (possible only for rows the
     transform was not fitted on) are radially clipped and counted in
     the log.  The features are mapped in one buffer that the result
-    adopts, so it is checked (a non-finite row is a ValidationError) but
-    not copied; the result shares the read-only sensitive column.
+    adopts, so it is checked (a non-finite row is a ValidationError, and
+    numpy's overflow warnings on the way to one are silenced) but not
+    copied; the result shares the read-only sensitive column.
     """
 
-    z = dataset.features - transform.shift
-    z /= transform.scale
-    z *= transform.global_scale
-    norms = np.sqrt((z**2).sum(axis=1))
-    over = norms > transform.radius_cap
-    if np.any(over):
-        log.info("radially clipped %d held-out rows to the norm cap", int(over.sum()))
-        z[over] *= (transform.radius_cap / norms[over])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = dataset.features - transform.shift
+        z /= transform.scale
+        z *= transform.global_scale
+        norms = np.sqrt((z**2).sum(axis=1))
+        over = norms > transform.radius_cap
+        if np.any(over):
+            log.info("radially clipped %d held-out rows to the norm cap", int(over.sum()))
+            z[over] *= (transform.radius_cap / norms[over])[:, None]
     labels = np.sign(dataset.labels) * transform.label_magnitude
     return Dataset._adopt(z, labels, dataset.sensitive, transform.label_magnitude)
+
+
+#: Train, validation and test fractions of every split.
+SPLIT_RATIOS = (0.70, 0.20, 0.10)
 
 
 @dataclass(frozen=True)
 class SplitPlan:
     """Repeated 70:20:10 partitions driven by one master seed."""
 
-    ratios: tuple[float, float, float] = (0.70, 0.20, 0.10)
     n_repeats: int = 20
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        ratios = tuple(float(r) for r in self.ratios)
-        if len(ratios) != 3 or any(r <= 0 for r in ratios):
-            raise ValidationError("ratios must be three positive fractions")
-        if abs(sum(ratios) - 1.0) > 1e-9:
-            raise ValidationError(f"ratios must sum to 1, got {sum(ratios)}")
-        object.__setattr__(self, "ratios", ratios)
         if int(self.n_repeats) < 1:
             raise ValidationError("n_repeats must be at least 1")
         object.__setattr__(self, "n_repeats", int(self.n_repeats))
@@ -582,12 +592,12 @@ def make_splits(
     """
 
     n = dataset.n
-    n_train = int(round(plan.ratios[0] * n))
-    n_val = int(round(plan.ratios[1] * n))
+    n_train = int(round(SPLIT_RATIOS[0] * n))
+    n_val = int(round(SPLIT_RATIOS[1] * n))
     n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise DegenerateDataError(
-            f"n={n} is too small for a {plan.ratios} split: sizes "
+            f"n={n} is too small for a {SPLIT_RATIOS} split: sizes "
             f"({n_train}, {n_val}, {n_test})"
         )
     triples = []

@@ -72,25 +72,27 @@ _EXACT_BAND = 1e-9
 class BoundConstants:
     """Finite-sample bound constants derived from margin mass.
 
-    ``b_const`` is the flip-probability budget (estimation tail plus
-    margin mass), ``g_const`` the worst prior-normalized version of it,
-    and ``q_const`` the deviation scale the tail bound is stated above.
+    ``b_const`` is the flip-probability budget, the property
+    ``delta_prime + margin_mass`` (estimation tail plus margin mass);
+    ``g_const`` is the worst prior-normalized version of it, and
+    ``q_const`` the deviation scale the tail bound is stated above.
     """
 
     delta_prime: float
     margin_mass: float
-    b_const: float
     g_const: float
     q_const: float
 
     def __post_init__(self) -> None:
-        for name in ("delta_prime", "margin_mass", "b_const", "g_const", "q_const"):
+        for name in ("delta_prime", "margin_mass", "g_const", "q_const"):
             value = float(getattr(self, name))
             if not np.isfinite(value) or value < 0.0:
                 raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
             object.__setattr__(self, name, value)
-        if abs(self.b_const - (self.delta_prime + self.margin_mass)) > 1e-12:
-            raise ValidationError("b_const must equal delta_prime + margin_mass")
+
+    @property
+    def b_const(self) -> float:
+        return self.delta_prime + self.margin_mass
 
 
 def _check_pi(setting: str, pi):
@@ -243,12 +245,7 @@ def bound_constants(
         abs(params.lam) * (1.0 - params.c_bar) * stats.beta,
     )
     q = 4.0 * g * scale
-    result = BoundConstants(
-        delta_prime=delta_prime, margin_mass=mass, b_const=b, g_const=g, q_const=q
-    )
-    if abs(result.q_const - 4.0 * result.g_const * scale) > 1e-12:
-        raise ValidationError("q_const postcondition failed")
-    return result
+    return BoundConstants(delta_prime=delta_prime, margin_mass=mass, g_const=g, q_const=q)
 
 
 def check_raster(n: int) -> int:

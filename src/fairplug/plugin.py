@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Dataset, FairnessParams, compute_dist_stats
+from .core import Dataset, FairnessParams, _check_prob, compute_dist_stats
 from .cpe import (
     ARITY_FEATURES,
     ARITY_FEATURES_PLUS_LABEL,
@@ -114,13 +114,6 @@ def _check_unit(name: str, value) -> np.ndarray:
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValidationError(f"{name} must lie in [0, 1]")
     return arr
-
-
-def _check_pi(pi: float) -> float:
-    pi = float(pi)
-    if not (np.isfinite(pi) and 0.0 < pi <= 1.0):
-        raise ValidationError(f"pi must lie in (0, 1], got {pi}")
-    return pi
 
 
 def _check_group(y_bar) -> np.ndarray:
@@ -207,7 +200,7 @@ class PlugInRule:
         if is_eo(self.setting):
             if self.pi_hat is None:
                 raise ValidationError(f"setting {self.setting!r} requires pi_hat")
-            _check_pi(self.pi_hat)
+            _check_prob("pi_hat", self.pi_hat, allow_one=True)
         if is_aware(self.setting):
             if self.eta_bar is not None:
                 raise ValidationError(

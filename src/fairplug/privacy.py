@@ -7,6 +7,13 @@ draw of heavy-tailed vector noise to its weights.  The noise density
 is proportional to exp(-gamma * ||b||_2) with gamma = n * reg * eps / 2,
 calibrated by the ERM sensitivity bound 2 / (n * reg).
 
+Each privatization leaves one :class:`PrivatizedCpe` record with five
+fields: the fitted estimator ``base``, the ``noise`` vector, the
+per-split ``eps_p``, the training size ``n`` and the ``seed`` of the
+draw.  Nothing derived is stored: ``gamma`` is the property
+``n * base.lambda_reg * eps_p / 2``, with ``reg`` read from the fit
+itself, and the noise dimension is the length of ``base.weights``.
+
 Every decision rule built from the noisy weights is post-processing:
 any number of rules, over any parameter grid, can be assembled from one
 privatized estimator without drawing noise again or weakening the
@@ -61,7 +68,6 @@ from .errors import NumericError, ValidationError
 from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule, fit_plugin
 
 __all__ = [
-    "PrivacyBudget",
     "PrivatizedCpe",
     "sample_noise",
     "noise_draw_count",
@@ -74,64 +80,61 @@ _NOISE_DRAWS = 0
 NORM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """The noise calibration record: eps, the rate gamma, and its inputs."""
+def _check_calibration(model: LinearCpe, n: int, eps_p: float) -> tuple[int, float]:
+    """``(n, eps_p)`` as numbers, once the calibration's inputs are legal."""
+    if not isinstance(model, LinearCpe):
+        raise ValidationError("model must be a LinearCpe")
+    if model.lambda_reg <= 0.0:
+        raise ValidationError(
+            "lambda_reg must be positive: unregularized ERM has unbounded sensitivity, "
+            "so no finite noise scale gives a privacy guarantee"
+        )
+    n = int(n)
+    if n < 1:
+        raise ValidationError(f"n must be at least 1, got {n}")
+    eps_p = float(eps_p)
+    if not (np.isfinite(eps_p) and eps_p > 0.0):
+        raise ValidationError(f"eps_p must be positive and finite, got {eps_p}")
+    return n, eps_p
 
-    eps_p: float
-    gamma: float
-    dim: int
-    n: int
-    lambda_reg: float
 
-    def __post_init__(self) -> None:
-        eps_p = float(self.eps_p)
-        gamma = float(self.gamma)
-        lam = float(self.lambda_reg)
-        n = int(self.n)
-        dim = int(self.dim)
-        if not (np.isfinite(eps_p) and eps_p > 0.0):
-            raise ValidationError(f"eps_p must be positive and finite, got {eps_p}")
-        if not (np.isfinite(gamma) and gamma > 0.0):
-            raise ValidationError(f"gamma must be positive and finite, got {gamma}")
-        if n < 1 or dim < 1:
-            raise ValidationError("n and dim must be positive integers")
-        if lam <= 0.0:
-            raise ValidationError(f"lambda_reg must be positive, got {lam}")
-        expected = n * lam * eps_p / 2.0
-        if abs(gamma - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValidationError(
-                f"gamma must equal n * lambda_reg * eps_p / 2 = {expected}, got {gamma}"
-            )
-        object.__setattr__(self, "eps_p", eps_p)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lambda_reg", lam)
+def _gamma(n: int, lambda_reg: float, eps_p: float) -> float:
+    return n * lambda_reg * eps_p / 2.0
 
 
 @dataclass(frozen=True, eq=False)
 class PrivatizedCpe:
-    """A fitted estimator plus the one noise vector added to its weights."""
+    """A fitted estimator plus the one noise vector added to its weights.
+
+    The record holds the calibration's inputs once -- the fit ``base``
+    (which carries ``lambda_reg``), the training size ``n`` and the
+    per-split ``eps_p`` -- with the ``seed`` of the draw; ``gamma`` and
+    the noise dimension follow from them.
+    """
 
     base: LinearCpe
     noise: np.ndarray
-    budget: PrivacyBudget
+    eps_p: float
+    n: int
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, LinearCpe):
-            raise ValidationError("base must be a LinearCpe")
+        n, eps_p = _check_calibration(self.base, self.n, self.eps_p)
         noise = np.array(self.noise, dtype=float)
         if noise.shape != self.base.weights.shape:
             raise ValidationError("noise must match the weight vector's shape")
         if not np.all(np.isfinite(noise)):
             raise ValidationError("noise must be finite")
-        if noise.shape[0] != self.budget.dim:
-            raise ValidationError("budget dim must match the noise dimension")
         noise.setflags(write=False)
         object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "eps_p", eps_p)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", int(self.seed))
+
+    @property
+    def gamma(self) -> float:
+        """The noise rate n * lambda_reg * eps_p / 2."""
+        return _gamma(self.n, self.base.lambda_reg, self.eps_p)
 
     @property
     def private(self) -> LinearCpe:
@@ -189,48 +192,26 @@ def _add_worker_draws(count: int) -> None:
     _NOISE_DRAWS += int(count)
 
 
-def privatize(
-    model: LinearCpe, n: int, lambda_reg: float, eps_p: float, seed: int
-) -> PrivatizedCpe:
+def privatize(model: LinearCpe, n: int, eps_p: float, seed: int) -> PrivatizedCpe:
     """Add calibrated output-perturbation noise to a fitted estimator.
 
-    ``lambda_reg`` must be the strength the model was actually fitted
-    with (checked against the model's record); zero regularization has
-    unbounded sensitivity and is rejected.  A fit that stopped above its
-    tolerance raises :class:`NumericError`; a model without a fit record
-    (built by hand) is taken as given.
+    The calibration reads ``lambda_reg`` from the model, the strength it
+    was fitted with; zero regularization has unbounded sensitivity and
+    is rejected.  A fit that stopped above its tolerance raises
+    :class:`NumericError`; a model without a fit record (built by hand)
+    is taken as given.  Every rejection comes before the draw, so a
+    rejected call draws no noise.
     """
 
-    if not isinstance(model, LinearCpe):
-        raise ValidationError("model must be a LinearCpe")
-    lambda_reg = float(lambda_reg)
-    if lambda_reg <= 0.0:
-        raise ValidationError(
-            "lambda_reg must be positive: unregularized ERM has unbounded sensitivity, "
-            "so no finite noise scale gives a privacy guarantee"
-        )
-    if abs(model.lambda_reg - lambda_reg) > 1e-12 * max(1.0, lambda_reg):
-        raise ValidationError(
-            f"model was fitted with lambda_reg={model.lambda_reg}, not {lambda_reg}; "
-            "the calibration only covers the fitted strength"
-        )
+    n, eps_p = _check_calibration(model, n, eps_p)
     if model.converged is False:
         raise NumericError(
             f"the fit stopped after {model.n_iters} iterations with gradient norm "
             f"{model.grad_norm:.3e} above its tolerance; the noise is calibrated for "
             "the exact minimizer, so raise max_iters or the tolerance"
         )
-    n = int(n)
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
-    eps_p = float(eps_p)
-    if not (np.isfinite(eps_p) and eps_p > 0.0):
-        raise ValidationError(f"eps_p must be positive and finite, got {eps_p}")
-    dim = model.weights.shape[0]
-    gamma = n * lambda_reg * eps_p / 2.0
-    noise = sample_noise(dim, gamma, seed)
-    budget = PrivacyBudget(eps_p=eps_p, gamma=gamma, dim=dim, n=n, lambda_reg=lambda_reg)
-    return PrivatizedCpe(base=model, noise=noise, budget=budget, seed=int(seed))
+    noise = sample_noise(model.weights.size, _gamma(n, model.lambda_reg, eps_p), seed)
+    return PrivatizedCpe(base=model, noise=noise, eps_p=eps_p, n=n, seed=seed)
 
 
 def _check_joint_norms(train: Dataset) -> None:
@@ -271,5 +252,5 @@ def dp_plugin_pipeline(
         raise ValidationError("cpe_config must be a FitConfig")
     _check_joint_norms(train)
     rule = fit_plugin(train, setting, params, cpe_config)
-    record = privatize(rule.eta_bar, train.n, cpe_config.lambda_reg, eps_p, seed)
+    record = privatize(rule.eta_bar, train.n, eps_p, seed)
     return replace(rule, eta_bar=record.private, privacy=record)

@@ -9,12 +9,15 @@ consistency can be watched along a sample-size schedule, and the
 fairness/accuracy frontier and its finite-sample gap can be measured.
 
 The label model: x ~ feature law; y = +1 with probability eta(x);
-ybar = +1 with probability eta_bar(x, y).  All population quantities
-(class and group priors, a rule's regret, the frontier and the
-trade-off gap's costs, the margin mass) come from deterministic
-tensor-grid quadrature over the feature law, never Monte Carlo, so
+ybar = +1 with probability eta_bar(x, y).  The population quantities
+of the rules (class and group priors, a rule's regret, the frontier and
+the trade-off gap's costs, the margin mass) come from deterministic
+tensor-grid quadrature over the feature law, not Monte Carlo, so
 exact-rule construction and evaluation are seed-free; only the training
-samples are drawn.
+samples are drawn.  The one Monte-Carlo estimate is the sample-complexity
+search's accuracy check: each trial estimates P(|true - fitted| >= eps)
+for the fitted estimator from ``m_check`` fresh draws of its inputs
+(4000 by default), seeded by the trial.
 
 The sensitive-attribute regression takes the label as a numeric +-1
 input.  When its label weight is zero the sensitive attribute is

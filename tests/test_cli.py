@@ -489,6 +489,18 @@ class TestPrepare:
         assert code == 2
         assert "neither a bundled name" in capsys.readouterr().err
 
+    def test_misspelt_schema_key_is_a_data_error(self, german_csv, tmp_path, capsys):
+        schema = tmp_path / "german.kv"
+        text = data.bundled_schema_path("german_gender").read_text()
+        schema.write_text(text.replace("label_values =", "label_valuez ="))
+        out = tmp_path / "o"
+        code = main(
+            ["prepare", "--input", str(german_csv), "--schema", str(schema), "--out", str(out)]
+        )
+        assert code == 3
+        assert "unknown schema key 'label_valuez'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_records_and_curve_written(self, sweep_out, prepared_dir):

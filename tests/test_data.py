@@ -3,7 +3,9 @@
 import csv
 import io
 import logging
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from conftest import make_german_surrogate
 from fairplug.core import Dataset
 from fairplug.data import (
     CsvSchema,
+    SPLIT_RATIOS,
     LoadReport,
     SplitPlan,
     _records,
@@ -121,6 +124,25 @@ class TestLoadSchema:
             "sensitive_column = s\nsensitive_positive = a\n"
         )
         with pytest.raises(DataError, match="no feature"):
+            load_schema(path)
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ("label_valuez = y,n\n", "label_valuez"),
+            ("feature.2 = height:numeric\n", "feature.2"),
+            ("drop_columns = other\n", "drop_columns"),
+        ],
+    )
+    def test_unread_key_rejected(self, tmp_path, extra, key):
+        # A misspelt key, a feature after a gap in the numbering and the
+        # retired drop_columns would otherwise load as if absent.
+        path = tmp_path / "schema.kv"
+        path.write_text(
+            "feature.0 = age:numeric\nlabel_column = l\nlabel_positive = y\n"
+            "sensitive_column = s\nsensitive_positive = a\n" + extra
+        )
+        with pytest.raises(DataError, match=re.escape(f"{path}: unknown schema key '{key}'")):
             load_schema(path)
 
 
@@ -488,7 +510,7 @@ class TestDpTransform:
             standardized = (x - transform.shift) / transform.scale
             max_norm = np.sqrt((standardized**2).sum(axis=1).max())
             assert transform.global_scale == transform.radius_cap / max_norm
-            assert transform.radius_cap == pytest.approx(np.sqrt(1 - 0.36))
+            assert transform.radius_cap == np.sqrt(1 - 0.6 * 0.6)
             assert transform.label_magnitude == 0.6
 
     def test_constant_column_gets_unit_scale(self):
@@ -514,10 +536,18 @@ class TestDpTransform:
         train = self.small()
         transform = fit_dp_transform(train)
         huge = Dataset(np.array([[0.0, 0.0, 1e308]]), np.array([1.0]), np.array([1.0]))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValidationError, match="non-finite"
-        ):
+        with pytest.raises(ValidationError, match="non-finite"):
             apply_dp_transform(transform, huge)
+
+    def test_overflowing_training_row_rejected(self):
+        # Squaring 1e308 overflows, so the scale is not finite; the fit's
+        # rejection surfaces, not numpy's overflow warning.
+        train = self.small()
+        features = train.features.copy()
+        features[0, 2] = 1e308
+        huge = Dataset(features, train.labels, train.sensitive)
+        with pytest.raises(ValidationError, match="finite"):
+            fit_dp_transform(huge)
 
     def test_held_out_rows_clipped(self, caplog):
         train = self.small()
@@ -533,18 +563,21 @@ class TestDpTransform:
 
     def test_label_magnitude_bounds(self):
         train = self.small()
+        transform = fit_dp_transform(train)
         for bad in (0.0, 1.0):
             with pytest.raises(ValidationError, match="magnitude C"):
                 fit_dp_transform(train, c=bad)
+        # The cap is derived from C, so the constructor checks C itself.
+        for bad in (1.0, 1.5):
+            with pytest.raises(ValidationError, match="magnitude C"):
+                replace(transform, label_magnitude=bad)
 
 
 class TestSplits:
     def test_plan_validation(self):
         plan = SplitPlan()
-        assert plan.ratios == (0.70, 0.20, 0.10)
+        assert SPLIT_RATIOS == (0.70, 0.20, 0.10)
         assert plan.n_repeats == 20
-        with pytest.raises(ValidationError, match="sum to 1"):
-            SplitPlan(ratios=(0.5, 0.3, 0.1))
         with pytest.raises(ValidationError, match="n_repeats"):
             SplitPlan(n_repeats=0)
 

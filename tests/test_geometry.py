@@ -71,11 +71,14 @@ class TestBoundaryObjects:
         margin_membership(EO_BLIND, FairnessParams(0.0, 0.5, 0.5), 1.0, ([0.5], [0.5]), 0.05)
 
     def test_bound_constants_invariant(self):
-        BoundConstants(delta_prime=0.1, margin_mass=0.2, b_const=0.3, g_const=1.0, q_const=0.5)
-        with pytest.raises(ValidationError, match="b_const"):
-            BoundConstants(
-                delta_prime=0.1, margin_mass=0.2, b_const=0.4, g_const=1.0, q_const=0.5
-            )
+        # b_const is derived, so it cannot disagree with its two terms.
+        got = BoundConstants(delta_prime=0.1, margin_mass=0.2, g_const=1.0, q_const=0.5)
+        assert got.b_const == 0.1 + 0.2
+        got = bound_constants(0.3, 0.07, DistStats(pi=0.4, pi_bar=0.5, beta=0.5),
+                              FairnessParams(lam=1.0, c=0.5, c_bar=0.5))
+        assert got.b_const == got.delta_prime + got.margin_mass
+        with pytest.raises(ValidationError, match="margin_mass"):
+            BoundConstants(delta_prime=0.1, margin_mass=-0.2, g_const=1.0, q_const=0.5)
 
 
 class TestBoundaryScore:

@@ -10,7 +10,6 @@ from fairplug.cpe import ARITY_FEATURES, FitConfig, LinearCpe, fit_eta, fit_eta_
 from fairplug.errors import NumericError, ValidationError
 from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_BLIND, score, with_params
 from fairplug.privacy import (
-    PrivacyBudget,
     PrivatizedCpe,
     dp_plugin_pipeline,
     noise_draw_count,
@@ -32,11 +31,18 @@ def bounded_dataset(n=400, seed=17, label_scale=0.5):
 
 class TestGuaranteeAndBudget:
     def test_budget_rate_invariant(self):
-        PrivacyBudget(eps_p=2.0, gamma=400 * 0.05 * 2.0 / 2.0, dim=3, n=400, lambda_reg=0.05)
-        with pytest.raises(ValidationError, match="gamma must equal"):
-            PrivacyBudget(eps_p=2.0, gamma=1.0, dim=3, n=400, lambda_reg=0.05)
-        with pytest.raises(ValidationError, match="positive integers"):
-            PrivacyBudget(eps_p=2.0, gamma=0.05, dim=0, n=400, lambda_reg=0.05)
+        # gamma is derived from the record's inputs, so it cannot disagree
+        # with them: n * lambda_reg * eps_p / 2 exactly, lambda_reg read
+        # from the fit.
+        model = LinearCpe(
+            weights=np.array([0.5, -1.0, 0.25]), lambda_reg=0.05, input_arity=ARITY_FEATURES
+        )
+        record = PrivatizedCpe(model, np.zeros(3), eps_p=2.0, n=400, seed=0)
+        assert record.gamma == 400 * 0.05 * 2.0 / 2
+        with pytest.raises(ValidationError, match="eps_p"):
+            PrivatizedCpe(model, np.zeros(3), eps_p=0.0, n=400, seed=0)
+        with pytest.raises(ValidationError, match="n must be"):
+            PrivatizedCpe(model, np.zeros(3), eps_p=2.0, n=0, seed=0)
 
 
 class TestSampleNoise:
@@ -87,26 +93,50 @@ class TestPrivatize:
 
     def test_release_is_base_plus_noise(self):
         model, n = self.fitted_model()
-        record = privatize(model, n, 0.05, eps_p=2.0, seed=3)
+        record = privatize(model, n, eps_p=2.0, seed=3)
         assert np.array_equal(record.private.weights, model.weights + record.noise)
-        assert record.budget.gamma == pytest.approx(n * 0.05 * 2.0 / 2.0)
+        assert record.gamma == n * model.lambda_reg * 2.0 / 2
+        assert (record.n, record.eps_p, record.seed) == (n, 2.0, 3)
+        assert record.noise.size == model.weights.size
+        assert np.array_equal(record.noise, sample_noise(model.weights.size, record.gamma, 3))
         assert record.private.input_arity == model.input_arity
 
     def test_deterministic_per_seed(self):
         model, n = self.fitted_model()
-        a = privatize(model, n, 0.05, eps_p=1.0, seed=9)
-        b = privatize(model, n, 0.05, eps_p=1.0, seed=9)
+        a = privatize(model, n, eps_p=1.0, seed=9)
+        b = privatize(model, n, eps_p=1.0, seed=9)
         assert np.array_equal(a.noise, b.noise)
 
-    def test_strength_must_match_fit(self):
-        model, n = self.fitted_model(lambda_reg=0.05)
-        with pytest.raises(ValidationError, match="fitted with"):
-            privatize(model, n, 0.01, eps_p=1.0, seed=0)
-
     def test_unregularized_fit_rejected(self):
-        model, n = self.fitted_model(lambda_reg=0.05)
+        model, n = self.fitted_model(lambda_reg=0.0)
+        assert model.lambda_reg == 0.0
         with pytest.raises(ValidationError, match="unbounded sensitivity"):
-            privatize(model, n, 0.0, eps_p=1.0, seed=0)
+            privatize(model, n, eps_p=1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [
+            ("eps_p zero", ValidationError, "eps_p"),
+            ("eps_p negative", ValidationError, "eps_p"),
+            ("eps_p nan", ValidationError, "eps_p"),
+            ("n zero", ValidationError, "n must be"),
+            ("lambda zero", ValidationError, "unbounded sensitivity"),
+            ("unconverged", NumericError, "above its tolerance"),
+        ],
+    )
+    def test_rejected_call_draws_no_noise(self, case, error, match):
+        train = bounded_dataset()
+        config = {
+            "lambda zero": FitConfig(lambda_reg=0.0),
+            "unconverged": FitConfig(lambda_reg=0.05, max_iters=1, tolerance=1e-12),
+        }.get(case, FitConfig(lambda_reg=0.05))
+        model = fit_eta(train, config)
+        n = 0 if case == "n zero" else train.n
+        eps_p = {"eps_p zero": 0.0, "eps_p negative": -1.0, "eps_p nan": math.nan}.get(case, 1.0)
+        before = noise_draw_count()
+        with pytest.raises(error, match=match):
+            privatize(model, n, eps_p=eps_p, seed=0)
+        assert noise_draw_count() == before
 
 
 class TestPipeline:
@@ -143,7 +173,7 @@ class TestPipeline:
         record = rule.privacy
         assert record is not None
         assert np.array_equal(rule.eta_bar.weights, record.base.weights + record.noise)
-        assert record.budget.eps_p == 1.0
+        assert record.eps_p == 1.0 and record.n == train.n
         assert rule.positive_label == train.label_scale
 
     def test_released_estimator_has_no_fit_record(self):
@@ -189,11 +219,5 @@ def test_privatized_cpe_shape_checks():
     model = LinearCpe(
         weights=np.array([1.0, 0.0]), lambda_reg=0.05, input_arity=ARITY_FEATURES
     )
-    budget = PrivacyBudget(eps_p=1.0, gamma=100 * 0.05 * 1.0 / 2.0, dim=2, n=100, lambda_reg=0.05)
     with pytest.raises(ValidationError, match="shape"):
-        PrivatizedCpe(base=model, noise=np.zeros(3), budget=budget, seed=0)
-    bad_budget = PrivacyBudget(
-        eps_p=1.0, gamma=100 * 0.05 * 1.0 / 2.0, dim=3, n=100, lambda_reg=0.05
-    )
-    with pytest.raises(ValidationError, match="dim"):
-        PrivatizedCpe(base=model, noise=np.zeros(2), budget=bad_budget, seed=0)
+        PrivatizedCpe(base=model, noise=np.zeros(3), eps_p=1.0, n=100, seed=0)
