@@ -395,7 +395,7 @@ _SIMULATE = (
     ("n", int, 2048, "training size (tradeoff-gap)"),
     ("n_schedule", _parse_int_list, (256, 1024, 4096), "consistency sizes"),
     ("trials", int, 10, "independent trials"),
-    ("m_eval", int, 100_000, "evaluation nodes (quadrature budget)"),
+    ("m_eval", int, 100_000, "node budget of every population quantity, accuracy check included"),
     ("known_pi", _parse_bool, False, "EO settings use the true label prior (known-prior regime)"),
     ("cpe_lambda", float, None, "ridge strength of the class-probability fits"),
     ("which", _choice(synthetic.COMPLEXITY_TARGETS, "unknown sample-complexity target"),
@@ -513,8 +513,10 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         extra["result.gap"] = format_float(result.gap)
         extra["result.excess"] = format_float(result.excess)
     else:
+        pop = synthetic.population(dist, resolved["m_eval"])
+        constants = _margin_constants(pop, params, resolved)
         result = synthetic.estimate_sample_complexity(
-            dist,
+            pop,
             (resolved["eps_target"], resolved["delta_prime"]),
             resolved["delta"],
             resolved["trials"],
@@ -525,7 +527,6 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
             config=fit_config,
             jobs=jobs,
         )
-        constants = _margin_constants(dist, params, resolved)
         out = _out_dir(resolved)
         _write_csv_rows(
             out / "complexity.csv",
@@ -559,20 +560,18 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
 
 
 def _margin_constants(
-    dist: synthetic.SyntheticDistribution, params: FairnessParams, resolved: dict
+    pop: synthetic.Population, params: FairnessParams, resolved: dict
 ) -> geometry.BoundConstants:
     """Finite-sample constants of the exact eo-blind rule at ``--eps-target``.
 
-    The margin mass is the quadrature weight of the margin members among
-    the ``--m-eval`` budget's nodes, mapped through the distribution's
-    true ``(eta, eta_bar)``.
+    The margin mass is the weight of the margin members among the nodes
+    of the run's population, mapped through their true ``(eta, eta_bar)``.
     """
 
-    stats = synthetic.true_stats(dist)
-    nodes, weights = synthetic.quadrature(dist.law, resolved["m_eval"])
+    stats = synthetic.true_stats(pop.dist)
+    coords = (pop.dist.eta(pop.nodes), pop.dist.eta_bar_eo(pop.nodes, 1.0))
     mass = geometry.estimate_margin_mass(
-        (dist.eta(nodes), dist.eta_bar_eo(nodes, 1.0)), weights, plugin.EO_BLIND, params,
-        stats.pi, resolved["eps_target"],
+        coords, pop.weights, plugin.EO_BLIND, params, stats.pi, resolved["eps_target"]
     )
     return geometry.bound_constants(mass, resolved["delta_prime"], stats, params)
 

@@ -31,10 +31,10 @@ test the two ends of each group's interval on ``eta(x, -1)`` and
 
 True margin mass needs the true regression functions, so it is only
 available through a synthetic distribution: ``simulate --experiment
-sample-complexity`` maps the quadrature nodes of the distribution's law
-through its exact ``(eta, eta_bar)``, weights the margin members by the
-node weights and reports the mass with the bound constants built from
-it.
+sample-complexity`` maps the nodes of the run's population, the one its
+accuracy check is scored on, through the exact ``(eta, eta_bar)``,
+weights the margin members by the node weights and reports the mass with
+the bound constants built from it.
 """
 
 from __future__ import annotations

@@ -11,13 +11,11 @@ fairness/accuracy frontier and its finite-sample gap can be measured.
 The label model: x ~ feature law; y = +1 with probability eta(x);
 ybar = +1 with probability eta_bar(x, y).  The population quantities
 of the rules (class and group priors, a rule's regret, the frontier and
-the trade-off gap's costs, the margin mass) come from deterministic
-tensor-grid quadrature over the feature law, not Monte Carlo, so
-exact-rule construction and evaluation are seed-free; only the training
-samples are drawn.  The one Monte-Carlo estimate is the sample-complexity
-search's accuracy check: each trial estimates P(|true - fitted| >= eps)
-for the fitted estimator from ``m_check`` fresh draws of its inputs
-(4000 by default), seeded by the trial.
+the trade-off gap's costs, the margin mass, and an estimator's tail
+P(|true - fitted| >= eps)) come from deterministic tensor-grid
+quadrature over the feature law, not Monte Carlo, so exact-rule
+construction and evaluation are seed-free; only the training samples
+are drawn.
 
 The sensitive-attribute regression takes the label as a numeric +-1
 input.  When its label weight is zero the sensitive attribute is
@@ -49,6 +47,7 @@ from .cpe import (
     ARITY_FEATURES_PLUS_SENSITIVE,
     FitConfig,
     LinearCpe,
+    append_columns,
     fit_eta,
     fit_eta_bar_dpar,
     fit_eta_bar_eo,
@@ -353,19 +352,6 @@ class SyntheticDistribution:
             derived.setflags(write=False)
         object.__setattr__(self, "w_eta_bar_dpar", derived)
 
-    @property
-    def dim(self) -> int:
-        return law_dim(self.law)
-
-    @property
-    def label_weight(self) -> float:
-        return float(self.w_eta_bar[-2])
-
-    @property
-    def supports_dpar(self) -> bool:
-        """True when ybar is conditionally independent of y given x."""
-        return self.label_weight == 0.0
-
     def eta(self, x) -> np.ndarray:
         """P(y = +1 | x) at feature rows (or one vector)."""
         rows = np.atleast_2d(np.asarray(x, dtype=float))
@@ -489,10 +475,10 @@ def bayes_classifier(
 class Population:
     """A distribution on quadrature nodes: the one population measure.
 
+    ``weights[i]`` is node ``i``'s probability weight ``w_i`` and
     ``masses[k, i]`` is ``w_i * P(y, ybar | x_i)`` for the k-th (y, ybar)
     pair of (+1, +1), (-1, +1), (+1, -1), (-1, -1), so rows 0 and 1 hold
-    group +1 and rows 0 and 2 label +1; ``totals`` are the row sums, the
-    four joint probabilities.
+    group +1 and rows 0 and 2 label +1; ``totals`` are the row sums.
     A rule's positives on the nodes, weighted by these masses, give its
     population rates (:func:`population_counts`): for a blind rule ``f``,
     for example, ``TPR = sum(w * f * eta) / pi``.  Build one per run with
@@ -501,6 +487,7 @@ class Population:
 
     dist: SyntheticDistribution
     nodes: np.ndarray
+    weights: np.ndarray
     masses: np.ndarray
     totals: np.ndarray
 
@@ -516,7 +503,7 @@ def population(dist: SyntheticDistribution, budget: int) -> Population:
     masses = np.stack(
         [label_pos * plus, label_neg * minus, label_pos * (1.0 - plus), label_neg * (1.0 - minus)]
     )
-    return Population(dist=dist, nodes=nodes, masses=masses, totals=masses.sum(axis=1))
+    return Population(dist, nodes, weights, masses, totals=masses.sum(axis=1))
 
 
 def population_counts(pop: Population, rule: PlugInRule) -> tuple[Counts, Counts, Counts]:
@@ -825,26 +812,42 @@ COMPLEXITY_TARGETS = ("eta", "eta_bar_eo", "eta_bar_dpar")
 _COMPLEXITY_FITTERS = dict(zip(COMPLEXITY_TARGETS, (fit_eta, fit_eta_bar_eo, fit_eta_bar_dpar)))
 
 
-def _complexity_trial(dist, which, n, m_check, seed, eps, delta_prime, config, trial) -> bool:
-    """One (n, trial) cell: fit on a fresh draw; True when it is accurate enough."""
-    fitter = _COMPLEXITY_FITTERS[which]
-    model, _ = _sample_non_degenerate(
-        dist, n, (seed, n, trial, 0), lambda train: fitter(train, config)
-    )
-    rng = np.random.default_rng((seed, n, trial, 7))
+def _accuracy_checks(pop: Population, which: str) -> tuple[tuple, ...]:
+    """``(label, truth, weights)`` per input ``which`` is scored on, built once per run.
+
+    ``eta_bar_eo`` takes (x, y), at y = +1 and -1 under the label masses;
+    the others take the nodes alone (label ``None``) under their weights.
+    """
+    dist, nodes, masses = pop.dist, pop.nodes, pop.masses
     if which == "eta_bar_eo":
-        check = sample(dist, m_check, rng)
-        inputs = np.hstack([check.features, check.labels[:, None]])
-        truth = np.asarray(dist.eta_bar_eo(check.features, check.labels))
-    else:
-        inputs = sample_x(dist.law, m_check, rng)
-        truth = np.asarray(dist.eta(inputs) if which == "eta" else dist.eta_bar_dpar(inputs))
-    deviations = np.abs(truth - np.asarray(predict_proba(model, inputs)))
-    return float(np.mean(deviations >= eps)) <= delta_prime
+        return (
+            (1.0, dist.eta_bar_eo(nodes, 1.0), masses[0] + masses[2]),
+            (-1.0, dist.eta_bar_eo(nodes, -1.0), masses[1] + masses[3]),
+        )
+    truth = dist.eta(nodes) if which == "eta" else dist.eta_bar_dpar(nodes)
+    return ((None, truth, pop.weights),)
+
+
+def _complexity_trial(pop, which, n, seed, eps, config, checks, trial) -> float:
+    """One (n, trial) cell: fit on a fresh draw; its P(|true - fitted| >= eps) on ``pop``.
+
+    The (x, y) inputs share one block whose label column each check sets.
+    """
+    fit = partial(_COMPLEXITY_FITTERS[which], config=config)
+    model, _ = _sample_non_degenerate(pop.dist, n, (seed, n, trial, 0), fit)
+    inputs = pop.nodes if checks[0][0] is None else append_columns(pop.nodes, 0.0)
+    tail = 0.0
+    for label, truth, weights in checks:
+        if label is not None:
+            inputs[:, -1] = label
+        deviation = predict_proba(model, inputs)
+        deviation -= truth
+        tail += float(weights @ (np.abs(deviation, out=deviation) >= eps))
+    return tail
 
 
 def estimate_sample_complexity(
-    dist: SyntheticDistribution,
+    pop: Population,
     target: tuple[float, float],
     delta: float,
     trials: int,
@@ -853,16 +856,15 @@ def estimate_sample_complexity(
     which: str = "eta",
     start: int = 32,
     cap: int = 65536,
-    m_check: int = 4000,
     config: FitConfig | None = None,
     jobs: int = 1,
 ) -> SampleComplexityResult:
     """Smallest probed n making the estimator (eps, delta_prime)-accurate.
 
     Success at n means: in at least a 1 - delta fraction of trials, the
-    Monte-Carlo estimate of P(|true - fitted| >= eps) is at most
-    delta_prime.  The search doubles from ``start`` until success, then
-    bisects down to ``start`` granularity; hitting ``cap`` without
+    fit's P(|true - fitted| >= eps) on the run's population ``pop`` is at
+    most delta_prime.  The search doubles from ``start`` until success,
+    then bisects down to ``start`` granularity; hitting ``cap`` without
     success returns the cap with ``converged=False``.  ``which``
     selects the regression function under study.  Each probe's trials
     run through :func:`fairplug._pool.map_tasks` on their own seeds, so
@@ -877,22 +879,20 @@ def estimate_sample_complexity(
         raise ValidationError("delta must lie in (0, 1)")
     if which not in COMPLEXITY_TARGETS:
         raise ValidationError(f"which must be one of {COMPLEXITY_TARGETS}, got {which!r}")
-    if which == "eta_bar_dpar":
-        dist._require_dpar_weights()
     trials = int(trials)
     start, cap = (int(start), int(cap))
     if trials <= 0 or start <= 1 or cap < start:
         raise ValidationError("trials must be positive and 1 < start <= cap")
 
+    checks = _accuracy_checks(pop, which)  # eta_bar_dpar: raises unless P(ybar | x) is logistic
     required = 1.0 - delta - 1e-12
     probes: list[tuple[int, float]] = []
 
     def passes(n: int) -> bool:
         run = partial(
-            _complexity_trial, dist, which, n, int(m_check), int(seed), eps, delta_prime,
-            _default_fit_config(n, config),
+            _complexity_trial, pop, which, n, int(seed), eps, _default_fit_config(n, config), checks
         )
-        fraction = sum(map_tasks(run, range(trials), jobs)) / trials
+        fraction = sum(tail <= delta_prime for tail in map_tasks(run, range(trials), jobs)) / trials
         probes.append((n, fraction))
         return fraction >= required
 

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import fairplug
-from fairplug import cli, data, geometry, sweep, synthetic
+from fairplug import cli, cpe, data, geometry, sweep, synthetic
 from fairplug.cli import main
 from fairplug.core import FairnessParams
 from fairplug.errors import DataError
@@ -783,6 +783,32 @@ class TestSimulate:
         manifest = read_kv(out / "manifest.kv")
         for name in ("margin_mass", "b_const", "g_const", "q_const"):
             assert float(manifest[f"result.{name}"]) == pytest.approx(getattr(expected, name))
+
+    def test_rejected_bound_constants_stop_the_run_before_any_fit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a sensitive intercept of 50 rounds P(ybar = +1 | x, y = +1) to 1 at
+        # every node, so beta is 1 and the bound constants are rejected
+        dist = synthetic.reference_eo()
+        path = tmp_path / "dist.kv"
+        synthetic.save_distribution(
+            synthetic.SyntheticDistribution(
+                law=dist.law, w_eta=dist.w_eta, w_eta_bar=np.array([1.2, 0.8, 0.7, 50.0])
+            ),
+            path,
+        )
+        fits = []
+        real_fit = cpe.fit
+        monkeypatch.setattr(cpe, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
+        out = tmp_path / "o"
+        code = main(
+            ["simulate", "--experiment", "sample-complexity", "--dist", str(path),
+             "--m-eval", "1000", "--out", str(out)]
+        )
+        assert code == 2
+        assert "beta < 1" in capsys.readouterr().err
+        assert fits == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "experiment",

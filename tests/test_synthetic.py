@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairplug import synthetic
 from fairplug.core import FairnessParams
-from fairplug.cpe import ARITY_FEATURES_PLUS_LABEL, ARITY_FEATURES_PLUS_SENSITIVE, FitConfig
+from fairplug.cpe import (
+    ARITY_FEATURES_PLUS_LABEL,
+    ARITY_FEATURES_PLUS_SENSITIVE,
+    FitConfig,
+    predict_proba,
+)
 from fairplug.errors import DataError, ValidationError
 from fairplug.plugin import (
     DPAR_AWARE,
@@ -181,12 +187,12 @@ class TestSyntheticDistribution:
         assert dist.eta(np.array([1.0])) == pytest.approx(sigmoid(1.0))
         assert dist.eta_bar_eo(np.array([1.0]), 1.0) == pytest.approx(sigmoid(-1.0 + 0.7 + 0.8))
         assert dist.eta_bar_eo(np.array([1.0]), -1.0) == pytest.approx(sigmoid(-1.0 - 0.7 + 0.8))
-        assert dist.label_weight == 0.7
-        assert not dist.supports_dpar
+        assert dist.w_eta_bar[-2] == 0.7
+        assert dist.w_eta_bar_dpar is None
 
     def test_dpar_weights_derived(self):
         dist = two_atom_dist(label_weight=0.0)
-        assert dist.supports_dpar
+        assert dist.w_eta_bar_dpar is not None
         assert dist.w_eta_bar_dpar.tolist() == [-1.0, 0.8]
         assert dist.eta_bar_dpar(np.array([0.0])) == pytest.approx(sigmoid(0.8))
 
@@ -247,7 +253,7 @@ class TestSampleAndStats:
         assert dist.eta(x).tobytes() == sigmoid(x @ w[:-1] + w[-1]).tobytes()
         logits = x @ w_bar[:-2] + y * w_bar[-2] + w_bar[-1]
         assert dist.eta_bar_eo(x, y).tobytes() == sigmoid(logits).tobytes()
-        if dist.supports_dpar:
+        if dist.w_eta_bar_dpar is not None:
             w_dpar = dist.w_eta_bar_dpar
             assert dist.eta_bar_dpar(x).tobytes() == sigmoid(x @ w_dpar[:-1] + w_dpar[-1]).tobytes()
 
@@ -500,14 +506,13 @@ class TestFrontierAndGap:
 class TestSampleComplexity:
     def test_easy_target_stops_at_start(self):
         result = estimate_sample_complexity(
-            reference_eo(),
+            population(reference_eo(), 400),
             target=(0.45, 0.45),
             delta=0.5,
             trials=2,
             seed=3,
             start=32,
             cap=128,
-            m_check=400,
         )
         assert result.converged
         assert result.n == 32
@@ -515,51 +520,93 @@ class TestSampleComplexity:
 
     def test_impossible_target_hits_cap(self):
         result = estimate_sample_complexity(
-            reference_eo(),
+            population(reference_eo(), 400),
             target=(0.0005, 0.0005),
             delta=0.1,
             trials=2,
             seed=3,
             start=32,
             cap=64,
-            m_check=400,
         )
         assert not result.converged
         assert result.n == 64
         assert [n for n, _ in result.probes] == [32, 64]
 
     def test_parallel_matches_serial(self):
-        kwargs = dict(
-            target=(0.05, 0.1), delta=0.2, trials=3, seed=4, start=32, cap=256, m_check=400
-        )
-        for which in ("eta", "eta_bar_eo"):
-            serial = estimate_sample_complexity(reference_eo(), which=which, jobs=1, **kwargs)
-            parallel = estimate_sample_complexity(reference_eo(), which=which, jobs=2, **kwargs)
+        kwargs = dict(target=(0.05, 0.1), delta=0.2, trials=3, seed=4, start=32, cap=256)
+        eo, dpar = population(reference_eo(), 400), population(reference_dpar(), 400)
+        for pop, which in ((eo, "eta"), (eo, "eta_bar_eo"), (dpar, "eta_bar_dpar")):
+            serial = estimate_sample_complexity(pop, which=which, jobs=1, **kwargs)
+            parallel = estimate_sample_complexity(pop, which=which, jobs=2, **kwargs)
             assert serial == parallel
             assert len(serial.probes) > 1
 
-    def test_input_validation(self):
+    @pytest.mark.parametrize(
+        "dist, which",
+        [
+            (reference_eo(), "eta"),
+            (reference_eo(), "eta_bar_eo"),
+            (reference_dpar(), "eta_bar_dpar"),
+        ],
+        ids=COMPLEXITY_TARGETS,
+    )
+    def test_tail_by_quadrature_matches_many_draws(self, dist, which):
+        # the fit of trial 0 at n = 256, seed 4 (its first draw, seed parts
+        # (seed, n, trial, 0, attempt)); its tail on 19,881 nodes against
+        # the fraction of 400,000 fresh draws it misses by eps
+        eps, draws = 0.05, 400_000
+        pop = population(dist, 20_000)
+        config = FitConfig(lambda_reg=0.1 / 16)
+        checks = synthetic._accuracy_checks(pop, which)
+        tail = synthetic._complexity_trial(pop, which, 256, 4, eps, config, checks, 0)
+        model = synthetic._COMPLEXITY_FITTERS[which](sample(dist, 256, (4, 256, 0, 0, 0)), config)
+        check = sample(dist, draws, 99)
+        if which == "eta_bar_eo":
+            inputs = np.hstack([check.features, check.labels[:, None]])
+            truth = dist.eta_bar_eo(check.features, check.labels)
+        else:
+            inputs = check.features
+            truth = dist.eta(inputs) if which == "eta" else dist.eta_bar_dpar(inputs)
+        drawn = float(np.mean(np.abs(truth - predict_proba(model, inputs)) >= eps))
+        assert 0.01 < tail < 0.99
+        assert abs(tail - drawn) <= 4.0 * math.sqrt(tail * (1.0 - tail) / draws)
+
+    def test_tail_reference_values(self):
+        # reference-eo, eta, n = 256, eps 0.05, seed 4, trials 0-3, 19,881 nodes;
+        # two million draws gave 0.2302, 0.0311, 0.3725 and 0.0685
         dist = reference_eo()
+        pop = population(dist, 20_000)
+        assert pop.nodes.shape[0] == 19_881
+        checks = synthetic._accuracy_checks(pop, "eta")
+        config = FitConfig(lambda_reg=0.1 / 16)
+        tails = [
+            synthetic._complexity_trial(pop, "eta", 256, 4, 0.05, config, checks, trial)
+            for trial in range(4)
+        ]
+        assert tails == pytest.approx([0.2302, 0.0312, 0.3730, 0.0685], abs=2e-4)
+
+    def test_input_validation(self):
+        pop = population(reference_eo(), 400)
         with pytest.raises(ValidationError, match="which"):
-            estimate_sample_complexity(dist, (0.1, 0.1), 0.2, 1, 0, which="eta_hat")
+            estimate_sample_complexity(pop, (0.1, 0.1), 0.2, 1, 0, which="eta_hat")
         with pytest.raises(ValidationError, match="target"):
-            estimate_sample_complexity(dist, (0.0, 0.1), 0.2, 1, 0)
+            estimate_sample_complexity(pop, (0.0, 0.1), 0.2, 1, 0)
         with pytest.raises(ValidationError, match="mixture"):
-            estimate_sample_complexity(dist, (0.1, 0.1), 0.2, 1, 0, which="eta_bar_dpar")
+            estimate_sample_complexity(pop, (0.1, 0.1), 0.2, 1, 0, which="eta_bar_dpar")
         assert COMPLEXITY_TARGETS == ("eta", "eta_bar_eo", "eta_bar_dpar")
 
 
 class TestReferenceDistributions:
     def test_eo_reference_shape(self):
         dist = reference_eo()
-        assert dist.dim == 2
-        assert not dist.supports_dpar
+        assert dist.law.dim == 2
+        assert dist.w_eta_bar_dpar is None
         stats = true_stats(dist)
         assert 0.0 < stats.pi < 1.0 and 0.0 < stats.beta < 1.0
 
     def test_dpar_reference_shape(self):
         dist = reference_dpar()
-        assert dist.supports_dpar
+        assert dist.w_eta_bar_dpar is not None
         assert dist.w_eta_bar_dpar.tolist() == [-1.0, 1.4, 0.2]
 
 

@@ -1,4 +1,4 @@
-"""Run the reference sweeps and simulations and print the SHA-256 of their outputs.
+"""Run the reference sweeps, simulations and geometry rasters; print their outputs' SHA-256.
 
 Usage (from the repository root)::
 
@@ -12,15 +12,18 @@ eo-blind at ``--eps-p`` 1 and inf, eo-aware, dpar-blind at 2 and inf,
 and dpar-aware, each serially and with ``--jobs 2``, and ``report``
 aggregates every sweep.  The four ``simulate`` experiments run at the
 sizes the CI runs them, each serially and with ``--jobs 2``:
-``consistency`` and ``sample-complexity`` with the CI steps' arguments,
-and ``frontier`` and ``tradeoff-gap`` at ``--m-eval 20000``.  Each
+``consistency`` and ``sample-complexity`` with the CI steps' arguments
+(``sample-complexity`` once per target: ``eta`` and ``eta_bar_eo`` on
+reference-eo, ``eta_bar_dpar`` on reference-dpar), and ``frontier`` and
+``tradeoff-gap`` at ``--m-eval 20000``.  Three ``geometry`` rasters run
+once each (they take no ``--jobs``), two of them with ``--svg``.  Each
 command is a child process with ``OPENBLAS_NUM_THREADS=1``, since the
 fits call BLAS and some outputs move with its thread count.  The script
 prints ``sha256  path`` for every sweep's ``records.csv``, ``curve.csv``
-and ``curve.svg``, and for every simulation's CSV and SVG files and its
-``manifest.kv`` without the ``config.out`` line, which names the run's
-own directory.  It exits 1 if a ``--jobs 2`` output differs from its
-serial twin.
+and ``curve.svg``, and for every simulation's and geometry run's CSV and
+SVG files and its ``manifest.kv`` without the ``config.out`` line, which
+names the run's own directory: 136 files in all.  It exits 1 if a
+``--jobs 2`` output differs from its serial twin.
 
 ``--compare REV`` exports REV's tree with ``git archive`` into a
 temporary directory, runs the same commands with that tree's code on the
@@ -60,14 +63,24 @@ SWEEPS = (
     ("dpar-aware", "inf"),
 )
 HASHED = ("records.csv", "curve.csv", "curve.svg")
-#: (experiment, its arguments): the sizes the CI runs them at.
+_COMPLEXITY = ("--experiment", "sample-complexity", "--eps-target", "0.05", "--trials", "3",
+               "--start", "32", "--cap", "256", "--m-eval", "20000", "--seed", "4")
+#: (run name, ``simulate`` arguments): the sizes the CI runs them at.
 SIMULATIONS = (
-    ("consistency", ("--n-schedule", "256,1024", "--trials", "4", "--m-eval", "20000",
-                     "--seed", "5")),
-    ("sample-complexity", ("--eps-target", "0.05", "--trials", "3", "--start", "32",
-                           "--cap", "256", "--m-eval", "20000", "--seed", "4")),
-    ("frontier", ("--m-eval", "20000")),
-    ("tradeoff-gap", ("--m-eval", "20000")),
+    ("consistency", ("--experiment", "consistency", "--n-schedule", "256,1024",
+                     "--trials", "4", "--m-eval", "20000", "--seed", "5")),
+    ("sample-complexity", _COMPLEXITY),
+    ("sample-complexity-eta_bar_eo", (*_COMPLEXITY, "--which", "eta_bar_eo")),
+    ("sample-complexity-eta_bar_dpar",
+     (*_COMPLEXITY, "--dist", "reference-dpar", "--which", "eta_bar_dpar")),
+    ("frontier", ("--experiment", "frontier", "--m-eval", "20000")),
+    ("tradeoff-gap", ("--experiment", "tradeoff-gap", "--m-eval", "20000")),
+)
+#: (run name, ``geometry`` arguments)
+GEOMETRIES = (
+    ("eo-blind-svg", ("--params=-3.6,0.85,0.8,0.9", "--raster", "201", "--svg")),
+    ("dpar-blind-svg", ("--params=0.4,0.85,0.8,0.9", "--setting", "dpar-blind", "--svg")),
+    ("eo-blind", ("--params=0.4,0.85,0.8,0.9", "--eps", "0.1", "--raster", "101")),
 )
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -99,8 +112,8 @@ def sha256(path: Path) -> str:
 
 
 def hashed(path: Path) -> bool:
-    """Whether ``path`` is a reference output: a sweep's, or any simulation file."""
-    return path.is_file() and (path.name in HASHED or path.parts[-3] == "simulate")
+    """Whether ``path`` is a reference output: a sweep's, or a simulate or geometry file."""
+    return path.is_file() and (path.name in HASHED or path.parts[-3] in ("simulate", "geometry"))
 
 
 def run_tree(source: Path, inputs: Path, out: Path) -> dict[str, str]:
@@ -121,11 +134,13 @@ def run_tree(source: Path, inputs: Path, out: Path) -> dict[str, str]:
                 "--out", str(run / "sweep"),
             )
             fairplug(source, "report", "--records", str(run / "sweep"), "--out", str(run / "report"))
-    for (experiment, args), jobs in itertools.product(SIMULATIONS, ("1", "2")):
+    for (name, args), jobs in itertools.product(SIMULATIONS, ("1", "2")):
         fairplug(
-            source, "simulate", "--experiment", experiment, *args, "--jobs", jobs,
-            "--out", str(out / "simulate" / f"{experiment}_j{jobs}"),
+            source, "simulate", *args, "--jobs", jobs,
+            "--out", str(out / "simulate" / f"{name}_j{jobs}"),
         )
+    for name, args in GEOMETRIES:
+        fairplug(source, "geometry", *args, "--out", str(out / "geometry" / name))
     return {
         path.relative_to(out).as_posix(): sha256(path)
         for path in sorted(out.rglob("*"))
