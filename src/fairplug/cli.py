@@ -395,7 +395,7 @@ _SIMULATE = (
     ("n", int, 2048, "training size (tradeoff-gap)"),
     ("n_schedule", _parse_int_list, (256, 1024, 4096), "consistency sizes"),
     ("trials", int, 10, "independent trials"),
-    ("m_eval", int, 100_000, "node budget of every population quantity, accuracy check included"),
+    ("m_eval", int, 100_000, "node budget of the run's one population, priors included"),
     ("known_pi", _parse_bool, False, "EO settings use the true label prior (known-prior regime)"),
     ("cpe_lambda", float, None, "ridge strength of the class-probability fits"),
     ("which", _choice(synthetic.COMPLEXITY_TARGETS, "unknown sample-complexity target"),
@@ -440,15 +440,15 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         if resolved["cpe_lambda"] is None
         else FitConfig(lambda_reg=resolved["cpe_lambda"])
     )
+    pop = synthetic.population(dist, resolved["m_eval"])
     extra: dict[str, str] = {}
     if experiment == "consistency":
         curve = synthetic.consistency_curve(
-            dist,
+            pop,
             resolved["setting"],
             params,
             resolved["n_schedule"],
             resolved["trials"],
-            resolved["m_eval"],
             seed,
             config=fit_config,
             known_pi=resolved["known_pi"],
@@ -472,7 +472,7 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         extra["result.final_mean_regret"] = format_float(curve.points[-1].mean_regret)
         extra["result.resamples"] = str(curve.resamples)
     elif experiment == "frontier":
-        value = synthetic.frontier(dist, resolved["lam"], params, resolved["m_eval"])
+        value = synthetic.frontier(pop, resolved["lam"], params)
         out = _out_dir(resolved)
         _write_csv_rows(
             out / "frontier.csv",
@@ -482,12 +482,11 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         extra["result.frontier"] = format_float(value)
     elif experiment == "tradeoff-gap":
         result = synthetic.tradeoff_gap(
-            dist,
+            pop,
             resolved["lam"],
             params,
             resolved["n"],
             resolved["trials"],
-            resolved["m_eval"],
             seed,
             config=fit_config,
             jobs=jobs,
@@ -513,7 +512,6 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         extra["result.gap"] = format_float(result.gap)
         extra["result.excess"] = format_float(result.excess)
     else:
-        pop = synthetic.population(dist, resolved["m_eval"])
         constants = _margin_constants(pop, params, resolved)
         result = synthetic.estimate_sample_complexity(
             pop,
@@ -565,10 +563,11 @@ def _margin_constants(
     """Finite-sample constants of the exact eo-blind rule at ``--eps-target``.
 
     The margin mass is the weight of the margin members among the nodes
-    of the run's population, mapped through their true ``(eta, eta_bar)``.
+    of the run's population, mapped through their true ``(eta, eta_bar)``,
+    and the priors are the population's.
     """
 
-    stats = synthetic.true_stats(pop.dist)
+    stats = pop.stats
     coords = (pop.dist.eta(pop.nodes), pop.dist.eta_bar_eo(pop.nodes, 1.0))
     mass = geometry.estimate_margin_mass(
         coords, pop.weights, plugin.EO_BLIND, params, stats.pi, resolved["eps_target"]

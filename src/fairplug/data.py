@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset
-from .errors import DataError, DegenerateDataError, ValidationError
+from .errors import DataError, DegenerateDataError, ValidationError, undecodable
 from .kvformat import format_float, read_kv, write_kv
 
 __all__ = [
@@ -273,7 +273,7 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
         with handle:
             tables, codes, lines, blank = _encode_columns(path, schema, _records(handle, path))
     except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
+        raise undecodable(path, exc) from exc
     kept = _check_rows(path, schema, tables, codes, lines, blank)
     n = int(np.count_nonzero(kept))
     rows_read = len(kept) - int(np.count_nonzero(blank))
@@ -448,18 +448,6 @@ def _parse_numeric(path: Path, name: str, table: _Codes, column: np.ndarray) -> 
             exc = errors[int(column[rejected[0]])]
             raise DataError(f"{path}: column {name!r} has a non-numeric value: {exc}") from exc
     return values
-
-
-def _undecodable(path: Path, exc: UnicodeDecodeError) -> DataError:
-    """A decode failure as a :class:`DataError` naming the first bad byte's line."""
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        head = raw[: whole.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return DataError(f"{path}:{line}: not UTF-8 text: {whole}")
-    return DataError(f"{path}: not UTF-8 text: {exc}")
 
 
 @dataclass(frozen=True, eq=False)

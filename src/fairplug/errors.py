@@ -14,9 +14,14 @@ codes (see :mod:`fairplug.cli`):
   required empirical quantity is undefined.  Exit code 3.
 * :class:`NumericError` -- a numeric procedure failed (non-finite
   objective, diverging iteration).  Exit code 4.
+
+A text input that is not UTF-8 is a :class:`DataError` from
+:func:`undecodable`, which names the line of the first bad byte.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class FairplugError(Exception):
@@ -43,3 +48,15 @@ class DegenerateDataError(DataError):
 
 class NumericError(FairplugError, ArithmeticError):
     """A numeric routine produced non-finite values or failed to proceed."""
+
+
+def undecodable(path: Path, exc: UnicodeDecodeError) -> DataError:
+    """A decode failure as a :class:`DataError` naming the first bad byte's line."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        head = raw[: whole.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return DataError(f"{path}:{line}: not UTF-8 text: {whole}")
+    return DataError(f"{path}: not UTF-8 text: {exc}")

@@ -34,7 +34,7 @@ available through a synthetic distribution: ``simulate --experiment
 sample-complexity`` maps the nodes of the run's population, the one its
 accuracy check is scored on, through the exact ``(eta, eta_bar)``,
 weights the margin members by the node weights and reports the mass with
-the bound constants built from it.
+the bound constants built from it and the population's priors.
 """
 
 from __future__ import annotations

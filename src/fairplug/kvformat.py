@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, undecodable
 
 __all__ = [
     "read_kv",
@@ -48,12 +48,17 @@ def _parse_lines(lines: Iterable[str], source: str) -> list[tuple[str, str]]:
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
-    """Read a key=value file into a dict; duplicate keys are an error."""
+    """Read a key=value file into a dict; duplicate keys are an error.
+
+    A file that cannot be read, or is not UTF-8, is a :class:`DataError`.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise undecodable(path, exc) from exc
     pairs = _parse_lines(text.splitlines(), str(path))
     out: dict[str, str] = {}
     for key, value in pairs:

@@ -99,8 +99,8 @@ import numpy as np
 from ._pool import map_tasks
 from .core import FairnessParams
 from .cpe import FitConfig
-from .data import PreparedData, _undecodable, apply_dp_transform, fit_dp_transform
-from .errors import DataError, ValidationError
+from .data import PreparedData, apply_dp_transform, fit_dp_transform
+from .errors import DataError, ValidationError, undecodable
 from .kvformat import format_float
 from .metrics import Counts, violation
 from .plugin import (
@@ -664,7 +664,7 @@ def read_records_csv(path: str | Path) -> SweepTable:
         with open(path, encoding="utf-8") as handle:
             return _read_records(handle, path)
     except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
+        raise undecodable(path, exc) from exc
 
 
 def _read_records(handle, path: Path) -> SweepTable:

@@ -12,8 +12,9 @@ The label model: x ~ feature law; y = +1 with probability eta(x);
 ybar = +1 with probability eta_bar(x, y).  The population quantities
 of the rules (class and group priors, a rule's regret, the frontier and
 the trade-off gap's costs, the margin mass, and an estimator's tail
-P(|true - fitted| >= eps)) come from deterministic tensor-grid
-quadrature over the feature law, not Monte Carlo, so exact-rule
+P(|true - fitted| >= eps)) are weighted sums over one
+:class:`Population`, a deterministic tensor-grid quadrature of the
+feature law built once per run, not Monte Carlo, so exact-rule
 construction and evaluation are seed-free; only the training samples
 are drawn.
 
@@ -299,16 +300,15 @@ def _gauss_legendre_grid(
     return nodes, np.asarray(weights).ravel()
 
 
-def quadrature(law: FeatureLaw, total: int = _GAUSS_TOTAL_TARGET) -> tuple[np.ndarray, np.ndarray]:
+def quadrature(law: FeatureLaw, total: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic nodes and probability weights integrating the law.
 
     Exact for a discrete law; for the continuous laws a tensor
     Gauss-Legendre grid (weighted by the density and renormalized on
     the grid) whose per-dimension size is set by a budget of roughly
-    ``total`` nodes, at least 16 and at most 256 per dimension.  The
-    default of 200k is what :func:`true_stats` integrates with (256 per
-    axis in 2-D); a budget of 50,000 gives 224 per axis in 2-D, and any
-    budget up to 16**5 gives 16 per axis in 5-D.
+    ``total`` nodes, at least 16 and at most 256 per dimension.  A
+    budget of 50,000 gives 224 per axis in 2-D, any budget from 65,536
+    on gives 256, and any budget up to 16**5 gives 16 per axis in 5-D.
     """
 
     total = int(total)
@@ -415,15 +415,12 @@ def sample(dist: SyntheticDistribution, n: int, seed) -> Dataset:
 
 
 def true_stats(dist: SyntheticDistribution) -> DistStats:
-    """Exact class/group priors by quadrature (seed-free)."""
-    nodes, weights = quadrature(dist.law)
-    eta = np.asarray(dist.eta(nodes))
-    bar_plus = np.asarray(dist.eta_bar_eo(nodes, 1.0))
-    bar_minus = np.asarray(dist.eta_bar_eo(nodes, -1.0))
-    pi = float(weights @ eta)
-    joint_pos = float(weights @ (eta * bar_plus))
-    pi_bar = joint_pos + float(weights @ ((1.0 - eta) * bar_minus))
-    return DistStats(pi=pi, pi_bar=pi_bar, beta=joint_pos / pi)
+    """Class/group priors of a :func:`population` at a 200k-node budget (seed-free).
+
+    For code that has no population of its own; a run reads its priors
+    from its population's ``stats``.
+    """
+    return population(dist, _GAUSS_TOTAL_TARGET).stats
 
 
 def _true_eta_cpe(dist: SyntheticDistribution) -> LinearCpe:
@@ -436,12 +433,13 @@ def bayes_classifier(
     params: FairnessParams,
     true_pi: float | None = None,
 ) -> PlugInRule:
-    """The exact optimal rule: true regression weights, quadrature prior.
+    """The exact optimal rule: true regression weights and the label prior ``true_pi``.
 
-    The aware settings and the parity-blind setting require the
-    zero-label-weight structure (see the class docstring); otherwise
-    their exact regression functions fall outside the linear-logistic
-    family and this raises.
+    Without ``true_pi`` an EO rule takes :func:`true_stats`' prior; a run
+    passes its population's.  The aware settings and the parity-blind
+    setting require the zero-label-weight structure (see the class
+    docstring); otherwise their exact regression functions fall outside
+    the linear-logistic family and this raises.
     """
 
     pi_hat = None
@@ -479,10 +477,11 @@ class Population:
     ``masses[k, i]`` is ``w_i * P(y, ybar | x_i)`` for the k-th (y, ybar)
     pair of (+1, +1), (-1, +1), (+1, -1), (-1, -1), so rows 0 and 1 hold
     group +1 and rows 0 and 2 label +1; ``totals`` are the row sums.
-    A rule's positives on the nodes, weighted by these masses, give its
-    population rates (:func:`population_counts`): for a blind rule ``f``,
-    for example, ``TPR = sum(w * f * eta) / pi``.  Build one per run with
-    :func:`population` and score every rule on it.
+    ``stats`` are the priors pi, pi_bar and beta integrated on the same
+    nodes.  A rule's positives on the nodes, weighted by these masses,
+    give its population rates (:func:`population_counts`): for a blind
+    rule ``f``, for example, ``TPR = sum(w * f * eta) / pi``.  Build one
+    per run with :func:`population` and score every rule on it.
     """
 
     dist: SyntheticDistribution
@@ -490,20 +489,31 @@ class Population:
     weights: np.ndarray
     masses: np.ndarray
     totals: np.ndarray
+    stats: DistStats
 
 
 def population(dist: SyntheticDistribution, budget: int) -> Population:
-    """The distribution's joint masses on :func:`quadrature` nodes of about ``budget``."""
+    """The distribution's joint masses and priors on :func:`quadrature` nodes of about ``budget``.
+
+    The priors are weighted sums of the regression functions
+    (``pi = w @ eta``), not sums of the masses, which round differently.
+    A law whose label prior is 0 has no priors (:class:`DistStats`
+    rejects it).
+    """
     nodes, weights = quadrature(dist.law, budget)
     eta = np.asarray(dist.eta(nodes))
     label_pos = weights * eta
     label_neg = weights * (1.0 - eta)
     plus = np.asarray(dist.eta_bar_eo(nodes, 1.0))
     minus = np.asarray(dist.eta_bar_eo(nodes, -1.0))
+    pi = float(weights @ eta)
+    joint_pos = float(weights @ (eta * plus))
+    pi_bar = joint_pos + float(weights @ ((1.0 - eta) * minus))
+    stats = DistStats(pi=pi, pi_bar=pi_bar, beta=joint_pos / pi if pi > 0.0 else 0.0)
     masses = np.stack(
         [label_pos * plus, label_neg * minus, label_pos * (1.0 - plus), label_neg * (1.0 - minus)]
     )
-    return Population(dist, nodes, weights, masses, totals=masses.sum(axis=1))
+    return Population(dist, nodes, weights, masses, masses.sum(axis=1), stats)
 
 
 def population_counts(pop: Population, rule: PlugInRule) -> tuple[Counts, Counts, Counts]:
@@ -533,16 +543,12 @@ def population_counts(pop: Population, rule: PlugInRule) -> tuple[Counts, Counts
 
 
 def population_measure(
-    pop: Population,
-    rule: PlugInRule,
-    setting: str,
-    params: FairnessParams,
-    stats: DistStats,
+    pop: Population, rule: PlugInRule, setting: str, params: FairnessParams
 ) -> float:
-    """The rule's population Psi under ``setting``'s criterion, priors from ``stats``."""
+    """The rule's population Psi under ``setting``'s criterion, priors from ``pop.stats``."""
     label, eo, dpar = population_counts(pop, rule)
     comparison = eo if is_eo(setting) else dpar
-    return float(performance_measure(label, comparison, stats, params, criterion_for(setting)))
+    return float(performance_measure(label, comparison, pop.stats, params, criterion_for(setting)))
 
 
 def estimate_regret(
@@ -551,7 +557,6 @@ def estimate_regret(
     setting: str,
     params: FairnessParams,
     *,
-    stats: DistStats | None = None,
     best: float | None = None,
 ) -> float:
     """Shortfall of the rule's Psi against the exact rule's, both by quadrature on ``pop``.
@@ -561,12 +566,10 @@ def estimate_regret(
     The exact rule maximizes Psi's integrand node by node, so the regret
     of any rule is nonnegative up to rounding.
     """
-    if stats is None:
-        stats = true_stats(pop.dist)
     if best is None:
-        boc = bayes_classifier(pop.dist, setting, params, true_pi=stats.pi)
-        best = population_measure(pop, boc, setting, params, stats)
-    return best - population_measure(pop, rule, setting, params, stats)
+        boc = bayes_classifier(pop.dist, setting, params, true_pi=pop.stats.pi)
+        best = population_measure(pop, boc, setting, params)
+    return best - population_measure(pop, rule, setting, params)
 
 
 @dataclass(frozen=True)
@@ -618,26 +621,24 @@ def _sample_non_degenerate(
 
 
 def _consistency_trial(
-    dist, setting, params, n, seed, config, known_pi, pop, stats, best, trial
+    setting, params, n, seed, config, known_pi, pop, best, trial
 ) -> tuple[float, int]:
     """One (n, trial) cell: fit on a fresh draw, then its regret on the run's nodes."""
-    pi_override = stats.pi if known_pi else None
+    pi_override = pop.stats.pi if known_pi else None
 
     def build(train: Dataset) -> PlugInRule:
         return fit_plugin(train, setting, params, config, pi_override=pi_override)
 
-    rule, retries = _sample_non_degenerate(dist, n, (seed, n, trial, 0), build)
-    regret = estimate_regret(rule, pop, setting, params, stats=stats, best=best)
-    return regret, retries
+    rule, retries = _sample_non_degenerate(pop.dist, n, (seed, n, trial, 0), build)
+    return estimate_regret(rule, pop, setting, params, best=best), retries
 
 
 def consistency_curve(
-    dist: SyntheticDistribution,
+    pop: Population,
     setting: str,
     params: FairnessParams,
     n_schedule: Sequence[int],
     trials: int,
-    m_eval: int,
     seed: int,
     *,
     config: FitConfig | None = None,
@@ -646,11 +647,11 @@ def consistency_curve(
 ) -> RegretCurve:
     """Mean/std regret of freshly fitted rules along a sample-size schedule.
 
-    Each (n, trial) cell trains on its own derived-seed draw, so trial
-    values do not depend on how many trials run.  Every regret is taken
-    by quadrature on one :func:`population` of about ``m_eval`` nodes,
-    built once per run, against the exact rule's Psi, scored once per
-    run.
+    Each (n, trial) cell trains on its own derived-seed draw of
+    ``pop.dist``, so trial values do not depend on how many trials run.
+    Every regret is taken by quadrature on the run's population ``pop``
+    against the exact rule's Psi, scored once per run, and the priors
+    are ``pop.stats``.
     ``known_pi`` switches the EO settings to the known-prior regime;
     the default regularization schedule shrinks as 1/sqrt(n) so the
     estimators stay consistent.
@@ -664,16 +665,14 @@ def consistency_curve(
     trials = int(trials)
     if trials <= 0:
         raise ValidationError("trials must be positive")
-    stats = true_stats(dist)
-    pop = population(dist, m_eval)
-    boc = bayes_classifier(dist, setting, params, true_pi=stats.pi)
-    best = population_measure(pop, boc, setting, params, stats)
+    boc = bayes_classifier(pop.dist, setting, params, true_pi=pop.stats.pi)
+    best = population_measure(pop, boc, setting, params)
     points: list[RegretPoint] = []
     resamples = 0
     for n in sizes:
         run = partial(
-            _consistency_trial, dist, setting, params, n, int(seed),
-            _default_fit_config(n, config), known_pi, pop, stats, best,
+            _consistency_trial, setting, params, n, int(seed),
+            _default_fit_config(n, config), known_pi, pop, best,
         )
         results = list(map_tasks(run, range(trials), jobs))
         regrets = np.array([r for r, _ in results])
@@ -689,39 +688,28 @@ def consistency_curve(
     return RegretCurve(points=tuple(points), resamples=resamples)
 
 
-def frontier(
-    dist: SyntheticDistribution,
-    lam: float,
-    params: FairnessParams,
-    m_eval: int,
-    *,
-    stats: DistStats | None = None,
-) -> float:
+def frontier(pop: Population, lam: float, params: FairnessParams) -> float:
     """Population cost paid for fairness at strength lam (EO-blind rule).
 
     The cost-sensitive risk of the exact fairness-adjusted rule minus
     that of the unconstrained cost-sensitive optimum (the same rule at
     lam = 0, which predicts ``eta(x) > c``), that is
-    E[(c - eta(x)) (f_lam(x) - 1{eta(x) > c})], by quadrature on about
-    ``m_eval`` nodes.  Exactly zero at lam = 0; nonnegative in population.
+    E[(c - eta(x)) (f_lam(x) - 1{eta(x) > c})], by quadrature on the
+    run's population ``pop``, with its prior ``pop.stats.pi``.  Exactly
+    zero at lam = 0; nonnegative in population.
     """
 
-    if stats is None:
-        stats = true_stats(dist)
-    return _frontier(population(dist, m_eval), lam, params, stats)
-
-
-def _frontier(pop: Population, lam: float, params: FairnessParams, stats: DistStats) -> float:
     lam_params = FairnessParams(lam=float(lam), c=params.c, c_bar=params.c_bar)
-    boc = bayes_classifier(pop.dist, EO_BLIND, lam_params, true_pi=stats.pi)
-    return _cost_difference(pop, boc, stats.pi, params.c)
+    boc = bayes_classifier(pop.dist, EO_BLIND, lam_params, true_pi=pop.stats.pi)
+    return _cost_difference(pop, boc)
 
 
-def _cost_difference(pop: Population, rule: PlugInRule, pi: float, c: float) -> float:
+def _cost_difference(pop: Population, rule: PlugInRule) -> float:
     """Label cost of ``rule`` minus that of its lam = 0 re-assembly, on ``pop``."""
-    zero = with_params(rule, FairnessParams(lam=0.0, c=rule.params.c, c_bar=rule.params.c_bar))
+    c = rule.params.c
+    zero = with_params(rule, FairnessParams(lam=0.0, c=c, c_bar=rule.params.c_bar))
     cost, cost_zero = (
-        cost_sensitive_risk(population_counts(pop, r)[0], pi, c) for r in (rule, zero)
+        cost_sensitive_risk(population_counts(pop, r)[0], pop.stats.pi, c) for r in (rule, zero)
     )
     return float(cost - cost_zero)
 
@@ -742,24 +730,23 @@ class TradeoffResult:
         return self.gap - self.frontier
 
 
-def _tradeoff_trial(dist, lam, params, n, seed, config, pop, stats, trial) -> tuple[float, int]:
+def _tradeoff_trial(lam, params, n, seed, config, pop, trial) -> tuple[float, int]:
     """One trial: |cost of the lam rule - cost of its lam = 0 re-assembly|."""
     lam_params = FairnessParams(lam=lam, c=params.c, c_bar=params.c_bar)
 
     def build(train: Dataset) -> PlugInRule:
         return fit_plugin(train, EO_BLIND, lam_params, config)
 
-    rule_lam, retries = _sample_non_degenerate(dist, n, (seed, n, trial, 0), build)
-    return abs(_cost_difference(pop, rule_lam, stats.pi, params.c)), retries
+    rule_lam, retries = _sample_non_degenerate(pop.dist, n, (seed, n, trial, 0), build)
+    return abs(_cost_difference(pop, rule_lam)), retries
 
 
 def tradeoff_gap(
-    dist: SyntheticDistribution,
+    pop: Population,
     lam: float,
     params: FairnessParams,
     n: int,
     trials: int,
-    m_eval: int,
     seed: int,
     *,
     config: FitConfig | None = None,
@@ -769,26 +756,23 @@ def tradeoff_gap(
 
     The lam = 0 rule reuses the lam rule's estimators (parameter
     re-assembly), so each trial fits once.  Costs and the frontier are
-    population costs by quadrature on one :func:`population` of about
-    ``m_eval`` nodes, built once per run.  The gap minus the frontier is
-    the finite-sample excess that should shrink with n.
+    population costs by quadrature on the run's population ``pop``, with
+    its prior ``pop.stats.pi``.  The gap minus the frontier is the
+    finite-sample excess that should shrink with n.
     """
 
     n = int(n)
     trials = int(trials)
     if n <= 0 or trials <= 0:
         raise ValidationError("n and trials must be positive")
-    stats = true_stats(dist)
-    pop = population(dist, m_eval)
     run = partial(
-        _tradeoff_trial, dist, float(lam), params, n, int(seed),
-        _default_fit_config(n, config), pop, stats,
+        _tradeoff_trial, float(lam), params, n, int(seed), _default_fit_config(n, config), pop
     )
     results = list(map_tasks(run, range(trials), jobs))
     gaps = np.array([g for g, _ in results])
     return TradeoffResult(
         gap=float(gaps.mean()),
-        frontier=_frontier(pop, lam, params, stats),
+        frontier=frontier(pop, lam, params),
         gap_std=float(gaps.std(ddof=0)),
         n=n,
         trials=trials,
@@ -950,6 +934,13 @@ def reference_dpar() -> SyntheticDistribution:
     )
 
 
+#: law tag -> (law class, the fields a distribution file holds for it)
+_VECTOR_LAWS = {
+    LAW_UNIFORM: (UniformBoxLaw, ("lows", "highs")),
+    LAW_GAUSSIAN: (TruncatedGaussianLaw, ("mean", "std", "lows", "highs")),
+}
+
+
 def save_distribution(dist: SyntheticDistribution, path: str | Path) -> None:
     """Persist the distribution as a flat text record.
 
@@ -959,63 +950,57 @@ def save_distribution(dist: SyntheticDistribution, path: str | Path) -> None:
     round-trip tests can pin the format.
     """
     items: list[tuple[str, str]] = []
-    if isinstance(dist.law, UniformBoxLaw):
-        items.append(("law", LAW_UNIFORM))
-        items.append(("lows", format_float_vector(dist.law.lows)))
-        items.append(("highs", format_float_vector(dist.law.highs)))
-    elif isinstance(dist.law, TruncatedGaussianLaw):
-        items.append(("law", LAW_GAUSSIAN))
-        items.append(("mean", format_float_vector(dist.law.mean)))
-        items.append(("std", format_float_vector(dist.law.std)))
-        items.append(("lows", format_float_vector(dist.law.lows)))
-        items.append(("highs", format_float_vector(dist.law.highs)))
-    else:
+    if isinstance(dist.law, DiscreteLaw):
         items.append(("law", LAW_DISCRETE))
         for index, row in enumerate(dist.law.points):
             items.append((f"point.{index}", format_float_vector(row)))
         items.append(("masses", format_float_vector(dist.law.masses)))
+    else:
+        tag = LAW_UNIFORM if isinstance(dist.law, UniformBoxLaw) else LAW_GAUSSIAN
+        items.append(("law", tag))
+        for name in _VECTOR_LAWS[tag][1]:
+            items.append((name, format_float_vector(getattr(dist.law, name))))
     items.append(("w_eta", format_float_vector(dist.w_eta)))
     items.append(("w_eta_bar", format_float_vector(dist.w_eta_bar)))
     write_kv(path, items)
 
 
 def load_distribution(path: str | Path) -> SyntheticDistribution:
-    """Inverse of :func:`save_distribution`."""
+    """Inverse of :func:`save_distribution`.
+
+    Every key is read or rejected: a key the law's layout does not name
+    (a stray one, a derived field such as ``w_eta_bar_dpar``, or a
+    ``point.N`` after a gap in the numbering) is a :class:`DataError`
+    naming the key and the file.
+    """
     record = read_kv(path)
-    try:
-        law_tag = record["law"]
-        if law_tag == LAW_UNIFORM:
-            law: FeatureLaw = UniformBoxLaw(
-                lows=np.array(parse_float_vector(record["lows"])),
-                highs=np.array(parse_float_vector(record["highs"])),
-            )
-        elif law_tag == LAW_GAUSSIAN:
-            law = TruncatedGaussianLaw(
-                mean=np.array(parse_float_vector(record["mean"])),
-                std=np.array(parse_float_vector(record["std"])),
-                lows=np.array(parse_float_vector(record["lows"])),
-                highs=np.array(parse_float_vector(record["highs"])),
-            )
-        elif law_tag == LAW_DISCRETE:
-            rows = []
-            index = 0
-            while f"point.{index}" in record:
-                rows.append(parse_float_vector(record[f"point.{index}"]))
-                index += 1
-            if not rows:
-                raise DataError(f"{path}: discrete law has no point.N rows")
-            law = DiscreteLaw(
-                points=np.array(rows), masses=np.array(parse_float_vector(record["masses"]))
-            )
-        else:
-            raise DataError(f"{path}: unknown law tag {law_tag!r}")
-        return SyntheticDistribution(
-            law=law,
-            w_eta=np.array(parse_float_vector(record["w_eta"])),
-            w_eta_bar=np.array(parse_float_vector(record["w_eta_bar"])),
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: missing distribution field {exc}") from exc
+
+    def take(key: str) -> str:
+        try:
+            return record.pop(key)
+        except KeyError:
+            raise DataError(f"{path}: missing distribution field {key!r}") from None
+
+    def vector(key: str) -> np.ndarray:
+        return np.array(parse_float_vector(take(key)))
+
+    law_tag = take("law")
+    if law_tag == LAW_DISCRETE:
+        rows = []
+        while f"point.{len(rows)}" in record:
+            rows.append(parse_float_vector(record.pop(f"point.{len(rows)}")))
+        if not rows:
+            raise DataError(f"{path}: discrete law has no point.N rows")
+        law_type, fields = DiscreteLaw, {"points": np.array(rows), "masses": vector("masses")}
+    elif law_tag in _VECTOR_LAWS:
+        law_type, names = _VECTOR_LAWS[law_tag]
+        fields = {name: vector(name) for name in names}
+    else:
+        raise DataError(f"{path}: unknown law tag {law_tag!r}")
+    w_eta, w_eta_bar = vector("w_eta"), vector("w_eta_bar")
+    if record:
+        raise DataError(f"{path}: unknown distribution key {next(iter(record))!r}")
+    return SyntheticDistribution(law=law_type(**fields), w_eta=w_eta, w_eta_bar=w_eta_bar)
 
 
 def write_curve_csv(curve: RegretCurve, path: str | Path) -> None:

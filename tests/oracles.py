@@ -432,6 +432,23 @@ def sample_labels(rng, x, eta, eta_bar_eo):
     return y, ybar
 
 
+def quadrature_priors(dist, nodes, weights) -> tuple[float, float, float]:
+    """``(pi, pi_bar, beta)`` as weighted sums of the regression functions on the nodes.
+
+    The reference for the priors of ``synthetic.population`` (and so of
+    ``synthetic.true_stats``), which must repeat these sums bit for bit
+    on the same nodes and weights.
+    """
+
+    eta = np.asarray(dist.eta(nodes))
+    bar_plus = np.asarray(dist.eta_bar_eo(nodes, 1.0))
+    bar_minus = np.asarray(dist.eta_bar_eo(nodes, -1.0))
+    pi = float(weights @ eta)
+    joint_pos = float(weights @ (eta * bar_plus))
+    pi_bar = joint_pos + float(weights @ ((1.0 - eta) * bar_minus))
+    return pi, pi_bar, joint_pos / pi
+
+
 def per_draw_psi(decisions, y, ybar, criterion, lam, c, c_bar, pi, pi_bar, beta):
     """Per-draw terms whose mean estimates Psi of the decisions on the draw.
 

@@ -48,11 +48,11 @@ from fairplug.synthetic import (
     bayes_classifier,
     consistency_curve,
     frontier,
+    population,
     reference_eo,
     sample,
     sample_x,
     tradeoff_gap,
-    true_stats,
 )
 
 
@@ -197,12 +197,11 @@ def test_criterion_02_optimal_rule_matches_exhaustive_search():
 
 def test_criterion_03_consistency_on_reference_distribution():
     curve = consistency_curve(
-        reference_eo(),
+        population(reference_eo(), 50_000),
         EO_BLIND,
         FairnessParams(1.0, 0.5, 0.5),
         (256, 16384),
         20,
-        50_000,
         11,
     )
     small, large = curve.points
@@ -379,12 +378,13 @@ def test_criterion_08_dp_sweep_budget_and_agreement(german_prepared_single):
 
 def test_criterion_09_frontier_agrees_with_direct_risk_difference():
     dist = reference_eo()
-    stats = true_stats(dist)
     m = 200_000
+    pop = population(dist, m)
+    stats = pop.stats
     c = 0.5
     for index, lam in enumerate((-2.0, -0.5, 0.0, 0.5, 2.0)):
         params = FairnessParams(lam, c, 0.5)
-        value = frontier(dist, lam, params, m)
+        value = frontier(pop, lam, params)
         if lam == 0.0:
             assert value == 0.0
             continue
@@ -418,8 +418,9 @@ def test_criterion_09_frontier_agrees_with_direct_risk_difference():
 def test_criterion_10_tradeoff_excess_shrinks():
     dist = reference_eo()
     params = FairnessParams(1.0, 0.5, 0.5)
-    small = tradeoff_gap(dist, 1.0, params, 256, 20, 100_000, 13)
-    large = tradeoff_gap(dist, 1.0, params, 16384, 20, 100_000, 13)
+    pop = population(dist, 100_000)
+    small = tradeoff_gap(pop, 1.0, params, 256, 20, 13)
+    large = tradeoff_gap(pop, 1.0, params, 16384, 20, 13)
     assert abs(large.excess) <= 0.5 * abs(small.excess)
     _report(
         10,

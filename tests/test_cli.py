@@ -378,6 +378,43 @@ class TestHeapPolicy:
         capsys.readouterr()
 
 
+def _undecodable_copy(path: Path) -> int:
+    """Put a 0xFF byte at the start of the file's second line; return that line number."""
+    raw = path.read_bytes()
+    cut = raw.index(b"\n") + 1
+    path.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+    return 2
+
+
+@pytest.mark.parametrize("source", ["simulate --dist", "simulate --config", "prepare --schema",
+                                    "sweep meta.kv"])
+def test_non_utf8_key_value_file_is_a_data_error(source, request, tmp_path, capsys):
+    if source == "simulate --dist":
+        bad = tmp_path / "dist.kv"
+        synthetic.save_distribution(synthetic.reference_eo(), bad)
+        argv = ["simulate", "--experiment", "frontier", "--m-eval", "1000", "--dist", str(bad)]
+    elif source == "simulate --config":
+        bad = write_config(tmp_path / "cfg.kv", experiment="frontier", m_eval=1000)
+        argv = ["simulate", "--config", str(bad)]
+    elif source == "prepare --schema":
+        bad = tmp_path / "german.kv"
+        shutil.copy(data.bundled_schema_path("german_gender"), bad)
+        argv = ["prepare", "--input", str(request.getfixturevalue("german_csv")),
+                "--schema", str(bad)]
+    else:
+        prepared = tmp_path / "prepared"
+        shutil.copytree(request.getfixturevalue("prepared_dir"), prepared)
+        bad = prepared / "meta.kv"
+        argv = ["sweep", "--prepared", str(prepared), "--grid", SMALL_GRID, "--eps-p", "inf"]
+    line = _undecodable_copy(bad)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:{line}: not UTF-8 text")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestFailedRunCleanup:
     ARGV = ["geometry", "--params", GEO_PARAMS, "--raster", "11", "--svg"]  # raster.csv, then svg
 
@@ -766,6 +803,25 @@ class TestSimulate:
         assert float(manifest["result.q_const"]) > float(manifest["result.g_const"]) > 0.0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--experiment", "consistency", "--n-schedule", "32", "--trials", "1"],
+            ["--experiment", "frontier"],
+            ["--experiment", "tradeoff-gap", "--n", "64", "--trials", "1"],
+            ["--experiment", "sample-complexity", "--eps-target", "0.45", "--delta-prime",
+             "0.45", "--delta", "0.5", "--trials", "1", "--start", "32", "--cap", "32"],
+        ],
+        ids=lambda args: args[1],
+    )
+    def test_each_run_builds_one_quadrature(self, tmp_path, capsys, monkeypatch, args):
+        calls = []
+        real = synthetic.quadrature
+        monkeypatch.setattr(synthetic, "quadrature", lambda *a: calls.append(a) or real(*a))
+        assert main(["simulate", *args, "--m-eval", "2000", "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_sample_complexity_constants_match_geometry(self, tmp_path, capsys):
         out = tmp_path / "o"
         args = ["--experiment", "sample-complexity", "--eps-target", "0.05", "--trials", "1",
@@ -773,8 +829,8 @@ class TestSimulate:
         assert main(["simulate", *args, "--out", str(out)]) == 0
         capsys.readouterr()
         dist = synthetic.reference_eo()
-        stats = synthetic.true_stats(dist)
-        nodes, weights = synthetic.quadrature(dist.law, 20000)
+        pop = synthetic.population(dist, 20000)
+        stats, nodes, weights = pop.stats, pop.nodes, pop.weights
         params = FairnessParams(1.0, 0.5, 0.5)
         member = geometry.margin_membership(
             EO_BLIND, params, stats.pi, (dist.eta(nodes), dist.eta_bar_eo(nodes, 1.0)), 0.05

@@ -79,3 +79,10 @@ def test_format_float_handles_negative_zero_and_tiny():
     assert float(format_float(-0.0)) == 0.0
     assert math.copysign(1.0, float(format_float(-0.0))) == -1.0
     assert float(format_float(5e-324)) == 5e-324
+
+
+def test_undecodable_byte_is_a_data_error_naming_its_line(tmp_path):
+    path = tmp_path / "u.kv"
+    path.write_bytes(b"alpha = 1\r\nbeta = 2\r\ngamma = \xff\r\n")
+    with pytest.raises(DataError, match=f"{path}:3: not UTF-8 text"):
+        read_kv(path)

@@ -154,13 +154,13 @@ class TestSampleX:
 class TestQuadrature:
     def test_discrete_is_exact(self):
         law = DiscreteLaw(points=np.array([[0.0], [2.0]]), masses=np.array([0.25, 0.75]))
-        nodes, weights = quadrature(law)
+        nodes, weights = quadrature(law, 1)
         assert np.array_equal(nodes, law.points)
         assert np.array_equal(weights, law.masses)
 
     def test_uniform_moments(self):
         law = UniformBoxLaw(lows=np.array([1.0, -1.0]), highs=np.array([3.0, 1.0]))
-        nodes, weights = quadrature(law)
+        nodes, weights = quadrature(law, 10_000)
         assert weights.sum() == pytest.approx(1.0)
         assert weights @ nodes[:, 0] == pytest.approx(2.0, abs=1e-10)
         assert weights @ nodes[:, 0] ** 2 == pytest.approx((27 - 1) / 6.0, abs=1e-10)
@@ -169,7 +169,7 @@ class TestQuadrature:
         law = TruncatedGaussianLaw(
             mean=np.array([0.3]), std=np.array([0.5]), lows=np.array([-0.7]), highs=np.array([1.3])
         )
-        nodes, weights = quadrature(law)
+        nodes, weights = quadrature(law, 1000)
         assert weights.sum() == pytest.approx(1.0)
         assert weights @ nodes[:, 0] == pytest.approx(0.3, abs=1e-8)
 
@@ -257,6 +257,41 @@ class TestSampleAndStats:
             w_dpar = dist.w_eta_bar_dpar
             assert dist.eta_bar_dpar(x).tobytes() == sigmoid(x @ w_dpar[:-1] + w_dpar[-1]).tobytes()
 
+    @pytest.mark.parametrize("name", ["reference-eo", "reference-dpar", "5-d box"])
+    def test_true_stats_is_the_weighted_sum_on_200k_nodes(self, name):
+        # bit for bit the priors of a 200k-node quadrature, as the weighted
+        # sums of the regression functions the oracle writes out
+        if name == "5-d box":
+            dist = SyntheticDistribution(
+                law=UniformBoxLaw(-np.ones(5), np.ones(5)),
+                w_eta=np.array([1.0, -0.5, 0.25, 0.8, -1.2, 0.1]),
+                w_eta_bar=np.array([0.3, -0.7, 0.9, 0.2, -0.4, 0.6, -0.2]),
+            )
+        else:
+            dist = reference_eo() if name == "reference-eo" else reference_dpar()
+        nodes, weights = quadrature(dist.law, 200_000)
+        expected = oracles.quadrature_priors(dist, nodes, weights)
+        stats = true_stats(dist)
+        assert (stats.pi, stats.pi_bar, stats.beta) == expected
+
+    @pytest.mark.parametrize("budget", [1, 400, 20_000])
+    def test_population_priors_are_integrated_on_its_own_nodes(self, budget):
+        for dist in (reference_eo(), two_atom_dist(0.7)):
+            pop = population(dist, budget)
+            stats = pop.stats
+            assert (stats.pi, stats.pi_bar, stats.beta) == oracles.quadrature_priors(
+                dist, pop.nodes, pop.weights
+            )
+
+    def test_a_law_without_positive_labels_has_no_priors(self):
+        dist = SyntheticDistribution(
+            law=UniformBoxLaw(np.zeros(1), np.ones(1)),
+            w_eta=np.array([0.0, -800.0]),
+            w_eta_bar=np.array([0.0, 0.0, 0.0]),
+        )
+        with pytest.raises(ValidationError, match="pi"):
+            population(dist, 100)
+
     def test_sampled_prior_matches_quadrature(self):
         dist = reference_eo()
         ds = sample(dist, 40000, 12)
@@ -325,7 +360,7 @@ class TestMeasureAndRegret:
             pop = population(dist, 10_000)
             _, weights = quadrature(dist.law, 10_000)
             assert np.allclose(pop.masses.sum(axis=0), weights, rtol=1e-14, atol=0.0)
-            stats = true_stats(dist)
+            stats = pop.stats
             pp, np_, pm, _ = pop.totals
             assert pp + pm == pytest.approx(stats.pi, abs=1e-14)
             assert pp + np_ == pytest.approx(stats.pi_bar, abs=1e-14)
@@ -361,10 +396,11 @@ class TestMeasureAndRegret:
     def test_quadrature_regret_matches_a_million_draws(self, name, setting, lam):
         dist = reference_eo() if name == "reference-eo" else reference_dpar()
         params = FairnessParams(lam=lam, c=0.5, c_bar=0.5)
-        stats = true_stats(dist)
+        pop = population(dist, 50_000)
+        stats = pop.stats
         boc = bayes_classifier(dist, setting, params, true_pi=stats.pi)
         rule = fit_plugin(sample(dist, 256, (0, 9)), setting, params, FitConfig())
-        got = estimate_regret(rule, population(dist, 50_000), setting, params, stats=stats)
+        got = estimate_regret(rule, pop, setting, params)
         m = 1_000_000
         draw = sample(dist, m, (0, 77))
         group = draw.sensitive if is_aware(setting) else None
@@ -420,38 +456,31 @@ _SMALL_POPULATION = {"eo": population(reference_eo(), 2500), "dpar": population(
 
 class TestConsistencyCurve:
     def test_parallel_matches_serial(self):
-        dist = reference_eo()
-        kwargs = dict(
-            n_schedule=(64,), trials=4, m_eval=400, seed=6
-        )
-        serial = consistency_curve(dist, EO_BLIND, PARAMS, jobs=1, **kwargs)
-        parallel = consistency_curve(dist, EO_BLIND, PARAMS, jobs=2, **kwargs)
+        pop = population(reference_eo(), 400)
+        kwargs = dict(n_schedule=(64,), trials=4, seed=6)
+        serial = consistency_curve(pop, EO_BLIND, PARAMS, jobs=1, **kwargs)
+        parallel = consistency_curve(pop, EO_BLIND, PARAMS, jobs=2, **kwargs)
         assert serial.points == parallel.points
 
     def test_schedule_validation(self):
-        dist = reference_eo()
+        pop = population(reference_eo(), 10)
         with pytest.raises(ValidationError, match="positive sizes"):
-            consistency_curve(dist, EO_BLIND, PARAMS, n_schedule=(), trials=1, m_eval=10, seed=0)
+            consistency_curve(pop, EO_BLIND, PARAMS, n_schedule=(), trials=1, seed=0)
         with pytest.raises(ValidationError, match="trials"):
-            consistency_curve(
-                dist, EO_BLIND, PARAMS, n_schedule=(16,), trials=0, m_eval=10, seed=0
-            )
+            consistency_curve(pop, EO_BLIND, PARAMS, n_schedule=(16,), trials=0, seed=0)
         with pytest.raises(ValidationError, match="strictly increasing"):
-            consistency_curve(
-                dist, EO_BLIND, PARAMS, n_schedule=(16, 16), trials=1, m_eval=10, seed=0
-            )
+            consistency_curve(pop, EO_BLIND, PARAMS, n_schedule=(16, 16), trials=1, seed=0)
 
     def test_decreasing_schedule_is_rejected_before_any_fit(self, monkeypatch):
-        def no_call(*args, **kwargs):
-            raise AssertionError("the schedule is checked before the population and the fits")
-
-        for name in ("fit_plugin", "true_stats", "population"):
-            monkeypatch.setattr(f"fairplug.synthetic.{name}", no_call)
+        pop = population(reference_eo(), 10)
+        fits = []
+        monkeypatch.setattr("fairplug.synthetic.fit_plugin", lambda *a, **k: fits.append(a))
+        monkeypatch.setattr("fairplug.cpe.fit", lambda *a, **k: fits.append(a))
         with pytest.raises(ValidationError, match="strictly increasing"):
             consistency_curve(
-                reference_eo(), EO_BLIND, PARAMS, n_schedule=(4096, 1024), trials=3,
-                m_eval=1000, seed=0,
+                pop, EO_BLIND, PARAMS, n_schedule=(4096, 1024), trials=3, seed=0
             )
+        assert fits == []
 
     def test_hopeless_distribution_reports_data_error(self):
         law = UniformBoxLaw(np.zeros(1), np.ones(1))
@@ -460,47 +489,45 @@ class TestConsistencyCurve:
         )
         with pytest.raises(DataError, match="non-degenerate"):
             consistency_curve(
-                dist, EO_BLIND, PARAMS, n_schedule=(8,), trials=1, m_eval=50, seed=0
+                population(dist, 50), EO_BLIND, PARAMS, n_schedule=(8,), trials=1, seed=0
             )
 
 
 class TestFrontierAndGap:
     def test_frontier_zero_at_neutral_strength(self):
-        dist = reference_eo()
-        assert frontier(dist, 0.0, PARAMS, 5000) == 0.0
+        assert frontier(population(reference_eo(), 5000), 0.0, PARAMS) == 0.0
 
     def test_frontier_positive_under_constraint(self):
-        dist = reference_eo()
-        value = frontier(dist, 1.0, PARAMS, 50000)
+        value = frontier(population(reference_eo(), 50000), 1.0, PARAMS)
         assert value > 0.01
 
     def test_frontier_deterministic(self):
         dist = reference_eo()
-        assert frontier(dist, 1.0, PARAMS, 3000) == frontier(dist, 1.0, PARAMS, 3000)
+        assert frontier(population(dist, 3000), 1.0, PARAMS) == frontier(
+            population(dist, 3000), 1.0, PARAMS
+        )
 
     def test_frontier_is_the_exact_rules_cost_integral(self):
         # E[(c - eta) (f_lam - 1{eta > c})] on the same nodes, written out
         dist = reference_eo()
-        stats = true_stats(dist)
-        nodes, weights = quadrature(dist.law, 20_000)
-        boc = bayes_classifier(dist, EO_BLIND, PARAMS, true_pi=stats.pi)
+        pop = population(dist, 20_000)
+        nodes, weights = pop.nodes, pop.weights
+        boc = bayes_classifier(dist, EO_BLIND, PARAMS, true_pi=pop.stats.pi)
         eta = dist.eta(nodes)
         integrand = (PARAMS.c - eta) * ((score(boc, nodes) > 0) - (eta > PARAMS.c).astype(float))
-        assert frontier(dist, 1.0, PARAMS, 20_000) == pytest.approx(
-            float(weights @ integrand), abs=1e-12
-        )
+        assert frontier(pop, 1.0, PARAMS) == pytest.approx(float(weights @ integrand), abs=1e-12)
 
     def test_tradeoff_gap_structure(self):
-        dist = reference_eo()
-        result = tradeoff_gap(dist, 1.0, PARAMS, n=256, trials=3, m_eval=2000, seed=4)
+        pop = population(reference_eo(), 2000)
+        result = tradeoff_gap(pop, 1.0, PARAMS, n=256, trials=3, seed=4)
         assert result.n == 256 and result.trials == 3
         assert result.gap >= 0.0 and result.gap_std >= 0.0
         assert result.excess == pytest.approx(result.gap - result.frontier)
-        assert result.frontier == frontier(dist, 1.0, PARAMS, 2000)
+        assert result.frontier == frontier(pop, 1.0, PARAMS)
 
     def test_tradeoff_gap_validation(self):
         with pytest.raises(ValidationError, match="positive"):
-            tradeoff_gap(reference_eo(), 1.0, PARAMS, n=0, trials=3, m_eval=100, seed=0)
+            tradeoff_gap(population(reference_eo(), 100), 1.0, PARAMS, n=0, trials=3, seed=0)
 
 
 class TestSampleComplexity:
@@ -650,6 +677,23 @@ class TestPersistence:
         path = tmp_path / "broken.kv"
         path.write_text("law = uniform-box\nlows = 0\nhighs = 1\nw_eta = 1 0\n")
         with pytest.raises(DataError, match="missing distribution field"):
+            load_distribution(path)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # a gap in the numbering: point.3 is never read, the law would have two atoms
+            ("law = discrete\npoint.0 = 0\npoint.1 = 1\npoint.3 = 3\nmasses = 0.5 0.5\n",
+             "point.3"),
+            ("law = discrete\npoint.0 = 0\npoint.1 = 1\nmasses = 0.5 0.5\nlows = 0\n", "lows"),
+            ("law = uniform-box\nlows = 0\nhighs = 1\nw_eta_bar_dpar = 1 0\n", "w_eta_bar_dpar"),
+        ],
+        ids=["point gap", "stray lows", "derived field"],
+    )
+    def test_unread_key_is_a_data_error(self, tmp_path, text, key):
+        path = tmp_path / "dist.kv"
+        path.write_text(text + "w_eta = 1 0\nw_eta_bar = 1 0 0\n")
+        with pytest.raises(DataError, match=f"{path}: unknown distribution key '{key}'"):
             load_distribution(path)
 
     def test_unknown_law_tag(self, tmp_path):
