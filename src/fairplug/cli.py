@@ -356,7 +356,7 @@ def cmd_sweep(resolved: dict, seed: int, jobs: int) -> int:
     out = _out_dir(resolved)
     sweep.write_records_csv(table, out / "records.csv")
     curve = sweep.tradeoff_curve(table, resolved["bin_width"])
-    sweep.write_tradeoff_csv(curve, out / "curve.csv")
+    _write_tradeoff_csv(curve, out / "curve.csv")
     inputs = {
         name: prepared_dir / name
         for name in ("features.npy", "labels.npy", "sensitive.npy", "meta.kv")
@@ -455,7 +455,11 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
             jobs=jobs,
         )
         out = _out_dir(resolved)
-        synthetic.write_curve_csv(curve, out / "curve.csv")
+        _write_csv_rows(
+            out / "curve.csv",
+            ["n", "mean", "std", "trials"],
+            [[p.n, p.mean_regret, p.std_regret, p.trials] for p in curve.points],
+        )
         sizes = np.array([p.n for p in curve.points], dtype=float)
         means = np.array([p.mean_regret for p in curve.points])
         stds = np.array([p.std_regret for p in curve.points])
@@ -576,6 +580,7 @@ def _margin_constants(
 
 
 def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
+    """Every table a command writes: floats by ``format_float``, anything else by ``str``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -583,6 +588,14 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow(
                 [format_float(v) if isinstance(v, float) else str(v) for v in row]
             )
+
+
+def _write_tradeoff_csv(curve: sweep.TradeoffCurve, path: Path) -> None:
+    _write_csv_rows(
+        path,
+        ["bin_low", "mean", "std", "n"],
+        [[stat.bin_low, stat.mean, stat.std, stat.n_splits] for stat in curve.bins],
+    )
 
 
 _GEOMETRY = (
@@ -651,7 +664,7 @@ def cmd_report(resolved: dict, seed: int, jobs: int) -> int:
     if not curve.bins:
         raise DataError("no usable (unflagged, bal_acc >= 0.5) records to aggregate")
     out = _out_dir(resolved)
-    sweep.write_tradeoff_csv(curve, out / "curve.csv")
+    _write_tradeoff_csv(curve, out / "curve.csv")
     xs = np.array([b.bin_low for b in curve.bins])
     means = np.array([b.mean for b in curve.bins])
     stds = np.array([b.std for b in curve.bins])

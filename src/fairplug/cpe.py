@@ -293,7 +293,9 @@ def _hessian(p, design, lambda_reg):
     return hessian + lambda_reg * np.eye(k)
 
 
-def fit(rows, targets, config: FitConfig, *extra_columns) -> LinearCpe:
+def fit(
+    rows, targets, config: FitConfig, *extra_columns, allow_one_class: bool = False
+) -> LinearCpe:
     """Minimize the regularized logistic objective on (rows, targets).
 
     Damped Newton from the zero vector: each step solves ``H d = grad``
@@ -319,10 +321,14 @@ def fit(rows, targets, config: FitConfig, *extra_columns) -> LinearCpe:
     ----------
     rows : (n, k) design matrix (intercept column appended internally).
     targets : (n,) vector over {-1, +1}; both classes must be present
-        (a single class is a DegenerateDataError).
+        (a single class is a DegenerateDataError) unless ``allow_one_class``.
     config : optimization hyperparameters.
     extra_columns : (n,) vectors appended after ``rows``, so the fit runs
         on ``[rows, *extra_columns]`` without that matrix being built.
+    allow_one_class : accept single-class targets when ``lambda_reg > 0``:
+        the objective is then strongly convex, so its minimizer exists for
+        any targets.  Unregularized, a single class has no minimizer and
+        is still a DegenerateDataError.
 
     Returns
     -------
@@ -344,7 +350,8 @@ def fit(rows, targets, config: FitConfig, *extra_columns) -> LinearCpe:
         raise ValidationError(f"extra columns must have {rows.shape[0]} rows")
     if not np.all(np.isin(targets, (-1.0, 1.0))):
         raise ValidationError("targets must take values -1 or +1")
-    if np.all(targets > 0) or np.all(targets < 0):
+    one_class = np.all(targets > 0) or np.all(targets < 0)
+    if one_class and not (allow_one_class and config.lambda_reg > 0.0):
         raise DegenerateDataError("targets contain a single class; both classes are required")
 
     design = _design(rows, *extra_columns)
@@ -438,20 +445,29 @@ def fit_eta(dataset: Dataset, config: FitConfig) -> LinearCpe:
     return fit(dataset.features, np.sign(dataset.labels), config)
 
 
-def fit_eta_bar_eo(dataset: Dataset, config: FitConfig) -> LinearCpe:
+def fit_eta_bar_eo(
+    dataset: Dataset, config: FitConfig, *, allow_one_class: bool = False
+) -> LinearCpe:
     """Fit P(Ybar=+1 | x, y) on ((features, stored label), sensitive).
 
     The label column uses the stored encoding (+-1, or +-C after privacy
     preprocessing) so the joint input stays inside the preprocessing
-    norm bound.
+    norm bound.  ``allow_one_class`` is :func:`fit`'s.
     """
-    model = fit(dataset.features, np.sign(dataset.sensitive), config, dataset.labels)
+    model = fit(
+        dataset.features, np.sign(dataset.sensitive), config, dataset.labels,
+        allow_one_class=allow_one_class,
+    )
     return _retag(model, ARITY_FEATURES_PLUS_LABEL)
 
 
-def fit_eta_bar_dpar(dataset: Dataset, config: FitConfig) -> LinearCpe:
-    """Fit P(Ybar=+1 | x) on (features, sensitive)."""
-    return fit(dataset.features, np.sign(dataset.sensitive), config)
+def fit_eta_bar_dpar(
+    dataset: Dataset, config: FitConfig, *, allow_one_class: bool = False
+) -> LinearCpe:
+    """Fit P(Ybar=+1 | x) on (features, sensitive); ``allow_one_class`` is :func:`fit`'s."""
+    return fit(
+        dataset.features, np.sign(dataset.sensitive), config, allow_one_class=allow_one_class
+    )
 
 
 def fit_eta_aware(dataset: Dataset, config: FitConfig) -> LinearCpe:

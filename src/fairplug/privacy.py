@@ -54,18 +54,30 @@ released weights are (eps * (1 + n * tau))-private: an approximate
 minimizer inflates eps by at most the factor 1 + n * ||grad J(w)||.
 :func:`privatize` therefore rejects a fit that stopped at its iteration
 cap above its tolerance.
+
+Whether a private fit releases at all must not depend on the sensitive
+column either, or the abort itself tells neighbours apart.  The
+sensitivity argument above never uses both classes, and with reg > 0
+the minimizer exists for any targets, so :func:`dp_plugin_pipeline`
+fits the sensitive-attribute estimator on a column that holds one group
+too, and takes the prior from the labels alone.  Its aborts on a label
+column with one class, on rows above the norm bound and on reg <= 0
+read no sensitive value.  One abort still depends on the sensitive
+column: the unconverged fit, since the sensitive values steer the
+iterates.  It is kept, because the noise is calibrated for a converged
+fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, FairnessParams
-from .cpe import FitConfig, LinearCpe
+from .cpe import FitConfig, LinearCpe, fit_eta, fit_eta_bar_dpar, fit_eta_bar_eo
 from .errors import NumericError, ValidationError
-from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule, fit_plugin
+from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule
 
 __all__ = [
     "PrivatizedCpe",
@@ -80,15 +92,19 @@ _NOISE_DRAWS = 0
 NORM_TOLERANCE = 1e-9
 
 
-def _check_calibration(model: LinearCpe, n: int, eps_p: float) -> tuple[int, float]:
-    """``(n, eps_p)`` as numbers, once the calibration's inputs are legal."""
-    if not isinstance(model, LinearCpe):
-        raise ValidationError("model must be a LinearCpe")
-    if model.lambda_reg <= 0.0:
+def _check_regularized(lambda_reg: float) -> None:
+    if lambda_reg <= 0.0:
         raise ValidationError(
             "lambda_reg must be positive: unregularized ERM has unbounded sensitivity, "
             "so no finite noise scale gives a privacy guarantee"
         )
+
+
+def _check_calibration(model: LinearCpe, n: int, eps_p: float) -> tuple[int, float]:
+    """``(n, eps_p)`` as numbers, once the calibration's inputs are legal."""
+    if not isinstance(model, LinearCpe):
+        raise ValidationError("model must be a LinearCpe")
+    _check_regularized(model.lambda_reg)
     n = int(n)
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
@@ -234,13 +250,18 @@ def dp_plugin_pipeline(
 ) -> PlugInRule:
     """Fit a blind plug-in rule whose sensitive-attribute part is private.
 
-    The rule is fitted by :func:`fairplug.plugin.fit_plugin`, so the
-    positive prior and the label estimator carry no noise (they never
-    read the sensitive column); its sensitive-attribute estimator is
-    then privatized once and swapped in.  The returned rule carries the
-    privatization record, and re-assembling it under other
-    (lam, c, c_bar) values is noise-free post-processing.  Training data
-    with a joint feature-label row of norm above 1 is rejected with
+    The positive prior and the label estimator carry no noise: they
+    never read the sensitive column.  The prior is the labels' positive
+    share, the ``count / n`` of :func:`fairplug.core.compute_dist_stats`,
+    without its checks on the sensitive column.  The sensitive-attribute
+    estimator is fitted with ``allow_one_class`` and privatized once.
+    So a training split whose sensitive column holds one group releases
+    like its neighbour with one value flipped, rather than aborting on
+    an empty group or (label, group) cell as :func:`fairplug.plugin.fit_plugin`
+    does.  The returned rule carries the privatization record, and
+    re-assembling it under other (lam, c, c_bar) values is noise-free
+    post-processing.  An unregularized ``cpe_config`` and training data
+    with a joint feature-label row of norm above 1 are rejected with
     :class:`ValidationError` before any fit.
     """
 
@@ -250,7 +271,20 @@ def dp_plugin_pipeline(
         )
     if not isinstance(cpe_config, FitConfig):
         raise ValidationError("cpe_config must be a FitConfig")
+    _check_regularized(cpe_config.lambda_reg)
     _check_joint_norms(train)
-    rule = fit_plugin(train, setting, params, cpe_config)
-    record = privatize(rule.eta_bar, train.n, eps_p, seed)
-    return replace(rule, eta_bar=record.private, privacy=record)
+    eta = fit_eta(train, cpe_config)
+    fit_bar = fit_eta_bar_eo if setting == EO_BLIND else fit_eta_bar_dpar
+    record = privatize(fit_bar(train, cpe_config, allow_one_class=True), train.n, eps_p, seed)
+    pi_hat = None
+    if setting == EO_BLIND:
+        pi_hat = float(np.count_nonzero(train.labels > 0)) / train.n
+    return PlugInRule(
+        setting=setting,
+        params=params,
+        eta=eta,
+        eta_bar=record.private,
+        pi_hat=pi_hat,
+        positive_label=train.label_scale,
+        privacy=record,
+    )

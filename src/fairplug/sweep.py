@@ -84,7 +84,6 @@ column and are not protected by the privacy guarantee.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 import math
@@ -138,7 +137,6 @@ __all__ = [
     "tradeoff_curve",
     "write_records_csv",
     "read_records_csv",
-    "write_tradeoff_csv",
 ]
 
 log = logging.getLogger("fairplug.sweep")
@@ -844,19 +842,3 @@ def _malformed(path: Path, lines: list[str], first_line: int, exc: ValueError) -
                 detail = re.sub(r" at row \d+", "", str(line_exc))
                 return DataError(f"{path}:{number}: malformed record row: {detail}")
     return DataError(f"{path}: malformed record row: {exc}")
-
-
-def write_tradeoff_csv(curve: TradeoffCurve, path: str | Path) -> None:
-    """Write the aggregated curve: bin_low, mean, std, n."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_low", "mean", "std", "n"])
-        for stat in curve.bins:
-            writer.writerow(
-                [
-                    format_float(stat.bin_low),
-                    format_float(stat.mean),
-                    format_float(stat.std),
-                    stat.n_splits,
-                ]
-            )

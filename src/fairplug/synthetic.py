@@ -30,7 +30,6 @@ when the label weight is nonzero.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -57,7 +56,6 @@ from .cpe import (
 )
 from .errors import DataError, ValidationError
 from .kvformat import (
-    format_float,
     format_float_vector,
     parse_float_vector,
     read_kv,
@@ -110,7 +108,6 @@ __all__ = [
     "reference_dpar",
     "save_distribution",
     "load_distribution",
-    "write_curve_csv",
 ]
 
 log = logging.getLogger("fairplug.synthetic")
@@ -971,7 +968,9 @@ def load_distribution(path: str | Path) -> SyntheticDistribution:
     Every key is read or rejected: a key the law's layout does not name
     (a stray one, a derived field such as ``w_eta_bar_dpar``, or a
     ``point.N`` after a gap in the numbering) is a :class:`DataError`
-    naming the key and the file.
+    naming the key and the file.  So is a value that does not parse as a
+    finite float vector of the right length (``path: key: ...``) or
+    that the law's constructor rejects (``path: law: ...``).
     """
     record = read_kv(path)
 
@@ -981,14 +980,21 @@ def load_distribution(path: str | Path) -> SyntheticDistribution:
         except KeyError:
             raise DataError(f"{path}: missing distribution field {key!r}") from None
 
-    def vector(key: str) -> np.ndarray:
-        return np.array(parse_float_vector(take(key)))
+    def checked(key: str, build: Callable):
+        try:
+            return build()
+        except (DataError, ValidationError) as exc:
+            raise DataError(f"{path}: {key}: {exc}") from None
+
+    def vector(key: str, length: int | None = None) -> np.ndarray:
+        text = take(key)
+        return checked(key, lambda: _readonly_vector(key, parse_float_vector(text), length))
 
     law_tag = take("law")
     if law_tag == LAW_DISCRETE:
         rows = []
         while f"point.{len(rows)}" in record:
-            rows.append(parse_float_vector(record.pop(f"point.{len(rows)}")))
+            rows.append(vector(f"point.{len(rows)}", len(rows[0]) if rows else None))
         if not rows:
             raise DataError(f"{path}: discrete law has no point.N rows")
         law_type, fields = DiscreteLaw, {"points": np.array(rows), "masses": vector("masses")}
@@ -997,23 +1003,9 @@ def load_distribution(path: str | Path) -> SyntheticDistribution:
         fields = {name: vector(name) for name in names}
     else:
         raise DataError(f"{path}: unknown law tag {law_tag!r}")
-    w_eta, w_eta_bar = vector("w_eta"), vector("w_eta_bar")
+    law = checked("law", lambda: law_type(**fields))
+    d = law_dim(law)
+    w_eta, w_eta_bar = vector("w_eta", d + 1), vector("w_eta_bar", d + 2)
     if record:
         raise DataError(f"{path}: unknown distribution key {next(iter(record))!r}")
-    return SyntheticDistribution(law=law_type(**fields), w_eta=w_eta, w_eta_bar=w_eta_bar)
-
-
-def write_curve_csv(curve: RegretCurve, path: str | Path) -> None:
-    """Write the curve as CSV with header n, mean, std, trials."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "mean", "std", "trials"])
-        for point in curve.points:
-            writer.writerow(
-                [
-                    point.n,
-                    format_float(point.mean_regret),
-                    format_float(point.std_regret),
-                    point.trials,
-                ]
-            )
+    return SyntheticDistribution(law=law, w_eta=w_eta, w_eta_bar=w_eta_bar)

@@ -514,6 +514,29 @@ class TestPrepare:
         assert f"bad.csv:{line}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "quoting, newline", [(csv.QUOTE_ALL, "\r\n"), (csv.QUOTE_MINIMAL, "\n")],
+        ids=["quoted-crlf", "lf"],
+    )
+    def test_quoting_and_line_ends_give_the_same_arrays(
+        self, prepared_dir, tiny_csv, tiny_schema, tmp_path, capsys, quoting, newline
+    ):
+        with open(tiny_csv, newline="") as source:
+            rows = list(csv.reader(source))
+        copy = tmp_path / "copy.csv"
+        with open(copy, "w", newline="") as handle:
+            csv.writer(handle, quoting=quoting, lineterminator=newline).writerows(rows)
+        assert copy.read_bytes() != tiny_csv.read_bytes()
+        out = tmp_path / "o"
+        # the prepared_dir fixture's options
+        options = ["--dp-norm", "0.6", "--repeats", "2", "--seed", "3"]
+        argv = ["prepare", "--input", str(copy), "--schema", str(tiny_schema), *options]
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        for name in ("features.npy", "labels.npy", "sensitive.npy", "split_00.npy",
+                     "split_01.npy"):
+            assert (out / name).read_bytes() == (prepared_dir / name).read_bytes()
+
     def test_unknown_schema_rejected(self, tiny_csv, tmp_path, capsys):
         code = main(
             [
@@ -589,6 +612,26 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and bad.name in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["eo-blind", "dpar-blind"])
+    @pytest.mark.parametrize("eps_p, code", [("inf", 3), ("1", 0)], ids=["non-private", "private"])
+    def test_one_group_training_splits(self, prepared_dir, tmp_path, capsys, setting, eps_p, code):
+        # Every row in group +1: the non-private fit needs both groups, the
+        # private one releases (its test cells are then all flagged degenerate).
+        prepared = tmp_path / "prepared"
+        shutil.copytree(prepared_dir, prepared)
+        sensitive = prepared / "sensitive.npy"
+        np.save(sensitive, np.ones_like(np.load(sensitive)))
+        out = tmp_path / "out"
+        args = ["--prepared", str(prepared), "--grid", SMALL_GRID, "--setting", setting]
+        assert main(["sweep", *args, "--eps-p", eps_p, "--out", str(out)]) == code
+        if code == 3:
+            assert capsys.readouterr().err.startswith("data error: ")
+            assert not out.exists()
+        else:
+            capsys.readouterr()
+            table = sweep.read_records_csv(out / "records.csv")
+            assert table.degenerate.all()
 
     def test_outputs_agree_across_jobs_and_report(self, prepared_dir, sweep_out, tmp_path, capsys):
         # the sweep_out fixture ran the same sweep serially
@@ -684,6 +727,16 @@ class TestSimulate:
         assert code == 2
         capsys.readouterr()
 
+    def test_rejected_dist_value_is_a_data_error(self, tmp_path, capsys):
+        dist = tmp_path / "dist.kv"
+        synthetic.save_distribution(synthetic.reference_eo(), dist)
+        dist.write_text(dist.read_text().replace("w_eta = 2.0", "w_eta = nan"))
+        out = tmp_path / "o"
+        argv = ["simulate", "--experiment", "frontier", "--m-eval", "1000", "--dist", str(dist)]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert f"data error: {dist}: w_eta: w_eta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -717,10 +770,14 @@ class TestSimulate:
         header, rows = read_csv(out / "curve.csv")
         assert header == ["n", "mean", "std", "trials"]
         assert [row[0] for row in rows] == ["64", "128"]
+        assert [row[3] for row in rows] == ["2", "2"]
+        # floats are written by format_float, so each cell reads back its own text
+        assert all(repr(float(cell)) == cell for row in rows for cell in row[1:3])
         assert (out / "curve.svg").exists()
         manifest = read_kv(out / "manifest.kv")
         assert manifest["command"] == "simulate.consistency"
-        assert float(manifest["result.final_mean_regret"]) >= 0.0
+        assert manifest["result.final_mean_regret"] == rows[-1][1]
+        assert float(rows[-1][1]) >= 0.0
         capsys.readouterr()
 
     def test_frontier_zero_at_lambda_zero(self, tmp_path, capsys):
@@ -991,6 +1048,26 @@ def test_cli_import_skips_unused_heavy_modules():
     assert result.stdout.strip() == "[]"
 
 
+def test_failed_process_exits_3_and_leaves_no_out(tiny_csv, tiny_schema, tmp_path):
+    # the exit code and the clean-up as a real process sees them, not cli.main's return
+    text = tiny_csv.read_bytes()
+    cut = text.index(b"\n", len(text) // 2) + 1
+    source = tmp_path / "bad.csv"
+    source.write_bytes(text[:cut] + b"\xff" + text[cut:])
+    out = tmp_path / "o"
+    env = {**os.environ, "PYTHONPATH": str(Path(fairplug.__file__).resolve().parents[1])}
+    argv = ["prepare", "--input", str(source), "--schema", str(tiny_schema), "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "fairplug.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 3
+    line = text[:cut].count(b"\n") + 1
+    assert f"{source}:{line}: not UTF-8 text" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 class TestReport:
     def test_aggregates_sweep_records(self, sweep_out, tmp_path, capsys):
         out = tmp_path / "o"
@@ -1019,6 +1096,29 @@ class TestReport:
         code = main(["report", "--records", str(records), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "holds no sweep records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [("hash", "records.csv:12: malformed record row"),
+         ("off-grid", "record 30: grid point differs from point 3 of split 0")],
+        ids=["hash", "off-grid"],
+    )
+    def test_malformed_records_line_is_data_error(self, sweep_out, tmp_path, capsys, defect,
+                                                  message):
+        # Record k is on line k + 2; the 27-point grid puts record 30 in split 1.
+        lines = (sweep_out / "records.csv").read_bytes().split(b"\r\n")
+        if defect == "hash":
+            lines[11] = b"#" + lines[11]
+        else:
+            split, _lam, rest = lines[31].split(b",", 2)
+            assert split == b"1"
+            lines[31] = b"1,7.25," + rest
+        records = tmp_path / "records.csv"
+        records.write_bytes(b"\r\n".join(lines))
+        out = tmp_path / "o"
+        assert main(["report", "--records", str(records), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_undecodable_records_is_data_error(self, sweep_out, tmp_path, capsys):
         text = (sweep_out / "records.csv").read_bytes()

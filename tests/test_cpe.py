@@ -316,6 +316,16 @@ class TestFit:
         with pytest.raises(ValidationError, match="extra columns"):
             fit(np.zeros((2, 1)), np.array([1.0, -1.0]), config, np.zeros(3))
 
+    @pytest.mark.parametrize("lambda_reg", [1e-2, 1e-4])
+    def test_one_class_is_allowed_only_when_regularized(self, lambda_reg):
+        gen = np.random.default_rng(4)
+        x, y = gen.uniform(-0.5, 0.5, size=(40, 2)), np.ones(40)
+        model = fit(x, y, FitConfig(lambda_reg=lambda_reg), allow_one_class=True)
+        assert model.converged
+        assert np.all(predict_proba(model, x) > 0.5)
+        with pytest.raises(DegenerateDataError, match="single class"):
+            fit(x, y, FitConfig(lambda_reg=0.0), allow_one_class=True)
+
     def test_extra_columns_fit_as_a_stacked_matrix(self):
         gen = np.random.default_rng(9)
         x = gen.normal(size=(120, 2))

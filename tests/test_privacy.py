@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fairplug.core import Dataset, FairnessParams
+from fairplug.core import Dataset, FairnessParams, compute_dist_stats
 from fairplug.cpe import ARITY_FEATURES, FitConfig, LinearCpe, fit_eta, fit_eta_bar_eo
-from fairplug.errors import NumericError, ValidationError
-from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_BLIND, score, with_params
+from fairplug.errors import DegenerateDataError, NumericError, ValidationError
+from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_BLIND, fit_plugin, score, with_params
 from fairplug.privacy import (
     PrivatizedCpe,
     dp_plugin_pipeline,
@@ -206,13 +206,57 @@ class TestPipeline:
         train = bounded_dataset(n=600)
         config = FitConfig(lambda_reg=0.05)
         private = dp_plugin_pipeline(train, DPAR_BLIND, PARAMS, config, eps_p=1e9, seed=4)
-        from fairplug.plugin import fit_plugin
-
         clean = fit_plugin(train, DPAR_BLIND, PARAMS, config)
         agree = np.mean(
             (score(private, train.features) > 0) == (score(clean, train.features) > 0)
         )
         assert agree >= 0.99
+
+
+class TestNeighbouringPair:
+    """Whether a private fit releases does not depend on one sensitive value.
+
+    The first member's 50 training rows all lie in group +1; the second
+    flips one row to -1, so the pair are neighbours under the guarantee.
+    """
+
+    @staticmethod
+    def pair():
+        base = bounded_dataset(n=50, seed=3)
+        one_group = Dataset(base.features, base.labels, np.ones(base.n), base.label_scale)
+        flipped = one_group.sensitive.copy()
+        flipped[0] = -1.0
+        neighbour = Dataset(base.features, base.labels, flipped, base.label_scale)
+        return one_group, neighbour
+
+    @pytest.mark.parametrize("setting", [EO_BLIND, DPAR_BLIND])
+    def test_both_members_release(self, setting):
+        config = FitConfig(lambda_reg=0.05)
+        for train in self.pair():
+            before = noise_draw_count()
+            rule = dp_plugin_pipeline(train, setting, PARAMS, config, eps_p=1.0, seed=4)
+            assert noise_draw_count() == before + 1
+            assert rule.privacy.base.converged is True
+
+    @pytest.mark.parametrize("setting", [EO_BLIND, DPAR_BLIND])
+    def test_non_private_fit_still_needs_both_groups(self, setting):
+        one_group, _ = self.pair()
+        with pytest.raises(DegenerateDataError):
+            fit_plugin(one_group, setting, PARAMS, FitConfig(lambda_reg=0.05))
+
+    def test_unregularized_fit_is_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr("fairplug.privacy.fit_eta", no_fit)
+        for train in self.pair():
+            with pytest.raises(ValidationError, match="unbounded sensitivity"):
+                dp_plugin_pipeline(train, EO_BLIND, PARAMS, FitConfig(lambda_reg=0.0), 1.0, 4)
+
+    def test_private_prior_is_compute_dist_stats_pi(self):
+        train = bounded_dataset()
+        rule = dp_plugin_pipeline(train, EO_BLIND, PARAMS, FitConfig(lambda_reg=0.05), 1.0, 4)
+        assert rule.pi_hat == compute_dist_stats(train).pi
 
 
 def test_privatized_cpe_shape_checks():

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_sweep_counts
 
+from fairplug.cli import _write_tradeoff_csv
 from fairplug.core import Dataset, FairnessParams
 from fairplug.cpe import FitConfig
 from fairplug.data import PreparedData, SplitPlan, apply_dp_transform, fit_dp_transform, make_splits
@@ -51,7 +52,6 @@ from fairplug.sweep import (
     read_records_csv,
     run_sweep,
     write_records_csv,
-    write_tradeoff_csv,
 )
 
 HEADER = "split_id,lambda,c,c_bar,bal_acc,violation,flags,tp,tn,pos_a,pos_b,n_pos,n_neg,n_a,n_b"
@@ -638,7 +638,7 @@ class TestSerialization:
     def test_tradeoff_csv(self, tmp_path):
         curve = aggregate_curves([{0.5: 0.25}, {0.5: 0.75, 0.55: 0.5}], bin_width=0.05)
         path = tmp_path / "curve.csv"
-        write_tradeoff_csv(curve, path)
+        _write_tradeoff_csv(curve, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_low,mean,std,n"
         assert lines[1] == "0.5,0.5,0.25,2"

@@ -1,6 +1,7 @@
 """Synthetic distributions, exact rules, and the experiment estimators."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,8 +34,6 @@ from fairplug.plugin import (
 from fairplug.synthetic import (
     COMPLEXITY_TARGETS,
     DiscreteLaw,
-    RegretCurve,
-    RegretPoint,
     SyntheticDistribution,
     TruncatedGaussianLaw,
     UniformBoxLaw,
@@ -55,7 +54,6 @@ from fairplug.synthetic import (
     save_distribution,
     tradeoff_gap,
     true_stats,
-    write_curve_csv,
 )
 
 import oracles
@@ -696,24 +694,31 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"{path}: unknown distribution key '{key}'"):
             load_distribution(path)
 
+    @pytest.mark.parametrize(
+        "text, key, message",
+        [
+            ("law = uniform-box\nlows = 0\nhighs = 1\nw_eta = 1 x\n", "w_eta",
+             "bad float vector: '1 x'"),
+            ("law = uniform-box\nlows = 0\nhighs = 1\nw_eta = 1 nan\n", "w_eta",
+             "w_eta must be finite"),
+            ("law = uniform-box\nlows = 0\nhighs = 1\nw_eta = 1 0 0\n", "w_eta",
+             "w_eta must have length 2, got 3"),
+            ("law = uniform-box\nlows = 1\nhighs = 0\nw_eta = 1 0\n", "law",
+             "each low must be strictly below its high"),
+            ("law = discrete\npoint.0 = 0 0\npoint.1 = 1\nmasses = 0.5 0.5\nw_eta = 1 0\n",
+             "point.1", "point.1 must have length 2, got 1"),
+        ],
+        ids=["unparsable", "nan", "wrong length", "empty box", "ragged points"],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, text, key, message):
+        path = tmp_path / "dist.kv"
+        path.write_text(text + "w_eta_bar = 1 0 0\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {key}: {message}")):
+            load_distribution(path)
+
     def test_unknown_law_tag(self, tmp_path):
         path = tmp_path / "broken.kv"
         path.write_text("law = categorical\nw_eta = 1 0\nw_eta_bar = 1 0 0\n")
         with pytest.raises(DataError, match="unknown law tag"):
             load_distribution(path)
 
-
-def test_write_curve_csv(tmp_path):
-    curve = RegretCurve(
-        points=(
-            RegretPoint(n=16, mean_regret=0.25, std_regret=0.1, trials=5),
-            RegretPoint(n=64, mean_regret=0.0625, std_regret=0.05, trials=5),
-        ),
-        resamples=1,
-    )
-    path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,mean,std,trials"
-    assert lines[1] == "16,0.25,0.1,5"
-    assert len(lines) == 3

@@ -10,10 +10,11 @@ rows prepared into 20 splits and 45,000 rows into 3 (``prepare --seed
 1``).  On each, six sweeps run on the default grid with ``--seed 1``:
 eo-blind at ``--eps-p`` 1 and inf, eo-aware, dpar-blind at 2 and inf,
 and dpar-aware, each serially and with ``--jobs 2``, and ``report``
-aggregates every sweep.  The four ``simulate`` experiments run at the
-sizes the CI runs them, each serially and with ``--jobs 2``:
-``consistency`` and ``sample-complexity`` with the CI steps' arguments
-(``sample-complexity`` once per target: ``eta`` and ``eta_bar_eo`` on
+aggregates every sweep.  The adult-shaped training splits hold 31,500
+rows, so their fits accumulate the Hessian over several row blocks.  The
+four ``simulate`` experiments run at small sizes, each serially and with
+``--jobs 2`` (see ``SIMULATIONS``): ``consistency``,
+``sample-complexity`` once per target (``eta`` and ``eta_bar_eo`` on
 reference-eo, ``eta_bar_dpar`` on reference-dpar), and ``frontier`` and
 ``tradeoff-gap`` at ``--m-eval 20000``.  Three ``geometry`` rasters run
 once each (they take no ``--jobs``), two of them with ``--svg``.  Each
@@ -22,8 +23,11 @@ fits call BLAS and some outputs move with its thread count.  The script
 prints ``sha256  path`` for every sweep's ``records.csv``, ``curve.csv``
 and ``curve.svg``, and for every simulation's and geometry run's CSV and
 SVG files and its ``manifest.kv`` without the ``config.out`` line, which
-names the run's own directory: 136 files in all.  It exits 1 if a
-``--jobs 2`` output differs from its serial twin.
+names the run's own directory: 136 files in all.  Standard output holds
+only those ``sha256  path`` lines, so ``> SHA256SUMS`` keeps a
+``sha256sum``-style list; every status and difference line goes to
+standard error.  It exits 1 if a ``--jobs 2`` output differs from its
+serial twin.
 
 ``--compare REV`` exports REV's tree with ``git archive`` into a
 temporary directory, runs the same commands with that tree's code on the
@@ -65,7 +69,7 @@ SWEEPS = (
 HASHED = ("records.csv", "curve.csv", "curve.svg")
 _COMPLEXITY = ("--experiment", "sample-complexity", "--eps-target", "0.05", "--trials", "3",
                "--start", "32", "--cap", "256", "--m-eval", "20000", "--seed", "4")
-#: (run name, ``simulate`` arguments): the sizes the CI runs them at.
+#: (run name, ``simulate`` arguments)
 SIMULATIONS = (
     ("consistency", ("--experiment", "consistency", "--n-schedule", "256,1024",
                      "--trials", "4", "--m-eval", "20000", "--seed", "5")),
@@ -195,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{digest}  {path}")
         failed = False
         for path in jobs_mismatches(sums):
-            print(f"--jobs 2 differs from serial: {path}")
+            print(f"--jobs 2 differs from serial: {path}", file=sys.stderr)
             failed = True
         if args.compare:
             export(args.compare, temp / "rev")
@@ -205,9 +209,11 @@ def main(argv: list[str] | None = None) -> int:
                 detail = ""
                 if path.endswith("records.csv") and path in rev_sums:
                     detail = ": " + first_difference(temp / "other" / path, temp / "this" / path)
-                print(f"differs from {args.compare}: {path}{detail}")
+                print(f"differs from {args.compare}: {path}{detail}", file=sys.stderr)
             if not differing:
-                print(f"all {len(sums)} files are byte-identical to {args.compare}")
+                print(
+                    f"all {len(sums)} files are byte-identical to {args.compare}", file=sys.stderr
+                )
             failed |= bool(differing)
     return 1 if failed else 0
 
