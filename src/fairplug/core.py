@@ -155,17 +155,22 @@ class Dataset:
         arrays (no memory shared with this dataset), they are read-only,
         and it keeps :attr:`label_scale`.
         """
-        idx = np.asarray(indices, dtype=int)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValidationError("subset requires a non-empty 1-D index array")
-        if idx.min() < 0 or idx.max() >= self.n:
-            raise ValidationError("subset index out of range")
+        idx = self._row_index(indices)
         return Dataset._unchecked(
             _readonly(self.features[idx], copy=False),
             _readonly(self.labels[idx], copy=False),
             _readonly(self.sensitive[idx], copy=False),
             self.label_scale,
         )
+
+    def _row_index(self, indices) -> np.ndarray:
+        """``indices`` as a non-empty 1-D int array of this dataset's rows."""
+        idx = np.asarray(indices, dtype=int)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValidationError("subset requires a non-empty 1-D index array")
+        if idx.min() < 0 or idx.max() >= self.n:
+            raise ValidationError("subset index out of range")
+        return idx
 
 
 def _check_prob(name: str, value: float, *, allow_one: bool) -> float:

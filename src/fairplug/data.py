@@ -19,8 +19,15 @@ unit ball.  The transform that achieves it -- per-feature
 standardization, a global rescale putting the largest training row at
 norm sqrt(1 - C^2), and labels remapped to +-C -- is fitted on the
 training split only; applying it to held-out rows never reads their
-statistics, and any held-out row that lands outside the cap is
-radially clipped (counted, never silent).
+statistics, and any row that lands outside the cap is radially clipped
+(counted, never silent: held-out rows, or a training row that rounding
+puts just over it).  A training split is gathered from the dataset
+once, into one buffer that is fitted and mapped in place and that the
+mapped split then owns.  Squares for the scale and the norms exist one
+block of rows at a time, in one reused buffer of about 2^17 elements;
+the column sums carry their running total from block to block in
+numpy's own summation order, so every statistic, mapped row and clip
+decision is what whole-array numpy expressions give, bit for bit.
 
 Split generation is unstratified: each repeat draws an independent
 permutation from its derived seed and cuts it 70:20:10.
@@ -500,53 +507,131 @@ def _radius_cap(c: float) -> float:
     return float(np.sqrt(1.0 - c * c))
 
 
-def fit_dp_transform(train: Dataset, c: float = 0.5) -> DpTransform:
-    """Fit the norm-bounding map on the training split's statistics.
+#: Elements of the one reused buffer a squares pass fills; a pass squares
+#: ``_SQUARES_BLOCK // width`` rows at a time, so no split-sized squares exist.
+_SQUARES_BLOCK = 1 << 17
 
-    One centered copy of the features serves the scale and the norms.
-    The scale is computed as ``np.std`` computes it (``centered *
-    centered`` summed down the rows, divided by n, square root), so it is
-    ``features.std(axis=0)`` bit for bit, without ``np.std``'s second
-    mean and second centered copy; the squares go into one reused buffer.
-    Features so large that their squares overflow give a non-finite
-    scale, which :class:`DpTransform` rejects; numpy's overflow warnings
-    on the way there are silenced so that the rejection is what surfaces.
+
+def _block_rows(x: np.ndarray) -> int:
+    return max(1, _SQUARES_BLOCK // x.shape[1])
+
+
+def _column_square_sums(x: np.ndarray) -> np.ndarray:
+    """``(x * x).sum(axis=0)`` bit for bit, squaring one block of rows at a time.
+
+    numpy sums axis 0 of a C-ordered ``(n, k >= 2)`` array one row after
+    another, so carrying the running sum as the first row of the block
+    buffer continues that order across blocks exactly (``0 + s == s``
+    for the first block's squares, which are nonnegative).  At k = 1 the
+    column is one contiguous vector that numpy sums pairwise, which the
+    carry would not reproduce; its squares are one n-vector, so that
+    width is summed whole.
+    """
+    n, k = x.shape
+    if k == 1:
+        return (x * x).sum(axis=0)
+    rows = _block_rows(x)
+    buffer = np.zeros((min(rows, n) + 1, k))
+    for start in range(0, n, rows):
+        block = x[start : start + rows]
+        np.multiply(block, block, out=buffer[1 : len(block) + 1])
+        buffer[0] = buffer[: len(block) + 1].sum(axis=0)
+    return buffer[0].copy()
+
+
+def _row_norms(x: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of ``x``'s rows, as a view, with its rows' norms.
+
+    The norms are ``np.sqrt((block * block).sum(axis=1))``: numpy reduces
+    each row on its own, so a block's norms are those of the whole array.
+    The squares and the norms go into two buffers reused for every block,
+    and each block's norms are overwritten by the next block's.
+    """
+    rows = _block_rows(x)
+    squares = np.empty((min(rows, x.shape[0]), x.shape[1]))
+    norms = np.empty(len(squares))
+    for start in range(0, x.shape[0], rows):
+        block = x[start : start + rows]
+        size = len(block)
+        np.multiply(block, block, out=squares[:size])
+        np.sqrt(squares[:size].sum(axis=1, out=norms[:size]), out=norms[:size])
+        yield block, norms[:size]
+
+
+def _scale_and_clip(x: np.ndarray, transform: DpTransform, role: str) -> None:
+    """Multiply ``x`` by the global scale and radially clip rows over the cap, in place.
+
+    Clipped rows are counted in the log as ``role`` rows.  Non-finite
+    rows stay non-finite for the caller's dataset check to reject; the
+    overflow and ``inf * 0`` warnings on the way there are silenced.
+    """
+    cap = transform.radius_cap
+    clipped = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        x *= transform.global_scale
+        for block, norms in _row_norms(x):
+            over = norms > cap
+            if over.any():
+                block[over] *= (cap / norms[over])[:, None]
+                clipped += int(np.count_nonzero(over))
+    if clipped:
+        log.info("radially clipped %d %s rows to the norm cap", clipped, role)
+
+
+def fit_dp_transform(dataset: Dataset, rows, c: float = 0.5) -> tuple[DpTransform, Dataset]:
+    """Fit the norm-bounding map on the training rows and map them through it.
+
+    ``rows`` indexes the training split's rows of ``dataset``; they are
+    gathered once, into one float64 buffer that the mapped training
+    :class:`Dataset` adopts, and every step runs in that buffer: the
+    mean, ``-= shift``, the column sums of squares, ``/= scale``, the
+    largest row norm (which fixes ``global_scale``), ``*= global_scale``
+    and the radial clip of any row that rounding puts over the cap.
+    Squares exist only a block of rows at a time (:func:`_row_norms`,
+    :func:`_column_square_sums`), and no raw copy of the split is built.
+
+    The statistics are those of ``np.mean`` and ``np.std`` on the
+    gathered rows bit for bit: the scale is the square root of the
+    column sums of squares of the centered rows over n, summed in
+    numpy's order.  Features so large that their squares overflow give a
+    non-finite scale, which :class:`DpTransform` rejects; numpy's
+    overflow warnings on the way there are silenced so that the
+    rejection is what surfaces.
     """
     c = _check_c(c)
-    features = train.features
+    index = dataset._row_index(rows)
+    x = dataset.features[index]
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = features.mean(axis=0)
-        centered = features - shift
-        squares = centered * centered
-        scale = np.sqrt(squares.sum(axis=0) / features.shape[0])
+        shift = x.mean(axis=0)
+        x -= shift
+        scale = np.sqrt(_column_square_sums(x) / x.shape[0])
         scale = np.where(scale > 0, scale, 1.0)
-        centered /= scale
-        np.multiply(centered, centered, out=squares)
-        max_norm = float(np.sqrt(squares.sum(axis=1).max()))
+        x /= scale
+        max_norm = float(np.max([norms.max() for _, norms in _row_norms(x)]))
     global_scale = _radius_cap(c) / max_norm if max_norm > 0 else 1.0
-    return DpTransform(shift=shift, scale=scale, global_scale=global_scale, label_magnitude=c)
+    transform = DpTransform(shift=shift, scale=scale, global_scale=global_scale, label_magnitude=c)
+    _scale_and_clip(x, transform, "training")
+    labels = np.sign(dataset.labels[index])
+    labels *= c
+    return transform, Dataset._adopt(x, labels, dataset.sensitive[index], c)
 
 
 def apply_dp_transform(transform: DpTransform, dataset: Dataset) -> Dataset:
-    """Map any split through a train-fitted transform.
+    """Map held-out rows through a train-fitted transform.
 
-    Rows that land beyond the radius cap (possible only for rows the
-    transform was not fitted on) are radially clipped and counted in
-    the log.  The features are mapped in one buffer that the result
-    adopts, so it is checked (a non-finite row is a ValidationError, and
-    numpy's overflow warnings on the way to one are silenced) but not
-    copied; the result shares the read-only sensitive column.
+    Rows that land beyond the radius cap are radially clipped and counted
+    in the log as held-out rows; the norms are those of
+    :func:`fit_dp_transform`, a block of rows at a time.  The features
+    are mapped in one buffer that the result adopts, so it is checked (a
+    non-finite row is a ValidationError, and numpy's overflow warnings on
+    the way to one are silenced) but not copied; the result shares the
+    read-only sensitive column.
     """
 
     with np.errstate(over="ignore", invalid="ignore"):
         z = dataset.features - transform.shift
         z /= transform.scale
-        z *= transform.global_scale
-        norms = np.sqrt((z**2).sum(axis=1))
-        over = norms > transform.radius_cap
-        if np.any(over):
-            log.info("radially clipped %d held-out rows to the norm cap", int(over.sum()))
-            z[over] *= (transform.radius_cap / norms[over])[:, None]
+    _scale_and_clip(z, transform, "held-out")
     labels = np.sign(dataset.labels) * transform.label_magnitude
     return Dataset._adopt(z, labels, dataset.sensitive, transform.label_magnitude)
 

@@ -67,6 +67,10 @@ __all__ = [
 #: test, whose decision does not depend on it.
 _EXACT_BAND = 1e-9
 
+#: Points :func:`margin_membership` scores at a time, so its corner scores
+#: are a few chunk-sized arrays whatever the number of points.
+_MEMBERSHIP_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -147,7 +151,9 @@ def margin_membership(
     ``(eta(x, -1), eta(x, +1))`` for the aware ones; ``pi`` is read by
     the EO settings only.  A point is a member when the closed box of
     half-width ``eps`` around it meets the zero set of the setting's
-    score (for the aware settings: in either group).
+    score (for the aware settings: in either group).  Membership is
+    decided point by point, so the points are scored
+    ``_MEMBERSHIP_CHUNK`` at a time into one boolean mask.
     """
 
     pi = _check_pi(setting, pi)
@@ -187,10 +193,17 @@ def margin_membership(
             member.flat[i] = min(scores) <= 0 <= max(scores)
         return member
 
-    if is_aware(setting):
-        ends = (-eps, eps)
-        return meets_zero(first, -1.0, ends, (0.0,)) | meets_zero(second, 1.0, ends, (0.0,))
-    return meets_zero(first, second, (-eps, eps), (-eps, eps))
+    ends = (-eps, eps)
+    member = np.empty(first.shape, dtype=bool)
+    flat, first, second = member.reshape(-1), first.reshape(-1), second.reshape(-1)
+    for start in range(0, flat.size, _MEMBERSHIP_CHUNK):
+        part = slice(start, start + _MEMBERSHIP_CHUNK)
+        if is_aware(setting):
+            flat[part] = meets_zero(first[part], -1.0, ends, (0.0,))
+            flat[part] |= meets_zero(second[part], 1.0, ends, (0.0,))
+        else:
+            flat[part] = meets_zero(first[part], second[part], ends, ends)
+    return member
 
 
 def estimate_margin_mass(

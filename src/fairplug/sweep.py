@@ -64,7 +64,7 @@ number of grid points and their bits, every later split repeats them
 point by point, and every record of a split holds its first record's
 totals.  It rejects the older seven-column header and any row whose
 metric or flag text differs from what its counts give, checked chunk by
-chunk.
+chunk.  Every error names the ``records.csv`` line it is about.
 
 Each split's records reduce to a lower envelope, the minimum violation per
 balanced-accuracy bin of width 2.5% from 50%, binned exactly from the
@@ -416,18 +416,18 @@ def _run_split(
 ) -> tuple[np.ndarray, tuple[int, int, int, int], int]:
     """One split's hits ``(4, grid points)``, its four totals and the noise draws it made.
 
-    The hits are counted by :func:`_count_grid` from
-    ``setting_score(...) > 0`` on every test row, and are all 0 on a
-    degenerate split.
+    :func:`fit_dp_transform` gathers the training rows once and fits and
+    maps them in that one buffer, which the fits then read; only the
+    test rows are gathered as a raw subset, for
+    :func:`apply_dp_transform`.  The hits are counted by
+    :func:`_count_grid` from ``setting_score(...) > 0`` on every test
+    row, and are all 0 on a degenerate split.
     """
 
     split_id, (train_idx, _val_idx, test_idx) = task
     draws = noise_draw_count()
     pipeline_seed = int(np.random.SeedSequence((seed, split_id)).generate_state(1)[0])
-    # Rebinding drops the raw subsets before the fits, the split's memory peak.
-    train = dataset.subset(train_idx)
-    transform = fit_dp_transform(train, dp_c)
-    train = apply_dp_transform(transform, train)
+    transform, train = fit_dp_transform(dataset, train_idx, dp_c)
     test = apply_dp_transform(transform, dataset.subset(test_idx))
     base_params = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
     if math.isfinite(eps_p):
@@ -649,12 +649,14 @@ def read_records_csv(path: str | Path) -> SweepTable:
     each chunk's hits are copied into place, its records are checked
     against the layout (:class:`_Layout`) and the ranges, and its
     ``bal_acc``, ``violation`` and ``flags`` text is compared with its
-    counts.  Errors keep file-wide positions and this precedence: the
-    first malformed row (by its line), then the first record whose counts
-    or split id are out of range or that leaves its split's layout, then
-    the first row whose text disagrees (both by their 0-based record
-    index).  A file that is not UTF-8 is a :class:`DataError` naming the
-    line of its first bad byte.
+    counts.  Errors name ``path:line`` and keep this precedence: the
+    first malformed row, then the first record whose counts or split id
+    are out of range or that leaves its split's layout, then the first
+    row whose text disagrees.  The checks find a record by its index; only
+    on the way to an error is the file read again to find that record's
+    line (:func:`_record_line`), so blank lines, which ``np.loadtxt``
+    skips, do not shift it.  A file that is not UTF-8 is a
+    :class:`DataError` naming the line of its first bad byte.
     """
 
     path = Path(path)
@@ -676,7 +678,7 @@ def _read_records(handle, path: Path) -> SweepTable:
     layout = _Layout()
     filled = 0
     first_line = 2  # the header is line 1
-    misplaced = None  # the first record out of range or off the layout
+    misplaced = None  # (record, reason) of the first record out of range or off the layout
     disagrees = None  # record index of the first row whose text disagrees
     while lines := list(itertools.islice(handle, _READ_CHUNK)):
         try:
@@ -698,13 +700,15 @@ def _read_records(handle, path: Path) -> SweepTable:
         del rows  # and the next chunk is parsed without this one's rows
     if not filled:
         raise DataError(f"{path} holds no sweep records")
-    if misplaced is None:
-        misplaced = layout.finish(filled)
     if misplaced is not None:
-        raise DataError(f"{path}: {misplaced}")
+        record, reason = misplaced
+        raise DataError(f"{path}:{_record_line(path, record)}: {reason}")
+    short = layout.finish(filled)
+    if short is not None:
+        raise DataError(f"{path}: {short}")
     if disagrees is not None:
         message = "bal_acc, violation or flags disagrees with the counts"
-        raise DataError(f"{path}: record {disagrees}: {message}")
+        raise DataError(f"{path}:{_record_line(path, disagrees)}: {message}")
     # A file with blank lines leaves the hits' tail unfilled; only then is the rest copied.
     hits = hits if filled == n_lines else np.ascontiguousarray(hits[:, :filled])
     lam, c, c_bar = np.ascontiguousarray(layout.grid.view(np.float64).T)
@@ -733,8 +737,11 @@ class _Layout:
         self.first_id = self.last_id = None  # split ids of the first and last records checked
         self.last_totals = None  # the totals of the last record's split, (1, 4)
 
-    def check(self, rows: np.ndarray, start: int) -> str | None:
-        """The first of ``rows``, records ``start`` on, out of range or off the layout."""
+    def check(self, rows: np.ndarray, start: int) -> tuple[int, str] | None:
+        """The first of ``rows``, records ``start`` on, out of range or off the layout.
+
+        Returns that record's file-wide index and the reason, or None.
+        """
         if not rows.size:
             return None
         ids, counts = rows["split_id"], rows["counts"]
@@ -780,7 +787,7 @@ class _Layout:
             reason = f"totals differ from those of split {ids[at]}'s first record"
         else:
             reason = f"grid point differs from point {point[at]} of split {self.first_id}"
-        return f"record {start + at}: {reason}"
+        return start + at, reason
 
     def finish(self, records: int) -> str | None:
         """Close the layout after ``records`` records; a short last split is an error."""
@@ -812,6 +819,18 @@ def _count_lines(path: Path) -> int:
             lines -= last == b"\r" and block.startswith(b"\n")  # a \r\n cut between blocks
             last = block[size - 1 : size]
     return lines + (last not in (b"\n", b"\r"))  # a last line without its end
+
+
+def _record_line(path: Path, record: int) -> int:
+    """The line of ``path`` that holds record ``record`` (0-based), for an error.
+
+    Records are the lines after the header that are not blank, the lines
+    ``np.loadtxt`` parses; lines are counted as text mode splits them.
+    """
+    with open(path, encoding="utf-8") as handle:
+        next(handle)  # the header
+        lines = (number for number, line in enumerate(handle, 2) if line != "\n")
+        return next(itertools.islice(lines, record, None))
 
 
 def _text_disagrees(rows: np.ndarray) -> np.ndarray:

@@ -347,11 +347,8 @@ def test_criterion_08_dp_sweep_budget_and_agreement(german_prepared_single):
 
     # near-infinite budget: decisions match the non-private route
     train_idx, _val_idx, test_idx = german_prepared_single.splits[0]
-    train_raw = german_prepared_single.dataset.subset(train_idx)
-    test_raw = german_prepared_single.dataset.subset(test_idx)
-    transform = data.fit_dp_transform(train_raw, 0.5)
-    train = data.apply_dp_transform(transform, train_raw)
-    test = data.apply_dp_transform(transform, test_raw)
+    transform, train = data.fit_dp_transform(german_prepared_single.dataset, train_idx, 0.5)
+    test = data.apply_dp_transform(transform, german_prepared_single.dataset.subset(test_idx))
     base = FairnessParams(0.0, 0.5, 0.5)
     private = dp_plugin_pipeline(train, EO_BLIND, base, config, 1e9, 99)
     clean = fit_plugin(train, EO_BLIND, base, config)
@@ -470,9 +467,8 @@ def test_criterion_11_protocol_conformance_on_real_data(
         )
         merged = np.concatenate([train_idx, val_idx, test_idx])
         assert np.array_equal(np.sort(merged), np.arange(n))
-        transform = data.fit_dp_transform(german_dataset.subset(train_idx), 0.5)
-        for part_idx in (train_idx, test_idx):
-            part = data.apply_dp_transform(transform, german_dataset.subset(part_idx))
+        transform, train = data.fit_dp_transform(german_dataset, train_idx, 0.5)
+        for part in (train, data.apply_dp_transform(transform, german_dataset.subset(test_idx))):
             joint = np.sqrt(np.sum(part.features**2, axis=1) + part.labels**2)
             assert np.all(joint <= 1.0 + 1e-9)
 

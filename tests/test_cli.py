@@ -1100,7 +1100,7 @@ class TestReport:
     @pytest.mark.parametrize(
         "defect, message",
         [("hash", "records.csv:12: malformed record row"),
-         ("off-grid", "record 30: grid point differs from point 3 of split 0")],
+         ("off-grid", "records.csv:32: grid point differs from point 3 of split 0")],
         ids=["hash", "off-grid"],
     )
     def test_malformed_records_line_is_data_error(self, sweep_out, tmp_path, capsys, defect,

@@ -392,7 +392,7 @@ def german_bounded(german_csv):
     """The German surrogate after the sweep's norm-bounding transform."""
     schema = data.load_schema(data.bundled_schema_path("german_gender"))
     dataset = data.load_csv_report(german_csv, schema)[0]
-    return data.apply_dp_transform(data.fit_dp_transform(dataset), dataset)
+    return data.fit_dp_transform(dataset, np.arange(dataset.n))[1]
 
 
 class TestNewtonConvergence:

@@ -6,6 +6,7 @@ import logging
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_german_surrogate
 
+from fairplug import data as data_module
 from fairplug.core import Dataset
 from fairplug.data import (
     CsvSchema,
@@ -476,6 +478,35 @@ def test_load_peak_memory_is_a_small_multiple_of_the_features(tmp_path):
     assert peak <= 2.25 * dataset.features.nbytes
 
 
+def fit_all(dataset, c=0.5):
+    """The fused fit over every row of ``dataset``: ``(transform, mapped dataset)``."""
+    return fit_dp_transform(dataset, np.arange(dataset.n), c)
+
+
+def two_step_reference(features, c):
+    """The norm-bounding map as whole-array expressions: the fit, then the map and clip.
+
+    Returns ``shift, scale, global_scale``, the mapped rows and the clip mask.
+    """
+    shift = features.mean(axis=0)
+    centered = features - shift
+    squares = centered * centered
+    scale = np.sqrt(squares.sum(axis=0) / features.shape[0])
+    scale = np.where(scale > 0, scale, 1.0)
+    centered /= scale
+    np.multiply(centered, centered, out=squares)
+    max_norm = float(np.sqrt(squares.sum(axis=1).max()))
+    cap = float(np.sqrt(1.0 - c * c))
+    global_scale = cap / max_norm if max_norm > 0 else 1.0
+    z = features - shift
+    z /= scale
+    z *= global_scale
+    norms = np.sqrt((z**2).sum(axis=1))
+    over = norms > cap
+    z[over] *= (cap / norms[over])[:, None]
+    return shift, scale, global_scale, z, over
+
+
 class TestDpTransform:
     def small(self):
         gen = np.random.default_rng(3)
@@ -485,8 +516,7 @@ class TestDpTransform:
         return Dataset(x, labels, sensitive)
 
     def test_train_rows_land_inside_the_ball(self):
-        train = self.small()
-        mapped = apply_dp_transform(fit_dp_transform(train, c=0.5), train)
+        _, mapped = fit_all(self.small(), c=0.5)
         assert mapped.label_scale == 0.5
         assert set(np.unique(mapped.labels)) == {-0.5, 0.5}
         joint = np.sqrt((mapped.features**2).sum(axis=1) + mapped.labels**2)
@@ -496,14 +526,15 @@ class TestDpTransform:
         assert norms.max() == pytest.approx(np.sqrt(1 - 0.25), abs=1e-12)
 
     def test_transform_statistics(self):
-        # One centered copy serves the scale and the norms; the scale is
-        # computed as np.std computes it, so the statistics are numpy's bit
-        # for bit, a constant column's unit scale included.
+        # The fit computes the scale as np.std computes it, from column sums
+        # of squares carried across row blocks in numpy's summation order,
+        # so the statistics are numpy's bit for bit, a constant column's
+        # unit scale included.
         small = self.small()
         constant = np.hstack([small.features, np.full((small.n, 1), 0.3)])
         for train in (small, Dataset(constant, small.labels, small.sensitive)):
             x = train.features
-            transform = fit_dp_transform(train, c=0.6)
+            transform, _ = fit_all(train, c=0.6)
             std = x.std(axis=0)
             assert transform.shift.tobytes() == x.mean(axis=0).tobytes()
             assert transform.scale.tobytes() == np.where(std > 0, std, 1.0).tobytes()
@@ -513,28 +544,124 @@ class TestDpTransform:
             assert transform.radius_cap == np.sqrt(1 - 0.6 * 0.6)
             assert transform.label_magnitude == 0.6
 
+    @given(
+        width=st.sampled_from([1, 2, 8, 50, 52]),
+        block=st.sampled_from([64, 1 << 17]),
+        blocks=st.sampled_from([0.5, 1.0, 3.25]),
+        seed=st.integers(0, 2**32 - 1),
+        constant=st.booleans(),
+        c=st.sampled_from([0.5, 0.6, 0.9]),
+    )
+    def test_fused_map_is_the_two_step_map_bit_for_bit(
+        self, width, block, blocks, seed, constant, c
+    ):
+        # Row counts below one block, of exactly one and of several blocks
+        # (the 64-element buffer puts several blocks in a few rows).
+        per_block = max(1, block // width)
+        n = max(1, int(blocks * per_block))
+        gen = np.random.default_rng(seed)
+        x = gen.normal(size=(n + 3, width)) * gen.lognormal(size=width) + gen.normal(size=width)
+        if constant:
+            x[:, -1] = 0.3
+        labels = np.where(gen.random(n + 3) < 0.5, 1.0, -1.0)
+        dataset = Dataset(x, labels, -labels)
+        rows = np.sort(gen.permutation(n + 3)[:n])
+        shift, scale, global_scale, z, _ = two_step_reference(x[rows], c)
+        centered = x[rows] - shift
+        with patch.object(data_module, "_SQUARES_BLOCK", block):
+            transform, mapped = fit_dp_transform(dataset, rows, c)
+            held_out = apply_dp_transform(transform, dataset)
+            # the sums themselves, before the square root can hide an ulp
+            sums = data_module._column_square_sums(centered)
+        assert sums.tobytes() == (centered * centered).sum(axis=0).tobytes()
+        assert transform.shift.tobytes() == shift.tobytes()
+        assert transform.scale.tobytes() == scale.tobytes()
+        assert transform.global_scale == global_scale
+        assert mapped.features.tobytes() == z.tobytes()
+        assert mapped.labels.tobytes() == (labels[rows] * c).tobytes()
+        assert mapped.sensitive.tobytes() == (-labels[rows]).tobytes()
+        assert not np.shares_memory(mapped.features, dataset.features)
+        # the held-out map shares the fit's norms: on the training rows it
+        # gives the training map bit for bit
+        assert held_out.features[rows].tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_overflowing_or_non_finite_row_rejected_at_any_block(self, width):
+        gen = np.random.default_rng(5)
+        x = gen.normal(size=(40, width))
+        x[37, -1] = 1e308
+        x[38, -1] = -1e308
+        labels = np.where(gen.random(40) < 0.5, 1.0, -1.0)
+        dataset = Dataset(x, labels, labels.copy())
+        with patch.object(data_module, "_SQUARES_BLOCK", 2 * width):
+            with pytest.raises(ValidationError, match="finite"):
+                fit_all(dataset)
+            with pytest.raises(ValidationError, match="finite"):
+                fit_dp_transform(dataset, [0, 37], 0.5)
+
+    def test_row_exactly_on_the_cap_is_kept(self, caplog):
+        x = np.array([[1.0], [-1.0], [0.5], [-0.5]])
+        labels = np.array([1.0, -1.0, 1.0, -1.0])
+        with caplog.at_level(logging.INFO, logger="fairplug.data"):
+            transform, mapped = fit_all(Dataset(x, labels, labels.copy()), c=0.6)
+        norms = np.sqrt((mapped.features**2).sum(axis=1))
+        assert norms.max() == transform.radius_cap == 0.8
+        assert not any("clipped" in record.message for record in caplog.records)
+
+    def test_training_rows_clipped_are_named_as_training(self, caplog):
+        # Rounding puts this split's largest row one ulp over the cap.
+        gen = np.random.default_rng(37)
+        width, n = int(gen.integers(1, 9)), int(gen.integers(2, 40))
+        x = gen.normal(size=(n, width))
+        labels = np.where(gen.random(n) < 0.5, 1.0, -1.0)
+        with caplog.at_level(logging.INFO, logger="fairplug.data"):
+            transform, mapped = fit_all(Dataset(x, labels, labels.copy()))
+        assert two_step_reference(x, 0.5)[4].sum() == 1
+        assert np.sqrt((mapped.features**2).sum(axis=1)).max() <= transform.radius_cap
+        messages = [record.message for record in caplog.records]
+        assert messages == ["radially clipped 1 training rows to the norm cap"]
+
+    def test_fused_fit_peaks_at_one_split_and_a_block(self):
+        gen = np.random.default_rng(8)
+        dataset = Dataset(
+            gen.normal(size=(25_000, 50)), np.ones(25_000), np.ones(25_000)
+        )
+        rows = np.sort(gen.permutation(25_000)[:20_000])
+        gathered = rows.size * 50 * 8
+        tracemalloc.start()
+        try:
+            transform, mapped = fit_dp_transform(dataset, rows, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * gathered + 2 * 2**20
+        assert not np.shares_memory(mapped.features, dataset.features)
+
     def test_constant_column_gets_unit_scale(self):
         x = np.hstack([np.ones((20, 1)) * 7.0, np.arange(20.0)[:, None]])
         labels = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
-        train = Dataset(x, labels, labels.copy())
-        transform = fit_dp_transform(train)
+        transform, mapped = fit_all(Dataset(x, labels, labels.copy()))
         assert transform.scale[0] == 1.0
-        mapped = apply_dp_transform(transform, train)
         assert np.all(np.isfinite(mapped.features))
 
     def test_mapped_dataset_is_read_only(self):
         train = self.small()
-        mapped = apply_dp_transform(fit_dp_transform(train), train)
+        _, mapped = fit_all(train)
         assert not any(
             column.flags.writeable for column in (mapped.features, mapped.labels, mapped.sensitive)
         )
         assert not np.shares_memory(mapped.features, train.features)
 
+    def test_rows_are_checked_like_a_subset(self):
+        train = self.small()
+        for bad, message in (([], "non-empty"), ([[0, 1]], "non-empty"), ([50], "out of range")):
+            with pytest.raises(ValidationError, match=message):
+                fit_dp_transform(train, bad, 0.5)
+
     def test_non_finite_held_out_row_rejected(self):
         # The third column's scale is near 0.1, so 1e308 maps beyond the
         # largest double; the clip turns the infinite row into NaN.
-        train = self.small()
-        transform = fit_dp_transform(train)
+        transform, _ = fit_all(self.small())
         huge = Dataset(np.array([[0.0, 0.0, 1e308]]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValidationError, match="non-finite"):
             apply_dp_transform(transform, huge)
@@ -547,11 +674,10 @@ class TestDpTransform:
         features[0, 2] = 1e308
         huge = Dataset(features, train.labels, train.sensitive)
         with pytest.raises(ValidationError, match="finite"):
-            fit_dp_transform(huge)
+            fit_all(huge)
 
     def test_held_out_rows_clipped(self, caplog):
-        train = self.small()
-        transform = fit_dp_transform(train, c=0.5)
+        transform, _ = fit_all(self.small(), c=0.5)
         far = Dataset(
             np.array([[100.0, -100.0, 100.0]]), np.array([1.0]), np.array([1.0])
         )
@@ -559,14 +685,14 @@ class TestDpTransform:
             mapped = apply_dp_transform(transform, far)
         norms = np.sqrt((mapped.features**2).sum(axis=1))
         assert norms[0] == pytest.approx(transform.radius_cap, abs=1e-12)
-        assert any("clipped" in record.message for record in caplog.records)
+        assert any("clipped 1 held-out rows" in record.message for record in caplog.records)
 
     def test_label_magnitude_bounds(self):
         train = self.small()
-        transform = fit_dp_transform(train)
+        transform, _ = fit_all(train)
         for bad in (0.0, 1.0):
             with pytest.raises(ValidationError, match="magnitude C"):
-                fit_dp_transform(train, c=bad)
+                fit_all(train, c=bad)
         # The cap is derived from C, so the constructor checks C itself.
         for bad in (1.0, 1.5):
             with pytest.raises(ValidationError, match="magnitude C"):

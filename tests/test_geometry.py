@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairplug import geometry
 from fairplug.core import DistStats, FairnessParams
 from fairplug.errors import ValidationError
 from fairplug.geometry import (
@@ -389,6 +390,34 @@ class TestGeometryFor:
             write_raster_csv(EO_BLIND, params, None, 5, 0.05, "unused.csv")
         with pytest.raises(ValidationError, match="unknown setting"):
             margin_membership("parity", params, None, ([0.5], [0.5]), 0.05)
+
+
+class TestChunkedMembership:
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_chunked_mask_is_the_one_shot_mask(self, monkeypatch, setting):
+        # Dyadic parameters and a 1/16 lattice put many box corners exactly
+        # on the boundary, so the exact re-decision runs in several chunks.
+        params, pi, eps = FairnessParams(lam=1.0, c=0.5, c_bar=0.5), 0.5, 0.0625
+        lattice = np.arange(17) / 16
+        first, second = (axis.ravel() for axis in np.meshgrid(lattice, lattice))
+        random_first, random_second = uniform_square(3, 200)
+        coords = (np.concatenate([first, random_first]), np.concatenate([second, random_second]))
+        corners = [
+            setting_score(setting, coords[0] + da, coords[1] + db, pi, 1.0, 0.5, 0.5)
+            for da in (-eps, eps)
+            for db in ((0.0,) if setting in (EO_AWARE, DPAR_AWARE) else (-eps, eps))
+        ]
+        assert (np.stack(corners) == 0.0).any()
+        monkeypatch.setattr(geometry, "_MEMBERSHIP_CHUNK", coords[0].size)
+        one_shot = margin_membership(setting, params, pi, coords, eps)
+        monkeypatch.setattr(geometry, "_MEMBERSHIP_CHUNK", 7)
+        chunked = margin_membership(setting, params, pi, coords, eps)
+        assert one_shot.any() and not one_shot.all()
+        assert chunked.tolist() == one_shot.tolist()
+        square_coords = (first.reshape(17, 17), second.reshape(17, 17))
+        square = margin_membership(setting, params, pi, square_coords, eps)
+        assert square.shape == (17, 17)
+        assert square.ravel().tolist() == one_shot[: first.size].tolist()
 
 
 class TestRasterExport:

@@ -158,7 +158,7 @@ class TestSweepTable:
             (good.replace("0,", "1,", 1), good),  # split ids decrease
         ):
             path.write_text(HEADER + "\n" + first + "\n" + second + "\n")
-            with pytest.raises(DataError, match="record 1: counts or split id out of range"):
+            with pytest.raises(DataError, match=r"records\.csv:3: counts or split id out of range"):
                 read_records_csv(path)
 
 
@@ -334,8 +334,7 @@ class TestRunSweep:
         split = table.splits()[0]
         by_point = {point: i for i, point in enumerate(zip(split.lam, split.c, split.c_bar))}
         train_idx, _, test_idx = prepared.splits[0]
-        transform = fit_dp_transform(prepared.dataset.subset(train_idx), 0.5)
-        train = apply_dp_transform(transform, prepared.dataset.subset(train_idx))
+        transform, train = fit_dp_transform(prepared.dataset, train_idx, 0.5)
         test = apply_dp_transform(transform, prepared.dataset.subset(test_idx))
         rule = fit_plugin(
             train, setting, FairnessParams(lam=0.0, c=0.5, c_bar=0.5), FitConfig()
@@ -532,7 +531,7 @@ class TestSerialization:
         row = "{},{},0.5,0.5,0.5,0.0,,1,1,1,1,2,2,2,2"
         lines = [row.format(split, lam) for split, lam in ((0, "0.0"), (1, "0.0"), (2, "-0.0"))]
         path.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="record 2: grid point differs from point 0 of split 0"):
+        with pytest.raises(DataError, match=r"csv:4: grid point differs from point 0 of split 0"):
             read_records_csv(path)
 
     def test_a_record_off_the_grid_names_its_record(self, tmp_path):
@@ -541,7 +540,24 @@ class TestSerialization:
         row = "{},{},0.5,0.5,0.5,0.0,,1,1,1,1,2,2,2,2"
         lines = [row.format(split, lam) for split, lam in ((0, -1), (0, 1), (1, -1), (1, 7.25))]
         path.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="record 3: grid point differs from point 1 of split 0"):
+        with pytest.raises(DataError, match=r"csv:5: grid point differs from point 1 of split 0"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [((7.25, "0.5"), "grid point differs from point 1 of split 0"),
+         (("1", "0.75"), "bal_acc, violation or flags disagrees with the counts")],
+    )
+    def test_blank_lines_do_not_shift_the_named_line(self, tmp_path, end, defect, message):
+        # Records 0-3 sit on lines 2, 4, 5 and 8; lines 3, 6 and 7 are blank.
+        path = tmp_path / "records.csv"
+        row = "{},{},0.5,0.5,{},0.0,,1,1,1,1,2,2,2,2"
+        lines = [row.format(split, lam, "0.5") for split, lam in ((0, -1), (0, 1), (1, -1))]
+        lines.append(row.format(1, *defect))
+        text = end.join([HEADER, lines[0], "", lines[1], lines[2], "", "", lines[3], ""])
+        path.write_text(text, newline="")
+        with pytest.raises(DataError, match=rf"records\.csv:8: {message}"):
             read_records_csv(path)
 
     @pytest.mark.parametrize("record", [1, 3])
@@ -552,7 +568,8 @@ class TestSerialization:
         path.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
         split = record // 2
         with pytest.raises(
-            DataError, match=f"record {record}: totals differ from those of split {split}'s first"
+            DataError,
+            match=rf"records\.csv:{record + 2}: totals differ from those of split {split}'s first",
         ):
             read_records_csv(path)
 
@@ -560,7 +577,7 @@ class TestSerialization:
         path = tmp_path / "records.csv"
         row = "{},1.0,0.5,0.5,0.625,0.25,,3,2,2,1,4,4,4,4"
         path.write_text(HEADER + "\n" + "\n".join(row.format(s) for s in (0, 1, 1)) + "\n")
-        with pytest.raises(DataError, match="record 2: split 1 holds more records than split 0's 1"):
+        with pytest.raises(DataError, match=r"csv:4: split 1 holds more records than split 0's 1"):
             read_records_csv(path)
 
     def test_a_short_last_split_is_rejected(self, tmp_path):
@@ -701,7 +718,7 @@ class TestLargeRecords:
             cells[7] = str(int(cells[n_pos]) + 1).encode()
 
         path = self.rewrite(large_records, tmp_path, tp_above_n_pos)
-        with pytest.raises(DataError, match=f"record {self.RECORD}: counts or split id"):
+        with pytest.raises(DataError, match=rf"records\.csv:{self.RECORD + 2}: counts or split id"):
             read_records_csv(path)
 
     def test_metric_text_error_names_its_record(self, large_records, tmp_path):
@@ -709,7 +726,8 @@ class TestLargeRecords:
             cells[4] = b"1.5"
 
         path = self.rewrite(large_records, tmp_path, wrong_bal_acc)
-        with pytest.raises(DataError, match=f"record {self.RECORD}: bal_acc, violation or flags"):
+        line = self.RECORD + 2
+        with pytest.raises(DataError, match=rf"records\.csv:{line}: bal_acc, violation or flags"):
             read_records_csv(path)
 
     @pytest.mark.parametrize("cell", [b"x", b"0,1"])
