@@ -40,13 +40,14 @@ import math
 import os
 import shutil
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from . import data, geometry, plugin, svg, sweep, synthetic
 from .core import FairnessParams, _check_prob
-from .cpe import FitConfig
+from .cpe import FitConfig, predict_proba
 from .errors import DataError, NumericError, ValidationError
 from .kvformat import format_float, read_kv, write_kv
 
@@ -572,14 +573,15 @@ def _margin_constants(
     """
 
     stats = pop.stats
-    coords = (pop.dist.eta(pop.nodes), pop.dist.eta_bar_eo(pop.nodes, 1.0))
+    dist = pop.dist
+    coords = (predict_proba(dist.eta, pop.nodes), predict_proba(dist.eta_bar, pop.nodes, 1.0))
     mass = geometry.estimate_margin_mass(
         coords, pop.weights, plugin.EO_BLIND, params, stats.pi, resolved["eps_target"]
     )
     return geometry.bound_constants(mass, resolved["delta_prime"], stats, params)
 
 
-def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv_rows(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     """Every table a command writes: floats by ``format_float``, anything else by ``str``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -620,7 +622,12 @@ def cmd_geometry(resolved: dict, seed: int, jobs: int) -> int:
     asym = geometry.asymptote_x(params, pi) if setting == plugin.EO_BLIND else None
     out = _out_dir(resolved)
     n = resolved["raster"]
-    mask = geometry.write_raster_csv(setting, params, pi, n, resolved["eps"], out / "raster.csv")
+    columns, mask = geometry.raster(setting, params, pi, n, resolved["eps"])
+    _write_csv_rows(
+        out / "raster.csv",
+        ["u", "v", "sign", "in_margin"],
+        zip(*(column.tolist() for column in columns)),
+    )
     extra = {"result.rows": str(mask.size)}
     annotation = ""
     if asym is not None:

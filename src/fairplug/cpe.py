@@ -43,6 +43,11 @@ Four thin wrappers fit the specific estimators the decision rules need:
 The label column fed to :func:`fit_eta_bar_eo` is the *stored* label
 encoding (so ``{-C, +C}`` after privacy preprocessing), which is what
 keeps the joint input under the preprocessing norm bound.
+
+Prediction takes the extra columns as the fit does:
+``predict_proba(model, rows, *columns)`` adds each column times its
+weight to ``rows @ w[:k]``, then the intercept, so no input block is
+built; the fit's design is the only one.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ __all__ = [
     "ARITIES",
     "LinearCpe",
     "FitConfig",
-    "append_columns",
     "fit",
     "predict_proba",
     "fit_eta",
@@ -177,29 +181,22 @@ class FitConfig:
 _ROUNDOFF = 1e-15
 
 
-def append_columns(rows: np.ndarray, *columns) -> np.ndarray:
-    """``[rows, *columns]`` for an ``(n, k)`` matrix and ``(n,)`` or scalar columns.
-
-    The block is allocated once and filled column range by column range,
-    so no intermediate ``np.hstack`` copy exists.  Its values and its
-    C-ordered layout are those of ``np.hstack`` of the same columns, so
-    every product with it is bit-identical to one with the stacked matrix.
-    """
-    n, k = rows.shape
-    block = np.empty((n, k + len(columns)))
-    block[:, :k] = rows
-    for j, column in enumerate(columns, start=k):
-        block[:, j] = column
-    return block
-
-
 def _design(rows: np.ndarray, *extra_columns) -> np.ndarray:
     """``[rows, *extra_columns, 1]``: the fit's design, intercept column last.
 
-    Built by :func:`append_columns` in one allocation, with the values and
-    layout of ``np.hstack([rows, *extra_columns, ones])``.
+    ``extra_columns`` are ``(n,)`` vectors or scalars.  The block is
+    allocated once and filled column range by column range, so no
+    intermediate ``np.hstack`` copy exists.  Its values and its C-ordered
+    layout are those of ``np.hstack`` of the same columns, so every
+    product with it is bit-identical to one with the stacked matrix.
     """
-    return append_columns(rows, *extra_columns, 1.0)
+    n, k = rows.shape
+    block = np.empty((n, k + len(extra_columns) + 1))
+    block[:, :k] = rows
+    for j, column in enumerate(extra_columns, start=k):
+        block[:, j] = column
+    block[:, -1] = 1.0
+    return block
 
 
 def _objective_and_grad(w, design, targets, lambda_reg):
@@ -413,25 +410,39 @@ def fit(
     )
 
 
-def predict_proba(model: LinearCpe, inputs):
-    """sigmoid(w . [inputs; 1]) for a single vector or a stack of rows.
+def predict_proba(model: LinearCpe, rows, *columns):
+    """``sigmoid(w . [rows, *columns, 1])`` for one vector or a stack of rows.
 
-    Accepts a length-``in_dim`` vector (returns a float) or an
-    ``(n, in_dim)`` matrix (returns an ``(n,)`` array).  Outputs lie
-    strictly inside (0, 1) up to floating-point rounding.
+    ``rows`` is a vector (returns a float) or an ``(n, k)`` matrix
+    (returns an ``(n,)`` array), and each of ``columns`` a scalar or a
+    per-row vector, taken as :func:`fit` takes its extra columns; ``k``
+    plus the number of columns must be the model's ``in_dim``.  No
+    ``[rows, *columns]`` block is built: the logit is ``rows @ w[:k]``,
+    then ``column * w[j]`` added for each column in turn, then the
+    intercept.  Outputs lie strictly inside (0, 1) up to floating-point
+    rounding.
     """
 
-    x = np.asarray(inputs, dtype=float)
+    x = np.asarray(rows, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != model.in_dim:
+    k = x.shape[-1] if x.ndim else 0
+    if x.ndim != 2 or k + len(columns) != model.in_dim:
         raise ValidationError(
-            f"input dimension {x.shape[-1] if x.ndim else '?'} does not match "
+            f"input dimension {k} + {len(columns)} columns does not match "
             f"model arity {model.input_arity!r} (expects {model.in_dim})"
         )
-    z = x @ model.weights[:-1]
-    z += model.weights[-1]
+    w = model.weights
+    z = x @ w[:k]
+    for j, column in enumerate(columns, start=k):
+        column = np.asarray(column, dtype=float)
+        if column.ndim and column.shape != z.shape:
+            raise ValidationError(
+                f"column {j - k} has shape {column.shape}; expected a scalar or {z.shape[0]} rows"
+            )
+        z += column * w[j]
+    z += w[-1]
     p = sigmoid(z)
     return float(p[0]) if single else p
 

@@ -769,11 +769,12 @@ def load_prepared(in_dir: str | Path) -> PreparedData:
     Everything is checked before it is returned, so a malformed
     directory is a :class:`DataError` naming the file before any split
     is used: an array that is not numeric ``.npy``, a ``label_scale``
-    that is not a number, arrays a :class:`Dataset` rejects, a role
-    outside {0, 1, 2} or a split with no train or no test row.  The
-    dataset adopts the arrays read from ``features.npy``, ``labels.npy``
-    and ``sensitive.npy``: they are checked once and made read-only in
-    place, not copied (an int-typed file is converted to float).
+    that is not a number, a ``dp_norm_c`` that is not a number in
+    (0, 1), arrays a :class:`Dataset` rejects, a role outside {0, 1, 2}
+    or a split with no train or no test row.  The dataset adopts the
+    arrays read from ``features.npy``, ``labels.npy`` and
+    ``sensitive.npy``: they are checked once and made read-only in place,
+    not copied (an int-typed file is converted to float).
     """
     root = Path(in_dir)
     features, labels, sensitive = (
@@ -789,6 +790,14 @@ def load_prepared(in_dir: str | Path) -> PreparedData:
         label_scale = float(scale_text)
     except ValueError:
         raise DataError(f"{root / 'meta.kv'}: label_scale {scale_text!r} is not a number") from None
+    norm_text = meta.get("dp_norm_c")
+    if norm_text is not None:
+        try:
+            _check_c(norm_text)
+        except ValueError:
+            raise DataError(
+                f"{root / 'meta.kv'}: dp_norm_c {norm_text!r} is not a norm cap in (0, 1)"
+            ) from None
     try:
         dataset = Dataset._adopt(features, labels, sensitive, label_scale)
     except ValidationError as exc:

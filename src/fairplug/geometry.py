@@ -11,7 +11,10 @@ This module provides margin-set membership (is a point's closed
 error of size ``eps``), weighted margin mass, the unit-square raster
 and boundary polyline, the vertical asymptote of the equal-opportunity
 blind boundary, and the derived bound constants used by the
-finite-sample analysis.
+finite-sample analysis.  The raster is returned as columns over the
+exact ``np.linspace(0, 1, n)`` lattice; ``fairplug geometry`` writes
+them as ``raster.csv`` with the table writer every command uses, so the
+``u`` and ``v`` text reads back as the lattice's doubles.
 
 Every margin, raster sign, polyline and asymptote evaluates
 :func:`fairplug.plugin.setting_score`, the same arithmetic that
@@ -39,9 +42,7 @@ the bound constants built from it and the population's priors.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -56,7 +57,7 @@ __all__ = [
     "estimate_margin_mass",
     "bound_constants",
     "check_raster",
-    "write_raster_csv",
+    "raster",
     "boundary_polyline",
 ]
 
@@ -269,17 +270,18 @@ def check_raster(n: int) -> int:
     return n
 
 
-def write_raster_csv(
-    setting: str, params: FairnessParams, pi, n: int, eps: float, path: str | Path
-) -> np.ndarray:
-    """Raster the unit square: rows of (u, v, sign, in_margin) CSV.
+def raster(
+    setting: str, params: FairnessParams, pi, n: int, eps: float
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Raster the unit square: the ``(u, v, sign, in_margin)`` columns and the margin mask.
 
-    The grid is the inclusive n-by-n lattice over [0, 1]^2 with ``u``
-    the sensitive-attribute coordinate ``eta_bar`` and ``v`` the label
-    coordinate ``eta`` of a blind setting; ``sign`` is the sign of the
-    setting's score at the lattice point and ``in_margin`` flags
-    2*eps-box intersection.  Returns the ``in_margin`` flags as an
-    ``(n, n)`` boolean array indexed ``[u, v]``, one entry per data row.
+    The grid is the inclusive n-by-n lattice ``np.linspace(0, 1, n)``
+    on both axes, ``u`` the sensitive-attribute coordinate ``eta_bar``
+    and ``v`` the label coordinate ``eta`` of a blind setting, one
+    column entry per lattice point with ``u`` varying slowest.  ``sign``
+    is the sign (-1, 0 or 1) of the setting's score at the point and
+    ``in_margin`` flags 2*eps-box intersection.  The mask is the same
+    flags as an ``(n, n)`` boolean array indexed ``[u, v]``.
     """
 
     if is_aware(setting):
@@ -292,12 +294,7 @@ def write_raster_csv(
     scores = setting_score(setting, flat_v, flat_u, pi, params.lam, params.c, params.c_bar)
     signs = np.sign(scores).astype(int)
     member = margin_membership(setting, params, pi, (flat_v, flat_u), eps)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["u", "v", "sign", "in_margin"])
-        for u, v, s, flag in zip(flat_u, flat_v, signs, member):
-            writer.writerow([f"{u:.10g}", f"{v:.10g}", int(s), int(flag)])
-    return member.reshape(n, n)
+    return (flat_u, flat_v, signs, member.astype(int)), member.reshape(n, n)
 
 
 def boundary_polyline(

@@ -47,7 +47,6 @@ from .cpe import (
     ARITY_FEATURES_PLUS_SENSITIVE,
     FitConfig,
     LinearCpe,
-    append_columns,
     fit_eta,
     fit_eta_aware,
     fit_eta_bar_dpar,
@@ -250,9 +249,11 @@ def coordinates(rule: PlugInRule, x, y_bar=None) -> tuple[np.ndarray, np.ndarray
     for eo-blind, ``(eta(x), eta_bar(x))`` for dpar-blind and
     ``(eta(x, y_bar), y_bar)`` for the aware settings, where ``y_bar``
     (scalar or per-row vector over +-1) is required exactly for the
-    aware settings.  Both arrays are checked here, once per batch of
-    rows, so :func:`setting_score` can score any number of parameter
-    points on them.
+    aware settings.  The label or group input is handed to
+    :func:`~fairplug.cpe.predict_proba` as an extra column, so no
+    ``[x, column]`` block is built.  Both arrays are checked here, once
+    per batch of rows, so :func:`setting_score` can score any number of
+    parameter points on them.
     """
 
     rows = np.asarray(x, dtype=float)
@@ -260,16 +261,12 @@ def coordinates(rule: PlugInRule, x, y_bar=None) -> tuple[np.ndarray, np.ndarray
         if y_bar is None:
             raise ValidationError(f"setting {rule.setting!r} requires y_bar at prediction time")
         groups = np.broadcast_to(_check_group(y_bar), (rows.shape[0],))
-        eta_xy = predict_proba(rule.eta, append_columns(rows, groups))
-        return _check_unit("eta_xy", eta_xy), groups
+        return _check_unit("eta_xy", predict_proba(rule.eta, rows, groups)), groups
     if y_bar is not None:
         raise ValidationError(f"setting {rule.setting!r} does not accept y_bar")
     eta_x = _check_unit("eta_x", predict_proba(rule.eta, rows))
-    if rule.setting == EO_BLIND:
-        eta_bar_x = predict_proba(rule.eta_bar, append_columns(rows, rule.positive_label))
-    else:
-        eta_bar_x = predict_proba(rule.eta_bar, rows)
-    return eta_x, _check_unit("eta_bar_x", eta_bar_x)
+    label = (rule.positive_label,) if rule.setting == EO_BLIND else ()
+    return eta_x, _check_unit("eta_bar_x", predict_proba(rule.eta_bar, rows, *label))
 
 
 def score(rule: PlugInRule, x, y_bar=None):

@@ -9,7 +9,10 @@ consistency can be watched along a sample-size schedule, and the
 fairness/accuracy frontier and its finite-sample gap can be measured.
 
 The label model: x ~ feature law; y = +1 with probability eta(x);
-ybar = +1 with probability eta_bar(x, y).  The population quantities
+ybar = +1 with probability eta_bar(x, y); both are
+:class:`~fairplug.cpe.LinearCpe` models, evaluated by
+:func:`~fairplug.cpe.predict_proba` as fitted ones are, so an exact rule
+and a population read the same bits.  The population quantities
 of the rules (class and group priors, a rule's regret, the frontier and
 the trade-off gap's costs, the margin mass, and an estimator's tail
 P(|true - fitted| >= eps)) are weighted sums over one
@@ -47,12 +50,10 @@ from .cpe import (
     ARITY_FEATURES_PLUS_SENSITIVE,
     FitConfig,
     LinearCpe,
-    append_columns,
     fit_eta,
     fit_eta_bar_dpar,
     fit_eta_bar_eo,
     predict_proba,
-    sigmoid,
 )
 from .errors import DataError, ValidationError
 from .kvformat import (
@@ -324,19 +325,24 @@ def quadrature(law: FeatureLaw, total: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticDistribution:
-    """Feature law plus exact logistic regression-function weights.
+    """Feature law plus exact logistic regression functions, as :class:`LinearCpe` models.
 
     ``w_eta`` has layout [feature weights..., intercept] and defines
     P(y = +1 | x); ``w_eta_bar`` has layout [feature weights..., label
-    weight, intercept] and defines P(ybar = +1 | x, y).  The
-    group-marginal weights ``w_eta_bar_dpar`` are derived, never free:
-    they exist exactly when the label weight is zero.
+    weight, intercept] and defines P(ybar = +1 | x, y).  The true
+    regression functions are derived from them as unregularized
+    :class:`LinearCpe` models: ``eta`` on the features, ``eta_bar`` on
+    the features and the label column.  The group-marginal model of
+    P(ybar = +1 | x) exists exactly when the label weight is zero;
+    :meth:`require_eta_bar_dpar` returns it or raises.
     """
 
     law: FeatureLaw
     w_eta: np.ndarray
     w_eta_bar: np.ndarray
-    w_eta_bar_dpar: np.ndarray | None = field(init=False)
+    eta: LinearCpe = field(init=False)
+    eta_bar: LinearCpe = field(init=False)
+    _eta_bar_dpar: LinearCpe | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d = law_dim(self.law)
@@ -344,46 +350,26 @@ class SyntheticDistribution:
         w_eta_bar = _readonly_vector("w_eta_bar", self.w_eta_bar, d + 2)
         object.__setattr__(self, "w_eta", w_eta)
         object.__setattr__(self, "w_eta_bar", w_eta_bar)
-        derived = np.delete(w_eta_bar, -2) if w_eta_bar[-2] == 0.0 else None
-        if derived is not None:
-            derived.setflags(write=False)
-        object.__setattr__(self, "w_eta_bar_dpar", derived)
+        object.__setattr__(self, "eta", _true_model(w_eta, ARITY_FEATURES))
+        object.__setattr__(self, "eta_bar", _true_model(w_eta_bar, ARITY_FEATURES_PLUS_LABEL))
+        dpar = None
+        if w_eta_bar[-2] == 0.0:
+            dpar = _true_model(np.delete(w_eta_bar, -2), ARITY_FEATURES)
+        object.__setattr__(self, "_eta_bar_dpar", dpar)
 
-    def eta(self, x) -> np.ndarray:
-        """P(y = +1 | x) at feature rows (or one vector)."""
-        rows = np.atleast_2d(np.asarray(x, dtype=float))
-        logits = rows @ self.w_eta[:-1]
-        logits += self.w_eta[-1]
-        values = sigmoid(logits)
-        return values if np.ndim(x) == 2 else float(values[0])
-
-    def eta_bar_eo(self, x, y) -> np.ndarray:
-        """P(ybar = +1 | x, y) with y a +-1 scalar or per-row vector."""
-        rows = np.atleast_2d(np.asarray(x, dtype=float))
-        y_arr = np.broadcast_to(np.asarray(y, dtype=float), (rows.shape[0],))
-        logits = rows @ self.w_eta_bar[:-2]
-        logits += y_arr * self.w_eta_bar[-2]
-        logits += self.w_eta_bar[-1]
-        values = sigmoid(logits)
-        return values if np.ndim(x) == 2 else float(values[0])
-
-    def eta_bar_dpar(self, x) -> np.ndarray:
-        """P(ybar = +1 | x); requires the zero-label-weight structure."""
-        weights = self._require_dpar_weights()
-        rows = np.atleast_2d(np.asarray(x, dtype=float))
-        logits = rows @ weights[:-1]
-        logits += weights[-1]
-        values = sigmoid(logits)
-        return values if np.ndim(x) == 2 else float(values[0])
-
-    def _require_dpar_weights(self) -> np.ndarray:
-        if self.w_eta_bar_dpar is None:
+    def require_eta_bar_dpar(self) -> LinearCpe:
+        """The model of P(ybar = +1 | x); requires the zero-label-weight structure."""
+        if self._eta_bar_dpar is None:
             raise ValidationError(
                 "this distribution's sensitive attribute depends on the label given "
                 "features (nonzero label weight), so P(ybar | x) is a mixture, not "
                 "logistic; exact group-marginal and aware rules are unavailable"
             )
-        return self.w_eta_bar_dpar
+        return self._eta_bar_dpar
+
+
+def _true_model(weights: np.ndarray, arity: str) -> LinearCpe:
+    return LinearCpe(weights=weights, lambda_reg=0.0, input_arity=arity)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -404,9 +390,9 @@ def sample(dist: SyntheticDistribution, n: int, seed) -> Dataset:
 
     rng = _as_rng(seed)
     x = sample_x(dist.law, n, rng)
-    y = (rng.random(n) < dist.eta(x)) * 2.0
+    y = (rng.random(n) < predict_proba(dist.eta, x)) * 2.0
     y -= 1.0
-    ybar = (rng.random(n) < dist.eta_bar_eo(x, y)) * 2.0
+    ybar = (rng.random(n) < predict_proba(dist.eta_bar, x, y)) * 2.0
     ybar -= 1.0
     return Dataset(features=x, labels=y, sensitive=ybar)
 
@@ -418,10 +404,6 @@ def true_stats(dist: SyntheticDistribution) -> DistStats:
     from its population's ``stats``.
     """
     return population(dist, _GAUSS_TOTAL_TARGET).stats
-
-
-def _true_eta_cpe(dist: SyntheticDistribution) -> LinearCpe:
-    return LinearCpe(weights=np.array(dist.w_eta), lambda_reg=0.0, input_arity=ARITY_FEATURES)
 
 
 def bayes_classifier(
@@ -443,27 +425,11 @@ def bayes_classifier(
     if is_eo(setting):
         pi_hat = float(true_pi) if true_pi is not None else true_stats(dist).pi
     if is_aware(setting):
-        dist._require_dpar_weights()
-        aware_weights = np.insert(dist.w_eta, -1, 0.0)
-        eta = LinearCpe(
-            weights=aware_weights, lambda_reg=0.0, input_arity=ARITY_FEATURES_PLUS_SENSITIVE
-        )
+        dist.require_eta_bar_dpar()
+        eta = _true_model(np.insert(dist.w_eta, -1, 0.0), ARITY_FEATURES_PLUS_SENSITIVE)
         return PlugInRule(setting=setting, params=params, eta=eta, pi_hat=pi_hat)
-    if setting == EO_BLIND:
-        eta_bar = LinearCpe(
-            weights=np.array(dist.w_eta_bar),
-            lambda_reg=0.0,
-            input_arity=ARITY_FEATURES_PLUS_LABEL,
-        )
-    else:
-        eta_bar = LinearCpe(
-            weights=np.array(dist._require_dpar_weights()),
-            lambda_reg=0.0,
-            input_arity=ARITY_FEATURES,
-        )
-    return PlugInRule(
-        setting=setting, params=params, eta=_true_eta_cpe(dist), eta_bar=eta_bar, pi_hat=pi_hat
-    )
+    eta_bar = dist.eta_bar if setting == EO_BLIND else dist.require_eta_bar_dpar()
+    return PlugInRule(setting=setting, params=params, eta=dist.eta, eta_bar=eta_bar, pi_hat=pi_hat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,11 +464,11 @@ def population(dist: SyntheticDistribution, budget: int) -> Population:
     rejects it).
     """
     nodes, weights = quadrature(dist.law, budget)
-    eta = np.asarray(dist.eta(nodes))
+    eta = predict_proba(dist.eta, nodes)
     label_pos = weights * eta
     label_neg = weights * (1.0 - eta)
-    plus = np.asarray(dist.eta_bar_eo(nodes, 1.0))
-    minus = np.asarray(dist.eta_bar_eo(nodes, -1.0))
+    plus = predict_proba(dist.eta_bar, nodes, 1.0)
+    minus = predict_proba(dist.eta_bar, nodes, -1.0)
     pi = float(weights @ eta)
     joint_pos = float(weights @ (eta * plus))
     pi_bar = joint_pos + float(weights @ ((1.0 - eta) * minus))
@@ -794,34 +760,29 @@ _COMPLEXITY_FITTERS = dict(zip(COMPLEXITY_TARGETS, (fit_eta, fit_eta_bar_eo, fit
 
 
 def _accuracy_checks(pop: Population, which: str) -> tuple[tuple, ...]:
-    """``(label, truth, weights)`` per input ``which`` is scored on, built once per run.
+    """``(columns, truth, weights)`` per input ``which`` is scored on, built once per run.
 
-    ``eta_bar_eo`` takes (x, y), at y = +1 and -1 under the label masses;
-    the others take the nodes alone (label ``None``) under their weights.
+    ``eta_bar_eo`` takes (x, y), at the label column y = +1 and -1 under
+    the label masses; the others take the nodes alone (no column) under
+    their weights.  ``truth`` is the true model at those inputs.
     """
     dist, nodes, masses = pop.dist, pop.nodes, pop.masses
     if which == "eta_bar_eo":
         return (
-            (1.0, dist.eta_bar_eo(nodes, 1.0), masses[0] + masses[2]),
-            (-1.0, dist.eta_bar_eo(nodes, -1.0), masses[1] + masses[3]),
+            ((1.0,), predict_proba(dist.eta_bar, nodes, 1.0), masses[0] + masses[2]),
+            ((-1.0,), predict_proba(dist.eta_bar, nodes, -1.0), masses[1] + masses[3]),
         )
-    truth = dist.eta(nodes) if which == "eta" else dist.eta_bar_dpar(nodes)
-    return ((None, truth, pop.weights),)
+    truth = dist.eta if which == "eta" else dist.require_eta_bar_dpar()
+    return (((), predict_proba(truth, nodes), pop.weights),)
 
 
 def _complexity_trial(pop, which, n, seed, eps, config, checks, trial) -> float:
-    """One (n, trial) cell: fit on a fresh draw; its P(|true - fitted| >= eps) on ``pop``.
-
-    The (x, y) inputs share one block whose label column each check sets.
-    """
+    """One (n, trial) cell: fit on a fresh draw; its P(|true - fitted| >= eps) on ``pop``."""
     fit = partial(_COMPLEXITY_FITTERS[which], config=config)
     model, _ = _sample_non_degenerate(pop.dist, n, (seed, n, trial, 0), fit)
-    inputs = pop.nodes if checks[0][0] is None else append_columns(pop.nodes, 0.0)
     tail = 0.0
-    for label, truth, weights in checks:
-        if label is not None:
-            inputs[:, -1] = label
-        deviation = predict_proba(model, inputs)
+    for columns, truth, weights in checks:
+        deviation = predict_proba(model, pop.nodes, *columns)
         deviation -= truth
         tail += float(weights @ (np.abs(deviation, out=deviation) >= eps))
     return tail
@@ -966,7 +927,7 @@ def load_distribution(path: str | Path) -> SyntheticDistribution:
     """Inverse of :func:`save_distribution`.
 
     Every key is read or rejected: a key the law's layout does not name
-    (a stray one, a derived field such as ``w_eta_bar_dpar``, or a
+    (a stray one, such as the derivable ``w_eta_bar_dpar``, or a
     ``point.N`` after a gap in the numbering) is a :class:`DataError`
     naming the key and the file.  So is a value that does not parse as a
     finite float vector of the right length (``path: key: ...``) or

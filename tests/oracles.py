@@ -420,15 +420,31 @@ def uniform_box(rng, lows, highs, n):
     return rng.uniform(lows, highs, size=(n, len(lows)))
 
 
-def sample_labels(rng, x, eta, eta_bar_eo):
+def true_eta(dist, x):
+    """P(y = +1 | x) written out from the weights: ``sigmoid(x @ w[:-1] + w[-1])``."""
+    w = dist.w_eta
+    return sigmoid(x @ w[:-1] + w[-1])
+
+
+def true_eta_bar(dist, x, y):
+    """P(ybar = +1 | x, y) written out from the weights, ``y`` a scalar or per-row vector.
+
+    The label term is added between the features' product and the
+    intercept, the order ``cpe.predict_proba`` applies its extra column.
+    """
+    w = dist.w_eta_bar
+    return sigmoid(x @ w[:-2] + y * w[-2] + w[-1])
+
+
+def sample_labels(rng, x, dist):
     """The +-1 labels ``synthetic.sample`` draws after the features, by masked selects.
 
-    ``rng`` is positioned after the feature draw; ``eta(x)`` and
-    ``eta_bar_eo(x, y)`` are the distribution's regression functions.
+    ``rng`` is positioned after the feature draw; the probabilities are
+    :func:`true_eta` and :func:`true_eta_bar` of ``dist``.
     """
 
-    y = np.where(rng.uniform(size=len(x)) < eta(x), 1.0, -1.0)
-    ybar = np.where(rng.uniform(size=len(x)) < eta_bar_eo(x, y), 1.0, -1.0)
+    y = np.where(rng.uniform(size=len(x)) < true_eta(dist, x), 1.0, -1.0)
+    ybar = np.where(rng.uniform(size=len(x)) < true_eta_bar(dist, x, y), 1.0, -1.0)
     return y, ybar
 
 
@@ -440,9 +456,9 @@ def quadrature_priors(dist, nodes, weights) -> tuple[float, float, float]:
     on the same nodes and weights.
     """
 
-    eta = np.asarray(dist.eta(nodes))
-    bar_plus = np.asarray(dist.eta_bar_eo(nodes, 1.0))
-    bar_minus = np.asarray(dist.eta_bar_eo(nodes, -1.0))
+    eta = true_eta(dist, nodes)
+    bar_plus = true_eta_bar(dist, nodes, 1.0)
+    bar_minus = true_eta_bar(dist, nodes, -1.0)
     pi = float(weights @ eta)
     joint_pos = float(weights @ (eta * bar_plus))
     pi_bar = joint_pos + float(weights @ ((1.0 - eta) * bar_minus))

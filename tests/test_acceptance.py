@@ -387,7 +387,7 @@ def test_criterion_09_frontier_agrees_with_direct_risk_difference():
             continue
         boc = bayes_classifier(dist, EO_BLIND, params, true_pi=stats.pi)
         eval_ds = sample(dist, m, (77, index))
-        eta = np.asarray(dist.eta(eval_ds.features))
+        eta = predict_proba(dist.eta, eval_ds.features)
         f_lam = score(boc, eval_ds.features) > 0
         f_zero = eta > c
         pos = eval_ds.labels > 0

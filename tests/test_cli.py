@@ -28,6 +28,8 @@ from fairplug.errors import DataError
 from fairplug.kvformat import read_kv
 from fairplug.plugin import EO_BLIND
 
+import oracles
+
 GEO_PARAMS = "0.4,0.85,0.8,0.9"
 SMALL_GRID = "lam=-1:1:1,c=0.3:0.7:0.2,c_bar=0.4:0.6:0.1"  # 27 points
 
@@ -590,7 +592,10 @@ class TestSweep:
         assert before["input.split_01.npy.sha256"] != after["input.split_01.npy.sha256"]
         capsys.readouterr()
 
-    @pytest.mark.parametrize("defect", ["text features", "label_scale abc", "last split role 7"])
+    @pytest.mark.parametrize(
+        "defect",
+        ["text features", "label_scale abc", "dp_norm_c abc", "dp_norm_c 2.0", "last split role 7"],
+    )
     def test_malformed_prepared_directory_is_a_data_error(
         self, prepared_dir, tmp_path, capsys, defect
     ):
@@ -602,6 +607,11 @@ class TestSweep:
         elif defect == "label_scale abc":
             bad = prepared / "meta.kv"
             bad.write_text(bad.read_text().replace("label_scale = 1.0", "label_scale = abc"))
+        elif defect.startswith("dp_norm_c"):
+            bad = prepared / "meta.kv"
+            text = bad.read_text()
+            assert "dp_norm_c = 0.6\n" in text
+            bad.write_text(text.replace("dp_norm_c = 0.6", defect.replace(" ", " = ")))
         else:
             bad = prepared / "split_01.npy"
             roles = np.load(bad)
@@ -889,9 +899,8 @@ class TestSimulate:
         pop = synthetic.population(dist, 20000)
         stats, nodes, weights = pop.stats, pop.nodes, pop.weights
         params = FairnessParams(1.0, 0.5, 0.5)
-        member = geometry.margin_membership(
-            EO_BLIND, params, stats.pi, (dist.eta(nodes), dist.eta_bar_eo(nodes, 1.0)), 0.05
-        )
+        coords = (oracles.true_eta(dist, nodes), oracles.true_eta_bar(dist, nodes, 1.0))
+        member = geometry.margin_membership(EO_BLIND, params, stats.pi, coords, 0.05)
         expected = geometry.bound_constants(float(weights[member].sum()), 0.1, stats, params)
         manifest = read_kv(out / "manifest.kv")
         for name in ("margin_mass", "b_const", "g_const", "q_const"):
@@ -950,6 +959,14 @@ class TestGeometry:
         header, rows = read_csv(out / "raster.csv")
         assert header == ["u", "v", "sign", "in_margin"]
         assert len(rows) == 21 * 21
+        # u and v read back as the lattice's doubles, u varying slowest
+        axis = np.linspace(0.0, 1.0, 21)
+        grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
+        u, v = (np.array([float(row[i]) for row in rows]) for i in (0, 1))
+        assert u.tobytes() == grid_u.ravel().tobytes()
+        assert v.tobytes() == grid_v.ravel().tobytes()
+        assert {row[2] for row in rows} <= {"-1", "0", "1"}
+        assert {row[3] for row in rows} == {"0", "1"}
         manifest = read_kv(out / "manifest.kv")
         assert manifest["result.rows"] == "441"
         assert float(manifest["result.asymptote_x"]) == pytest.approx(3.025, abs=1e-9)

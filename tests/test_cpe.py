@@ -471,3 +471,29 @@ class TestPredictProba:
         model = LinearCpe(np.array([1.0, -1.0, 0.0]), 0.0, ARITY_FEATURES)
         with pytest.raises(ValidationError, match="arity"):
             predict_proba(model, np.zeros(3))
+        with pytest.raises(ValidationError, match="arity"):
+            predict_proba(model, np.zeros((4, 2)), 1.0)
+
+    @given(st.integers(0, 10_000), st.integers(1, 60), st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_columns_follow_the_split_expression_bit_for_bit(self, seed, n, k):
+        # rows @ w[:k], then each column times its weight, then the intercept,
+        # for a scalar and a per-row column, on one row vector and on a matrix
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=k + 3)
+        model = LinearCpe(w, 0.0, ARITY_FEATURES)
+        rows = rng.normal(size=(n, k))
+        column = rng.choice([-0.6, 0.6], size=n)
+        logits = rows @ w[:k] + 0.6 * w[k] + column * w[k + 1] + w[-1]
+        got = predict_proba(model, rows, 0.6, column)
+        assert got.tobytes() == oracles.sigmoid(logits).tobytes()
+        first = rows[:1] @ w[:k] + 0.6 * w[k] + column[:1] * w[k + 1] + w[-1]
+        assert predict_proba(model, rows[0], 0.6, column[:1]) == oracles.sigmoid(first)[0]
+
+    def test_column_of_the_wrong_length_rejected(self):
+        model = LinearCpe(np.array([1.0, -1.0, 0.5, 0.0]), 0.0, ARITY_FEATURES_PLUS_LABEL)
+        rows = np.zeros((4, 2))
+        assert predict_proba(model, rows, np.ones(4)).shape == (4,)
+        for column in (np.ones(3), np.ones(5), np.ones((4, 1))):
+            with pytest.raises(ValidationError, match="column 0"):
+                predict_proba(model, rows, column)

@@ -824,6 +824,8 @@ class TestPreparedRoundTrip:
             ("object labels", "labels.npy"),
             ("string sensitive", "sensitive.npy"),
             ("label_scale abc", "meta.kv"),
+            ("dp_norm_c abc", "meta.kv: dp_norm_c 'abc'"),
+            ("dp_norm_c 2.0", "meta.kv: dp_norm_c '2.0'"),
             ("sensitive outside +-1", "not a dataset"),
             ("role 7", "split_00.npy"),
             ("role 0.5", "split_00.npy"),
@@ -844,6 +846,8 @@ class TestPreparedRoundTrip:
             np.save(out / "sensitive.npy", np.array(["1"] * 12))
         elif defect == "label_scale abc":
             (out / "meta.kv").write_text("label_scale = abc\n")
+        elif defect.startswith("dp_norm_c"):
+            (out / "meta.kv").write_text(f"label_scale = 1.0\ndp_norm_c = {defect.split()[1]}\n")
         elif defect == "sensitive outside +-1":
             np.save(out / "sensitive.npy", np.zeros(12))
         elif defect == "role 7":

@@ -1,6 +1,5 @@
 """Boundary geometry, margin membership, and finite-sample constants."""
 
-import csv
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +17,7 @@ from fairplug.geometry import (
     boundary_polyline,
     estimate_margin_mass,
     margin_membership,
-    write_raster_csv,
+    raster,
 )
 from fairplug.plugin import (
     DPAR_AWARE,
@@ -48,12 +47,9 @@ def in_margin(setting, params, pi, center, eps):
     return bool(margin_membership(setting, params, pi, ([v], [u]), eps)[0])
 
 
-def read_raster(path):
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["u", "v", "sign", "in_margin"]
-    table = np.array(rows[1:], dtype=float)
-    return table[:, 0], table[:, 1], table[:, 2], table[:, 3]
+def raster_columns(setting, params, pi, n):
+    """The ``(u, v, sign, in_margin)`` columns of a raster at eps = 0.05."""
+    return raster(setting, params, pi, n, 0.05)[0]
 
 
 class TestBoundaryObjects:
@@ -83,34 +79,28 @@ class TestBoundaryObjects:
 
 
 class TestBoundaryScore:
-    def test_hand_values(self, tmp_path):
+    def test_hand_values(self):
         # raster 5 has the dyadic lattice 0, 1/4, 1/2, 3/4, 1 on both axes
-        path = tmp_path / "eo.csv"
-        write_raster_csv(EO_BLIND, FairnessParams(1.0, 0.5, 0.5), 0.5, 5, 0.05, path)
-        u, v, sign, _ = read_raster(path)
+        u, v, sign, _ = raster_columns(EO_BLIND, FairnessParams(1.0, 0.5, 0.5), 0.5, 5)
         sign_at = {(a, b): s for a, b, s in zip(u, v, sign)}
         assert sign_at[(0.0, 0.25)] == 0.0  # (1 + 1) * 0.25 - 0.5
         assert sign_at[(0.5, 0.5)] == 0.0
         assert sign_at[(0.0, 1.0)] == 1.0
         assert sign_at[(1.0, 0.0)] == -1.0
-        path = tmp_path / "dpar.csv"
-        write_raster_csv(DPAR_BLIND, FairnessParams(2.0, 0.5, 0.25), None, 5, 0.05, path)
-        u, v, sign, _ = read_raster(path)
+        u, v, sign, _ = raster_columns(DPAR_BLIND, FairnessParams(2.0, 0.5, 0.25), None, 5)
         sign_at = {(a, b): s for a, b, s in zip(u, v, sign)}
         assert sign_at[(0.25, 0.5)] == 0.0
         assert sign_at[(0.5, 0.5)] == -1.0
         assert sign_at[(0.0, 0.5)] == 1.0
 
-    def test_matches_independent_transcription(self, tmp_path):
+    def test_matches_independent_transcription(self):
         lam, pi, c, c_bar = -2.2, 0.7, 0.35, 0.6
         params = FairnessParams(lam, c, c_bar)
         for setting, value in (
             (EO_BLIND, lambda u, v: hyperbola_value(lam, pi, c, c_bar, u, v)),
             (DPAR_BLIND, lambda u, v: line_value(lam, c, c_bar, u, v)),
         ):
-            path = tmp_path / f"{setting}.csv"
-            write_raster_csv(setting, params, pi, 21, 0.05, path)
-            u, v, sign, _ = read_raster(path)
+            u, v, sign, _ = raster_columns(setting, params, pi, 21)
             reference = value(u, v)
             clear = np.abs(reference) > 1e-12
             assert clear.sum() > 400
@@ -120,15 +110,12 @@ class TestBoundaryScore:
         "setting, lam, pi, c, c_bar",
         [(EO_BLIND, -3.6, 0.85, 0.8, 0.9), (DPAR_BLIND, 1.0, 0.85, 0.5, 0.5)],
     )
-    def test_raster_sign_is_the_rule_score_sign(self, tmp_path, setting, lam, pi, c, c_bar):
-        path = tmp_path / "raster.csv"
-        write_raster_csv(setting, FairnessParams(lam, c, c_bar), pi, 201, 0.05, path)
-        u, v, sign, _ = read_raster(path)
+    def test_raster_sign_is_the_rule_score_sign(self, setting, lam, pi, c, c_bar):
+        u, v, sign, _ = raster_columns(setting, FairnessParams(lam, c, c_bar), pi, 201)
         axis = np.linspace(0.0, 1.0, 201)
         grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
-        # the CSV holds the lattice to 10 digits; score the lattice itself
-        assert np.allclose(u, grid_u.ravel(), atol=1e-10)
-        assert np.allclose(v, grid_v.ravel(), atol=1e-10)
+        assert u.tobytes() == grid_u.ravel().tobytes()
+        assert v.tobytes() == grid_v.ravel().tobytes()
         scores = setting_score(setting, grid_v.ravel(), grid_u.ravel(), pi, lam, c, c_bar)
         expected = np.sign(scores)
         assert np.array_equal(sign, expected)
@@ -387,7 +374,7 @@ class TestGeometryFor:
             with pytest.raises(ValidationError, match="requires pi"):
                 margin_membership(setting, params, None, ([0.5], [0.5]), 0.05)
         with pytest.raises(ValidationError, match="requires pi"):
-            write_raster_csv(EO_BLIND, params, None, 5, 0.05, "unused.csv")
+            raster(EO_BLIND, params, None, 5, 0.05)
         with pytest.raises(ValidationError, match="unknown setting"):
             margin_membership("parity", params, None, ([0.5], [0.5]), 0.05)
 
@@ -421,22 +408,17 @@ class TestChunkedMembership:
 
 
 class TestRasterExport:
-    def test_layout_and_margin_column(self, tmp_path):
+    def test_layout_and_margin_column(self):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
-        path = tmp_path / "raster.csv"
-        mask = write_raster_csv(DPAR_BLIND, flat, None, 5, 0.05, path)
+        columns, mask = raster(DPAR_BLIND, flat, None, 5, 0.05)
         assert mask.shape == (5, 5) and mask.dtype == bool
-        lines = path.read_text().splitlines()
-        assert lines[0] == "u,v,sign,in_margin"
-        assert len(lines) == 26
-        rows = [line.split(",") for line in lines[1:]]
-        for u, v, sign, flag in rows:
-            assert int(sign) in (-1, 0, 1)
-            expected = abs(float(v) - 0.55) <= 1e-12 or abs(float(v) - 0.45) <= 1e-12
-            expected = expected or (0.45 < float(v) < 0.55)
-            assert int(flag) == int(expected)
-        # the returned flags are the file's in_margin column, in row order
-        assert mask.ravel().astype(int).tolist() == [int(row[3]) for row in rows]
+        assert all(column.shape == (25,) for column in columns)
+        for u, v, sign, flag in zip(*(column.tolist() for column in columns)):
+            assert sign in (-1, 0, 1) and isinstance(sign, int)
+            expected = abs(v - 0.55) <= 1e-12 or abs(v - 0.45) <= 1e-12 or 0.45 < v < 0.55
+            assert flag == int(expected)
+        # the mask is the in_margin column, in row order
+        assert mask.ravel().astype(int).tolist() == columns[3].tolist()
 
     @pytest.mark.parametrize("setting,params,pi", [
         (EO_BLIND, FairnessParams(-3.6, 0.8, 0.9), 0.85),
@@ -451,11 +433,10 @@ class TestRasterExport:
             value = setting_score(setting, v, u, pi, params.lam, params.c, params.c_bar)
             assert abs(float(value)) <= 1e-12
 
-    def test_validation(self, tmp_path):
+    def test_validation(self):
         flat = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         with pytest.raises(ValidationError, match="at least 2"):
-            write_raster_csv(DPAR_BLIND, flat, None, 1, 0.05, tmp_path / "x.csv")
+            raster(DPAR_BLIND, flat, None, 1, 0.05)
         for setting in (EO_AWARE, DPAR_AWARE):
             with pytest.raises(ValidationError, match="blind settings only"):
-                write_raster_csv(setting, flat, 0.5, 5, 0.05, tmp_path / "x.csv")
-        assert not (tmp_path / "x.csv").exists()
+                raster(setting, flat, 0.5, 5, 0.05)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fairplug import synthetic
 from fairplug.core import FairnessParams
 from fairplug.cpe import (
+    ARITY_FEATURES,
     ARITY_FEATURES_PLUS_LABEL,
     ARITY_FEATURES_PLUS_SENSITIVE,
     FitConfig,
@@ -25,6 +26,7 @@ from fairplug.plugin import (
     EO_BLIND,
     SETTINGS,
     PlugInRule,
+    coordinates,
     criterion_for,
     fit_plugin,
     is_aware,
@@ -182,22 +184,31 @@ class TestSyntheticDistribution:
 
     def test_regression_values(self):
         dist = two_atom_dist(label_weight=0.7)
-        assert dist.eta(np.array([1.0])) == pytest.approx(sigmoid(1.0))
-        assert dist.eta_bar_eo(np.array([1.0]), 1.0) == pytest.approx(sigmoid(-1.0 + 0.7 + 0.8))
-        assert dist.eta_bar_eo(np.array([1.0]), -1.0) == pytest.approx(sigmoid(-1.0 - 0.7 + 0.8))
+        x = np.array([1.0])
+        assert predict_proba(dist.eta, x) == pytest.approx(sigmoid(1.0))
+        assert predict_proba(dist.eta_bar, x, 1.0) == pytest.approx(sigmoid(-1.0 + 0.7 + 0.8))
+        assert predict_proba(dist.eta_bar, x, -1.0) == pytest.approx(sigmoid(-1.0 - 0.7 + 0.8))
         assert dist.w_eta_bar[-2] == 0.7
-        assert dist.w_eta_bar_dpar is None
+
+    def test_true_models_are_unregularized_and_tagged(self):
+        dist = two_atom_dist(label_weight=0.0)
+        models = (dist.eta, dist.eta_bar, dist.require_eta_bar_dpar())
+        arities = (ARITY_FEATURES, ARITY_FEATURES_PLUS_LABEL, ARITY_FEATURES)
+        weights = ([1.5, -0.5], [-1.0, 0.0, 0.8], [-1.0, 0.8])
+        for model, arity, w in zip(models, arities, weights):
+            assert model.lambda_reg == 0.0 and model.input_arity == arity
+            assert model.weights.tolist() == w
 
     def test_dpar_weights_derived(self):
         dist = two_atom_dist(label_weight=0.0)
-        assert dist.w_eta_bar_dpar is not None
-        assert dist.w_eta_bar_dpar.tolist() == [-1.0, 0.8]
-        assert dist.eta_bar_dpar(np.array([0.0])) == pytest.approx(sigmoid(0.8))
+        dpar = dist.require_eta_bar_dpar()
+        assert dpar.weights.tolist() == [-1.0, 0.8]
+        assert predict_proba(dpar, np.array([0.0])) == pytest.approx(sigmoid(0.8))
 
     def test_dpar_query_needs_structure(self):
         dist = two_atom_dist(label_weight=0.7)
         with pytest.raises(ValidationError, match="mixture"):
-            dist.eta_bar_dpar(np.array([0.0]))
+            dist.require_eta_bar_dpar()
 
 
 class TestSampleAndStats:
@@ -244,16 +255,16 @@ class TestSampleAndStats:
         got = sample(dist, n, seed)
         rng = np.random.default_rng(seed)
         x = sample_x(dist.law, n, rng)
-        y, ybar = oracles.sample_labels(rng, x, dist.eta, dist.eta_bar_eo)
+        y, ybar = oracles.sample_labels(rng, x, dist)
         assert got.labels.tobytes() == y.tobytes()
         assert got.sensitive.tobytes() == ybar.tobytes()
-        w, w_bar = dist.w_eta, dist.w_eta_bar
-        assert dist.eta(x).tobytes() == sigmoid(x @ w[:-1] + w[-1]).tobytes()
-        logits = x @ w_bar[:-2] + y * w_bar[-2] + w_bar[-1]
-        assert dist.eta_bar_eo(x, y).tobytes() == sigmoid(logits).tobytes()
-        if dist.w_eta_bar_dpar is not None:
-            w_dpar = dist.w_eta_bar_dpar
-            assert dist.eta_bar_dpar(x).tobytes() == sigmoid(x @ w_dpar[:-1] + w_dpar[-1]).tobytes()
+        assert predict_proba(dist.eta, x).tobytes() == oracles.true_eta(dist, x).tobytes()
+        eta_bar = predict_proba(dist.eta_bar, x, y)
+        assert eta_bar.tobytes() == oracles.true_eta_bar(dist, x, y).tobytes()
+        if dist.w_eta_bar[-2] == 0.0:
+            w_dpar = np.delete(dist.w_eta_bar, -2)
+            dpar = predict_proba(dist.require_eta_bar_dpar(), x)
+            assert dpar.tobytes() == sigmoid(x @ w_dpar[:-1] + w_dpar[-1]).tobytes()
 
     @pytest.mark.parametrize("name", ["reference-eo", "reference-dpar", "5-d box"])
     def test_true_stats_is_the_weighted_sum_on_200k_nodes(self, name):
@@ -322,6 +333,23 @@ class TestBayesClassifier:
         for setting in (DPAR_BLIND, DPAR_AWARE, EO_AWARE):
             with pytest.raises(ValidationError, match="mixture"):
                 bayes_classifier(dist, setting, PARAMS)
+
+    def test_exact_eo_blind_rule_reads_the_populations_regression_bits(self):
+        # 7 features on random atoms: the exact rule's coordinates at the
+        # nodes are the eta and eta_bar(x, +1) the population's masses hold
+        rng = np.random.default_rng(31)
+        atoms = 300
+        dist = SyntheticDistribution(
+            law=DiscreteLaw(points=rng.normal(size=(atoms, 7)), masses=np.full(atoms, 1 / atoms)),
+            w_eta=rng.normal(size=8),
+            w_eta_bar=rng.normal(size=9),
+        )
+        pop = population(dist, atoms)
+        rule = bayes_classifier(dist, EO_BLIND, PARAMS, true_pi=pop.stats.pi)
+        eta, eta_bar = coordinates(rule, pop.nodes)
+        label_pos = pop.weights * eta
+        assert pop.masses[0].tobytes() == (label_pos * eta_bar).tobytes()
+        assert pop.masses[2].tobytes() == (label_pos * (1.0 - eta_bar)).tobytes()
 
     def test_neutral_rule_thresholds_eta(self):
         dist = two_atom_dist(label_weight=0.0)
@@ -511,7 +539,7 @@ class TestFrontierAndGap:
         pop = population(dist, 20_000)
         nodes, weights = pop.nodes, pop.weights
         boc = bayes_classifier(dist, EO_BLIND, PARAMS, true_pi=pop.stats.pi)
-        eta = dist.eta(nodes)
+        eta = predict_proba(dist.eta, nodes)
         integrand = (PARAMS.c - eta) * ((score(boc, nodes) > 0) - (eta > PARAMS.c).astype(float))
         assert frontier(pop, 1.0, PARAMS) == pytest.approx(float(weights @ integrand), abs=1e-12)
 
@@ -588,10 +616,11 @@ class TestSampleComplexity:
         check = sample(dist, draws, 99)
         if which == "eta_bar_eo":
             inputs = np.hstack([check.features, check.labels[:, None]])
-            truth = dist.eta_bar_eo(check.features, check.labels)
+            truth = oracles.true_eta_bar(dist, check.features, check.labels)
         else:
             inputs = check.features
-            truth = dist.eta(inputs) if which == "eta" else dist.eta_bar_dpar(inputs)
+            true_model = dist.eta if which == "eta" else dist.require_eta_bar_dpar()
+            truth = predict_proba(true_model, inputs)
         drawn = float(np.mean(np.abs(truth - predict_proba(model, inputs)) >= eps))
         assert 0.01 < tail < 0.99
         assert abs(tail - drawn) <= 4.0 * math.sqrt(tail * (1.0 - tail) / draws)
@@ -625,14 +654,14 @@ class TestReferenceDistributions:
     def test_eo_reference_shape(self):
         dist = reference_eo()
         assert dist.law.dim == 2
-        assert dist.w_eta_bar_dpar is None
+        with pytest.raises(ValidationError, match="mixture"):
+            dist.require_eta_bar_dpar()
         stats = true_stats(dist)
         assert 0.0 < stats.pi < 1.0 and 0.0 < stats.beta < 1.0
 
     def test_dpar_reference_shape(self):
         dist = reference_dpar()
-        assert dist.w_eta_bar_dpar is not None
-        assert dist.w_eta_bar_dpar.tolist() == [-1.0, 1.4, 0.2]
+        assert dist.require_eta_bar_dpar().weights.tolist() == [-1.0, 1.4, 0.2]
 
 
 class TestPersistence:

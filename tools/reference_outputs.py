@@ -16,14 +16,21 @@ four ``simulate`` experiments run at small sizes, each serially and with
 ``--jobs 2`` (see ``SIMULATIONS``): ``consistency``,
 ``sample-complexity`` once per target (``eta`` and ``eta_bar_eo`` on
 reference-eo, ``eta_bar_dpar`` on reference-dpar), and ``frontier`` and
-``tradeoff-gap`` at ``--m-eval 20000``.  Three ``geometry`` rasters run
+``tradeoff-gap`` at ``--m-eval 20000``.  ``consistency`` and
+``sample-complexity --which eta_bar_eo`` run once more on ``--dist
+gaussian-4d.kv``, a 4-D truncated-Gaussian law with a nonzero label
+weight that the script writes into its inputs directory, so the
+sensitive-attribute regression is pinned wider than the 2-D reference
+laws.  Every ``simulate`` runs in the inputs directory, so the file is
+named relative to it and the manifests record the same ``config.dist``
+in every run.  Three ``geometry`` rasters run
 once each (they take no ``--jobs``), two of them with ``--svg``.  Each
 command is a child process with ``OPENBLAS_NUM_THREADS=1``, since the
 fits call BLAS and some outputs move with its thread count.  The script
 prints ``sha256  path`` for every sweep's ``records.csv``, ``curve.csv``
 and ``curve.svg``, and for every simulation's and geometry run's CSV and
 SVG files and its ``manifest.kv`` without the ``config.out`` line, which
-names the run's own directory: 136 files in all.  Standard output holds
+names the run's own directory: 148 files in all.  Standard output holds
 only those ``sha256  path`` lines, so ``> SHA256SUMS`` keeps a
 ``sha256sum``-style list; every status and difference line goes to
 standard error.  It exits 1 if a ``--jobs 2`` output differs from its
@@ -69,14 +76,29 @@ SWEEPS = (
 HASHED = ("records.csv", "curve.csv", "curve.svg")
 _COMPLEXITY = ("--experiment", "sample-complexity", "--eps-target", "0.05", "--trials", "3",
                "--start", "32", "--cap", "256", "--m-eval", "20000", "--seed", "4")
+#: A 4-D truncated-Gaussian law whose sensitive attribute has a nonzero
+#: label weight, written into the inputs directory for the ``--dist`` runs.
+DIST_4D = "gaussian-4d.kv"
+DIST_4D_TEXT = """law = truncated-gaussian
+mean = 0.1 -0.2 0.0 0.3
+std = 0.8 1.0 0.6 0.9
+lows = -1.5 -2.0 -1.0 -1.5
+highs = 1.5 1.0 1.2 2.0
+w_eta = 1.3 -0.9 0.6 0.4 0.2
+w_eta_bar = -0.7 0.5 1.1 -0.3 0.8 -0.1
+"""
+_CONSISTENCY = ("--experiment", "consistency", "--n-schedule", "256,1024",
+                "--trials", "4", "--m-eval", "20000", "--seed", "5")
 #: (run name, ``simulate`` arguments)
 SIMULATIONS = (
-    ("consistency", ("--experiment", "consistency", "--n-schedule", "256,1024",
-                     "--trials", "4", "--m-eval", "20000", "--seed", "5")),
+    ("consistency", _CONSISTENCY),
+    ("consistency-gaussian-4d", (*_CONSISTENCY, "--dist", DIST_4D)),
     ("sample-complexity", _COMPLEXITY),
     ("sample-complexity-eta_bar_eo", (*_COMPLEXITY, "--which", "eta_bar_eo")),
     ("sample-complexity-eta_bar_dpar",
      (*_COMPLEXITY, "--dist", "reference-dpar", "--which", "eta_bar_dpar")),
+    ("sample-complexity-eta_bar_eo-gaussian-4d",
+     (*_COMPLEXITY, "--dist", DIST_4D, "--which", "eta_bar_eo")),
     ("frontier", ("--experiment", "frontier", "--m-eval", "20000")),
     ("tradeoff-gap", ("--experiment", "tradeoff-gap", "--m-eval", "20000")),
 )
@@ -89,11 +111,12 @@ GEOMETRIES = (
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def fairplug(source: Path, *args: str) -> None:
-    """``fairplug ARGS`` in a child process running ``source``'s code."""
+def fairplug(source: Path, *args: str, cwd: Path | None = None) -> None:
+    """``fairplug ARGS`` in a child process running ``source``'s code, in ``cwd``."""
     env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": str(source / "src")}
     done = subprocess.run(
-        [sys.executable, "-m", "fairplug.cli", *args], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "fairplug.cli", *args],
+        env=env, cwd=cwd, capture_output=True, text=True,
     )
     if done.returncode != 0:
         raise SystemExit(f"fairplug {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
@@ -103,6 +126,7 @@ def write_inputs(inputs: Path) -> None:
     inputs.mkdir(parents=True)
     for name, rows, _ in DATASETS:
         write_german_csv(inputs / f"{name}.csv", rows, SEED)
+    (inputs / DIST_4D).write_text(DIST_4D_TEXT)
 
 
 def sha256(path: Path) -> str:
@@ -141,7 +165,7 @@ def run_tree(source: Path, inputs: Path, out: Path) -> dict[str, str]:
     for (name, args), jobs in itertools.product(SIMULATIONS, ("1", "2")):
         fairplug(
             source, "simulate", *args, "--jobs", jobs,
-            "--out", str(out / "simulate" / f"{name}_j{jobs}"),
+            "--out", str(out / "simulate" / f"{name}_j{jobs}"), cwd=inputs,
         )
     for name, args in GEOMETRIES:
         fairplug(source, "geometry", *args, "--out", str(out / "geometry" / name))
