@@ -47,7 +47,7 @@ import numpy as np
 
 from . import data, geometry, plugin, svg, sweep, synthetic
 from .core import FairnessParams, _check_prob
-from .cpe import FitConfig, predict_proba
+from .cpe import FitConfig
 from .errors import DataError, NumericError, ValidationError
 from .kvformat import format_float, read_kv, write_kv
 
@@ -573,8 +573,8 @@ def _margin_constants(
     """
 
     stats = pop.stats
-    dist = pop.dist
-    coords = (predict_proba(dist.eta, pop.nodes), predict_proba(dist.eta_bar, pop.nodes, 1.0))
+    rule = synthetic.bayes_classifier(pop.dist, plugin.EO_BLIND, params, stats.pi)
+    coords = plugin.coordinates(rule, pop.nodes)
     mass = geometry.estimate_margin_mass(
         coords, pop.weights, plugin.EO_BLIND, params, stats.pi, resolved["eps_target"]
     )

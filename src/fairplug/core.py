@@ -85,25 +85,19 @@ class Dataset:
         """A dataset that takes over arrays nothing else writes to.
 
         For a caller that has just built the arrays (a loader, the
-        norm-bounding transform): they are checked as the constructor
-        checks them and made read-only in place, not copied.  An array
-        that is not float64 (an int ``.npy`` file, say) is converted, and
-        the converted copy is kept.  An already read-only array, such as
-        another dataset's column, may be shared.  The public constructor
-        copies every array it is given.
+        norm-bounding transform, a synthetic draw): they are checked as
+        the constructor checks them and made read-only in place, not
+        copied.  An array that is not float64 (an int ``.npy`` file, say)
+        is converted, and the converted copy is kept.  An already
+        read-only array, such as another dataset's column, may be shared.
+        The public constructor copies every array it is given; these are
+        the only two ways a dataset is built.
         """
-        dataset = cls._unchecked(features, labels, sensitive, label_scale)
-        dataset._check_and_freeze(copy=False)
-        return dataset
-
-    @classmethod
-    def _unchecked(cls, features, labels, sensitive, label_scale) -> "Dataset":
-        """A dataset over the arrays as given: not checked, copied or frozen."""
         dataset = cls.__new__(cls)
-        object.__setattr__(dataset, "features", features)
-        object.__setattr__(dataset, "labels", labels)
-        object.__setattr__(dataset, "sensitive", sensitive)
-        object.__setattr__(dataset, "label_scale", label_scale)
+        vars(dataset).update(
+            features=features, labels=labels, sensitive=sensitive, label_scale=label_scale
+        )
+        dataset._check_and_freeze(copy=False)
         return dataset
 
     def _check_and_freeze(self, copy: bool) -> None:
@@ -120,7 +114,10 @@ class Dataset:
                 "row-count mismatch: "
                 f"features {features.shape}, labels {labels.shape}, sensitive {sensitive.shape}"
             )
-        if not np.all(np.isfinite(features)):
+        # NaN and +-inf propagate through min and max, so no per-cell mask
+        # is built; ``initial`` keeps a zero-width matrix legal.
+        low, high = features.min(initial=0.0), features.max(initial=0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValidationError("features contain non-finite entries")
         scale = float(self.label_scale)
         if not (np.isfinite(scale) and scale > 0):
@@ -146,30 +143,13 @@ class Dataset:
         """Number of feature columns."""
         return int(self.features.shape[1])
 
-    def subset(self, indices) -> "Dataset":
-        """The rows at ``indices`` (any order, repeats allowed) as a new dataset.
-
-        The fancy index already builds fresh arrays, so they are frozen in
-        place rather than copied again, and they are not checked again:
-        every row passed this dataset's checks.  The result owns its
-        arrays (no memory shared with this dataset), they are read-only,
-        and it keeps :attr:`label_scale`.
-        """
-        idx = self._row_index(indices)
-        return Dataset._unchecked(
-            _readonly(self.features[idx], copy=False),
-            _readonly(self.labels[idx], copy=False),
-            _readonly(self.sensitive[idx], copy=False),
-            self.label_scale,
-        )
-
     def _row_index(self, indices) -> np.ndarray:
         """``indices`` as a non-empty 1-D int array of this dataset's rows."""
         idx = np.asarray(indices, dtype=int)
         if idx.ndim != 1 or idx.size == 0:
-            raise ValidationError("subset requires a non-empty 1-D index array")
+            raise ValidationError("rows must be a non-empty 1-D index array")
         if idx.min() < 0 or idx.max() >= self.n:
-            raise ValidationError("subset index out of range")
+            raise ValidationError("row index out of range")
         return idx
 
 

@@ -21,13 +21,14 @@ norm sqrt(1 - C^2), and labels remapped to +-C -- is fitted on the
 training split only; applying it to held-out rows never reads their
 statistics, and any row that lands outside the cap is radially clipped
 (counted, never silent: held-out rows, or a training row that rounding
-puts just over it).  A training split is gathered from the dataset
-once, into one buffer that is fitted and mapped in place and that the
-mapped split then owns.  Squares for the scale and the norms exist one
-block of rows at a time, in one reused buffer of about 2^17 elements;
-the column sums carry their running total from block to block in
-numpy's own summation order, so every statistic, mapped row and clip
-decision is what whole-array numpy expressions give, bit for bit.
+puts just over it).  Each split, training or held-out, is gathered from
+the dataset once, into one buffer that is mapped in place (and, for a
+training split, fitted there first) and that the mapped split owns.
+Squares for the scale and the norms exist one block of rows at a time,
+in one reused buffer of about 2^17 elements; the column sums carry
+their running total from block to block in numpy's own summation
+order, so every statistic, mapped row and clip decision is what
+whole-array numpy expressions give, bit for bit.
 
 Split generation is unstratified: each repeat draws an independent
 permutation from its derived seed and cuts it 70:20:10.
@@ -558,24 +559,40 @@ def _row_norms(x: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield block, norms[:size]
 
 
-def _scale_and_clip(x: np.ndarray, transform: DpTransform, role: str) -> None:
-    """Multiply ``x`` by the global scale and radially clip rows over the cap, in place.
+def _bound_rows(
+    x: np.ndarray, dataset: Dataset, index: np.ndarray, transform: DpTransform, role: str
+) -> Dataset:
+    """The standardized rows ``x`` of ``dataset`` at ``index``, scaled and clipped, as a split.
 
-    Clipped rows are counted in the log as ``role`` rows.  Non-finite
-    rows stay non-finite for the caller's dataset check to reject; the
-    overflow and ``inf * 0`` warnings on the way there are silenced.
+    Both roles end here: ``*= global_scale`` and the radial clip of rows
+    over the cap (counted in the log as ``role`` rows) in place, +-C
+    labels, and adoption of ``x``.  A row whose squares overflow is
+    divided by its largest entry before its norm is taken again, so it
+    lands on the cap in its own direction, not at the origin; rows with
+    finite norms keep their bits.  Non-finite rows stay non-finite for
+    the dataset check to reject, with numpy's warnings on the way silenced.
     """
     cap = transform.radius_cap
     clipped = 0
     with np.errstate(over="ignore", invalid="ignore"):
         x *= transform.global_scale
         for block, norms in _row_norms(x):
+            huge = np.isinf(norms)
+            if huge.any():
+                rows = block[huge]
+                rows /= np.abs(rows).max(axis=1, keepdims=True)
+                block[huge] = rows
+                norms[huge] = np.sqrt((rows * rows).sum(axis=1))
             over = norms > cap
             if over.any():
                 block[over] *= (cap / norms[over])[:, None]
                 clipped += int(np.count_nonzero(over))
     if clipped:
         log.info("radially clipped %d %s rows to the norm cap", clipped, role)
+    c = transform.label_magnitude
+    labels = np.sign(dataset.labels[index])
+    labels *= c
+    return Dataset._adopt(x, labels, dataset.sensitive[index], c)
 
 
 def fit_dp_transform(dataset: Dataset, rows, c: float = 0.5) -> tuple[DpTransform, Dataset]:
@@ -610,30 +627,27 @@ def fit_dp_transform(dataset: Dataset, rows, c: float = 0.5) -> tuple[DpTransfor
         max_norm = float(np.max([norms.max() for _, norms in _row_norms(x)]))
     global_scale = _radius_cap(c) / max_norm if max_norm > 0 else 1.0
     transform = DpTransform(shift=shift, scale=scale, global_scale=global_scale, label_magnitude=c)
-    _scale_and_clip(x, transform, "training")
-    labels = np.sign(dataset.labels[index])
-    labels *= c
-    return transform, Dataset._adopt(x, labels, dataset.sensitive[index], c)
+    return transform, _bound_rows(x, dataset, index, transform, "training")
 
 
-def apply_dp_transform(transform: DpTransform, dataset: Dataset) -> Dataset:
+def apply_dp_transform(transform: DpTransform, dataset: Dataset, rows) -> Dataset:
     """Map held-out rows through a train-fitted transform.
 
-    Rows that land beyond the radius cap are radially clipped and counted
-    in the log as held-out rows; the norms are those of
-    :func:`fit_dp_transform`, a block of rows at a time.  The features
-    are mapped in one buffer that the result adopts, so it is checked (a
-    non-finite row is a ValidationError, and numpy's overflow warnings on
-    the way to one are silenced) but not copied; the result shares the
-    read-only sensitive column.
+    ``rows`` indexes the held-out split's rows of ``dataset``, checked
+    as :func:`fit_dp_transform` checks its rows.  They are gathered once,
+    into one buffer that is standardized in place and that the result
+    adopts, so no raw copy of the split is built; the global scale, the
+    radial clip (counted in the log as held-out rows) and the +-C labels
+    are those of the fit's rows.  The result is checked (a non-finite
+    row is a ValidationError, and numpy's overflow warnings on the way
+    to one are silenced) and owns its arrays.
     """
-
+    index = dataset._row_index(rows)
+    z = dataset.features[index]
     with np.errstate(over="ignore", invalid="ignore"):
-        z = dataset.features - transform.shift
+        z -= transform.shift
         z /= transform.scale
-    _scale_and_clip(z, transform, "held-out")
-    labels = np.sign(dataset.labels) * transform.label_magnitude
-    return Dataset._adopt(z, labels, dataset.sensitive, transform.label_magnitude)
+    return _bound_rows(z, dataset, index, transform, "held-out")
 
 
 #: Train, validation and test fractions of every split.

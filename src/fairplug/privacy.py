@@ -231,7 +231,8 @@ def privatize(model: LinearCpe, n: int, eps_p: float, seed: int) -> PrivatizedCp
 
 
 def _check_joint_norms(train: Dataset) -> None:
-    joint_sq = np.sum(train.features**2, axis=1) + train.labels**2
+    # One sum of squares per row, with no design-sized squares matrix.
+    joint_sq = np.einsum("ij,ij->i", train.features, train.features) + train.labels**2
     worst = float(np.sqrt(joint_sq.max()))
     if worst > 1.0 + NORM_TOLERANCE:
         raise ValidationError(

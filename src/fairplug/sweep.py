@@ -417,18 +417,18 @@ def _run_split(
     """One split's hits ``(4, grid points)``, its four totals and the noise draws it made.
 
     :func:`fit_dp_transform` gathers the training rows once and fits and
-    maps them in that one buffer, which the fits then read; only the
-    test rows are gathered as a raw subset, for
-    :func:`apply_dp_transform`.  The hits are counted by
-    :func:`_count_grid` from ``setting_score(...) > 0`` on every test
-    row, and are all 0 on a degenerate split.
+    maps them in that one buffer, which the fits then read;
+    :func:`apply_dp_transform` gathers the test rows once and maps them
+    in theirs, so no raw copy of either split is built.  The hits are
+    counted by :func:`_count_grid` from ``setting_score(...) > 0`` on
+    every test row, and are all 0 on a degenerate split.
     """
 
     split_id, (train_idx, _val_idx, test_idx) = task
     draws = noise_draw_count()
     pipeline_seed = int(np.random.SeedSequence((seed, split_id)).generate_state(1)[0])
     transform, train = fit_dp_transform(dataset, train_idx, dp_c)
-    test = apply_dp_transform(transform, dataset.subset(test_idx))
+    test = apply_dp_transform(transform, dataset, test_idx)
     base_params = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
     if math.isfinite(eps_p):
         rule_base = dp_plugin_pipeline(train, setting, base_params, config, eps_p, pipeline_seed)

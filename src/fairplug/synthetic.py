@@ -274,7 +274,7 @@ def sample_x(law: FeatureLaw, n: int, rng: np.random.Generator) -> np.ndarray:
             draw = rng.normal(law.mean, law.std, size=(batch, law.dim))
             keep = np.all((draw >= law.lows) & (draw <= law.highs), axis=1)
             out = np.vstack([out, draw[keep]])
-        return out[:n]
+        return out[:n].copy()  # a view would keep the surplus draws alive
     if isinstance(law, DiscreteLaw):
         idx = rng.choice(law.points.shape[0], size=n, p=law.masses)
         return law.points[idx]
@@ -394,7 +394,7 @@ def sample(dist: SyntheticDistribution, n: int, seed) -> Dataset:
     y -= 1.0
     ybar = (rng.random(n) < predict_proba(dist.eta_bar, x, y)) * 2.0
     ybar -= 1.0
-    return Dataset(features=x, labels=y, sensitive=ybar)
+    return Dataset._adopt(x, y, ybar)
 
 
 def true_stats(dist: SyntheticDistribution) -> DistStats:
@@ -410,20 +410,18 @@ def bayes_classifier(
     dist: SyntheticDistribution,
     setting: str,
     params: FairnessParams,
-    true_pi: float | None = None,
+    true_pi: float,
 ) -> PlugInRule:
     """The exact optimal rule: true regression weights and the label prior ``true_pi``.
 
-    Without ``true_pi`` an EO rule takes :func:`true_stats`' prior; a run
-    passes its population's.  The aware settings and the parity-blind
-    setting require the zero-label-weight structure (see the class
-    docstring); otherwise their exact regression functions fall outside
-    the linear-logistic family and this raises.
+    A run passes its population's prior; only the EO settings read it.
+    The aware settings and the parity-blind setting require the
+    zero-label-weight structure (see the class docstring); otherwise
+    their exact regression functions fall outside the linear-logistic
+    family and this raises.
     """
 
-    pi_hat = None
-    if is_eo(setting):
-        pi_hat = float(true_pi) if true_pi is not None else true_stats(dist).pi
+    pi_hat = float(true_pi) if is_eo(setting) else None
     if is_aware(setting):
         dist.require_eta_bar_dpar()
         eta = _true_model(np.insert(dist.w_eta, -1, 0.0), ARITY_FEATURES_PLUS_SENSITIVE)

@@ -53,6 +53,7 @@ from fairplug.synthetic import (
     sample,
     sample_x,
     tradeoff_gap,
+    true_stats,
 )
 
 
@@ -140,11 +141,12 @@ def _check_dist_against_oracle(dist, inst, settings) -> bool:
     """
 
     atoms = dist.law.points
+    pi = true_stats(dist).pi
     for setting in settings:
         aware = plugin.is_aware(setting)
         criterion = plugin.criterion_for(setting)
         for lam, c, c_bar in _COMBOS:
-            rule = bayes_classifier(dist, setting, FairnessParams(lam, c, c_bar))
+            rule = bayes_classifier(dist, setting, FairnessParams(lam, c, c_bar), pi)
             if aware:
                 minus = np.atleast_1d(score(rule, atoms, y_bar=-1.0))
                 plus = np.atleast_1d(score(rule, atoms, y_bar=1.0))
@@ -348,7 +350,7 @@ def test_criterion_08_dp_sweep_budget_and_agreement(german_prepared_single):
     # near-infinite budget: decisions match the non-private route
     train_idx, _val_idx, test_idx = german_prepared_single.splits[0]
     transform, train = data.fit_dp_transform(german_prepared_single.dataset, train_idx, 0.5)
-    test = data.apply_dp_transform(transform, german_prepared_single.dataset.subset(test_idx))
+    test = data.apply_dp_transform(transform, german_prepared_single.dataset, test_idx)
     base = FairnessParams(0.0, 0.5, 0.5)
     private = dp_plugin_pipeline(train, EO_BLIND, base, config, 1e9, 99)
     clean = fit_plugin(train, EO_BLIND, base, config)
@@ -468,7 +470,7 @@ def test_criterion_11_protocol_conformance_on_real_data(
         merged = np.concatenate([train_idx, val_idx, test_idx])
         assert np.array_equal(np.sort(merged), np.arange(n))
         transform, train = data.fit_dp_transform(german_dataset, train_idx, 0.5)
-        for part in (train, data.apply_dp_transform(transform, german_dataset.subset(test_idx))):
+        for part in (train, data.apply_dp_transform(transform, german_dataset, test_idx)):
             joint = np.sqrt(np.sum(part.features**2, axis=1) + part.labels**2)
             assert np.all(joint <= 1.0 + 1e-9)
 

@@ -1,11 +1,14 @@
 """Domain-type validation and empirical base-rate statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fairplug.core import Dataset, DistStats, FairnessParams, compute_dist_stats
+from fairplug.data import apply_dp_transform, fit_dp_transform
 from fairplug.errors import DegenerateDataError, ValidationError
 
 
@@ -54,6 +57,18 @@ class TestDataset:
         features[0, 0] = 5.0
         assert ds.features is not features and ds.features[0, 0] == 0.0
 
+    def test_subset_arrays_are_read_only_and_its_own(self):
+        # Rows gathered from a dataset (the held-out map) own read-only arrays.
+        ds = make_dataset([1, -1, 1], [1, -1, 1])
+        transform, _ = fit_dp_transform(ds, [0, 1, 2], 0.5)
+        sub = apply_dp_transform(transform, ds, [0, 1, 2])
+        for name in ("features", "labels", "sensitive"):
+            column = getattr(sub, name)
+            assert not column.flags.writeable
+            assert not np.shares_memory(column, getattr(ds, name))
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
     def test_adopt_checks_and_freezes_in_place(self):
         arrays = [np.zeros((2, 2)), np.ones(2), np.ones(2)]
         ds = Dataset._adopt(*arrays)
@@ -70,6 +85,18 @@ class TestDataset:
             Dataset._adopt(*arrays)
         with pytest.raises(ValidationError, match="non-finite"):
             Dataset._adopt(np.full((2, 2), np.inf), arrays[1], arrays[2], 0.5)
+
+    def test_adopt_checks_finiteness_with_no_cell_sized_temporary(self):
+        n, width = 31_500, 50
+        arrays = [np.zeros((n, width)), np.ones(n), np.ones(n)]
+        tracemalloc.start()
+        try:
+            Dataset._adopt(*arrays)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a per-cell finiteness mask alone would take n * width bytes
+        assert peak <= n * width / 8
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="mismatch"):
@@ -94,31 +121,6 @@ class TestDataset:
     def test_sensitive_must_be_signs_even_under_rescaled_labels(self):
         with pytest.raises(ValidationError, match="sensitive"):
             make_dataset([0.5, -0.5], [0.5, -0.5], label_scale=0.5)
-
-    def test_subset_keeps_scale_and_validates_range(self):
-        ds = make_dataset([0.5, -0.5, 0.5], [1, -1, 1], label_scale=0.5)
-        sub = ds.subset([2, 0])
-        assert sub.n == 2 and sub.label_scale == 0.5
-        assert np.array_equal(sub.features, ds.features[[2, 0]])
-        assert sub.labels.tolist() == [0.5, 0.5] and sub.sensitive.tolist() == [1.0, 1.0]
-        with pytest.raises(ValidationError, match="out of range"):
-            ds.subset([3])
-        with pytest.raises(ValidationError, match="out of range"):
-            ds.subset([-1])
-        with pytest.raises(ValidationError, match="non-empty"):
-            ds.subset([])
-        with pytest.raises(ValidationError, match="non-empty"):
-            ds.subset([[0, 1]])
-
-    def test_subset_arrays_are_read_only_and_its_own(self):
-        ds = make_dataset([1, -1, 1], [1, -1, 1])
-        sub = ds.subset([0, 1, 2])
-        for name in ("features", "labels", "sensitive"):
-            column = getattr(sub, name)
-            assert not column.flags.writeable
-            assert not np.shares_memory(column, getattr(ds, name))
-            with pytest.raises(ValueError):
-                column[0] = 0.0
 
 
 class TestDistStats:

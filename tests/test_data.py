@@ -570,7 +570,7 @@ class TestDpTransform:
         centered = x[rows] - shift
         with patch.object(data_module, "_SQUARES_BLOCK", block):
             transform, mapped = fit_dp_transform(dataset, rows, c)
-            held_out = apply_dp_transform(transform, dataset)
+            held_out = apply_dp_transform(transform, dataset, np.arange(dataset.n))
             # the sums themselves, before the square root can hide an ulp
             sums = data_module._column_square_sums(centered)
         assert sums.tobytes() == (centered * centered).sum(axis=0).tobytes()
@@ -645,18 +645,39 @@ class TestDpTransform:
         assert np.all(np.isfinite(mapped.features))
 
     def test_mapped_dataset_is_read_only(self):
+        # Both roles: the mapped split owns its read-only arrays.
         train = self.small()
-        _, mapped = fit_all(train)
-        assert not any(
-            column.flags.writeable for column in (mapped.features, mapped.labels, mapped.sensitive)
-        )
-        assert not np.shares_memory(mapped.features, train.features)
+        transform, mapped = fit_all(train)
+        held_out = apply_dp_transform(transform, train, np.arange(train.n))
+        for split in (mapped, held_out):
+            for name in ("features", "labels", "sensitive"):
+                column = getattr(split, name)
+                assert not column.flags.writeable
+                assert not np.shares_memory(column, getattr(train, name))
+                with pytest.raises(ValueError):
+                    column[0] = 0.0
 
     def test_rows_are_checked_like_a_subset(self):
         train = self.small()
-        for bad, message in (([], "non-empty"), ([[0, 1]], "non-empty"), ([50], "out of range")):
+        transform, _ = fit_all(train)
+        for bad, message in (
+            ([], "non-empty"), ([[0, 1]], "non-empty"), ([50], "out of range"),
+            ([-1], "out of range"),
+        ):
             with pytest.raises(ValidationError, match=message):
                 fit_dp_transform(train, bad, 0.5)
+            with pytest.raises(ValidationError, match=message):
+                apply_dp_transform(transform, train, bad)
+
+    def test_held_out_rows_keep_scale_and_are_gathered_in_order(self):
+        train = self.small()
+        transform, _ = fit_all(train, c=0.6)
+        held_out = apply_dp_transform(transform, train, [2, 0, 2])
+        assert held_out.n == 3 and held_out.label_scale == 0.6
+        whole = apply_dp_transform(transform, train, np.arange(train.n))
+        assert held_out.features.tobytes() == whole.features[[2, 0, 2]].tobytes()
+        assert held_out.labels.tobytes() == (np.sign(train.labels[[2, 0, 2]]) * 0.6).tobytes()
+        assert held_out.sensitive.tobytes() == train.sensitive[[2, 0, 2]].tobytes()
 
     def test_non_finite_held_out_row_rejected(self):
         # The third column's scale is near 0.1, so 1e308 maps beyond the
@@ -664,7 +685,7 @@ class TestDpTransform:
         transform, _ = fit_all(self.small())
         huge = Dataset(np.array([[0.0, 0.0, 1e308]]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValidationError, match="non-finite"):
-            apply_dp_transform(transform, huge)
+            apply_dp_transform(transform, huge, [0])
 
     def test_overflowing_training_row_rejected(self):
         # Squaring 1e308 overflows, so the scale is not finite; the fit's
@@ -676,13 +697,34 @@ class TestDpTransform:
         with pytest.raises(ValidationError, match="finite"):
             fit_all(huge)
 
+    def test_held_out_row_whose_squares_overflow_lands_on_the_cap(self, caplog):
+        # The first column's scale is near 1, so 1e160 maps to a finite
+        # row whose squares overflow; it is clipped in its own direction,
+        # not to the origin.
+        train = self.small()
+        transform, _ = fit_all(train, c=0.5)
+        x = np.array([[1e160, 0.0, 0.0], [-1e160, 1e160, 0.0], [1.0, 0.0, 0.0]])
+        rows = Dataset(x, np.ones(3), np.ones(3))
+        with caplog.at_level(logging.INFO, logger="fairplug.data"):
+            mapped = apply_dp_transform(transform, rows, [0, 1, 2])
+        cap = transform.radius_cap
+        for row in range(2):
+            # at this size the shift is lost in rounding: the direction is x / scale
+            direction = x[row] / 1e160 / transform.scale
+            expected = cap * direction / np.sqrt((direction**2).sum())
+            assert mapped.features[row] == pytest.approx(expected, rel=1e-12, abs=1e-150)
+        # the finite-norm row is the one-row map's, bit for bit
+        alone = apply_dp_transform(transform, rows, [2])
+        assert mapped.features[2].tobytes() == alone.features[0].tobytes()
+        assert any("clipped 2 held-out rows" in record.message for record in caplog.records)
+
     def test_held_out_rows_clipped(self, caplog):
         transform, _ = fit_all(self.small(), c=0.5)
         far = Dataset(
             np.array([[100.0, -100.0, 100.0]]), np.array([1.0]), np.array([1.0])
         )
         with caplog.at_level(logging.INFO, logger="fairplug.data"):
-            mapped = apply_dp_transform(transform, far)
+            mapped = apply_dp_transform(transform, far, [0])
         norms = np.sqrt((mapped.features**2).sum(axis=1))
         assert norms[0] == pytest.approx(transform.radius_cap, abs=1e-12)
         assert any("clipped 1 held-out rows" in record.message for record in caplog.records)

@@ -1,6 +1,7 @@
 """Output-perturbation privacy: calibration, draw audit, private pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fairplug.errors import DegenerateDataError, NumericError, ValidationError
 from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_BLIND, fit_plugin, score, with_params
 from fairplug.privacy import (
     PrivatizedCpe,
+    _check_joint_norms,
     dp_plugin_pipeline,
     noise_draw_count,
     privatize,
@@ -159,6 +161,19 @@ class TestPipeline:
         big = Dataset(x, labels, sensitive)
         with pytest.raises(ValidationError, match="norm-bounding"):
             dp_plugin_pipeline(big, DPAR_BLIND, PARAMS, FitConfig(), eps_p=1.0, seed=0)
+
+    def test_norm_check_builds_no_design_sized_temporary(self):
+        n, width = 20_000, 50
+        x = np.random.default_rng(9).uniform(-1.0, 1.0, size=(n, width)) / (2 * np.sqrt(width))
+        train = Dataset(x, np.full(n, 0.5), np.ones(n), label_scale=0.5)
+        tracemalloc.start()
+        try:
+            _check_joint_norms(train)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few row-length vectors, not the (n, width) matrix of squares
+        assert peak <= 8 * n * 8
 
     def test_one_draw_and_untouched_label_estimator(self):
         train = bounded_dataset()

@@ -335,7 +335,7 @@ class TestRunSweep:
         by_point = {point: i for i, point in enumerate(zip(split.lam, split.c, split.c_bar))}
         train_idx, _, test_idx = prepared.splits[0]
         transform, train = fit_dp_transform(prepared.dataset, train_idx, 0.5)
-        test = apply_dp_transform(transform, prepared.dataset.subset(test_idx))
+        test = apply_dp_transform(transform, prepared.dataset, test_idx)
         rule = fit_plugin(
             train, setting, FairnessParams(lam=0.0, c=0.5, c_bar=0.5), FitConfig()
         )

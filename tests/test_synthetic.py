@@ -311,7 +311,7 @@ class TestSampleAndStats:
 class TestBayesClassifier:
     def test_eo_blind_uses_true_weights(self):
         dist = reference_eo()
-        rule = bayes_classifier(dist, EO_BLIND, PARAMS)
+        rule = bayes_classifier(dist, EO_BLIND, PARAMS, true_stats(dist).pi)
         assert np.array_equal(rule.eta.weights, dist.w_eta)
         assert np.array_equal(rule.eta_bar.weights, dist.w_eta_bar)
         assert rule.eta_bar.input_arity == ARITY_FEATURES_PLUS_LABEL
@@ -323,7 +323,7 @@ class TestBayesClassifier:
 
     def test_aware_weights_have_zero_group_slot(self):
         dist = reference_dpar()
-        rule = bayes_classifier(dist, DPAR_AWARE, PARAMS)
+        rule = bayes_classifier(dist, DPAR_AWARE, PARAMS, true_stats(dist).pi)
         assert rule.eta.input_arity == ARITY_FEATURES_PLUS_SENSITIVE
         assert rule.eta.weights.tolist() == [2.0, -1.5, 0.0, 0.3]
         assert rule.eta_bar is None
@@ -332,7 +332,7 @@ class TestBayesClassifier:
         dist = reference_eo()
         for setting in (DPAR_BLIND, DPAR_AWARE, EO_AWARE):
             with pytest.raises(ValidationError, match="mixture"):
-                bayes_classifier(dist, setting, PARAMS)
+                bayes_classifier(dist, setting, PARAMS, true_stats(dist).pi)
 
     def test_exact_eo_blind_rule_reads_the_populations_regression_bits(self):
         # 7 features on random atoms: the exact rule's coordinates at the
@@ -354,7 +354,7 @@ class TestBayesClassifier:
     def test_neutral_rule_thresholds_eta(self):
         dist = two_atom_dist(label_weight=0.0)
         rule = bayes_classifier(
-            dist, EO_BLIND, FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
+            dist, EO_BLIND, FairnessParams(lam=0.0, c=0.5, c_bar=0.5), true_stats(dist).pi
         )
         preds = score(rule, dist.law.points) > 0
         etas = np.array([sigmoid(-0.5), sigmoid(1.0)])
@@ -364,19 +364,23 @@ class TestBayesClassifier:
 class TestMeasureAndRegret:
     def test_boc_regret_is_exactly_zero(self):
         dist = reference_eo()
-        boc = bayes_classifier(dist, EO_BLIND, PARAMS)
+        boc = bayes_classifier(dist, EO_BLIND, PARAMS, true_stats(dist).pi)
         assert estimate_regret(boc, population(dist, 2000), EO_BLIND, PARAMS) == 0.0
 
     def test_bad_rule_has_positive_regret(self):
         dist = reference_eo()
         # the exact rule for a far higher label cost predicts +1 almost nowhere
-        timid = bayes_classifier(dist, EO_BLIND, FairnessParams(lam=1.0, c=0.99, c_bar=0.5))
+        timid = bayes_classifier(
+            dist, EO_BLIND, FairnessParams(lam=1.0, c=0.99, c_bar=0.5), true_stats(dist).pi
+        )
         got = estimate_regret(timid, population(dist, 20000), EO_BLIND, PARAMS)
         assert got > 0.01
 
     def test_measure_deterministic(self):
         dist = reference_dpar()
-        unfair = bayes_classifier(dist, DPAR_BLIND, FairnessParams(lam=0.0, c=0.5, c_bar=0.5))
+        unfair = bayes_classifier(
+            dist, DPAR_BLIND, FairnessParams(lam=0.0, c=0.5, c_bar=0.5), true_stats(dist).pi
+        )
         a = estimate_regret(unfair, population(dist, 4000), DPAR_BLIND, PARAMS)
         b = estimate_regret(unfair, population(dist, 4000), DPAR_BLIND, PARAMS)
         assert a == b != 0.0
@@ -395,7 +399,9 @@ class TestMeasureAndRegret:
     def test_blind_masses_match_hand_computed_rates(self):
         # two atoms, label-dependent group: a rule positive on the second atom only
         dist = two_atom_dist(label_weight=0.7)
-        rule = bayes_classifier(dist, EO_BLIND, FairnessParams(lam=0.0, c=0.5, c_bar=0.5))
+        rule = bayes_classifier(
+            dist, EO_BLIND, FairnessParams(lam=0.0, c=0.5, c_bar=0.5), true_stats(dist).pi
+        )
         label, eo, dpar = population_counts(population(dist, 1), rule)
         eta, plus, minus = sigmoid(1.0), sigmoid(-1.0 + 0.7 + 0.8), sigmoid(-1.0 - 0.7 + 0.8)
         pi = 0.4 * sigmoid(-0.5) + 0.6 * eta

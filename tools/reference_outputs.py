@@ -39,10 +39,10 @@ serial twin.
 ``--compare REV`` exports REV's tree with ``git archive`` into a
 temporary directory, runs the same commands with that tree's code on the
 same inputs, names each file whose bytes differ (for a ``records.csv``,
-with its first differing row and column) and exits 1 if any does.  The
-hashes depend on the machine, because OpenBLAS picks its kernels by CPU,
-so compare two trees on one machine rather than against hashes recorded
-elsewhere.
+with its first differing row and column) and each file REV wrote that
+this tree did not, and exits 1 if there is any.  The hashes depend on
+the machine, because OpenBLAS picks its kernels by CPU, so compare two
+trees on one machine rather than against hashes recorded elsewhere.
 """
 
 from __future__ import annotations
@@ -234,11 +234,14 @@ def main(argv: list[str] | None = None) -> int:
                 if path.endswith("records.csv") and path in rev_sums:
                     detail = ": " + first_difference(temp / "other" / path, temp / "this" / path)
                 print(f"differs from {args.compare}: {path}{detail}", file=sys.stderr)
-            if not differing:
+            missing = sorted(rev_sums.keys() - sums.keys())
+            for path in missing:
+                print(f"written by {args.compare} but not by this tree: {path}", file=sys.stderr)
+            if not (differing or missing):
                 print(
                     f"all {len(sums)} files are byte-identical to {args.compare}", file=sys.stderr
                 )
-            failed |= bool(differing)
+            failed |= bool(differing or missing)
     return 1 if failed else 0
 
 
