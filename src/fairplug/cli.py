@@ -313,8 +313,13 @@ def cmd_prepare(resolved: dict, seed: int, jobs: int) -> int:
         "prepare",
         resolved,
         seed,
-        {"csv": Path(resolved["input"]), "schema": schema_path},
-        {"result.rows": str(dataset.n), "result.splits": str(len(splits))},
+        {"schema": schema_path},
+        {
+            # the digest of the bytes that were parsed, not of a second read
+            "input.csv.sha256": report.sha256,
+            "result.rows": str(dataset.n),
+            "result.splits": str(len(splits)),
+        },
     )
     print(
         f"prepared {dataset.n} rows ({report.rows_dropped} dropped, "

@@ -7,12 +7,16 @@ name is never read, and a key it does not know is an error.
 Categorical features are one-hot encoded with category order fixed by
 first appearance, so identical file bytes always produce an identical
 dataset.  Rows with missing values in any used column are dropped and
-counted.  The loader reads the file once, through ``csv.reader``.
-Cells are encoded a chunk of rows at a time into one int32 code per
-used cell, each column through a table of its distinct cells, so the
-loader holds one chunk of cells, the codes and the distinct values --
-never the table's strings.  Errors name the physical line a record
-starts on.
+counted.  The loader reads the file once, into one byte buffer that
+is checked to be UTF-8 and hashed, past one leading byte-order mark.
+A file with no quote, NUL or lone carriage return is cut into cells by
+one vectorized scan for commas and newlines; any other file, or one
+with a ragged or blank line, is read by ``csv.reader``.  Both hand each
+used column to one coder as byte offsets, which gives every cell the
+int32 code of its stripped value by sorting exact byte keys, so the
+loader holds the bytes, one code per used cell and the distinct values
+-- never a string per cell, and no Python step per cell on the
+vectorized path.  Errors name the physical line a record starts on.
 
 The privacy pipeline needs every joint feature-label row inside the
 unit ball.  The transform that achieves it -- per-feature
@@ -37,11 +41,16 @@ permutation from its derived seed and cuts it 70:20:10.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import logging
+import operator
+import os
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -125,11 +134,15 @@ class CsvSchema:
 
 @dataclass(frozen=True)
 class LoadReport:
-    """What the loader did: row accounting and the encoded layout."""
+    """What the loader did: row accounting, the encoded layout and the bytes it read.
+
+    ``sha256`` is the hex digest of the file's bytes as they were loaded.
+    """
 
     rows_read: int
     rows_dropped: int
     feature_width: int
+    sha256: str
     categorical_levels: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
@@ -223,48 +236,360 @@ def _records(handle, path) -> Iterator[tuple[int, list[str]]]:
         raise DataError(f"{path}:{start}: {exc}") from exc
 
 
-class _Codes(dict):
-    """Raw cell -> code of its stripped value; codes in first-appearance order.
+#: Zero bytes kept after a buffer's cells, so that every 8-byte load that
+#: starts in a cell, and a newline put after an unterminated last line,
+#: stay inside the buffer.
+_SPARE = 16
+_BOM = b"\xef\xbb\xbf"
+_NEWLINE, _RETURN, _COMMA = b"\n"[0], b"\r"[0], b","[0]
+#: The ASCII bytes ``str.strip`` removes: \t \n \v \f \r, \x1c-\x1f and space.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+#: Bytes at a cell's end that ``str.strip`` may remove: ASCII blanks, and
+#: every byte of a multi-byte character, since some of those are blanks.
+_EDGE = _SPACE.copy()
+_EDGE[0x80:] = True
+#: Vectorized steps of ASCII stripping before ``str.strip`` takes the rest.
+_STRIP_STEPS = 8
+#: ``_LOW_BYTES[k]`` keeps the first k bytes of a little-endian 8-byte load.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+#: Odd multiplier that mixes a cell's words into its sort key.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
-    Each distinct raw cell is stripped once; ``values[code]`` is the
-    stripped value, so cells that differ only in surrounding blanks
-    share a code.
+
+def _anonymous(size: int):
+    """``size`` zero bytes in an anonymous memory mapping of their own.
+
+    The byte buffer and the separator index are the loader's largest
+    transients.  Outside the heap, their pages go back to the system when
+    they are freed; on the heap, which the command keeps mapped once
+    freed (``cli._keep_freed_pages``), they would leave holes that the
+    feature matrix and later stages lay out around.
     """
+    import mmap  # only ingest maps memory, so importing the package does not load it
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.values: list[str] = []
-        self.code_of: dict[str, int] = {}
-
-    def __missing__(self, raw: str) -> int:
-        value = raw.strip()
-        if value not in self.code_of:
-            self.code_of[value] = len(self.values)
-            self.values.append(value)
-        code = self[raw] = self.code_of[value]
-        return code
-
-    def flags(self, test) -> np.ndarray:
-        """``test(value)`` for every code, as a boolean lookup table."""
-        return np.fromiter(map(test, self.values), dtype=bool, count=len(self.values))
+    return mmap.mmap(-1, max(size, 1))
 
 
-_CHUNK_RECORDS = 512
+def _read_csv(path: Path):
+    """The file's bytes followed by ``_SPARE`` zero bytes, where its text starts, and its size.
+
+    The bytes are in an anonymous mapping (:func:`_anonymous`).  The text
+    starts after one leading UTF-8 byte-order mark, if there is one.  The
+    whole file is checked to be UTF-8 here, once.  A pipe, or a file that
+    grew, holds more than its size said; that rest is read too.
+    """
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with handle:
+        raw = _anonymous(os.fstat(handle.fileno()).st_size + _SPARE)
+        size = handle.readinto(memoryview(raw)[:-_SPARE])
+        rest = handle.read()
+    if rest:
+        grown = _anonymous(size + len(rest) + _SPARE)
+        grown[:size] = raw[:size]
+        grown[size : size + len(rest)] = rest
+        raw, size = grown, size + len(rest)
+    if np.frombuffer(raw, dtype=np.uint8).max() >= 0x80:
+        try:
+            str(memoryview(raw)[:size], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise undecodable(path, exc, raw) from exc
+    return raw, len(_BOM) if raw[: len(_BOM)] == _BOM else 0, size
+
+
+def _column_indices(path: Path, schema: CsvSchema, header: list[str]) -> list[int]:
+    """The header position of each used column; every one must appear exactly once."""
+    header = [cell.strip() for cell in header]
+    indices: list[int] = []
+    for column in schema.used_columns:
+        if column not in header:
+            raise DataError(f"{path}: required column {column!r} is missing")
+        if header.count(column) > 1:
+            raise DataError(f"{path}: column {column!r} appears more than once in the header")
+        indices.append(header.index(column))
+    return indices
+
+
+def _strip(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The bounds of each cell ``buffer[starts[i]:ends[i]]`` after ``str.strip()``.
+
+    Only a cell with a blank or non-ASCII byte at an end can change, and
+    the input arrays are returned as they are if none does.  ASCII blanks
+    come off those cells' ends one byte per vectorized step; a cell that
+    still has such a byte at an end after ``_STRIP_STEPS`` steps, such as
+    one that ends in a multi-byte character, is decoded and stripped by
+    ``str.strip`` itself.
+    """
+    edge = np.flatnonzero((_EDGE[buffer[starts]] | _EDGE[buffer[ends - 1]]) & (starts < ends))
+    if not edge.size:
+        return starts, ends
+    head, tail = starts[edge], ends[edge]
+    for _ in range(_STRIP_STEPS):
+        lead = _SPACE[buffer[head]] & (head < tail)
+        head += lead
+        trail = _SPACE[buffer[tail - 1]] & (head < tail)
+        tail -= trail
+        if not (lead.any() or trail.any()):
+            break
+    view = buffer.data
+    left = (_EDGE[buffer[head]] | _EDGE[buffer[tail - 1]]) & (head < tail)
+    for i in np.flatnonzero(left).tolist():
+        cell = str(view[head[i] : tail[i]], "utf-8")
+        value = cell.strip()
+        head[i] += len(cell[: len(cell) - len(cell.lstrip())].encode())
+        tail[i] = head[i] + len(value.encode())
+    starts, ends = starts.copy(), ends.copy()
+    starts[edge] = head
+    ends[edge] = tail
+    return starts, ends
+
+
+def _code(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Int32 codes of the cells ``buffer[starts[i]:ends[i]]`` and their distinct values.
+
+    Codes number the ``str.strip``ped values in order of first
+    appearance, and ``values[code]`` is the value: what one dict from
+    value to code, filled cell by cell, would give.  ``buffer`` holds
+    UTF-8 and at least 8 bytes after the last cell.  After the strip
+    (:func:`_strip`), each cell is keyed by its length and its
+    ``ceil(length / 8)`` little-endian 8-byte loads, masked to the cell;
+    the keys are mixed into one word per cell and sorted.  The groups
+    are then cut where the length or a load changes between neighbours;
+    if that cuts a run of one mixed word, two values share it, and the
+    cells are sorted on their loads instead, so no two values ever share
+    a code.  Only the distinct values are decoded, one Python step each.
+    """
+    starts, ends = _strip(buffer, starts, ends)
+    n = len(starts)
+    if not n:
+        return np.zeros(0, dtype=np.int32), []
+    lengths = ends - starts
+    # the 8 bytes from every offset, as one overlapping little-endian view
+    loads = np.ndarray((len(buffer) - 7,), dtype="<u8", buffer=buffer, strides=(1,))
+    parts = [lengths]
+    key = lengths.astype(np.uint64)
+    for offset in range(0, int(lengths.max()), 8):
+        word = loads[np.minimum(starts + offset, len(loads) - 1)]
+        word &= _LOW_BYTES[np.minimum(np.maximum(lengths - offset, 0), 8)]
+        parts.append(word)
+        key ^= word
+        key *= _MIX
+        key ^= key >> np.uint64(29)
+    order = np.argsort(key)
+    new = _changes(parts, order)
+    ordered = key[order]
+    if not np.array_equal(new[1:], ordered[1:] != ordered[:-1]):
+        order = np.lexsort(parts)
+        new = _changes(parts, order)
+    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each value's first cell
+    rank = np.argsort(first)
+    code_of = np.empty(len(first), dtype=np.int32)
+    code_of[rank] = np.arange(len(first), dtype=np.int32)
+    codes = np.empty(n, dtype=np.int32)
+    codes[order] = code_of[np.cumsum(new) - 1]
+    view = buffer.data
+    heads = first[rank]
+    values = [
+        str(view[start:end], "utf-8")
+        for start, end in zip(starts[heads].tolist(), ends[heads].tolist())
+    ]
+    return codes, values
+
+
+def _changes(parts: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """True at each cell, taken in ``order``, whose parts differ from the cell before."""
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.logical_or.reduce([part[1:] != part[:-1] for part in (p[order] for p in parts)])
+    return new
+
+
+#: Bytes of text per step of the separator scan.
+_SCAN_BLOCK = 1 << 20
+
+
+def _separators(buffer: np.ndarray, begin: int, end: int) -> tuple[np.ndarray, int, int]:
+    """Offsets of the commas and newlines in ``buffer[begin:end]``, with the newline and \\r counts.
+
+    The text is scanned ``_SCAN_BLOCK`` bytes at a time, so no mask is
+    longer than a block.  The offsets are int32 when the buffer allows
+    and end in an anonymous mapping (:func:`_anonymous`).
+    """
+    dtype = np.int32 if len(buffer) < 2**31 else np.int64
+    pieces, newlines, returns = [], 0, 0
+    for start in range(begin, end, _SCAN_BLOCK):
+        block = buffer[start : min(start + _SCAN_BLOCK, end)]
+        mask = block == _NEWLINE
+        newlines += int(np.count_nonzero(mask))
+        returns += int(np.count_nonzero(block == _RETURN))
+        mask |= block == _COMMA
+        pieces.append(np.flatnonzero(mask).astype(dtype) + start)
+    count = sum(map(len, pieces))
+    seps = np.frombuffer(_anonymous(count * np.dtype(dtype).itemsize), dtype=dtype, count=count)
+    np.concatenate(pieces, out=seps)
+    return seps, newlines, returns
+
+
+def _scan_columns(path: Path, schema: CsvSchema, raw, begin: int, size: int):
+    """Codes, values, lines and blank mask of the used columns, or None for ``csv.reader``.
+
+    Serves a file with no quote, NUL or lone carriage return, where a
+    record is a line: :func:`_separators` finds every comma and newline
+    (a ``\\r`` before a newline ends the last cell), and each used
+    column's cell bounds are two strided views of that index.  A file
+    with a line that does not hold as many cells as the header (a ragged
+    or blank one), a line longer than ``csv.field_size_limit()`` bytes, or
+    a row whose used cells are all blank returns None, so ``csv.reader`` reads
+    it whole and is the only source of row-level errors.  An
+    unterminated last line is ended with a newline in a spare byte.
+    """
+    if size == begin or raw.find(b'"', begin, size) >= 0 or raw.find(b"\0", begin, size) >= 0:
+        return None
+    end = size
+    if raw[end - 1] != _NEWLINE:
+        raw[end] = _NEWLINE
+        end += 1
+    buffer = np.frombuffer(raw, dtype=np.uint8)
+    seps, lines, returns = _separators(buffer, begin, end)
+    width = raw[begin : raw.find(b"\n", begin, end)].count(b",") + 1
+    newlines = seps[width - 1 :: width]
+    if len(seps) != lines * width or not np.all(buffer[newlines] == _NEWLINE):
+        return None
+    if returns != np.count_nonzero(buffer[newlines - 1] == _RETURN):
+        return None
+    # no cell is longer than its line
+    if np.diff(newlines, prepend=begin - 1).max() > csv.field_size_limit():
+        return None
+    header = str(memoryview(raw)[begin : newlines[0]], "utf-8").removesuffix("\r")
+    indices = _column_indices(path, schema, header.split(","))
+    seps = seps.reshape(lines, width)
+    codes, values = [], []
+    for index in indices:
+        starts = (seps[1:, index - 1] if index else seps[:-1, -1]) + 1
+        ends = seps[1:, index]
+        if index == width - 1:
+            ends = ends - (buffer[ends - 1] == _RETURN)
+        column, distinct = _code(buffer, starts, ends)
+        codes.append(column)
+        values.append(distinct)
+    blank = np.logical_and.reduce(
+        [column == (distinct.index("") if "" in distinct else -1)
+         for column, distinct in zip(codes, values)]
+    )
+    if blank.any():
+        return None
+    return codes, values, np.arange(2, lines + 1), blank
+
+
+#: Full-width records whose used cells ``csv.reader`` hands over as strings
+#: before they are encoded, a column at a time, into the byte runs.
+_CHUNK_RECORDS = 1024
+
+
+def _reader_columns(path: Path, schema: CsvSchema, raw, begin: int, size: int):
+    """Codes, values, lines and blank mask of the used columns, records cut by ``csv.reader``.
+
+    The used cells of full-width records are gathered ``_CHUNK_RECORDS``
+    records at a time; then each column's cells are joined, each ended
+    by a NUL, and UTF-8 encoded onto that column's byte run, and one scan
+    for the NULs gives their ends.  Each column is coded from its run
+    once the records are read.  A record that is not full width must be
+    blank; one that is not raises, after any unmappable value in the
+    rows before it.
+    """
+    with io.TextIOWrapper(
+        io.BytesIO(memoryview(raw)[begin:size]), encoding="utf-8", newline=""
+    ) as handle:
+        records = _records(handle, path)
+        try:
+            _, header = next(records)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty") from None
+        indices = _column_indices(path, schema, header)
+        width, used = len(header), operator.itemgetter(*indices)
+        runs = [bytearray() for _ in indices]
+        bounds: list[list[np.ndarray]] = [[] for _ in indices]
+        pending: list[str] = []
+        lines, blank = array("q"), bytearray()
+
+        def encode() -> None:
+            for j, (run, ends) in enumerate(zip(runs, bounds)):
+                cells = pending[j :: len(indices)]
+                data = "\0".join(cells).encode() + b"\0"
+                nul = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0)
+                if len(nul) != len(cells):  # a cell holds a NUL: count its bytes
+                    nul = np.cumsum([len(cell.encode()) + 1 for cell in cells], dtype=np.int64) - 1
+                ends.append(nul + len(run))
+                run += data
+            pending.clear()
+
+        def finish():
+            encode()
+            codes, values = [], []
+            for run, chunks in zip(runs, bounds):
+                ends = np.concatenate(chunks)
+                starts = np.concatenate(([0], ends[:-1] + 1))[: len(ends)]
+                run.extend(bytes(_SPARE))
+                column, distinct = _code(np.frombuffer(run, dtype=np.uint8), starts, ends)
+                codes.append(column)
+                values.append(distinct)
+            rows = np.frombuffer(lines, dtype=np.int64)
+            return codes, values, rows, np.frombuffer(blank, dtype=bool)
+
+        for line, record in records:
+            if len(record) == width:
+                pending.extend(used(record))
+                lines.append(line)
+                # a blank record has a blank first used cell: test the whole record only then
+                blank.append(not record[indices[0]].strip() and not "".join(record).strip())
+                if len(pending) >= _CHUNK_RECORDS * len(indices):
+                    encode()
+            elif "".join(record).strip():
+                _check_rows(path, schema, *finish())
+                raise DataError(f"{path}:{line}: expected {width} cells, got {len(record)}")
+    return finish()
+
+
+def _encode_columns(path: Path, schema: CsvSchema):
+    """Codes, values, start lines and blank mask of the used columns, and the file's SHA-256.
+
+    One code array and one value list per used column (features in
+    schema order, then label, then sensitive), both tokenizers' output
+    alike.  The file's bytes and the separator index are gone when this
+    returns.
+    """
+    raw, begin, size = _read_csv(path)
+    digest = hashlib.sha256(memoryview(raw)[:size]).hexdigest()
+    encoded = _scan_columns(path, schema, raw, begin, size)
+    if encoded is None:
+        encoded = _reader_columns(path, schema, raw, begin, size)
+    return (*encoded, digest)
+
+
+def _flags(values: list[str], test) -> np.ndarray:
+    """``test(value)`` for every code's value, as a boolean lookup table."""
+    return np.fromiter(map(test, values), dtype=bool, count=len(values))
 
 
 def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadReport]:
     """Load and encode a headered CSV; also return the load accounting.
 
-    Records come from ``csv.reader`` through :func:`_records`.
-    Full-width records are buffered ``_CHUNK_RECORDS`` at a time; each
-    used column of a chunk is then encoded into int32 codes through a
-    :class:`_Codes` table, one dict lookup per cell.
+    The file is read once into one byte buffer, checked to be UTF-8 and
+    hashed; one leading byte-order mark is skipped.  A file with no
+    quote, NUL or lone carriage return and with every line as wide as
+    the header is cut into cells by one vectorized scan
+    (:func:`_scan_columns`); any other file goes to ``csv.reader``
+    through :func:`_records` (:func:`_reader_columns`).  Both hand each
+    used column to :func:`_code` as byte offsets, which gives every cell
+    the int32 code of its stripped value with no Python step per cell.
     Everything else runs once per distinct value or as a gather over
     the codes: blank-row and missing-value tests, label and sensitive
     signs and legality, ``float`` parsing, and the renumbering of
-    categorical levels by first appearance among kept rows.  The loader
-    never holds more of the table's strings than one chunk of cells; the
-    rest is one int32 code per used cell and the distinct values.
+    categorical levels by first appearance among kept rows.  The byte
+    buffer is freed before the feature matrix is allocated.  The report
+    carries the SHA-256 of the file's bytes.
 
     Errors name ``path:line`` with the physical line a record starts on.
     Row-level errors (ragged row, unmappable label or sensitive value)
@@ -273,16 +598,8 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
     that is not UTF-8, or that csv cannot parse, is a :class:`DataError`.
     """
     path = Path(path)
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    try:
-        with handle:
-            tables, codes, lines, blank = _encode_columns(path, schema, _records(handle, path))
-    except UnicodeDecodeError as exc:
-        raise undecodable(path, exc) from exc
-    kept = _check_rows(path, schema, tables, codes, lines, blank)
+    codes, values, lines, blank, digest = _encode_columns(path, schema)
+    kept = _check_rows(path, schema, codes, values, lines, blank)
     n = int(np.count_nonzero(kept))
     rows_read = len(kept) - int(np.count_nonzero(blank))
     rows_dropped = rows_read - n
@@ -295,16 +612,16 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
     # float, or each categorical code's level by first appearance among
     # the kept rows.  The tables fix the width; then every cell is a gather.
     lookups = []
-    for (name, kind), table, column in zip(schema.features, tables, codes):
+    for (name, kind), distinct, column in zip(schema.features, values, codes):
         if kind == KIND_NUMERIC:
-            lookups.append((name, _parse_numeric(path, name, table, column), None))
+            lookups.append((name, _parse_numeric(path, name, distinct, column), None))
             continue
-        first = np.full(len(table.values), n)
+        first = np.full(len(distinct), n)
         np.minimum.at(first, column, np.arange(n))
         order = np.argsort(first)[: np.count_nonzero(first < n)]
-        remap = np.zeros(len(table.values), dtype=np.intp)
+        remap = np.zeros(len(distinct), dtype=np.intp)
         remap[order] = np.arange(len(order))
-        lookups.append((name, remap, tuple(table.values[code] for code in order)))
+        lookups.append((name, remap, tuple(distinct[code] for code in order)))
     feature_width = sum(1 if levels is None else len(levels) for _, _, levels in lookups)
     features = np.zeros((n, feature_width))
     rows = np.arange(n)
@@ -319,16 +636,17 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
             categorical_levels[name] = levels
             start += len(levels)
     signs = []
-    for table, column, positive in zip(
-        tables[-2:], codes[-2:], (schema.label_positive, schema.sensitive_positive)
+    for distinct, column, positive in zip(
+        values[-2:], codes[-2:], (schema.label_positive, schema.sensitive_positive)
     ):
-        signs.append(np.where(table.flags(positive.__contains__), 1.0, -1.0)[column])
+        signs.append(np.where(_flags(distinct, positive.__contains__), 1.0, -1.0)[column])
     # arrays nothing else refers to: the dataset takes them over uncopied
     dataset = Dataset._adopt(features, signs[0], signs[1])
     report = LoadReport(
         rows_read=rows_read,
         rows_dropped=rows_dropped,
         feature_width=feature_width,
+        sha256=digest,
         categorical_levels=categorical_levels,
     )
     log.info(
@@ -341,84 +659,19 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
     return dataset, report
 
 
-def _encode_columns(path: Path, schema: CsvSchema, records):
-    """Code tables, int32 codes and start lines of every full-width record.
-
-    Returns one :class:`_Codes` table and one code array per used column
-    (features in schema order, then label, then sensitive), the start
-    line of each record and a mask of the blank ones.  A ragged record
-    that is not blank raises, after any unmappable value in the rows
-    before it.
-    """
-    try:
-        _, header = next(records)
-    except StopIteration:
-        raise DataError(f"{path}: file is empty") from None
-    header = [cell.strip() for cell in header]
-    indices: list[int] = []
-    for column in schema.used_columns:
-        if column not in header:
-            raise DataError(f"{path}: required column {column!r} is missing")
-        if header.count(column) > 1:
-            raise DataError(f"{path}: column {column!r} appears more than once in the header")
-        indices.append(header.index(column))
-    width = len(header)
-    tables = [_Codes() for _ in indices]
-    columns = [array("i") for _ in indices]
-    lines = array("q")
-    blank_rows: list[int] = []
-    flat: list[str] = []
-
-    def flush() -> None:
-        start = len(columns[0])
-        for table, column, index in zip(tables, columns, indices):
-            column.extend(map(table.__getitem__, flat[index::width]))
-        if all("" in table.code_of for table in tables):
-            # only a record whose used cells are all blank can be a blank record
-            used_blank = np.logical_and.reduce(
-                [
-                    np.frombuffer(column[start:], dtype=np.intc) == table.code_of[""]
-                    for table, column in zip(tables, columns)
-                ]
-            )
-            for row in np.flatnonzero(used_blank).tolist():
-                if not "".join(flat[row * width : (row + 1) * width]).strip():
-                    blank_rows.append(start + row)
-        flat.clear()
-
-    def finish():
-        flush()
-        codes = [np.frombuffer(column, dtype=np.intc) for column in columns]
-        blank = np.zeros(len(lines), dtype=bool)
-        blank[blank_rows] = True
-        return tables, codes, np.frombuffer(lines, dtype=np.int64), blank
-
-    chunk = _CHUNK_RECORDS * width
-    for line, cells in records:
-        if len(cells) == width:
-            flat += cells
-            lines.append(line)
-            if len(flat) >= chunk:
-                flush()
-        elif "".join(cells).strip():
-            _check_rows(path, schema, *finish())
-            raise DataError(f"{path}:{line}: expected {width} cells, got {len(cells)}")
-    return finish()
-
-
-def _check_rows(path: Path, schema: CsvSchema, tables, codes, lines, blank) -> np.ndarray:
+def _check_rows(path: Path, schema: CsvSchema, codes, values, lines, blank) -> np.ndarray:
     """The mask of kept rows: not blank and no missing marker in a used cell.
 
     Raises for the first kept row whose label, then sensitive, value is
     outside the schema's declared value set.
     """
     missing = blank.copy()
-    for table, column in zip(tables, codes):
-        missing |= table.flags(schema.missing_values.__contains__)[column]
+    for column, distinct in zip(codes, values):
+        missing |= _flags(distinct, schema.missing_values.__contains__)[column]
     kept = ~missing
     failure = None
-    for table, column, (name, positive, legal) in zip(
-        tables[-2:],
+    for distinct, column, (name, positive, legal) in zip(
+        values[-2:],
         codes[-2:],
         (
             (schema.label_column, schema.label_positive, schema.label_values),
@@ -427,27 +680,27 @@ def _check_rows(path: Path, schema: CsvSchema, tables, codes, lines, blank) -> n
     ):
         if legal is None:
             continue
-        unmappable = table.flags(lambda value: value not in positive and value not in legal)
+        unmappable = _flags(distinct, lambda value: value not in positive and value not in legal)
         bad = np.flatnonzero(unmappable[column] & kept)
         # the label column goes first, so on one row its value is named
         if bad.size and (failure is None or bad[0] < failure[0]):
-            failure = (int(bad[0]), table.values[column[bad[0]]], name)
+            failure = (int(bad[0]), distinct[column[bad[0]]], name)
     if failure is not None:
         row, value, name = failure
         raise DataError(f"{path}:{lines[row]}: unmappable value {value!r} in column {name!r}")
     return kept
 
 
-def _parse_numeric(path: Path, name: str, table: _Codes, column: np.ndarray) -> np.ndarray:
+def _parse_numeric(path: Path, name: str, values: list[str], column: np.ndarray) -> np.ndarray:
     """The float of each code's value, each distinct value parsed once.
 
     Raises for the first row of ``column`` whose value ``float`` rejects.
     """
-    values = np.empty(len(table.values))
+    floats = np.empty(len(values))
     errors: dict[int, ValueError] = {}
-    for code, value in enumerate(table.values):
+    for code, value in enumerate(values):
         try:
-            values[code] = float(value)
+            floats[code] = float(value)
         except ValueError as exc:
             errors[code] = exc
     if errors:
@@ -455,7 +708,7 @@ def _parse_numeric(path: Path, name: str, table: _Codes, column: np.ndarray) -> 
         if rejected.size:
             exc = errors[int(column[rejected[0]])]
             raise DataError(f"{path}: column {name!r} has a non-numeric value: {exc}") from exc
-    return values
+    return floats
 
 
 @dataclass(frozen=True, eq=False)

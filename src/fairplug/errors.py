@@ -50,13 +50,20 @@ class NumericError(FairplugError, ArithmeticError):
     """A numeric routine produced non-finite values or failed to proceed."""
 
 
-def undecodable(path: Path, exc: UnicodeDecodeError) -> DataError:
-    """A decode failure as a :class:`DataError` naming the first bad byte's line."""
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        head = raw[: whole.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return DataError(f"{path}:{line}: not UTF-8 text: {whole}")
-    return DataError(f"{path}: not UTF-8 text: {exc}")
+def undecodable(path: Path, exc: UnicodeDecodeError, raw=None) -> DataError:
+    """A decode failure as a :class:`DataError` naming the first bad byte's line.
+
+    ``raw`` is the whole file when the caller holds it and ``exc`` came
+    from decoding all of it; otherwise the file is read and decoded again.
+    """
+    if raw is None:
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        else:
+            return DataError(f"{path}: not UTF-8 text: {exc}")
+    head = bytes(raw[: exc.start])
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return DataError(f"{path}:{line}: not UTF-8 text: {exc}")

@@ -10,10 +10,12 @@ routes; if both agree, a shared transcription error is far less likely.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -530,12 +532,14 @@ def reference_load_csv(path, schema) -> dict:
     ``schema`` is any object with the attributes of ``fairplug.data.CsvSchema``.
     Records are numbered by the physical line they start on, from the
     reader's ``line_num``, so a quoted cell spanning lines moves later
-    numbers as it does in ``fairplug.data``.  Returns the ``features``,
-    ``labels`` and ``sensitive`` arrays and the ``LoadReport`` fields
-    under ``report``.
+    numbers as it does in ``fairplug.data``.  The file is read as
+    ``utf-8-sig``, so one leading byte-order mark is not part of the
+    header.  Returns the ``features``, ``labels`` and ``sensitive`` arrays
+    and the ``LoadReport`` fields under ``report``, with the SHA-256 of
+    the whole file.
     """
 
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = [cell.strip() for cell in next(reader)]
@@ -608,6 +612,7 @@ def reference_load_csv(path, schema) -> dict:
             "rows_read": rows_read,
             "rows_dropped": rows_dropped,
             "feature_width": features.shape[1],
+            "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
             "categorical_levels": levels,
         },
     }

@@ -517,16 +517,23 @@ class TestPrepare:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "quoting, newline", [(csv.QUOTE_ALL, "\r\n"), (csv.QUOTE_MINIMAL, "\n")],
-        ids=["quoted-crlf", "lf"],
+        "quoting, newline, encoding",
+        [
+            (csv.QUOTE_ALL, "\r\n", "utf-8"),
+            (csv.QUOTE_MINIMAL, "\n", "utf-8"),
+            (csv.QUOTE_ALL, "\r\n", "utf-8-sig"),
+            (csv.QUOTE_MINIMAL, "\r\n", "utf-8-sig"),
+        ],
+        ids=["quoted-crlf", "lf", "bom-quoted-crlf", "bom-crlf"],
     )
     def test_quoting_and_line_ends_give_the_same_arrays(
-        self, prepared_dir, tiny_csv, tiny_schema, tmp_path, capsys, quoting, newline
+        self, prepared_dir, tiny_csv, tiny_schema, tmp_path, capsys, quoting, newline, encoding
     ):
+        # a leading byte-order mark is not part of the first header cell
         with open(tiny_csv, newline="") as source:
             rows = list(csv.reader(source))
         copy = tmp_path / "copy.csv"
-        with open(copy, "w", newline="") as handle:
+        with open(copy, "w", newline="", encoding=encoding) as handle:
             csv.writer(handle, quoting=quoting, lineterminator=newline).writerows(rows)
         assert copy.read_bytes() != tiny_csv.read_bytes()
         out = tmp_path / "o"

@@ -7,7 +7,9 @@ Usage (from the repository root)::
 
 The sweep inputs are perfbench's seed-1 German-shaped surrogates: 1,000
 rows prepared into 20 splits and 45,000 rows into 3 (``prepare --seed
-1``).  On each, six sweeps run on the default grid with ``--seed 1``:
+1``).  ``prepare`` runs in the inputs directory with the CSV named
+relative to it, so its manifest records the same ``config.input`` in
+every tree.  On each, six sweeps run on the default grid with ``--seed 1``:
 eo-blind at ``--eps-p`` 1 and inf, eo-aware, dpar-blind at 2 and inf,
 and dpar-aware, each serially and with ``--jobs 2``, and ``report``
 aggregates every sweep.  The adult-shaped training splits hold 31,500
@@ -27,10 +29,13 @@ in every run.  Three ``geometry`` rasters run
 once each (they take no ``--jobs``), two of them with ``--svg``.  Each
 command is a child process with ``OPENBLAS_NUM_THREADS=1``, since the
 fits call BLAS and some outputs move with its thread count.  The script
-prints ``sha256  path`` for every sweep's ``records.csv``, ``curve.csv``
-and ``curve.svg``, and for every simulation's and geometry run's CSV and
-SVG files and its ``manifest.kv`` without the ``config.out`` line, which
-names the run's own directory: 148 files in all.  Standard output holds
+prints ``sha256  path`` for each prepared directory's
+``features.npy``, ``labels.npy``, ``sensitive.npy``, ``meta.kv`` and
+``manifest.kv``, for every sweep's ``records.csv``, ``curve.csv`` and
+``curve.svg``, and for every simulation's and geometry run's CSV and SVG
+files and its ``manifest.kv``; a manifest is hashed without its
+``config.out`` line, which names the run's own directory: 158 files in
+all.  Standard output holds
 only those ``sha256  path`` lines, so ``> SHA256SUMS`` keeps a
 ``sha256sum``-style list; every status and difference line goes to
 standard error.  It exits 1 if a ``--jobs 2`` output differs from its
@@ -74,6 +79,9 @@ SWEEPS = (
     ("dpar-aware", "inf"),
 )
 HASHED = ("records.csv", "curve.csv", "curve.svg")
+#: The ``prepare`` outputs hashed besides the sweeps'; the split files are
+#: read by every sweep, whose records pin them.
+PREPARED = ("features.npy", "labels.npy", "sensitive.npy", "meta.kv", "manifest.kv")
 _COMPLEXITY = ("--experiment", "sample-complexity", "--eps-target", "0.05", "--trials", "3",
                "--start", "32", "--cap", "256", "--m-eval", "20000", "--seed", "4")
 #: A 4-D truncated-Gaussian law whose sensitive attribute has a nonzero
@@ -140,8 +148,12 @@ def sha256(path: Path) -> str:
 
 
 def hashed(path: Path) -> bool:
-    """Whether ``path`` is a reference output: a sweep's, or a simulate or geometry file."""
-    return path.is_file() and (path.name in HASHED or path.parts[-3] in ("simulate", "geometry"))
+    """Whether ``path`` is a reference output: a prepared, sweep, simulate or geometry file."""
+    return path.is_file() and (
+        path.name in HASHED
+        or (path.parts[-2] == "prepared" and path.name in PREPARED)
+        or path.parts[-3] in ("simulate", "geometry")
+    )
 
 
 def run_tree(source: Path, inputs: Path, out: Path) -> dict[str, str]:
@@ -150,9 +162,9 @@ def run_tree(source: Path, inputs: Path, out: Path) -> dict[str, str]:
     for name, _, repeats in DATASETS:
         prepared = out / name / "prepared"
         fairplug(
-            source, "prepare", "--input", str(inputs / f"{name}.csv"),
+            source, "prepare", "--input", f"{name}.csv",
             "--schema", "german_gender", "--repeats", str(repeats), "--seed", seed,
-            "--out", str(prepared),
+            "--out", str(prepared), cwd=inputs,
         )
         for (setting, eps_p), jobs in itertools.product(SWEEPS, ("1", "2")):
             run = out / name / f"{setting}_eps{eps_p}_j{jobs}"
