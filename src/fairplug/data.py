@@ -13,10 +13,10 @@ A file with no quote, NUL or lone carriage return is cut into cells by
 one vectorized scan for commas and newlines; any other file, or one
 with a ragged or blank line, is read by ``csv.reader``.  Both hand each
 used column to one coder as byte offsets, which gives every cell the
-int32 code of its stripped value by sorting exact byte keys, so the
-loader holds the bytes, one code per used cell and the distinct values
--- never a string per cell, and no Python step per cell on the
-vectorized path.  Errors name the physical line a record starts on.
+int32 code of its stripped value by sorting keys mixed from its bytes
+and checking the ties word for word, so the loader holds the bytes,
+one code per used cell and the distinct values -- never a string per
+cell, and no Python step per cell on the vectorized path.  Errors name the physical line a record starts on.
 
 The privacy pipeline needs every joint feature-label row inside the
 unit ball.  The transform that achieves it -- per-feature
@@ -50,7 +50,6 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -241,16 +240,15 @@ def _records(handle, path) -> Iterator[tuple[int, list[str]]]:
 #: stay inside the buffer.
 _SPARE = 16
 _BOM = b"\xef\xbb\xbf"
+#: Bytes of text per step of the UTF-8 check and of the separator scan.
+_SCAN_BLOCK = 1 << 20
 _NEWLINE, _RETURN, _COMMA = b"\n"[0], b"\r"[0], b","[0]
-#: The ASCII bytes ``str.strip`` removes: \t \n \v \f \r, \x1c-\x1f and space.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-#: Bytes at a cell's end that ``str.strip`` may remove: ASCII blanks, and
-#: every byte of a multi-byte character, since some of those are blanks.
-_EDGE = _SPACE.copy()
+#: Bytes at a cell's ends that ``str.strip`` may remove: the ASCII blanks
+#: (\t \n \v \f \r, \x1c-\x1f and space), and every byte of a multi-byte
+#: character, since some of those are blanks.
+_EDGE = np.zeros(256, dtype=bool)
+_EDGE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 _EDGE[0x80:] = True
-#: Vectorized steps of ASCII stripping before ``str.strip`` takes the rest.
-_STRIP_STEPS = 8
 #: ``_LOW_BYTES[k]`` keeps the first k bytes of a little-endian 8-byte load.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 #: Odd multiplier that mixes a cell's words into its sort key.
@@ -292,12 +290,48 @@ def _read_csv(path: Path):
         grown[:size] = raw[:size]
         grown[size : size + len(rest)] = rest
         raw, size = grown, size + len(rest)
-    if np.frombuffer(raw, dtype=np.uint8).max() >= 0x80:
+    _check_utf8(path, raw, size)
+    return raw, len(_BOM) if raw[: len(_BOM)] == _BOM else 0, size
+
+
+class _InPlace(io.RawIOBase):
+    """A binary stream that reads the bytes of ``view`` in place (``io.BytesIO`` copies them)."""
+
+    def __init__(self, view: memoryview) -> None:
+        super().__init__()
+        self._view, self._at = view, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, target) -> int:
+        count = min(len(target), len(self._view) - self._at)
+        target[:count] = self._view[self._at : self._at + count]
+        self._at += count
+        return count
+
+
+def _check_utf8(path: Path, raw, size: int) -> None:
+    """Raise :func:`undecodable` unless ``raw[:size]`` is UTF-8.
+
+    ASCII text needs no decoding.  Other text is decoded in place
+    (:class:`_InPlace`), ``_SCAN_BLOCK`` characters at a time, so no
+    copy or string is larger than a block; on an error, the text is
+    decoded once more from its start, which places the error in the file.
+    """
+    if np.frombuffer(raw, dtype=np.uint8, count=size).max(initial=0) < 0x80:
+        return
+    view = memoryview(raw)[:size]
+    try:
+        with io.TextIOWrapper(_InPlace(view), encoding="utf-8", newline="") as text:
+            while text.read(_SCAN_BLOCK):
+                pass
+    except UnicodeDecodeError:
         try:
-            str(memoryview(raw)[:size], "utf-8")
+            str(view, "utf-8")
         except UnicodeDecodeError as exc:
             raise undecodable(path, exc, raw) from exc
-    return raw, len(_BOM) if raw[: len(_BOM)] == _BOM else 0, size
+        raise
 
 
 def _column_indices(path: Path, schema: CsvSchema, header: list[str]) -> list[int]:
@@ -316,35 +350,49 @@ def _column_indices(path: Path, schema: CsvSchema, header: list[str]) -> list[in
 def _strip(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """The bounds of each cell ``buffer[starts[i]:ends[i]]`` after ``str.strip()``.
 
-    Only a cell with a blank or non-ASCII byte at an end can change, and
-    the input arrays are returned as they are if none does.  ASCII blanks
-    come off those cells' ends one byte per vectorized step; a cell that
-    still has such a byte at an end after ``_STRIP_STEPS`` steps, such as
-    one that ends in a multi-byte character, is decoded and stripped by
-    ``str.strip`` itself.
+    Only a cell with a blank or non-ASCII byte at an end can change; each
+    such cell is decoded and stripped by ``str.strip`` itself.  The input
+    arrays are returned as they are if there is none.
     """
     edge = np.flatnonzero((_EDGE[buffer[starts]] | _EDGE[buffer[ends - 1]]) & (starts < ends))
     if not edge.size:
         return starts, ends
-    head, tail = starts[edge], ends[edge]
-    for _ in range(_STRIP_STEPS):
-        lead = _SPACE[buffer[head]] & (head < tail)
-        head += lead
-        trail = _SPACE[buffer[tail - 1]] & (head < tail)
-        tail -= trail
-        if not (lead.any() or trail.any()):
-            break
-    view = buffer.data
-    left = (_EDGE[buffer[head]] | _EDGE[buffer[tail - 1]]) & (head < tail)
-    for i in np.flatnonzero(left).tolist():
-        cell = str(view[head[i] : tail[i]], "utf-8")
-        value = cell.strip()
-        head[i] += len(cell[: len(cell) - len(cell.lstrip())].encode())
-        tail[i] = head[i] + len(value.encode())
     starts, ends = starts.copy(), ends.copy()
-    starts[edge] = head
-    ends[edge] = tail
+    view = buffer.data
+    for i in edge.tolist():
+        rest = str(view[starts[i] : ends[i]], "utf-8").lstrip()
+        starts[i] = ends[i] - len(rest.encode())
+        ends[i] = starts[i] + len(rest.rstrip().encode())
     return starts, ends
+
+
+def _words(loads: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """``(reach, words)`` for each 8-byte offset into the cells, in turn.
+
+    ``words`` holds the little-endian 8-byte loads at the offset
+    (``loads`` is the overlapping view of the buffer) of the cells that
+    ``reach`` selects, masked to the cell: zero past its end.  ``reach``
+    selects every cell while at least half of them extend past the
+    offset, and then only those that do, so the words of a column cost
+    at most two steps per 8 bytes of its text and one per cell, however
+    long its longest cell is.
+    """
+    reach, offset = slice(None), 0
+    while True:
+        rest = lengths[reach] - offset
+        longer = rest > 8
+        at = starts[reach] + offset
+        words = loads[np.minimum(at, len(loads) - 1, out=at)]
+        words &= _LOW_BYTES[np.maximum(np.minimum(rest, 8, out=rest), 0, out=rest)]
+        yield reach, words
+        count = np.count_nonzero(longer)
+        if not count:
+            return
+        if isinstance(reach, np.ndarray):
+            reach = reach[longer]
+        elif 2 * count < len(rest):
+            reach = np.flatnonzero(longer)
+        offset += 8
 
 
 def _code(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -354,13 +402,13 @@ def _code(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.
     appearance, and ``values[code]`` is the value: what one dict from
     value to code, filled cell by cell, would give.  ``buffer`` holds
     UTF-8 and at least 8 bytes after the last cell.  After the strip
-    (:func:`_strip`), each cell is keyed by its length and its
-    ``ceil(length / 8)`` little-endian 8-byte loads, masked to the cell;
-    the keys are mixed into one word per cell and sorted.  The groups
-    are then cut where the length or a load changes between neighbours;
-    if that cuts a run of one mixed word, two values share it, and the
-    cells are sorted on their loads instead, so no two values ever share
-    a code.  Only the distinct values are decoded, one Python step each.
+    (:func:`_strip`), each cell's length and masked 8-byte words
+    (:func:`_words`) are mixed into one key per cell, and the keys are
+    sorted.  Every cell is then checked word for word against the first
+    cell of its key (:func:`_ties_hold`); if two values share a key, the
+    keys collided, and the column is coded by a dict of its cells' bytes
+    instead (:func:`_code_exactly`), so no two values ever share a code.
+    Only the distinct values are decoded, one Python step each.
     """
     starts, ends = _strip(buffer, starts, ends)
     n = len(starts)
@@ -369,45 +417,63 @@ def _code(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.
     lengths = ends - starts
     # the 8 bytes from every offset, as one overlapping little-endian view
     loads = np.ndarray((len(buffer) - 7,), dtype="<u8", buffer=buffer, strides=(1,))
-    parts = [lengths]
+    words = list(_words(loads, starts, lengths))
     key = lengths.astype(np.uint64)
-    for offset in range(0, int(lengths.max()), 8):
-        word = loads[np.minimum(starts + offset, len(loads) - 1)]
-        word &= _LOW_BYTES[np.minimum(np.maximum(lengths - offset, 0), 8)]
-        parts.append(word)
-        key ^= word
-        key *= _MIX
-        key ^= key >> np.uint64(29)
+    for reach, word in words:
+        mixed = key[reach]
+        mixed ^= word
+        mixed *= _MIX
+        mixed ^= mixed >> np.uint64(29)
+        key[reach] = mixed
     order = np.argsort(key)
-    new = _changes(parts, order)
-    ordered = key[order]
-    if not np.array_equal(new[1:], ordered[1:] != ordered[:-1]):
-        order = np.lexsort(parts)
-        new = _changes(parts, order)
-    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each value's first cell
+    key = key[order]
+    new = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    group = np.empty(n, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each key's first cell
+    if not _ties_hold(words, lengths, first[group]):
+        return _code_exactly(buffer, starts, ends)
     rank = np.argsort(first)
     code_of = np.empty(len(first), dtype=np.int32)
     code_of[rank] = np.arange(len(first), dtype=np.int32)
-    codes = np.empty(n, dtype=np.int32)
-    codes[order] = code_of[np.cumsum(new) - 1]
     view = buffer.data
     heads = first[rank]
     values = [
         str(view[start:end], "utf-8")
         for start, end in zip(starts[heads].tolist(), ends[heads].tolist())
     ]
-    return codes, values
+    return code_of[group], values
 
 
-def _changes(parts: list[np.ndarray], order: np.ndarray) -> np.ndarray:
-    """True at each cell, taken in ``order``, whose parts differ from the cell before."""
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.logical_or.reduce([part[1:] != part[:-1] for part in (p[order] for p in parts)])
-    return new
+def _ties_hold(words: list, lengths: np.ndarray, head: np.ndarray) -> bool:
+    """Whether every cell holds the same bytes as cell ``head[i]``, by the cells' :func:`_words`."""
+    if not np.array_equal(lengths[head], lengths):
+        return False
+    for reach, word in words:
+        # a cell and its head have one length, so both reach an offset or
+        # neither does; an index ``reach`` is ascending
+        at = head[reach]
+        if isinstance(reach, np.ndarray):
+            at = np.searchsorted(reach, at)
+        if not np.array_equal(word[at], word):
+            return False
+    return True
 
 
-#: Bytes of text per step of the separator scan.
-_SCAN_BLOCK = 1 << 20
+def _code_exactly(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """What :func:`_code` gives for stripped cells, from one dict of their bytes."""
+    view = buffer.data
+    index: dict[bytes, int] = {}
+    codes = np.fromiter(
+        (
+            index.setdefault(bytes(view[start:end]), len(index))
+            for start, end in zip(starts.tolist(), ends.tolist())
+        ),
+        dtype=np.int32,
+        count=len(starts),
+    )
+    return codes, [str(value, "utf-8") for value in index]
 
 
 def _separators(buffer: np.ndarray, begin: int, end: int) -> tuple[np.ndarray, int, int]:
@@ -499,9 +565,8 @@ def _reader_columns(path: Path, schema: CsvSchema, raw, begin: int, size: int):
     blank; one that is not raises, after any unmappable value in the
     rows before it.
     """
-    with io.TextIOWrapper(
-        io.BytesIO(memoryview(raw)[begin:size]), encoding="utf-8", newline=""
-    ) as handle:
+    text = _InPlace(memoryview(raw)[begin:size])
+    with io.TextIOWrapper(text, encoding="utf-8", newline="") as handle:
         records = _records(handle, path)
         try:
             _, header = next(records)

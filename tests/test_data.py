@@ -479,7 +479,7 @@ class TestLoaderMatchesReference:
                 scanned = _outcome(path, schema)
             assert scanned == _reader_outcome(path, schema)
 
-    def test_colliding_keys_fall_back_to_an_exact_sort(self, german_csv):
+    def test_colliding_keys_fall_back_to_a_dict(self, german_csv):
         # a zero mixer gives every cell of a column one sort key
         schema = load_schema(bundled_schema_path("german_gender"))
         expected = _outcome(german_csv, schema)
@@ -498,7 +498,15 @@ class TestLoaderMatchesReference:
 
 @given(
     cells=st.lists(
-        st.text(alphabet=st.sampled_from(list("ab \t\x0b\x1c\x00é\xa0\u3000\u2028")), max_size=20),
+        st.one_of(
+            st.text(alphabet=st.sampled_from(list("ab \t\x0b\x1c\x00é\xa0\u3000\u2028")), max_size=20),
+            # long cells that tie on length and differ only at the end
+            st.builds(
+                lambda count, tail: "a" * count + tail,
+                st.integers(0, 100),
+                st.sampled_from(["", "b", "é", " "]),
+            ),
+        ),
         max_size=40,
     )
 )
@@ -553,6 +561,18 @@ class TestMalformedText:
         with pytest.raises(DataError, match=rf"german\.csv:{line}: not UTF-8 text"):
             load_csv_report(path, schema)
 
+    def test_undecodable_byte_after_multibyte_text(self, tmp_path):
+        # text read seven characters at a time; the bad byte keeps its file offset and line
+        path = tmp_path / "data.csv"
+        text = "age,city,label,grp\n30,ĺódź,y,a\n40,\u3000 oslo,n,b\n"
+        path.write_text(text, encoding="utf-8")
+        with patch.object(data_module, "_SCAN_BLOCK", 7):
+            _, report = load_csv_report(path, BASIC_SCHEMA)
+            assert report.categorical_levels["city"] == ("ĺódź", "oslo")
+            path.write_bytes(text.encode() + b"50,li\xc3ma,y,a\n")
+            with pytest.raises(DataError, match=r"data\.csv:4: not UTF-8 text: .*0xc3 in position 55"):
+                load_csv_report(path, BASIC_SCHEMA)
+
     def test_cell_over_the_csv_field_limit(self, tmp_path):
         path = tmp_path / "data.csv"
         big = "x" * (csv.field_size_limit() + 1)
@@ -565,20 +585,62 @@ class TestMalformedText:
             load_csv_report(path, BASIC_SCHEMA)
 
 
+def _traced_load(path, schema):
+    """``load_csv_report(path, schema)`` and its tracemalloc peak.
+
+    The byte buffer and separator index are traced bytearrays here, not
+    untraced mappings.
+    """
+    tracemalloc.start()
+    try:
+        with patch.object(data_module, "_anonymous", bytearray):
+            loaded = load_csv_report(path, schema)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return loaded, peak
+
+
+def _rewrite(path, rows, **options):
+    with path.open("w", newline="", encoding=options.pop("encoding", "utf-8")) as handle:
+        csv.writer(handle, **options).writerows(rows)
+
+
 def test_load_peak_memory_is_a_small_multiple_of_the_features(tmp_path):
     # the row-then-column loader peaked near 5.8x, holding every cell as a string;
     # the one-pass loader that copied its matrix into the dataset, near 2.5x
     path = make_german_surrogate(tmp_path / "german.csv", n=10_000)
     schema = load_schema(bundled_schema_path("german_gender"))
-    tracemalloc.start()
-    try:
-        # the byte buffer and separator index as traced bytearrays, not untraced mappings
-        with patch.object(data_module, "_anonymous", bytearray):
-            dataset, _ = load_csv_report(path, schema)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (dataset, _), peak = _traced_load(path, schema)
     assert peak <= 2.25 * dataset.features.nbytes
+
+
+def test_quoted_load_holds_no_second_copy_of_the_file(tmp_path):
+    # csv.reader reads the mapped bytes in place and the UTF-8 check decodes
+    # a block at a time: over the same rows unquoted, a QUOTE_ALL copy with a
+    # byte-order mark adds its cells' byte runs, and not also a whole-file copy
+    path = make_german_surrogate(tmp_path / "german.csv", n=10_000)
+    schema = load_schema(bundled_schema_path("german_gender"))
+    _, plain = _traced_load(path, schema)
+    _rewrite(path, list(csv.reader(path.open(newline=""))), quoting=csv.QUOTE_ALL, encoding="utf-8-sig")
+    with patch.object(data_module, "_SCAN_BLOCK", 1 << 16):  # blocks far smaller than the file
+        (dataset, _), quoted = _traced_load(path, schema)
+    assert quoted <= 2.25 * dataset.features.nbytes
+    assert quoted - plain <= path.stat().st_size
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["scanned", "quoted"])
+def test_one_long_cell_costs_its_own_bytes(tmp_path, quoting):
+    # a word for every row at each of the cell's 7,500 offsets would be 60 MB
+    path = make_german_surrogate(tmp_path / "german.csv", n=1_000)
+    schema = load_schema(bundled_schema_path("german_gender"))
+    rows = list(csv.reader(path.open(newline="")))
+    long_value = "x" * 60_000
+    rows[5][rows[0].index("purpose")] = long_value
+    _rewrite(path, rows, quoting=quoting)
+    (dataset, report), peak = _traced_load(path, schema)
+    assert long_value in report.categorical_levels["purpose"]
+    assert peak <= 16 * 2**20
 
 
 def fit_all(dataset, c=0.5):
