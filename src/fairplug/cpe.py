@@ -184,11 +184,15 @@ _ROUNDOFF = 1e-15
 def _design(rows: np.ndarray, *extra_columns) -> np.ndarray:
     """``[rows, *extra_columns, 1]``: the fit's design, intercept column last.
 
-    ``extra_columns`` are ``(n,)`` vectors or scalars.  The block is
-    allocated once and filled column range by column range, so no
-    intermediate ``np.hstack`` copy exists.  Its values and its C-ordered
-    layout are those of ``np.hstack`` of the same columns, so every
-    product with it is bit-identical to one with the stacked matrix.
+    The path for every caller whose rows are not already laid out as the
+    design (synthetic draws, tests, the geometry module, and one of an
+    eo-blind split's two fits); :func:`_laid_out_design` recognizes a
+    training split that is.  ``extra_columns`` are ``(n,)`` vectors or
+    scalars.  The block is allocated once and filled column range by
+    column range, so no intermediate ``np.hstack`` copy exists.  Its
+    values and its C-ordered layout are those of ``np.hstack`` of the
+    same columns, so every product with it is bit-identical to one with
+    the stacked matrix.
     """
     n, k = rows.shape
     block = np.empty((n, k + len(extra_columns) + 1))
@@ -197,6 +201,45 @@ def _design(rows: np.ndarray, *extra_columns) -> np.ndarray:
         block[:, j] = column
     block[:, -1] = 1.0
     return block
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _laid_out_design(rows: np.ndarray, extra_columns) -> np.ndarray | None:
+    """The buffer that already holds ``[rows, *extra_columns, 1]``, or None.
+
+    :func:`fairplug.data.fit_dp_transform` gathers a training split into
+    such a buffer.  It is recognized by identity: ``rows`` are the
+    leading columns of their C-ordered float64 base, which is one column
+    wider than ``rows`` and ``extra_columns`` together, and each extra
+    column is a view of that base's next column (its address and row
+    stride).  Nothing ties the last column to the intercept, so its n
+    values are compared with 1; no other value is read.  Its values and
+    layout are then those :func:`_design` builds, so the fit's bits are
+    the same either way.
+    """
+    design = rows.base
+    n, k = rows.shape
+    if not (
+        isinstance(design, np.ndarray)
+        and design.dtype == np.float64
+        and design.shape == (n, k + len(extra_columns) + 1)
+        and design.flags.c_contiguous
+        and rows.strides == design.strides
+        and _address(rows) == _address(design)
+    ):
+        return None
+    for j, column in enumerate(extra_columns, start=k):
+        if not (
+            isinstance(column, np.ndarray)
+            and column.base is design
+            and column.strides == design.strides[:1]
+            and _address(column) == _address(design) + j * design.itemsize
+        ):
+            return None
+    return design if np.all(design[:, -1] == 1.0) else None
 
 
 def _objective_and_grad(w, design, targets, lambda_reg):
@@ -314,6 +357,13 @@ def fit(
     the least-squares solve then takes the minimum-norm direction.  A
     step whose solve fails takes the gradient instead.
 
+    The design ``[rows, *extra_columns, 1]`` is read where it already
+    lies when ``rows`` and ``extra_columns`` are the leading columns of
+    one buffer whose last column holds ones, as in a training split from
+    :func:`fairplug.data.fit_dp_transform` (see :func:`_laid_out_design`);
+    otherwise :func:`_design` copies them into one.  The finiteness
+    check runs on the design the fit uses.
+
     Parameters
     ----------
     rows : (n, k) design matrix (intercept column appended internally).
@@ -351,7 +401,9 @@ def fit(
     if one_class and not (allow_one_class and config.lambda_reg > 0.0):
         raise DegenerateDataError("targets contain a single class; both classes are required")
 
-    design = _design(rows, *extra_columns)
+    design = _laid_out_design(rows, extra_columns)
+    if design is None:
+        design = _design(rows, *extra_columns)
     if not np.all(np.isfinite(design)):
         raise ValidationError("rows contain non-finite entries")
     w = np.zeros(design.shape[1])
@@ -420,7 +472,10 @@ def predict_proba(model: LinearCpe, rows, *columns):
     ``[rows, *columns]`` block is built: the logit is ``rows @ w[:k]``,
     then ``column * w[j]`` added for each column in turn, then the
     intercept.  Outputs lie strictly inside (0, 1) up to floating-point
-    rounding.
+    rounding.  A single row and the same row inside a matrix can differ
+    in the last bit: OpenBLAS runs the 1-row product ``x[None, :] @ w``
+    through another kernel than ``X @ w`` (0.6448326625371976 alone
+    against 0.6448326625371977 as row 0 of a 2 x 6 matrix).
     """
 
     x = np.asarray(rows, dtype=float)

@@ -27,7 +27,9 @@ statistics, and any row that lands outside the cap is radially clipped
 (counted, never silent: held-out rows, or a training row that rounding
 puts just over it).  Each split, training or held-out, is gathered from
 the dataset once, into one buffer that is mapped in place (and, for a
-training split, fitted there first) and that the mapped split owns.
+training split, fitted there first) and that the mapped split owns.  A
+training split's buffer is laid out as the design ``[x, column, 1]`` of
+the fits that read it, so those fits copy no rows.
 Squares for the scale and the norms exist one block of rows at a time,
 in one reused buffer of about 2^17 elements; the column sums carry
 their running total from block to block in numpy's own summation
@@ -877,18 +879,16 @@ def _row_norms(x: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield block, norms[:size]
 
 
-def _bound_rows(
-    x: np.ndarray, dataset: Dataset, index: np.ndarray, transform: DpTransform, role: str
-) -> Dataset:
-    """The standardized rows ``x`` of ``dataset`` at ``index``, scaled and clipped, as a split.
+def _bound_rows(x: np.ndarray, transform: DpTransform, role: str) -> None:
+    """Scale the standardized rows ``x`` by ``global_scale`` and clip them to the cap, in place.
 
-    Both roles end here: ``*= global_scale`` and the radial clip of rows
-    over the cap (counted in the log as ``role`` rows) in place, +-C
-    labels, and adoption of ``x``.  A row whose squares overflow is
-    divided by its largest entry before its norm is taken again, so it
-    lands on the cap in its own direction, not at the origin; rows with
-    finite norms keep their bits.  Non-finite rows stay non-finite for
-    the dataset check to reject, with numpy's warnings on the way silenced.
+    Both roles run this step: ``*= global_scale``, then the radial clip
+    of rows over the cap, counted in the log as ``role`` rows.  A row
+    whose squares overflow is divided by its largest entry before its
+    norm is taken again, so it lands on the cap in its own direction, not
+    at the origin; rows with finite norms keep their bits.  Non-finite
+    rows stay non-finite for the dataset check to reject, with numpy's
+    warnings on the way silenced.
     """
     cap = transform.radius_cap
     clipped = 0
@@ -907,23 +907,60 @@ def _bound_rows(
                 clipped += int(np.count_nonzero(over))
     if clipped:
         log.info("radially clipped %d %s rows to the norm cap", clipped, role)
-    c = transform.label_magnitude
+
+
+def _labels(dataset: Dataset, index: np.ndarray, c: float) -> np.ndarray:
+    """The +-C labels of ``dataset``'s rows at ``index``."""
     labels = np.sign(dataset.labels[index])
     labels *= c
-    return Dataset._adopt(x, labels, dataset.sensitive[index], c)
+    return labels
 
 
-def fit_dp_transform(dataset: Dataset, rows, c: float = 0.5) -> tuple[DpTransform, Dataset]:
+#: Rows that one step of :func:`_spread_rows` moves.
+_SPREAD_ROWS = 2048
+
+
+def _spread_rows(design: np.ndarray, k: int) -> None:
+    """Move the ``(n, k)`` rows packed at the start of ``design``'s buffer into its first k columns.
+
+    Row i moves from element ``i * k`` to ``i * width``, at or above
+    where it starts, so blocks of ``_SPREAD_ROWS`` rows move from the
+    last to the first: a block's target lies past every row not yet
+    moved.  Where a block's source and target overlap, numpy copies the
+    block before writing it, so the temporary is one block, not the split.
+    """
+    n = design.shape[0]
+    packed = design.reshape(-1)[: n * k].reshape(n, k)
+    for start in range((n - 1) // _SPREAD_ROWS * _SPREAD_ROWS, -1, -_SPREAD_ROWS):
+        design[start : start + _SPREAD_ROWS, :k] = packed[start : start + _SPREAD_ROWS]
+
+
+def fit_dp_transform(
+    dataset: Dataset, rows, c: float = 0.5, column: str | None = None
+) -> tuple[DpTransform, Dataset]:
     """Fit the norm-bounding map on the training rows and map them through it.
 
-    ``rows`` indexes the training split's rows of ``dataset``; they are
-    gathered once, into one float64 buffer that the mapped training
-    :class:`Dataset` adopts, and every step runs in that buffer: the
-    mean, ``-= shift``, the column sums of squares, ``/= scale``, the
-    largest row norm (which fixes ``global_scale``), ``*= global_scale``
-    and the radial clip of any row that rounding puts over the cap.
-    Squares exist only a block of rows at a time (:func:`_row_norms`,
-    :func:`_column_square_sums`), and no raw copy of the split is built.
+    ``rows`` indexes the training split's rows of ``dataset``.  They are
+    gathered once, into one float64 buffer laid out as the design
+    ``[x, column, 1]`` that :func:`fairplug.cpe.fit` reads, so a fit on
+    the mapped split copies no rows.  ``column`` names the dataset
+    column, ``"sensitive"`` or ``"labels"``, that sits between the
+    features and the intercept; with ``None`` the buffer is ``[x, 1]``.
+    The mapped split's features are the buffer's first k columns, its
+    ``column`` is the buffer's next one, and the whole buffer is
+    read-only once the split adopts it.
+
+    The rows are gathered into the buffer's first ``n * k`` elements as
+    one contiguous ``(n, k)`` block, and every step runs there: the mean,
+    ``-= shift``, the column sums of squares, ``/= scale``, the largest
+    row norm (which fixes ``global_scale``), ``*= global_scale`` and the
+    radial clip of any row that rounding puts over the cap.  In-place
+    operations on the contiguous block are faster than on the strided
+    columns of the wide buffer, and they give the same bits.  Only then
+    are the rows spread to the buffer's row stride (:func:`_spread_rows`)
+    and the column and the ones written.  Squares exist only a block of
+    rows at a time (:func:`_row_norms`, :func:`_column_square_sums`),
+    and no raw copy of the split is built.
 
     The statistics are those of ``np.mean`` and ``np.std`` on the
     gathered rows bit for bit: the scale is the square root of the
@@ -934,18 +971,36 @@ def fit_dp_transform(dataset: Dataset, rows, c: float = 0.5) -> tuple[DpTransfor
     rejection is what surfaces.
     """
     c = _check_c(c)
+    if column not in (None, "sensitive", "labels"):
+        raise ValidationError(f"column must be 'sensitive', 'labels' or None, got {column!r}")
     index = dataset._row_index(rows)
-    x = dataset.features[index]
+    n, k = index.size, dataset.dim
+    design = np.empty((n, k + (column is not None) + 1))
+    # ``_row_index`` has checked the index, so "clip" only skips numpy's
+    # bounds check; with the default mode numpy gathers through a
+    # temporary of the whole split before it writes ``out``.
+    x = np.take(
+        dataset.features, index, axis=0, mode="clip",
+        out=design.reshape(-1)[: n * k].reshape(n, k),
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         shift = x.mean(axis=0)
         x -= shift
-        scale = np.sqrt(_column_square_sums(x) / x.shape[0])
+        scale = np.sqrt(_column_square_sums(x) / n)
         scale = np.where(scale > 0, scale, 1.0)
         x /= scale
         max_norm = float(np.max([norms.max() for _, norms in _row_norms(x)]))
     global_scale = _radius_cap(c) / max_norm if max_norm > 0 else 1.0
     transform = DpTransform(shift=shift, scale=scale, global_scale=global_scale, label_magnitude=c)
-    return transform, _bound_rows(x, dataset, index, transform, "training")
+    _bound_rows(x, transform, "training")
+    _spread_rows(design, k)
+    columns = {"labels": _labels(dataset, index, c), "sensitive": dataset.sensitive[index]}
+    if column is not None:
+        design[:, k] = columns[column]
+        columns[column] = design[:, k]
+    design[:, -1] = 1.0
+    design.setflags(write=False)
+    return transform, Dataset._adopt(design[:, :k], columns["labels"], columns["sensitive"], c)
 
 
 def apply_dp_transform(transform: DpTransform, dataset: Dataset, rows) -> Dataset:
@@ -965,7 +1020,9 @@ def apply_dp_transform(transform: DpTransform, dataset: Dataset, rows) -> Datase
     with np.errstate(over="ignore", invalid="ignore"):
         z -= transform.shift
         z /= transform.scale
-    return _bound_rows(z, dataset, index, transform, "held-out")
+    _bound_rows(z, transform, "held-out")
+    c = transform.label_magnitude
+    return Dataset._adopt(z, _labels(dataset, index, c), dataset.sensitive[index], c)
 
 
 #: Train, validation and test fractions of every split.

@@ -51,14 +51,18 @@ def read_kv(path: str | Path) -> dict[str, str]:
     """Read a key=value file into a dict; duplicate keys are an error.
 
     A file that cannot be read, or is not UTF-8, is a :class:`DataError`.
+    The file is read once, so a named pipe such as ``<(...)`` works, and
+    the error for it names the line of a bad byte too.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise undecodable(path, exc) from exc
+        raise undecodable(path, exc, raw) from exc
     pairs = _parse_lines(text.splitlines(), str(path))
     out: dict[str, str] = {}
     for key, value in pairs:

@@ -274,7 +274,10 @@ def score(rule: PlugInRule, x, y_bar=None):
 
     ``y_bar`` (scalar or per-row vector over +-1) is required exactly for
     the aware settings.  Returns a float for a single vector, an array
-    for a matrix of rows.
+    for a matrix of rows.  The score of a single vector can differ in the
+    last bit from that of the same row inside a matrix, because
+    :func:`~fairplug.cpe.predict_proba` can (see there), so near the
+    boundary the two can classify the row differently.
     """
 
     rows, single = _as_rows(x)

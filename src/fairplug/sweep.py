@@ -7,6 +7,13 @@ then walk the whole parameter grid -- each grid point is pure
 post-processing of the same fitted pair, so the sweep consumes exactly
 one noise draw per split no matter how large the grid is.
 
+Each training split is gathered once, into one buffer laid out as the
+design its fits read, so the fits copy no rows: width k + 2, ``[x, a,
+1]``, for the aware settings' one fit; k + 1, ``[x, 1]``, for
+dpar-blind's two fits, the private pipeline's included; and k + 2,
+``[x, y, 1]``, for eo-blind's sensitive-attribute fit.  eo-blind's label
+fit on ``[x, 1]`` is the one fit that copies its rows.
+
 The estimator outputs on the test split
 (:func:`fairplug.plugin.coordinates`), the estimated prior and the group
 cells are computed and checked once per split.  Every prediction is
@@ -416,8 +423,10 @@ def _run_split(
 ) -> tuple[np.ndarray, tuple[int, int, int, int], int]:
     """One split's hits ``(4, grid points)``, its four totals and the noise draws it made.
 
-    :func:`fit_dp_transform` gathers the training rows once and fits and
-    maps them in that one buffer, which the fits then read;
+    :func:`fit_dp_transform` gathers the training rows once, fits and
+    maps them in that one buffer, and lays it out as the design the
+    setting's fits read (the module docstring gives the layout by
+    setting and the one eo-blind fit that copies);
     :func:`apply_dp_transform` gathers the test rows once and maps them
     in theirs, so no raw copy of either split is built.  The hits are
     counted by :func:`_count_grid` from ``setting_score(...) > 0`` on
@@ -427,7 +436,8 @@ def _run_split(
     split_id, (train_idx, _val_idx, test_idx) = task
     draws = noise_draw_count()
     pipeline_seed = int(np.random.SeedSequence((seed, split_id)).generate_state(1)[0])
-    transform, train = fit_dp_transform(dataset, train_idx, dp_c)
+    column = "sensitive" if is_aware(setting) else "labels" if setting == EO_BLIND else None
+    transform, train = fit_dp_transform(dataset, train_idx, dp_c, column)
     test = apply_dp_transform(transform, dataset, test_idx)
     base_params = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
     if math.isfinite(eps_p):

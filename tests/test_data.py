@@ -716,12 +716,15 @@ class TestDpTransform:
         seed=st.integers(0, 2**32 - 1),
         constant=st.booleans(),
         c=st.sampled_from([0.5, 0.6, 0.9]),
+        column=st.sampled_from([None, "sensitive", "labels"]),
+        spread=st.sampled_from([3, 2048]),
     )
     def test_fused_map_is_the_two_step_map_bit_for_bit(
-        self, width, block, blocks, seed, constant, c
+        self, width, block, blocks, seed, constant, c, column, spread
     ):
         # Row counts below one block, of exactly one and of several blocks
-        # (the 64-element buffer puts several blocks in a few rows).
+        # (the 64-element buffer puts several blocks in a few rows); the
+        # rows are spread into the design buffer in one or many steps.
         per_block = max(1, block // width)
         n = max(1, int(blocks * per_block))
         gen = np.random.default_rng(seed)
@@ -733,8 +736,10 @@ class TestDpTransform:
         rows = np.sort(gen.permutation(n + 3)[:n])
         shift, scale, global_scale, z, _ = two_step_reference(x[rows], c)
         centered = x[rows] - shift
-        with patch.object(data_module, "_SQUARES_BLOCK", block):
-            transform, mapped = fit_dp_transform(dataset, rows, c)
+        with patch.object(data_module, "_SQUARES_BLOCK", block), patch.object(
+            data_module, "_SPREAD_ROWS", spread
+        ):
+            transform, mapped = fit_dp_transform(dataset, rows, c, column)
             held_out = apply_dp_transform(transform, dataset, np.arange(dataset.n))
             # the sums themselves, before the square root can hide an ulp
             sums = data_module._column_square_sums(centered)
@@ -746,6 +751,10 @@ class TestDpTransform:
         assert mapped.labels.tobytes() == (labels[rows] * c).tobytes()
         assert mapped.sensitive.tobytes() == (-labels[rows]).tobytes()
         assert not np.shares_memory(mapped.features, dataset.features)
+        # the features, the column and the intercept, as the fit's design
+        extra = [getattr(mapped, column)[:, None]] if column else []
+        design = np.hstack([mapped.features, *extra, np.ones((n, 1))])
+        assert mapped.features.base.tobytes() == design.tobytes()
         # the held-out map shares the fit's norms: on the training rows it
         # gives the training map bit for bit
         assert held_out.features[rows].tobytes() == z.tobytes()
@@ -833,6 +842,10 @@ class TestDpTransform:
                 fit_dp_transform(train, bad, 0.5)
             with pytest.raises(ValidationError, match=message):
                 apply_dp_transform(transform, train, bad)
+
+    def test_design_column_is_checked(self):
+        with pytest.raises(ValidationError, match="column must be"):
+            fit_dp_transform(self.small(), [0, 1], 0.5, "features")
 
     def test_held_out_rows_keep_scale_and_are_gathered_in_order(self):
         train = self.small()

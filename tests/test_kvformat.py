@@ -1,6 +1,8 @@
 """Round-trip and error behavior of the flat key=value text format."""
 
 import math
+import os
+import threading
 
 import pytest
 from hypothesis import given
@@ -86,3 +88,32 @@ def test_undecodable_byte_is_a_data_error_naming_its_line(tmp_path):
     path.write_bytes(b"alpha = 1\r\nbeta = 2\r\ngamma = \xff\r\n")
     with pytest.raises(DataError, match=f"{path}:3: not UTF-8 text"):
         read_kv(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_undecodable_pipe_is_read_once(tmp_path):
+    # A second open of the pipe would wait for a writer that never comes.
+    pipe = tmp_path / "p.kv"
+    os.mkfifo(pipe)
+    errors = []
+
+    def read():
+        try:
+            read_kv(pipe)
+        except DataError as exc:
+            errors.append(str(exc))
+
+    writer = threading.Thread(target=pipe.write_bytes, args=(b"a = 1\n\xff = 2\n",))
+    reader = threading.Thread(target=read, daemon=True)
+    writer.start()
+    reader.start()
+    writer.join(timeout=5)
+    reader.join(timeout=5)
+    blocked = reader.is_alive()
+    if blocked:
+        # Open and close a writer so that the blocked read ends.
+        os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=5)
+    assert not writer.is_alive()
+    assert not blocked
+    assert len(errors) == 1 and errors[0].startswith(f"{pipe}:2: not UTF-8 text")

@@ -1,5 +1,6 @@
 """Grid sweep engine, envelope binning, and record/curve serialization."""
 
+import logging
 import math
 import re
 import tracemalloc
@@ -13,9 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_sweep_counts
 
+from fairplug import cpe as cpe_module
+from fairplug import data as data_module
 from fairplug.cli import _write_tradeoff_csv
 from fairplug.core import Dataset, FairnessParams
-from fairplug.cpe import FitConfig
+from fairplug.cpe import FitConfig, fit_eta_aware
 from fairplug.data import PreparedData, SplitPlan, apply_dp_transform, fit_dp_transform, make_splits
 from fairplug.errors import DataError, ValidationError
 from fairplug.metrics import dpar_dbar_rates, empirical_rates, eo_dbar_rates, violation
@@ -33,7 +36,7 @@ from fairplug.plugin import (
     setting_score,
     with_params,
 )
-from fairplug.privacy import noise_draw_count
+from fairplug.privacy import dp_plugin_pipeline, noise_draw_count
 from fairplug.sweep import (
     _READ_CHUNK,
     COUNT_COLUMNS,
@@ -392,6 +395,100 @@ class TestRunSweep:
         )
         assert len(table) == 2 * small_grid().cardinality
         assert not table.degenerate.any()
+
+
+#: The design column each setting's training buffer carries, as the sweep lays it out.
+DESIGN_COLUMN = {EO_AWARE: "sensitive", DPAR_AWARE: "sensitive", EO_BLIND: "labels", DPAR_BLIND: None}
+
+
+class TestSharedDesign:
+    """Each training split is gathered into the design its fits read."""
+
+    @staticmethod
+    def clipped_split(caplog, column):
+        # Seed 5 puts one training row just over the cap by rounding, so the
+        # split holds a radially clipped row; a 16-row step spreads it in 13 blocks.
+        gen = np.random.default_rng(5)
+        n = 400
+        dataset = Dataset(
+            gen.normal(size=(n, 6)),
+            np.where(gen.random(n) < 0.5, 1.0, -1.0),
+            np.where(gen.random(n) < 0.5, 1.0, -1.0),
+        )
+        with mock.patch.object(data_module, "_SPREAD_ROWS", 16), caplog.at_level(
+            logging.INFO, logger="fairplug.data"
+        ):
+            _, train = fit_dp_transform(dataset, np.arange(0, n, 2), 0.5, column)
+        assert "radially clipped 1 training rows" in caplog.text
+        return train
+
+    @pytest.mark.parametrize(
+        ("setting", "eps_p"),
+        [(setting, math.inf) for setting in SETTINGS] + [(EO_BLIND, 1.0), (DPAR_BLIND, 1.0)],
+    )
+    def test_fits_equal_fits_on_a_fresh_copy(self, caplog, setting, eps_p):
+        train = self.clipped_split(caplog, DESIGN_COLUMN[setting])
+        fresh = Dataset(train.features, train.labels, train.sensitive, train.label_scale)
+        params = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
+        rules = [
+            fit_plugin(split, setting, params, FitConfig()) if math.isinf(eps_p)
+            else dp_plugin_pipeline(split, setting, params, FitConfig(), eps_p, seed=9)
+            for split in (train, fresh)
+        ]
+        for name in ("eta", "eta_bar"):
+            shared, copied = (getattr(rule, name) for rule in rules)
+            if copied is not None:
+                assert np.array_equal(shared.weights, copied.weights)
+        assert rules[0].pi_hat == rules[1].pi_hat
+
+    @pytest.mark.parametrize(("setting", "eps_p", "copies"), [
+        (EO_AWARE, math.inf, 0), (DPAR_AWARE, math.inf, 0), (DPAR_BLIND, math.inf, 0),
+        (DPAR_BLIND, 1.0, 0), (EO_BLIND, math.inf, 1), (EO_BLIND, 1.0, 1),
+    ])
+    def test_only_the_eo_blind_label_fit_copies_its_rows(self, setting, eps_p, copies):
+        prepared = prepared_data()
+        with mock.patch.object(cpe_module, "_design", wraps=cpe_module._design) as design:
+            run_sweep(prepared, small_grid(), setting, eps_p, FitConfig(), seed=2)
+        copied = [call.args[0].shape[1] for call in design.call_args_list]
+        # eo-blind's label fit on [x, 1] copies; its [x, y, 1] fit reads the buffer
+        assert copied == [prepared.dataset.dim] * copies * len(prepared.splits)
+
+    def test_aware_fit_reads_the_split_without_a_copy(self):
+        gen = np.random.default_rng(3)
+        n, k = 25_000, 50
+        dataset = Dataset(
+            gen.normal(size=(n, k)),
+            np.where(gen.random(n) < 0.5, 1.0, -1.0),
+            np.where(gen.random(n) < 0.5, 1.0, -1.0),
+        )
+        _, train = fit_dp_transform(dataset, np.arange(20_000), 0.5, "sensitive")
+        design_bytes = 20_000 * (k + 2) * 8
+        with mock.patch.object(
+            cpe_module, "_objective_and_grad", wraps=cpe_module._objective_and_grad
+        ) as objective:
+            tracemalloc.start()
+            try:
+                fit_eta_aware(train, FitConfig())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        fitted = objective.call_args.args[1]
+        assert fitted.shape == (20_000, k + 2)
+        assert np.shares_memory(train.features, fitted)
+        assert np.shares_memory(train.sensitive, fitted)
+        assert peak < design_bytes / 2
+
+    @pytest.mark.parametrize("column", [None, "sensitive", "labels"])
+    def test_the_buffer_is_read_only(self, column):
+        _, train = fit_dp_transform(prepared_data().dataset, np.arange(50), 0.5, column)
+        buffer = train.features.base
+        for target in (train.features, buffer):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0, 0] = 0.0
+        if column is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(train, column)[0] = 1.0
+        assert np.all(buffer[:, -1] == 1.0)
 
 
 # At pi_hat = 0.5 both eo-aware group coefficients are exactly 0 at lam = +-1,

@@ -38,8 +38,9 @@ files and its ``manifest.kv``; a manifest is hashed without its
 all.  Standard output holds
 only those ``sha256  path`` lines, so ``> SHA256SUMS`` keeps a
 ``sha256sum``-style list; every status and difference line goes to
-standard error.  It exits 1 if a ``--jobs 2`` output differs from its
-serial twin.
+standard error, and so does each command's peak resident set in MiB,
+with the name of the tree that ran it.  It exits 1 if a ``--jobs 2``
+output differs from its serial twin.
 
 ``--compare REV`` exports REV's tree with ``git archive`` into a
 temporary directory, runs the same commands with that tree's code on the
@@ -55,6 +56,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -63,8 +65,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-
-from surrogate import write_german_csv  # noqa: E402
 
 SEED = 1
 #: (name, surrogate rows, prepared splits)
@@ -120,17 +120,34 @@ BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_TH
 
 
 def fairplug(source: Path, *args: str, cwd: Path | None = None) -> None:
-    """``fairplug ARGS`` in a child process running ``source``'s code, in ``cwd``."""
+    """``fairplug ARGS`` in a child process running ``source``'s code, in ``cwd``.
+
+    The child's peak resident set (``ru_maxrss`` from ``os.wait4``, which
+    also covers the workers it reaped) goes to standard error beside the
+    command.  A child starts with this process's peak as the floor of its
+    ``ru_maxrss``, so this process never imports numpy or holds a whole
+    output file (see :func:`write_inputs` and :func:`sha256`).
+    """
     env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": str(source / "src")}
-    done = subprocess.run(
-        [sys.executable, "-m", "fairplug.cli", *args],
-        env=env, cwd=cwd, capture_output=True, text=True,
-    )
-    if done.returncode != 0:
-        raise SystemExit(f"fairplug {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+    command = f"fairplug {' '.join(args)}"
+    with tempfile.TemporaryFile() as output:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "fairplug.cli", *args],
+            env=env, cwd=cwd, stdout=output, stderr=output,
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        print(f"{usage.ru_maxrss / 1024:7.1f} MiB  {source.name}: {command}", file=sys.stderr)
+        if child.returncode != 0:
+            output.seek(0)
+            log = output.read().decode(errors="replace")
+            raise SystemExit(f"{command} exited {child.returncode}:\n{log}")
 
 
 def write_inputs(inputs: Path) -> None:
+    """The surrogate CSVs and the 4-D law; :func:`main` runs this in a spawned process."""
+    from surrogate import write_german_csv
+
     inputs.mkdir(parents=True)
     for name, rows, _ in DATASETS:
         write_german_csv(inputs / f"{name}.csv", rows, SEED)
@@ -138,13 +155,15 @@ def write_inputs(inputs: Path) -> None:
 
 
 def sha256(path: Path) -> str:
-    """The file's digest; a manifest's is taken without its ``config.out`` line."""
-    data = path.read_bytes()
-    if path.name == "manifest.kv":
-        data = b"".join(
-            line for line in data.splitlines(keepends=True) if not line.startswith(b"config.out ")
-        )
-    return hashlib.sha256(data).hexdigest()
+    """The file's digest, read in blocks; a manifest's is taken without its ``config.out`` line."""
+    with open(path, "rb") as handle:
+        if path.name != "manifest.kv":
+            return hashlib.file_digest(handle, "sha256").hexdigest()
+        digest = hashlib.sha256()
+        for line in handle:
+            if not line.startswith(b"config.out "):
+                digest.update(line)
+        return digest.hexdigest()
 
 
 def hashed(path: Path) -> bool:
@@ -229,7 +248,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="fairplug-reference-") as temp:
         temp = Path(temp)
-        write_inputs(temp / "inputs")
+        writer = multiprocessing.get_context("spawn").Process(
+            target=write_inputs, args=(temp / "inputs",)
+        )
+        writer.start()
+        writer.join()
+        if writer.exitcode != 0:
+            raise SystemExit(f"writing the inputs exited {writer.exitcode}")
         sums = run_tree(ROOT, temp / "inputs", temp / "this")
         for path, digest in sums.items():
             print(f"{digest}  {path}")
