@@ -33,16 +33,12 @@ differently from the direct product, so a fit's weights may move by an
 ulp against one that forms it directly.  Designs of at most eight
 columns, where the direct product is faster, keep it.
 
-Four thin wrappers fit the specific estimators the decision rules need:
-
-* :func:`fit_eta`           -- P(Y=+1 | x)            on (features, labels)
-* :func:`fit_eta_bar_eo`    -- P(Ybar=+1 | x, y)      on ((features, label), sensitive)
-* :func:`fit_eta_bar_dpar`  -- P(Ybar=+1 | x)         on (features, sensitive)
-* :func:`fit_eta_aware`     -- P(Y=+1 | x, ybar)      on ((features, sensitive), labels)
-
-The label column fed to :func:`fit_eta_bar_eo` is the *stored* label
-encoding (so ``{-C, +C}`` after privacy preprocessing), which is what
-keeps the joint input under the preprocessing norm bound.
+:func:`fit_estimator` fits every estimator the decision rules need
+(:data:`fairplug.plugin.ESTIMATORS` gives their arities): the sign of
+the labels or of the sensitive column, on the features and the column
+:data:`ARITY_COLUMNS` names for the input's arity, in its *stored*
+encoding -- so a label input is ``{-C, +C}`` after privacy
+preprocessing, which keeps the joint input under the norm bound.
 
 Prediction takes the extra columns as the fit does:
 ``predict_proba(model, rows, *columns)`` adds each column times its
@@ -65,14 +61,12 @@ __all__ = [
     "ARITY_FEATURES_PLUS_LABEL",
     "ARITY_FEATURES_PLUS_SENSITIVE",
     "ARITIES",
+    "ARITY_COLUMNS",
     "LinearCpe",
     "FitConfig",
     "fit",
     "predict_proba",
-    "fit_eta",
-    "fit_eta_bar_eo",
-    "fit_eta_bar_dpar",
-    "fit_eta_aware",
+    "fit_estimator",
     "sigmoid",
 ]
 
@@ -82,6 +76,12 @@ ARITY_FEATURES = "features-only"
 ARITY_FEATURES_PLUS_LABEL = "features-plus-label"
 ARITY_FEATURES_PLUS_SENSITIVE = "features-plus-sensitive"
 ARITIES = (ARITY_FEATURES, ARITY_FEATURES_PLUS_LABEL, ARITY_FEATURES_PLUS_SENSITIVE)
+#: The dataset column each arity adds to the features as an input, if any.
+ARITY_COLUMNS = {
+    ARITY_FEATURES: None,
+    ARITY_FEATURES_PLUS_LABEL: "labels",
+    ARITY_FEATURES_PLUS_SENSITIVE: "sensitive",
+}
 
 
 def sigmoid(z):
@@ -184,11 +184,12 @@ _ROUNDOFF = 1e-15
 def _design(rows: np.ndarray, *extra_columns) -> np.ndarray:
     """``[rows, *extra_columns, 1]``: the fit's design, intercept column last.
 
-    The path for every caller whose rows are not already laid out as the
-    design (synthetic draws, tests, the geometry module, and one of an
-    eo-blind split's two fits); :func:`_laid_out_design` recognizes a
-    training split that is.  ``extra_columns`` are ``(n,)`` vectors or
-    scalars.  The block is allocated once and filled column range by
+    The path for every fit whose rows are not already laid out as the
+    design: synthetic draws, tests, and eo-blind's sensitive-attribute
+    fit on ``[x, y, 1]``, one column wider than the ``[x, 1]`` training
+    split it reads; :func:`_laid_out_design` recognizes a training split
+    that is.  ``extra_columns`` are ``(n,)`` vectors (:func:`fit` rejects
+    any other shape).  The block is allocated once and filled column range by
     column range, so no intermediate ``np.hstack`` copy exists.  Its
     values and its C-ordered layout are those of ``np.hstack`` of the
     same columns, so every product with it is bit-identical to one with
@@ -379,8 +380,8 @@ def fit(
 
     Returns
     -------
-    LinearCpe with ``input_arity = 'features-only'`` (callers re-tag via
-    the specific ``fit_*`` wrappers) whose gradient norm at the returned
+    LinearCpe with ``input_arity = 'features-only'`` (:func:`fit_estimator`
+    tags the arity of its input) whose gradient norm at the returned
     weights is <= ``config.tolerance`` (``converged``), or the
     ``max_iters`` iterate with the achieved residual in ``grad_norm``.
     """
@@ -502,41 +503,21 @@ def predict_proba(model: LinearCpe, rows, *columns):
     return float(p[0]) if single else p
 
 
-def _retag(model: LinearCpe, arity: str) -> LinearCpe:
-    return replace(model, input_arity=arity)
-
-
-def fit_eta(dataset: Dataset, config: FitConfig) -> LinearCpe:
-    """Fit P(Y=+1 | x) on (features, labels)."""
-    return fit(dataset.features, np.sign(dataset.labels), config)
-
-
-def fit_eta_bar_eo(
-    dataset: Dataset, config: FitConfig, *, allow_one_class: bool = False
+def fit_estimator(
+    dataset: Dataset, target: str, arity: str, config: FitConfig, *, allow_one_class: bool = False
 ) -> LinearCpe:
-    """Fit P(Ybar=+1 | x, y) on ((features, stored label), sensitive).
+    """Fit the sign of ``dataset``'s ``target`` column on an input of ``arity``.
 
-    The label column uses the stored encoding (+-1, or +-C after privacy
-    preprocessing) so the joint input stays inside the preprocessing
-    norm bound.  ``allow_one_class`` is :func:`fit`'s.
+    ``target`` is ``"labels"`` or ``"sensitive"``; the input is the
+    features, then the column :data:`ARITY_COLUMNS` names for ``arity``.
+    ``allow_one_class`` is :func:`fit`'s.
     """
+    if target not in ("labels", "sensitive") or arity not in ARITY_COLUMNS:
+        raise ValidationError(f"cannot fit {target!r} on an input of arity {arity!r}")
+    column = ARITY_COLUMNS[arity]
     model = fit(
-        dataset.features, np.sign(dataset.sensitive), config, dataset.labels,
+        dataset.features, np.sign(getattr(dataset, target)), config,
+        *(() if column is None else (getattr(dataset, column),)),
         allow_one_class=allow_one_class,
     )
-    return _retag(model, ARITY_FEATURES_PLUS_LABEL)
-
-
-def fit_eta_bar_dpar(
-    dataset: Dataset, config: FitConfig, *, allow_one_class: bool = False
-) -> LinearCpe:
-    """Fit P(Ybar=+1 | x) on (features, sensitive); ``allow_one_class`` is :func:`fit`'s."""
-    return fit(
-        dataset.features, np.sign(dataset.sensitive), config, allow_one_class=allow_one_class
-    )
-
-
-def fit_eta_aware(dataset: Dataset, config: FitConfig) -> LinearCpe:
-    """Fit P(Y=+1 | x, ybar) on ((features, sensitive), labels)."""
-    model = fit(dataset.features, np.sign(dataset.labels), config, dataset.sensitive)
-    return _retag(model, ARITY_FEATURES_PLUS_SENSITIVE)
+    return model if arity == model.input_arity else replace(model, input_arity=arity)

@@ -28,8 +28,8 @@ statistics, and any row that lands outside the cap is radially clipped
 puts just over it).  Each split, training or held-out, is gathered from
 the dataset once, into one buffer that is mapped in place (and, for a
 training split, fitted there first) and that the mapped split owns.  A
-training split's buffer is laid out as the design ``[x, column, 1]`` of
-the fits that read it, so those fits copy no rows.
+training split's buffer is laid out as the design ``[x, 1]`` or ``[x,
+a, 1]`` of the fits that read it, so those fits copy no rows.
 Squares for the scale and the norms exist one block of rows at a time,
 in one reused buffer of about 2^17 elements; the column sums carry
 their running total from block to block in numpy's own summation
@@ -661,7 +661,8 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
     Errors name ``path:line`` with the physical line a record starts on.
     Row-level errors (ragged row, unmappable label or sensitive value)
     come in file order, then "no usable rows", then the first
-    non-numeric value of the first such column in schema order.  A file
+    non-numeric or non-finite value of the first such column in schema
+    order.  A file
     that is not UTF-8, or that csv cannot parse, is a :class:`DataError`.
     """
     path = Path(path)
@@ -674,6 +675,7 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
         raise DegenerateDataError(f"{path}: no usable rows after cleaning")
     if n < len(kept):
         codes = [column[kept] for column in codes]
+        lines = lines[kept]
 
     # Per column, a table indexed by code: each distinct numeric value's
     # float, or each categorical code's level by first appearance among
@@ -681,7 +683,7 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
     lookups = []
     for (name, kind), distinct, column in zip(schema.features, values, codes):
         if kind == KIND_NUMERIC:
-            lookups.append((name, _parse_numeric(path, name, distinct, column), None))
+            lookups.append((name, _parse_numeric(path, name, distinct, column, lines), None))
             continue
         first = np.full(len(distinct), n)
         np.minimum.at(first, column, np.arange(n))
@@ -758,23 +760,28 @@ def _check_rows(path: Path, schema: CsvSchema, codes, values, lines, blank) -> n
     return kept
 
 
-def _parse_numeric(path: Path, name: str, values: list[str], column: np.ndarray) -> np.ndarray:
+def _parse_numeric(path: Path, name: str, values: list[str], column, lines) -> np.ndarray:
     """The float of each code's value, each distinct value parsed once.
 
-    Raises for the first row of ``column`` whose value ``float`` rejects.
+    Raises for the first row of ``column`` whose value ``float`` rejects or
+    reads as a non-finite number (``nan``, ``inf``, ``1e999``), naming
+    that row's line in ``lines``.
     """
     floats = np.empty(len(values))
-    errors: dict[int, ValueError] = {}
+    errors: dict[int, str] = {}
     for code, value in enumerate(values):
         try:
             floats[code] = float(value)
         except ValueError as exc:
-            errors[code] = exc
+            errors[code] = f"a non-numeric value: {exc}"
+            continue
+        if not np.isfinite(floats[code]):
+            errors[code] = f"a non-finite value {value!r}"
     if errors:
         rejected = np.flatnonzero(np.isin(column, list(errors)))
         if rejected.size:
-            exc = errors[int(column[rejected[0]])]
-            raise DataError(f"{path}: column {name!r} has a non-numeric value: {exc}") from exc
+            row = int(rejected[0])
+            raise DataError(f"{path}:{lines[row]}: column {name!r} has {errors[int(column[row])]}")
     return floats
 
 
@@ -941,14 +948,14 @@ def fit_dp_transform(
     """Fit the norm-bounding map on the training rows and map them through it.
 
     ``rows`` indexes the training split's rows of ``dataset``.  They are
-    gathered once, into one float64 buffer laid out as the design
-    ``[x, column, 1]`` that :func:`fairplug.cpe.fit` reads, so a fit on
-    the mapped split copies no rows.  ``column`` names the dataset
-    column, ``"sensitive"`` or ``"labels"``, that sits between the
-    features and the intercept; with ``None`` the buffer is ``[x, 1]``.
-    The mapped split's features are the buffer's first k columns, its
-    ``column`` is the buffer's next one, and the whole buffer is
-    read-only once the split adopts it.
+    gathered once, into one float64 buffer laid out as a design that
+    :func:`fairplug.cpe.fit` reads, so a fit of that input on the mapped
+    split copies no rows: ``[x, 1]`` with ``column=None``, and ``[x, a,
+    1]`` with ``column="sensitive"``, where the sensitive column ``a``
+    sits between the features and the intercept.  The mapped split's
+    features are the buffer's first k columns, its sensitive column is
+    the buffer's next one when ``column`` names it, and the whole buffer
+    is read-only once the split adopts it.
 
     The rows are gathered into the buffer's first ``n * k`` elements as
     one contiguous ``(n, k)`` block, and every step runs there: the mean,
@@ -971,8 +978,8 @@ def fit_dp_transform(
     rejection is what surfaces.
     """
     c = _check_c(c)
-    if column not in (None, "sensitive", "labels"):
-        raise ValidationError(f"column must be 'sensitive', 'labels' or None, got {column!r}")
+    if column not in (None, "sensitive"):
+        raise ValidationError(f"column must be 'sensitive' or None, got {column!r}")
     index = dataset._row_index(rows)
     n, k = index.size, dataset.dim
     design = np.empty((n, k + (column is not None) + 1))
@@ -994,13 +1001,13 @@ def fit_dp_transform(
     transform = DpTransform(shift=shift, scale=scale, global_scale=global_scale, label_magnitude=c)
     _bound_rows(x, transform, "training")
     _spread_rows(design, k)
-    columns = {"labels": _labels(dataset, index, c), "sensitive": dataset.sensitive[index]}
+    sensitive = dataset.sensitive[index]
     if column is not None:
-        design[:, k] = columns[column]
-        columns[column] = design[:, k]
+        design[:, k] = sensitive
+        sensitive = design[:, k]
     design[:, -1] = 1.0
     design.setflags(write=False)
-    return transform, Dataset._adopt(design[:, :k], columns["labels"], columns["sensitive"], c)
+    return transform, Dataset._adopt(design[:, :k], _labels(dataset, index, c), sensitive, c)
 
 
 def apply_dp_transform(transform: DpTransform, dataset: Dataset, rows) -> Dataset:

@@ -15,13 +15,14 @@ otherwise; a score of exactly 0 classifies as -1 (the zero-height
 Heaviside convention).  Callers threshold the score themselves, as
 ``score(...) > 0``.
 
-Blind rules carry two estimators (``eta`` on features, ``eta_bar`` on
-features or features-plus-label); aware rules carry a single estimator
-over (features, sensitive).  EO rules additionally carry ``pi_hat``,
-always estimated on the *training* split.  The EO-blind rule evaluates
-``eta_bar`` at the positive label input; :attr:`PlugInRule.positive_label`
-records which stored encoding that is (+1 normally, +C after privacy
-preprocessing).
+:data:`ESTIMATORS` is the one table of each setting's estimators: blind
+rules carry ``eta`` on features and ``eta_bar`` on features or
+features-plus-label; aware rules carry a single ``eta`` over (features,
+sensitive).  Every rule is checked against it and every fit reads it.
+EO rules additionally carry ``pi_hat``, always estimated on the
+*training* split.  The EO-blind rule evaluates ``eta_bar`` at the
+positive label input; :attr:`PlugInRule.positive_label` records which
+stored encoding that is (+1 normally, +C after privacy preprocessing).
 
 Every scorer -- :func:`score`, the grid sweep, and the geometry
 module's margins, raster signs, polyline and asymptote -- goes
@@ -47,10 +48,7 @@ from .cpe import (
     ARITY_FEATURES_PLUS_SENSITIVE,
     FitConfig,
     LinearCpe,
-    fit_eta,
-    fit_eta_aware,
-    fit_eta_bar_dpar,
-    fit_eta_bar_eo,
+    fit_estimator,
     predict_proba,
 )
 from .errors import ValidationError
@@ -64,6 +62,7 @@ __all__ = [
     "DPAR_BLIND",
     "DPAR_AWARE",
     "SETTINGS",
+    "ESTIMATORS",
     "is_aware",
     "is_eo",
     "criterion_for",
@@ -84,6 +83,14 @@ EO_AWARE = "eo-aware"
 DPAR_BLIND = "dpar-blind"
 DPAR_AWARE = "dpar-aware"
 SETTINGS = (EO_BLIND, EO_AWARE, DPAR_BLIND, DPAR_AWARE)
+#: Each setting's estimators by input arity: ``eta``'s, of the label, and
+#: ``eta_bar``'s, of the sensitive attribute (None: the rule has no eta_bar).
+ESTIMATORS = {
+    EO_BLIND: (ARITY_FEATURES, ARITY_FEATURES_PLUS_LABEL),
+    EO_AWARE: (ARITY_FEATURES_PLUS_SENSITIVE, None),
+    DPAR_BLIND: (ARITY_FEATURES, ARITY_FEATURES),
+    DPAR_AWARE: (ARITY_FEATURES_PLUS_SENSITIVE, None),
+}
 
 
 def _check_setting(setting: str) -> str:
@@ -176,8 +183,9 @@ class PlugInRule:
     """A fitted decision rule: setting tag, parameters, and estimators.
 
     ``pi_hat`` is required by the EO settings and ignored by the DPar
-    ones.  Blind settings require ``eta_bar``; aware settings require a
-    single ``eta`` over (features, sensitive) and no ``eta_bar``.
+    ones.  ``eta`` and ``eta_bar`` must have the input arities that
+    :data:`ESTIMATORS` gives the setting, and an aware rule has no
+    ``eta_bar``.
     ``privacy`` optionally carries the privatization record when the
     rule came out of the private pipeline.
     """
@@ -194,38 +202,24 @@ class PlugInRule:
         _check_setting(self.setting)
         if not isinstance(self.params, FairnessParams):
             raise ValidationError("params must be FairnessParams")
-        if not isinstance(self.eta, LinearCpe):
-            raise ValidationError("eta must be a LinearCpe")
         if is_eo(self.setting):
             if self.pi_hat is None:
                 raise ValidationError(f"setting {self.setting!r} requires pi_hat")
             _check_prob("pi_hat", self.pi_hat, allow_one=True)
-        if is_aware(self.setting):
-            if self.eta_bar is not None:
+        for slot, arity in zip(("eta", "eta_bar"), ESTIMATORS[self.setting]):
+            model = getattr(self, slot)
+            if arity is None:
+                if model is not None:
+                    raise ValidationError(
+                        f"setting {self.setting!r} uses a single (x, ybar) estimator; "
+                        f"{slot} must be absent"
+                    )
+            elif not isinstance(model, LinearCpe):
+                raise ValidationError(f"setting {self.setting!r} requires {slot}, a LinearCpe")
+            elif model.input_arity != arity:
                 raise ValidationError(
-                    f"setting {self.setting!r} uses a single (x, ybar) estimator; "
-                    "eta_bar must be absent"
-                )
-            if self.eta.input_arity != ARITY_FEATURES_PLUS_SENSITIVE:
-                raise ValidationError(
-                    f"setting {self.setting!r} requires eta with arity "
-                    f"{ARITY_FEATURES_PLUS_SENSITIVE!r}, got {self.eta.input_arity!r}"
-                )
-        else:
-            if self.eta_bar is None:
-                raise ValidationError(f"setting {self.setting!r} requires eta_bar")
-            if self.eta.input_arity != ARITY_FEATURES:
-                raise ValidationError(
-                    f"setting {self.setting!r} requires eta with arity "
-                    f"{ARITY_FEATURES!r}, got {self.eta.input_arity!r}"
-                )
-            expected = (
-                ARITY_FEATURES_PLUS_LABEL if self.setting == EO_BLIND else ARITY_FEATURES
-            )
-            if self.eta_bar.input_arity != expected:
-                raise ValidationError(
-                    f"setting {self.setting!r} requires eta_bar with arity "
-                    f"{expected!r}, got {self.eta_bar.input_arity!r}"
+                    f"setting {self.setting!r} requires {slot} with arity {arity!r}, "
+                    f"got {model.input_arity!r}"
                 )
         scale = float(self.positive_label)
         if not (np.isfinite(scale) and scale > 0):
@@ -309,14 +303,11 @@ def fit_plugin(
     pi_hat: float | None = None
     if is_eo(setting):
         pi_hat = float(pi_override) if pi_override is not None else compute_dist_stats(train).pi
-    if is_aware(setting):
-        eta = fit_eta_aware(train, config)
-        eta_bar = None
-    else:
-        eta = fit_eta(train, config)
-        eta_bar = fit_eta_bar_eo(train, config) if setting == EO_BLIND else fit_eta_bar_dpar(
-            train, config
-        )
+    eta_arity, eta_bar_arity = ESTIMATORS[setting]
+    eta = fit_estimator(train, "labels", eta_arity, config)
+    eta_bar = None if eta_bar_arity is None else fit_estimator(
+        train, "sensitive", eta_bar_arity, config
+    )
     return PlugInRule(
         setting=setting,
         params=params,

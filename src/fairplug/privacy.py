@@ -75,9 +75,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, FairnessParams
-from .cpe import FitConfig, LinearCpe, fit_eta, fit_eta_bar_dpar, fit_eta_bar_eo
+from .cpe import FitConfig, LinearCpe, fit_estimator
 from .errors import NumericError, ValidationError
-from .plugin import DPAR_BLIND, EO_BLIND, PlugInRule
+from .plugin import DPAR_BLIND, EO_BLIND, ESTIMATORS, PlugInRule
 
 __all__ = [
     "PrivatizedCpe",
@@ -274,9 +274,10 @@ def dp_plugin_pipeline(
         raise ValidationError("cpe_config must be a FitConfig")
     _check_regularized(cpe_config.lambda_reg)
     _check_joint_norms(train)
-    eta = fit_eta(train, cpe_config)
-    fit_bar = fit_eta_bar_eo if setting == EO_BLIND else fit_eta_bar_dpar
-    record = privatize(fit_bar(train, cpe_config, allow_one_class=True), train.n, eps_p, seed)
+    eta_arity, eta_bar_arity = ESTIMATORS[setting]
+    eta = fit_estimator(train, "labels", eta_arity, cpe_config)
+    eta_bar = fit_estimator(train, "sensitive", eta_bar_arity, cpe_config, allow_one_class=True)
+    record = privatize(eta_bar, train.n, eps_p, seed)
     pi_hat = None
     if setting == EO_BLIND:
         pi_hat = float(np.count_nonzero(train.labels > 0)) / train.n

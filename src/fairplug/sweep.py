@@ -8,11 +8,11 @@ post-processing of the same fitted pair, so the sweep consumes exactly
 one noise draw per split no matter how large the grid is.
 
 Each training split is gathered once, into one buffer laid out as the
-design its fits read, so the fits copy no rows: width k + 2, ``[x, a,
-1]``, for the aware settings' one fit; k + 1, ``[x, 1]``, for
-dpar-blind's two fits, the private pipeline's included; and k + 2,
-``[x, y, 1]``, for eo-blind's sensitive-attribute fit.  eo-blind's label
-fit on ``[x, 1]`` is the one fit that copies its rows.
+design of the setting's ``eta`` (:data:`fairplug.plugin.ESTIMATORS`):
+``[x, a, 1]`` for the aware settings and ``[x, 1]`` for the blind ones.
+Every fit reads that buffer, the private pipeline's included, except
+eo-blind's sensitive-attribute fit on ``[x, y, 1]``, one column wider,
+the one fit that copies its rows.
 
 The estimator outputs on the test split
 (:func:`fairplug.plugin.coordinates`), the estimated prior and the group
@@ -104,7 +104,7 @@ import numpy as np
 
 from ._pool import map_tasks
 from .core import FairnessParams
-from .cpe import FitConfig
+from .cpe import ARITY_COLUMNS, FitConfig
 from .data import PreparedData, apply_dp_transform, fit_dp_transform
 from .errors import DataError, ValidationError, undecodable
 from .kvformat import format_float
@@ -112,6 +112,7 @@ from .metrics import Counts, violation
 from .plugin import (
     DPAR_BLIND,
     EO_BLIND,
+    ESTIMATORS,
     SETTINGS,
     coordinates,
     fit_plugin,
@@ -424,9 +425,9 @@ def _run_split(
     """One split's hits ``(4, grid points)``, its four totals and the noise draws it made.
 
     :func:`fit_dp_transform` gathers the training rows once, fits and
-    maps them in that one buffer, and lays it out as the design the
-    setting's fits read (the module docstring gives the layout by
-    setting and the one eo-blind fit that copies);
+    maps them in that one buffer, and lays it out as the design of the
+    setting's ``eta`` (the module docstring gives the layout by setting
+    and the one eo-blind fit that copies);
     :func:`apply_dp_transform` gathers the test rows once and maps them
     in theirs, so no raw copy of either split is built.  The hits are
     counted by :func:`_count_grid` from ``setting_score(...) > 0`` on
@@ -436,8 +437,8 @@ def _run_split(
     split_id, (train_idx, _val_idx, test_idx) = task
     draws = noise_draw_count()
     pipeline_seed = int(np.random.SeedSequence((seed, split_id)).generate_state(1)[0])
-    column = "sensitive" if is_aware(setting) else "labels" if setting == EO_BLIND else None
-    transform, train = fit_dp_transform(dataset, train_idx, dp_c, column)
+    eta_column = ARITY_COLUMNS[ESTIMATORS[setting][0]]
+    transform, train = fit_dp_transform(dataset, train_idx, dp_c, eta_column)
     test = apply_dp_transform(transform, dataset, test_idx)
     base_params = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
     if math.isfinite(eps_p):

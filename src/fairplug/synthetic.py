@@ -50,9 +50,7 @@ from .cpe import (
     ARITY_FEATURES_PLUS_SENSITIVE,
     FitConfig,
     LinearCpe,
-    fit_eta,
-    fit_eta_bar_dpar,
-    fit_eta_bar_eo,
+    fit_estimator,
     predict_proba,
 )
 from .errors import DataError, ValidationError
@@ -64,7 +62,9 @@ from .kvformat import (
 )
 from .metrics import Counts, cost_sensitive_risk, performance_measure
 from .plugin import (
+    DPAR_BLIND,
     EO_BLIND,
+    ESTIMATORS,
     PlugInRule,
     criterion_for,
     fit_plugin,
@@ -753,8 +753,13 @@ class SampleComplexityResult:
     trials: int
 
 
-COMPLEXITY_TARGETS = ("eta", "eta_bar_eo", "eta_bar_dpar")
-_COMPLEXITY_FITTERS = dict(zip(COMPLEXITY_TARGETS, (fit_eta, fit_eta_bar_eo, fit_eta_bar_dpar)))
+#: Each sample-complexity target's estimator, as (target column, input arity).
+_COMPLEXITY_ESTIMATORS = {
+    "eta": ("labels", ESTIMATORS[EO_BLIND][0]),
+    "eta_bar_eo": ("sensitive", ESTIMATORS[EO_BLIND][1]),
+    "eta_bar_dpar": ("sensitive", ESTIMATORS[DPAR_BLIND][1]),
+}
+COMPLEXITY_TARGETS = tuple(_COMPLEXITY_ESTIMATORS)
 
 
 def _accuracy_checks(pop: Population, which: str) -> tuple[tuple, ...]:
@@ -776,7 +781,8 @@ def _accuracy_checks(pop: Population, which: str) -> tuple[tuple, ...]:
 
 def _complexity_trial(pop, which, n, seed, eps, config, checks, trial) -> float:
     """One (n, trial) cell: fit on a fresh draw; its P(|true - fitted| >= eps) on ``pop``."""
-    fit = partial(_COMPLEXITY_FITTERS[which], config=config)
+    target, arity = _COMPLEXITY_ESTIMATORS[which]
+    fit = partial(fit_estimator, target=target, arity=arity, config=config)
     model, _ = _sample_non_degenerate(pop.dist, n, (seed, n, trial, 0), fit)
     tail = 0.0
     for columns, truth, weights in checks:
@@ -805,7 +811,9 @@ def estimate_sample_complexity(
     fit's P(|true - fitted| >= eps) on the run's population ``pop`` is at
     most delta_prime.  The search doubles from ``start`` until success,
     then bisects down to ``start`` granularity; hitting ``cap`` without
-    success returns the cap with ``converged=False``.  ``which``
+    success returns the cap with ``converged=False``.  The bisection
+    brackets from the last size that failed, also where ``cap`` clipped
+    the doubling.  ``which``
     selects the regression function under study.  Each probe's trials
     run through :func:`fairplug._pool.map_tasks` on their own seeds, so
     the result does not depend on ``jobs``.
@@ -836,12 +844,12 @@ def estimate_sample_complexity(
         probes.append((n, fraction))
         return fraction >= required
 
-    n = start
+    n, low = start, 0  # low: the last size that failed, or 0 before any did
     converged = passes(n)
     while not converged and n < cap:
-        n = min(2 * n, cap)
+        low, n = n, min(2 * n, cap)
         converged = passes(n)
-    high, low = n, n // 2
+    high = n
     while converged and high - low > start and low >= start:
         mid = (high + low) // 2
         if passes(mid):

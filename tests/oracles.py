@@ -554,7 +554,7 @@ def reference_load_csv(path, schema) -> dict:
                     "DataError", f"{path}: column {column!r} appears more than once in the header"
                 )
             indices.append(header.index(column))
-        kept_rows, labels, sensitive = [], [], []
+        kept_rows, kept_lines, labels, sensitive = [], [], [], []
         rows_read = rows_dropped = 0
         next_line = reader.line_num + 1
         for row in reader:
@@ -571,6 +571,7 @@ def reference_load_csv(path, schema) -> dict:
                 rows_dropped += 1
                 continue
             kept_rows.append(cells[: len(schema.features)])
+            kept_lines.append(line_number)
             labels.append(
                 _reference_sign(cells[-2], schema.label_positive, schema.label_values,
                                 schema.label_column, line_number, path)
@@ -587,12 +588,21 @@ def reference_load_csv(path, schema) -> dict:
     for j, (name, kind) in enumerate(schema.features):
         raw = [cells[j] for cells in kept_rows]
         if kind == "numeric":
-            try:
-                columns.append(np.array([float(v) for v in raw])[:, None])
-            except ValueError as exc:
-                raise ReferenceLoadError(
-                    "DataError", f"{path}: column {name!r} has a non-numeric value: {exc}"
-                ) from exc
+            numbers = []
+            for v, line in zip(raw, kept_lines):
+                try:
+                    number = float(v)
+                except ValueError as exc:
+                    raise ReferenceLoadError(
+                        "DataError",
+                        f"{path}:{line}: column {name!r} has a non-numeric value: {exc}",
+                    ) from exc
+                if not math.isfinite(number):
+                    raise ReferenceLoadError(
+                        "DataError", f"{path}:{line}: column {name!r} has a non-finite value {v!r}"
+                    )
+                numbers.append(number)
+            columns.append(np.array(numbers)[:, None])
         else:
             order, seen = [], {}
             for v in raw:

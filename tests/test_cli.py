@@ -546,6 +546,23 @@ class TestPrepare:
                      "split_01.npy"):
             assert (out / name).read_bytes() == (prepared_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("value", ["nan", "1e999"])
+    def test_non_finite_cell_is_a_data_error(self, tiny_csv, tiny_schema, tmp_path, capsys, value):
+        with open(tiny_csv, newline="") as source:
+            rows = list(csv.reader(source))
+        rows[7][0] = value
+        copy = tmp_path / "copy.csv"
+        with open(copy, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        out = tmp_path / "o"
+        code = main(
+            ["prepare", "--input", str(copy), "--schema", str(tiny_schema), "--out", str(out)]
+        )
+        assert code == 3
+        message = f"copy.csv:8: column 'x1' has a non-finite value '{value}'"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_schema_rejected(self, tiny_csv, tmp_path, capsys):
         code = main(
             [

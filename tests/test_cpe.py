@@ -23,9 +23,7 @@ from fairplug.cpe import (
     _hessian,
     _objective_and_grad,
     fit,
-    fit_eta,
-    fit_eta_aware,
-    fit_eta_bar_eo,
+    fit_estimator,
     predict_proba,
     sigmoid,
 )
@@ -396,12 +394,17 @@ def german_bounded(german_csv):
 
 
 class TestNewtonConvergence:
-    @pytest.mark.parametrize("fitter", [fit_eta, fit_eta_bar_eo])
-    def test_small_lambda_converges_with_certificate(self, german_bounded, fitter):
+    @pytest.mark.parametrize(("target", "arity"), [
+        pytest.param("labels", ARITY_FEATURES, id="fit_eta"),
+        pytest.param("sensitive", ARITY_FEATURES_PLUS_LABEL, id="fit_eta_bar_eo"),
+    ])
+    def test_small_lambda_converges_with_certificate(self, german_bounded, target, arity):
         lam = 1e-4
-        first = fitter(german_bounded, FitConfig(lambda_reg=lam))
+        first = fit_estimator(german_bounded, target, arity, FitConfig(lambda_reg=lam))
         assert first.converged and first.grad_norm <= 1e-6 and first.n_iters <= 20
-        tight = fitter(german_bounded, FitConfig(lambda_reg=lam, tolerance=1e-12))
+        tight = fit_estimator(
+            german_bounded, target, arity, FitConfig(lambda_reg=lam, tolerance=1e-12)
+        )
         assert tight.converged and tight.n_iters <= 20
         # lambda-strong convexity puts each fit within grad_norm / lambda of
         # the one minimizer.
@@ -429,7 +432,9 @@ class TestNewtonConvergence:
         rows = np.hstack([german_bounded.features, german_bounded.labels[:, None]])
         design = _design(rows)
         assert np.linalg.matrix_rank(design) < design.shape[1]
-        model = fit_eta_bar_eo(german_bounded, FitConfig(lambda_reg=0.0))
+        model = fit_estimator(
+            german_bounded, "sensitive", ARITY_FEATURES_PLUS_LABEL, FitConfig(lambda_reg=0.0)
+        )
         assert model.converged and model.n_iters <= 20
 
 
@@ -444,17 +449,27 @@ class TestWrappers:
     def test_arities_assigned(self):
         ds = self.make_dataset()
         config = FitConfig(max_iters=50)
-        assert fit_eta(ds, config).input_arity == ARITY_FEATURES
-        assert fit_eta_bar_eo(ds, config).input_arity == ARITY_FEATURES_PLUS_LABEL
-        assert fit_eta_aware(ds, config).input_arity == ARITY_FEATURES_PLUS_SENSITIVE
-        assert fit_eta_bar_eo(ds, config).converged is True
+        for target, arity in [
+            ("labels", ARITY_FEATURES),
+            ("sensitive", ARITY_FEATURES_PLUS_LABEL),
+            ("labels", ARITY_FEATURES_PLUS_SENSITIVE),
+        ]:
+            model = fit_estimator(ds, target, arity, config)
+            assert model.input_arity == arity and model.converged is True
+
+    def test_unknown_target_or_arity_rejected(self):
+        for target, arity in (("features", ARITY_FEATURES), ("labels", "features-plus-both")):
+            with pytest.raises(ValidationError, match="cannot fit"):
+                fit_estimator(self.make_dataset(), target, arity, FitConfig())
 
     def test_eo_design_uses_stored_label_encoding(self):
         # With labels rescaled to +-C the label column feeds the fit as +-C,
         # so the two fits see genuinely different designs.
         config = FitConfig(max_iters=200)
-        full = fit_eta_bar_eo(self.make_dataset(1.0), config)
-        scaled = fit_eta_bar_eo(self.make_dataset(0.5), config)
+        full, scaled = (
+            fit_estimator(self.make_dataset(scale), "sensitive", ARITY_FEATURES_PLUS_LABEL, config)
+            for scale in (1.0, 0.5)
+        )
         assert not np.allclose(full.weights, scaled.weights)
 
 

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fairplug.core import Dataset, FairnessParams, compute_dist_stats
 from fairplug.cpe import (
+    ARITIES,
     ARITY_FEATURES,
     ARITY_FEATURES_PLUS_LABEL,
     ARITY_FEATURES_PLUS_SENSITIVE,
@@ -20,6 +21,7 @@ from fairplug.plugin import (
     DPAR_BLIND,
     EO_AWARE,
     EO_BLIND,
+    ESTIMATORS,
     SETTINGS,
     PlugInRule,
     _check_unit,
@@ -205,6 +207,49 @@ class TestRuleValidation:
                 eta_bar=constant_cpe(ARITY_FEATURES, 2),
                 positive_label=0.0,
             )
+
+
+#: Input width of a model of each arity on two features.
+WIDTH = {ARITY_FEATURES: 2, ARITY_FEATURES_PLUS_LABEL: 3, ARITY_FEATURES_PLUS_SENSITIVE: 3}
+SLOTS = ("eta", "eta_bar")
+
+
+class TestEstimatorTable:
+    """Each slot of a rule is checked against its setting's entry in ESTIMATORS."""
+
+    @staticmethod
+    def rule(setting, **models):
+        table = {
+            slot: None if arity is None else constant_cpe(arity, WIDTH[arity])
+            for slot, arity in zip(SLOTS, ESTIMATORS[setting])
+        }
+        return PlugInRule(setting=setting, params=PARAMS, pi_hat=0.5, **{**table, **models})
+
+    def test_every_setting_has_an_entry(self):
+        assert tuple(ESTIMATORS) == SETTINGS
+        for setting, (eta, eta_bar) in ESTIMATORS.items():
+            assert eta in ARITIES and (eta_bar is None) == is_aware(setting)
+
+    @pytest.mark.parametrize("slot", SLOTS)
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_each_slot_takes_only_its_entry(self, setting, slot):
+        expected = dict(zip(SLOTS, ESTIMATORS[setting]))[slot]
+        rule = self.rule(setting)
+        assert getattr(getattr(rule, slot), "input_arity", None) == expected
+        if expected is None:
+            # an aware setting has no eta_bar, of any arity
+            for arity in ARITIES:
+                with pytest.raises(ValidationError, match=f"{slot} must be absent"):
+                    self.rule(setting, **{slot: constant_cpe(arity, WIDTH[arity])})
+            return
+        with pytest.raises(ValidationError, match=f"requires {slot}, a LinearCpe"):
+            self.rule(setting, **{slot: None})
+        for arity in ARITIES:
+            if arity != expected:
+                with pytest.raises(
+                    ValidationError, match=f"requires {slot} with arity '{expected}', got '{arity}'"
+                ):
+                    self.rule(setting, **{slot: constant_cpe(arity, WIDTH[arity])})
 
 
 class TestScoreAndClassify:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from fairplug.core import Dataset, FairnessParams, compute_dist_stats
-from fairplug.cpe import ARITY_FEATURES, FitConfig, LinearCpe, fit_eta, fit_eta_bar_eo
+from fairplug.cpe import (
+    ARITY_FEATURES,
+    ARITY_FEATURES_PLUS_LABEL,
+    FitConfig,
+    LinearCpe,
+    fit_estimator,
+)
 from fairplug.errors import DegenerateDataError, NumericError, ValidationError
 from fairplug.plugin import DPAR_AWARE, DPAR_BLIND, EO_BLIND, fit_plugin, score, with_params
 from fairplug.privacy import (
@@ -80,7 +86,10 @@ class TestAdversarialNeighbour:
         d = Dataset(features, base.labels, base.sensitive, label_scale=0.5)
         d_prime = Dataset(features, base.labels, flipped, label_scale=0.5)
         config = FitConfig(lambda_reg=lambda_reg, tolerance=1e-12)
-        w, w_prime = fit_eta_bar_eo(d, config), fit_eta_bar_eo(d_prime, config)
+        w, w_prime = (
+            fit_estimator(split, "sensitive", ARITY_FEATURES_PLUS_LABEL, config)
+            for split in (d, d_prime)
+        )
         assert w.converged and w_prime.converged
         moved = float(np.linalg.norm(w.weights - w_prime.weights))
         certified = (w.grad_norm + w_prime.grad_norm) / lambda_reg
@@ -91,7 +100,8 @@ class TestAdversarialNeighbour:
 class TestPrivatize:
     def fitted_model(self, lambda_reg=0.05):
         train = bounded_dataset()
-        return fit_eta(train, FitConfig(lambda_reg=lambda_reg)), train.n
+        config = FitConfig(lambda_reg=lambda_reg)
+        return fit_estimator(train, "labels", ARITY_FEATURES, config), train.n
 
     def test_release_is_base_plus_noise(self):
         model, n = self.fitted_model()
@@ -132,7 +142,7 @@ class TestPrivatize:
             "lambda zero": FitConfig(lambda_reg=0.0),
             "unconverged": FitConfig(lambda_reg=0.05, max_iters=1, tolerance=1e-12),
         }.get(case, FitConfig(lambda_reg=0.05))
-        model = fit_eta(train, config)
+        model = fit_estimator(train, "labels", ARITY_FEATURES, config)
         n = 0 if case == "n zero" else train.n
         eps_p = {"eps_p zero": 0.0, "eps_p negative": -1.0, "eps_p nan": math.nan}.get(case, 1.0)
         before = noise_draw_count()
@@ -182,7 +192,7 @@ class TestPipeline:
         rule = dp_plugin_pipeline(train, EO_BLIND, PARAMS, config, eps_p=1.0, seed=4)
         assert noise_draw_count() == before + 1
         # the label estimator never sees noise
-        clean_eta = fit_eta(train, config)
+        clean_eta = fit_estimator(train, "labels", ARITY_FEATURES, config)
         assert np.array_equal(rule.eta.weights, clean_eta.weights)
         # the sensitive estimator is base + noise, with the record attached
         record = rule.privacy
@@ -263,7 +273,7 @@ class TestNeighbouringPair:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted")
 
-        monkeypatch.setattr("fairplug.privacy.fit_eta", no_fit)
+        monkeypatch.setattr("fairplug.privacy.fit_estimator", no_fit)
         for train in self.pair():
             with pytest.raises(ValidationError, match="unbounded sensitivity"):
                 dp_plugin_pipeline(train, EO_BLIND, PARAMS, FitConfig(lambda_reg=0.0), 1.0, 4)

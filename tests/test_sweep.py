@@ -16,9 +16,10 @@ from oracles import brute_force_sweep_counts
 
 from fairplug import cpe as cpe_module
 from fairplug import data as data_module
+from fairplug import sweep as sweep_module
 from fairplug.cli import _write_tradeoff_csv
 from fairplug.core import Dataset, FairnessParams
-from fairplug.cpe import FitConfig, fit_eta_aware
+from fairplug.cpe import ARITY_FEATURES_PLUS_SENSITIVE, FitConfig, fit_estimator
 from fairplug.data import PreparedData, SplitPlan, apply_dp_transform, fit_dp_transform, make_splits
 from fairplug.errors import DataError, ValidationError
 from fairplug.metrics import dpar_dbar_rates, empirical_rates, eo_dbar_rates, violation
@@ -398,7 +399,7 @@ class TestRunSweep:
 
 
 #: The design column each setting's training buffer carries, as the sweep lays it out.
-DESIGN_COLUMN = {EO_AWARE: "sensitive", DPAR_AWARE: "sensitive", EO_BLIND: "labels", DPAR_BLIND: None}
+DESIGN_COLUMN = {EO_AWARE: "sensitive", DPAR_AWARE: "sensitive", EO_BLIND: None, DPAR_BLIND: None}
 
 
 class TestSharedDesign:
@@ -445,13 +446,36 @@ class TestSharedDesign:
         (EO_AWARE, math.inf, 0), (DPAR_AWARE, math.inf, 0), (DPAR_BLIND, math.inf, 0),
         (DPAR_BLIND, 1.0, 0), (EO_BLIND, math.inf, 1), (EO_BLIND, 1.0, 1),
     ])
-    def test_only_the_eo_blind_label_fit_copies_its_rows(self, setting, eps_p, copies):
+    def test_only_the_eo_blind_eta_bar_fit_copies(self, setting, eps_p, copies):
         prepared = prepared_data()
-        with mock.patch.object(cpe_module, "_design", wraps=cpe_module._design) as design:
+        # In call order: each training split, then the designs its fits evaluate.
+        events = []
+        objective_and_grad = cpe_module._objective_and_grad
+
+        def transform(*args):
+            fitted, train = fit_dp_transform(*args)
+            events.append(train)
+            return fitted, train
+
+        def objective(w, design, *rest):
+            events.append(design)
+            return objective_and_grad(w, design, *rest)
+
+        with (
+            mock.patch.object(cpe_module, "_design", wraps=cpe_module._design) as design,
+            mock.patch.object(cpe_module, "_objective_and_grad", objective),
+            mock.patch.object(sweep_module, "fit_dp_transform", transform),
+        ):
             run_sweep(prepared, small_grid(), setting, eps_p, FitConfig(), seed=2)
-        copied = [call.args[0].shape[1] for call in design.call_args_list]
-        # eo-blind's label fit on [x, 1] copies; its [x, y, 1] fit reads the buffer
-        assert copied == [prepared.dataset.dim] * copies * len(prepared.splits)
+        # eo-blind's sensitive-attribute fit copies into [x, y, 1], one
+        # column wider than the [x, 1] split; every other fit reads the buffer
+        widths = [call.args[0].shape[1] + len(call.args) for call in design.call_args_list]
+        assert widths == [prepared.dataset.dim + 2] * copies * len(prepared.splits)
+        splits = [i for i, event in enumerate(events) if isinstance(event, Dataset)]
+        assert len(splits) == len(prepared.splits)
+        for i in splits:
+            # the first design after a split is its eta fit's
+            assert np.shares_memory(events[i + 1], events[i].features)
 
     def test_aware_fit_reads_the_split_without_a_copy(self):
         gen = np.random.default_rng(3)
@@ -468,7 +492,7 @@ class TestSharedDesign:
         ) as objective:
             tracemalloc.start()
             try:
-                fit_eta_aware(train, FitConfig())
+                fit_estimator(train, "labels", ARITY_FEATURES_PLUS_SENSITIVE, FitConfig())
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -478,7 +502,7 @@ class TestSharedDesign:
         assert np.shares_memory(train.sensitive, fitted)
         assert peak < design_bytes / 2
 
-    @pytest.mark.parametrize("column", [None, "sensitive", "labels"])
+    @pytest.mark.parametrize("column", [None, "sensitive"])
     def test_the_buffer_is_read_only(self, column):
         _, train = fit_dp_transform(prepared_data().dataset, np.arange(50), 0.5, column)
         buffer = train.features.base

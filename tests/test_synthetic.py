@@ -16,6 +16,7 @@ from fairplug.cpe import (
     ARITY_FEATURES_PLUS_LABEL,
     ARITY_FEATURES_PLUS_SENSITIVE,
     FitConfig,
+    fit_estimator,
     predict_proba,
 )
 from fairplug.errors import DataError, ValidationError
@@ -591,6 +592,24 @@ class TestSampleComplexity:
         assert result.n == 64
         assert [n for n, _ in result.probes] == [32, 64]
 
+    def test_bisection_probes_above_every_failed_size(self, monkeypatch):
+        # Trials pass exactly from n = 70 on, and the doubling is clipped at
+        # the cap: 8, 16, 32 and 64 fail, 100 passes, so the bracket is (64, 100].
+        monkeypatch.setattr(
+            synthetic, "_complexity_trial", lambda pop, which, n, *rest: 0.0 if n >= 70 else 1.0
+        )
+        result = estimate_sample_complexity(
+            population(reference_eo(), 400), target=(0.05, 0.1), delta=0.1, trials=2, seed=0,
+            start=8, cap=100,
+        )
+        probes = [n for n, _ in result.probes]
+        failed = [n for n, fraction in result.probes if fraction < 1.0]
+        assert probes[:5] == [8, 16, 32, 64, 100]
+        for i, n in enumerate(probes):
+            if n in failed:
+                assert all(later > n for later in probes[i + 1 :])
+        assert result.converged and 70 <= result.n <= max(failed) + 8
+
     def test_parallel_matches_serial(self):
         kwargs = dict(target=(0.05, 0.1), delta=0.2, trials=3, seed=4, start=32, cap=256)
         eo, dpar = population(reference_eo(), 400), population(reference_dpar(), 400)
@@ -618,7 +637,8 @@ class TestSampleComplexity:
         config = FitConfig(lambda_reg=0.1 / 16)
         checks = synthetic._accuracy_checks(pop, which)
         tail = synthetic._complexity_trial(pop, which, 256, 4, eps, config, checks, 0)
-        model = synthetic._COMPLEXITY_FITTERS[which](sample(dist, 256, (4, 256, 0, 0, 0)), config)
+        target, arity = synthetic._COMPLEXITY_ESTIMATORS[which]
+        model = fit_estimator(sample(dist, 256, (4, 256, 0, 0, 0)), target, arity, config)
         check = sample(dist, draws, 99)
         if which == "eta_bar_eo":
             inputs = np.hstack([check.features, check.labels[:, None]])

@@ -38,17 +38,22 @@ files and its ``manifest.kv``; a manifest is hashed without its
 all.  Standard output holds
 only those ``sha256  path`` lines, so ``> SHA256SUMS`` keeps a
 ``sha256sum``-style list; every status and difference line goes to
-standard error, and so does each command's peak resident set in MiB,
-with the name of the tree that ran it.  It exits 1 if a ``--jobs 2``
-output differs from its serial twin.
+standard error, and so, after the runs, does each command's peak
+resident set in MiB, one line per command named by its subcommand and
+its output directory.  It exits 1 if a ``--jobs 2`` output differs from
+its serial twin.
 
 ``--compare REV`` exports REV's tree with ``git archive`` into a
 temporary directory, runs the same commands with that tree's code on the
 same inputs, names each file whose bytes differ (for a ``records.csv``,
 with its first differing row and column) and each file REV wrote that
-this tree did not, and exits 1 if there is any.  The hashes depend on
-the machine, because OpenBLAS picks its kernels by CPU, so compare two
-trees on one machine rather than against hashes recorded elsewhere.
+this tree did not, and exits 1 if there is any.  Each command's peak
+line then shows REV's peak beside this tree's, and each command whose
+peak rose by more than 10% (``PEAK_BOUND``, the benchmark's
+``peak_rss_mb`` bound) is named once more at the end; the peaks never
+change the exit status.  The hashes depend on the machine, because
+OpenBLAS picks its kernels by CPU, so compare two trees on one machine
+rather than against hashes recorded elsewhere.
 """
 
 from __future__ import annotations
@@ -116,17 +121,19 @@ GEOMETRIES = (
     ("dpar-blind-svg", ("--params=0.4,0.85,0.8,0.9", "--setting", "dpar-blind", "--svg")),
     ("eo-blind", ("--params=0.4,0.85,0.8,0.9", "--eps", "0.1", "--raster", "101")),
 )
+#: The relative rise of a command's peak that ``--compare`` names.
+PEAK_BOUND = 0.10
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def fairplug(source: Path, *args: str, cwd: Path | None = None) -> None:
+def fairplug(source: Path, *args: str, cwd: Path | None = None) -> float:
     """``fairplug ARGS`` in a child process running ``source``'s code, in ``cwd``.
 
-    The child's peak resident set (``ru_maxrss`` from ``os.wait4``, which
-    also covers the workers it reaped) goes to standard error beside the
-    command.  A child starts with this process's peak as the floor of its
-    ``ru_maxrss``, so this process never imports numpy or holds a whole
-    output file (see :func:`write_inputs` and :func:`sha256`).
+    Returns the child's peak resident set in MiB (``ru_maxrss`` from
+    ``os.wait4``, which also covers the workers it reaped).  A child
+    starts with this process's peak as the floor of its ``ru_maxrss``, so
+    this process never imports numpy or holds a whole output file (see
+    :func:`write_inputs` and :func:`sha256`).
     """
     env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": str(source / "src")}
     command = f"fairplug {' '.join(args)}"
@@ -137,11 +144,11 @@ def fairplug(source: Path, *args: str, cwd: Path | None = None) -> None:
         )
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
-        print(f"{usage.ru_maxrss / 1024:7.1f} MiB  {source.name}: {command}", file=sys.stderr)
         if child.returncode != 0:
             output.seek(0)
             log = output.read().decode(errors="replace")
             raise SystemExit(f"{command} exited {child.returncode}:\n{log}")
+    return usage.ru_maxrss / 1024
 
 
 def write_inputs(inputs: Path) -> None:
@@ -175,36 +182,61 @@ def hashed(path: Path) -> bool:
     )
 
 
-def run_tree(source: Path, inputs: Path, out: Path) -> dict[str, str]:
-    """Every reference command on ``source``'s code; ``{path under out: sha256}``."""
+def run_tree(source: Path, inputs: Path, out: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Every reference command on ``source``'s code.
+
+    Returns ``{path under out: sha256}`` and each command's peak in MiB,
+    keyed by its subcommand and its output directory under ``out``.
+    """
+    peaks: dict[str, float] = {}
+
+    def run(command: str, dest: Path, *args: str, cwd: Path | None = None) -> None:
+        label = f"{command} {dest.relative_to(out).as_posix()}"
+        peaks[label] = fairplug(source, command, *args, "--out", str(dest), cwd=cwd)
+
     seed = str(SEED)
     for name, _, repeats in DATASETS:
         prepared = out / name / "prepared"
-        fairplug(
-            source, "prepare", "--input", f"{name}.csv",
-            "--schema", "german_gender", "--repeats", str(repeats), "--seed", seed,
-            "--out", str(prepared), cwd=inputs,
+        run(
+            "prepare", prepared, "--input", f"{name}.csv", "--schema", "german_gender",
+            "--repeats", str(repeats), "--seed", seed, cwd=inputs,
         )
         for (setting, eps_p), jobs in itertools.product(SWEEPS, ("1", "2")):
-            run = out / name / f"{setting}_eps{eps_p}_j{jobs}"
-            fairplug(
-                source, "sweep", "--prepared", str(prepared), "--setting", setting,
+            sweep = out / name / f"{setting}_eps{eps_p}_j{jobs}"
+            run(
+                "sweep", sweep / "sweep", "--prepared", str(prepared), "--setting", setting,
                 "--eps-p", eps_p, "--grid", "default", "--seed", seed, "--jobs", jobs,
-                "--out", str(run / "sweep"),
             )
-            fairplug(source, "report", "--records", str(run / "sweep"), "--out", str(run / "report"))
+            run("report", sweep / "report", "--records", str(sweep / "sweep"))
     for (name, args), jobs in itertools.product(SIMULATIONS, ("1", "2")):
-        fairplug(
-            source, "simulate", *args, "--jobs", jobs,
-            "--out", str(out / "simulate" / f"{name}_j{jobs}"), cwd=inputs,
-        )
+        run("simulate", out / "simulate" / f"{name}_j{jobs}", *args, "--jobs", jobs, cwd=inputs)
     for name, args in GEOMETRIES:
-        fairplug(source, "geometry", *args, "--out", str(out / "geometry" / name))
-    return {
+        run("geometry", out / "geometry" / name, *args)
+    sums = {
         path.relative_to(out).as_posix(): sha256(path)
         for path in sorted(out.rglob("*"))
         if hashed(path)
     }
+    return sums, peaks
+
+
+def print_peaks(peaks: dict[str, float], rev: str | None, rev_peaks: dict[str, float]) -> None:
+    """Each command's peak in MiB on standard error, REV's beside it when given."""
+    if rev is None:
+        for label, peak in peaks.items():
+            print(f"{peak:7.1f} MiB  {label}", file=sys.stderr)
+        return
+    print(f"peak MiB: {rev}, this tree, command", file=sys.stderr)
+    rose = []
+    for label, peak in peaks.items():
+        before = rev_peaks[label]
+        flag = ""
+        if peak > before * (1 + PEAK_BOUND):
+            flag = f"  (+{peak / before - 1:.1%})"
+            rose.append(label)
+        print(f"{before:7.1f} {peak:7.1f}  {label}{flag}", file=sys.stderr)
+    for label in rose:
+        print(f"peak rose by more than {PEAK_BOUND:.0%} from {rev}: {label}", file=sys.stderr)
 
 
 def jobs_mismatches(sums: dict[str, str]) -> list[str]:
@@ -255,16 +287,17 @@ def main(argv: list[str] | None = None) -> int:
         writer.join()
         if writer.exitcode != 0:
             raise SystemExit(f"writing the inputs exited {writer.exitcode}")
-        sums = run_tree(ROOT, temp / "inputs", temp / "this")
+        sums, peaks = run_tree(ROOT, temp / "inputs", temp / "this")
         for path, digest in sums.items():
             print(f"{digest}  {path}")
         failed = False
         for path in jobs_mismatches(sums):
             print(f"--jobs 2 differs from serial: {path}", file=sys.stderr)
             failed = True
+        rev_peaks: dict[str, float] = {}
         if args.compare:
             export(args.compare, temp / "rev")
-            rev_sums = run_tree(temp / "rev", temp / "inputs", temp / "other")
+            rev_sums, rev_peaks = run_tree(temp / "rev", temp / "inputs", temp / "other")
             differing = [path for path in sums if rev_sums.get(path) != sums[path]]
             for path in differing:
                 detail = ""
@@ -279,6 +312,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"all {len(sums)} files are byte-identical to {args.compare}", file=sys.stderr
                 )
             failed |= bool(differing or missing)
+        print_peaks(peaks, args.compare, rev_peaks)
     return 1 if failed else 0
 
 
