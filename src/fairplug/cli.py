@@ -363,19 +363,16 @@ def cmd_sweep(resolved: dict, seed: int, jobs: int) -> int:
     sweep.write_records_csv(table, out / "records.csv")
     curve = sweep.tradeoff_curve(table, resolved["bin_width"])
     _write_tradeoff_csv(curve, out / "curve.csv")
-    inputs = {
-        name: prepared_dir / name
-        for name in ("features.npy", "labels.npy", "sensitive.npy", "meta.kv")
-    }
-    inputs.update((path.name, path) for path in data.split_paths(prepared_dir))
     flagged = int(np.count_nonzero(table.degenerate))
     _write_manifest(
         out,
         "sweep",
         resolved,
         seed,
-        inputs,
+        {},
         {
+            # the digests of the bytes the sweep read, not of a second read
+            **{f"input.{name}.sha256": digest for name, digest in prepared.digests.items()},
             "result.grid_points": str(grid.cardinality),
             "result.records": str(len(table)),
             "result.flagged": str(flagged),

@@ -7,7 +7,11 @@ A :class:`Dataset` holds the ``(x, y, ybar)`` triplets: a feature matrix,
 a binary label vector and a binary sensitive-attribute vector.  Labels
 are stored as signed reals rather than booleans so that the privacy
 pipeline's rescaled label domain ``{-C, +C}`` reuses the same type, with
-the magnitude ``C`` carried in :attr:`Dataset.label_scale`.
+the magnitude ``C`` carried in :attr:`Dataset.label_scale`.  The feature
+matrix is in memory, or file-backed: a read-only ``np.memmap`` of a
+prepared ``features.npy`` whose pages are never read.  Every pass over a
+file-backed matrix copies it out a block of rows at a time
+(:func:`_row_blocks`), so at most one block of it is resident.
 
 :class:`DistStats` packages the three base-rate probabilities
 
@@ -22,16 +26,19 @@ clamped: they signal that a conditional quantity downstream would be
 undefined.
 
 All types are immutable after construction and safe to share across
-threads; every operation in this module is a pure function.
+threads; every operation in this module is a pure function of its
+inputs (for a file-backed matrix, of the file as it was loaded).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import DataError, DegenerateDataError, ValidationError
 
 __all__ = [
     "Dataset",
@@ -39,6 +46,71 @@ __all__ = [
     "FairnessParams",
     "compute_dist_stats",
 ]
+
+
+#: Bytes of a matrix's rows that one pass over it holds at a time.
+_BLOCK_BYTES = 1 << 20
+
+
+def _file_stat(handle) -> tuple[int, int, int, int]:
+    """``(st_dev, st_ino, st_size, st_mtime_ns)`` of an open file."""
+    stat = os.fstat(handle.fileno())
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+@dataclass(frozen=True)
+class _FeatureFile:
+    """The ``.npy`` file behind a file-backed feature matrix.
+
+    Its C-ordered float64 rows start at byte ``offset`` of ``path``, and
+    ``stat`` is :func:`_file_stat` of the file as it was loaded.
+    """
+
+    path: Path
+    offset: int
+    stat: tuple[int, int, int, int]
+
+    def check(self, handle) -> None:
+        """A :class:`DataError` unless ``handle`` is still the file as it was loaded."""
+        if _file_stat(handle) != self.stat:
+            raise DataError(f"{self.path} was rewritten after it was loaded; load it again")
+
+
+def _row_blocks(features: np.ndarray, source: _FeatureFile | None = None, digest=None):
+    """Yield ``(start, block)``: ``features``' rows in blocks of about 1 MiB, in order.
+
+    ``block`` holds rows ``start`` to ``start + len(block)``.  For an
+    in-memory matrix (``source`` None) each block is a view.  For a
+    file-backed one, each pass opens ``source.path`` again and checks,
+    when it opens the file and after its last block, that the file is as
+    it was loaded.  Each block is copied out of the file with
+    ``readinto`` into one buffer reused for every block, so a block is
+    overwritten by the next and the matrix's mapping is never read.
+    ``digest``, if given, is fed every byte a file-backed pass reads: the
+    file from ``source.offset`` to its end.
+    """
+    n, k = features.shape
+    rows = max(1, _BLOCK_BYTES // max(1, 8 * k))
+    if source is None:
+        for start in range(0, n, rows):
+            yield start, features[start : start + rows]
+        return
+    buffer = np.empty((min(rows, n), k))
+    view = memoryview(buffer).cast("B")
+    with open(source.path, "rb") as handle:
+        source.check(handle)
+        handle.seek(source.offset)
+        for start in range(0, n, rows):
+            block = buffer[: min(rows, n - start)]
+            # a buffered readinto reads until the block is full or the file ends
+            if handle.readinto(view[: block.nbytes]) != block.nbytes:
+                raise DataError(f"{source.path}: the file ends before its rows do")
+            if digest is not None:
+                digest.update(view[: block.nbytes])
+            yield start, block
+        while digest is not None and (tail := handle.read(_BLOCK_BYTES)):
+            digest.update(tail)
+        source.check(handle)
 
 
 def _readonly(a: np.ndarray, copy: bool = True) -> np.ndarray:
@@ -71,6 +143,9 @@ class Dataset:
     sensitive: np.ndarray
     label_scale: float = 1.0
 
+    # The file behind a file-backed ``features``; set only by :meth:`_adopt`.
+    _source = None
+
     def __post_init__(self) -> None:
         self._check_and_freeze(copy=True)
 
@@ -81,6 +156,8 @@ class Dataset:
         labels: np.ndarray,
         sensitive: np.ndarray,
         label_scale: float = 1.0,
+        source: _FeatureFile | None = None,
+        digest=None,
     ) -> "Dataset":
         """A dataset that takes over arrays nothing else writes to.
 
@@ -90,18 +167,25 @@ class Dataset:
         copied.  An array that is not float64 (an int ``.npy`` file, say)
         is converted, and the converted copy is kept.  An already
         read-only array, such as another dataset's column, may be shared.
-        The public constructor copies every array it is given; these are
-        the only two ways a dataset is built.
+        With ``source``, ``features`` is the read-only ``np.memmap`` of
+        that file and is kept as it is; the check reads the file, not the
+        mapping, and feeds ``digest`` the bytes it reads (see
+        :func:`_row_blocks`).  The public constructor copies every array
+        it is given; these are the only two ways a dataset is built.
         """
         dataset = cls.__new__(cls)
         vars(dataset).update(
-            features=features, labels=labels, sensitive=sensitive, label_scale=label_scale
+            features=features, labels=labels, sensitive=sensitive, label_scale=label_scale,
+            _source=source,
         )
-        dataset._check_and_freeze(copy=False)
+        dataset._check_and_freeze(copy=False, digest=digest)
         return dataset
 
-    def _check_and_freeze(self, copy: bool) -> None:
-        features = np.asarray(self.features, dtype=float)
+    def _check_and_freeze(self, copy: bool, digest=None) -> None:
+        if self._source is None:
+            features = np.asarray(self.features, dtype=float)
+        else:
+            features = self.features
         labels = np.asarray(self.labels, dtype=float)
         sensitive = np.asarray(self.sensitive, dtype=float)
         if features.ndim != 2:
@@ -114,11 +198,13 @@ class Dataset:
                 "row-count mismatch: "
                 f"features {features.shape}, labels {labels.shape}, sensitive {sensitive.shape}"
             )
-        # NaN and +-inf propagate through min and max, so no per-cell mask
-        # is built; ``initial`` keeps a zero-width matrix legal.
-        low, high = features.min(initial=0.0), features.max(initial=0.0)
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ValidationError("features contain non-finite entries")
+        # One read of the matrix, a block at a time, into one reused mask.
+        mask = None
+        for _, block in _row_blocks(features, self._source, digest):
+            if mask is None:
+                mask = np.empty(block.shape, dtype=bool)
+            if not np.isfinite(block, out=mask[: len(block)]).all():
+                raise ValidationError("features contain non-finite entries")
         scale = float(self.label_scale)
         if not (np.isfinite(scale) and scale > 0):
             raise ValidationError(f"label_scale must be a positive real, got {scale}")

@@ -27,7 +27,11 @@ statistics, and any row that lands outside the cap is radially clipped
 (counted, never silent: held-out rows, or a training row that rounding
 puts just over it).  Each split, training or held-out, is gathered from
 the dataset once, into one buffer that is mapped in place (and, for a
-training split, fitted there first) and that the mapped split owns.  A
+training split, fitted there first) and that the mapped split owns.  The
+gather reads the dataset's feature matrix a block of about 1 MiB of rows
+at a time; a loaded prepared directory's matrix stays in
+``features.npy``, and each gather copies its blocks out of the file, so
+no whole copy of the matrix is ever held.  A
 training split's buffer is laid out as the design ``[x, 1]`` or ``[x,
 a, 1]`` of the fits that read it, so those fits copy no rows.
 Squares for the scale and the norms exist one block of rows at a time,
@@ -56,9 +60,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _FeatureFile, _file_stat, _row_blocks
 from .errors import DataError, DegenerateDataError, ValidationError, undecodable
-from .kvformat import format_float, read_kv, write_kv
+from .kvformat import format_float, parse_kv, read_kv, write_kv
 
 __all__ = [
     "KIND_NUMERIC",
@@ -916,6 +920,32 @@ def _bound_rows(x: np.ndarray, transform: DpTransform, role: str) -> None:
         log.info("radially clipped %d %s rows to the norm cap", clipped, role)
 
 
+def _gather(dataset: Dataset, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``dataset.features[index]`` written into ``out``, one block of the matrix's rows at a time.
+
+    Every split is a gather like this, whether the matrix is in memory or
+    file-backed (:func:`fairplug.core._row_blocks`), so a file-backed
+    matrix is read a block at a time and never through its mapping.  The
+    rows a block holds are one run of the sorted index.  A sorted index,
+    as every split's is, is its own sorted order, so a block's rows go
+    straight to one run of ``out``; an unsorted one is sorted once, and
+    each row is written to its own position.
+    """
+    order = None if np.all(index[:-1] <= index[1:]) else np.argsort(index, kind="stable")
+    ordered = index if order is None else index[order]
+    for start, block in _row_blocks(dataset.features, dataset._source):
+        lo, hi = np.searchsorted(ordered, (start, start + len(block)))
+        # ``_row_index`` has checked the index, so "clip" only skips numpy's
+        # bounds check; with the default mode numpy gathers through a
+        # temporary before it writes ``out``.
+        rows = ordered[lo:hi] - start
+        if order is None:
+            np.take(block, rows, axis=0, mode="clip", out=out[lo:hi])
+        else:
+            out[order[lo:hi]] = np.take(block, rows, axis=0, mode="clip")
+    return out
+
+
 def _labels(dataset: Dataset, index: np.ndarray, c: float) -> np.ndarray:
     """The +-C labels of ``dataset``'s rows at ``index``."""
     labels = np.sign(dataset.labels[index])
@@ -948,7 +978,9 @@ def fit_dp_transform(
     """Fit the norm-bounding map on the training rows and map them through it.
 
     ``rows`` indexes the training split's rows of ``dataset``.  They are
-    gathered once, into one float64 buffer laid out as a design that
+    gathered once (:func:`_gather`: a block of the feature matrix's rows
+    at a time, read from ``features.npy`` for a loaded dataset), into one
+    float64 buffer laid out as a design that
     :func:`fairplug.cpe.fit` reads, so a fit of that input on the mapped
     split copies no rows: ``[x, 1]`` with ``column=None``, and ``[x, a,
     1]`` with ``column="sensitive"``, where the sensitive column ``a``
@@ -983,13 +1015,7 @@ def fit_dp_transform(
     index = dataset._row_index(rows)
     n, k = index.size, dataset.dim
     design = np.empty((n, k + (column is not None) + 1))
-    # ``_row_index`` has checked the index, so "clip" only skips numpy's
-    # bounds check; with the default mode numpy gathers through a
-    # temporary of the whole split before it writes ``out``.
-    x = np.take(
-        dataset.features, index, axis=0, mode="clip",
-        out=design.reshape(-1)[: n * k].reshape(n, k),
-    )
+    x = _gather(dataset, index, design.reshape(-1)[: n * k].reshape(n, k))
     with np.errstate(over="ignore", invalid="ignore"):
         shift = x.mean(axis=0)
         x -= shift
@@ -1014,16 +1040,17 @@ def apply_dp_transform(transform: DpTransform, dataset: Dataset, rows) -> Datase
     """Map held-out rows through a train-fitted transform.
 
     ``rows`` indexes the held-out split's rows of ``dataset``, checked
-    as :func:`fit_dp_transform` checks its rows.  They are gathered once,
-    into one buffer that is standardized in place and that the result
-    adopts, so no raw copy of the split is built; the global scale, the
+    as :func:`fit_dp_transform` checks its rows.  They are gathered once
+    as that function gathers its rows (:func:`_gather`), into one buffer
+    that is standardized in place and that the result adopts, so no raw
+    copy of the split is built; the global scale, the
     radial clip (counted in the log as held-out rows) and the +-C labels
     are those of the fit's rows.  The result is checked (a non-finite
     row is a ValidationError, and numpy's overflow warnings on the way
     to one are silenced) and owns its arrays.
     """
     index = dataset._row_index(rows)
-    z = dataset.features[index]
+    z = _gather(dataset, index, np.empty((index.size, dataset.dim)))
     with np.errstate(over="ignore", invalid="ignore"):
         z -= transform.shift
         z /= transform.scale
@@ -1089,11 +1116,16 @@ def make_splits(
 
 @dataclass(frozen=True, eq=False)
 class PreparedData:
-    """A prepared-directory bundle: encoded data, split plan, metadata."""
+    """A prepared-directory bundle: encoded data, split plan, metadata.
+
+    ``digests`` maps each file :func:`load_prepared` read to the SHA-256
+    of the bytes it read.
+    """
 
     dataset: Dataset
     splits: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     meta: dict[str, str]
+    digests: dict[str, str] = field(default_factory=dict)
 
 
 _ROLE_TRAIN, _ROLE_VAL, _ROLE_TEST = 0, 1, 2
@@ -1110,12 +1142,18 @@ def save_prepared(
     Arrays go to .npy files; split membership is one int8 role vector
     per repeat (``split_NN.npy``, values 0 train / 1 val / 2 test);
     metadata is a flat text record.  All outputs are byte-deterministic
-    for identical inputs.
+    for identical inputs.  A loaded dataset cannot be saved over the
+    ``features.npy`` its features are mapped from: truncating that file
+    would pull the pages from under the mapping while it is read.
     """
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "features.npy", dataset.features)
+    features_path = out / "features.npy"
+    source = dataset._source
+    if source is not None and features_path.exists() and features_path.samefile(source.path):
+        raise ValidationError(f"{features_path} holds the features being saved; save elsewhere")
+    np.save(features_path, dataset.features)
     np.save(out / "labels.npy", dataset.labels)
     np.save(out / "sensitive.npy", dataset.sensitive)
     for repeat, (train_idx, val_idx, test_idx) in enumerate(splits):
@@ -1145,42 +1183,82 @@ def split_paths(in_dir: str | Path) -> list[Path]:
     return [path for _, path in sorted(indexed, key=lambda item: int(item[0]))]
 
 
-def _load_array(path: Path) -> np.ndarray:
-    """One ``.npy`` file of a prepared directory, as a real numeric array."""
+def _read_bytes(path: Path) -> bytes:
     try:
-        with open(path, "rb") as handle:
-            array = np.lib.format.read_array(handle, allow_pickle=False)
+        return path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read prepared directory file {path}: {exc}") from exc
+
+
+def _load_array(path: Path):
+    """One ``.npy`` file of a prepared directory, as a real numeric array, and its bytes' SHA-256."""
+    raw = _read_bytes(path)
+    try:
+        array = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
     except ValueError as exc:  # not .npy, truncated, or an object array
         raise DataError(f"{path}: not a numeric .npy array: {exc}") from exc
     if array.dtype.kind not in "biuf":
         raise DataError(f"{path}: not a numeric .npy array: dtype {array.dtype}")
-    return array
+    return array, hashlib.sha256(raw)
+
+
+def _map_features(path: Path):
+    """``features.npy`` as a read-only ``np.memmap``, its :class:`_FeatureFile` and its header's SHA-256.
+
+    Only the header is read here; the dataset's check reads the rows
+    (:func:`fairplug.core._row_blocks`) and completes the digest.  A
+    file whose rows are not a nonempty C-ordered float64 matrix is read
+    whole by :func:`_load_array`, with its whole digest and no source.
+    """
+    try:
+        features = np.lib.format.open_memmap(path, mode="r")
+        # any shape but 2-D is left for the dataset to reject
+        if features.dtype == np.float64 and features.flags.c_contiguous and features.size:
+            with open(path, "rb") as handle:
+                source = _FeatureFile(path, features.offset, _file_stat(handle))
+                return features, hashlib.sha256(handle.read(source.offset)), source
+    except OSError as exc:
+        raise DataError(f"cannot read prepared directory file {path}: {exc}") from exc
+    except ValueError as exc:  # not .npy, truncated, or an object array
+        raise DataError(f"{path}: not a numeric .npy array: {exc}") from exc
+    return (*_load_array(path), None)
 
 
 def load_prepared(in_dir: str | Path) -> PreparedData:
-    """Read a prepared-dataset directory back into memory.
+    """Read a prepared-dataset directory, keeping its feature matrix in the file.
 
     Everything is checked before it is returned, so a malformed
     directory is a :class:`DataError` naming the file before any split
     is used: an array that is not numeric ``.npy``, a ``label_scale``
     that is not a number, a ``dp_norm_c`` that is not a number in
     (0, 1), arrays a :class:`Dataset` rejects, a role outside {0, 1, 2}
-    or a split with no train or no test row.  The dataset adopts the
-    arrays read from ``features.npy``, ``labels.npy`` and
-    ``sensitive.npy``: they are checked once and made read-only in place,
-    not copied (an int-typed file is converted to float).
+    or a split with no train or no test row.  The dataset's features are
+    a read-only ``np.memmap`` of ``features.npy`` whose pages are never
+    read: its finiteness check and every split's gather copy the rows
+    out a block at a time, and each of those passes is a
+    :class:`DataError` if the file was rewritten after this load.  A
+    ``features.npy`` that is not a nonempty C-ordered float64 matrix (an
+    int-typed file, Fortran order, zero width) is read into memory and
+    converted to float, as are ``labels.npy``, ``sensitive.npy`` and the
+    role vectors.  :attr:`PreparedData.digests` holds the SHA-256 of the
+    bytes read from each file, in the passes that checked them.
     """
     root = Path(in_dir)
-    features, labels, sensitive = (
-        _load_array(root / f"{name}.npy") for name in ("features", "labels", "sensitive")
+    hashes = {}
+    features, hashes["features.npy"], source = _map_features(root / "features.npy")
+    (labels, hashes["labels.npy"]), (sensitive, hashes["sensitive.npy"]) = (
+        _load_array(root / f"{name}.npy") for name in ("labels", "sensitive")
     )
     split_files = split_paths(root)
     if not split_files:
         raise DataError(f"{root}: no split_NN.npy files found")
-    role_rows = [_load_array(path) for path in split_files]
-    meta = read_kv(root / "meta.kv")
+    role_rows = []
+    for path in split_files:
+        row, hashes[path.name] = _load_array(path)
+        role_rows.append(row)
+    meta_raw = _read_bytes(root / "meta.kv")
+    meta = parse_kv(meta_raw, root / "meta.kv")
+    hashes["meta.kv"] = hashlib.sha256(meta_raw)
     scale_text = meta.pop("label_scale", "1.0")
     try:
         label_scale = float(scale_text)
@@ -1195,7 +1273,9 @@ def load_prepared(in_dir: str | Path) -> PreparedData:
                 f"{root / 'meta.kv'}: dp_norm_c {norm_text!r} is not a norm cap in (0, 1)"
             ) from None
     try:
-        dataset = Dataset._adopt(features, labels, sensitive, label_scale)
+        dataset = Dataset._adopt(
+            features, labels, sensitive, label_scale, source, hashes["features.npy"]
+        )
     except ValidationError as exc:
         raise DataError(f"{root}: prepared arrays are not a dataset: {exc}") from exc
     splits = []
@@ -1208,4 +1288,5 @@ def load_prepared(in_dir: str | Path) -> PreparedData:
         if roles[0].size == 0 or roles[2].size == 0:
             raise DataError(f"{path}: a split needs at least one train and one test row")
         splits.append(tuple(roles))
-    return PreparedData(dataset=dataset, splits=splits, meta=meta)
+    digests = {name: digest.hexdigest() for name, digest in hashes.items()}
+    return PreparedData(dataset=dataset, splits=splits, meta=meta, digests=digests)

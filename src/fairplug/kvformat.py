@@ -24,6 +24,7 @@ from .errors import DataError, undecodable
 
 __all__ = [
     "read_kv",
+    "parse_kv",
     "write_kv",
     "format_float",
     "format_float_vector",
@@ -59,6 +60,11 @@ def read_kv(path: str | Path) -> dict[str, str]:
         raw = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    return parse_kv(raw, path)
+
+
+def parse_kv(raw: bytes, path: Path) -> dict[str, str]:
+    """:func:`read_kv` of the bytes ``raw`` already read from ``path``."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -7,7 +7,12 @@ then walk the whole parameter grid -- each grid point is pure
 post-processing of the same fitted pair, so the sweep consumes exactly
 one noise draw per split no matter how large the grid is.
 
-Each training split is gathered once, into one buffer laid out as the
+A loaded prepared directory's feature matrix stays in ``features.npy``:
+the dataset holds a mapping of the file that no pass reads, and each
+split's gather copies the file's rows out a block of about 1 MiB at a
+time (:func:`fairplug.data.fit_dp_transform`), so a sweep holds one
+split's rows, never the whole matrix.  Each training split is gathered
+once, into one buffer laid out as the
 design of the setting's ``eta`` (:data:`fairplug.plugin.ESTIMATORS`):
 ``[x, a, 1]`` for the aware settings and ``[x, 1]`` for the blind ones.
 Every fit reads that buffer, the private pipeline's included, except
@@ -424,7 +429,8 @@ def _run_split(
 ) -> tuple[np.ndarray, tuple[int, int, int, int], int]:
     """One split's hits ``(4, grid points)``, its four totals and the noise draws it made.
 
-    :func:`fit_dp_transform` gathers the training rows once, fits and
+    :func:`fit_dp_transform` gathers the training rows once (from
+    ``features.npy`` a block at a time, for a loaded dataset), fits and
     maps them in that one buffer, and lays it out as the design of the
     setting's ``eta`` (the module docstring gives the layout by setting
     and the one eo-blind fit that copies);
@@ -655,8 +661,11 @@ def read_records_csv(path: str | Path) -> SweepTable:
     header, records off the layout of the first split, and rows whose
     metric or flag text differs from their counts.
 
-    The file's lines are counted first and the table's hits allocated
-    once.  Then ``np.loadtxt`` parses :data:`_READ_CHUNK` lines at a time,
+    The file is opened once.  Its lines are counted through that handle,
+    which is then rewound, so an input that cannot rewind (a named pipe,
+    ``<(...)``) is a :class:`DataError` naming it before anything is
+    parsed.  The table's hits are allocated once.  Then ``np.loadtxt``
+    parses :data:`_READ_CHUNK` lines at a time,
     each chunk's hits are copied into place, its records are checked
     against the layout (:class:`_Layout`) and the ranges, and its
     ``bal_acc``, ``violation`` and ``flags`` text is compared with its
@@ -664,9 +673,9 @@ def read_records_csv(path: str | Path) -> SweepTable:
     first malformed row, then the first record whose counts or split id
     are out of range or that leaves its split's layout, then the first
     row whose text disagrees.  The checks find a record by its index; only
-    on the way to an error is the file read again to find that record's
-    line (:func:`_record_line`), so blank lines, which ``np.loadtxt``
-    skips, do not shift it.  A file that is not UTF-8 is a
+    on the way to an error is the handle rewound and read again to find
+    that record's line (:func:`_record_line`), so blank lines, which
+    ``np.loadtxt`` skips, do not shift it.  A file that is not UTF-8 is a
     :class:`DataError` naming the line of its first bad byte.
     """
 
@@ -679,12 +688,15 @@ def read_records_csv(path: str | Path) -> SweepTable:
 
 
 def _read_records(handle, path: Path) -> SweepTable:
+    if not handle.seekable():
+        raise DataError(f"{path}: records input cannot be rewound; give a regular file")
+    n_lines = _count_lines(handle.buffer) - 1
+    handle.seek(0)
     header = tuple(handle.readline().rstrip("\n").split(","))
     if header == _RECORD_HEADER[:7]:
         raise DataError(f"{path}: seven-column records file without the counts; sweep again")
     if header != _RECORD_HEADER:
         raise DataError(f"{path}: unexpected records header {list(header)}")
-    n_lines = _count_lines(path) - 1
     hits = np.empty((4, n_lines), dtype=np.int64)
     layout = _Layout()
     filled = 0
@@ -713,13 +725,13 @@ def _read_records(handle, path: Path) -> SweepTable:
         raise DataError(f"{path} holds no sweep records")
     if misplaced is not None:
         record, reason = misplaced
-        raise DataError(f"{path}:{_record_line(path, record)}: {reason}")
+        raise DataError(f"{path}:{_record_line(handle, record)}: {reason}")
     short = layout.finish(filled)
     if short is not None:
         raise DataError(f"{path}: {short}")
     if disagrees is not None:
         message = "bal_acc, violation or flags disagrees with the counts"
-        raise DataError(f"{path}:{_record_line(path, disagrees)}: {message}")
+        raise DataError(f"{path}:{_record_line(handle, disagrees)}: {message}")
     # A file with blank lines leaves the hits' tail unfilled; only then is the rest copied.
     hits = hits if filled == n_lines else np.ascontiguousarray(hits[:, :filled])
     lam, c, c_bar = np.ascontiguousarray(layout.grid.view(np.float64).T)
@@ -811,37 +823,38 @@ class _Layout:
         return f"split {split_id} holds {size} records, split {self.first_id} holds {self.points}"
 
 
-def _count_lines(path: Path) -> int:
-    """The lines of ``path`` as text mode splits them, at ``\\n``, ``\\r\\n`` or ``\\r``.
+def _count_lines(raw) -> int:
+    """The lines of the binary file ``raw``, from where it stands, as text mode splits them.
 
-    Counted in the raw bytes, which costs a quarter of decoding the text.
-    Each 1 MiB block is read into one reused buffer, so one block is held
-    at a time; only its first ``size`` bytes are the block.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``.  Counted in the raw
+    bytes, which costs a quarter of decoding the text.  Each 1 MiB block
+    is read into one reused buffer, so one block is held at a time; only
+    its first ``size`` bytes are the block.
     """
     lines, last = 0, b"\n"
     block = bytearray(1 << 20)
-    with open(path, "rb", buffering=0) as raw:
-        while size := raw.readinto(block):
-            lines += (
-                block.count(b"\n", 0, size)
-                + block.count(b"\r", 0, size)
-                - block.count(b"\r\n", 0, size)
-            )
-            lines -= last == b"\r" and block.startswith(b"\n")  # a \r\n cut between blocks
-            last = block[size - 1 : size]
+    while size := raw.readinto(block):
+        lines += (
+            block.count(b"\n", 0, size)
+            + block.count(b"\r", 0, size)
+            - block.count(b"\r\n", 0, size)
+        )
+        lines -= last == b"\r" and block.startswith(b"\n")  # a \r\n cut between blocks
+        last = block[size - 1 : size]
     return lines + (last not in (b"\n", b"\r"))  # a last line without its end
 
 
-def _record_line(path: Path, record: int) -> int:
-    """The line of ``path`` that holds record ``record`` (0-based), for an error.
+def _record_line(handle, record: int) -> int:
+    """The line of the text file ``handle`` that holds record ``record`` (0-based), for an error.
 
-    Records are the lines after the header that are not blank, the lines
-    ``np.loadtxt`` parses; lines are counted as text mode splits them.
+    The handle is rewound.  Records are the lines after the header that
+    are not blank, the lines ``np.loadtxt`` parses; lines are counted as
+    text mode splits them.
     """
-    with open(path, encoding="utf-8") as handle:
-        next(handle)  # the header
-        lines = (number for number, line in enumerate(handle, 2) if line != "\n")
-        return next(itertools.islice(lines, record, None))
+    handle.seek(0)
+    next(handle)  # the header
+    lines = (number for number, line in enumerate(handle, 2) if line != "\n")
+    return next(itertools.islice(lines, record, None))
 
 
 def _text_disagrees(rows: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ routines is covered by the per-module tests, not re-proven here.
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import shutil
 import subprocess
@@ -600,6 +601,14 @@ class TestSweep:
         assert manifest["config.eps_p"] == "inf"
         assert manifest["result.grid_points"] == "27"
         assert manifest["result.records"] == "54"
+
+    def test_inputs_hashed_from_the_bytes_read(self, sweep_out, prepared_dir):
+        manifest = read_kv(sweep_out / "manifest.kv")
+        hashed = {key[len("input."):-len(".sha256")] for key in manifest if key.startswith("input.")}
+        assert hashed == {path.name for path in prepared_dir.iterdir()} - {"manifest.kv"}
+        for name in hashed:
+            digest = hashlib.sha256((prepared_dir / name).read_bytes()).hexdigest()
+            assert manifest[f"input.{name}.sha256"] == digest, name
 
     def test_split_files_hashed(self, prepared_dir, tmp_path, capsys):
         prepared = tmp_path / "prepared"

@@ -1,6 +1,7 @@
 """Schema-driven CSV loading, norm-bounding transform, split generation."""
 
 import csv
+import hashlib
 import io
 import logging
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_german_surrogate
 
+from fairplug import core as core_module
 from fairplug import data as data_module
 from fairplug.core import Dataset
 from fairplug.data import (
@@ -647,7 +649,9 @@ def test_quoted_load_holds_no_second_copy_of_the_file(tmp_path):
     path = make_german_surrogate(tmp_path / "german.csv", n=10_000)
     schema = load_schema(bundled_schema_path("german_gender"))
     _, plain = _traced_load(path, schema)
-    _rewrite(path, list(csv.reader(path.open(newline=""))), quoting=csv.QUOTE_ALL, encoding="utf-8-sig")
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    _rewrite(path, rows, quoting=csv.QUOTE_ALL, encoding="utf-8-sig")
     with patch.object(data_module, "_SCAN_BLOCK", 1 << 16):  # blocks far smaller than the file
         (dataset, _), quoted = _traced_load(path, schema)
     assert quoted <= 2.25 * dataset.features.nbytes
@@ -659,7 +663,8 @@ def test_one_long_cell_costs_its_own_bytes(tmp_path, quoting):
     # a word for every row at each of the cell's 7,500 offsets would be 60 MB
     path = make_german_surrogate(tmp_path / "german.csv", n=1_000)
     schema = load_schema(bundled_schema_path("german_gender"))
-    rows = list(csv.reader(path.open(newline="")))
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
     long_value = "x" * 60_000
     rows[5][rows[0].index("purpose")] = long_value
     _rewrite(path, rows, quoting=quoting)
@@ -1019,6 +1024,46 @@ class TestPreparedRoundTrip:
             column.flags.writeable for column in (loaded.features, loaded.labels, loaded.sensitive)
         )
 
+    def test_features_stay_in_the_file_and_every_file_is_hashed(self, tmp_path):
+        # the digests are of the bytes the load read, bytes past the rows included
+        gen = np.random.default_rng(8)
+        dataset = Dataset(
+            gen.normal(size=(40, 3)), np.where(gen.random(40) < 0.5, 1.0, -1.0), np.ones(40)
+        )
+        out = tmp_path / "prepared"
+        save_prepared(out, dataset, make_splits(dataset, SplitPlan(n_repeats=2)), {"schema": "x"})
+        with open(out / "features.npy", "ab") as handle:
+            handle.write(b"tail")
+        loaded = load_prepared(out)
+        features = loaded.dataset.features
+        assert isinstance(features, np.memmap) and not features.flags.writeable
+        assert np.array_equal(features, dataset.features)
+        assert sorted(loaded.digests) == sorted(path.name for path in out.iterdir())
+        for name, digest in loaded.digests.items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.arange(24).reshape(12, 2),
+            np.asfortranarray(np.arange(24.0).reshape(12, 2)),
+            np.arange(24.0).reshape(12, 2).astype(">f8"),
+            np.zeros((12, 0)),
+        ],
+        ids=["int", "fortran", "big-endian", "zero-width"],
+    )
+    def test_other_feature_files_load_whole(self, tmp_path, features):
+        out = tmp_path / "prepared"
+        dataset = Dataset(np.zeros((12, 1)), np.ones(12), np.ones(12))
+        save_prepared(out, dataset, make_splits(dataset, SplitPlan(n_repeats=1)), {})
+        np.save(out / "features.npy", features)
+        loaded = load_prepared(out)
+        assert type(loaded.dataset.features) is np.ndarray
+        assert loaded.dataset.features.dtype == float
+        assert np.array_equal(loaded.dataset.features, features)
+        digest = hashlib.sha256((out / "features.npy").read_bytes()).hexdigest()
+        assert loaded.digests["features.npy"] == digest
+
     def test_split_order_follows_the_integer_index(self, tmp_path):
         gen = np.random.default_rng(9)
         dataset = Dataset(
@@ -1067,6 +1112,8 @@ class TestPreparedRoundTrip:
         "defect, file",
         [
             ("text in features", "features.npy"),
+            ("truncated features", "features.npy: not a numeric .npy array"),
+            ("NaN in features", "not a dataset: features contain non-finite entries"),
             ("object labels", "labels.npy"),
             ("string sensitive", "sensitive.npy"),
             ("label_scale abc", "meta.kv"),
@@ -1086,6 +1133,10 @@ class TestPreparedRoundTrip:
         roles = np.load(out / "split_00.npy")
         if defect == "text in features":
             (out / "features.npy").write_text("a,b\n1,2\n")
+        elif defect == "truncated features":
+            (out / "features.npy").write_bytes((out / "features.npy").read_bytes()[:-8])
+        elif defect == "NaN in features":
+            np.save(out / "features.npy", np.where(np.arange(12) == 7, np.nan, 0.0)[:, None])
         elif defect == "object labels":
             np.save(out / "labels.npy", np.array([1.0] * 11 + ["x"], dtype=object))
         elif defect == "string sensitive":
@@ -1112,3 +1163,79 @@ class TestPreparedRoundTrip:
         bad_splits = [(np.arange(5), np.arange(5, 8), np.arange(8, 11))]  # row 11 missing
         with pytest.raises(ValidationError, match="partition every row"):
             save_prepared(tmp_path / "prepared", dataset, bad_splits, {})
+
+
+class TestFileBackedFeatures:
+    """A loaded dataset's features are read from ``features.npy`` a block of rows at a time."""
+
+    @pytest.fixture
+    def prepared(self, tmp_path, monkeypatch):
+        # 7 rows of 3 columns a block: many blocks, and a short last one
+        monkeypatch.setattr(core_module, "_BLOCK_BYTES", 7 * 3 * 8)
+        gen = np.random.default_rng(3)
+        dataset = Dataset(
+            gen.normal(size=(100, 3)) * [1.0, 10.0, 0.1],
+            np.where(gen.random(100) < 0.5, 1.0, -1.0),
+            np.where(gen.random(100) < 0.5, 1.0, -1.0),
+        )
+        out = tmp_path / "prepared"
+        save_prepared(out, dataset, make_splits(dataset, SplitPlan(n_repeats=1)), {})
+        return dataset, out
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
+    @pytest.mark.parametrize("column", [None, "sensitive"])
+    def test_gathers_match_an_in_memory_dataset_bit_for_bit(self, prepared, order, column):
+        memory, out = prepared
+        mapped = load_prepared(out).dataset
+        assert isinstance(mapped.features, np.memmap)
+        gen = np.random.default_rng(5)
+        if order == "repeated":
+            train, test = gen.integers(0, 100, 70), gen.integers(0, 100, 30)
+        else:
+            train, test = np.split(gen.permutation(100), [70])
+            if order == "sorted":
+                train, test = np.sort(train), np.sort(test)
+        results = []
+        for dataset in (memory, mapped):
+            transform, fitted = fit_dp_transform(dataset, train, 0.5, column)
+            held_out = apply_dp_transform(transform, dataset, test)
+            results.append(
+                [transform.shift, transform.scale, np.array(transform.global_scale)]
+                + [getattr(part, name) for part in (fitted, held_out)
+                   for name in ("features", "labels", "sensitive")]
+            )
+        for want, got in zip(*results):
+            assert want.tobytes() == got.tobytes()
+
+    def test_non_finite_row_in_a_late_block_is_rejected(self, prepared):
+        _, out = prepared
+        features = np.load(out / "features.npy")
+        features[97, 2] = np.inf
+        np.save(out / "features.npy", features)
+        with pytest.raises(DataError, match="features contain non-finite entries"):
+            load_prepared(out)
+
+    def test_saving_over_the_mapped_file_is_refused(self, prepared):
+        _, out = prepared
+        loaded = load_prepared(out)
+        with pytest.raises(ValidationError, match="holds the features being saved"):
+            save_prepared(out, loaded.dataset, loaded.splits, {})
+        save_prepared(out.parent / "copy", loaded.dataset, loaded.splits, {})
+        assert (out.parent / "copy" / "features.npy").read_bytes() == (out / "features.npy").read_bytes()
+
+    @pytest.mark.parametrize("rewrite", ["grown", "touched"])
+    def test_a_file_rewritten_after_the_load_is_a_data_error(self, prepared, rewrite):
+        memory, out = prepared
+        transform, _ = fit_dp_transform(memory, np.arange(70))
+        loaded = load_prepared(out).dataset
+        path = out / "features.npy"
+        if rewrite == "grown":
+            np.save(path, np.vstack([loaded.features, loaded.features[:1]]))
+        else:
+            stat = path.stat()
+            path.write_bytes(path.read_bytes())
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            fit_dp_transform(loaded, np.arange(70))
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            apply_dp_transform(transform, loaded, np.arange(70, 100))

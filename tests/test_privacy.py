@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fairplug.core import Dataset, FairnessParams, compute_dist_stats
 from fairplug.cpe import (
@@ -65,6 +66,18 @@ class TestSampleNoise:
     def test_mean_norm_tracks_dim_over_gamma(self):
         norms = [np.linalg.norm(sample_noise(3, 10.0, seed=s)) for s in range(2000)]
         assert np.mean(norms) == pytest.approx(0.3, rel=0.1)
+
+    @pytest.mark.parametrize("dim", [3, 51])
+    def test_radius_and_direction_follow_the_noise_law(self, dim):
+        # The density exp(-gamma ||b||) has a Gamma(dim, scale 1/gamma)
+        # radius and a uniform direction, whose squared coordinate is
+        # Beta(1/2, (dim - 1)/2); the seeds are fixed, so the p-values are too.
+        gamma = 4.0
+        draws = np.array([sample_noise(dim, gamma, seed=(dim, s)) for s in range(2000)])
+        radius = np.linalg.norm(draws, axis=1)
+        assert stats.kstest(radius, stats.gamma(dim, scale=1 / gamma).cdf).pvalue > 0.01
+        squared = (draws[:, 0] / radius) ** 2
+        assert stats.kstest(squared, stats.beta(0.5, (dim - 1) / 2).cdf).pvalue > 0.01
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="dim"):

@@ -2,7 +2,9 @@
 
 import logging
 import math
+import os
 import re
+import threading
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -20,7 +22,15 @@ from fairplug import sweep as sweep_module
 from fairplug.cli import _write_tradeoff_csv
 from fairplug.core import Dataset, FairnessParams
 from fairplug.cpe import ARITY_FEATURES_PLUS_SENSITIVE, FitConfig, fit_estimator
-from fairplug.data import PreparedData, SplitPlan, apply_dp_transform, fit_dp_transform, make_splits
+from fairplug.data import (
+    PreparedData,
+    SplitPlan,
+    apply_dp_transform,
+    fit_dp_transform,
+    load_prepared,
+    make_splits,
+    save_prepared,
+)
 from fairplug.errors import DataError, ValidationError
 from fairplug.metrics import dpar_dbar_rates, empirical_rates, eo_dbar_rates, violation
 from fairplug.plugin import (
@@ -277,6 +287,51 @@ class TestBinning:
                 bins=(BinStat(0.55, 0.1, 0.0, 1), BinStat(0.525, 0.1, 0.0, 1)),
                 bin_width=0.025,
             )
+
+
+def _mapping_rss_kb(path) -> list[int]:
+    """The ``Rss`` in kB of each of this process's mappings of ``path``."""
+    target = os.path.realpath(path)
+    sizes, inside = [], False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            fields = line.split()
+            if ":" not in fields[0]:  # a mapping's header line: address range first
+                inside = fields[-1] == target
+            elif inside and fields[0] == "Rss:":
+                sizes.append(int(fields[1]))
+    return sizes
+
+
+class TestFileBackedSweep:
+    def saved(self, tmp_path, n=4000):
+        prepared = prepared_data(n=n)
+        out = tmp_path / "prepared"
+        save_prepared(out, prepared.dataset, prepared.splits, {})
+        return out
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads Linux's smaps")
+    def test_sweep_never_reads_the_feature_mapping(self, tmp_path):
+        out = self.saved(tmp_path)
+        prepared = load_prepared(out)
+        table = run_sweep(prepared, small_grid(), DPAR_AWARE, math.inf, FitConfig(), seed=1)
+        assert len(table) == 2 * small_grid().cardinality
+        assert _mapping_rss_kb(out / "features.npy") == [0]
+
+    def test_matches_the_in_memory_sweep(self, tmp_path):
+        prepared = load_prepared(self.saved(tmp_path))
+        for setting, eps_p in ((EO_BLIND, 1.0), (DPAR_AWARE, math.inf)):
+            assert_tables_equal(
+                run_sweep(prepared, small_grid(), setting, eps_p, FitConfig(), seed=2),
+                run_sweep(prepared_data(n=4000), small_grid(), setting, eps_p, FitConfig(), seed=2),
+            )
+
+    def test_features_rewritten_after_the_load_are_a_data_error(self, tmp_path):
+        out = self.saved(tmp_path)
+        prepared = load_prepared(out)
+        np.save(out / "features.npy", np.load(out / "features.npy")[:-1])
+        with pytest.raises(DataError, match=re.escape(str(out / "features.npy"))):
+            run_sweep(prepared, small_grid(), DPAR_BLIND, math.inf, FitConfig(), seed=1)
 
 
 class TestRunSweep:
@@ -630,6 +685,47 @@ class TestSliceCounts:
 
 
 class TestSerialization:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_records_that_cannot_be_rewound_are_a_data_error(self, tmp_path):
+        # A reader that opened the file twice split a pipe's records between
+        # its two handles, or waited for a writer that had gone; the read runs
+        # in a thread, so such a reader fails the test instead of hanging it.
+        table = run_sweep(prepared_data(), small_grid(), DPAR_BLIND, math.inf, FitConfig(), seed=1)
+        write_records_csv(table, tmp_path / "records.csv")
+        text = (tmp_path / "records.csv").read_bytes()
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        outcome = []
+
+        def feed():
+            try:
+                with open(pipe, "wb") as handle:
+                    handle.write(text)
+            except BrokenPipeError:
+                pass
+
+        def read():
+            try:
+                outcome.append(read_records_csv(pipe))
+            except DataError as exc:
+                outcome.append(exc)
+
+        threads = [threading.Thread(target=target, daemon=True) for target in (feed, read)]
+        for thread in threads:
+            thread.start()
+        threads[1].join(timeout=10)
+        # free either side still blocked in open() once the other has gone
+        for flags in (os.O_RDONLY, os.O_WRONLY):
+            try:
+                os.close(os.open(pipe, flags | os.O_NONBLOCK))
+            except OSError:  # no reader left to open the pipe for
+                pass
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], DataError)
+        assert str(outcome[0]) == f"{pipe}: records input cannot be rewound; give a regular file"
+
     def test_records_round_trip(self, tmp_path):
         path = tmp_path / "records.csv"
         table = table_of(
@@ -763,8 +859,8 @@ class TestSerialization:
         # after a full one, whose line ends the reused buffer still holds.
         path = tmp_path / "lines.txt"
         path.write_bytes(text)
-        with open(path, encoding="utf-8") as handle:
-            assert _count_lines(path) == len(list(handle))
+        with open(path, encoding="utf-8") as handle, open(path, "rb", buffering=0) as raw:
+            assert _count_lines(raw) == len(list(handle))
 
     def test_any_line_end_round_trips(self, tmp_path):
         path = tmp_path / "records.csv"
