@@ -237,28 +237,19 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(
-    out_dir: Path,
-    command: str,
-    resolved: dict,
-    seed: int,
-    inputs: dict[str, Path],
-    extra: dict[str, str] | None = None,
+    out_dir: Path, command: str, resolved: dict, seed: int, extra: dict[str, str]
 ) -> None:
+    """``manifest.kv``: the command, its seed and resolved options, then ``extra``.
+
+    Every ``input.<name>.sha256`` in ``extra`` is the digest of the
+    bytes the command parsed, taken as it read them, never by a second
+    read of the file.
+    """
     items = {"command": command, "seed": str(seed)}
     for dest, value in resolved.items():
         items[f"config.{dest}"] = _format_value(value)
-    for name, path in inputs.items():
-        items[f"input.{name}.sha256"] = _sha256(path)
-    items.update(extra or {})
+    items.update(extra)
     write_kv(out_dir / "manifest.kv", sorted(items.items()))
 
 
@@ -293,7 +284,8 @@ def cmd_prepare(resolved: dict, seed: int, jobs: int) -> int:
                 f"schema {schema_name!r} is neither a bundled name "
                 f"{data.list_bundled_schemas()} nor an existing file"
             )
-    schema = data.load_schema(schema_path)
+    schema_digest = hashlib.sha256()
+    schema = data.load_schema(schema_path, schema_digest)
     dataset, report = data.load_csv_report(resolved["input"], schema)
     plan = data.SplitPlan(n_repeats=resolved["repeats"], master_seed=seed)
     splits = data.make_splits(dataset, plan)
@@ -313,9 +305,8 @@ def cmd_prepare(resolved: dict, seed: int, jobs: int) -> int:
         "prepare",
         resolved,
         seed,
-        {"schema": schema_path},
         {
-            # the digest of the bytes that were parsed, not of a second read
+            "input.schema.sha256": schema_digest.hexdigest(),
             "input.csv.sha256": report.sha256,
             "result.rows": str(dataset.n),
             "result.splits": str(len(splits)),
@@ -369,9 +360,7 @@ def cmd_sweep(resolved: dict, seed: int, jobs: int) -> int:
         "sweep",
         resolved,
         seed,
-        {},
         {
-            # the digests of the bytes the sweep read, not of a second read
             **{f"input.{name}.sha256": digest for name, digest in prepared.digests.items()},
             "result.grid_points": str(grid.cardinality),
             "result.records": str(len(table)),
@@ -415,17 +404,19 @@ _SIMULATE = (
 )
 
 
-def _resolve_distribution(name: str) -> tuple[synthetic.SyntheticDistribution, Path | None]:
+def _resolve_distribution(name: str) -> tuple[synthetic.SyntheticDistribution, dict[str, str]]:
+    """The law ``--dist`` names, and the manifest's digest of its file (none for a reference)."""
     if name == "reference-eo":
-        return synthetic.reference_eo(), None
+        return synthetic.reference_eo(), {}
     if name == "reference-dpar":
-        return synthetic.reference_dpar(), None
+        return synthetic.reference_dpar(), {}
     path = Path(name)
     if not path.exists():
         raise ValidationError(
             f"--dist {name!r} is neither reference-eo, reference-dpar, nor an existing file"
         )
-    return synthetic.load_distribution(path), path
+    digest = hashlib.sha256()
+    return synthetic.load_distribution(path, digest), {"input.dist.sha256": digest.hexdigest()}
 
 
 def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
@@ -436,7 +427,7 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
             f"--setting {resolved['setting']} applies to --experiment consistency only; "
             f"{experiment} takes no other setting than {plugin.EO_BLIND}"
         )
-    dist, dist_path = _resolve_distribution(resolved["dist"])
+    dist, extra = _resolve_distribution(resolved["dist"])
     params = FairnessParams(resolved["lam"], resolved["c"], resolved["c_bar"])
     fit_config = (
         None
@@ -444,7 +435,6 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         else FitConfig(lambda_reg=resolved["cpe_lambda"])
     )
     pop = synthetic.population(dist, resolved["m_eval"])
-    extra: dict[str, str] = {}
     if experiment == "consistency":
         curve = synthetic.consistency_curve(
             pop,
@@ -558,8 +548,7 @@ def cmd_simulate(resolved: dict, seed: int, jobs: int) -> int:
         for name in ("margin_mass", "b_const", "g_const", "q_const"):
             extra[f"result.{name}"] = format_float(getattr(constants, name))
 
-    inputs = {} if dist_path is None else {"dist": dist_path}
-    _write_manifest(out, f"simulate.{experiment}", resolved, seed, inputs, extra)
+    _write_manifest(out, f"simulate.{experiment}", resolved, seed, extra)
     print(f"simulate {experiment} on {resolved['dist']} -> {out}")
     return 0
 
@@ -647,7 +636,7 @@ def cmd_geometry(resolved: dict, seed: int, jobs: int) -> int:
             ),
             out / "raster.svg",
         )
-    _write_manifest(out, "geometry", resolved, seed, {}, extra)
+    _write_manifest(out, "geometry", resolved, seed, extra)
     print(f"rastered {mask.size} points for {setting} -> {out}")
     return 0
 
@@ -668,7 +657,8 @@ def cmd_report(resolved: dict, seed: int, jobs: int) -> int:
         records_path = records_path / "records.csv"
     if not records_path.exists():
         raise DataError(f"no records file at {records_path}")
-    table = sweep.read_records_csv(records_path)
+    digest = hashlib.sha256()
+    table = sweep.read_records_csv(records_path, digest)
     curve = sweep.tradeoff_curve(table, resolved["bin_width"])
     if not curve.bins:
         raise DataError("no usable (unflagged, bal_acc >= 0.5) records to aggregate")
@@ -692,8 +682,7 @@ def cmd_report(resolved: dict, seed: int, jobs: int) -> int:
         "report",
         resolved,
         seed,
-        {"records": records_path},
-        {"result.bins": str(len(curve.bins))},
+        {"input.records.sha256": digest.hexdigest(), "result.bins": str(len(curve.bins))},
     )
     print(f"aggregated {len(table)} records into {len(curve.bins)} bins -> {out}")
     return 0

@@ -113,6 +113,17 @@ def _row_blocks(features: np.ndarray, source: _FeatureFile | None = None, digest
         source.check(handle)
 
 
+def _all_finite(features: np.ndarray, source: _FeatureFile | None = None, digest=None) -> bool:
+    """Whether every entry of ``features`` is finite: one :func:`_row_blocks` pass, one reused mask."""
+    mask = None
+    for _, block in _row_blocks(features, source, digest):
+        if mask is None:
+            mask = np.empty(block.shape, dtype=bool)
+        if not np.isfinite(block, out=mask[: len(block)]).all():
+            return False
+    return True
+
+
 def _readonly(a: np.ndarray, copy: bool = True) -> np.ndarray:
     """``a`` as a read-only float array, copied unless ``copy`` is false."""
     if copy:
@@ -198,13 +209,8 @@ class Dataset:
                 "row-count mismatch: "
                 f"features {features.shape}, labels {labels.shape}, sensitive {sensitive.shape}"
             )
-        # One read of the matrix, a block at a time, into one reused mask.
-        mask = None
-        for _, block in _row_blocks(features, self._source, digest):
-            if mask is None:
-                mask = np.empty(block.shape, dtype=bool)
-            if not np.isfinite(block, out=mask[: len(block)]).all():
-                raise ValidationError("features contain non-finite entries")
+        if not _all_finite(features, self._source, digest):
+            raise ValidationError("features contain non-finite entries")
         scale = float(self.label_scale)
         if not (np.isfinite(scale) and scale > 0):
             raise ValidationError(f"label_scale must be a positive real, got {scale}")

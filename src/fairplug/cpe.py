@@ -25,13 +25,15 @@ steps.  The minimizer is unique, the iterates are deterministic, and a
 converged fit certifies ``||w - w*|| <= grad_norm / lambda_reg``.  With
 ``lambda_reg > 0`` the Hessian is positive definite and the system is
 solved directly (LU); at ``lambda_reg = 0`` it can be singular, and a
-least-squares solve gives the minimum-norm Newton direction.  The
-Hessian's data term ``X' diag(p(1-p)) X / n`` is the Gram product
-``S' S / n`` of the rows scaled by ``sqrt(p(1-p))``, accumulated over
-blocks of rows so that no design-sized temporary exists; it rounds
-differently from the direct product, so a fit's weights may move by an
-ulp against one that forms it directly.  Designs of at most eight
-columns, where the direct product is faster, keep it.
+least-squares solve gives the minimum-norm Newton direction.
+
+A fit reads its input where it lies: the ``(n, k)`` rows and the
+``(n,)`` extra columns are never stacked into a design ``[rows,
+*columns, 1]``.  The margin is :func:`predict_proba`'s (one helper,
+:func:`_margins`), the gradient is assembled from one product per
+piece, and the Hessian's data term ``X' diag(p(1-p)) X / n`` comes from
+a buffer the pieces fill: one block of rows at a time, or, for a design
+of at most eight columns, as many per-row vectors (see :func:`_hessian`).
 
 :func:`fit_estimator` fits every estimator the decision rules need
 (:data:`fairplug.plugin.ESTIMATORS` gives their arities): the sign of
@@ -41,9 +43,8 @@ encoding -- so a label input is ``{-C, +C}`` after privacy
 preprocessing, which keeps the joint input under the norm bound.
 
 Prediction takes the extra columns as the fit does:
-``predict_proba(model, rows, *columns)`` adds each column times its
-weight to ``rows @ w[:k]``, then the intercept, so no input block is
-built; the fit's design is the only one.
+``predict_proba(model, rows, *columns)`` scores ``[rows, *columns]`` by
+the fit's own margin, so no input block is built there either.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _all_finite
 from .errors import DegenerateDataError, NumericError, ValidationError
 
 __all__ = [
@@ -181,80 +182,36 @@ class FitConfig:
 _ROUNDOFF = 1e-15
 
 
-def _design(rows: np.ndarray, *extra_columns) -> np.ndarray:
-    """``[rows, *extra_columns, 1]``: the fit's design, intercept column last.
+def _margins(w, rows, columns):
+    """``w . [rows, *columns, 1]`` per row, with no ``[rows, *columns]`` block.
 
-    The path for every fit whose rows are not already laid out as the
-    design: synthetic draws, tests, and eo-blind's sensitive-attribute
-    fit on ``[x, y, 1]``, one column wider than the ``[x, 1]`` training
-    split it reads; :func:`_laid_out_design` recognizes a training split
-    that is.  ``extra_columns`` are ``(n,)`` vectors (:func:`fit` rejects
-    any other shape).  The block is allocated once and filled column range by
-    column range, so no intermediate ``np.hstack`` copy exists.  Its
-    values and its C-ordered layout are those of ``np.hstack`` of the
-    same columns, so every product with it is bit-identical to one with
-    the stacked matrix.
+    ``rows @ w[:k]``, then ``column * w[j]`` added for each column in
+    turn, then the intercept: the one margin of :func:`fit` and
+    :func:`predict_proba`, so a model scores its training rows with the
+    bits its fit saw.  A column may be a scalar or a per-row vector.
     """
-    n, k = rows.shape
-    block = np.empty((n, k + len(extra_columns) + 1))
-    block[:, :k] = rows
-    for j, column in enumerate(extra_columns, start=k):
-        block[:, j] = column
-    block[:, -1] = 1.0
-    return block
+    k = rows.shape[1]
+    z = rows @ w[:k]
+    for j, column in enumerate(columns, start=k):
+        z += column * w[j]
+    z += w[-1]
+    return z
 
 
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
+def _objective_and_grad(w, rows, columns, targets, lambda_reg):
+    """Objective, gradient and link values ``p = sigmoid(margins)`` at ``w``.
 
-
-def _laid_out_design(rows: np.ndarray, extra_columns) -> np.ndarray | None:
-    """The buffer that already holds ``[rows, *extra_columns, 1]``, or None.
-
-    :func:`fairplug.data.fit_dp_transform` gathers a training split into
-    such a buffer.  It is recognized by identity: ``rows`` are the
-    leading columns of their C-ordered float64 base, which is one column
-    wider than ``rows`` and ``extra_columns`` together, and each extra
-    column is a view of that base's next column (its address and row
-    stride).  Nothing ties the last column to the intercept, so its n
-    values are compared with 1; no other value is read.  Its values and
-    layout are then those :func:`_design` builds, so the fit's bits are
-    the same either way.
-    """
-    design = rows.base
-    n, k = rows.shape
-    if not (
-        isinstance(design, np.ndarray)
-        and design.dtype == np.float64
-        and design.shape == (n, k + len(extra_columns) + 1)
-        and design.flags.c_contiguous
-        and rows.strides == design.strides
-        and _address(rows) == _address(design)
-    ):
-        return None
-    for j, column in enumerate(extra_columns, start=k):
-        if not (
-            isinstance(column, np.ndarray)
-            and column.base is design
-            and column.strides == design.strides[:1]
-            and _address(column) == _address(design) + j * design.itemsize
-        ):
-            return None
-    return design if np.all(design[:, -1] == 1.0) else None
-
-
-def _objective_and_grad(w, design, targets, lambda_reg):
-    """Objective, gradient and link values ``p = sigmoid(design @ w)`` at ``w``.
-
-    The targets are +-1, so ``|margins| = |z|`` and one ``e = exp(-|z|)``
-    serves both ``sigmoid(-margins)`` (gradient) and ``sigmoid(z)``
-    (returned for the Hessian), each bit-identical to :func:`sigmoid`:
+    The margins are :func:`_margins`'s.  The targets are +-1, so
+    ``|margins| = |z|`` and one ``e = exp(-|z|)`` serves both
+    ``sigmoid(-margins)`` (gradient) and ``sigmoid(z)`` (returned for
+    the Hessian), each bit-identical to :func:`sigmoid`:
     the numerators are ``max(e, margins <= 0)`` and ``max(e, z >= 0)``,
     exact for the reason given there.  The per-row buffers are reused in
     place (``-margins`` becomes the loss, then the gradient coefficient;
     ``z`` becomes ``p``), and the coefficient is ``-(q * t)`` rather than
     ``(-t) * q``; IEEE negation is exact and rounding is symmetric in
-    sign, so both give the same bits.
+    sign, so both give the same bits.  The gradient's data term is
+    ``[rows.T @ coef, column @ coef, ..., coef.sum()] / n``.
 
     The same ``e`` gives the loss: ``log(1 + exp(-m)) = max(-m, 0) +
     log1p(exp(-|m|))`` exactly, and ``exp(-|m|) = e``.  This is the
@@ -266,8 +223,8 @@ def _objective_and_grad(w, design, targets, lambda_reg):
     the Armijo test, so fits take the same steps.  Infinite and NaN
     margins give the same non-finite losses as ``logaddexp``.
     """
-    n = design.shape[0]
-    z = design @ w
+    n, k = rows.shape
+    z = _margins(w, rows, columns)
     neg_margins = targets * z
     np.negative(neg_margins, out=neg_margins)
     loss_is_large = neg_margins >= 0  # margins <= 0, also for -0 and NaN
@@ -285,7 +242,13 @@ def _objective_and_grad(w, design, targets, lambda_reg):
     p /= e
     coef *= targets
     np.negative(coef, out=coef)
-    grad = design.T @ coef / n + lambda_reg * w
+    grad = np.empty_like(w)
+    grad[:k] = rows.T @ coef
+    for j, column in enumerate(columns, start=k):
+        grad[j] = column @ coef
+    grad[-1] = coef.sum()
+    grad /= n
+    grad += lambda_reg * w
     return obj, grad, p
 
 
@@ -295,43 +258,68 @@ _HESSIAN_BLOCK = 1 << 17
 _DIRECT_MAX_WIDTH = 8
 
 
-def _hessian(p, design, lambda_reg):
-    """``X' diag(p(1-p)) X / n + lambda * I``, chosen by the design's width k.
+def _weighted_columns(rows, columns, factor, start, out):
+    """``([rows, *columns, 1] * factor[:, None]).T`` for rows ``start`` to ``start + m``, in ``out``.
 
-    For k > ``_DIRECT_MAX_WIDTH`` it is a Gram product over row blocks:
-    with ``w = sqrt(p(1-p))`` the data term is ``S' S / n`` for ``S = X *
-    w[:, None]``.  ``S`` is built ``_HESSIAN_BLOCK // k`` rows at a time
-    in one reused buffer and each block's ``S_b' S_b`` is added to the
-    sum, so no design-sized temporary exists.  numpy runs ``S_b.T @ S_b``
-    as a symmetric rank-k update, so the result is exactly symmetric.
-    It rounds differently from ``(X' * c) @ X``: a fit's weights may
-    move by an ulp.
-
-    Narrower designs keep the direct product ``(X' * c) @ X``: at a few
-    columns OpenBLAS's rank-k update and the broadcast of a short row are
-    slower than the one matrix product (0.42 against 0.23 ms at 16,384 x
-    3, one BLAS thread), and its ``(k, n)`` temporary is at most
-    ``_DIRECT_MAX_WIDTH`` per-row vectors.  That product is not exactly
-    symmetric.
+    ``out`` is a C-ordered ``(width, m)`` buffer: each input column,
+    times ``factor``, fills one of its rows, and its last row is
+    ``factor`` itself (``1 * f`` is ``f``), so its values are those of
+    the stacked design's rows times ``factor``, transposed.
     """
-    n, k = design.shape
+    stop = start + out.shape[1]
+    k = rows.shape[1]
+    factor = factor[start:stop]
+    # A transposing copy, then a multiply along contiguous rows: 3.3 ms a
+    # 31,500 x 50 pass, against 5.2 ms for one multiply that reads the
+    # rows across their stride.
+    out[:k] = rows[start:stop].T
+    out[:k] *= factor
+    for j, column in enumerate(columns, start=k):
+        np.multiply(column[start:stop], factor, out=out[j])
+    out[-1] = factor
+    return out
+
+
+def _hessian(p, rows, columns, lambda_reg):
+    """``X' diag(p(1-p)) X / n + lambda * I`` for ``X = [rows, *columns, 1]``, by X's width.
+
+    ``X`` is never built: :func:`_weighted_columns` fills a buffer from
+    the pieces.  For widths above ``_DIRECT_MAX_WIDTH`` the data term is
+    a Gram product over row blocks: with ``w = sqrt(p(1-p))`` it is ``S'
+    S / n`` for ``S = X * w[:, None]``.  ``S'`` is built ``_HESSIAN_BLOCK
+    // width`` rows at a time in one reused buffer and each block's ``S_b'
+    S_b`` is added to the sum.  numpy runs it as a symmetric rank-k
+    update, so the result is exactly symmetric.
+
+    Narrower designs take the direct product ``(X * c)' X`` with ``c =
+    p(1-p)``: ``(X * c)'`` times the rows, times each column, and summed
+    for the intercept.  At a few columns the Gram form is slower (at
+    16,384 rows, one BLAS thread: 0.09 against 0.17 ms at width 3, 0.13
+    against 0.16 ms at width 4, even at width 8), and the direct form's
+    ``(width, n)`` buffer is at most ``_DIRECT_MAX_WIDTH`` per-row
+    vectors.  That product is not exactly symmetric.
+    """
+    n, k = rows.shape
+    width = k + len(columns) + 1
     curvature = 1.0 - p
     curvature *= p
-    if k <= _DIRECT_MAX_WIDTH:
-        hessian = (design.T * curvature) @ design
+    if width <= _DIRECT_MAX_WIDTH:
+        scaled = _weighted_columns(rows, columns, curvature, 0, np.empty((width, n)))
+        hessian = np.empty((width, width))
+        hessian[:, :k] = scaled @ rows
+        for j, column in enumerate(columns, start=k):
+            hessian[:, j] = scaled @ column
+        hessian[:, -1] = scaled.sum(axis=1)
     else:
         weight = np.sqrt(curvature, out=curvature)
-        rows = _HESSIAN_BLOCK // k
-        scaled = np.empty((min(rows, n), k))
-        hessian = np.zeros((k, k))
-        for start in range(0, n, rows):
-            block = np.multiply(
-                design[start : start + rows], weight[start : start + rows, None],
-                out=scaled[: min(rows, n - start)],
-            )
-            hessian += block.T @ block
+        step = _HESSIAN_BLOCK // width
+        scaled = np.empty((width, min(step, n)))
+        hessian = np.zeros((width, width))
+        for start in range(0, n, step):
+            block = _weighted_columns(rows, columns, weight, start, scaled[:, : n - start])
+            hessian += block @ block.T
     hessian /= n
-    return hessian + lambda_reg * np.eye(k)
+    return hessian + lambda_reg * np.eye(width)
 
 
 def fit(
@@ -346,33 +334,29 @@ def fit(
     against the direct product; see :func:`_hessian`), and backtracks
     along ``-d`` until the Armijo test holds with slope ``grad . d``.
     The Hessian's link values ``p`` come from the objective evaluation
-    that accepted the iterate; they equal
-    ``sigmoid(design @ w)`` bit for bit, so reusing them saves one
-    ``design @ w`` and one exponential per step without moving any
-    iterate.  ``max_iters`` caps the number of Newton steps.  With
-    ``lambda_reg > 0``, ``H`` is at least ``lambda * I`` and so positive
-    definite, and an LU solve (``np.linalg.solve``) finds the direction:
-    the same direction up to rounding as an SVD least-squares solve, at a
-    small fraction of its cost.  With ``lambda_reg = 0`` the Hessian
+    that accepted the iterate; they equal ``sigmoid`` of its margins bit
+    for bit, so reusing them saves one margin pass and one exponential
+    per step without moving any iterate.  ``max_iters`` caps the number
+    of Newton steps.  With ``lambda_reg > 0``, ``H`` is at least ``lambda
+    * I`` and so positive definite, and an LU solve (``np.linalg.solve``)
+    finds the direction: the same direction up to rounding as an SVD
+    least-squares solve, at a small fraction of its cost.  With ``lambda_reg = 0`` the Hessian
     can be singular (one-hot columns plus the intercept are collinear);
     the least-squares solve then takes the minimum-norm direction.  A
     step whose solve fails takes the gradient instead.
 
-    The design ``[rows, *extra_columns, 1]`` is read where it already
-    lies when ``rows`` and ``extra_columns`` are the leading columns of
-    one buffer whose last column holds ones, as in a training split from
-    :func:`fairplug.data.fit_dp_transform` (see :func:`_laid_out_design`);
-    otherwise :func:`_design` copies them into one.  The finiteness
-    check runs on the design the fit uses.
+    ``rows`` and ``extra_columns`` are read where they lie, a training
+    split's arrays included: nothing the size of ``rows`` is copied or
+    built.  The finiteness check reads the rows a block at a time.
 
     Parameters
     ----------
-    rows : (n, k) design matrix (intercept column appended internally).
+    rows : (n, k) matrix of inputs (the intercept is added internally).
     targets : (n,) vector over {-1, +1}; both classes must be present
         (a single class is a DegenerateDataError) unless ``allow_one_class``.
     config : optimization hyperparameters.
-    extra_columns : (n,) vectors appended after ``rows``, so the fit runs
-        on ``[rows, *extra_columns]`` without that matrix being built.
+    extra_columns : (n,) vectors taken as inputs after ``rows``, so the
+        fit runs on ``[rows, *extra_columns]`` without that matrix being built.
     allow_one_class : accept single-class targets when ``lambda_reg > 0``:
         the objective is then strongly convex, so its minimizer exists for
         any targets.  Unregularized, a single class has no minimizer and
@@ -402,14 +386,12 @@ def fit(
     if one_class and not (allow_one_class and config.lambda_reg > 0.0):
         raise DegenerateDataError("targets contain a single class; both classes are required")
 
-    design = _laid_out_design(rows, extra_columns)
-    if design is None:
-        design = _design(rows, *extra_columns)
-    if not np.all(np.isfinite(design)):
+    columns = [np.asarray(column, dtype=float) for column in extra_columns]
+    if not (_all_finite(rows) and all(np.isfinite(column).all() for column in columns)):
         raise ValidationError("rows contain non-finite entries")
-    w = np.zeros(design.shape[1])
+    w = np.zeros(rows.shape[1] + len(columns) + 1)
     lam = float(config.lambda_reg)
-    obj, grad, p = _objective_and_grad(w, design, targets, lam)
+    obj, grad, p = _objective_and_grad(w, rows, columns, targets, lam)
     if not np.isfinite(obj):
         raise NumericError("objective is non-finite at the starting point")
 
@@ -417,7 +399,7 @@ def fit(
     iters = 0
     while grad_norm > config.tolerance and iters < int(config.max_iters):
         iters += 1
-        hessian = _hessian(p, design, lam)
+        hessian = _hessian(p, rows, columns, lam)
         try:
             if lam > 0.0:
                 direction = np.linalg.solve(hessian, grad)
@@ -433,7 +415,7 @@ def fit(
         step = 1.0
         while True:
             w_new = w - step * direction
-            obj_new, grad_new, p_new = _objective_and_grad(w_new, design, targets, lam)
+            obj_new, grad_new, p_new = _objective_and_grad(w_new, rows, columns, targets, lam)
             if np.isfinite(obj_new) and (
                 obj_new <= obj - 1e-4 * step * slope or not resolvable
             ):
@@ -470,10 +452,10 @@ def predict_proba(model: LinearCpe, rows, *columns):
     (returns an ``(n,)`` array), and each of ``columns`` a scalar or a
     per-row vector, taken as :func:`fit` takes its extra columns; ``k``
     plus the number of columns must be the model's ``in_dim``.  No
-    ``[rows, *columns]`` block is built: the logit is ``rows @ w[:k]``,
-    then ``column * w[j]`` added for each column in turn, then the
-    intercept.  Outputs lie strictly inside (0, 1) up to floating-point
-    rounding.  A single row and the same row inside a matrix can differ
+    ``[rows, *columns]`` block is built: the logit is the fit's margin
+    (:func:`_margins`), ``rows @ w[:k]``, then ``column * w[j]`` added
+    for each column in turn, then the intercept.  Outputs lie strictly
+    inside (0, 1) up to floating-point rounding.  A single row and the same row inside a matrix can differ
     in the last bit: OpenBLAS runs the 1-row product ``x[None, :] @ w``
     through another kernel than ``X @ w`` (0.6448326625371976 alone
     against 0.6448326625371977 as row 0 of a 2 x 6 matrix).
@@ -489,16 +471,13 @@ def predict_proba(model: LinearCpe, rows, *columns):
             f"input dimension {k} + {len(columns)} columns does not match "
             f"model arity {model.input_arity!r} (expects {model.in_dim})"
         )
-    w = model.weights
-    z = x @ w[:k]
-    for j, column in enumerate(columns, start=k):
-        column = np.asarray(column, dtype=float)
-        if column.ndim and column.shape != z.shape:
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    for j, column in enumerate(columns):
+        if column.ndim and column.shape != (x.shape[0],):
             raise ValidationError(
-                f"column {j - k} has shape {column.shape}; expected a scalar or {z.shape[0]} rows"
+                f"column {j} has shape {column.shape}; expected a scalar or {x.shape[0]} rows"
             )
-        z += column * w[j]
-    z += w[-1]
+    z = _margins(model.weights, x, columns)
     p = sigmoid(z)
     return float(p[0]) if single else p
 

@@ -31,9 +31,8 @@ training split, fitted there first) and that the mapped split owns.  The
 gather reads the dataset's feature matrix a block of about 1 MiB of rows
 at a time; a loaded prepared directory's matrix stays in
 ``features.npy``, and each gather copies its blocks out of the file, so
-no whole copy of the matrix is ever held.  A
-training split's buffer is laid out as the design ``[x, 1]`` or ``[x,
-a, 1]`` of the fits that read it, so those fits copy no rows.
+no whole copy of the matrix is ever held.  The fits read a training
+split's buffer where it lies, so no fit copies its rows.
 Squares for the scale and the norms exist one block of rows at a time,
 in one reused buffer of about 2^17 elements; the column sums carry
 their running total from block to block in numpy's own summation
@@ -155,14 +154,15 @@ def _split_values(raw: str) -> frozenset[str]:
     return frozenset(part.strip() for part in raw.split(",") if part.strip())
 
 
-def load_schema(path: str | Path) -> CsvSchema:
+def load_schema(path: str | Path, digest=None) -> CsvSchema:
     """Read a schema record (see the bundled files for the key layout).
 
     Every key is read or rejected: a key the layout does not name (a
     misspelt one, or a ``feature.N`` after a gap in the numbering) is a
-    :class:`DataError` naming the key and the file.
+    :class:`DataError` naming the key and the file.  ``digest`` is
+    :func:`~fairplug.kvformat.read_kv`'s: it is fed the bytes parsed.
     """
-    record = read_kv(path)
+    record = read_kv(path, digest)
     features: list[tuple[str, str]] = []
     index = 0
     while f"feature.{index}" in record:
@@ -953,53 +953,21 @@ def _labels(dataset: Dataset, index: np.ndarray, c: float) -> np.ndarray:
     return labels
 
 
-#: Rows that one step of :func:`_spread_rows` moves.
-_SPREAD_ROWS = 2048
-
-
-def _spread_rows(design: np.ndarray, k: int) -> None:
-    """Move the ``(n, k)`` rows packed at the start of ``design``'s buffer into its first k columns.
-
-    Row i moves from element ``i * k`` to ``i * width``, at or above
-    where it starts, so blocks of ``_SPREAD_ROWS`` rows move from the
-    last to the first: a block's target lies past every row not yet
-    moved.  Where a block's source and target overlap, numpy copies the
-    block before writing it, so the temporary is one block, not the split.
-    """
-    n = design.shape[0]
-    packed = design.reshape(-1)[: n * k].reshape(n, k)
-    for start in range((n - 1) // _SPREAD_ROWS * _SPREAD_ROWS, -1, -_SPREAD_ROWS):
-        design[start : start + _SPREAD_ROWS, :k] = packed[start : start + _SPREAD_ROWS]
-
-
-def fit_dp_transform(
-    dataset: Dataset, rows, c: float = 0.5, column: str | None = None
-) -> tuple[DpTransform, Dataset]:
+def fit_dp_transform(dataset: Dataset, rows, c: float = 0.5) -> tuple[DpTransform, Dataset]:
     """Fit the norm-bounding map on the training rows and map them through it.
 
     ``rows`` indexes the training split's rows of ``dataset``.  They are
     gathered once (:func:`_gather`: a block of the feature matrix's rows
     at a time, read from ``features.npy`` for a loaded dataset), into one
-    float64 buffer laid out as a design that
-    :func:`fairplug.cpe.fit` reads, so a fit of that input on the mapped
-    split copies no rows: ``[x, 1]`` with ``column=None``, and ``[x, a,
-    1]`` with ``column="sensitive"``, where the sensitive column ``a``
-    sits between the features and the intercept.  The mapped split's
-    features are the buffer's first k columns, its sensitive column is
-    the buffer's next one when ``column`` names it, and the whole buffer
-    is read-only once the split adopts it.
-
-    The rows are gathered into the buffer's first ``n * k`` elements as
-    one contiguous ``(n, k)`` block, and every step runs there: the mean,
+    C-ordered ``(n, k)`` float64 buffer, as :func:`apply_dp_transform`
+    gathers the held-out rows, and every step runs there: the mean,
     ``-= shift``, the column sums of squares, ``/= scale``, the largest
     row norm (which fixes ``global_scale``), ``*= global_scale`` and the
-    radial clip of any row that rounding puts over the cap.  In-place
-    operations on the contiguous block are faster than on the strided
-    columns of the wide buffer, and they give the same bits.  Only then
-    are the rows spread to the buffer's row stride (:func:`_spread_rows`)
-    and the column and the ones written.  Squares exist only a block of
-    rows at a time (:func:`_row_norms`, :func:`_column_square_sums`),
-    and no raw copy of the split is built.
+    radial clip of any row that rounding puts over the cap.  The mapped
+    split's features are that buffer, which the fits read where it lies
+    (:func:`fairplug.cpe.fit`).  Squares exist only a block of rows at a
+    time (:func:`_row_norms`, :func:`_column_square_sums`), and no raw
+    copy of the split is built.
 
     The statistics are those of ``np.mean`` and ``np.std`` on the
     gathered rows bit for bit: the scale is the square root of the
@@ -1010,30 +978,19 @@ def fit_dp_transform(
     rejection is what surfaces.
     """
     c = _check_c(c)
-    if column not in (None, "sensitive"):
-        raise ValidationError(f"column must be 'sensitive' or None, got {column!r}")
     index = dataset._row_index(rows)
-    n, k = index.size, dataset.dim
-    design = np.empty((n, k + (column is not None) + 1))
-    x = _gather(dataset, index, design.reshape(-1)[: n * k].reshape(n, k))
+    x = _gather(dataset, index, np.empty((index.size, dataset.dim)))
     with np.errstate(over="ignore", invalid="ignore"):
         shift = x.mean(axis=0)
         x -= shift
-        scale = np.sqrt(_column_square_sums(x) / n)
+        scale = np.sqrt(_column_square_sums(x) / index.size)
         scale = np.where(scale > 0, scale, 1.0)
         x /= scale
         max_norm = float(np.max([norms.max() for _, norms in _row_norms(x)]))
     global_scale = _radius_cap(c) / max_norm if max_norm > 0 else 1.0
     transform = DpTransform(shift=shift, scale=scale, global_scale=global_scale, label_magnitude=c)
     _bound_rows(x, transform, "training")
-    _spread_rows(design, k)
-    sensitive = dataset.sensitive[index]
-    if column is not None:
-        design[:, k] = sensitive
-        sensitive = design[:, k]
-    design[:, -1] = 1.0
-    design.setflags(write=False)
-    return transform, Dataset._adopt(design[:, :k], _labels(dataset, index, c), sensitive, c)
+    return transform, Dataset._adopt(x, _labels(dataset, index, c), dataset.sensitive[index], c)
 
 
 def apply_dp_transform(transform: DpTransform, dataset: Dataset, rows) -> Dataset:
@@ -1097,7 +1054,7 @@ def make_splits(
             f"({n_train}, {n_val}, {n_test})"
         )
     triples = []
-    seen: dict[tuple, int] = {}
+    seen: dict[bytes, int] = {}
     for repeat in range(plan.n_repeats):
         rng = np.random.default_rng((plan.master_seed, repeat))
         order = rng.permutation(n)
@@ -1106,7 +1063,7 @@ def make_splits(
             np.sort(order[n_train : n_train + n_val]),
             np.sort(order[n_train + n_val :]),
         )
-        key = tuple(triple[0].tolist())
+        key = triple[0].tobytes()
         if key in seen:
             log.warning("split repeat %d duplicates repeat %d", repeat, seen[key])
         seen[key] = repeat

@@ -48,18 +48,21 @@ def _parse_lines(lines: Iterable[str], source: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def read_kv(path: str | Path) -> dict[str, str]:
+def read_kv(path: str | Path, digest=None) -> dict[str, str]:
     """Read a key=value file into a dict; duplicate keys are an error.
 
     A file that cannot be read, or is not UTF-8, is a :class:`DataError`.
     The file is read once, so a named pipe such as ``<(...)`` works, and
-    the error for it names the line of a bad byte too.
+    the error for it names the line of a bad byte too.  ``digest``, a
+    :mod:`hashlib` object, is fed the bytes that are parsed.
     """
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if digest is not None:
+        digest.update(raw)
     return parse_kv(raw, path)
 
 

@@ -12,12 +12,10 @@ the dataset holds a mapping of the file that no pass reads, and each
 split's gather copies the file's rows out a block of about 1 MiB at a
 time (:func:`fairplug.data.fit_dp_transform`), so a sweep holds one
 split's rows, never the whole matrix.  Each training split is gathered
-once, into one buffer laid out as the
-design of the setting's ``eta`` (:data:`fairplug.plugin.ESTIMATORS`):
-``[x, a, 1]`` for the aware settings and ``[x, 1]`` for the blind ones.
-Every fit reads that buffer, the private pipeline's included, except
-eo-blind's sensitive-attribute fit on ``[x, y, 1]``, one column wider,
-the one fit that copies its rows.
+once, into one ``(n, k)`` buffer like the test split's, and every fit
+of every setting, the private pipeline's included, reads that buffer
+and the split's label or sensitive column where they lie
+(:func:`fairplug.cpe.fit`): no fit copies its rows.
 
 The estimator outputs on the test split
 (:func:`fairplug.plugin.coordinates`), the estimated prior and the group
@@ -109,7 +107,7 @@ import numpy as np
 
 from ._pool import map_tasks
 from .core import FairnessParams
-from .cpe import ARITY_COLUMNS, FitConfig
+from .cpe import FitConfig
 from .data import PreparedData, apply_dp_transform, fit_dp_transform
 from .errors import DataError, ValidationError, undecodable
 from .kvformat import format_float
@@ -117,7 +115,6 @@ from .metrics import Counts, violation
 from .plugin import (
     DPAR_BLIND,
     EO_BLIND,
-    ESTIMATORS,
     SETTINGS,
     coordinates,
     fit_plugin,
@@ -430,10 +427,8 @@ def _run_split(
     """One split's hits ``(4, grid points)``, its four totals and the noise draws it made.
 
     :func:`fit_dp_transform` gathers the training rows once (from
-    ``features.npy`` a block at a time, for a loaded dataset), fits and
-    maps them in that one buffer, and lays it out as the design of the
-    setting's ``eta`` (the module docstring gives the layout by setting
-    and the one eo-blind fit that copies);
+    ``features.npy`` a block at a time, for a loaded dataset) and fits
+    and maps them in that one buffer, which every fit reads in place;
     :func:`apply_dp_transform` gathers the test rows once and maps them
     in theirs, so no raw copy of either split is built.  The hits are
     counted by :func:`_count_grid` from ``setting_score(...) > 0`` on
@@ -443,8 +438,7 @@ def _run_split(
     split_id, (train_idx, _val_idx, test_idx) = task
     draws = noise_draw_count()
     pipeline_seed = int(np.random.SeedSequence((seed, split_id)).generate_state(1)[0])
-    eta_column = ARITY_COLUMNS[ESTIMATORS[setting][0]]
-    transform, train = fit_dp_transform(dataset, train_idx, dp_c, eta_column)
+    transform, train = fit_dp_transform(dataset, train_idx, dp_c)
     test = apply_dp_transform(transform, dataset, test_idx)
     base_params = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
     if math.isfinite(eps_p):
@@ -656,7 +650,7 @@ def write_records_csv(table: SweepTable, path: str | Path) -> None:
             handle.write(prefix + records + suffix)
 
 
-def read_records_csv(path: str | Path) -> SweepTable:
+def read_records_csv(path: str | Path, digest=None) -> SweepTable:
     """Inverse of :func:`write_records_csv`; rejects the old seven-column
     header, records off the layout of the first split, and rows whose
     metric or flag text differs from their counts.
@@ -677,20 +671,22 @@ def read_records_csv(path: str | Path) -> SweepTable:
     that record's line (:func:`_record_line`), so blank lines, which
     ``np.loadtxt`` skips, do not shift it.  A file that is not UTF-8 is a
     :class:`DataError` naming the line of its first bad byte.
+    ``digest``, a :mod:`hashlib` object, is fed every byte of the file
+    by the line count, so it is the digest of the bytes parsed.
     """
 
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as handle:
-            return _read_records(handle, path)
+            return _read_records(handle, path, digest)
     except UnicodeDecodeError as exc:
         raise undecodable(path, exc) from exc
 
 
-def _read_records(handle, path: Path) -> SweepTable:
+def _read_records(handle, path: Path, digest) -> SweepTable:
     if not handle.seekable():
         raise DataError(f"{path}: records input cannot be rewound; give a regular file")
-    n_lines = _count_lines(handle.buffer) - 1
+    n_lines = _count_lines(handle.buffer, digest) - 1
     handle.seek(0)
     header = tuple(handle.readline().rstrip("\n").split(","))
     if header == _RECORD_HEADER[:7]:
@@ -823,17 +819,20 @@ class _Layout:
         return f"split {split_id} holds {size} records, split {self.first_id} holds {self.points}"
 
 
-def _count_lines(raw) -> int:
+def _count_lines(raw, digest=None) -> int:
     """The lines of the binary file ``raw``, from where it stands, as text mode splits them.
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``.  Counted in the raw
     bytes, which costs a quarter of decoding the text.  Each 1 MiB block
     is read into one reused buffer, so one block is held at a time; only
-    its first ``size`` bytes are the block.
+    its first ``size`` bytes are the block.  ``digest``, if given, is fed
+    every block.
     """
     lines, last = 0, b"\n"
     block = bytearray(1 << 20)
     while size := raw.readinto(block):
+        if digest is not None:
+            digest.update(memoryview(block)[:size])
         lines += (
             block.count(b"\n", 0, size)
             + block.count(b"\r", 0, size)

@@ -54,12 +54,7 @@ from .cpe import (
     predict_proba,
 )
 from .errors import DataError, ValidationError
-from .kvformat import (
-    format_float_vector,
-    parse_float_vector,
-    read_kv,
-    write_kv,
-)
+from .kvformat import parse_float_vector, read_kv
 from .metrics import Counts, cost_sensitive_risk, performance_measure
 from .plugin import (
     DPAR_BLIND,
@@ -107,7 +102,6 @@ __all__ = [
     "estimate_sample_complexity",
     "reference_eo",
     "reference_dpar",
-    "save_distribution",
     "load_distribution",
 ]
 
@@ -905,41 +899,25 @@ _VECTOR_LAWS = {
 }
 
 
-def save_distribution(dist: SyntheticDistribution, path: str | Path) -> None:
-    """Persist the distribution as a flat text record.
+def load_distribution(path: str | Path, digest=None) -> SyntheticDistribution:
+    """The distribution a ``simulate --dist`` file describes.
 
-    No command writes one; this is the writer of the file format that
-    ``simulate --dist`` reads through :func:`load_distribution`, kept
-    public so a distribution file can be made from code and so the
-    round-trip tests can pin the format.
-    """
-    items: list[tuple[str, str]] = []
-    if isinstance(dist.law, DiscreteLaw):
-        items.append(("law", LAW_DISCRETE))
-        for index, row in enumerate(dist.law.points):
-            items.append((f"point.{index}", format_float_vector(row)))
-        items.append(("masses", format_float_vector(dist.law.masses)))
-    else:
-        tag = LAW_UNIFORM if isinstance(dist.law, UniformBoxLaw) else LAW_GAUSSIAN
-        items.append(("law", tag))
-        for name in _VECTOR_LAWS[tag][1]:
-            items.append((name, format_float_vector(getattr(dist.law, name))))
-    items.append(("w_eta", format_float_vector(dist.w_eta)))
-    items.append(("w_eta_bar", format_float_vector(dist.w_eta_bar)))
-    write_kv(path, items)
-
-
-def load_distribution(path: str | Path) -> SyntheticDistribution:
-    """Inverse of :func:`save_distribution`.
+    The file is a key = value record: ``law`` is the law's tag
+    (``uniform-box``, ``truncated-gaussian`` or ``discrete``), then its
+    fields as space-separated float vectors -- ``lows`` and ``highs``;
+    ``mean``, ``std``, ``lows`` and ``highs``; or ``point.0``,
+    ``point.1``, ... and ``masses`` -- and last ``w_eta`` and
+    ``w_eta_bar``.
 
     Every key is read or rejected: a key the law's layout does not name
     (a stray one, such as the derivable ``w_eta_bar_dpar``, or a
     ``point.N`` after a gap in the numbering) is a :class:`DataError`
     naming the key and the file.  So is a value that does not parse as a
     finite float vector of the right length (``path: key: ...``) or
-    that the law's constructor rejects (``path: law: ...``).
+    that the law's constructor rejects (``path: law: ...``).  ``digest``
+    is :func:`~fairplug.kvformat.read_kv`'s: it is fed the bytes parsed.
     """
-    record = read_kv(path)
+    record = read_kv(path, digest)
 
     def take(key: str) -> str:
         try:

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from fairplug import synthetic
+from fairplug.kvformat import format_float_vector, write_kv
+
 settings.register_profile(
     "fairplug",
     deadline=None,
@@ -47,6 +50,22 @@ _GERMAN_NUMERICS = {
     "existing_credits": (1, 4),
     "num_dependents": (1, 2),
 }
+
+
+def write_distribution(dist: synthetic.SyntheticDistribution, path: Path) -> Path:
+    """``dist`` as the key = value file ``simulate --dist`` reads."""
+    law = dist.law
+    if isinstance(law, synthetic.DiscreteLaw):
+        tag = synthetic.LAW_DISCRETE
+        fields = [*((f"point.{i}", row) for i, row in enumerate(law.points)), ("masses", law.masses)]
+    elif isinstance(law, synthetic.UniformBoxLaw):
+        tag, fields = synthetic.LAW_UNIFORM, [("lows", law.lows), ("highs", law.highs)]
+    else:
+        tag = synthetic.LAW_GAUSSIAN
+        fields = [("mean", law.mean), ("std", law.std), ("lows", law.lows), ("highs", law.highs)]
+    fields += [("w_eta", dist.w_eta), ("w_eta_bar", dist.w_eta_bar)]
+    write_kv(path, [("law", tag), *((key, format_float_vector(v)) for key, v in fields)])
+    return path
 
 
 def make_german_surrogate(path: Path, n: int = 1000, seed: int = 11) -> Path:

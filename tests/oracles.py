@@ -359,28 +359,35 @@ def sigmoid(z):
     return float(out) if out.ndim == 0 else out
 
 
-def objective_and_grad(w, design, targets, lambda_reg):
+def objective_and_grad(w, rows, columns, targets, lambda_reg):
     """The logistic objective, gradient and link by masked selects.
 
     The same formulas as ``cpe._objective_and_grad``, with each
     numerator chosen by ``np.where`` and a fresh array per operation;
-    the reference for its branch-free, in-place evaluation.  The loss is
+    the reference for its branch-free, in-place evaluation.  The margins
+    and the gradient's data term are assembled from the same pieces in
+    the same order (``rows @ w[:k]``, each column times its weight, the
+    intercept), so the two differ only in the link.  The loss is
     ``np.logaddexp(0, -m)``, which the production loss, built from the
     shared ``exp(-|z|)``, matches to a few ulps.
     """
 
-    n = design.shape[0]
-    z = design @ w
+    n, k = rows.shape
+    z = rows @ w[:k]
+    for j, column in enumerate(columns, start=k):
+        z = z + column * w[j]
+    z = z + w[-1]
     margins = targets * z
     obj = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * lambda_reg * float(np.dot(w, w))
     e = np.exp(-np.abs(z))
     d = 1.0 + e
     coef = -targets * (np.where(margins <= 0, 1.0, e) / d)
-    grad = design.T @ coef / n + lambda_reg * w
+    pieces = [*(rows.T @ coef), *(column @ coef for column in columns), coef.sum()]
+    grad = np.array(pieces) / n + lambda_reg * w
     return obj, grad, np.where(z >= 0, 1.0, e) / d
 
 
-def newton_fit_lstsq(design, targets, lambda_reg, tolerance=1e-6, max_iters=500):
+def newton_fit_lstsq(rows, targets, lambda_reg, tolerance=1e-6, max_iters=500):
     """Damped Newton from zero with every direction from an SVD least-squares solve.
 
     The reference for ``cpe.fit`` at ``lambda_reg > 0``: the same start,
@@ -390,9 +397,10 @@ def newton_fit_lstsq(design, targets, lambda_reg, tolerance=1e-6, max_iters=500)
     Newton steps.
     """
 
+    design = np.hstack([rows, np.ones((rows.shape[0], 1))])
     n, k = design.shape
     w = np.zeros(k)
-    obj, grad, p = objective_and_grad(w, design, targets, lambda_reg)
+    obj, grad, p = objective_and_grad(w, rows, [], targets, lambda_reg)
     iters = 0
     while np.linalg.norm(grad) > tolerance and iters < max_iters:
         iters += 1
@@ -402,7 +410,7 @@ def newton_fit_lstsq(design, targets, lambda_reg, tolerance=1e-6, max_iters=500)
         step = 1.0
         while True:
             w_new = w - step * direction
-            obj_new, grad_new, p_new = objective_and_grad(w_new, design, targets, lambda_reg)
+            obj_new, grad_new, p_new = objective_and_grad(w_new, rows, [], targets, lambda_reg)
             # Below the objective's rounding error the full step is taken.
             if obj_new <= obj - 1e-4 * step * slope or slope <= 1e-15 * obj:
                 break

@@ -9,8 +9,10 @@ routines is covered by the per-module tests, not re-proven here.
 
 from __future__ import annotations
 
+import builtins
 import csv
 import hashlib
+import io
 import os
 import shutil
 import subprocess
@@ -30,6 +32,7 @@ from fairplug.kvformat import read_kv
 from fairplug.plugin import EO_BLIND
 
 import oracles
+from conftest import write_distribution
 
 GEO_PARAMS = "0.4,0.85,0.8,0.9"
 SMALL_GRID = "lam=-1:1:1,c=0.3:0.7:0.2,c_bar=0.4:0.6:0.1"  # 27 points
@@ -394,7 +397,7 @@ def _undecodable_copy(path: Path) -> int:
 def test_non_utf8_key_value_file_is_a_data_error(source, request, tmp_path, capsys):
     if source == "simulate --dist":
         bad = tmp_path / "dist.kv"
-        synthetic.save_distribution(synthetic.reference_eo(), bad)
+        write_distribution(synthetic.reference_eo(), bad)
         argv = ["simulate", "--experiment", "frontier", "--m-eval", "1000", "--dist", str(bad)]
     elif source == "simulate --config":
         bad = write_config(tmp_path / "cfg.kv", experiment="frontier", m_eval=1000)
@@ -416,6 +419,37 @@ def test_non_utf8_key_value_file_is_a_data_error(source, request, tmp_path, caps
     assert err.startswith(f"data error: {bad}:{line}: not UTF-8 text")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["prepare --schema", "simulate --dist", "report --records"])
+def test_input_is_opened_once_and_hashed_as_parsed(source, request, tmp_path, monkeypatch, capsys):
+    if source == "prepare --schema":
+        path = tmp_path / "german.kv"
+        shutil.copy(data.bundled_schema_path("german_gender"), path)
+        argv = ["prepare", "--input", str(request.getfixturevalue("german_csv")),
+                "--schema", str(path), "--repeats", "2"]
+    elif source == "simulate --dist":
+        path = write_distribution(synthetic.reference_eo(), tmp_path / "dist.kv")
+        argv = ["simulate", "--experiment", "frontier", "--m-eval", "1000", "--dist", str(path)]
+    else:
+        path = request.getfixturevalue("sweep_out") / "records.csv"
+        argv = ["report", "--records", str(path)]
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file if isinstance(file, int) else os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "open", counting_open)
+        patch.setattr(builtins, "open", counting_open)
+        assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert opened.count(str(path)) == 1
+    key = f"input.{source.split('--')[1]}.sha256"
+    assert read_kv(out / "manifest.kv")[key] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestFailedRunCleanup:
@@ -772,7 +806,7 @@ class TestSimulate:
 
     def test_rejected_dist_value_is_a_data_error(self, tmp_path, capsys):
         dist = tmp_path / "dist.kv"
-        synthetic.save_distribution(synthetic.reference_eo(), dist)
+        write_distribution(synthetic.reference_eo(), dist)
         dist.write_text(dist.read_text().replace("w_eta = 2.0", "w_eta = nan"))
         out = tmp_path / "o"
         argv = ["simulate", "--experiment", "frontier", "--m-eval", "1000", "--dist", str(dist)]
@@ -946,7 +980,7 @@ class TestSimulate:
         # every node, so beta is 1 and the bound constants are rejected
         dist = synthetic.reference_eo()
         path = tmp_path / "dist.kv"
-        synthetic.save_distribution(
+        write_distribution(
             synthetic.SyntheticDistribution(
                 law=dist.law, w_eta=dist.w_eta, w_eta_bar=np.array([1.2, 0.8, 0.7, 50.0])
             ),

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairplug.core import Dataset, DistStats, FairnessParams, compute_dist_stats
+from fairplug import core as core_module
+from fairplug.core import Dataset, DistStats, FairnessParams, _all_finite, compute_dist_stats
 from fairplug.data import apply_dp_transform, fit_dp_transform
 from fairplug.errors import DegenerateDataError, ValidationError
 
@@ -97,6 +98,15 @@ class TestDataset:
             tracemalloc.stop()
         # a per-cell finiteness mask alone would take n * width bytes
         assert peak <= n * width / 8
+
+    @pytest.mark.parametrize("row", [0, 7, 19], ids=["first block", "second block", "last row"])
+    def test_all_finite_finds_a_non_finite_entry_in_any_block(self, monkeypatch, row):
+        monkeypatch.setattr(core_module, "_BLOCK_BYTES", 7 * 3 * 8)  # blocks of 7 rows
+        features = np.arange(60.0).reshape(20, 3)
+        assert _all_finite(features)
+        for value in (np.inf, -np.inf, np.nan):
+            features[row, 1] = value
+            assert not _all_finite(features)
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="mismatch"):

@@ -19,9 +19,10 @@ from fairplug.cpe import (
     LinearCpe,
     _DIRECT_MAX_WIDTH,
     _HESSIAN_BLOCK,
-    _design,
     _hessian,
+    _margins,
     _objective_and_grad,
+    _weighted_columns,
     fit,
     fit_estimator,
     predict_proba,
@@ -97,17 +98,15 @@ class TestSigmoidBitExact:
         assert_same_bits(sigmoid(z), oracles.sigmoid(z))
 
 
-def test_design_appends_intercept_column():
-    got = _design(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(got, [[1.0, 2.0, 1.0], [3.0, 4.0, 1.0]])
-
-
-def test_design_places_extra_columns_before_the_intercept():
-    rows = np.arange(6.0).reshape(3, 2)
-    got = _design(rows, np.array([7.0, 8.0, 9.0]), np.array([-1.0, 1.0, -1.0]))
-    want = np.hstack([rows, [[7.0, -1.0], [8.0, 1.0], [9.0, -1.0]], np.ones((3, 1))])
-    assert got.flags.c_contiguous
-    assert_same_bits(got, want)
+@pytest.mark.parametrize("n_columns", [0, 1, 2])
+def test_weighted_columns_are_the_stacked_design_times_the_factor(n_columns):
+    # the Hessian's buffer values: the rows, the columns, then the intercept, scaled
+    gen = np.random.default_rng(11)
+    rows, columns = gen.normal(size=(7, 3)), [gen.normal(size=7) for _ in range(n_columns)]
+    factor = gen.random(7)
+    got = _weighted_columns(rows, columns, factor, 2, np.empty((4 + n_columns, 4)))
+    stacked = np.hstack([rows, *(column[:, None] for column in columns), np.ones((7, 1))])
+    assert_same_bits(got, (stacked[2:6] * factor[2:6, None]).T)
 
 
 class TestAllocations:
@@ -132,31 +131,54 @@ class TestAllocations:
         # The fresh-array evaluation peaked at 7.0x.
         gen = np.random.default_rng(1)
         n = 16_384
-        design = _design(gen.normal(size=(n, 2)))
+        rows, columns = gen.normal(size=(n, 2)), [np.where(gen.random(n) < 0.5, -0.5, 0.5)]
         targets = np.where(gen.random(n) < 0.5, -1.0, 1.0)
-        w = gen.normal(size=3)
-        assert self.peak_bytes(_objective_and_grad, w, design, targets, 0.1) <= 6 * n * 8
+        w = gen.normal(size=4)
+        peak = self.peak_bytes(_objective_and_grad, w, rows, columns, targets, 0.1)
+        assert peak <= 6 * n * 8
 
     def test_hessian_peak(self):
         # (X' * c) @ X held a design-sized product (8.0x a per-row vector
         # per column); the blocked Gram form holds one block of rows.
         gen = np.random.default_rng(2)
-        n, k = 20_000, 52
-        design = gen.normal(size=(n, k))
+        n = 20_000
+        rows, columns = gen.normal(size=(n, 50)), [gen.normal(size=n)]
         p = gen.random(n)
-        assert self.peak_bytes(_hessian, p, design, 0.1) <= 8 * _HESSIAN_BLOCK + 2 * p.nbytes
+        peak = self.peak_bytes(_hessian, p, rows, columns, 0.1)
+        assert peak <= 8 * _HESSIAN_BLOCK + 2 * p.nbytes
+
+
+    def test_finiteness_check_holds_no_cell_sized_mask(self):
+        # np.isfinite of the whole input held one byte per entry (1.6 MB here).
+        gen = np.random.default_rng(3)
+        rows, column = gen.normal(size=(31_500, 51)), np.ones(31_500)
+        rows[-1, -1] = np.nan
+        targets = np.where(gen.random(31_500) < 0.5, -1.0, 1.0)
+
+        def rejected():
+            with pytest.raises(ValidationError, match="non-finite"):
+                fit(rows, targets, FitConfig(), column)
+
+        assert self.peak_bytes(rejected) <= rows.size // 4
 
 
 class TestHessian:
+    @staticmethod
+    def pieces(gen, n, width):
+        """Rows and at most one column that make a design ``width`` wide with its intercept."""
+        columns = [np.where(gen.random(n) < 0.5, -0.5, 0.5)] if width > 1 else []
+        return gen.normal(size=(n, width - 1 - len(columns))), columns
+
     @pytest.mark.parametrize("k", [1, 3, _DIRECT_MAX_WIDTH + 1, 52])
     @pytest.mark.parametrize("past_block", [-1, 0, 1])
     def test_matches_the_dense_form(self, k, past_block):
         # n just below, at and one row past a block of weighted rows.
         n = _HESSIAN_BLOCK // k + past_block
         gen = np.random.default_rng(k + past_block)
-        design = gen.normal(size=(n, k))
+        rows, columns = self.pieces(gen, n, k)
+        design = np.hstack([rows, *(column[:, None] for column in columns), np.ones((n, 1))])
         p = gen.random(n)
-        hessian = _hessian(p, design, 0.25)
+        hessian = _hessian(p, rows, columns, 0.25)
         # X' diag(p(1-p)) X, without the n x n diagonal matrix.  An entry that
         # cancels to near 0 carries the rounding of its terms, so the
         # tolerance is relative to the sum of the terms' magnitudes.
@@ -165,10 +187,14 @@ class TestHessian:
         magnitude = (np.abs(design) * curvature).T @ np.abs(design) / n + 0.25 * np.eye(k)
         assert np.all(np.abs(hessian - want) <= 1e-12 * magnitude)
         if k > _DIRECT_MAX_WIDTH:
+            # the Gram form of the stacked design's weighted blocks, bit for bit
+            weighted = design * np.sqrt(curvature)
+            step = _HESSIAN_BLOCK // k
+            gram = np.zeros((k, k))
+            for start in range(0, n, step):
+                gram += weighted[start : start + step].T @ weighted[start : start + step]
+            assert hessian.tobytes() == (gram / n + 0.25 * np.eye(k)).tobytes()
             assert np.array_equal(hessian, hessian.T)
-        else:  # the direct product, bit for bit
-            direct = (design.T * curvature[:, 0]) @ design / n + 0.25 * np.eye(k)
-            assert hessian.tobytes() == direct.tobytes()
 
 
 class TestLinearCpe:
@@ -197,24 +223,25 @@ class TestObjectiveGradient:
         targets = np.where(gen.random(n) < 0.5, -1.0, 1.0)
         if abs(targets.sum()) == n:  # single class: flip one
             targets[0] = -targets[0]
-        design = _design(rows)
+        columns = [rows[:, -1]]
+        rows = rows[:, :-1]
         lam = float(gen.uniform(0.0, 0.5))
         w0 = gen.normal(size=d + 1)
 
-        _, grad, _ = _objective_and_grad(w0, design, targets, lam)
+        _, grad, _ = _objective_and_grad(w0, rows, columns, targets, lam)
         numeric = finite_difference_grad(
-            lambda w: _objective_and_grad(w, design, targets, lam)[0], w0
+            lambda w: _objective_and_grad(w, rows, columns, targets, lam)[0], w0
         )
         assert np.allclose(grad, numeric, atol=5e-6)
 
     def test_regularizer_includes_intercept(self):
-        design = _design(np.array([[1.0], [-1.0]]))
+        rows = np.array([[1.0], [-1.0]])
         targets = np.array([1.0, -1.0])
         w = np.array([0.0, 3.0])  # all of the weight sits on the intercept
         # margins t * (w . [x; 1]) are +3 and -3
         mean_loss = (math.log1p(math.exp(-3.0)) + math.log1p(math.exp(3.0))) / 2.0
         lam = 0.5
-        obj, _, _ = _objective_and_grad(w, design, targets, lam)
+        obj, _, _ = _objective_and_grad(w, rows, [], targets, lam)
         assert obj == pytest.approx(mean_loss + 0.5 * lam * 9.0, rel=1e-14)
 
     @given(st.integers(0, 10_000), st.sampled_from([0.0, 1.0, 50.0, 1e3]))
@@ -224,16 +251,17 @@ class TestObjectiveGradient:
         # the range where exp(-|z|) is representable.
         gen = np.random.default_rng(case_seed)
         n, d = 30, 3
-        design = _design(gen.normal(size=(n, d)))
+        rows, columns = gen.normal(size=(n, d - 1)), [np.where(gen.random(n) < 0.5, -0.5, 0.5)]
         targets = np.where(gen.random(n) < 0.5, -1.0, 1.0)
         w = gen.normal(size=d + 1) * scale
         lam = float(gen.uniform(0.0, 0.5))
 
-        _, grad, p = _objective_and_grad(w, design, targets, lam)
-        z = design @ w
+        _, grad, p = _objective_and_grad(w, rows, columns, targets, lam)
+        z = _margins(w, rows, columns)
         assert_same_bits(p, oracles.sigmoid(z))
         coef = -targets * oracles.sigmoid(-(targets * z))
-        assert_same_bits(grad, design.T @ coef / n + lam * w)
+        pieces = [*(rows.T @ coef), columns[0] @ coef, coef.sum()]
+        assert_same_bits(grad, np.array(pieces) / n + lam * w)
 
     @given(
         hnp.arrays(np.float64, st.integers(1, 40), elements=_ANY_FLOAT),
@@ -242,14 +270,15 @@ class TestObjectiveGradient:
     )
     @settings(max_examples=200)
     def test_matches_masked_select_oracle_at_every_float_class(self, z, data, lam):
-        # One design column and a unit weight make design @ w = z, so the
-        # margins reach every edge class, exact zeros of both signs included.
+        # One row column, a unit weight and a -0 intercept (x + -0 is x) make
+        # the margins z, so they reach every edge class; on one row that
+        # includes exact zeros of both signs.
         targets = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=z.size,
                                               max_size=z.size)))
-        design, w = z[:, None], np.array([1.0])
+        rows, w = z[:, None], np.array([1.0, -0.0])
         with np.errstate(all="ignore"):
-            obj, grad, p = _objective_and_grad(w, design, targets, lam)
-            want_obj, want_grad, want_p = oracles.objective_and_grad(w, design, targets, lam)
+            obj, grad, p = _objective_and_grad(w, rows, [], targets, lam)
+            want_obj, want_grad, want_p = oracles.objective_and_grad(w, rows, [], targets, lam)
         assert_same_bits(grad, want_grad)
         assert_same_bits(p, want_p)
         assert_within_ulps(obj, want_obj, OBJECTIVE_ULPS)
@@ -258,11 +287,11 @@ class TestObjectiveGradient:
     @settings(max_examples=40)
     def test_matches_masked_select_oracle_on_random_designs(self, case_seed, scale):
         gen = np.random.default_rng(case_seed)
-        design = _design(gen.normal(size=(30, 3)))
+        rows, columns = gen.normal(size=(30, 2)), [gen.normal(size=30)]
         targets = np.where(gen.random(30) < 0.5, -1.0, 1.0)
         w = gen.normal(size=4) * scale
-        obj, grad, p = _objective_and_grad(w, design, targets, 0.25)
-        want_obj, want_grad, want_p = oracles.objective_and_grad(w, design, targets, 0.25)
+        obj, grad, p = _objective_and_grad(w, rows, columns, targets, 0.25)
+        want_obj, want_grad, want_p = oracles.objective_and_grad(w, rows, columns, targets, 0.25)
         assert_same_bits(grad, want_grad)
         assert_same_bits(p, want_p)
         assert_within_ulps(obj, want_obj, OBJECTIVE_ULPS)
@@ -324,16 +353,26 @@ class TestFit:
         with pytest.raises(DegenerateDataError, match="single class"):
             fit(x, y, FitConfig(lambda_reg=0.0), allow_one_class=True)
 
-    def test_extra_columns_fit_as_a_stacked_matrix(self):
+    @pytest.mark.parametrize("k", [6, 50], ids=["direct hessian", "gram hessian"])
+    def test_fit_scores_its_rows_as_predict_proba_does(self, monkeypatch, k):
+        # The fit's link values come from the margin helper predict_proba
+        # calls, so at the weights it returns they are predict_proba's bits.
         gen = np.random.default_rng(9)
-        x = gen.normal(size=(120, 2))
+        x = gen.normal(size=(120, k))
         column = np.where(gen.random(120) < 0.5, -0.5, 0.5)
         y = np.where(gen.random(120) < sigmoid(x[:, 0] + column), 1.0, -1.0)
-        config = FitConfig(lambda_reg=1e-3, tolerance=1e-10)
-        routed = fit(x, y, config, column)
-        stacked = fit(np.hstack([x, column[:, None]]), y, config)
-        assert_same_bits(routed.weights, stacked.weights)
-        assert routed.n_iters == stacked.n_iters and routed.grad_norm == stacked.grad_norm
+        evaluations = []
+
+        def objective(w, *args):
+            result = _objective_and_grad(w, *args)
+            evaluations.append((w, result[2].copy()))
+            return result
+
+        monkeypatch.setattr("fairplug.cpe._objective_and_grad", objective)
+        model = fit(x, y, FitConfig(lambda_reg=1e-3, tolerance=1e-10), column)
+        w, p = next((w, p) for w, p in reversed(evaluations) if np.array_equal(w, model.weights))
+        assert_same_bits(p, predict_proba(model, x, column))
+        assert_same_bits(p, oracles.sigmoid(_margins(w, x, [column])))
 
     def test_recovers_planted_logistic_probabilities(self):
         gen = np.random.default_rng(3)
@@ -421,8 +460,7 @@ class TestNewtonConvergence:
             rows = np.hstack([rows, german_bounded.labels[:, None]])
         targets = np.sign(getattr(german_bounded, target))
         model = fit(rows, targets, FitConfig(lambda_reg=lam))
-        design = np.hstack([rows, np.ones((rows.shape[0], 1))])
-        weights, iters = oracles.newton_fit_lstsq(design, targets, lam)
+        weights, iters = oracles.newton_fit_lstsq(rows, targets, lam)
         assert model.n_iters == iters
         assert np.linalg.norm(model.weights - weights) <= 1e-12 * np.linalg.norm(weights)
 
@@ -430,7 +468,7 @@ class TestNewtonConvergence:
         # The standardized one-hot columns and the intercept are collinear,
         # so at lambda = 0 the Hessian is singular.
         rows = np.hstack([german_bounded.features, german_bounded.labels[:, None]])
-        design = _design(rows)
+        design = np.hstack([rows, np.ones((rows.shape[0], 1))])
         assert np.linalg.matrix_rank(design) < design.shape[1]
         model = fit_estimator(
             german_bounded, "sensitive", ARITY_FEATURES_PLUS_LABEL, FitConfig(lambda_reg=0.0)

@@ -746,15 +746,12 @@ class TestDpTransform:
         seed=st.integers(0, 2**32 - 1),
         constant=st.booleans(),
         c=st.sampled_from([0.5, 0.6, 0.9]),
-        column=st.sampled_from([None, "sensitive"]),
-        spread=st.sampled_from([3, 2048]),
     )
     def test_fused_map_is_the_two_step_map_bit_for_bit(
-        self, width, block, blocks, seed, constant, c, column, spread
+        self, width, block, blocks, seed, constant, c
     ):
         # Row counts below one block, of exactly one and of several blocks
-        # (the 64-element buffer puts several blocks in a few rows); the
-        # rows are spread into the design buffer in one or many steps.
+        # (the 64-element buffer puts several blocks in a few rows).
         per_block = max(1, block // width)
         n = max(1, int(blocks * per_block))
         gen = np.random.default_rng(seed)
@@ -766,10 +763,8 @@ class TestDpTransform:
         rows = np.sort(gen.permutation(n + 3)[:n])
         shift, scale, global_scale, z, _ = two_step_reference(x[rows], c)
         centered = x[rows] - shift
-        with patch.object(data_module, "_SQUARES_BLOCK", block), patch.object(
-            data_module, "_SPREAD_ROWS", spread
-        ):
-            transform, mapped = fit_dp_transform(dataset, rows, c, column)
+        with patch.object(data_module, "_SQUARES_BLOCK", block):
+            transform, mapped = fit_dp_transform(dataset, rows, c)
             held_out = apply_dp_transform(transform, dataset, np.arange(dataset.n))
             # the sums themselves, before the square root can hide an ulp
             sums = data_module._column_square_sums(centered)
@@ -781,10 +776,7 @@ class TestDpTransform:
         assert mapped.labels.tobytes() == (labels[rows] * c).tobytes()
         assert mapped.sensitive.tobytes() == (-labels[rows]).tobytes()
         assert not np.shares_memory(mapped.features, dataset.features)
-        # the features, the column and the intercept, as the fit's design
-        extra = [getattr(mapped, column)[:, None]] if column else []
-        design = np.hstack([mapped.features, *extra, np.ones((n, 1))])
-        assert mapped.features.base.tobytes() == design.tobytes()
+        assert mapped.features.flags.c_contiguous and mapped.features.base is None
         # the held-out map shares the fit's norms: on the training rows it
         # gives the training map bit for bit
         assert held_out.features[rows].tobytes() == z.tobytes()
@@ -872,11 +864,6 @@ class TestDpTransform:
                 fit_dp_transform(train, bad, 0.5)
             with pytest.raises(ValidationError, match=message):
                 apply_dp_transform(transform, train, bad)
-
-    def test_design_column_is_checked(self):
-        for column in ("features", "labels"):
-            with pytest.raises(ValidationError, match="column must be"):
-                fit_dp_transform(self.small(), [0, 1], 0.5, column)
 
     def test_held_out_rows_keep_scale_and_are_gathered_in_order(self):
         train = self.small()
@@ -985,8 +972,19 @@ class TestSplits:
     def test_duplicate_repeats_logged(self, caplog):
         ds = self.dataset_of(10)
         with caplog.at_level(logging.WARNING, logger="fairplug.data"):
-            make_splits(ds, SplitPlan(n_repeats=200, master_seed=0))
-        assert any("duplicates" in record.message for record in caplog.records)
+            splits = make_splits(ds, SplitPlan(n_repeats=200, master_seed=0))
+        # each repeat whose training rows an earlier one drew, named with the latest such
+        want = [
+            (repeat, max(j for j in range(repeat) if np.array_equal(splits[j][0], train)))
+            for repeat, (train, _, _) in enumerate(splits)
+            if any(np.array_equal(splits[j][0], train) for j in range(repeat))
+        ]
+        assert want
+        named = [
+            tuple(map(int, re.findall(r"\d+", record.message)))
+            for record in caplog.records if "duplicates" in record.message
+        ]
+        assert named == want
 
 
 class TestPreparedRoundTrip:
@@ -1183,8 +1181,7 @@ class TestFileBackedFeatures:
         return dataset, out
 
     @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
-    @pytest.mark.parametrize("column", [None, "sensitive"])
-    def test_gathers_match_an_in_memory_dataset_bit_for_bit(self, prepared, order, column):
+    def test_gathers_match_an_in_memory_dataset_bit_for_bit(self, prepared, order):
         memory, out = prepared
         mapped = load_prepared(out).dataset
         assert isinstance(mapped.features, np.memmap)
@@ -1197,7 +1194,7 @@ class TestFileBackedFeatures:
                 train, test = np.sort(train), np.sort(test)
         results = []
         for dataset in (memory, mapped):
-            transform, fitted = fit_dp_transform(dataset, train, 0.5, column)
+            transform, fitted = fit_dp_transform(dataset, train, 0.5)
             held_out = apply_dp_transform(transform, dataset, test)
             results.append(
                 [transform.shift, transform.scale, np.array(transform.global_scale)]

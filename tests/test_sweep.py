@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 from oracles import brute_force_sweep_counts
 
 from fairplug import cpe as cpe_module
-from fairplug import data as data_module
 from fairplug import sweep as sweep_module
 from fairplug.cli import _write_tradeoff_csv
 from fairplug.core import Dataset, FairnessParams
-from fairplug.cpe import ARITY_FEATURES_PLUS_SENSITIVE, FitConfig, fit_estimator
+from fairplug.cpe import FitConfig
 from fairplug.data import (
     PreparedData,
     SplitPlan,
@@ -453,17 +452,13 @@ class TestRunSweep:
         assert not table.degenerate.any()
 
 
-#: The design column each setting's training buffer carries, as the sweep lays it out.
-DESIGN_COLUMN = {EO_AWARE: "sensitive", DPAR_AWARE: "sensitive", EO_BLIND: None, DPAR_BLIND: None}
-
-
 class TestSharedDesign:
-    """Each training split is gathered into the design its fits read."""
+    """Every fit reads its training split where it lies."""
 
     @staticmethod
-    def clipped_split(caplog, column):
+    def clipped_split(caplog):
         # Seed 5 puts one training row just over the cap by rounding, so the
-        # split holds a radially clipped row; a 16-row step spreads it in 13 blocks.
+        # split holds a radially clipped row.
         gen = np.random.default_rng(5)
         n = 400
         dataset = Dataset(
@@ -471,10 +466,8 @@ class TestSharedDesign:
             np.where(gen.random(n) < 0.5, 1.0, -1.0),
             np.where(gen.random(n) < 0.5, 1.0, -1.0),
         )
-        with mock.patch.object(data_module, "_SPREAD_ROWS", 16), caplog.at_level(
-            logging.INFO, logger="fairplug.data"
-        ):
-            _, train = fit_dp_transform(dataset, np.arange(0, n, 2), 0.5, column)
+        with caplog.at_level(logging.INFO, logger="fairplug.data"):
+            _, train = fit_dp_transform(dataset, np.arange(0, n, 2), 0.5)
         assert "radially clipped 1 training rows" in caplog.text
         return train
 
@@ -483,7 +476,7 @@ class TestSharedDesign:
         [(setting, math.inf) for setting in SETTINGS] + [(EO_BLIND, 1.0), (DPAR_BLIND, 1.0)],
     )
     def test_fits_equal_fits_on_a_fresh_copy(self, caplog, setting, eps_p):
-        train = self.clipped_split(caplog, DESIGN_COLUMN[setting])
+        train = self.clipped_split(caplog)
         fresh = Dataset(train.features, train.labels, train.sensitive, train.label_scale)
         params = FairnessParams(lam=0.0, c=0.5, c_bar=0.5)
         rules = [
@@ -497,77 +490,63 @@ class TestSharedDesign:
                 assert np.array_equal(shared.weights, copied.weights)
         assert rules[0].pi_hat == rules[1].pi_hat
 
-    @pytest.mark.parametrize(("setting", "eps_p", "copies"), [
-        (EO_AWARE, math.inf, 0), (DPAR_AWARE, math.inf, 0), (DPAR_BLIND, math.inf, 0),
-        (DPAR_BLIND, 1.0, 0), (EO_BLIND, math.inf, 1), (EO_BLIND, 1.0, 1),
-    ])
-    def test_only_the_eo_blind_eta_bar_fit_copies(self, setting, eps_p, copies):
-        prepared = prepared_data()
-        # In call order: each training split, then the designs its fits evaluate.
-        events = []
-        objective_and_grad = cpe_module._objective_and_grad
-
-        def transform(*args):
-            fitted, train = fit_dp_transform(*args)
-            events.append(train)
-            return fitted, train
-
-        def objective(w, design, *rest):
-            events.append(design)
-            return objective_and_grad(w, design, *rest)
-
-        with (
-            mock.patch.object(cpe_module, "_design", wraps=cpe_module._design) as design,
-            mock.patch.object(cpe_module, "_objective_and_grad", objective),
-            mock.patch.object(sweep_module, "fit_dp_transform", transform),
-        ):
-            run_sweep(prepared, small_grid(), setting, eps_p, FitConfig(), seed=2)
-        # eo-blind's sensitive-attribute fit copies into [x, y, 1], one
-        # column wider than the [x, 1] split; every other fit reads the buffer
-        widths = [call.args[0].shape[1] + len(call.args) for call in design.call_args_list]
-        assert widths == [prepared.dataset.dim + 2] * copies * len(prepared.splits)
-        splits = [i for i, event in enumerate(events) if isinstance(event, Dataset)]
-        assert len(splits) == len(prepared.splits)
-        for i in splits:
-            # the first design after a split is its eta fit's
-            assert np.shares_memory(events[i + 1], events[i].features)
-
-    def test_aware_fit_reads_the_split_without_a_copy(self):
+    @pytest.mark.parametrize(
+        ("setting", "eps_p"),
+        [(setting, math.inf) for setting in SETTINGS] + [(EO_BLIND, 1.0), (DPAR_BLIND, 1.0)],
+    )
+    def test_no_fit_copies_its_split(self, setting, eps_p):
+        # A 20,000 x 50 training split: a copy of it (8 MB) would dwarf one
+        # Hessian block and a dozen per-row vectors.
         gen = np.random.default_rng(3)
-        n, k = 25_000, 50
+        n, k = 28_572, 50
         dataset = Dataset(
             gen.normal(size=(n, k)),
             np.where(gen.random(n) < 0.5, 1.0, -1.0),
             np.where(gen.random(n) < 0.5, 1.0, -1.0),
         )
-        _, train = fit_dp_transform(dataset, np.arange(20_000), 0.5, "sensitive")
-        design_bytes = 20_000 * (k + 2) * 8
-        with mock.patch.object(
-            cpe_module, "_objective_and_grad", wraps=cpe_module._objective_and_grad
-        ) as objective:
+        splits = make_splits(dataset, SplitPlan(n_repeats=1, master_seed=3))
+        prepared = PreparedData(dataset=dataset, splits=splits, meta={})
+        n_train = splits[0][0].size
+        trains, fits, evaluated = [], [], []
+        transform, fit = fit_dp_transform, cpe_module.fit
+        objective_and_grad = cpe_module._objective_and_grad
+
+        def gather(*args):
+            fitted, train = transform(*args)
+            trains.append(train)
+            return fitted, train
+
+        def traced_fit(rows, targets, config, *columns, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model = fit(rows, targets, config, *columns, **kwargs)
+            fits.append((rows, columns, tracemalloc.get_traced_memory()[1] - before))
+            return model
+
+        def objective(w, rows, *rest):
+            evaluated.append(rows)
+            return objective_and_grad(w, rows, *rest)
+
+        with (
+            mock.patch.object(cpe_module, "fit", traced_fit),
+            mock.patch.object(cpe_module, "_objective_and_grad", objective),
+            mock.patch.object(sweep_module, "fit_dp_transform", gather),
+        ):
             tracemalloc.start()
             try:
-                fit_estimator(train, "labels", ARITY_FEATURES_PLUS_SENSITIVE, FitConfig())
-                _, peak = tracemalloc.get_traced_memory()
+                run_sweep(prepared, small_grid(), setting, eps_p, FitConfig(), seed=2)
             finally:
                 tracemalloc.stop()
-        fitted = objective.call_args.args[1]
-        assert fitted.shape == (20_000, k + 2)
-        assert np.shares_memory(train.features, fitted)
-        assert np.shares_memory(train.sensitive, fitted)
-        assert peak < design_bytes / 2
-
-    @pytest.mark.parametrize("column", [None, "sensitive"])
-    def test_the_buffer_is_read_only(self, column):
-        _, train = fit_dp_transform(prepared_data().dataset, np.arange(50), 0.5, column)
-        buffer = train.features.base
-        for target in (train.features, buffer):
-            with pytest.raises(ValueError, match="read-only"):
-                target[0, 0] = 0.0
-        if column is not None:
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(train, column)[0] = 1.0
-        assert np.all(buffer[:, -1] == 1.0)
+        (train,) = trains
+        assert len(fits) == (1 if is_aware(setting) else 2)
+        assert train.features.shape == (n_train, k) and not train.features.flags.writeable
+        for rows, columns, peak in fits:
+            assert rows is train.features
+            for column in columns:
+                assert any(column is getattr(train, name) for name in ("labels", "sensitive"))
+            assert peak <= 8 * cpe_module._HESSIAN_BLOCK + 12 * n_train * 8 < rows.nbytes / 2
+        # what each objective evaluation reads is the split's buffer itself
+        assert evaluated and all(np.shares_memory(rows, train.features) for rows in evaluated)
 
 
 # At pi_hat = 0.5 both eo-aware group coefficients are exactly 0 at lam = +-1,

@@ -54,12 +54,12 @@ from fairplug.synthetic import (
     reference_eo,
     sample,
     sample_x,
-    save_distribution,
     tradeoff_gap,
     true_stats,
 )
 
 import oracles
+from conftest import write_distribution
 from oracles import sigmoid
 
 PARAMS = FairnessParams(lam=1.0, c=0.5, c_bar=0.5)
@@ -694,7 +694,7 @@ class TestPersistence:
     def test_round_trip_uniform(self, tmp_path):
         dist = reference_eo()
         path = tmp_path / "dist.kv"
-        save_distribution(dist, path)
+        write_distribution(dist, path)
         loaded = load_distribution(path)
         assert isinstance(loaded.law, UniformBoxLaw)
         assert np.array_equal(loaded.law.lows, dist.law.lows)
@@ -712,7 +712,7 @@ class TestPersistence:
             law=law, w_eta=np.array([1.0, -1.0, 0.0]), w_eta_bar=np.array([0.5, 0.5, 0.0, 0.1])
         )
         path = tmp_path / "dist.kv"
-        save_distribution(dist, path)
+        write_distribution(dist, path)
         loaded = load_distribution(path)
         assert isinstance(loaded.law, TruncatedGaussianLaw)
         assert np.array_equal(loaded.law.std, law.std)
@@ -720,7 +720,7 @@ class TestPersistence:
     def test_round_trip_discrete(self, tmp_path):
         dist = two_atom_dist()
         path = tmp_path / "dist.kv"
-        save_distribution(dist, path)
+        write_distribution(dist, path)
         loaded = load_distribution(path)
         assert isinstance(loaded.law, DiscreteLaw)
         assert np.array_equal(loaded.law.points, dist.law.points)

@@ -28,8 +28,9 @@ named relative to it and the manifests record the same ``config.dist``
 in every run.  Three ``geometry`` rasters run
 once each (they take no ``--jobs``), two of them with ``--svg``.  Each
 command is a child process with ``OPENBLAS_NUM_THREADS=1``, since the
-fits call BLAS and some outputs move with its thread count.  The script
-prints ``sha256  path`` for each prepared directory's
+fits call BLAS and some outputs move with its thread count, and with
+``PYTHONHASHSEED=0``, which moves no output but steadies the peaks.  The
+script prints ``sha256  path`` for each prepared directory's
 ``features.npy``, ``labels.npy``, ``sensitive.npy``, ``meta.kv`` and
 ``manifest.kv``, for every sweep's ``records.csv``, ``curve.csv`` and
 ``curve.svg``, and for every simulation's and geometry run's CSV and SVG
@@ -45,8 +46,11 @@ its serial twin.
 
 ``--compare REV`` exports REV's tree with ``git archive`` into a
 temporary directory, runs the same commands with that tree's code on the
-same inputs, names each file whose bytes differ (for a ``records.csv``,
-with its first differing row and column) and each file REV wrote that
+same inputs (both trees' packages are byte-compiled by ``compileall``
+before the first command, so that neither side's peaks include
+compiling modules the other loads from bytecode), names each file whose
+bytes differ (for a ``records.csv``, with its first differing row and
+column) and each file REV wrote that
 this tree did not, and exits 1 if there is any.  Each command's peak
 line then shows REV's peak beside this tree's, and each command whose
 peak rose by more than 10% (``PEAK_BOUND``, the benchmark's
@@ -124,6 +128,9 @@ GEOMETRIES = (
 #: The relative rise of a command's peak that ``--compare`` names.
 PEAK_BOUND = 0.10
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+#: A fixed string-hash seed: the outputs do not depend on it, but a
+#: command's peak moves by a few tenths of a MiB with it.
+HASH_SEED = {"PYTHONHASHSEED": "0"}
 
 
 def fairplug(source: Path, *args: str, cwd: Path | None = None) -> float:
@@ -135,7 +142,7 @@ def fairplug(source: Path, *args: str, cwd: Path | None = None) -> float:
     this process never imports numpy or holds a whole output file (see
     :func:`write_inputs` and :func:`sha256`).
     """
-    env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": str(source / "src")}
+    env = {**os.environ, **BLAS_THREADS, **HASH_SEED, "PYTHONPATH": str(source / "src")}
     command = f"fairplug {' '.join(args)}"
     with tempfile.TemporaryFile() as output:
         child = subprocess.Popen(
@@ -149,6 +156,14 @@ def fairplug(source: Path, *args: str, cwd: Path | None = None) -> float:
             log = output.read().decode(errors="replace")
             raise SystemExit(f"{command} exited {child.returncode}:\n{log}")
     return usage.ru_maxrss / 1024
+
+
+def compile_tree(source: Path) -> None:
+    """Byte-compile ``source``'s package in a child process, as stale or missing bytecode needs."""
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", str(source / "src")],
+        check=True, stdout=subprocess.DEVNULL,
+    )
 
 
 def write_inputs(inputs: Path) -> None:
@@ -287,6 +302,12 @@ def main(argv: list[str] | None = None) -> int:
         writer.join()
         if writer.exitcode != 0:
             raise SystemExit(f"writing the inputs exited {writer.exitcode}")
+        trees = [ROOT]
+        if args.compare:
+            export(args.compare, temp / "rev")
+            trees.append(temp / "rev")
+        for tree in trees:
+            compile_tree(tree)
         sums, peaks = run_tree(ROOT, temp / "inputs", temp / "this")
         for path, digest in sums.items():
             print(f"{digest}  {path}")
@@ -296,7 +317,6 @@ def main(argv: list[str] | None = None) -> int:
             failed = True
         rev_peaks: dict[str, float] = {}
         if args.compare:
-            export(args.compare, temp / "rev")
             rev_sums, rev_peaks = run_tree(temp / "rev", temp / "inputs", temp / "other")
             differing = [path for path in sums if rev_sums.get(path) != sums[path]]
             for path in differing:
