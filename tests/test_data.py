@@ -23,6 +23,13 @@ from conftest import make_german_surrogate
 from fairplug import core as core_module
 from fairplug import data as data_module
 from fairplug.core import Dataset
+from fairplug.cpe import (
+    ARITY_FEATURES,
+    ARITY_FEATURES_PLUS_SENSITIVE,
+    FitConfig,
+    fit_estimator,
+    predict_proba,
+)
 from fairplug.data import (
     CsvSchema,
     SPLIT_RATIOS,
@@ -1181,7 +1188,9 @@ class TestFileBackedFeatures:
         return dataset, out
 
     @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
-    def test_gathers_match_an_in_memory_dataset_bit_for_bit(self, prepared, order):
+    @pytest.mark.parametrize("column", [None, "sensitive"])
+    def test_gathers_match_an_in_memory_dataset_bit_for_bit(self, prepared, order, column):
+        # ``column`` is the one a fit on the mapped split reads after the features
         memory, out = prepared
         mapped = load_prepared(out).dataset
         assert isinstance(mapped.features, np.memmap)
@@ -1196,10 +1205,14 @@ class TestFileBackedFeatures:
         for dataset in (memory, mapped):
             transform, fitted = fit_dp_transform(dataset, train, 0.5)
             held_out = apply_dp_transform(transform, dataset, test)
+            arity = ARITY_FEATURES if column is None else ARITY_FEATURES_PLUS_SENSITIVE
+            model = fit_estimator(fitted, "labels", arity, FitConfig())
+            columns = () if column is None else (getattr(held_out, column),)
             results.append(
                 [transform.shift, transform.scale, np.array(transform.global_scale)]
                 + [getattr(part, name) for part in (fitted, held_out)
                    for name in ("features", "labels", "sensitive")]
+                + [model.weights, predict_proba(model, held_out.features, *columns)]
             )
         for want, got in zip(*results):
             assert want.tobytes() == got.tobytes()

@@ -20,7 +20,7 @@ from fairplug import cpe as cpe_module
 from fairplug import sweep as sweep_module
 from fairplug.cli import _write_tradeoff_csv
 from fairplug.core import Dataset, FairnessParams
-from fairplug.cpe import FitConfig
+from fairplug.cpe import ARITY_FEATURES_PLUS_SENSITIVE, FitConfig, fit_estimator
 from fairplug.data import (
     PreparedData,
     SplitPlan,
@@ -547,6 +547,30 @@ class TestSharedDesign:
             assert peak <= 8 * cpe_module._HESSIAN_BLOCK + 12 * n_train * 8 < rows.nbytes / 2
         # what each objective evaluation reads is the split's buffer itself
         assert evaluated and all(np.shares_memory(rows, train.features) for rows in evaluated)
+
+    def test_aware_fit_reads_the_split_without_a_copy(self):
+        gen = np.random.default_rng(3)
+        n, k = 25_000, 50
+        dataset = Dataset(
+            gen.normal(size=(n, k)),
+            np.where(gen.random(n) < 0.5, 1.0, -1.0),
+            np.where(gen.random(n) < 0.5, 1.0, -1.0),
+        )
+        _, train = fit_dp_transform(dataset, np.arange(20_000), 0.5)
+        design_bytes = 20_000 * (k + 2) * 8
+        with mock.patch.object(
+            cpe_module, "_objective_and_grad", wraps=cpe_module._objective_and_grad
+        ) as objective:
+            tracemalloc.start()
+            try:
+                fit_estimator(train, "labels", ARITY_FEATURES_PLUS_SENSITIVE, FitConfig())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        rows, columns = objective.call_args.args[1:3]
+        assert rows is train.features and rows.shape == (20_000, k)
+        assert len(columns) == 1 and columns[0] is train.sensitive
+        assert peak < design_bytes / 2
 
 
 # At pi_hat = 0.5 both eo-aware group coefficients are exactly 0 at lam = +-1,
