@@ -9,14 +9,14 @@ first appearance, so identical file bytes always produce an identical
 dataset.  Rows with missing values in any used column are dropped and
 counted.  The loader reads the file once, into one byte buffer that
 is checked to be UTF-8 and hashed, past one leading byte-order mark.
-A file with no quote, NUL or lone carriage return is cut into cells by
-one vectorized scan for commas and newlines; any other file, or one
-with a ragged or blank line, is read by ``csv.reader``.  Both hand each
-used column to one coder as byte offsets, which gives every cell the
-int32 code of its stripped value by sorting keys mixed from its bytes
-and checking the ties word for word, so the loader holds the bytes,
-one code per used cell and the distinct values -- never a string per
-cell, and no Python step per cell on the vectorized path.  Errors name the physical line a record starts on.
+One vectorized scan cuts every file into records and cells: a comma or
+a line end separates unless an odd number of quotes come before it,
+and quoting that RFC 4180 forbids is an error.  Each used column goes
+to one coder as byte offsets, which gives every cell the int32 code of
+its stripped value by sorting keys mixed from its bytes and checking
+the ties word for word, so the loader holds the bytes, one code per
+used cell and the distinct values -- never a string per cell, and no
+Python step per cell.  Errors name the physical line a record starts on.
 
 The privacy pipeline needs every joint feature-label row inside the
 unit ball.  The transform that achieves it -- per-feature
@@ -45,13 +45,11 @@ permutation from its derived seed and cuts it 70:20:10.
 
 from __future__ import annotations
 
-import csv
+import codecs
 import hashlib
 import io
 import logging
-import operator
 import os
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
@@ -223,38 +221,20 @@ def bundled_schema_path(name: str) -> Path:
     return path
 
 
-def _records(handle, path) -> Iterator[tuple[int, list[str]]]:
-    """``(physical line, cells)`` for each record ``csv.reader`` reads from ``handle``.
-
-    ``handle`` is a ``newline=""`` text file; a record is numbered by the
-    line it starts on, which a quoted cell spanning lines moves for the
-    records after it.  csv's own errors become :class:`DataError` naming
-    ``path`` and the line of the record csv was reading.
-    """
-    reader = csv.reader(handle)
-    start = 1
-    try:
-        for cells in reader:
-            yield start, cells
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise DataError(f"{path}:{start}: {exc}") from exc
-
-
-#: Zero bytes kept after a buffer's cells, so that every 8-byte load that
-#: starts in a cell, and a newline put after an unterminated last line,
-#: stay inside the buffer.
+#: Zero bytes after the text, which hold every 8-byte load that starts in
+#: a cell, and a newline put after an unterminated last line.
 _SPARE = 16
 _BOM = b"\xef\xbb\xbf"
 #: Bytes of text per step of the UTF-8 check and of the separator scan.
-_SCAN_BLOCK = 1 << 20
-_NEWLINE, _RETURN, _COMMA = b"\n"[0], b"\r"[0], b","[0]
-#: Bytes at a cell's ends that ``str.strip`` may remove: the ASCII blanks
-#: (\t \n \v \f \r, \x1c-\x1f and space), and every byte of a multi-byte
-#: character, since some of those are blanks.
-_EDGE = np.zeros(256, dtype=bool)
-_EDGE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_EDGE[0x80:] = True
+_SCAN_BLOCK = 1 << 18
+_NEWLINE, _RETURN, _COMMA, _QUOTE = b'\n\r,"'
+#: The most characters a cell may hold: ``csv.field_size_limit()``'s default.
+_FIELD_LIMIT = 131072
+#: What may stand beside a cell's opening or closing quote: a separator or a quote.
+_BESIDE_QUOTE = b'\n\r,"'
+#: The ASCII bytes ``str.strip`` removes: \t \n \v \f \r, \x1c-\x1f and space.
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 #: ``_LOW_BYTES[k]`` keeps the first k bytes of a little-endian 8-byte load.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 #: Odd multiplier that mixes a cell's words into its sort key.
@@ -300,38 +280,21 @@ def _read_csv(path: Path):
     return raw, len(_BOM) if raw[: len(_BOM)] == _BOM else 0, size
 
 
-class _InPlace(io.RawIOBase):
-    """A binary stream that reads the bytes of ``view`` in place (``io.BytesIO`` copies them)."""
-
-    def __init__(self, view: memoryview) -> None:
-        super().__init__()
-        self._view, self._at = view, 0
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, target) -> int:
-        count = min(len(target), len(self._view) - self._at)
-        target[:count] = self._view[self._at : self._at + count]
-        self._at += count
-        return count
-
-
 def _check_utf8(path: Path, raw, size: int) -> None:
     """Raise :func:`undecodable` unless ``raw[:size]`` is UTF-8.
 
-    ASCII text needs no decoding.  Other text is decoded in place
-    (:class:`_InPlace`), ``_SCAN_BLOCK`` characters at a time, so no
-    copy or string is larger than a block; on an error, the text is
-    decoded once more from its start, which places the error in the file.
+    ASCII text needs no decoding.  Other text goes through one
+    incremental decoder ``_SCAN_BLOCK`` bytes at a time, so no copy or
+    string is larger than a block; on an error, the text is decoded once
+    more from its start, which places the error in the file.
     """
     if np.frombuffer(raw, dtype=np.uint8, count=size).max(initial=0) < 0x80:
         return
     view = memoryview(raw)[:size]
+    decoder = codecs.getincrementaldecoder("utf-8")()
     try:
-        with io.TextIOWrapper(_InPlace(view), encoding="utf-8", newline="") as text:
-            while text.read(_SCAN_BLOCK):
-                pass
+        for start in range(0, size, _SCAN_BLOCK):
+            decoder.decode(view[start : start + _SCAN_BLOCK], final=start + _SCAN_BLOCK >= size)
     except UnicodeDecodeError:
         try:
             str(view, "utf-8")
@@ -353,50 +316,57 @@ def _column_indices(path: Path, schema: CsvSchema, header: list[str]) -> list[in
     return indices
 
 
-def _strip(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The bounds of each cell ``buffer[starts[i]:ends[i]]`` after ``str.strip()``.
+def _strip(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
+    """Move the bounds of each cell ``buffer[starts[i]:ends[i]]``, in place, to its ``str.strip()``.
 
-    Only a cell with a blank or non-ASCII byte at an end can change; each
-    such cell is decoded and stripped by ``str.strip`` itself.  The input
-    arrays are returned as they are if there is none.
+    Each end steps past ASCII blanks in vectorized rounds, one per blank
+    byte, over the cells that still have one there.  Only a cell then left
+    with a byte of a multi-byte character at an end, which may be part of
+    a Unicode blank, is decoded and stripped by ``str.strip`` itself.
     """
-    edge = np.flatnonzero((_EDGE[buffer[starts]] | _EDGE[buffer[ends - 1]]) & (starts < ends))
-    if not edge.size:
-        return starts, ends
-    starts, ends = starts.copy(), ends.copy()
+    edges = []
+    for bounds, step, edge in ((starts, 1, 0), (ends, -1, -1)):
+        byte = buffer[bounds + edge]
+        at = np.flatnonzero(_BLANK[byte] & (starts < ends))
+        while at.size:
+            bounds[at] += step
+            byte[at] = buffer[bounds[at] + edge]
+            at = at[_BLANK[byte[at]] & (starts[at] < ends[at])]
+        edges.append(byte)
     view = buffer.data
-    for i in edge.tolist():
+    for i in np.flatnonzero(((edges[0] | edges[1]) >= 0x80) & (starts < ends)).tolist():
         rest = str(view[starts[i] : ends[i]], "utf-8").lstrip()
         starts[i] = ends[i] - len(rest.encode())
         ends[i] = starts[i] + len(rest.rstrip().encode())
-    return starts, ends
 
 
 def _words(loads: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """``(reach, words)`` for each 8-byte offset into the cells, in turn.
+    """``(reach, words, index)`` for each round of 8-byte loads from the cells.
 
-    ``words`` holds the little-endian 8-byte loads at the offset
-    (``loads`` is the overlapping view of the buffer) of the cells that
-    ``reach`` selects, masked to the cell: zero past its end.  ``reach``
-    selects every cell while at least half of them extend past the
-    offset, and then only those that do, so the words of a column cost
-    at most two steps per 8 bytes of its text and one per cell, however
-    long its longest cell is.
+    ``words`` are little-endian 8-byte loads from ``loads``, the
+    overlapping view of the buffer, zero past their cell's end.  While at
+    least half of the cells extend past an offset, a round loads the word
+    there of every cell (``reach`` a slice, ``index`` None); then one
+    round loads every remaining word of the cells that extend past it
+    (``reach`` their index, ``index`` each word's place in its cell).
     """
-    reach, offset = slice(None), 0
+    reach, offset, index = slice(None), 0, None
     while True:
         rest = lengths[reach] - offset
-        longer = rest > 8
         at = starts[reach] + offset
+        if isinstance(reach, np.ndarray) and rest.max() > 8:  # more than one word left
+            counts = (rest + 7) // 8
+            index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            at = np.repeat(at, counts) + 8 * index
+            rest = np.repeat(rest, counts) - 8 * index
+        longer = rest > 8
         words = loads[np.minimum(at, len(loads) - 1, out=at)]
         words &= _LOW_BYTES[np.maximum(np.minimum(rest, 8, out=rest), 0, out=rest)]
-        yield reach, words
+        yield reach, words, index
         count = np.count_nonzero(longer)
-        if not count:
+        if index is not None or not count:
             return
-        if isinstance(reach, np.ndarray):
-            reach = reach[longer]
-        elif 2 * count < len(rest):
+        if 2 * count < len(rest):
             reach = np.flatnonzero(longer)
         offset += 8
 
@@ -407,16 +377,14 @@ def _code(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.
     Codes number the ``str.strip``ped values in order of first
     appearance, and ``values[code]`` is the value: what one dict from
     value to code, filled cell by cell, would give.  ``buffer`` holds
-    UTF-8 and at least 8 bytes after the last cell.  After the strip
-    (:func:`_strip`), each cell's length and masked 8-byte words
-    (:func:`_words`) are mixed into one key per cell, and the keys are
-    sorted.  Every cell is then checked word for word against the first
-    cell of its key (:func:`_ties_hold`); if two values share a key, the
-    keys collided, and the column is coded by a dict of its cells' bytes
-    instead (:func:`_code_exactly`), so no two values ever share a code.
-    Only the distinct values are decoded, one Python step each.
+    UTF-8 and at least 8 bytes after the last cell.  Each stripped cell's
+    (:func:`_strip`) length and 8-byte words (:func:`_words`) are mixed
+    into one key, the keys are sorted, and every cell is checked word for
+    word against the first cell of its key (:func:`_ties_hold`); keys
+    that collided send the column to one dict of its cells' bytes
+    (:func:`_code_exactly`).  Only the distinct values are decoded.
     """
-    starts, ends = _strip(buffer, starts, ends)
+    _strip(buffer, starts, ends)
     n = len(starts)
     if not n:
         return np.zeros(0, dtype=np.int32), []
@@ -425,7 +393,10 @@ def _code(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.
     loads = np.ndarray((len(buffer) - 7,), dtype="<u8", buffer=buffer, strides=(1,))
     words = list(_words(loads, starts, lengths))
     key = lengths.astype(np.uint64)
-    for reach, word in words:
+    for reach, word, index in words:
+        if index is not None:  # each cell's run, its words mixed by place, folded into one
+            word = (word + index.astype(np.uint64)) * _MIX
+            word = np.bitwise_xor.reduceat(word, np.flatnonzero(index == 0))
         mixed = key[reach]
         mixed ^= word
         mixed *= _MIX
@@ -456,12 +427,15 @@ def _ties_hold(words: list, lengths: np.ndarray, head: np.ndarray) -> bool:
     """Whether every cell holds the same bytes as cell ``head[i]``, by the cells' :func:`_words`."""
     if not np.array_equal(lengths[head], lengths):
         return False
-    for reach, word in words:
+    for reach, word, index in words:
         # a cell and its head have one length, so both reach an offset or
-        # neither does; an index ``reach`` is ascending
+        # neither does, with runs as long; an index ``reach`` is ascending
         at = head[reach]
         if isinstance(reach, np.ndarray):
             at = np.searchsorted(reach, at)
+        if index is not None:  # the head's run, word for word
+            runs = np.flatnonzero(index == 0)
+            at = (runs[at] - runs)[np.cumsum(index == 0) - 1] + np.arange(len(word))
         if not np.array_equal(word[at], word):
             return False
     return True
@@ -482,161 +456,147 @@ def _code_exactly(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return codes, [str(value, "utf-8") for value in index]
 
 
-def _separators(buffer: np.ndarray, begin: int, end: int) -> tuple[np.ndarray, int, int]:
-    """Offsets of the commas and newlines in ``buffer[begin:end]``, with the newline and \\r counts.
+def _separators(buffer: np.ndarray, begin: int, end: int, quoting: bool):
+    """Separators in ``buffer[begin:end]``, which end lines, line ends in quotes, and where to stop.
 
-    The text is scanned ``_SCAN_BLOCK`` bytes at a time, so no mask is
-    longer than a block.  The offsets are int32 when the buffer allows
-    and end in an anonymous mapping (:func:`_anonymous`).
+    A line end is a ``\\n``, or a ``\\r`` no ``\\n`` follows; a separator
+    is a comma or a line end after an even number of quotes (counted only
+    if ``quoting``), the parity carried from block to block.  Offsets are
+    int32 if the buffer allows, the separators' in an anonymous mapping
+    (:func:`_anonymous`).  RFC 4180 puts a cell's opening and closing
+    quotes beside a separator or a doubled quote's other half; the first
+    quote that is not stops the scan, returned as where the text before
+    it ends and what is wrong (a quote still open, at ``end``).
     """
     dtype = np.int32 if len(buffer) < 2**31 else np.int64
-    pieces, newlines, returns = [], 0, 0
+    pieces, lasts, quoted = [], [], [np.zeros(0, dtype=np.int64)]
+    count, parity, misplaced = 0, False, None
     for start in range(begin, end, _SCAN_BLOCK):
-        block = buffer[start : min(start + _SCAN_BLOCK, end)]
-        mask = block == _NEWLINE
-        newlines += int(np.count_nonzero(mask))
-        returns += int(np.count_nonzero(block == _RETURN))
-        mask |= block == _COMMA
-        pieces.append(np.flatnonzero(mask).astype(dtype) + start)
-    count = sum(map(len, pieces))
+        stop = min(start + _SCAN_BLOCK, end)
+        block = buffer[start:stop]
+        returns = block == _RETURN
+        lines = block == _NEWLINE
+        lines[:-1] |= returns[:-1] > lines[1:]
+        lines[-1] |= returns[-1] and buffer[stop] != _NEWLINE
+        mask = block == _COMMA
+        mask |= lines
+        if quoting:
+            quotes = block == _QUOTE
+            inside = np.bitwise_xor.accumulate(quotes.view(np.uint8)).view(bool)
+            inside ^= parity
+            parity = inside[-1]
+            quoted.append(np.flatnonzero(lines & inside) + start)
+            # what may stand before an opening quote, and after a closing one
+            beside = mask | returns | quotes
+            before = np.append(start == begin or buffer[start - 1] in _BESIDE_QUOTE, beside[:-1])
+            after = np.append(beside[1:], buffer[stop] in _BESIDE_QUOTE)
+            bad = np.flatnonzero(quotes & ~((inside & before) | (after & ~inside)))
+            if bad.size:
+                opens = bool(inside[bad[0]])
+                why = "quote inside an unquoted cell" if opens else "text after a closing quote"
+                misplaced = start + int(bad[0]) + (not opens), why
+            mask &= ~inside
+        at = np.flatnonzero(mask)
+        pieces.append(at.astype(dtype) + start)
+        lasts.append(np.flatnonzero(lines[at]).astype(dtype) + count)
+        count += len(at)
+        if misplaced:
+            break
+    if misplaced is None:
+        misplaced = end, "quote still open at the end of the file" if parity else None
     seps = np.frombuffer(_anonymous(count * np.dtype(dtype).itemsize), dtype=dtype, count=count)
     np.concatenate(pieces, out=seps)
-    return seps, newlines, returns
+    return seps, np.concatenate(lasts), np.concatenate(quoted), misplaced
 
 
-def _scan_columns(path: Path, schema: CsvSchema, raw, begin: int, size: int):
-    """Codes, values, lines and blank mask of the used columns, or None for ``csv.reader``.
+def _scan_columns(path: Path, schema: CsvSchema):
+    """Codes, values and start lines of the used columns over the file's rows, and its SHA-256.
 
-    Serves a file with no quote, NUL or lone carriage return, where a
-    record is a line: :func:`_separators` finds every comma and newline
-    (a ``\\r`` before a newline ends the last cell), and each used
-    column's cell bounds are two strided views of that index.  A file
-    with a line that does not hold as many cells as the header (a ragged
-    or blank one), a line longer than ``csv.field_size_limit()`` bytes, or
-    a row whose used cells are all blank returns None, so ``csv.reader`` reads
-    it whole and is the only source of row-level errors.  An
-    unterminated last line is ended with a newline in a spare byte.
-    """
-    if size == begin or raw.find(b'"', begin, size) >= 0 or raw.find(b"\0", begin, size) >= 0:
-        return None
-    end = size
-    if raw[end - 1] != _NEWLINE:
-        raw[end] = _NEWLINE
-        end += 1
-    buffer = np.frombuffer(raw, dtype=np.uint8)
-    seps, lines, returns = _separators(buffer, begin, end)
-    width = raw[begin : raw.find(b"\n", begin, end)].count(b",") + 1
-    newlines = seps[width - 1 :: width]
-    if len(seps) != lines * width or not np.all(buffer[newlines] == _NEWLINE):
-        return None
-    if returns != np.count_nonzero(buffer[newlines - 1] == _RETURN):
-        return None
-    # no cell is longer than its line
-    if np.diff(newlines, prepend=begin - 1).max() > csv.field_size_limit():
-        return None
-    header = str(memoryview(raw)[begin : newlines[0]], "utf-8").removesuffix("\r")
-    indices = _column_indices(path, schema, header.split(","))
-    seps = seps.reshape(lines, width)
-    codes, values = [], []
-    for index in indices:
-        starts = (seps[1:, index - 1] if index else seps[:-1, -1]) + 1
-        ends = seps[1:, index]
-        if index == width - 1:
-            ends = ends - (buffer[ends - 1] == _RETURN)
-        column, distinct = _code(buffer, starts, ends)
-        codes.append(column)
-        values.append(distinct)
-    blank = np.logical_and.reduce(
-        [column == (distinct.index("") if "" in distinct else -1)
-         for column, distinct in zip(codes, values)]
-    )
-    if blank.any():
-        return None
-    return codes, values, np.arange(2, lines + 1), blank
-
-
-#: Full-width records whose used cells ``csv.reader`` hands over as strings
-#: before they are encoded, a column at a time, into the byte runs.
-_CHUNK_RECORDS = 1024
-
-
-def _reader_columns(path: Path, schema: CsvSchema, raw, begin: int, size: int):
-    """Codes, values, lines and blank mask of the used columns, records cut by ``csv.reader``.
-
-    The used cells of full-width records are gathered ``_CHUNK_RECORDS``
-    records at a time; then each column's cells are joined, each ended
-    by a NUL, and UTF-8 encoded onto that column's byte run, and one scan
-    for the NULs gives their ends.  Each column is coded from its run
-    once the records are read.  A record that is not full width must be
-    blank; one that is not raises, after any unmappable value in the
-    rows before it.
-    """
-    text = _InPlace(memoryview(raw)[begin:size])
-    with io.TextIOWrapper(text, encoding="utf-8", newline="") as handle:
-        records = _records(handle, path)
-        try:
-            _, header = next(records)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        indices = _column_indices(path, schema, header)
-        width, used = len(header), operator.itemgetter(*indices)
-        runs = [bytearray() for _ in indices]
-        bounds: list[list[np.ndarray]] = [[] for _ in indices]
-        pending: list[str] = []
-        lines, blank = array("q"), bytearray()
-
-        def encode() -> None:
-            for j, (run, ends) in enumerate(zip(runs, bounds)):
-                cells = pending[j :: len(indices)]
-                data = "\0".join(cells).encode() + b"\0"
-                nul = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0)
-                if len(nul) != len(cells):  # a cell holds a NUL: count its bytes
-                    nul = np.cumsum([len(cell.encode()) + 1 for cell in cells], dtype=np.int64) - 1
-                ends.append(nul + len(run))
-                run += data
-            pending.clear()
-
-        def finish():
-            encode()
-            codes, values = [], []
-            for run, chunks in zip(runs, bounds):
-                ends = np.concatenate(chunks)
-                starts = np.concatenate(([0], ends[:-1] + 1))[: len(ends)]
-                run.extend(bytes(_SPARE))
-                column, distinct = _code(np.frombuffer(run, dtype=np.uint8), starts, ends)
-                codes.append(column)
-                values.append(distinct)
-            rows = np.frombuffer(lines, dtype=np.int64)
-            return codes, values, rows, np.frombuffer(blank, dtype=bool)
-
-        for line, record in records:
-            if len(record) == width:
-                pending.extend(used(record))
-                lines.append(line)
-                # a blank record has a blank first used cell: test the whole record only then
-                blank.append(not record[indices[0]].strip() and not "".join(record).strip())
-                if len(pending) >= _CHUNK_RECORDS * len(indices):
-                    encode()
-            elif "".join(record).strip():
-                _check_rows(path, schema, *finish())
-                raise DataError(f"{path}:{line}: expected {width} cells, got {len(record)}")
-    return finish()
-
-
-def _encode_columns(path: Path, schema: CsvSchema):
-    """Codes, values, start lines and blank mask of the used columns, and the file's SHA-256.
-
-    One code array and one value list per used column (features in
-    schema order, then label, then sensitive), both tokenizers' output
-    alike.  The file's bytes and the separator index are gone when this
-    returns.
+    A used column's cells in the records (:func:`_separators`) as wide as
+    the header are two gathers from the separator index, less a ``\\r\\n``'s
+    ``\\r`` and a quoted cell's outer quotes, for :func:`_code`: quoted
+    bytes stand for one value, so only distinct values are un-doubled.
+    Records ``str.strip`` finds blank are skipped, tested only for rows
+    with blank used cells and records not as wide as the header.  Errors
+    come in ``csv.reader``'s order and name the line a record starts on.
     """
     raw, begin, size = _read_csv(path)
     digest = hashlib.sha256(memoryview(raw)[:size]).hexdigest()
-    encoded = _scan_columns(path, schema, raw, begin, size)
-    if encoded is None:
-        encoded = _reader_columns(path, schema, raw, begin, size)
-    return (*encoded, digest)
+    if size == begin:
+        raise DataError(f"{path}: file is empty")
+    end = size + (raw[size - 1] != _NEWLINE)  # an unterminated last line ends in a spare byte
+    raw[end - 1] = _NEWLINE
+    buffer = np.frombuffer(raw, dtype=np.uint8)
+    quoting = raw.find(b'"', begin, end) >= 0
+    seps, last, quoted, (stop, failure) = _separators(buffer, begin, end, quoting)
+    stops = seps[last]
+
+    def opening(record: int) -> int:
+        return int(stops[record - 1]) + 1 if record else begin
+
+    def line(record: int) -> int:
+        return record + 1 + int(np.searchsorted(quoted, opening(record)))
+
+    def cells(start: int, stop: int) -> list[str]:
+        """The cells of the text from ``start`` to ``stop``, as csv reads them."""
+        # in the index's own dtype, which numpy would otherwise convert whole
+        lo, hi = np.searchsorted(seps, np.array([start, stop], dtype=seps.dtype))
+        bounds = [start - 1, *seps[lo:hi].tolist(), stop]
+        cells = [raw[a + 1 : b] for a, b in zip(bounds, bounds[1:])]
+        cells[-1] = cells[-1].removesuffix(b"\r")
+        return [str(c[1:-1].replace(b'""', b'"') if c[:1] == b'"' else c, "utf-8") for c in cells]
+
+    # csv stops at a misplaced quote's record, or before it at the first
+    # cell over the limit, so over it in bytes, as is its record
+    records = int(np.searchsorted(stops, stop))
+    spans = np.diff(stops[:records], prepend=begin - 1)  # each record's bytes and line end
+    long = [(record, int(stops[record])) for record in np.flatnonzero(spans > _FIELD_LIMIT)]
+    for record, stop in long + [(records, stop)]:
+        if max(map(len, cells(opening(record), stop))) > _FIELD_LIMIT:
+            records, failure = int(record), f"field larger than field limit ({_FIELD_LIMIT})"
+            break
+    if failure is not None and not records:
+        raise DataError(f"{path}:1: {failure}")
+    width = int(last[0]) + 1
+    indices = _column_indices(path, schema, cells(begin, int(stops[0])))
+    counts = np.diff(last[:records], prepend=-1)
+    # records not as wide as the header, but for lines with no text
+    texts = spans[:records] - (buffer[stops[:records] - 1] == _RETURN)
+    odd = (counts != width) & ((counts != 1) | (texts != 1))
+    odd = [(r, opening(r), int(stops[r])) for r in np.flatnonzero(odd).tolist()]
+    ragged = next((r for r, start, stop in odd if "".join(cells(start, stop)).strip()), None)
+    if ragged is None and failure is not None:
+        raise DataError(f"{path}:{line(records)}: {failure}")
+    if ragged is not None:
+        failure = f"{path}:{line(ragged)}: expected {width} cells, got {counts[ragged]}"
+    rows = np.flatnonzero(counts[:ragged] == width)[1:]
+    before = last[rows] - width  # the line end before each row
+    lines = (rows + 1 + np.searchsorted(quoted, seps[before] + 1)).astype(seps.dtype)
+    del last, stops, spans, counts, texts, odd, rows  # the coding below peaks without them
+    codes, values = [], []
+    for index in indices:
+        starts = seps[before + index] + 1
+        ends = seps[before + index + 1]
+        if index == width - 1:
+            ends -= (buffer[ends - 1] == _RETURN) & (starts < ends)  # the \r of a \r\n
+        if quoting:
+            enclosed = buffer[starts] == _QUOTE
+            starts += enclosed
+            ends -= enclosed
+        column, distinct = _code(buffer, starts, ends)
+        codes.append(column)
+        values.append([value.replace('""', '"') for value in distinct] if quoting else distinct)
+    empty = [v.index("") if "" in v else -1 for v in values]
+    blank = np.logical_and.reduce([column == code for column, code in zip(codes, empty)])
+    for row in np.flatnonzero(blank).tolist():
+        start, stop = seps[before[row]] + 1, seps[before[row] + width]
+        blank[row] = not "".join(cells(int(start), int(stop))).strip()
+    if blank.any():
+        codes, lines = [column[~blank] for column in codes], lines[~blank]
+    if ragged is not None:
+        _check_rows(path, schema, codes, values, lines)
+        raise DataError(failure)
+    return codes, values, lines, digest
 
 
 def _flags(values: list[str], test) -> np.ndarray:
@@ -648,32 +608,32 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
     """Load and encode a headered CSV; also return the load accounting.
 
     The file is read once into one byte buffer, checked to be UTF-8 and
-    hashed; one leading byte-order mark is skipped.  A file with no
-    quote, NUL or lone carriage return and with every line as wide as
-    the header is cut into cells by one vectorized scan
-    (:func:`_scan_columns`); any other file goes to ``csv.reader``
-    through :func:`_records` (:func:`_reader_columns`).  Both hand each
-    used column to :func:`_code` as byte offsets, which gives every cell
-    the int32 code of its stripped value with no Python step per cell.
-    Everything else runs once per distinct value or as a gather over
-    the codes: blank-row and missing-value tests, label and sensitive
-    signs and legality, ``float`` parsing, and the renumbering of
-    categorical levels by first appearance among kept rows.  The byte
-    buffer is freed before the feature matrix is allocated.  The report
-    carries the SHA-256 of the file's bytes.
+    hashed; one leading byte-order mark is skipped.  One vectorized scan
+    (:func:`_scan_columns`) cuts it into cells as ``csv.reader`` cuts
+    RFC 4180 text, where a line ends at ``\\n``, ``\\r\\n`` or ``\\r``, and
+    skips blank lines and rows.  Each used column goes to :func:`_code`
+    as byte offsets, which gives every cell the int32 code of its
+    stripped value with no Python step per cell.  Everything else runs
+    once per distinct value or as a gather over the codes: missing-value
+    tests, label and sensitive signs and legality, ``float`` parsing, and
+    the renumbering of categorical levels by first appearance among kept
+    rows.  The byte buffer is freed before the feature matrix is
+    allocated.  The report carries the SHA-256 of the file's bytes.
 
     Errors name ``path:line`` with the physical line a record starts on.
     Row-level errors (ragged row, unmappable label or sensitive value)
     come in file order, then "no usable rows", then the first
     non-numeric or non-finite value of the first such column in schema
-    order.  A file
-    that is not UTF-8, or that csv cannot parse, is a :class:`DataError`.
+    order.  A file that is not UTF-8, that holds a cell over csv's field
+    limit of 131,072 characters, or that quotes as RFC 4180 forbids (a
+    quote inside an unquoted cell, text after a closing quote, or a
+    quote still open at the end of the file), is a :class:`DataError`.
     """
     path = Path(path)
-    codes, values, lines, blank, digest = _encode_columns(path, schema)
-    kept = _check_rows(path, schema, codes, values, lines, blank)
+    codes, values, lines, digest = _scan_columns(path, schema)
+    kept = _check_rows(path, schema, codes, values, lines)
     n = int(np.count_nonzero(kept))
-    rows_read = len(kept) - int(np.count_nonzero(blank))
+    rows_read = len(kept)
     rows_dropped = rows_read - n
     if not n:
         raise DegenerateDataError(f"{path}: no usable rows after cleaning")
@@ -732,13 +692,13 @@ def load_csv_report(path: str | Path, schema: CsvSchema) -> tuple[Dataset, LoadR
     return dataset, report
 
 
-def _check_rows(path: Path, schema: CsvSchema, codes, values, lines, blank) -> np.ndarray:
-    """The mask of kept rows: not blank and no missing marker in a used cell.
+def _check_rows(path: Path, schema: CsvSchema, codes, values, lines) -> np.ndarray:
+    """The mask of kept rows: no missing marker in a used cell.
 
     Raises for the first kept row whose label, then sensitive, value is
     outside the schema's declared value set.
     """
-    missing = blank.copy()
+    missing = np.zeros(len(lines), dtype=bool)
     for column, distinct in zip(codes, values):
         missing |= _flags(distinct, schema.missing_values.__contains__)[column]
     kept = ~missing

@@ -501,21 +501,6 @@ def per_draw_psi(decisions, y, ybar, criterion, lam, c, c_bar, pi, pi_bar, beta)
 # CSV ingest, row then column
 
 
-def csv_records(handle) -> list[tuple[int, list[str]]]:
-    """``(physical start line, cells)`` of every record ``csv.reader`` yields.
-
-    The reference for ``fairplug.data._records``; ``handle`` yields lines
-    as a ``newline=""`` text file does.
-    """
-
-    reader = csv.reader(handle)
-    records, start = [], 1
-    for cells in reader:
-        records.append((start, cells))
-        start = reader.line_num + 1
-    return records
-
-
 class ReferenceLoadError(Exception):
     """A load failure; ``kind`` names the package exception it stands for."""
 

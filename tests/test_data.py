@@ -2,7 +2,6 @@
 
 import csv
 import hashlib
-import io
 import logging
 import os
 import re
@@ -35,7 +34,6 @@ from fairplug.data import (
     SPLIT_RATIOS,
     LoadReport,
     SplitPlan,
-    _records,
     apply_dp_transform,
     bundled_schema_path,
     fit_dp_transform,
@@ -56,7 +54,7 @@ def write_csv(path, header, rows):
             handle.write(",".join(str(v) for v in row) + "\n")
 
 
-#: ``csv.writer`` quoting for a copy the vectorized scan reads and one ``csv.reader`` reads.
+#: ``csv.writer`` quoting for an unquoted copy and a copy with every cell quoted.
 QUOTINGS = [csv.QUOTE_MINIMAL, csv.QUOTE_ALL]
 BASIC_SCHEMA = CsvSchema(
     features=(("age", "numeric"), ("city", "categorical")),
@@ -423,8 +421,8 @@ def _unquoted(cell: str) -> bool:
 @st.composite
 def csv_texts(draw) -> str:
     header = draw(st.permutations(list(_CELLS)))
-    # about half the texts have no quote and mostly full rows, as the vectorized
-    # tokenizer needs; a NUL, a lone \r or an odd row sends them to csv.reader
+    # about half the texts have no quote and mostly full rows; the others quote
+    # cells, some of them spanning lines, and may end lines with a lone \r
     quoted = draw(st.booleans())
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"] if quoted else ["\n", "\r\n"]))
     lines = [",".join(f" {name}" if draw(st.booleans()) else name for name in header)]
@@ -464,10 +462,41 @@ def _outcome(path, schema):
     return [(array.shape, array.tobytes()) for array in arrays], report
 
 
-def _reader_outcome(path, schema):
-    """:func:`_outcome` with every file read by ``csv.reader``."""
-    with patch.object(data_module, "_scan_columns", return_value=None):
-        return _outcome(path, schema)
+def _loads_like_the_reference(path, schema):
+    """The arrays, report or error of a load are those of ``oracles.reference_load_csv``."""
+    try:
+        expected = oracles.reference_load_csv(path, schema)
+    except oracles.ReferenceLoadError as exc:
+        with pytest.raises((DataError, DegenerateDataError)) as caught:
+            load_csv_report(path, schema)
+        assert type(caught.value).__name__ == exc.kind
+        assert str(caught.value) == str(exc)
+        return
+    dataset, report = load_csv_report(path, schema)
+    for name in ("features", "labels", "sensitive"):
+        got, want = getattr(dataset, name), expected[name]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+    assert report == LoadReport(**expected["report"])
+
+
+#: Cells of one RFC 4180 record, quoted as ``_quote`` does, from an alphabet of
+#: separators, quotes, blanks and NUL; half the records are three cells wide.
+_RFC_CELLS = st.builds(
+    _quote, st.text(alphabet=st.sampled_from(list('ab ,"\r\n\x00')), max_size=6), st.booleans()
+)
+_RFC_RECORDS = st.one_of(
+    st.lists(_RFC_CELLS, min_size=3, max_size=3), st.lists(_RFC_CELLS, min_size=1, max_size=4)
+)
+#: Columns x, y and z of an ``x,y,z`` header, with no missing marker in the alphabet.
+XYZ_SCHEMA = CsvSchema(
+    features=(("x", "categorical"),),
+    label_column="y",
+    label_positive=frozenset({"a"}),
+    sensitive_column="z",
+    sensitive_positive=frozenset({"b"}),
+    missing_values=frozenset({"?"}),
+)
 
 
 class TestLoaderMatchesReference:
@@ -480,38 +509,24 @@ class TestLoaderMatchesReference:
     @given(text=csv_texts())
     def test_same_arrays_report_and_errors(self, csv_path, text):
         csv_path.write_bytes(text.encode("utf-8"))
-        try:
-            expected = oracles.reference_load_csv(csv_path, DIFF_SCHEMA)
-        except oracles.ReferenceLoadError as exc:
-            with pytest.raises((DataError, DegenerateDataError)) as caught:
-                load_csv_report(csv_path, DIFF_SCHEMA)
-            assert type(caught.value).__name__ == exc.kind
-            assert str(caught.value) == str(exc)
-            return
-        dataset, report = load_csv_report(csv_path, DIFF_SCHEMA)
-        for name in ("features", "labels", "sensitive"):
-            got, want = getattr(dataset, name), expected[name]
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), name
-        assert report == LoadReport(**expected["report"])
-
-    @given(text=csv_texts().filter(lambda text: '"' not in text))
-    def test_both_tokenizers_agree_on_unquoted_text(self, csv_path, text):
-        csv_path.write_bytes(text.encode("utf-8"))
-        assert _outcome(csv_path, DIFF_SCHEMA) == _reader_outcome(csv_path, DIFF_SCHEMA)
+        _loads_like_the_reference(csv_path, DIFF_SCHEMA)
 
     def test_csv_writer_files_are_scanned(self, tmp_path):
-        # csv.writer ends every line in CRLF; LF, no final newline and a
-        # byte-order mark keep a file on the vectorized path too
+        # csv.writer ends every line in CRLF; LF, no final newline, a
+        # byte-order mark, quotes around every cell and a blank line
         path = make_german_surrogate(tmp_path / "german.csv", n=500)
         schema = load_schema(bundled_schema_path("german_gender"))
         raw = path.read_bytes()
         lf = raw.replace(b"\r\n", b"\n")
-        for variant in (raw, lf, lf.rstrip(b"\n"), b"\xef\xbb\xbf" + raw):
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        _rewrite(path, rows, quoting=csv.QUOTE_ALL)
+        quoted = path.read_bytes()
+        middle = lf.index(b"\n", len(lf) // 2) + 1
+        for variant in (raw, lf, lf.rstrip(b"\n"), b"\xef\xbb\xbf" + raw, quoted,
+                        lf[:middle] + b"\n" + lf[middle:]):
             path.write_bytes(variant)
-            with patch.object(data_module, "_reader_columns", side_effect=AssertionError):
-                scanned = _outcome(path, schema)
-            assert scanned == _reader_outcome(path, schema)
+            _loads_like_the_reference(path, schema)
 
     def test_colliding_keys_fall_back_to_a_dict(self, german_csv):
         # a zero mixer gives every cell of a column one sort key
@@ -559,21 +574,57 @@ def test_coder_matches_a_dict_of_stripped_values(cells):
     assert codes.tolist() == [code_of[cell.strip()] for cell in cells]
 
 
+@pytest.fixture(scope="module")
+def records_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("records") / "data.csv"
+
+
 @given(
-    text=st.text(alphabet=st.sampled_from(list('ab ,"\r\n\x00')), max_size=60),
-    head=st.sampled_from(["", "x,y\n", "x,y\r\nz\r\r\n,\n"]),
+    lines=st.lists(st.tuples(_RFC_RECORDS, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+    head=st.sampled_from(["", "x,y,z\n", "x,y,z\r\nz\r\r\n,\n"]),
+    ended=st.booleans(),
 )
-def test_records_match_the_csv_reader(text, head):
-    """Cells as csv.reader gives them, numbered by the physical line each record starts on."""
-    text = head + text
-    try:
-        expected = oracles.csv_records(io.StringIO(text, newline=""))
-    except csv.Error as exc:
-        with pytest.raises(DataError) as caught:
-            list(_records(io.StringIO(text, newline=""), "data.csv"))
-        assert str(caught.value).endswith(f": {exc}")
-        return
-    assert list(_records(io.StringIO(text, newline=""), "data.csv")) == expected
+def test_records_match_the_csv_reader(records_path, lines, head, ended):
+    """RFC 4180 records as csv.reader cuts them, numbered by the physical line each starts on."""
+    text = head + "".join(",".join(cells) + newline for cells, newline in lines)
+    if lines and not ended:
+        text = text.removesuffix(lines[-1][1])
+    records_path.write_bytes(text.encode("utf-8"))
+    _loads_like_the_reference(records_path, XYZ_SCHEMA)
+
+
+def test_words_rounds_do_not_grow_with_the_longest_cell():
+    # one round per 8 bytes of a 100,000-byte cell took a third of a second
+    def rounds(longest):
+        lengths = np.array([5] * 1_999 + [longest])
+        buffer = np.zeros(lengths.sum() + 16, dtype=np.uint8)
+        loads = np.ndarray((len(buffer) - 7,), dtype="<u8", buffer=buffer, strides=(1,))
+        return len(list(data_module._words(loads, np.cumsum(lengths) - lengths, lengths)))
+
+    assert rounds(100_000) == rounds(16) == 2
+
+
+def test_blanks_after_every_comma_load_like_none(tmp_path):
+    # UCI Adult separates its cells with ", ", which puts a blank at the edge of every cell
+    path = make_german_surrogate(tmp_path / "german.csv", n=500)
+    schema = load_schema(bundled_schema_path("german_gender"))
+    plain_arrays, plain_report = _outcome(path, schema)
+    path.write_bytes(path.read_bytes().replace(b",", b", "))
+    arrays, report = _outcome(path, schema)
+    assert arrays == plain_arrays
+    assert replace(report, sha256="") == replace(plain_report, sha256="")
+
+
+def test_ascii_blanks_are_stripped_without_decoding_a_cell():
+    # cells of a ", "-separated file; decoding one would call the module's str
+    cells = [" 3", "a ", "\t\x0bb c\x1c ", "   ", "", "d", " \x1fe\r"]
+    encoded = [cell.encode() for cell in cells]
+    ends = np.cumsum([len(cell) for cell in encoded])
+    starts = ends - [len(cell) for cell in encoded]
+    buffer = np.frombuffer(b"".join(encoded) + bytes(16), dtype=np.uint8)
+    with patch.object(data_module, "str", side_effect=AssertionError, create=True):
+        data_module._strip(buffer, starts, ends)
+    assert [bytes(buffer[a:b]).decode() for a, b in zip(starts, ends)] == [c.strip() for c in cells]
 
 
 class TestMalformedText:
@@ -596,7 +647,7 @@ class TestMalformedText:
             load_csv_report(path, schema)
 
     def test_undecodable_byte_after_multibyte_text(self, tmp_path):
-        # text read seven characters at a time; the bad byte keeps its file offset and line
+        # text decoded seven bytes at a time; the bad byte keeps its file offset and line
         path = tmp_path / "data.csv"
         text = "age,city,label,grp\n30,ĺódź,y,a\n40,\u3000 oslo,n,b\n"
         path.write_text(text, encoding="utf-8")
@@ -616,6 +667,27 @@ class TestMalformedText:
         # an unquoted cell that long fails the same way
         path.write_text(f"age,city,label,grp\n30,oslo,y,a\n40,{big},n,b\n")
         with pytest.raises(DataError, match=r"data\.csv:3: field larger than field limit"):
+            load_csv_report(path, BASIC_SCHEMA)
+        # the limit counts characters: one at the limit, over it in bytes, loads
+        wide = "é" * csv.field_size_limit()
+        path.write_text(f"age,city,label,grp\n30,oslo,y,a\n40,{wide},n,b\n", encoding="utf-8")
+        assert load_csv_report(path, BASIC_SCHEMA)[1].categorical_levels["city"] == ("oslo", wide)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('30,oslo,y,a\n40,li"ma,n,b\n', 'data.csv:3: quote inside an unquoted cell'),
+            ('30,"os\nlo",y,a\n40,"li"ma,n,b\n', 'data.csv:4: text after a closing quote'),
+            ('30,oslo,y,a\n40,"lima,n,b\n50,oslo,y,a\n',
+             'data.csv:3: quote still open at the end of the file'),
+        ],
+        ids=["inside", "after", "open"],
+    )
+    def test_quoting_outside_rfc_4180_names_its_line(self, tmp_path, text, message):
+        # csv.reader reads these as li"ma, as lima, and as one ragged record to the end
+        path = tmp_path / "data.csv"
+        path.write_text("age,city,label,grp\n" + text)
+        with pytest.raises(DataError, match=re.escape(message) + "$"):
             load_csv_report(path, BASIC_SCHEMA)
 
 
@@ -650,9 +722,9 @@ def test_load_peak_memory_is_a_small_multiple_of_the_features(tmp_path):
 
 
 def test_quoted_load_holds_no_second_copy_of_the_file(tmp_path):
-    # csv.reader reads the mapped bytes in place and the UTF-8 check decodes
-    # a block at a time: over the same rows unquoted, a QUOTE_ALL copy with a
-    # byte-order mark adds its cells' byte runs, and not also a whole-file copy
+    # the scan's masks and the UTF-8 check's decoding span one block at a
+    # time: over the same rows unquoted, a QUOTE_ALL copy with a byte-order
+    # mark adds its bytes, and not also a whole-file copy
     path = make_german_surrogate(tmp_path / "german.csv", n=10_000)
     schema = load_schema(bundled_schema_path("german_gender"))
     _, plain = _traced_load(path, schema)

@@ -12,7 +12,11 @@ relative to it, so its manifest records the same ``config.input`` in
 every tree.  On each, six sweeps run on the default grid with ``--seed 1``:
 eo-blind at ``--eps-p`` 1 and inf, eo-aware, dpar-blind at 2 and inf,
 and dpar-aware, each serially and with ``--jobs 2``, and ``report``
-aggregates every sweep.  The adult-shaped training splits hold 31,500
+aggregates every sweep.  ``prepare`` also reads a copy of the 45,000-row
+input with every cell quoted, a byte-order mark, LF line ends and one
+blank line; its ``features.npy``, ``labels.npy``, ``sensitive.npy``,
+``split_*.npy`` and ``meta.kv`` must be byte-identical to the plain
+input's, and are not hashed.  The adult-shaped training splits hold 31,500
 rows, so their fits accumulate the Hessian over several row blocks.  The
 four ``simulate`` experiments run at small sizes, each serially and with
 ``--jobs 2`` (see ``SIMULATIONS``): ``consistency``,
@@ -42,7 +46,7 @@ only those ``sha256  path`` lines, so ``> SHA256SUMS`` keeps a
 standard error, and so, after the runs, does each command's peak
 resident set in MiB, one line per command named by its subcommand and
 its output directory.  It exits 1 if a ``--jobs 2`` output differs from
-its serial twin.
+its serial twin, or if the quoted copy prepares to other bytes.
 
 ``--compare REV`` exports REV's tree with ``git archive`` into a
 temporary directory, runs the same commands with that tree's code on the
@@ -63,6 +67,7 @@ rather than against hashes recorded elsewhere.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import itertools
 import multiprocessing
@@ -78,6 +83,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 SEED = 1
 #: (name, surrogate rows, prepared splits)
 DATASETS = (("german", 1000, 20), ("adult", 45000, 3))
+#: The 45,000-row input with every cell quoted, a byte-order mark, LF line
+#: ends and one blank line, prepared beside it (see :func:`quoted_mismatches`).
+QUOTED = "adult-quoted.csv"
 #: (setting, per-split privacy budget)
 SWEEPS = (
     ("eo-blind", "1"),
@@ -173,6 +181,13 @@ def write_inputs(inputs: Path) -> None:
     inputs.mkdir(parents=True)
     for name, rows, _ in DATASETS:
         write_german_csv(inputs / f"{name}.csv", rows, SEED)
+    with open(inputs / "adult.csv", newline="") as handle:
+        records = list(csv.reader(handle))
+    with open(inputs / QUOTED, "w", newline="", encoding="utf-8-sig") as handle:
+        writer = csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        writer.writerows(records[: len(records) // 2])
+        handle.write("\n")
+        writer.writerows(records[len(records) // 2 :])
     (inputs / DIST_4D).write_text(DIST_4D_TEXT)
 
 
@@ -212,10 +227,14 @@ def run_tree(source: Path, inputs: Path, out: Path) -> tuple[dict[str, str], dic
     seed = str(SEED)
     for name, _, repeats in DATASETS:
         prepared = out / name / "prepared"
-        run(
-            "prepare", prepared, "--input", f"{name}.csv", "--schema", "german_gender",
-            "--repeats", str(repeats), "--seed", seed, cwd=inputs,
-        )
+        inputs_read = [(f"{name}.csv", prepared)]
+        if name == "adult":
+            inputs_read.append((QUOTED, out / name / "quoted"))
+        for csv_name, dest in inputs_read:
+            run(
+                "prepare", dest, "--input", csv_name, "--schema", "german_gender",
+                "--repeats", str(repeats), "--seed", seed, cwd=inputs,
+            )
         for (setting, eps_p), jobs in itertools.product(SWEEPS, ("1", "2")):
             sweep = out / name / f"{setting}_eps{eps_p}_j{jobs}"
             run(
@@ -260,6 +279,14 @@ def jobs_mismatches(sums: dict[str, str]) -> list[str]:
         path for path, digest in sums.items()
         if "_j2/" in path and sums[path.replace("_j2/", "_j1/")] != digest
     ]
+
+
+def quoted_mismatches(out: Path) -> list[str]:
+    """The files ``prepare`` wrote from the quoted copy whose bytes differ from the plain input's."""
+    plain, quoted = out / "adult" / "prepared", out / "adult" / "quoted"
+    names = ["features.npy", "labels.npy", "sensitive.npy", "meta.kv"]
+    names += [path.name for path in sorted(plain.glob("split_*.npy"))]
+    return [name for name in names if sha256(plain / name) != sha256(quoted / name)]
 
 
 def first_difference(old: Path, new: Path) -> str:
@@ -314,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         failed = False
         for path in jobs_mismatches(sums):
             print(f"--jobs 2 differs from serial: {path}", file=sys.stderr)
+            failed = True
+        for name in quoted_mismatches(temp / "this"):
+            print(f"the quoted copy of adult.csv prepares to another {name}", file=sys.stderr)
             failed = True
         rev_peaks: dict[str, float] = {}
         if args.compare:
